@@ -22,7 +22,12 @@ import numpy as np
 
 from .config import DEFAULTS
 from .cpoly import Poly, roots as poly_roots
-from .errors import AmbiguousMatching, LoopConstructionFailed, PathBlocked
+from .errors import (
+    AmbiguousMatching,
+    LoopConstructionFailed,
+    NoConvergence,
+    PathBlocked,
+)
 from .tracking import (
     Line,
     PathSpec,
@@ -322,7 +327,8 @@ def sigma_values(b, z, cut_disc=None, labeling=None, via=None) -> np.ndarray:
 
     Continues the base fiber along a cut-avoiding route to z and polishes the
     endpoints; component i is sigma_i(z) for the globally continued branch
-    whose value at the base point is labeling.points[i].
+    whose value at the base point is labeling.points[i].  Raises
+    NoConvergence if the polish does not reach the residual bound.
     """
     cd = build_cut_disc(b) if cut_disc is None else cut_disc
     fiber0 = initial_fiber(b, cd.base) if labeling is None else labeling
@@ -333,7 +339,7 @@ def sigma_values(b, z, cut_disc=None, labeling=None, via=None) -> np.ndarray:
     end = track(b, fiber0, path)
     pts, ok, _ = _correct(b, np.asarray(end.points, dtype=complex), z, 1e-14, 8)
     if not ok:
-        pts = np.asarray(end.points, dtype=complex)
+        raise NoConvergence(f"polishing the fiber at z={z:.4f} did not converge")
     return pts
 
 
@@ -401,6 +407,13 @@ class QuadratureGrid:
     map unitary).  `correction` marks the samples covering the excluded
     regions (branch-value discs, boundary annulus), whose summed contribution
     is reported as the excluded-mass bound.
+
+    Fibers of the main-region rings and of the boundary annulus come from
+    certified continuation along each ring (`_continue_paths`); fibers of the
+    branch-value discs come from eigenvalue solves (`_fiber_batch`).
+    `fallbacks` counts the continued samples whose step failed its
+    certificate and were solved by eigenvalues instead (path seeds are not
+    counted); it depends only on the product, budget, and seed.
     """
 
     points: np.ndarray
@@ -412,16 +425,22 @@ class QuadratureGrid:
     seed: int
     exclusion_radius: float
     annulus_width: float
+    fallbacks: int
 
 
 def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
-    """Unordered fibers of many regular values at once.
+    """Unordered fibers of many regular values at once, each solved afresh.
 
     Solves P(z) - w Q(z) = 0 per sample via batched companion-matrix
     eigenvalues (chunked to bound memory); the leading coefficient never
     degenerates since |Q_n| < 1 = |P_n| inside the disc.  Residuals are
     validated against the scale-aware evaluation bound and rare failures are
     re-solved with the clustering root finder.
+
+    Used where no neighbouring fiber is at hand: the first sample of every
+    continuation path, samples whose continuation step fails its
+    certificate, the branch-value correction discs of the quadrature grid,
+    and the independent unordered fibers of `verify_disjoint_images`.
     """
     n = b.order
     p = np.asarray(b.P.coeffs, dtype=complex)
@@ -459,6 +478,119 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stacked_coeffs(b) -> np.ndarray:
+    """P and Q coefficients, highest degree first, shaped (deg + 1, 2, 1, 1)
+    to broadcast against (paths, n) arrays of fiber points."""
+    p = np.asarray(b.P.coeffs, dtype=complex)
+    q = np.asarray(b.Q.coeffs, dtype=complex)
+    pq = np.zeros((max(len(p), len(q)), 2), dtype=complex)
+    pq[:len(p), 0] = p
+    pq[:len(q), 1] = q
+    return pq[::-1, :, None, None]
+
+
+def _value_and_derivative(pq, z):
+    """B(z) and B'(z) from `_stacked_coeffs`, P and Q in one Horner pass."""
+    v = np.empty((2,) + z.shape, dtype=complex)
+    v[...] = pq[0]
+    dv = np.zeros_like(v)
+    for c in pq[1:]:
+        dv *= z
+        dv += v
+        v *= z
+        v += c
+    (p, q), (dp, dq) = v, dv
+    return p / q, (dp * q - p * dq) / (q * q)
+
+
+def _certified_step(pq, pred, w):
+    """Newton-correct predicted fibers pred[k] onto B(z) = w[k].
+
+    Row k is corrected until its largest residual |B(z) - w[k]| is at most
+    `newton_tol` or `max_newton_iters` corrections are spent; the loop ends
+    once every row has converged.  Returns (points, B' at the points,
+    accepted): a row is accepted under `track`'s certificate, i.e. it
+    converged, its minimum point separation exceeds collision_factor *
+    newton_tol, and that separation exceeds ten times its largest net
+    correction.  A fiber of one point has no pairs; its separation is
+    infinite.
+    """
+    newton_tol = DEFAULTS.newton_tol
+    max_iters = DEFAULTS.max_newton_iters
+    z = pred.copy()
+    db = np.empty_like(z)
+    converged = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
+    with np.errstate(all="ignore"):
+        for it in range(max_iters + 1):
+            val, dval = _value_and_derivative(pq, z[live])
+            resid = val - w[live, None]
+            done = np.all(np.abs(resid) <= newton_tol, axis=1)
+            db[live] = dval
+            converged[live[done]] = True
+            live, resid, dval = live[~done], resid[~done], dval[~done]
+            if len(live) == 0 or it == max_iters:
+                break
+            z[live] -= resid / dval
+        n = z.shape[1]
+        if n > 1:
+            i, j = np.triu_indices(n, 1)
+            sep = np.abs(z[:, i] - z[:, j]).min(axis=1)
+        else:
+            sep = np.full(len(z), np.inf)
+        largest = np.abs(z - pred).max(axis=1)
+        accepted = (
+            converged
+            & (sep > DEFAULTS.collision_factor * newton_tol)
+            & (sep > 10.0 * largest)
+        )
+    return z, db, accepted
+
+
+def _continue_paths(b, ws: np.ndarray, lengths):
+    """Unordered fibers along sample paths by certified continuation.
+
+    `ws` is the concatenation of paths of the given lengths, each an ordered
+    run of nearby regular values.  Every path starts from an eigenvalue fiber
+    of its first sample (`_fiber_batch`); each later sample is reached by an
+    Euler predictor z + dw / B'(z) from the previous fiber and a Newton
+    corrector with the certificate of `_certified_step`.  All paths advance
+    together, one vectorized step at a time.  A sample whose step fails the
+    certificate is solved by eigenvalues and its path continues from there.
+
+    Returns (fibers aligned with ws, number of such eigenvalue fallbacks).
+    """
+    n = b.order
+    fibers = np.empty((len(ws), n), dtype=complex)
+    lengths = np.asarray(lengths, dtype=int)
+    lengths = lengths[lengths > 0]
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    # Longest paths first, so the paths still running at step k are a prefix.
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[order], lengths[order]
+    pq = _stacked_coeffs(b)
+    w = ws[starts]
+    z = _fiber_batch(b, w)
+    db = _value_and_derivative(pq, z)[1]
+    fibers[starts] = z
+    fallbacks = 0
+    for k in range(1, int(lengths[0])):
+        live = int(np.count_nonzero(lengths > k))
+        idx = starts[:live] + k
+        w_next = ws[idx]
+        with np.errstate(all="ignore"):
+            pred = z[:live] + (w_next - w[:live])[:, None] / db[:live]
+        z, db, accepted = _certified_step(pq, pred, w_next)
+        failed = np.nonzero(~accepted)[0]
+        if len(failed):
+            fallbacks += len(failed)
+            z[failed] = _fiber_batch(b, w_next[failed])
+            db[failed] = _value_and_derivative(pq, z[failed])[1]
+        fibers[idx] = z
+        w = w_next
+    return fibers, fallbacks
+
+
 def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
                           annulus_width=None) -> QuadratureGrid:
     """Stratified samples over the disc split into three regions.
@@ -471,6 +603,13 @@ def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
     value, keeping weights bounded) and the annulus uniformly by area.
     Nearest-branch-value ownership resolves overlapping discs so the three
     regions partition the disc exactly.
+
+    Fibers: each main-region ring, in angle order after the exclusion
+    filter, is one continuation path, and so is each piece, about one ring
+    long, of the angle-ordered annulus samples (`_continue_paths`).  The
+    disc samples jump in radius, so they are solved by eigenvalues
+    (`_fiber_batch`).  The samples and weights do not depend on how the
+    fibers are solved.
     """
     seed = DEFAULTS.seed if seed is None else int(seed)
     excl = DEFAULTS.exclusion_radius if exclusion_radius is None else exclusion_radius
@@ -487,7 +626,7 @@ def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
     n_corr = int(0.10 * budget) if k else 0
     n_ann = budget - n_main - n_corr
 
-    pts, wts, corr = [], [], []
+    pts, wts, corr, on_path, path_lengths = [], [], [], [], []
 
     def _outside_exclusions(z):
         if k == 0:
@@ -509,9 +648,12 @@ def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
         th = _TWO_PI * (np.arange(m) + rng.random(m)) / m
         z = r * np.exp(1j * th)
         keep = _outside_exclusions(z)
+        kept = int(keep.sum())
         pts.append(z[keep])
-        wts.append(np.full(int(keep.sum()), (r_main ** 2 / strata) / m))
-        corr.append(np.zeros(int(keep.sum()), dtype=bool))
+        wts.append(np.full(kept, (r_main ** 2 / strata) / m))
+        corr.append(np.zeros(kept, dtype=bool))
+        on_path.append(np.ones(kept, dtype=bool))
+        path_lengths.append(kept)
 
     # Branch-value discs: polar sampling, nearest-owner indicator.
     if k:
@@ -530,6 +672,7 @@ def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
             pts.append(z[keep])
             wts.append(2.0 * excl * r[keep] / m)
             corr.append(np.ones(int(keep.sum()), dtype=bool))
+            on_path.append(np.zeros(int(keep.sum()), dtype=bool))
 
     # Boundary annulus: uniform by area.
     if n_ann > 0:
@@ -539,12 +682,21 @@ def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
         pts.append(z)
         wts.append(np.full(n_ann, (1.0 - r_main ** 2) / n_ann))
         corr.append(np.ones(n_ann, dtype=bool))
+        on_path.append(np.ones(n_ann, dtype=bool))
+        pieces = max(1, round(n_ann / per[0]))
+        path_lengths.extend(
+            n_ann // pieces + (1 if j < n_ann % pieces else 0)
+            for j in range(pieces)
+        )
 
     points = np.concatenate(pts)
     weights = np.concatenate(wts)
     correction = np.concatenate(corr)
+    on_path = np.concatenate(on_path)
 
-    fibers = _fiber_batch(b, points)
+    fibers = np.empty((len(points), b.order), dtype=complex)
+    fibers[on_path], fallbacks = _continue_paths(b, points[on_path], path_lengths)
+    fibers[~on_path] = _fiber_batch(b, points[~on_path])
     dvals = b.derivative_value(fibers)
     inv_db2 = 1.0 / np.abs(dvals) ** 2
     return QuadratureGrid(
@@ -557,6 +709,7 @@ def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
         seed=seed,
         exclusion_radius=excl,
         annulus_width=aw,
+        fallbacks=fallbacks,
     )
 
 

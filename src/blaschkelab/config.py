@@ -31,9 +31,11 @@ class Settings:
     step_floor : float
         Smallest admissible continuation step (in segment parameter).
     max_newton_iters : int
-        Corrector iterations allowed per tracking step.
+        Corrector iterations allowed per tracking or quadrature continuation
+        step.
     collision_factor : float
-        Fiber points closer than collision_factor * newton_tol abort tracking.
+        Fiber points closer than collision_factor * newton_tol abort tracking
+        (and send a quadrature continuation step to the eigenvalue solver).
     grid : int
         Base-point search resolution (grid x grid over the bounding square).
     group_cap : int

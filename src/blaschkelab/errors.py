@@ -27,7 +27,7 @@ class ToolkitError(RuntimeError):
 
 
 class NoConvergence(ToolkitError):
-    """Root iteration exhausted its budget with residuals above the bound."""
+    """Root or Newton iteration exhausted its budget with residuals above the bound."""
 
 
 class DegenerateClustering(ToolkitError):

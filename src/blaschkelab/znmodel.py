@@ -18,7 +18,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, truncated_matrix
 from .commutant import commutant_basis, is_commutative, minimal_projections, permutation_matrix
-from .monodromy import boundary_product, compute_representation, group_closure, orbital_count
+from .monodromy import boundary_product, compute_representation, orbital_count
 
 __all__ = [
     "ZnCase",
@@ -149,8 +149,7 @@ def zn_end_to_end(n: int, seed: int = 0) -> dict:
         report["boundary_ok"] = (
             boundary_product(rep).images == rep.boundary_perm.images
         )
-        group = group_closure(gens, degree=n)
-        q = orbital_count(group, n)
+        q = orbital_count(gens, n)
         report["q_orbitals"] = q
         report["q_ok"] = q == n
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from blaschkelab import (
+    DEFAULTS,
     BlaschkeProduct,
+    NoConvergence,
     Poly,
     build_cut_disc,
     build_quadrature_grid,
@@ -25,11 +27,32 @@ from blaschkelab import (
     verify_intertwining,
     verify_isometry,
 )
-from blaschkelab.bundle import _segment_segment_distance
+from blaschkelab import bundle
+from blaschkelab.bundle import (
+    _certified_step,
+    _continue_paths,
+    _fiber_batch,
+    _segment_segment_distance,
+    _stacked_coeffs,
+    _value_and_derivative,
+)
 
 
 def _monomial(k: int) -> Poly:
     return Poly((0.0,) * k + (1.0,))
+
+
+def _acceptance_product(index: int) -> BlaschkeProduct:
+    """Product `index` of the seed-2026 acceptance suite (orders 3-6, five each)."""
+    rng = np.random.default_rng(2026)
+    suite = [random_product(order, rng) for order in (3, 4, 5, 6) for _ in range(5)]
+    return suite[index]
+
+
+def _set_distance(a: np.ndarray, c: np.ndarray) -> float:
+    """Largest distance from a point of one row set to the other, both ways."""
+    d = np.abs(a[:, :, None] - c[:, None, :])
+    return float(max(d.min(axis=2).max(), d.min(axis=1).max()))
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +242,92 @@ def test_bundle_report_structure(order3):
     assert report["excluded_mass_bound"] >= 0.0
     assert report["budget"] == 10**4
     assert report["seed"] == 0
+
+
+def test_sigma_values_raises_when_polish_fails(order3, monkeypatch):
+    cd = build_cut_disc(order3)
+    lab = initial_fiber(order3, cd.base)
+    z = cd.base + 0.05
+    monkeypatch.setattr(
+        bundle, "_correct", lambda b, pts, w, tol, iters: (pts, False, math.inf)
+    )
+    with pytest.raises(NoConvergence):
+        sigma_values(order3, z, cut_disc=cd, labeling=lab)
+
+
+_CONTINUED_PRODUCTS = {
+    "suite0-order3": _acceptance_product(0),
+    "suite5-order4": _acceptance_product(5),
+    "suite10-order5": _acceptance_product(10),
+    "suite15-order6": _acceptance_product(15),
+    "z^2": BlaschkeProduct(0.0, [0.0] * 2),
+    "z^5": BlaschkeProduct(0.0, [0.0] * 5),
+    "identity": BlaschkeProduct(0.0, [0.0]),
+}
+
+
+@pytest.mark.parametrize("budget", [10**4, 10**5])
+@pytest.mark.parametrize("name", sorted(_CONTINUED_PRODUCTS))
+def test_continued_fibers_match_eigenvalue_fibers(name, budget):
+    b = _CONTINUED_PRODUCTS[name]
+    grid = build_quadrature_grid(b, budget, seed=0)
+    assert grid.fibers.shape == (len(grid.points), b.order)
+    assert _set_distance(grid.fibers, _fiber_batch(b, grid.points)) <= 1e-10
+    resid = np.abs(b(grid.fibers) - grid.points[:, None])
+    assert resid.max() <= DEFAULTS.newton_tol
+    assert 0 <= grid.fallbacks < 0.01 * budget
+
+
+def test_continuation_leaves_samples_and_weights_unchanged(monkeypatch):
+    b = _acceptance_product(15)
+    continued = build_quadrature_grid(b, 10**4, seed=3)
+    again = build_quadrature_grid(b, 10**4, seed=3)
+    assert again.fallbacks == continued.fallbacks
+    monkeypatch.setattr(
+        bundle, "_continue_paths", lambda b, ws, lengths: (_fiber_batch(b, ws), 0)
+    )
+    eig_only = build_quadrature_grid(b, 10**4, seed=3)
+    for field in ("points", "weights", "correction"):
+        got, want = getattr(continued, field), getattr(eig_only, field)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert _set_distance(continued.fibers, eig_only.fibers) <= 1e-10
+
+
+def test_continuation_falls_back_across_a_branch_value(square):
+    # The step from 1/4 to -1/4 crosses the branch value 0: the Euler
+    # predictor lands both points on the critical point, so the step fails
+    # its certificate and the fiber at -1/4 comes from eigenvalues.
+    ws = np.array([0.25, -0.25, -0.25 + 0.01j, 0.3, 0.3 + 0.01j])
+    fibers, fallbacks = _continue_paths(square, ws, [3, 2])
+    assert fallbacks == 1
+    assert _set_distance(fibers, _fiber_batch(square, ws)) <= 1e-12
+    assert np.max(np.abs(fibers**2 - ws[:, None])) <= DEFAULTS.newton_tol
+
+
+def test_certificate_rejects_collided_and_overcorrected_steps(order3):
+    pq = _stacked_coeffs(order3)
+    w0, w1 = 0.135 - 0.45j, 0.318 + 0.108j
+    exact = _fiber_batch(order3, np.array([w1]))
+    _, _, ok = _certified_step(pq, exact, np.array([w1]))
+    assert ok.tolist() == [True]
+    # Two points 1e-12 apart on one root: converged at once, with no
+    # correction at all, but collided.
+    doubled = exact[:, [0, 0, 2]] + np.array([0.0, 1e-12, 0.0])
+    z, _, ok = _certified_step(pq, doubled, np.array([w1]))
+    assert np.max(np.abs(order3(z) - w1)) <= DEFAULTS.newton_tol
+    assert ok.tolist() == [False]
+    # One long Euler step: Newton converges to a fiber, but its corrections
+    # are more than a tenth of the separation, so the step is not trusted.
+    start = _fiber_batch(order3, np.array([w0]))
+    pred = start + (w1 - w0) / _value_and_derivative(pq, start)[1]
+    z, _, ok = _certified_step(pq, pred, np.array([w1]))
+    assert np.max(np.abs(order3(z) - w1)) <= DEFAULTS.newton_tol
+    assert ok.tolist() == [False]
+
+
+def test_continuation_single_point_fiber(mobius):
+    ws = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 200))
+    fibers, fallbacks = _continue_paths(mobius, ws, [200])
+    assert fallbacks == 0
+    assert np.max(np.abs(mobius(fibers[:, 0]) - ws)) <= DEFAULTS.newton_tol
