@@ -13,7 +13,7 @@ from blaschkelab import (
     BlaschkeProduct,
     boundary_product,
     compute_representation,
-    group_closure,
+    group_order,
     is_transitive,
     orbital_count,
 )
@@ -46,10 +46,10 @@ print("boundary permutation:", rep.boundary_perm.images)
 product = boundary_product(rep)
 print("generator product == boundary?", product.images == rep.boundary_perm.images)
 
-# Group invariants: transitivity (the product is not a composition of
-# disjoint pieces) and the orbit count q on ordered pairs.
+# Group invariants: the group order (by Schreier-Sims), transitivity (the
+# product is not a composition of disjoint pieces) and the orbit count q on
+# ordered pairs.
 gens = list(rep.generators)
-group = group_closure(gens, degree=b.order)
-print(f"monodromy group order = {len(group)}")
+print(f"monodromy group order = {group_order(gens, b.order)}")
 print("transitive?", is_transitive(gens, b.order))
 print("orbital count q =", orbital_count(gens, b.order))

@@ -558,10 +558,12 @@ def _continue_paths(b, ws: np.ndarray, lengths):
     together, one vectorized step at a time.  A sample whose step fails the
     certificate is solved by eigenvalues and its path continues from there.
 
-    Returns (fibers aligned with ws, number of such eigenvalue fallbacks).
+    Returns (fibers aligned with ws, B' at those fibers, number of such
+    eigenvalue fallbacks).
     """
     n = b.order
     fibers = np.empty((len(ws), n), dtype=complex)
+    derivs = np.empty_like(fibers)
     lengths = np.asarray(lengths, dtype=int)
     lengths = lengths[lengths > 0]
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
@@ -573,6 +575,7 @@ def _continue_paths(b, ws: np.ndarray, lengths):
     z = _fiber_batch(b, w)
     db = _value_and_derivative(pq, z)[1]
     fibers[starts] = z
+    derivs[starts] = db
     fallbacks = 0
     for k in range(1, int(lengths[0])):
         live = int(np.count_nonzero(lengths > k))
@@ -587,8 +590,9 @@ def _continue_paths(b, ws: np.ndarray, lengths):
             z[failed] = _fiber_batch(b, w_next[failed])
             db[failed] = _value_and_derivative(pq, z[failed])[1]
         fibers[idx] = z
+        derivs[idx] = db
         w = w_next
-    return fibers, fallbacks
+    return fibers, derivs, fallbacks
 
 
 def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
@@ -608,8 +612,9 @@ def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
     filter, is one continuation path, and so is each piece, about one ring
     long, of the angle-ordered annulus samples (`_continue_paths`).  The
     disc samples jump in radius, so they are solved by eigenvalues
-    (`_fiber_batch`).  The samples and weights do not depend on how the
-    fibers are solved.
+    (`_fiber_batch`).  B' of a continued fiber is the one its corrector
+    last evaluated; the disc fibers evaluate it afresh.  The samples and
+    weights do not depend on how the fibers are solved.
     """
     seed = DEFAULTS.seed if seed is None else int(seed)
     excl = DEFAULTS.exclusion_radius if exclusion_radius is None else exclusion_radius
@@ -695,9 +700,12 @@ def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
     on_path = np.concatenate(on_path)
 
     fibers = np.empty((len(points), b.order), dtype=complex)
-    fibers[on_path], fallbacks = _continue_paths(b, points[on_path], path_lengths)
+    dvals = np.empty_like(fibers)
+    fibers[on_path], dvals[on_path], fallbacks = _continue_paths(
+        b, points[on_path], path_lengths
+    )
     fibers[~on_path] = _fiber_batch(b, points[~on_path])
-    dvals = b.derivative_value(fibers)
+    dvals[~on_path] = b.derivative_value(fibers[~on_path])
     inv_db2 = 1.0 / np.abs(dvals) ** 2
     return QuadratureGrid(
         points=points,

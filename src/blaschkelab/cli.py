@@ -25,7 +25,7 @@ from .errors import ToolkitError
 from .monodromy import (
     boundary_product,
     compute_representation,
-    group_closure,
+    group_order,
     is_transitive,
     orbital_count,
 )
@@ -44,7 +44,7 @@ def _matrix_pairs(m) -> list:
     return [[_pair(v) for v in row] for row in np.asarray(m)]
 
 
-def run_analysis(b, seed=None, group_cap=None, newton_tol=None, dedup_tol=None) -> dict:
+def run_analysis(b, seed=None, newton_tol=None, dedup_tol=None) -> dict:
     """Full pipeline on one product: monodromy, commutant, theorem checks.
 
     The returned report carries every named check with its numeric evidence;
@@ -55,10 +55,7 @@ def run_analysis(b, seed=None, group_cap=None, newton_tol=None, dedup_tol=None) 
     rep = compute_representation(b, newton_tol=newton_tol, dedup_tol=dedup_tol, seed=seed)
     gens = list(rep.generators)
 
-    try:
-        group_order = len(group_closure(gens, cap=group_cap, degree=n))
-    except ToolkitError:
-        group_order = "exceeds cap"
+    order = group_order(gens, n)
     transitive = is_transitive(gens, n) if gens else n == 1
     q = orbital_count(gens, n) if gens else n * n
 
@@ -120,7 +117,7 @@ def run_analysis(b, seed=None, group_cap=None, newton_tol=None, dedup_tol=None) 
         "branch_values": [_pair(v) for v in rep.branch_values],
         "generators": [list(g.images) for g in gens],
         "boundary_permutation": list(boundary.images),
-        "group_order": group_order,
+        "group_order": order,
         "transitive": bool(transitive),
         "q_orbitals": q,
         "commutant_dim": cb.dim,
@@ -154,7 +151,6 @@ def cmd_analyze(args) -> int:
     report = run_analysis(
         b,
         seed=args.seed,
-        group_cap=args.group_cap,
         newton_tol=args.newton_tol,
         dedup_tol=args.dedup_tol,
     )
@@ -231,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="monodromy + commutant + theorem checks")
     common(p)
-    p.add_argument("--group-cap", type=int, default=None)
     p.add_argument("--newton-tol", type=float, default=None)
     p.add_argument("--dedup-tol", type=float, default=None)
     p.set_defaults(func=cmd_analyze)

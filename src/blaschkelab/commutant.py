@@ -101,7 +101,8 @@ def commutant_basis(generators, n: int, rtol: float = None) -> CommutantBasis:
     system = np.vstack(
         [np.kron(eye, v.T) - np.kron(v, eye) for v in mats]
     )
-    _, s, vh = np.linalg.svd(system, full_matrices=True)
+    # At least n^2 rows, so the reduced vh is still the full n^2 x n^2 V^H.
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
     cutoff = rtol * (s[0] if s.size else 0.0)
     nullity = n * n - int(np.sum(s > cutoff))
     basis = tuple(

@@ -39,7 +39,8 @@ class Settings:
     grid : int
         Base-point search resolution (grid x grid over the bounding square).
     group_cap : int
-        Maximum group-closure size before GroupTooLarge (10!).
+        Largest group `group_closure` lists before GroupTooLarge (10!);
+        it bounds only that listing, not `group_order`.
     nullspace_rtol : float
         Singular values below nullspace_rtol * sigma_max span the commutant.
     projection_gap : float

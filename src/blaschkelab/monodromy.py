@@ -3,8 +3,10 @@
 Tracking the base fiber around the loop system yields one permutation per
 branch value; these generate the monodromy action of the covering on sheet
 labels.  Group-level quantities derived here (transitivity, orbit counts on
-ordered pairs, closure size) are conjugation invariant and therefore do not
-depend on the arbitrary sheet labeling.
+ordered pairs, group order) are conjugation invariant and therefore do not
+depend on the arbitrary sheet labeling.  The group order comes from
+Schreier–Sims (`group_order`); `group_closure` lists the elements themselves
+and serves as its reference on small groups.
 """
 
 from __future__ import annotations
@@ -23,9 +25,22 @@ __all__ = [
     "compute_representation",
     "boundary_product",
     "group_closure",
+    "group_order",
     "is_transitive",
     "orbital_count",
 ]
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Image tuple of a after b."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inv(a: tuple) -> tuple:
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -51,13 +66,10 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(tuple(self.images[j] for j in other.images))
+        return Permutation(_mul(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(_inv(self.images))
 
     def conjugate(self, relabel: "Permutation") -> "Permutation":
         """relabel o self o relabel^{-1}."""
@@ -187,6 +199,93 @@ def group_closure(generators, cap=None, degree=None):
                     nxt.append(h)
         frontier = nxt
     return list(seen.values())
+
+
+def _orbit(point: int, gens: list, identity: tuple) -> dict:
+    """Schreier transversal {image: (u, u^{-1})} with u(point) = image."""
+    table = {point: (identity, identity)}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            u = table[beta][0]
+            for s in gens:
+                gamma = s[beta]
+                if gamma not in table:
+                    v = _mul(s, u)
+                    table[gamma] = (v, _inv(v))
+                    nxt.append(gamma)
+        frontier = nxt
+    return table
+
+
+def group_order(generators, degree: int) -> int:
+    """Order of the group generated on {0, ..., degree-1}, by Schreier–Sims.
+
+    Deterministic Schreier–Sims (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003) on image tuples.  Level i has base point
+    b_i, the strong generators fixing b_0, ..., b_{i-1}, and a Schreier
+    transversal of the basic orbit of b_i.  Every Schreier generator of a
+    level is sifted through the levels below it; a non-trivial residue is
+    added to those levels (opening a new one at the smallest point it moves
+    when it sifts through all of them) and checking resumes at the deepest
+    level it joined.  The order is the exact product of the basic-orbit
+    lengths.  No randomness and no size or degree cap; an empty or
+    all-identity generator list gives 1.
+    """
+    identity = tuple(range(degree))
+    gens = []
+    for g in generators:
+        if g.n != degree:
+            raise ValueError(f"generator of degree {g.n} in a group of degree {degree}")
+        if g.images != identity:
+            gens.append(g.images)
+    base, strong, orbits = [], [], []
+
+    def moved(g):
+        return next(i for i, j in enumerate(g) if i != j)
+
+    def sift(h, level):
+        """(residue, level where its base image left the orbit or len(base))."""
+        for j in range(level, len(base)):
+            entry = orbits[j].get(h[base[j]])
+            if entry is None:
+                return h, j
+            h = _mul(entry[1], h)
+        return h, len(base)
+
+    def residue_at(i):
+        """First Schreier generator of level i that sifts to a non-identity."""
+        for beta, (u, _) in orbits[i].items():
+            for s in strong[i]:
+                h, j = sift(_mul(orbits[i][s[beta]][1], _mul(s, u)), i + 1)
+                if h != identity:
+                    return h, j
+        return None
+
+    for g in gens:
+        if all(g[b] == b for b in base):
+            base.append(moved(g))
+    for i, b in enumerate(base):
+        strong.append([g for g in gens if all(g[c] == c for c in base[:i])])
+        orbits.append(_orbit(b, strong[i], identity))
+
+    i = len(base) - 1
+    while i >= 0:
+        residue = residue_at(i)
+        if residue is None:
+            i -= 1
+            continue
+        h, j = residue
+        if j == len(base):
+            base.append(moved(h))
+            strong.append([])
+            orbits.append(None)
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+            orbits[level] = _orbit(base[level], strong[level], identity)
+        i = j
+    return math.prod(len(orbit) for orbit in orbits)
 
 
 def is_transitive(generators, n: int) -> bool:

@@ -276,6 +276,8 @@ def test_continued_fibers_match_eigenvalue_fibers(name, budget):
     resid = np.abs(b(grid.fibers) - grid.points[:, None])
     assert resid.max() <= DEFAULTS.newton_tol
     assert 0 <= grid.fallbacks < 0.01 * budget
+    want = 1.0 / np.abs(b.derivative_value(grid.fibers)) ** 2
+    assert np.max(np.abs(grid.inv_db2 / want - 1.0)) <= 1e-12
 
 
 def test_continuation_leaves_samples_and_weights_unchanged(monkeypatch):
@@ -283,9 +285,11 @@ def test_continuation_leaves_samples_and_weights_unchanged(monkeypatch):
     continued = build_quadrature_grid(b, 10**4, seed=3)
     again = build_quadrature_grid(b, 10**4, seed=3)
     assert again.fallbacks == continued.fallbacks
-    monkeypatch.setattr(
-        bundle, "_continue_paths", lambda b, ws, lengths: (_fiber_batch(b, ws), 0)
-    )
+    def eig_paths(b, ws, lengths):
+        fibers = _fiber_batch(b, ws)
+        return fibers, b.derivative_value(fibers), 0
+
+    monkeypatch.setattr(bundle, "_continue_paths", eig_paths)
     eig_only = build_quadrature_grid(b, 10**4, seed=3)
     for field in ("points", "weights", "correction"):
         got, want = getattr(continued, field), getattr(eig_only, field)
@@ -299,8 +303,9 @@ def test_continuation_falls_back_across_a_branch_value(square):
     # predictor lands both points on the critical point, so the step fails
     # its certificate and the fiber at -1/4 comes from eigenvalues.
     ws = np.array([0.25, -0.25, -0.25 + 0.01j, 0.3, 0.3 + 0.01j])
-    fibers, fallbacks = _continue_paths(square, ws, [3, 2])
+    fibers, derivs, fallbacks = _continue_paths(square, ws, [3, 2])
     assert fallbacks == 1
+    assert np.max(np.abs(derivs - 2.0 * fibers)) <= 1e-12
     assert _set_distance(fibers, _fiber_batch(square, ws)) <= 1e-12
     assert np.max(np.abs(fibers**2 - ws[:, None])) <= DEFAULTS.newton_tol
 
@@ -328,6 +333,6 @@ def test_certificate_rejects_collided_and_overcorrected_steps(order3):
 
 def test_continuation_single_point_fiber(mobius):
     ws = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 200))
-    fibers, fallbacks = _continue_paths(mobius, ws, [200])
+    fibers, _, fallbacks = _continue_paths(mobius, ws, [200])
     assert fallbacks == 0
     assert np.max(np.abs(mobius(fibers[:, 0]) - ws)) <= DEFAULTS.newton_tol

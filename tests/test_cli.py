@@ -60,8 +60,9 @@ def test_analyze_stdout(square_spec, capsys):
     assert report["order"] == 2
 
 
-def test_usage_errors_exit_2(tmp_path, capsys):
+def test_usage_errors_exit_2(tmp_path, square_spec, capsys):
     assert main(["analyze", str(tmp_path / "missing.json")]) == 2
+    assert main(["analyze", str(square_spec), "--group-cap", "100"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["analyze", str(bad)]) == 2

@@ -12,6 +12,7 @@ from blaschkelab import (
     boundary_product,
     compute_representation,
     group_closure,
+    group_order,
     is_transitive,
     orbital_count,
     random_product,
@@ -20,6 +21,21 @@ from blaschkelab import (
 
 def _cycle(n: int) -> Permutation:
     return Permutation(tuple((i + 1) % n for i in range(n)))
+
+
+def _transposition(n: int, i: int, j: int) -> Permutation:
+    images = list(range(n))
+    images[i], images[j] = j, i
+    return Permutation(tuple(images))
+
+
+def _wreath(size: int, blocks: int) -> list:
+    """S_size wr Z_blocks on blocks of `size` consecutive points."""
+    n = size * blocks
+    inner = list(range(n))
+    inner[:size] = [(i + 1) % size for i in range(size)]
+    rotate = Permutation(tuple((i + size) % n for i in range(n)))
+    return [_transposition(n, 0, 1), Permutation(tuple(inner)), rotate]
 
 
 def test_permutation_validates_images():
@@ -99,6 +115,64 @@ def test_group_closure_cap():
         group_closure(gens, cap=100)
 
 
+def test_group_order_matches_closure():
+    identity = Permutation.identity(4)
+    families = [
+        ([], 1),
+        ([], 3),
+        ([identity, identity], 4),
+        ([Permutation((0,))], 1),
+        ([Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))], 4),  # Z_2 x Z_2
+        # S_2 wr S_3: a swap inside block {0, 1}, then S_3 on the blocks.
+        (
+            [
+                _transposition(6, 0, 1),
+                Permutation((2, 3, 0, 1, 4, 5)),
+                Permutation((2, 3, 4, 5, 0, 1)),
+            ],
+            6,
+        ),
+        (_wreath(2, 3), 6),
+        (_wreath(3, 2), 6),
+    ]
+    rng = np.random.default_rng(17)
+    for _ in range(120):
+        n = int(rng.integers(1, 8))
+        gens = []
+        for _ in range(int(rng.integers(0, 4))):
+            if n > 1 and rng.random() < 0.5:
+                i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+                gens.append(_transposition(n, i, j))
+            else:
+                gens.append(Permutation(tuple(int(x) for x in rng.permutation(n))))
+        families.append((gens, n))
+    for gens, n in families:
+        assert group_order(gens, n) == len(group_closure(gens, degree=n))
+    with pytest.raises(ValueError):
+        group_order([_cycle(3)], 4)
+
+
+def test_group_order_past_the_closure_cap():
+    cases = [
+        ([_transposition(12, 0, 1), _cycle(12)], 12, math.factorial(12)),
+        (
+            [Permutation((1, 2, 0) + tuple(range(3, 11)))]
+            + [
+                Permutation(tuple({0: 1, 1: k, k: 0}.get(i, i) for i in range(11)))
+                for k in range(3, 11)
+            ],
+            11,
+            math.factorial(11) // 2,
+        ),
+        (_wreath(4, 4), 16, math.factorial(4) ** 4 * 4),
+        ([_cycle(18)], 18, 18),
+    ]
+    for gens, n, order in cases:
+        with pytest.raises(GroupTooLarge):
+            group_closure(gens)
+        assert group_order(gens, n) == order
+
+
 def test_transitivity_examples():
     assert is_transitive([_cycle(3)], 3)
     assert not is_transitive([Permutation((0, 1))], 2)
@@ -122,6 +196,7 @@ def test_conjugation_invariance(order4, rep_of):
         conj = [g.conjugate(relabel) for g in gens]
         assert orbital_count(conj, n) == orbital_count(gens, n)
         assert len(group_closure(conj)) == len(group_closure(gens))
+        assert group_order(conj, n) == group_order(gens, n)
         assert is_transitive(conj, n) == is_transitive(gens, n)
 
 
@@ -136,4 +211,7 @@ def test_random_representations_properties():
             assert rep.boundary_perm.cycle_type() == (order,)
             assert boundary_product(rep).images == rep.boundary_perm.images
             assert math.factorial(order) % len(group_closure(gens)) == 0
+            reversal = Permutation(tuple(reversed(range(order))))
+            conj = [g.conjugate(reversal) for g in gens]
+            assert group_order(conj, order) == len(group_closure(gens))
             assert orbital_count(gens, order) >= 2
