@@ -48,6 +48,7 @@ class BlaschkeProduct:
     zeros: tuple
     P: Poly = field(init=False, repr=False, compare=False)
     Q: Poly = field(init=False, repr=False, compare=False)
+    _pq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, theta, zeros):
         zeros = tuple(complex(a) for a in zeros)
@@ -64,6 +65,12 @@ class BlaschkeProduct:
         for a in zeros:
             q = q * Poly([1.0, -a.conjugate()])
         object.__setattr__(self, "Q", q)
+        # P and Q coefficients side by side, highest degree first, for the
+        # one-pass Horner evaluation in `eval_with_derivative`.
+        pq = np.zeros((len(self.P.coeffs), 2), dtype=complex)
+        pq[:, 0] = self.P.coeffs
+        pq[: len(q.coeffs), 1] = q.coeffs
+        object.__setattr__(self, "_pq", pq[::-1])
 
     @property
     def order(self) -> int:
@@ -75,11 +82,29 @@ class BlaschkeProduct:
 
     __call__ = evaluate
 
+    def eval_with_derivative(self, z):
+        """B(z) and B'(z) = (P'Q - PQ') / Q**2 for an array `z` of any shape.
+
+        P, Q and their derivatives come from one Horner pass over the
+        stacked coefficients; the values are bit-identical to separate
+        `Poly.eval_with_derivative` passes over P and Q.
+        """
+        z = np.asarray(z, dtype=complex)
+        pq = self._pq.reshape(self._pq.shape + (1,) * z.ndim)
+        v = np.empty((2,) + z.shape, dtype=complex)
+        v[...] = pq[0]
+        dv = np.zeros_like(v)
+        for c in pq[1:]:
+            dv *= z
+            dv += v
+            v *= z
+            v += c
+        (p, q), (dp, dq) = v, dv
+        return p / q, (dp * q - p * dq) / (q * q)
+
     def derivative_value(self, z):
-        """B'(z) = (P'Q - PQ') / Q**2."""
-        p, dp = self.P.eval_with_derivative(z)
-        q, dq = self.Q.eval_with_derivative(z)
-        return (dp * q - p * dq) / (q * q)
+        """B'(z), the second value of `eval_with_derivative`."""
+        return self.eval_with_derivative(z)[1]
 
     def critical_numerator(self) -> Poly:
         """P'Q - PQ', whose disc roots are the critical points of B.

@@ -31,9 +31,11 @@ from .errors import (
 from .tracking import (
     Line,
     PathSpec,
-    _correct,
     choose_base_point,
+    fiber_separation,
     initial_fiber,
+    newton_correct,
+    point_segment_distance,
     track,
 )
 
@@ -91,16 +93,6 @@ def _cross(u: complex, v: complex) -> float:
     return u.real * v.imag - u.imag * v.real
 
 
-def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
-    d = b - a
-    denom = abs(d) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = ((p - a).real * d.real + (p - a).imag * d.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
-
-
 def _segment_segment_distance(a0, a1, b0, b1) -> float:
     d1 = _cross(a1 - a0, b0 - a0)
     d2 = _cross(a1 - a0, b1 - a0)
@@ -109,10 +101,10 @@ def _segment_segment_distance(a0, a1, b0, b1) -> float:
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
         return 0.0
     return min(
-        _point_segment_distance(b0, a0, a1),
-        _point_segment_distance(b1, a0, a1),
-        _point_segment_distance(a0, b0, b1),
-        _point_segment_distance(a1, b0, b1),
+        point_segment_distance(b0, a0, a1),
+        point_segment_distance(b1, a0, a1),
+        point_segment_distance(a0, b0, b1),
+        point_segment_distance(a1, b0, b1),
     )
 
 
@@ -136,10 +128,10 @@ def _try_cuts(betas, base, base_margin):
         others = [v for j, v in enumerate(betas) if j != i]
         for m in range(64):
             cut = _radial_cut(beta, theta0 + m * _GOLDEN_ANGLE)
-            if _point_segment_distance(base, cut.start, cut.end) < base_margin:
+            if point_segment_distance(base, cut.start, cut.end) < base_margin:
                 continue
             if any(abs(v - beta) > 0 and
-                   _point_segment_distance(v, cut.start, cut.end) < 1e-6
+                   point_segment_distance(v, cut.start, cut.end) < 1e-6
                    for v in others):
                 continue
             if any(
@@ -184,7 +176,7 @@ def point_in_cut_disc(cd: CutDisc, z: complex, clearance=None) -> bool:
     if abs(z) >= 1.0 - clearance:
         return False
     return all(
-        _point_segment_distance(z, c.start, c.end) >= clearance for c in cd.cuts
+        point_segment_distance(z, c.start, c.end) >= clearance for c in cd.cuts
     )
 
 
@@ -204,7 +196,7 @@ def _fan_nodes(cd: CutDisc, eps: float):
         theta = cmath.phase(cut.end - cut.start)
         clear = min(
             (
-                _point_segment_distance(tip, other.start, other.end)
+                point_segment_distance(tip, other.start, other.end)
                 for j, other in enumerate(cd.cuts)
                 if j != i
             ),
@@ -239,14 +231,14 @@ def _edge_clear(u: complex, v: complex, cd: CutDisc, eps: float) -> bool:
     for cut in cd.cuts:
         margin = 0.5 * min(
             eps,
-            _point_segment_distance(u, cut.start, cut.end),
-            _point_segment_distance(v, cut.start, cut.end),
+            point_segment_distance(u, cut.start, cut.end),
+            point_segment_distance(v, cut.start, cut.end),
         )
         if _segment_segment_distance(u, v, cut.start, cut.end) < margin:
             return False
     for beta in cd.branch_values:
         margin = 0.5 * min(eps, abs(u - beta), abs(v - beta))
-        if _point_segment_distance(beta, u, v) < margin:
+        if point_segment_distance(beta, u, v) < margin:
             return False
     return True
 
@@ -311,7 +303,7 @@ def route_in_cut_disc(cd: CutDisc, start: complex, end: complex, via=None) -> Pa
     segments = [Line(a, bpt) for a, bpt in zip(pts, pts[1:]) if abs(bpt - a) > 0]
     clearance = (
         min(
-            min(_point_segment_distance(v, s.start, s.end) for s in segments)
+            min(point_segment_distance(v, s.start, s.end) for s in segments)
             for v in cd.branch_values
         )
         if cd.branch_values and segments
@@ -337,10 +329,12 @@ def sigma_values(b, z, cut_disc=None, labeling=None, via=None) -> np.ndarray:
         return np.asarray(fiber0.points, dtype=complex)
     path = route_in_cut_disc(cd, cd.base, z, via=via)
     end = track(b, fiber0, path)
-    pts, ok, _ = _correct(b, np.asarray(end.points, dtype=complex), z, 1e-14, 8)
-    if not ok:
+    pts, _, ok = newton_correct(
+        b, np.asarray([end.points], dtype=complex), np.array([z]), 1e-14, 8
+    )
+    if not ok[0]:
         raise NoConvergence(f"polishing the fiber at z={z:.4f} did not converge")
-    return pts
+    return pts[0]
 
 
 def sigma_samples(b, count, seed=None, cut_disc=None, rmax=0.9,
@@ -478,66 +472,21 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacked_coeffs(b) -> np.ndarray:
-    """P and Q coefficients, highest degree first, shaped (deg + 1, 2, 1, 1)
-    to broadcast against (paths, n) arrays of fiber points."""
-    p = np.asarray(b.P.coeffs, dtype=complex)
-    q = np.asarray(b.Q.coeffs, dtype=complex)
-    pq = np.zeros((max(len(p), len(q)), 2), dtype=complex)
-    pq[:len(p), 0] = p
-    pq[:len(q), 1] = q
-    return pq[::-1, :, None, None]
+def _certified_step(b, pred, w):
+    """Newton-correct predicted fibers pred[k] onto B(z) = w[k] and certify.
 
-
-def _value_and_derivative(pq, z):
-    """B(z) and B'(z) from `_stacked_coeffs`, P and Q in one Horner pass."""
-    v = np.empty((2,) + z.shape, dtype=complex)
-    v[...] = pq[0]
-    dv = np.zeros_like(v)
-    for c in pq[1:]:
-        dv *= z
-        dv += v
-        v *= z
-        v += c
-    (p, q), (dp, dq) = v, dv
-    return p / q, (dp * q - p * dq) / (q * q)
-
-
-def _certified_step(pq, pred, w):
-    """Newton-correct predicted fibers pred[k] onto B(z) = w[k].
-
-    Row k is corrected until its largest residual |B(z) - w[k]| is at most
-    `newton_tol` or `max_newton_iters` corrections are spent; the loop ends
-    once every row has converged.  Returns (points, B' at the points,
-    accepted): a row is accepted under `track`'s certificate, i.e. it
-    converged, its minimum point separation exceeds collision_factor *
-    newton_tol, and that separation exceeds ten times its largest net
-    correction.  A fiber of one point has no pairs; its separation is
-    infinite.
+    Returns (points, B' at the points, accepted): a row is accepted under
+    `track`'s certificate, i.e. `newton_correct` converged within
+    `max_newton_iters` to `newton_tol`, its fiber separation exceeds
+    collision_factor * newton_tol, and that separation exceeds ten times its
+    largest net correction.
     """
     newton_tol = DEFAULTS.newton_tol
-    max_iters = DEFAULTS.max_newton_iters
-    z = pred.copy()
-    db = np.empty_like(z)
-    converged = np.zeros(len(z), dtype=bool)
-    live = np.arange(len(z))
+    z, db, converged = newton_correct(
+        b, pred, w, newton_tol, DEFAULTS.max_newton_iters
+    )
     with np.errstate(all="ignore"):
-        for it in range(max_iters + 1):
-            val, dval = _value_and_derivative(pq, z[live])
-            resid = val - w[live, None]
-            done = np.all(np.abs(resid) <= newton_tol, axis=1)
-            db[live] = dval
-            converged[live[done]] = True
-            live, resid, dval = live[~done], resid[~done], dval[~done]
-            if len(live) == 0 or it == max_iters:
-                break
-            z[live] -= resid / dval
-        n = z.shape[1]
-        if n > 1:
-            i, j = np.triu_indices(n, 1)
-            sep = np.abs(z[:, i] - z[:, j]).min(axis=1)
-        else:
-            sep = np.full(len(z), np.inf)
+        sep = fiber_separation(z)
         largest = np.abs(z - pred).max(axis=1)
         accepted = (
             converged
@@ -570,10 +519,9 @@ def _continue_paths(b, ws: np.ndarray, lengths):
     # Longest paths first, so the paths still running at step k are a prefix.
     order = np.argsort(-lengths, kind="stable")
     starts, lengths = starts[order], lengths[order]
-    pq = _stacked_coeffs(b)
     w = ws[starts]
     z = _fiber_batch(b, w)
-    db = _value_and_derivative(pq, z)[1]
+    db = b.derivative_value(z)
     fibers[starts] = z
     derivs[starts] = db
     fallbacks = 0
@@ -583,12 +531,12 @@ def _continue_paths(b, ws: np.ndarray, lengths):
         w_next = ws[idx]
         with np.errstate(all="ignore"):
             pred = z[:live] + (w_next - w[:live])[:, None] / db[:live]
-        z, db, accepted = _certified_step(pq, pred, w_next)
+        z, db, accepted = _certified_step(b, pred, w_next)
         failed = np.nonzero(~accepted)[0]
         if len(failed):
             fallbacks += len(failed)
             z[failed] = _fiber_batch(b, w_next[failed])
-            db[failed] = _value_and_derivative(pq, z[failed])[1]
+            db[failed] = b.derivative_value(z[failed])
         fibers[idx] = z
         derivs[idx] = db
         w = w_next
@@ -785,9 +733,7 @@ def verify_disjoint_images(b, samples, seed=None, cut_disc=None,
     n = b.order
     if n == 1:
         return math.inf
-    d = np.abs(sig[:, :, None] - sig[:, None, :])
-    d[:, np.arange(n), np.arange(n)] = np.inf
-    min_sep = float(d.min())
+    min_sep = float(fiber_separation(sig).min())
     raw = _fiber_batch(b, zs)
     tol = max(min_sep / 3.0, 1e-9)
     for kk in range(len(zs)):

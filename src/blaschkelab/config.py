@@ -1,7 +1,10 @@
 """Single record of every tolerance and budget used by the toolkit.
 
-All functions take keyword overrides but default to the values below; the CLI
-echoes the effective record into every JSON report so runs are reproducible.
+Functions read their defaults from `DEFAULTS`.  Some take keyword overrides
+for a few of these values (for example `newton_tol` and `seed`); the others
+are fixed to the record.  Reports do not echo the whole record: `analyze`
+gives `seed` and, under "tolerances", newton_tol, dedup_tol, nullspace_rtol
+and projection_gap; `verify-gamma` gives only `seed`; `zn` gives none.
 """
 
 from __future__ import annotations

@@ -14,11 +14,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULTS
-from .cpoly import Poly, roots
+from .cpoly import roots
 from .errors import (
     AmbiguousMatching,
     FiberCollision,
@@ -40,9 +41,23 @@ __all__ = [
     "loop_permutation",
     "winding_number",
     "separation_slope",
+    "newton_correct",
+    "fiber_separation",
+    "point_segment_distance",
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+
+def point_segment_distance(p: complex, a: complex, b: complex) -> float:
+    """Distance from `p` to the segment from `a` to `b` (a point if a == b)."""
+    d = b - a
+    denom = abs(d) ** 2
+    if denom == 0.0:
+        return abs(p - a)
+    t = ((p - a) * d.conjugate()).real / denom
+    t = min(1.0, max(0.0, t))
+    return abs(p - (a + t * d))
 
 
 @dataclass(frozen=True)
@@ -59,13 +74,7 @@ class Line:
         return Line(self.end, self.start)
 
     def distance_to(self, p: complex) -> float:
-        d = self.end - self.start
-        denom = abs(d) ** 2
-        if denom == 0.0:
-            return abs(p - self.start)
-        t = ((p - self.start) * d.conjugate()).real / denom
-        t = min(1.0, max(0.0, t))
-        return abs(p - self.point(t))
+        return point_segment_distance(p, self.start, self.end)
 
 
 @dataclass(frozen=True)
@@ -165,13 +174,50 @@ class LoopSystem:
     boundary_loop: PathSpec
 
 
-def _min_separation(points) -> float:
-    pts = np.asarray(points)
-    if len(pts) < 2:
-        return math.inf
-    d = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
+@lru_cache(maxsize=None)
+def _pairs(n):
+    """Index arrays (i, j) of the point pairs i < j of an n-point fiber."""
+    return np.triu_indices(n, 1)
+
+
+def fiber_separation(points):
+    """Smallest distance between two points of each fiber `points[..., :]`.
+
+    A fiber of one point has no pairs; its separation is infinite.
+    """
+    n = points.shape[-1]
+    if n < 2:
+        return np.full(points.shape[:-1], np.inf)
+    i, j = _pairs(n)
+    return np.abs(points[..., i] - points[..., j]).min(axis=-1)
+
+
+def newton_correct(b, pred, w, tol, iters):
+    """Newton-correct predicted fibers pred[k] onto B(z) = w[k].
+
+    Row k is corrected until its largest residual |B(z) - w[k]| is at most
+    `tol` or `iters` corrections are spent; the loop ends once every row has
+    converged.  Returns (points, B' at the points, converged rows).  A row
+    whose iterate turns non-finite never converges.  Callers apply their own
+    acceptance rule on top.
+    """
+    z = pred.copy()
+    db = np.empty_like(z)
+    converged = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
+    with np.errstate(all="ignore"):
+        for it in range(iters + 1):
+            val, dval = b.eval_with_derivative(z[live])
+            resid = val - w[live, None]
+            done = np.all(np.abs(resid) <= tol, axis=1)
+            db[live] = dval
+            converged[live[done]] = True
+            live, resid, dval = live[~done], resid[~done], dval[~done]
+            if len(live) == 0 or it == iters:
+                break
+            z[live] -= resid / dval
+    converged &= np.all(np.isfinite(z), axis=1)
+    return z, db, converged
 
 
 def initial_fiber(b, w, newton_tol=None, roots_tol=None, seed=None) -> Fiber:
@@ -189,17 +235,14 @@ def initial_fiber(b, w, newton_tol=None, roots_tol=None, seed=None) -> Fiber:
     pts = np.array([c.center for c in clusters])
     # Newton polish on B(z) - w down to machine-level residuals.
     for _ in range(4):
-        num, dnum = b.P.eval_with_derivative(pts)
-        den, dden = b.Q.eval_with_derivative(pts)
-        resid = num / den - w
-        deriv = (dnum * den - num * dden) / (den * den)
-        step = resid / deriv
-        pts = pts - step
+        val, deriv = b.eval_with_derivative(pts)
+        resid = val - w
+        pts = pts - resid / deriv
         if np.max(np.abs(resid)) < 1e-15:
             break
     order = np.lexsort((pts.imag, pts.real))
     pts = pts[order]
-    sep = _min_separation(pts)
+    sep = float(fiber_separation(pts))
     if sep <= DEFAULTS.collision_factor * newton_tol:
         raise FiberCollision(f"fiber separation {sep:.3e} at w={w} is below threshold")
     return Fiber(w=w, points=tuple(pts.tolist()), separation=sep)
@@ -362,39 +405,6 @@ def build_loops(b, base, branch_values=None) -> LoopSystem:
     )
 
 
-def _correct(b, pts, w, newton_tol, max_iters):
-    """Newton-correct all fiber points onto B(z) = w.
-
-    Returns (corrected points, converged flag, largest net correction).
-    A diverging iterate (non-finite values from evaluating far outside the
-    disc) fails the step immediately so the caller can halve and retry.
-    """
-    z = pts.copy()
-    for _ in range(max_iters):
-        if not np.all(np.isfinite(z)):
-            return pts, False, math.inf
-        num, dnum = b.P.eval_with_derivative(z)
-        den, dden = b.Q.eval_with_derivative(z)
-        with np.errstate(all="ignore"):
-            resid = num / den - w
-            deriv = (dnum * den - num * dden) / (den * den)
-        if not (np.all(np.isfinite(resid)) and np.all(np.isfinite(deriv))):
-            return pts, False, math.inf
-        if np.max(np.abs(resid)) <= newton_tol:
-            break
-        if np.any(deriv == 0):
-            return z, False, math.inf
-        z = z - resid / deriv
-    if not np.all(np.isfinite(z)):
-        return pts, False, math.inf
-    num = b.P(z)
-    den = b.Q(z)
-    with np.errstate(all="ignore"):
-        resid = np.abs(num / den - w)
-    ok = bool(np.all(np.isfinite(resid)) and np.max(resid) <= newton_tol)
-    return z, ok, float(np.max(np.abs(z - pts)))
-
-
 def track(
     b,
     fiber,
@@ -427,6 +437,7 @@ def track(
     if abs(fiber.w - path.start) > 1e-9:
         raise ValueError("fiber base does not match path start")
     pts = np.array(fiber.points, dtype=complex)
+    slope = b.derivative_value(pts)
     w = complex(path.start)
     nseg = len(path.segments)
     if record is not None:
@@ -436,23 +447,21 @@ def track(
         while s < 1.0:
             target = min(s + h, 1.0)
             w_next = complex(seg.point(target))
-            num, dnum = b.P.eval_with_derivative(pts)
-            den, dden = b.Q.eval_with_derivative(pts)
-            deriv = (dnum * den - num * dden) / (den * den)
             accepted = False
-            if np.all(np.abs(deriv) > 1e-30):
-                pred = pts + (w_next - w) / deriv
-                corrected, ok, max_corr = _correct(
-                    b, pred, w_next, newton_tol, max_newton_iters
+            if np.all(np.abs(slope) > 1e-30):
+                pred = pts + (w_next - w) / slope
+                corrected, deriv, ok = newton_correct(
+                    b, pred[None], np.array([w_next]), newton_tol, max_newton_iters
                 )
-                if ok:
-                    sep = _min_separation(corrected)
+                if ok[0]:
+                    corrected = corrected[0]
+                    sep = float(fiber_separation(corrected))
                     if sep <= collision_factor * newton_tol:
                         raise FiberCollision(
                             f"fiber separation {sep:.3e} under threshold near w={w_next}"
                         )
-                    if sep > 10.0 * max_corr:
-                        pts, w, s = corrected, w_next, target
+                    if sep > 10.0 * float(np.max(np.abs(corrected - pred))):
+                        pts, slope, w, s = corrected, deriv[0], w_next, target
                         streak += 1
                         if streak >= 2:
                             h = min(2.0 * h, 0.25)
@@ -466,7 +475,7 @@ def track(
                     raise StepFloorReached(
                         f"step floor reached on segment {iseg} near w={w_next}"
                     )
-    return Fiber(w=w, points=tuple(pts.tolist()), separation=_min_separation(pts))
+    return Fiber(w=w, points=tuple(pts.tolist()), separation=float(fiber_separation(pts)))
 
 
 def track_with_trace(b, fiber, path, **kwargs):

@@ -136,12 +136,10 @@ def zn_end_to_end(n: int, seed: int = 0) -> dict:
             rank_one_ok=True, dft_match_ok=True,
         )
     else:
-        branch = b.branch_data()
         rep = compute_representation(b)
         gens = list(rep.generators)
         report["branch_set_ok"] = (
-            len(branch.branch_values) == 1
-            and abs(branch.branch_values[0]) < 1e-9
+            len(rep.branch_values) == 1 and abs(rep.branch_values[0]) < 1e-9
         )
         report["generator_cycle_ok"] = (
             len(gens) == 1 and sorted(gens[0].cycle_type()) == [n]

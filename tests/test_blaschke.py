@@ -63,6 +63,27 @@ def test_derivative_matches_finite_difference():
         assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
+@pytest.mark.parametrize("name", ["cube", "order3", "mobius", "random8"])
+def test_eval_with_derivative_is_the_quotient_rule(name, request):
+    rng = np.random.default_rng(8)
+    if name == "random8":
+        b = random_product(8, rng)
+    else:
+        b = request.getfixturevalue(name)
+    for shape in [(b.order,), (5, b.order)]:
+        z = 0.9 * np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
+        value, deriv = b.eval_with_derivative(z)
+        p, dp = b.P.eval_with_derivative(z)
+        q, dq = b.Q.eval_with_derivative(z)
+        assert value.shape == deriv.shape == shape
+        assert value.tobytes() == (p / q).tobytes()
+        assert deriv.tobytes() == ((dp * q - p * dq) / (q * q)).tobytes()
+        assert b.derivative_value(z).tobytes() == deriv.tobytes()
+        h = 1e-6
+        central = (b(z + h) - b(z - h)) / (2.0 * h)
+        assert np.max(np.abs(central - deriv) / np.maximum(1.0, np.abs(deriv))) <= 1e-6
+
+
 def test_branch_data_square(square):
     data = square.branch_data()
     assert [c.multiplicity for c in data.critical_points] == [1]

@@ -33,8 +33,6 @@ from blaschkelab.bundle import (
     _continue_paths,
     _fiber_batch,
     _segment_segment_distance,
-    _stacked_coeffs,
-    _value_and_derivative,
 )
 
 
@@ -249,7 +247,9 @@ def test_sigma_values_raises_when_polish_fails(order3, monkeypatch):
     lab = initial_fiber(order3, cd.base)
     z = cd.base + 0.05
     monkeypatch.setattr(
-        bundle, "_correct", lambda b, pts, w, tol, iters: (pts, False, math.inf)
+        bundle,
+        "newton_correct",
+        lambda b, pred, w, tol, iters: (pred, pred, np.zeros(len(pred), dtype=bool)),
     )
     with pytest.raises(NoConvergence):
         sigma_values(order3, z, cut_disc=cd, labeling=lab)
@@ -311,22 +311,21 @@ def test_continuation_falls_back_across_a_branch_value(square):
 
 
 def test_certificate_rejects_collided_and_overcorrected_steps(order3):
-    pq = _stacked_coeffs(order3)
     w0, w1 = 0.135 - 0.45j, 0.318 + 0.108j
     exact = _fiber_batch(order3, np.array([w1]))
-    _, _, ok = _certified_step(pq, exact, np.array([w1]))
+    _, _, ok = _certified_step(order3, exact, np.array([w1]))
     assert ok.tolist() == [True]
     # Two points 1e-12 apart on one root: converged at once, with no
     # correction at all, but collided.
     doubled = exact[:, [0, 0, 2]] + np.array([0.0, 1e-12, 0.0])
-    z, _, ok = _certified_step(pq, doubled, np.array([w1]))
+    z, _, ok = _certified_step(order3, doubled, np.array([w1]))
     assert np.max(np.abs(order3(z) - w1)) <= DEFAULTS.newton_tol
     assert ok.tolist() == [False]
     # One long Euler step: Newton converges to a fiber, but its corrections
     # are more than a tenth of the separation, so the step is not trusted.
     start = _fiber_batch(order3, np.array([w0]))
-    pred = start + (w1 - w0) / _value_and_derivative(pq, start)[1]
-    z, _, ok = _certified_step(pq, pred, np.array([w1]))
+    pred = start + (w1 - w0) / order3.eval_with_derivative(start)[1]
+    z, _, ok = _certified_step(order3, pred, np.array([w1]))
     assert np.max(np.abs(order3(z) - w1)) <= DEFAULTS.newton_tol
     assert ok.tolist() == [False]
 

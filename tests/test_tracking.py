@@ -23,6 +23,8 @@ from blaschkelab import (
     track_with_trace,
     winding_number,
 )
+from blaschkelab import tracking
+from blaschkelab.tracking import newton_correct
 
 _TWO_PI = 2.0 * math.pi
 
@@ -209,3 +211,56 @@ def test_path_requires_contiguous_segments():
 
 def test_separation_slope_square(square):
     assert separation_slope(square, 0.0) == pytest.approx(0.5, abs=0.02)
+
+
+def test_newton_correct_rows_converge_independently(order3):
+    ws = np.array([0.2 + 0.1j, -0.3j, 0.1])
+    exact = np.array([initial_fiber(order3, w).points for w in ws])
+    pred = exact + 1e-4
+    pred[1, 2] = complex(np.nan, 0.0)
+    before = pred.tobytes()
+    z, db, converged = newton_correct(order3, pred, ws, 1e-11, 5)
+    assert converged.tolist() == [True, False, True]
+    assert pred.tobytes() == before
+    assert np.max(np.abs(z[[0, 2]] - exact[[0, 2]])) <= 1e-10
+    assert np.max(np.abs(order3(z[[0, 2]]) - ws[[0, 2], None])) <= 1e-11
+    with np.errstate(invalid="ignore"):
+        assert db.tobytes() == order3.eval_with_derivative(z)[1].tobytes()
+
+
+def test_newton_correct_zero_iterations_only_evaluates(order3):
+    ws = np.array([0.2 + 0.1j, -0.3j])
+    exact = np.array([initial_fiber(order3, w).points for w in ws])
+    pred = exact.copy()
+    pred[1] += 1e-3
+    z, db, converged = newton_correct(order3, pred, ws, 1e-11, 0)
+    assert z.tobytes() == pred.tobytes()
+    assert db.tobytes() == order3.eval_with_derivative(pred)[1].tobytes()
+    assert converged.tolist() == [True, False]
+
+
+def test_track_predicts_with_b_prime_at_the_current_fiber(order3, monkeypatch):
+    events = []
+    correct = tracking.newton_correct
+
+    def spy(b, pred, w, tol, iters):
+        events.append(("step", pred[0].copy(), complex(w[0])))
+        return correct(b, pred, w, tol, iters)
+
+    monkeypatch.setattr(tracking, "newton_correct", spy)
+    base = 0.3 + 0.2j
+    track(
+        order3,
+        initial_fiber(order3, base),
+        _circle(0j, abs(base), cmath.phase(base)),
+        record=lambda t, w, pts: events.append(("node", pts, w)),
+    )
+    steps = 0
+    for kind, pts, w in events:
+        if kind == "node":
+            current, w_cur = pts, w
+            continue
+        steps += 1
+        want = current + (w - w_cur) / order3.derivative_value(current)
+        assert pts.tobytes() == want.tobytes()
+    assert steps > 10
