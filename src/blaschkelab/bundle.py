@@ -36,7 +36,7 @@ from .tracking import (
     initial_fiber,
     newton_correct,
     point_segment_distance,
-    track,
+    track_paths,
 )
 
 __all__ = [
@@ -214,7 +214,8 @@ def _fan_nodes(cd: CutDisc, eps: float):
 
 @lru_cache(maxsize=32)
 def _static_graph(cd: CutDisc, eps: float):
-    """Fan waypoints plus their precomputed mutual visibility edges."""
+    """Fan waypoints, their mutual visibility edges, and the edges (j, length)
+    from the labeling base point to fan node j."""
     nodes = tuple(_fan_nodes(cd, eps))
     n = len(nodes)
     adj = [[] for _ in range(n)]
@@ -224,7 +225,17 @@ def _static_graph(cd: CutDisc, eps: float):
                 w = abs(nodes[i] - nodes[j])
                 adj[i].append((j, w))
                 adj[j].append((i, w))
-    return nodes, tuple(tuple(edges) for edges in adj)
+    base_edges = tuple(_fan_edges(complex(cd.base), nodes, cd, eps))
+    return nodes, tuple(tuple(edges) for edges in adj), base_edges
+
+
+def _fan_edges(p: complex, fan, cd: CutDisc, eps: float) -> list:
+    """Visibility edges (j, length) from p to the fan nodes fan[j]."""
+    return [
+        (j, abs(p - node))
+        for j, node in enumerate(fan)
+        if _edge_clear(p, node, cd, eps)
+    ]
 
 
 def _edge_clear(u: complex, v: complex, cd: CutDisc, eps: float) -> bool:
@@ -244,18 +255,21 @@ def _edge_clear(u: complex, v: complex, cd: CutDisc, eps: float) -> bool:
 
 
 def _route(cd: CutDisc, start: complex, end: complex, eps: float):
-    fan, fan_adj = _static_graph(cd, eps)
+    fan, fan_adj, base_edges = _static_graph(cd, eps)
     nodes = [start, end] + list(fan)
     n = len(nodes)
     adj = [[] for _ in range(n)]
     for i, edges in enumerate(fan_adj):
         adj[i + 2] = [(j + 2, w) for j, w in edges]
-    for i in (0, 1):
-        for j in range(i + 1, n):
-            if _edge_clear(nodes[i], nodes[j], cd, eps):
-                w = abs(nodes[i] - nodes[j])
-                adj[i].append((j, w))
-                adj[j].append((i, w))
+    if _edge_clear(start, end, cd, eps):
+        w = abs(start - end)
+        adj[0].append((1, w))
+        adj[1].append((0, w))
+    start_edges = base_edges if start == cd.base else _fan_edges(start, fan, cd, eps)
+    for i, edges in ((0, start_edges), (1, _fan_edges(end, fan, cd, eps))):
+        for j, w in edges:
+            adj[i].append((j + 2, w))
+            adj[j + 2].append((i, w))
     dist = [math.inf] * n
     prev = [-1] * n
     dist[0] = 0.0
@@ -314,6 +328,58 @@ def route_in_cut_disc(cd: CutDisc, start: complex, end: complex, via=None) -> Pa
     return PathSpec(segments=tuple(segments), clearance=clearance)
 
 
+def _labeled_fibers(b, zs, cd: CutDisc, fiber0, via=None) -> list:
+    """Outcome per point of `zs`, in order: its labeled fiber or the error.
+
+    Routes every point from the base, continues `fiber0` along all routes in
+    one `track_paths` call and polishes every end fiber in one
+    `newton_correct` call (residual 1e-14, 8 iterations).  A point's outcome
+    is the fiber in the slot order of `fiber0`, or the error its routing
+    (PathBlocked), tracking or polish (NoConvergence) produced.  A point within
+    1e-13 of the base gets the base fiber itself.
+    """
+    zs = [complex(z) for z in zs]
+    outcomes = [None] * len(zs)
+    rows, paths = [], []
+    for k, z in enumerate(zs):
+        if abs(z - cd.base) < 1e-13:
+            outcomes[k] = np.asarray(fiber0.points, dtype=complex)
+            continue
+        try:
+            paths.append(route_in_cut_disc(cd, cd.base, z, via=via))
+        except PathBlocked as exc:
+            outcomes[k] = exc
+            continue
+        rows.append(k)
+    tracked = []
+    for k, end in zip(rows, track_paths(b, fiber0, paths)):
+        if isinstance(end, Exception):
+            outcomes[k] = end
+        else:
+            tracked.append((k, end.points))
+    if tracked:
+        pts, _, ok = newton_correct(
+            b,
+            np.asarray([points for _, points in tracked], dtype=complex),
+            np.array([zs[k] for k, _ in tracked]),
+            1e-14,
+            8,
+        )
+        for i, (k, _) in enumerate(tracked):
+            outcomes[k] = pts[i] if ok[i] else NoConvergence(
+                f"polishing the fiber at z={zs[k]:.4f} did not converge"
+            )
+    return outcomes
+
+
+def _raise_first(outcomes):
+    """The outcomes, raising the first one that is an error."""
+    for out in outcomes:
+        if isinstance(out, Exception):
+            raise out
+    return outcomes
+
+
 def sigma_values(b, z, cut_disc=None, labeling=None, via=None) -> np.ndarray:
     """All inverse branches at z, in the slot order fixed by the base labeling.
 
@@ -324,17 +390,8 @@ def sigma_values(b, z, cut_disc=None, labeling=None, via=None) -> np.ndarray:
     """
     cd = build_cut_disc(b) if cut_disc is None else cut_disc
     fiber0 = initial_fiber(b, cd.base) if labeling is None else labeling
-    z = complex(z)
-    if abs(z - cd.base) < 1e-13:
-        return np.asarray(fiber0.points, dtype=complex)
-    path = route_in_cut_disc(cd, cd.base, z, via=via)
-    end = track(b, fiber0, path)
-    pts, _, ok = newton_correct(
-        b, np.asarray([end.points], dtype=complex), np.array([z]), 1e-14, 8
-    )
-    if not ok[0]:
-        raise NoConvergence(f"polishing the fiber at z={z:.4f} did not converge")
-    return pts[0]
+    (sig,) = _raise_first(_labeled_fibers(b, [z], cd, fiber0, via=via))
+    return sig
 
 
 def sigma_samples(b, count, seed=None, cut_disc=None, rmax=0.9,
@@ -342,8 +399,9 @@ def sigma_samples(b, count, seed=None, cut_disc=None, rmax=0.9,
     """Labeled inverse-branch fibers at `count` random cut-disc points.
 
     Returns (points, fibers) with fibers[k] the slot-ordered branch values at
-    points[k].  One tracked continuation per point; downstream checks reuse
-    the fibers across test functions.
+    points[k].  All points are continued together (`_labeled_fibers`); the
+    first failing point in draw order raises its error.  Downstream checks
+    reuse the fibers across test functions.
     """
     cd = build_cut_disc(b) if cut_disc is None else cut_disc
     fiber0 = initial_fiber(b, cd.base)
@@ -361,8 +419,8 @@ def sigma_samples(b, count, seed=None, cut_disc=None, rmax=0.9,
             continue
         zs.append(z)
     fibers = np.empty((count, b.order), dtype=complex)
-    for k, z in enumerate(zs):
-        fibers[k] = sigma_values(b, z, cut_disc=cd, labeling=fiber0)
+    for k, sig in enumerate(_raise_first(_labeled_fibers(b, zs, cd, fiber0))):
+        fibers[k] = sig
     return np.asarray(zs, dtype=complex), fibers
 
 
@@ -752,28 +810,36 @@ def partition_check(b, samples, seed=None, cut_disc=None) -> bool:
 
     Draws p uniformly in the disc, keeps those whose image w = B(p) lies in
     the cut disc, and verifies that exactly one labeled branch value at w
-    reproduces p.
+    reproduces p.  All kept points are continued together
+    (`_labeled_fibers`) and checked in draw order: the first miss returns
+    False, the first failing point before it raises its error.
     """
     cd = build_cut_disc(b) if cut_disc is None else cut_disc
     fiber0 = initial_fiber(b, cd.base)
     rng = np.random.default_rng(DEFAULTS.seed if seed is None else seed)
-    checked = 0
+    ps, ws = [], []
     attempts = 0
-    while checked < samples:
+    blocked = False
+    while len(ws) < samples:
         attempts += 1
         if attempts > 10000 * samples:
-            raise PathBlocked("sampling the disc kept leaving the cut disc")
+            blocked = True
+            break
         p = 0.95 * math.sqrt(rng.random()) * cmath.exp(1j * _TWO_PI * rng.random())
         w = b(p)
         if not point_in_cut_disc(cd, w, clearance=1e-3):
             continue
         if any(abs(w - v) < 0.05 for v in cd.branch_values):
             continue
-        sig = sigma_values(b, w, cut_disc=cd, labeling=fiber0)
-        hits = int(np.sum(np.abs(sig - p) < 1e-6))
-        if hits != 1:
+        ps.append(p)
+        ws.append(w)
+    for p, sig in zip(ps, _labeled_fibers(b, ws, cd, fiber0)):
+        if isinstance(sig, Exception):
+            raise sig
+        if int(np.sum(np.abs(sig - p) < 1e-6)) != 1:
             return False
-        checked += 1
+    if blocked:
+        raise PathBlocked("sampling the disc kept leaving the cut disc")
     return True
 
 

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 from .config import DEFAULTS
 from .errors import GroupTooLarge
-from .tracking import build_loops, choose_base_point, initial_fiber, loop_permutation
+from .tracking import (
+    build_loops,
+    choose_base_point,
+    initial_fiber,
+    match_endpoints,
+    track_paths,
+)
 
 __all__ = [
     "Permutation",
@@ -108,21 +114,27 @@ def compute_representation(b, newton_tol=None, dedup_tol=None, seed=None) -> Mon
 
     Generators follow the loop order (ascending argument of branch value
     minus base); the boundary permutation is tracked independently around the
-    enclosing circle rather than inferred from the generators.
+    enclosing circle rather than inferred from the generators.  All loops are
+    tracked in one `track_paths` call; the first failing loop in that order
+    raises its error.
     """
     data = b.branch_data(dedup_tol=dedup_tol, seed=seed)
     base = choose_base_point(b, data.branch_values)
     fiber0 = initial_fiber(b, base, newton_tol=newton_tol, seed=seed)
     loops = build_loops(b, base, data.branch_values)
-    generators = tuple(
-        loop_permutation(b, fiber0, loop, newton_tol=newton_tol) for loop in loops.loops
+    ends = track_paths(
+        b, fiber0, loops.loops + (loops.boundary_loop,), newton_tol=newton_tol
     )
-    boundary = loop_permutation(b, fiber0, loops.boundary_loop, newton_tol=newton_tol)
+    perms = []
+    for end in ends:
+        if isinstance(end, Exception):
+            raise end
+        perms.append(match_endpoints(fiber0, end))
     return MonodromyRep(
         base=base,
         branch_values=loops.branch_values,
-        generators=generators,
-        boundary_perm=boundary,
+        generators=tuple(perms[:-1]),
+        boundary_perm=perms[-1],
     )
 
 

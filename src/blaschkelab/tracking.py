@@ -7,6 +7,11 @@ fibers along paths with an Euler predictor (dz = dw / B'(z)) plus a Newton
 corrector, halving the step until every corrector run is certified: few
 iterations, small residual, and corrections an order of magnitude smaller
 than the fiber separation.
+
+`track_paths` continues one start fiber along many paths in lockstep: each
+path is a row with its own step control, and one `newton_correct` call
+corrects every live row per iteration.  A failing row yields its typed
+error as its outcome while the others go on.  `track` is its one-path case.
 """
 
 from __future__ import annotations
@@ -37,8 +42,10 @@ __all__ = [
     "choose_base_point",
     "build_loops",
     "track",
+    "track_paths",
     "track_with_trace",
     "loop_permutation",
+    "match_endpoints",
     "winding_number",
     "separation_slope",
     "newton_correct",
@@ -259,19 +266,14 @@ def choose_base_point(b, branch_values=None, grid=None) -> complex:
         branch_values = b.branch_data().branch_values
     if len(branch_values) == 0:
         return 0j
-    best, best_score = 0j, -1.0
-    for i in range(grid):
-        x = -1.0 + (2.0 * i + 1.0) / grid
-        for j in range(grid):
-            y = -1.0 + (2.0 * j + 1.0) / grid
-            w = complex(x, y)
-            rim = 1.0 - abs(w)
-            if rim <= 0.0:
-                continue
-            score = min(rim, min(abs(w - beta) for beta in branch_values))
-            if score > best_score:
-                best, best_score = w, score
-    return best
+    centers = -1.0 + (2.0 * np.arange(grid) + 1.0) / grid
+    w = centers[:, None] + 1j * centers[None, :]  # w[i, j] = x_i + i y_j
+    rim = 1.0 - np.abs(w)
+    beta = np.asarray(branch_values, dtype=complex)
+    score = np.minimum(rim, np.abs(w[:, :, None] - beta).min(axis=2))
+    score[rim <= 0.0] = -np.inf
+    i, j = np.unravel_index(np.argmax(score), score.shape)
+    return complex(centers[i], centers[j])
 
 
 def _chord_params(a, b, center, radius):
@@ -405,6 +407,19 @@ def build_loops(b, base, branch_values=None) -> LoopSystem:
     )
 
 
+def track_paths(b, fiber, paths, newton_tol=None) -> list:
+    """Continue `fiber` along every path in `paths` at once, in lockstep.
+
+    Returns one outcome per path, in order: the end Fiber (slot i follows
+    input point i), or the FiberCollision / StepFloorReached instance that
+    `track` would raise on that path alone.  Each row keeps its own segment,
+    step and acceptance streak; one `newton_correct` call corrects every live
+    row per iteration, and rows finish or fail independently.  Every row is
+    bit-identical to tracking its path alone.
+    """
+    return _track_rows(b, fiber, paths, newton_tol)
+
+
 def track(
     b,
     fiber,
@@ -421,11 +436,28 @@ def track(
     every point within the iteration cap, the corrected fiber stays separated
     (FiberCollision otherwise), and the separation exceeds ten times the
     largest Newton correction; otherwise the step is halved down to the floor
-    (StepFloorReached).
+    (StepFloorReached).  This is the one-path case of `track_paths`.
 
     `record`, if given, is called as record(t, w, points) at the start node
     and after every accepted step, with t the global path parameter in [0, 1].
     """
+    (end,) = _track_rows(
+        b, fiber, [path], newton_tol, step_floor, max_newton_iters, collision_factor,
+        record,
+    )
+    if isinstance(end, Exception):
+        raise end
+    return end
+
+
+def _track_rows(b, fiber, paths, newton_tol=None, step_floor=None,
+                max_newton_iters=None, collision_factor=None, record=None):
+    """Lockstep predictor-corrector behind `track` and `track_paths`.
+
+    `record` traces a single path; it is refused with several.
+    """
+    if record is not None and len(paths) != 1:
+        raise ValueError("record needs exactly one path")
     newton_tol = DEFAULTS.newton_tol if newton_tol is None else newton_tol
     step_floor = DEFAULTS.step_floor if step_floor is None else step_floor
     max_newton_iters = (
@@ -434,48 +466,81 @@ def track(
     collision_factor = (
         DEFAULTS.collision_factor if collision_factor is None else collision_factor
     )
-    if abs(fiber.w - path.start) > 1e-9:
+    if any(abs(fiber.w - path.start) > 1e-9 for path in paths):
         raise ValueError("fiber base does not match path start")
-    pts = np.array(fiber.points, dtype=complex)
-    slope = b.derivative_value(pts)
-    w = complex(path.start)
-    nseg = len(path.segments)
+    m = len(paths)
+    start = np.array(fiber.points, dtype=complex)
+    pts = np.tile(start, (m, 1))
+    slope = np.tile(b.derivative_value(start), (m, 1))
+    # Per-row state: current w, segment index, parameter s on the segment,
+    # step h and the streak of accepted steps since the last rejection.
+    w = [complex(path.start) for path in paths]
+    iseg, s, h, streak = [0] * m, [0.0] * m, [0.25] * m, [0] * m
+    outcomes = [None] * m
     if record is not None:
-        record(0.0, w, pts.copy())
-    for iseg, seg in enumerate(path.segments):
-        s, h, streak = 0.0, 0.25, 0
-        while s < 1.0:
-            target = min(s + h, 1.0)
-            w_next = complex(seg.point(target))
-            accepted = False
-            if np.all(np.abs(slope) > 1e-30):
-                pred = pts + (w_next - w) / slope
-                corrected, deriv, ok = newton_correct(
-                    b, pred[None], np.array([w_next]), newton_tol, max_newton_iters
-                )
-                if ok[0]:
-                    corrected = corrected[0]
-                    sep = float(fiber_separation(corrected))
-                    if sep <= collision_factor * newton_tol:
-                        raise FiberCollision(
-                            f"fiber separation {sep:.3e} under threshold near w={w_next}"
-                        )
-                    if sep > 10.0 * float(np.max(np.abs(corrected - pred))):
-                        pts, slope, w, s = corrected, deriv[0], w_next, target
-                        streak += 1
-                        if streak >= 2:
-                            h = min(2.0 * h, 0.25)
-                        accepted = True
-                        if record is not None:
-                            record((iseg + s) / nseg, w, pts.copy())
-            if not accepted:
-                h *= 0.5
-                streak = 0
-                if h < step_floor:
-                    raise StepFloorReached(
-                        f"step floor reached on segment {iseg} near w={w_next}"
+        record(0.0, w[0], pts[0].copy())
+    live = list(range(m))
+    while live:
+        targets = [min(s[r] + h[r], 1.0) for r in live]
+        w_next = [
+            complex(paths[r].segments[iseg[r]].point(t)) for r, t in zip(live, targets)
+        ]
+        rows = np.array(live)
+        # Positions (in `live`) of rows whose corrector converged, and the
+        # index of each one's corrected fiber in `fit` / `fit_db`.
+        slot = [-1] * len(live)
+        tried = np.nonzero(np.all(np.abs(slope[rows]) > 1e-30, axis=1))[0]
+        if len(tried):
+            dw = np.array([w_next[k] - w[live[k]] for k in tried])
+            pred = pts[rows[tried]] + dw[:, None] / slope[rows[tried]]
+            corrected, deriv, ok = newton_correct(
+                b, pred, np.array([w_next[k] for k in tried]), newton_tol,
+                max_newton_iters,
+            )
+            fit, fit_db = corrected[ok], deriv[ok]
+            sep = fiber_separation(fit).tolist()
+            largest = np.abs(fit - pred[ok]).max(axis=1).tolist()
+            for j, k in enumerate(tried[ok].tolist()):
+                slot[k] = j
+        still = []
+        for k, r in enumerate(live):
+            j = slot[k]
+            if j >= 0:
+                if sep[j] <= collision_factor * newton_tol:
+                    outcomes[r] = FiberCollision(
+                        f"fiber separation {sep[j]:.3e} under threshold near w={w_next[k]}"
                     )
-    return Fiber(w=w, points=tuple(pts.tolist()), separation=float(fiber_separation(pts)))
+                    continue
+                if sep[j] > 10.0 * largest[j]:
+                    pts[r], slope[r], w[r], s[r] = fit[j], fit_db[j], w_next[k], targets[k]
+                    streak[r] += 1
+                    if streak[r] >= 2:
+                        h[r] = min(2.0 * h[r], 0.25)
+                    nseg = len(paths[r].segments)
+                    if record is not None:
+                        record((iseg[r] + s[r]) / nseg, w[r], pts[r].copy())
+                    if s[r] >= 1.0:
+                        iseg[r] += 1
+                        if iseg[r] == nseg:
+                            outcomes[r] = Fiber(
+                                w=w[r],
+                                points=tuple(pts[r].tolist()),
+                                separation=float(fiber_separation(pts[r])),
+                            )
+                            continue
+                        s[r], h[r], streak[r] = 0.0, 0.25, 0
+                    still.append(r)
+                    continue
+            h[r] *= 0.5
+            streak[r] = 0
+            if h[r] < step_floor:
+                outcomes[r] = StepFloorReached(
+                    f"step floor reached on segment {iseg[r]} near w={w_next[k]}"
+                )
+                continue
+            still.append(r)
+        live = still
+    return outcomes
 
 
 def track_with_trace(b, fiber, path, **kwargs):
@@ -492,15 +557,22 @@ def track_with_trace(b, fiber, path, **kwargs):
 def loop_permutation(b, fiber0, loop, **kwargs):
     """Permutation induced by continuing `fiber0` around the closed `loop`.
 
-    Returns the Permutation tau with end.points[i] = fiber0.points[tau(i)],
-    matching endpoints to start points by nearest neighbour within a third of
+    Returns the Permutation tau with end.points[i] = fiber0.points[tau(i)]
+    (see `match_endpoints`).
+    """
+    if not loop.is_closed:
+        raise ValueError("loop_permutation needs a closed path")
+    return match_endpoints(fiber0, track(b, fiber0, loop, **kwargs))
+
+
+def match_endpoints(fiber0, end):
+    """Permutation tau with end.points[i] = fiber0.points[tau(i)].
+
+    Matches endpoints to start points by nearest neighbour within a third of
     the starting separation (AmbiguousMatching otherwise).
     """
     from .monodromy import Permutation
 
-    if not loop.is_closed:
-        raise ValueError("loop_permutation needs a closed path")
-    end = track(b, fiber0, loop, **kwargs)
     start_pts = np.array(fiber0.points)
     end_pts = np.array(end.points)
     images = []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from blaschkelab import (
     BlaschkeProduct,
     NoConvergence,
     Poly,
+    StepFloorReached,
     build_cut_disc,
+    build_loops,
     build_quadrature_grid,
     bundle_report,
     exact_inner,
@@ -23,6 +26,8 @@ from blaschkelab import (
     route_in_cut_disc,
     sigma_samples,
     sigma_values,
+    track,
+    track_paths,
     verify_disjoint_images,
     verify_intertwining,
     verify_isometry,
@@ -335,3 +340,106 @@ def test_continuation_single_point_fiber(mobius):
     fibers, _, fallbacks = _continue_paths(mobius, ws, [200])
     assert fallbacks == 0
     assert np.max(np.abs(mobius(fibers[:, 0]) - ws)) <= DEFAULTS.newton_tol
+
+
+def _cut_disc_points(cd, count, rng, rmax=0.9):
+    """`count` random cut-disc points clear of the cuts and branch values."""
+    zs = []
+    while len(zs) < count:
+        z = rmax * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+        if not point_in_cut_disc(cd, z, clearance=1e-3):
+            continue
+        if any(abs(z - v) < 0.05 for v in cd.branch_values):
+            continue
+        zs.append(z)
+    return zs
+
+
+@pytest.mark.parametrize("index", [0, 5, 10, 15, 19])
+def test_track_paths_equals_track_on_loops_and_routes(index):
+    b = _acceptance_product(index)
+    data = b.branch_data()
+    cd = build_cut_disc(b, branch_values=data.branch_values)
+    loops = build_loops(b, cd.base, data.branch_values)
+    fiber0 = initial_fiber(b, cd.base)
+    rng = np.random.default_rng(index)
+    routes = [route_in_cut_disc(cd, cd.base, z) for z in _cut_disc_points(cd, 25, rng)]
+    paths = list(loops.loops) + [loops.boundary_loop] + routes
+    outcomes = track_paths(b, fiber0, paths)
+    assert len(outcomes) == len(paths)
+    for path, got in zip(paths, outcomes):
+        want = track(b, fiber0, path)
+        assert got.w == want.w
+        assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
+        assert got.separation == want.separation
+
+
+def _inject(monkeypatch, track_errors=(), polish_fail=(), polish_shift=()):
+    """Replace chosen track outcomes by errors and spoil chosen polish rows.
+
+    Polish rows count only the samples whose tracking succeeded.
+    """
+    real_track, real_polish = bundle.track_paths, bundle.newton_correct
+
+    def fake_track(b, fiber, paths, **kwargs):
+        outcomes = real_track(b, fiber, paths, **kwargs)
+        for row, error in track_errors:
+            outcomes[row] = error
+        return outcomes
+
+    def fake_polish(b, pred, w, tol, iters):
+        z, db, ok = real_polish(b, pred, w, tol, iters)
+        ok[list(polish_fail)] = False
+        z[list(polish_shift)] += 1e-3
+        return z, db, ok
+
+    monkeypatch.setattr(bundle, "track_paths", fake_track)
+    monkeypatch.setattr(bundle, "newton_correct", fake_polish)
+
+
+def test_sigma_samples_raises_the_earliest_failure(order3, monkeypatch):
+    zs, _ = sigma_samples(order3, 8, seed=0)
+    with monkeypatch.context() as m:
+        _inject(m, track_errors=[(4, StepFloorReached("row 4"))], polish_fail=[2])
+        with pytest.raises(NoConvergence, match=f"z={zs[2]:.4f}"):
+            sigma_samples(order3, 8, seed=0)
+    with monkeypatch.context() as m:
+        _inject(m, track_errors=[(1, StepFloorReached("row 1"))], polish_fail=[2])
+        with pytest.raises(StepFloorReached, match="row 1"):
+            sigma_samples(order3, 8, seed=0)
+
+
+def test_partition_check_stops_at_the_first_miss(order3, monkeypatch):
+    with monkeypatch.context() as m:
+        _inject(m, track_errors=[(5, StepFloorReached("row 5"))], polish_shift=[2])
+        assert partition_check(order3, 8, seed=0) is False
+    with monkeypatch.context() as m:
+        _inject(m, track_errors=[(5, StepFloorReached("row 5"))])
+        with pytest.raises(StepFloorReached, match="row 5"):
+            partition_check(order3, 8, seed=0)
+    assert partition_check(order3, 8, seed=0) is True
+
+
+def test_route_from_base_reuses_cached_edges(order4, monkeypatch):
+    cd = build_cut_disc(order4)
+    eps = DEFAULTS.visibility_eps
+    fan, _, base_edges = bundle._static_graph(cd, eps)
+    assert base_edges == tuple(bundle._fan_edges(cd.base, fan, cd, eps))
+    # Same cuts, another base: the fan and its edges are the same, but a
+    # route from cd.base must compute its edges from scratch.
+    uncached = dataclasses.replace(cd, base=cd.base + 0.01)
+    assert bundle._static_graph(uncached, eps)[0] == fan
+    starts = []
+    fan_edges = bundle._fan_edges
+
+    def spy(p, *args):
+        starts.append(p)
+        return fan_edges(p, *args)
+
+    monkeypatch.setattr(bundle, "_fan_edges", spy)
+    for z in _cut_disc_points(cd, 10, np.random.default_rng(7)):
+        starts.clear()
+        cached = bundle._route(cd, cd.base, z, eps)
+        assert starts == [z]
+        assert cached == bundle._route(uncached, cd.base, z, eps)
+        assert starts[1:] == [cd.base, z]

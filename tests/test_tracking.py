@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from blaschkelab import (
     Line,
     PathSpec,
     StepFloorReached,
+    ToolkitError,
     build_loops,
     choose_base_point,
     initial_fiber,
@@ -20,10 +23,12 @@ from blaschkelab import (
     random_product,
     separation_slope,
     track,
+    track_paths,
     track_with_trace,
     winding_number,
 )
 from blaschkelab import tracking
+from blaschkelab.config import DEFAULTS
 from blaschkelab.tracking import newton_correct
 
 _TWO_PI = 2.0 * math.pi
@@ -264,3 +269,169 @@ def test_track_predicts_with_b_prime_at_the_current_fiber(order3, monkeypatch):
         want = current + (w - w_cur) / order3.derivative_value(current)
         assert pts.tobytes() == want.tobytes()
     assert steps > 10
+
+
+def _same_fiber(a, b) -> bool:
+    return (
+        a.w == b.w
+        and np.array(a.points).tobytes() == np.array(b.points).tobytes()
+        and a.separation == b.separation
+    )
+
+
+def _set_collision_factor(monkeypatch, factor):
+    """Run the trackers with `factor` as the default collision factor."""
+    monkeypatch.setattr(
+        tracking, "DEFAULTS", dataclasses.replace(DEFAULTS, collision_factor=factor)
+    )
+
+
+@pytest.mark.parametrize(
+    "middle, factor, error",
+    [
+        (Line(0.25, -0.25), 10.0, StepFloorReached),
+        (Line(0.25, 0j), 1e6, FiberCollision),
+    ],
+)
+def test_track_paths_failing_middle_row(square, monkeypatch, middle, factor, error):
+    _set_collision_factor(monkeypatch, factor)
+    fib = initial_fiber(square, 0.25)
+    paths = [
+        _circle(0.0, 0.25),
+        PathSpec(segments=(middle,)),
+        _circle(0.3, 0.05, start_angle=math.pi),
+    ]
+    outcomes = track_paths(square, fib, paths)
+    assert len(outcomes) == 3
+    assert type(outcomes[1]) is error
+    with pytest.raises(error, match=f"^{re.escape(str(outcomes[1]))}$"):
+        track(square, fib, paths[1])
+    for k in (0, 2):
+        assert _same_fiber(outcomes[k], track(square, fib, paths[k]))
+    assert outcomes[0].points[0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_track_paths_empty_and_mismatched_start(square):
+    fib = initial_fiber(square, 0.25)
+    assert track_paths(square, fib, []) == []
+    with pytest.raises(ValueError):
+        track_paths(square, fib, [_circle(0.0, 0.25), _circle(0.0, 0.3)])
+    with pytest.raises(ValueError):
+        tracking._track_rows(
+            square, fib, [_circle(0.0, 0.25)] * 2, record=lambda *args: None
+        )
+
+
+def _scalar_track(b, fiber, path, collision_factor=10.0):
+    """One path, one step at a time: the per-row rule `track_paths` batches.
+
+    Returns the end fiber as (w, points, separation) or the error as
+    (type, message), with the default tolerances.
+    """
+    tol, floor, iters = 1e-11, 1e-12, 5
+    pts = np.array(fiber.points, dtype=complex)
+    slope = b.derivative_value(pts)
+    w = complex(path.start)
+    for iseg, seg in enumerate(path.segments):
+        s, h, streak = 0.0, 0.25, 0
+        while s < 1.0:
+            target = min(s + h, 1.0)
+            w_next = complex(seg.point(target))
+            accepted = False
+            if np.all(np.abs(slope) > 1e-30):
+                pred = pts + (w_next - w) / slope
+                z, db, ok = newton_correct(b, pred[None], np.array([w_next]), tol, iters)
+                if ok[0]:
+                    sep = float(tracking.fiber_separation(z[0]))
+                    if sep <= collision_factor * tol:
+                        return (FiberCollision,
+                                f"fiber separation {sep:.3e} under threshold near w={w_next}")
+                    if sep > 10.0 * float(np.max(np.abs(z[0] - pred))):
+                        pts, slope, w, s = z[0], db[0], w_next, target
+                        streak += 1
+                        if streak >= 2:
+                            h = min(2.0 * h, 0.25)
+                        accepted = True
+            if not accepted:
+                h *= 0.5
+                streak = 0
+                if h < floor:
+                    return (StepFloorReached,
+                            f"step floor reached on segment {iseg} near w={w_next}")
+    return (w, pts.tobytes(), float(tracking.fiber_separation(pts)))
+
+
+def _seeded_products(count):
+    """Products of random orders 2-8 and zero radii 0.3-0.9 (seed 77) whose
+    branch data resolves."""
+    rng = np.random.default_rng(77)
+    products = []
+    while len(products) < count:
+        b = random_product(int(rng.integers(2, 9)), rng, radius=float(rng.uniform(0.3, 0.9)))
+        try:
+            b.branch_data()
+        except ToolkitError:
+            continue
+        products.append(b)
+    return products
+
+
+@pytest.mark.parametrize("b", _seeded_products(5))
+def test_track_paths_matches_scalar_reference(b, monkeypatch):
+    data = b.branch_data()
+    base = choose_base_point(b, data.branch_values)
+    loops = build_loops(b, base, data.branch_values)
+    paths = list(loops.loops) + [loops.boundary_loop]
+    # Straight runs through and past each branch value fail their rows.
+    paths += [
+        PathSpec(segments=(Line(base, base + t * (v - base)),))
+        for v in data.branch_values
+        for t in (1.0, 1.5)
+    ]
+    for factor in (10.0, 1e6):
+        _set_collision_factor(monkeypatch, factor)
+        outcomes = track_paths(b, initial_fiber(b, base), paths)
+        failed = 0
+        for path, got in zip(paths, outcomes):
+            want = _scalar_track(b, initial_fiber(b, base), path, factor)
+            if isinstance(got, Exception):
+                failed += 1
+                assert (type(got), str(got)) == want
+            else:
+                assert (got.w, np.array(got.points).tobytes(), got.separation) == want
+        assert failed > 0
+
+
+def _scalar_base_point(branch_values, grid):
+    """The cell-by-cell scan `choose_base_point` vectorises."""
+    best, best_score = 0j, -1.0
+    for i in range(grid):
+        x = -1.0 + (2.0 * i + 1.0) / grid
+        for j in range(grid):
+            y = -1.0 + (2.0 * j + 1.0) / grid
+            w = complex(x, y)
+            rim = 1.0 - abs(w)
+            if rim <= 0.0:
+                continue
+            score = min(rim, min(abs(w - beta) for beta in branch_values))
+            if score > best_score:
+                best, best_score = w, score
+    return best
+
+
+def test_choose_base_point_matches_scalar_scan():
+    # 50 seeded products, plus branch sets of z^n and a mirror-symmetric
+    # pair, whose best scores tie between cells.
+    rng = np.random.default_rng(50)
+    cases = [(0j,), (0.0, 0.5j)]
+    while len(cases) < 52:
+        try:
+            cases.append(random_product(2 + len(cases) % 7, rng).branch_data().branch_values)
+        except ToolkitError:
+            continue
+    for betas in cases:
+        for grid in (64, 17):
+            got = choose_base_point(None, betas, grid=grid)
+            want = _scalar_base_point(betas, grid)
+            assert type(got) is complex
+            assert (got.real, got.imag) == (want.real, want.imag)
