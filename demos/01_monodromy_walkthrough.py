@@ -34,7 +34,7 @@ print("branch values:", np.round(data.branch_values, 6))
 
 # One tracked permutation per branch value, plus the boundary permutation
 # tracked independently around a large circle.
-rep = compute_representation(b, seed=0)
+rep = compute_representation(b)
 print(f"base point w0 = {rep.base:.6f}")
 for beta, g in zip(rep.branch_values, rep.generators):
     print(f"loop around {beta:.6f}: images {g.images}, cycles {g.cycle_type()}")

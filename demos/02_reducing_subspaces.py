@@ -4,40 +4,33 @@ Reducing subspaces from the commutant of the monodromy action
 
 The commutant of the monodromy permutation matrices is a commutative
 algebra whose minimal projections correspond to the minimal reducing
-subspaces of the multiplication operator.  This script computes both for
-two products and checks the dimension count against the orbit count q.
+subspaces of the multiplication operator.  This script runs `analyze`, the
+whole pipeline (monodromy, commutant, minimal projections, checks), on two
+products and checks the dimension count against the orbit count q.
 """
 
 import numpy as np
 
-from blaschkelab import (
-    BlaschkeProduct,
-    analyze_commutant,
-    compute_representation,
-    orbital_count,
-    permutation_matrix,
-)
+from blaschkelab import BlaschkeProduct, analyze, permutation_matrix
 
 
 def summarize(name, b):
-    rep = compute_representation(b, seed=0)
-    gens = list(rep.generators)
+    # One call: tracked monodromy, the basis of all matrices commuting with
+    # every generator, the commutativity certificate, the minimal
+    # projections and the named theorem checks.
+    result = analyze(b)
+    gens = list(result.rep.generators)
     n = b.order
-    q = orbital_count(gens, n)
-
-    # Basis of all matrices commuting with every generator, then the
-    # commutativity certificate and the minimal projections.
-    cb = analyze_commutant(gens, n, seed=0)
     print(f"--- {name} (order {n}) ---")
-    print(f"q (orbit count on pairs)   = {q}")
-    print(f"commutant dimension        = {cb.dim}")
-    print(f"max pairwise commutator    = {cb.max_commutator:.2e}")
-    print(f"number of min projections  = {len(cb.projections)}")
+    print(f"q (orbit count on pairs)   = {result.q_orbitals}")
+    print(f"commutant dimension        = {result.commutant.dim}")
+    print(f"max pairwise commutator    = {result.max_commutator:.2e}")
+    print(f"number of min projections  = {len(result.projections)}")
 
     # Each projection is a self-adjoint idempotent; their ranks partition n
     # and they commute with the whole monodromy action.
     total = np.zeros((n, n), dtype=complex)
-    for k, p in enumerate(cb.projections):
+    for k, p in enumerate(result.projections):
         rank = int(round(float(np.trace(p).real)))
         worst = max(
             float(np.linalg.norm(p @ permutation_matrix(g) - permutation_matrix(g) @ p))
@@ -46,6 +39,7 @@ def summarize(name, b):
         print(f"  P_{k}: rank {rank}, max commutator with generators {worst:.2e}")
         total += p
     print(f"sum of projections - identity: {np.linalg.norm(total - np.eye(n)):.2e}")
+    print("all theorem checks pass?", result.ok)
     print()
 
 

@@ -4,11 +4,13 @@ Blaschke products acting by multiplication on the Bergman space.
 The pipeline: root-cluster polynomial solving (`cpoly`), product/branch
 geometry (`blaschke`), certified fiber continuation (`tracking`), monodromy
 permutations and their group invariants (`monodromy`), the commutant algebra
-and its minimal projections (`commutant`), globally continued inverse
-branches and the bundle unitary (`bundle`), the exact power-map oracle
-(`znmodel`), and a JSON/CSV command line (`cli`).
+and its minimal projections (`commutant`), the one analysis chaining them
+(`analysis.analyze`), globally continued inverse branches and the bundle
+unitary (`bundle`), the exact power-map oracle (`znmodel`), and a JSON/CSV
+command line (`cli`).
 """
 
+from .analysis import Analysis, analyze
 from .blaschke import (
     BlaschkeProduct,
     BranchData,
@@ -36,11 +38,9 @@ from .bundle import (
     sigma_values,
     verify_disjoint_images,
     verify_intertwining,
-    verify_isometry,
 )
 from .commutant import (
     CommutantBasis,
-    analyze_commutant,
     commutant_basis,
     is_commutative,
     minimal_projections,
@@ -54,7 +54,6 @@ from .errors import (
     DegenerateClustering,
     DegenerateGenericElement,
     FiberCollision,
-    GroupTooLarge,
     LoopConstructionFailed,
     NoConvergence,
     NonCommutative,
@@ -67,7 +66,6 @@ from .monodromy import (
     Permutation,
     boundary_product,
     compute_representation,
-    group_closure,
     group_order,
     is_transitive,
     orbital_count,
@@ -94,6 +92,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousMatching",
+    "Analysis",
     "Arc",
     "BlaschkeProduct",
     "BranchCountError",
@@ -106,7 +105,6 @@ __all__ = [
     "Fiber",
     "FiberCollision",
     "GammaSample",
-    "GroupTooLarge",
     "Line",
     "LoopConstructionFailed",
     "LoopSystem",
@@ -123,7 +121,7 @@ __all__ = [
     "StepFloorReached",
     "ToolkitError",
     "ZnCase",
-    "analyze_commutant",
+    "analyze",
     "boundary_product",
     "build_cut_disc",
     "build_loops",
@@ -137,7 +135,6 @@ __all__ = [
     "exact_inner",
     "from_spec",
     "gamma_apply",
-    "group_closure",
     "group_order",
     "initial_fiber",
     "is_commutative",
@@ -164,7 +161,6 @@ __all__ = [
     "u_i_norm_check",
     "verify_disjoint_images",
     "verify_intertwining",
-    "verify_isometry",
     "winding_number",
     "zn_end_to_end",
     "zn_projection",

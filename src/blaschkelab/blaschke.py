@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Settings
 from .cpoly import Poly, RootCluster, roots
 from .errors import BranchCountError, DegenerateClustering
 
@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _MAX_MODULUS = 1.0 - 1e-9
+# Residual tolerance for the roots of the critical numerator (see branch_data).
+_CRITICAL_ROOTS_TOL = 1e-9
 _TAYLOR_CAP = 4096
 
 
@@ -116,14 +118,15 @@ class BlaschkeProduct:
         n = self.P.derivative() * self.Q - self.P * self.Q.derivative()
         return n.trimmed(1e-13)
 
-    def branch_data(self, roots_tol=1e-9, dedup_tol=None, seed=None) -> "BranchData":
+    def branch_data(self, settings: Settings = DEFAULTS) -> "BranchData":
         """Critical points inside the disc and deduplicated branch values.
 
-        The residual tolerance for the numerator roots defaults to 1e-9
-        rather than the global default: reflected critical points outside the
-        disc can sit at large modulus where Horner evaluation noise alone
-        exceeds a 1e-12-level bound.  Interior critical points (the ones
-        returned) are polished far beyond this and satisfy |B'(c)| < 1e-9.
+        Reads `dedup_tol` and `seed` from `settings`.  The residual tolerance
+        for the numerator roots is the fixed 1e-9, not `settings.roots_tol`:
+        reflected critical points outside the disc can sit at large modulus
+        where Horner evaluation noise alone exceeds a 1e-12-level bound.
+        Interior critical points (the ones returned) are polished far beyond
+        this and satisfy |B'(c)| < 1e-9.
 
         Raises
         ------
@@ -133,12 +136,12 @@ class BlaschkeProduct:
             If two branch-value candidates land in the ambiguity band
             [dedup_tol, 10 * dedup_tol).
         """
-        dedup_tol = DEFAULTS.dedup_tol if dedup_tol is None else dedup_tol
         numer = self.critical_numerator()
         if numer.degree < 1:
             interior: list[RootCluster] = []
         else:
-            interior = [c for c in roots(numer, tol=roots_tol, seed=seed) if abs(c.center) < 1.0]
+            clusters = roots(numer, tol=_CRITICAL_ROOTS_TOL, seed=settings.seed)
+            interior = [c for c in clusters if abs(c.center) < 1.0]
         total = sum(c.multiplicity for c in interior)
         if total != self.order - 1:
             raise BranchCountError(
@@ -148,14 +151,14 @@ class BlaschkeProduct:
         for i in range(len(candidates)):
             for j in range(i + 1, len(candidates)):
                 d = abs(candidates[i] - candidates[j])
-                if dedup_tol <= d < 10.0 * dedup_tol:
+                if settings.dedup_tol <= d < 10.0 * settings.dedup_tol:
                     raise DegenerateClustering(
                         f"branch values {candidates[i]} and {candidates[j]} are "
                         f"{d:.3e} apart, inside the dedup ambiguity band"
                     )
         values: list[complex] = []
         for cand in sorted(candidates, key=lambda v: (v.real, v.imag)):
-            if not any(abs(cand - v) < dedup_tol for v in values):
+            if not any(abs(cand - v) < settings.dedup_tol for v in values):
                 values.append(cand)
         return BranchData(critical_points=tuple(interior), branch_values=tuple(values))
 

@@ -52,7 +52,6 @@ __all__ = [
     "exact_inner",
     "build_quadrature_grid",
     "isometry_details",
-    "verify_isometry",
     "verify_intertwining",
     "verify_disjoint_images",
     "partition_check",
@@ -601,8 +600,7 @@ def _continue_paths(b, ws: np.ndarray, lengths):
     return fibers, derivs, fallbacks
 
 
-def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
-                          annulus_width=None) -> QuadratureGrid:
+def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
     """Stratified samples over the disc split into three regions.
 
     Main region: the disc trimmed by the boundary annulus, stratified into
@@ -623,8 +621,8 @@ def build_quadrature_grid(b, budget, seed=None, exclusion_radius=None,
     weights do not depend on how the fibers are solved.
     """
     seed = DEFAULTS.seed if seed is None else int(seed)
-    excl = DEFAULTS.exclusion_radius if exclusion_radius is None else exclusion_radius
-    aw = DEFAULTS.annulus_width if annulus_width is None else annulus_width
+    excl = DEFAULTS.exclusion_radius
+    aw = DEFAULTS.annulus_width
     budget = int(budget)
     if budget < 10 ** 4:
         raise ValueError("budget must be at least 10^4")
@@ -747,14 +745,6 @@ def isometry_details(b, f: Poly, g: Poly, budget=None, seed=None, grid=None) -> 
         "budget": grid.budget,
         "seed": grid.seed,
     }
-
-
-def verify_isometry(b, f: Poly, g: Poly, budget, seed=None, grid=None) -> float:
-    """Relative error between the sampled bundle-side inner product and the
-    exact coefficient-side value |estimate - exact| / (1 + |exact|)."""
-    return isometry_details(b, f, g, budget=budget, seed=seed, grid=grid)[
-        "relative_error"
-    ]
 
 
 def verify_intertwining(b, f: Poly, samples, seed=None, cut_disc=None,

@@ -12,27 +12,22 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
+from .analysis import analyze
 from .blaschke import from_spec
 from .bundle import bundle_report
-from .commutant import commutant_basis, is_commutative, minimal_projections, permutation_matrix
 from .config import DEFAULTS
 from .errors import ToolkitError
-from .monodromy import (
-    boundary_product,
-    compute_representation,
-    group_order,
-    is_transitive,
-    orbital_count,
-)
-from .tracking import build_loops, choose_base_point, initial_fiber, track_with_trace
+from .monodromy import loop_setup
+from .tracking import track_with_trace
 from .znmodel import zn_end_to_end
 
-__all__ = ["run_analysis", "main"]
+__all__ = ["main"]
 
 
 def _pair(z) -> list:
@@ -44,92 +39,36 @@ def _matrix_pairs(m) -> list:
     return [[_pair(v) for v in row] for row in np.asarray(m)]
 
 
-def run_analysis(b, seed=None, newton_tol=None, dedup_tol=None) -> dict:
-    """Full pipeline on one product: monodromy, commutant, theorem checks.
-
-    The returned report carries every named check with its numeric evidence;
-    `report["ok"]` is their conjunction.
-    """
-    seed = DEFAULTS.seed if seed is None else int(seed)
-    n = b.order
-    rep = compute_representation(b, newton_tol=newton_tol, dedup_tol=dedup_tol, seed=seed)
-    gens = list(rep.generators)
-
-    order = group_order(gens, n)
-    transitive = is_transitive(gens, n) if gens else n == 1
-    q = orbital_count(gens, n) if gens else n * n
-
-    cb = commutant_basis(gens, n)
-    commutative, max_comm = is_commutative(cb)
-    projections, attempts = ([], 0)
-    if commutative:
-        projections, attempts = minimal_projections(
-            cb, seed=seed, return_attempts=True
-        )
-
-    boundary = rep.boundary_perm
-    product = boundary_product(rep)
-    rank_sum = sum(int(round(float(np.trace(p).real))) for p in projections)
-    partition_err = (
-        float(np.linalg.norm(sum(projections) - np.eye(n))) if projections else None
-    )
-    proj_commute = 0.0
-    for p in projections:
-        for g in gens:
-            v = permutation_matrix(g)
-            proj_commute = max(proj_commute, float(np.linalg.norm(p @ v - v @ p)))
-
-    checks = {
-        "q_orbitals_equals_commutant_dim": {
-            "pass": q == cb.dim, "q_orbitals": q, "commutant_dim": cb.dim,
-        },
-        "commutant_commutative": {
-            "pass": bool(commutative), "max_commutator": max_comm,
-        },
-        "monodromy_transitive": {"pass": bool(transitive)},
-        "boundary_product_identity": {
-            "pass": product.images == boundary.images,
-            "tracked": list(boundary.images),
-            "sweep_product": list(product.images),
-        },
-        "projection_partition": {
-            "pass": bool(projections)
-            and rank_sum == n
-            and partition_err < 1e-8
-            and proj_commute < 1e-8,
-            "rank_sum": rank_sum,
-            "sum_minus_identity": partition_err,
-            "max_generator_commutator": proj_commute,
-        },
-    }
-    report = {
+def _analysis_report(b, settings, result) -> dict:
+    """The `analyze` JSON report of the `Analysis` of `b` under `settings`."""
+    rep = result.rep
+    return {
         "schema": "1",
         "input": {"theta": b.theta, "zeros": [_pair(a) for a in b.zeros]},
-        "order": n,
-        "seed": seed,
+        "order": b.order,
+        "seed": settings.seed,
         "tolerances": {
-            "newton_tol": DEFAULTS.newton_tol if newton_tol is None else newton_tol,
-            "dedup_tol": DEFAULTS.dedup_tol if dedup_tol is None else dedup_tol,
-            "nullspace_rtol": DEFAULTS.nullspace_rtol,
-            "projection_gap": DEFAULTS.projection_gap,
+            "newton_tol": settings.newton_tol,
+            "dedup_tol": settings.dedup_tol,
+            "nullspace_rtol": settings.nullspace_rtol,
+            "projection_gap": settings.projection_gap,
         },
         "base_point": _pair(rep.base),
         "branch_values": [_pair(v) for v in rep.branch_values],
-        "generators": [list(g.images) for g in gens],
-        "boundary_permutation": list(boundary.images),
-        "group_order": order,
-        "transitive": bool(transitive),
-        "q_orbitals": q,
-        "commutant_dim": cb.dim,
-        "commutative": bool(commutative),
-        "max_commutator": max_comm,
-        "num_minimal_projections": len(projections),
-        "projection_attempts": attempts,
-        "projections": [_matrix_pairs(p) for p in projections],
-        "theorem_checks": checks,
+        "generators": [list(g.images) for g in rep.generators],
+        "boundary_permutation": list(rep.boundary_perm.images),
+        "group_order": result.group_order,
+        "transitive": result.transitive,
+        "q_orbitals": result.q_orbitals,
+        "commutant_dim": result.commutant.dim,
+        "commutative": result.commutative,
+        "max_commutator": result.max_commutator,
+        "num_minimal_projections": len(result.projections),
+        "projection_attempts": result.projection_attempts,
+        "projections": [_matrix_pairs(p) for p in result.projections],
+        "theorem_checks": result.theorem_checks,
+        "ok": result.ok,
     }
-    report["ok"] = all(c["pass"] for c in checks.values())
-    return report
 
 
 def _emit(report: dict, path) -> None:
@@ -148,12 +87,10 @@ def _load(spec_path):
 
 def cmd_analyze(args) -> int:
     b = _load(args.spec)
-    report = run_analysis(
-        b,
-        seed=args.seed,
-        newton_tol=args.newton_tol,
-        dedup_tol=args.dedup_tol,
+    settings = dataclasses.replace(
+        DEFAULTS, seed=args.seed, newton_tol=args.newton_tol, dedup_tol=args.dedup_tol
     )
+    report = _analysis_report(b, settings, analyze(b, settings))
     _emit(report, args.report)
     return 0 if report["ok"] else 1
 
@@ -174,18 +111,16 @@ def cmd_verify_gamma(args) -> int:
 
 def cmd_trace_loop(args) -> int:
     b = _load(args.spec)
-    data = b.branch_data(seed=args.seed)
-    if not 0 <= args.index < len(data.branch_values):
+    settings = dataclasses.replace(DEFAULTS, seed=args.seed)
+    fiber0, loops = loop_setup(b, settings)
+    if not 0 <= args.index < len(loops.loops):
         print(
             f"error: loop index {args.index} out of range "
-            f"(have {len(data.branch_values)} branch values)",
+            f"(have {len(loops.loops)} branch values)",
             file=sys.stderr,
         )
         return 2
-    base = choose_base_point(b, data.branch_values)
-    fiber0 = initial_fiber(b, base, seed=args.seed)
-    loops = build_loops(b, base, data.branch_values)
-    _, trace = track_with_trace(b, fiber0, loops.loops[args.index])
+    _, trace = track_with_trace(b, fiber0, loops.loops[args.index], settings)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -227,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="monodromy + commutant + theorem checks")
     common(p)
-    p.add_argument("--newton-tol", type=float, default=None)
-    p.add_argument("--dedup-tol", type=float, default=None)
+    p.add_argument("--newton-tol", type=float, default=DEFAULTS.newton_tol)
+    p.add_argument("--dedup-tol", type=float, default=DEFAULTS.dedup_tol)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify-gamma", help="isometry/intertwining/disjointness checks")

@@ -10,12 +10,11 @@ of minimal projections equals the algebra dimension.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Settings
 from .errors import DegenerateGenericElement, NonCommutative
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "commutant_basis",
     "is_commutative",
     "minimal_projections",
-    "analyze_commutant",
 ]
 
 
@@ -40,17 +38,11 @@ class CommutantBasis:
         Nullity of the stacked commutation system = algebra dimension.
     basis : tuple of ndarray
         Frobenius-orthonormal n x n complex matrices spanning the algebra.
-    max_commutator : float
-        Largest pairwise commutator norm over the basis; NaN until measured.
-    projections : tuple of ndarray
-        Minimal self-adjoint idempotents, empty until extracted.
     """
 
     n: int
     dim: int
     basis: tuple
-    max_commutator: float = float("nan")
-    projections: tuple = ()
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -77,18 +69,17 @@ def _matrix_units(n: int):
     return out
 
 
-def commutant_basis(generators, n: int, rtol: float = None) -> CommutantBasis:
+def commutant_basis(generators, n: int, settings: Settings = DEFAULTS) -> CommutantBasis:
     """Orthonormal basis of {X : X V_i = V_i X for every generator}.
 
     Stacks the k maps X -> X V_i - V_i X as a (k n^2) x n^2 matrix acting on
     the row-major vectorization of X and keeps the right singular vectors
-    whose singular values fall below ``rtol`` times the largest one.  With no
-    generators the commutant is the full matrix algebra, returned in the
-    matrix-unit basis.
+    whose singular values fall below `settings.nullspace_rtol` times the
+    largest one.  With no generators the commutant is the full matrix
+    algebra, returned in the matrix-unit basis.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rtol = DEFAULTS.nullspace_rtol if rtol is None else float(rtol)
     mats = [permutation_matrix(g) for g in generators]
     for v in mats:
         if v.shape != (n, n):
@@ -103,7 +94,7 @@ def commutant_basis(generators, n: int, rtol: float = None) -> CommutantBasis:
     )
     # At least n^2 rows, so the reduced vh is still the full n^2 x n^2 V^H.
     _, s, vh = np.linalg.svd(system, full_matrices=False)
-    cutoff = rtol * (s[0] if s.size else 0.0)
+    cutoff = settings.nullspace_rtol * (s[0] if s.size else 0.0)
     nullity = n * n - int(np.sum(s > cutoff))
     basis = tuple(
         vh[n * n - nullity + j].reshape(n, n).astype(complex)
@@ -112,32 +103,30 @@ def commutant_basis(generators, n: int, rtol: float = None) -> CommutantBasis:
     return CommutantBasis(n=n, dim=nullity, basis=basis)
 
 
-def is_commutative(cb: CommutantBasis, tol: float = 1e-8):
-    """(is the algebra commutative, max pairwise commutator Frobenius norm)."""
+def is_commutative(cb: CommutantBasis):
+    """(all pairwise commutators below 1e-8, their max Frobenius norm)."""
     worst = 0.0
     for a in range(cb.dim):
         x = cb.basis[a]
         for b in range(a + 1, cb.dim):
             y = cb.basis[b]
             worst = max(worst, float(np.linalg.norm(x @ y - y @ x)))
-    return worst < tol, worst
+    return worst < 1e-8, worst
 
 
 def minimal_projections(
-    cb: CommutantBasis,
-    seed: int = None,
-    gap: float = None,
-    retries: int = None,
-    return_attempts: bool = False,
+    cb: CommutantBasis, settings: Settings = DEFAULTS, return_attempts: bool = False
 ):
     """Minimal self-adjoint idempotents of a commutative commutant algebra.
 
     Draws a generic element Z = sum c_a X_a with deterministic complex
     Gaussian coefficients, takes the self-adjoint part H = (Z + Z*)/2, and
-    groups the eigendecomposition of H at the configured spectral gap.  In a
+    groups the eigendecomposition of H at `settings.projection_gap`.  In a
     commutative algebra of dimension d a generic H has exactly d eigenvalue
     groups and its spectral projections are the minimal ones; fewer groups
-    means the draw was degenerate and a fresh seed is tried.
+    means the draw was degenerate and the next seed is tried, up to
+    `settings.projection_retries` draws from `settings.seed` on; with
+    `return_attempts` the result is (projections, draws used).
 
     Complex coefficients are essential: a real-coefficient self-adjoint
     combination of a real basis is a real symmetric matrix, which cannot
@@ -147,16 +136,13 @@ def minimal_projections(
     Raises NonCommutative if the algebra is not commutative and
     DegenerateGenericElement when every retry fails to split the spectrum.
     """
-    seed = DEFAULTS.seed if seed is None else int(seed)
-    gap = DEFAULTS.projection_gap if gap is None else float(gap)
-    retries = DEFAULTS.projection_retries if retries is None else int(retries)
     ok, worst = is_commutative(cb)
     if not ok:
         raise NonCommutative(
             f"commutant algebra is not commutative (max commutator {worst:.3e})"
         )
-    for attempt in range(retries):
-        rng = np.random.default_rng(seed + attempt)
+    for attempt in range(settings.projection_retries):
+        rng = np.random.default_rng(settings.seed + attempt)
         coeffs = rng.standard_normal(cb.dim) + 1j * rng.standard_normal(cb.dim)
         z = sum(c * x for c, x in zip(coeffs, cb.basis))
         h = (z + z.conj().T) / 2.0
@@ -165,7 +151,7 @@ def minimal_projections(
         # by more than the gap; each block is one spectral projection.
         splits = [0]
         for j in range(1, len(eigvals)):
-            if eigvals[j] - eigvals[j - 1] > gap:
+            if eigvals[j] - eigvals[j - 1] > settings.projection_gap:
                 splits.append(j)
         splits.append(len(eigvals))
         if len(splits) - 1 != cb.dim:
@@ -179,22 +165,6 @@ def minimal_projections(
         return projections
     raise DegenerateGenericElement(
         f"no generic element split the spectrum into {cb.dim} groups "
-        f"after {retries} attempts"
+        f"after {settings.projection_retries} attempts"
     )
 
-
-def analyze_commutant(generators, n: int, seed: int = None) -> CommutantBasis:
-    """Full commutant pass: basis, commutativity certificate, projections.
-
-    Returns a CommutantBasis with max_commutator filled in and, when the
-    algebra is commutative, the minimal projections attached (left empty
-    otherwise, mirroring the non-commutative error path).
-    """
-    cb = commutant_basis(generators, n)
-    ok, worst = is_commutative(cb)
-    projections = ()
-    if ok:
-        projections = tuple(minimal_projections(cb, seed=seed))
-    return dataclasses.replace(
-        cb, max_commutator=worst, projections=projections
-    )

@@ -1,10 +1,14 @@
 """Single record of every tolerance and budget used by the toolkit.
 
-Functions read their defaults from `DEFAULTS`.  Some take keyword overrides
-for a few of these values (for example `newton_tol` and `seed`); the others
-are fixed to the record.  Reports do not echo the whole record: `analyze`
-gives `seed` and, under "tolerances", newton_tol, dedup_tol, nullspace_rtol
-and projection_gap; `verify-gamma` gives only `seed`; `zn` gives none.
+Functions on the analysis path (`analysis.analyze` and the monodromy,
+tracking, branch-data and commutant steps it calls) take one
+`settings: Settings` argument, `DEFAULTS` unless given; an override is a
+`dataclasses.replace(DEFAULTS, ...)` and reaches every step that reads its
+field.  The command line sets `seed`, `newton_tol` and `dedup_tol` this way.
+The quadrature and cut-disc code reads `DEFAULTS` directly.  Reports do not
+echo the whole record: `analyze` gives `seed` and, under "tolerances",
+newton_tol, dedup_tol, nullspace_rtol and projection_gap; `verify-gamma`
+gives only `seed`; `zn` gives none.
 """
 
 from __future__ import annotations
@@ -41,9 +45,6 @@ class Settings:
         (and send a quadrature continuation step to the eigenvalue solver).
     grid : int
         Base-point search resolution (grid x grid over the bounding square).
-    group_cap : int
-        Largest group `group_closure` lists before GroupTooLarge (10!);
-        it bounds only that listing, not `group_order`.
     nullspace_rtol : float
         Singular values below nullspace_rtol * sigma_max span the commutant.
     projection_gap : float
@@ -75,7 +76,6 @@ class Settings:
     max_newton_iters: int = 5
     collision_factor: float = 10.0
     grid: int = 64
-    group_cap: int = 3_628_800
     nullspace_rtol: float = 1e-10
     projection_gap: float = 1e-6
     projection_retries: int = 5

@@ -199,7 +199,7 @@ def _refine_multiple(poly, center, multiplicity):
     return z
 
 
-def roots(poly, tol=None, budget=None, seed=None, cluster_cap=None):
+def roots(poly, tol=None, budget=None, seed=None):
     """All roots of `poly` as multiplicity-aware clusters.
 
     Parameters
@@ -216,8 +216,8 @@ def roots(poly, tol=None, budget=None, seed=None, cluster_cap=None):
         Iteration cap for the simultaneous phase.
     seed : int, optional
         Seed for the initial-guess jitter.
-    cluster_cap : float, optional
-        Upper cap on the merge radius.
+
+    The merge radius is capped at `DEFAULTS.cluster_cap`.
 
     Returns
     -------
@@ -233,7 +233,6 @@ def roots(poly, tol=None, budget=None, seed=None, cluster_cap=None):
     tol = DEFAULTS.roots_tol if tol is None else tol
     budget = DEFAULTS.root_budget if budget is None else budget
     seed = DEFAULTS.seed if seed is None else seed
-    cluster_cap = DEFAULTS.cluster_cap if cluster_cap is None else cluster_cap
 
     if poly.degree < 1 or poly.coeffs[-1] == 0:
         raise ValueError("roots() needs degree >= 1 and a nonzero leading coefficient")
@@ -243,7 +242,7 @@ def roots(poly, tol=None, budget=None, seed=None, cluster_cap=None):
 
     coeff_arr = np.array(poly.coeffs, dtype=complex)
     approx = _aberth(coeff_arr, budget, seed)
-    clusters = _merge_clusters(list(approx), tol, cluster_cap)
+    clusters = _merge_clusters(list(approx), tol, DEFAULTS.cluster_cap)
 
     base_bound = tol * (1.0 + poly.l1_norm())
     out = []

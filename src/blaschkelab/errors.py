@@ -16,7 +16,6 @@ __all__ = [
     "AmbiguousMatching",
     "LoopConstructionFailed",
     "PathBlocked",
-    "GroupTooLarge",
     "NonCommutative",
     "DegenerateGenericElement",
 ]
@@ -56,10 +55,6 @@ class LoopConstructionFailed(ToolkitError):
 
 class PathBlocked(ToolkitError):
     """No cut-avoiding route exists between base point and target."""
-
-
-class GroupTooLarge(ToolkitError):
-    """Group closure exceeded the configured element cap."""
 
 
 class NonCommutative(ToolkitError):

@@ -5,8 +5,7 @@ branch value; these generate the monodromy action of the covering on sheet
 labels.  Group-level quantities derived here (transitivity, orbit counts on
 ordered pairs, group order) are conjugation invariant and therefore do not
 depend on the arbitrary sheet labeling.  The group order comes from
-Schreier–Sims (`group_order`); `group_closure` lists the elements themselves
-and serves as its reference on small groups.
+Schreier–Sims (`group_order`), without listing the elements.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULTS
-from .errors import GroupTooLarge
+from .config import DEFAULTS, Settings
 from .tracking import (
     build_loops,
     choose_base_point,
@@ -28,9 +26,9 @@ from .tracking import (
 __all__ = [
     "Permutation",
     "MonodromyRep",
+    "loop_setup",
     "compute_representation",
     "boundary_product",
-    "group_closure",
     "group_order",
     "is_transitive",
     "orbital_count",
@@ -109,7 +107,15 @@ class MonodromyRep:
     boundary_perm: Permutation
 
 
-def compute_representation(b, newton_tol=None, dedup_tol=None, seed=None) -> MonodromyRep:
+def loop_setup(b, settings: Settings = DEFAULTS):
+    """(base fiber, loop system): branch data, base point, its fiber, loops."""
+    data = b.branch_data(settings)
+    base = choose_base_point(b, data.branch_values, settings)
+    fiber0 = initial_fiber(b, base, settings)
+    return fiber0, build_loops(b, base, data.branch_values)
+
+
+def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
     """Full monodromy computation: branch data, loops, tracked permutations.
 
     Generators follow the loop order (ascending argument of branch value
@@ -118,20 +124,15 @@ def compute_representation(b, newton_tol=None, dedup_tol=None, seed=None) -> Mon
     tracked in one `track_paths` call; the first failing loop in that order
     raises its error.
     """
-    data = b.branch_data(dedup_tol=dedup_tol, seed=seed)
-    base = choose_base_point(b, data.branch_values)
-    fiber0 = initial_fiber(b, base, newton_tol=newton_tol, seed=seed)
-    loops = build_loops(b, base, data.branch_values)
-    ends = track_paths(
-        b, fiber0, loops.loops + (loops.boundary_loop,), newton_tol=newton_tol
-    )
+    fiber0, loops = loop_setup(b, settings)
+    ends = track_paths(b, fiber0, loops.loops + (loops.boundary_loop,), settings)
     perms = []
     for end in ends:
         if isinstance(end, Exception):
             raise end
         perms.append(match_endpoints(fiber0, end))
     return MonodromyRep(
-        base=base,
+        base=loops.base,
         branch_values=loops.branch_values,
         generators=tuple(perms[:-1]),
         boundary_perm=perms[-1],
@@ -179,38 +180,6 @@ class _UnionFind:
 
     def count(self):
         return len({self.find(x) for x in range(len(self.parent))})
-
-
-def group_closure(generators, cap=None, degree=None):
-    """Every element of the generated group, BFS order from the identity.
-
-    An empty generator list yields the trivial group on `degree` points
-    (required in that case).  Raises GroupTooLarge when the closure exceeds
-    `cap` (default 10!) or the degree exceeds 10.
-    """
-    cap = DEFAULTS.group_cap if cap is None else cap
-    if not generators:
-        if degree is None:
-            raise ValueError("group_closure needs generators or an explicit degree")
-        return [Permutation.identity(degree)]
-    n = generators[0].n
-    if n > 10:
-        raise GroupTooLarge(f"degree {n} exceeds the supported cap (10)")
-    identity = Permutation.identity(n)
-    seen = {identity.images: identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gen in generators:
-                h = gen.compose(g)
-                if h.images not in seen:
-                    if len(seen) >= cap:
-                        raise GroupTooLarge(f"group closure exceeded cap {cap}")
-                    seen[h.images] = h
-                    nxt.append(h)
-        frontier = nxt
-    return list(seen.values())
 
 
 def _orbit(point: int, gens: list, identity: tuple) -> dict:

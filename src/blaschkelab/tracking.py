@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Settings
 from .cpoly import roots
 from .errors import (
     AmbiguousMatching,
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# A fiber may start a path only if its w lies this close to the path start.
+_START_TOL = 1e-9
 
 
 def point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -227,16 +229,15 @@ def newton_correct(b, pred, w, tol, iters):
     return z, db, converged
 
 
-def initial_fiber(b, w, newton_tol=None, roots_tol=None, seed=None) -> Fiber:
+def initial_fiber(b, w, settings: Settings = DEFAULTS) -> Fiber:
     """Solve B(z) = w from scratch; points sorted lexicographically.
 
     Raises FiberCollision when w is (numerically) a branch value: repeated
     roots or separation below collision_factor * newton_tol.
     """
-    newton_tol = DEFAULTS.newton_tol if newton_tol is None else newton_tol
     w = complex(w)
     g = b.P - w * b.Q
-    clusters = roots(g, tol=roots_tol, seed=seed)
+    clusters = roots(g, tol=settings.roots_tol, seed=settings.seed)
     if any(c.multiplicity > 1 for c in clusters):
         raise FiberCollision(f"fiber over {w} contains a multiple point")
     pts = np.array([c.center for c in clusters])
@@ -250,20 +251,19 @@ def initial_fiber(b, w, newton_tol=None, roots_tol=None, seed=None) -> Fiber:
     order = np.lexsort((pts.imag, pts.real))
     pts = pts[order]
     sep = float(fiber_separation(pts))
-    if sep <= DEFAULTS.collision_factor * newton_tol:
+    if sep <= settings.collision_factor * settings.newton_tol:
         raise FiberCollision(f"fiber separation {sep:.3e} at w={w} is below threshold")
     return Fiber(w=w, points=tuple(pts.tolist()), separation=sep)
 
 
-def choose_base_point(b, branch_values=None, grid=None) -> complex:
+def choose_base_point(b, branch_values, settings: Settings = DEFAULTS) -> complex:
     """Grid-search base point maximizing clearance from branch values and the rim.
 
     Deterministic: scans a grid x grid lattice of cell centers over the
-    bounding square and returns the first maximizer in scan order.
+    bounding square (grid = `settings.grid`) and returns the first maximizer
+    in scan order.
     """
-    grid = DEFAULTS.grid if grid is None else grid
-    if branch_values is None:
-        branch_values = b.branch_data().branch_values
+    grid = settings.grid
     if len(branch_values) == 0:
         return 0j
     centers = -1.0 + (2.0 * np.arange(grid) + 1.0) / grid
@@ -344,7 +344,7 @@ def _loop_radii(branch_values, base):
     return radii
 
 
-def build_loops(b, base, branch_values=None) -> LoopSystem:
+def build_loops(b, base, branch_values) -> LoopSystem:
     """Lollipop loop system: per-branch-value loops plus the boundary loop.
 
     Each loop runs from the base straight toward its branch value (detouring
@@ -360,8 +360,6 @@ def build_loops(b, base, branch_values=None) -> LoopSystem:
     sits clockwise of the stem direction.  This is what makes the boundary
     permutation equal the sweep-ordered product of the generators.
     """
-    if branch_values is None:
-        branch_values = b.branch_data().branch_values
 
     def _pass_left(obstacle_angle, stem_angle):
         return (obstacle_angle - stem_angle) % _TWO_PI > math.pi
@@ -407,7 +405,7 @@ def build_loops(b, base, branch_values=None) -> LoopSystem:
     )
 
 
-def track_paths(b, fiber, paths, newton_tol=None) -> list:
+def track_paths(b, fiber, paths, settings: Settings = DEFAULTS) -> list:
     """Continue `fiber` along every path in `paths` at once, in lockstep.
 
     Returns one outcome per path, in order: the end Fiber (slot i follows
@@ -417,19 +415,10 @@ def track_paths(b, fiber, paths, newton_tol=None) -> list:
     row per iteration, and rows finish or fail independently.  Every row is
     bit-identical to tracking its path alone.
     """
-    return _track_rows(b, fiber, paths, newton_tol)
+    return _track_rows(b, fiber, paths, settings)
 
 
-def track(
-    b,
-    fiber,
-    path,
-    newton_tol=None,
-    step_floor=None,
-    max_newton_iters=None,
-    collision_factor=None,
-    record=None,
-) -> Fiber:
+def track(b, fiber, path, settings: Settings = DEFAULTS, record=None) -> Fiber:
     """Continue a whole fiber along `path`; slot i follows input point i.
 
     A step from w to w_next is accepted only if the corrector converges for
@@ -441,32 +430,21 @@ def track(
     `record`, if given, is called as record(t, w, points) at the start node
     and after every accepted step, with t the global path parameter in [0, 1].
     """
-    (end,) = _track_rows(
-        b, fiber, [path], newton_tol, step_floor, max_newton_iters, collision_factor,
-        record,
-    )
+    (end,) = _track_rows(b, fiber, [path], settings, record)
     if isinstance(end, Exception):
         raise end
     return end
 
 
-def _track_rows(b, fiber, paths, newton_tol=None, step_floor=None,
-                max_newton_iters=None, collision_factor=None, record=None):
+def _track_rows(b, fiber, paths, settings: Settings, record=None):
     """Lockstep predictor-corrector behind `track` and `track_paths`.
 
-    `record` traces a single path; it is refused with several.
+    Reads newton_tol, step_floor, max_newton_iters and collision_factor from
+    `settings`.  `record` traces a single path; it is refused with several.
     """
     if record is not None and len(paths) != 1:
         raise ValueError("record needs exactly one path")
-    newton_tol = DEFAULTS.newton_tol if newton_tol is None else newton_tol
-    step_floor = DEFAULTS.step_floor if step_floor is None else step_floor
-    max_newton_iters = (
-        DEFAULTS.max_newton_iters if max_newton_iters is None else max_newton_iters
-    )
-    collision_factor = (
-        DEFAULTS.collision_factor if collision_factor is None else collision_factor
-    )
-    if any(abs(fiber.w - path.start) > 1e-9 for path in paths):
+    if any(abs(fiber.w - path.start) > _START_TOL for path in paths):
         raise ValueError("fiber base does not match path start")
     m = len(paths)
     start = np.array(fiber.points, dtype=complex)
@@ -494,8 +472,8 @@ def _track_rows(b, fiber, paths, newton_tol=None, step_floor=None,
             dw = np.array([w_next[k] - w[live[k]] for k in tried])
             pred = pts[rows[tried]] + dw[:, None] / slope[rows[tried]]
             corrected, deriv, ok = newton_correct(
-                b, pred, np.array([w_next[k] for k in tried]), newton_tol,
-                max_newton_iters,
+                b, pred, np.array([w_next[k] for k in tried]), settings.newton_tol,
+                settings.max_newton_iters,
             )
             fit, fit_db = corrected[ok], deriv[ok]
             sep = fiber_separation(fit).tolist()
@@ -506,7 +484,7 @@ def _track_rows(b, fiber, paths, newton_tol=None, step_floor=None,
         for k, r in enumerate(live):
             j = slot[k]
             if j >= 0:
-                if sep[j] <= collision_factor * newton_tol:
+                if sep[j] <= settings.collision_factor * settings.newton_tol:
                     outcomes[r] = FiberCollision(
                         f"fiber separation {sep[j]:.3e} under threshold near w={w_next[k]}"
                     )
@@ -533,7 +511,7 @@ def _track_rows(b, fiber, paths, newton_tol=None, step_floor=None,
                     continue
             h[r] *= 0.5
             streak[r] = 0
-            if h[r] < step_floor:
+            if h[r] < settings.step_floor:
                 outcomes[r] = StepFloorReached(
                     f"step floor reached on segment {iseg[r]} near w={w_next[k]}"
                 )
@@ -543,18 +521,18 @@ def _track_rows(b, fiber, paths, newton_tol=None, step_floor=None,
     return outcomes
 
 
-def track_with_trace(b, fiber, path, **kwargs):
+def track_with_trace(b, fiber, path, settings: Settings = DEFAULTS):
     """Like `track` but also returns the list of (t, w, points) nodes."""
     rows = []
 
     def record(t, w, pts):
         rows.append((t, w, tuple(pts.tolist())))
 
-    end = track(b, fiber, path, record=record, **kwargs)
+    end = track(b, fiber, path, settings, record=record)
     return end, rows
 
 
-def loop_permutation(b, fiber0, loop, **kwargs):
+def loop_permutation(b, fiber0, loop, settings: Settings = DEFAULTS):
     """Permutation induced by continuing `fiber0` around the closed `loop`.
 
     Returns the Permutation tau with end.points[i] = fiber0.points[tau(i)]
@@ -562,7 +540,7 @@ def loop_permutation(b, fiber0, loop, **kwargs):
     """
     if not loop.is_closed:
         raise ValueError("loop_permutation needs a closed path")
-    return match_endpoints(fiber0, track(b, fiber0, loop, **kwargs))
+    return match_endpoints(fiber0, track(b, fiber0, loop, settings))
 
 
 def match_endpoints(fiber0, end):

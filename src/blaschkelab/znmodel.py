@@ -11,14 +11,15 @@ the full pipeline against them end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
+from .analysis import analyze
 from .blaschke import BlaschkeProduct, truncated_matrix
-from .commutant import commutant_basis, is_commutative, minimal_projections, permutation_matrix
-from .monodromy import boundary_product, compute_representation, orbital_count
+from .commutant import permutation_matrix
+from .config import DEFAULTS
 
 __all__ = [
     "ZnCase",
@@ -113,7 +114,7 @@ def _match_projection_sets(computed, expected, tol=1e-8) -> bool:
 
 
 def zn_end_to_end(n: int, seed: int = 0) -> dict:
-    """Run the full pipeline on B = z^n and compare with the exact model.
+    """Run `analyze` on B = z^n at `seed` and compare with the exact model.
 
     Checks: branch set {0}; a single n-cycle generator whose boundary
     product matches; orbital count, commutant dimension, and projection
@@ -136,28 +137,23 @@ def zn_end_to_end(n: int, seed: int = 0) -> dict:
             rank_one_ok=True, dft_match_ok=True,
         )
     else:
-        rep = compute_representation(b)
-        gens = list(rep.generators)
+        result = analyze(b, replace(DEFAULTS, seed=seed))
+        rep = result.rep
+        gens = rep.generators
         report["branch_set_ok"] = (
             len(rep.branch_values) == 1 and abs(rep.branch_values[0]) < 1e-9
         )
         report["generator_cycle_ok"] = (
             len(gens) == 1 and sorted(gens[0].cycle_type()) == [n]
         )
-        report["boundary_ok"] = (
-            boundary_product(rep).images == rep.boundary_perm.images
-        )
-        q = orbital_count(gens, n)
-        report["q_orbitals"] = q
-        report["q_ok"] = q == n
-
-        cb = commutant_basis(gens, n)
-        commutative, worst = is_commutative(cb)
-        projs = minimal_projections(cb, seed=seed) if commutative else []
-        report["commutant_dim"] = cb.dim
-        report["dim_ok"] = cb.dim == n
-        report["commutative"] = commutative
-        report["max_commutator"] = worst
+        report["boundary_ok"] = result.theorem_checks["boundary_product_identity"]["pass"]
+        report["q_orbitals"] = result.q_orbitals
+        report["q_ok"] = result.q_orbitals == n
+        report["commutant_dim"] = result.commutant.dim
+        report["dim_ok"] = result.commutant.dim == n
+        report["commutative"] = result.commutative
+        report["max_commutator"] = result.max_commutator
+        projs = result.projections
         report["num_projections"] = len(projs)
         report["rank_one_ok"] = all(
             abs(np.trace(p).real - 1.0) < 1e-8 for p in projs

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from blaschkelab import BlaschkeProduct, compute_representation, to_spec
+from blaschkelab import DEFAULTS, BlaschkeProduct, compute_representation, to_spec
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +41,7 @@ def rep_of():
     def get(b: BlaschkeProduct, seed: int = 0):
         key = (json.dumps(to_spec(b), sort_keys=True), seed)
         if key not in cache:
-            cache[key] = compute_representation(b, seed=seed)
+            cache[key] = compute_representation(b, replace(DEFAULTS, seed=seed))
         return cache[key]
 
     return get

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from blaschkelab import (
-    analyze_commutant,
+    analyze,
     bundle_report,
     commutant_basis,
     compute_representation,
@@ -47,7 +47,7 @@ def suite():
     for order in _SUITE_ORDERS:
         for _ in range(_SUITE_PER_ORDER):
             b = random_product(order, rng)
-            rep = compute_representation(b, seed=0)
+            rep = compute_representation(b)
             cb = commutant_basis(rep.generators, order)
             q = orbital_count(rep.generators, order)
             members.append({"b": b, "order": order, "rep": rep, "cb": cb, "q": q})
@@ -60,13 +60,13 @@ def test_criterion_1_order2_products_have_two_reducing_subspaces():
     start = time.perf_counter()
     for _ in range(10):
         b = random_product(2, rng)
-        rep = compute_representation(b, seed=0)
+        result = analyze(b)
+        rep = result.rep
         assert len(rep.generators) == 1
         assert rep.generators[0].images == (1, 0)
         assert orbital_count(rep.generators, 2) == 2
-        cb = analyze_commutant(rep.generators, 2, seed=0)
-        assert cb.dim == 2
-        assert len(cb.projections) == 2
+        assert result.commutant.dim == 2
+        assert len(result.projections) == 2
     assert time.perf_counter() - start < 5.0
 
 
@@ -91,7 +91,7 @@ def test_criterion_3_commutant_dimension_equals_orbital_count(suite):
 def test_criterion_4_commutant_is_commutative(suite):
     members, _ = suite
     for m in members:
-        ok, worst = is_commutative(m["cb"], tol=1e-8)
+        ok, worst = is_commutative(m["cb"])
         assert ok
         assert worst < 1e-8
 
@@ -114,7 +114,7 @@ def test_criterion_6_fiber_separation_and_square_root_scaling(suite):
         assert verify_disjoint_images(m["b"], 100, seed=0) > 1e-4
     for m in members:
         b = m["b"]
-        data = b.branch_data(seed=0)
+        data = b.branch_data()
         assert all(c.multiplicity == 1 for c in data.critical_points)
         betas = m["rep"].branch_values
 
@@ -135,7 +135,7 @@ def test_criterion_7_component_counts_match_frozen_factorizations():
     assert len(cases) == 3
     for case in cases:
         b = from_spec({"theta": case["theta"], "zeros": case["zeros"]})
-        rep = compute_representation(b, seed=0)
+        rep = compute_representation(b)
         q = orbital_count(rep.generators, b.order)
         assert q == case["absolute_factor_count"], case["name"]
 

@@ -20,6 +20,7 @@ from blaschkelab import (
     exact_inner,
     gamma_apply,
     initial_fiber,
+    isometry_details,
     partition_check,
     point_in_cut_disc,
     random_product,
@@ -30,7 +31,6 @@ from blaschkelab import (
     track_paths,
     verify_disjoint_images,
     verify_intertwining,
-    verify_isometry,
 )
 from blaschkelab import bundle
 from blaschkelab.bundle import (
@@ -182,7 +182,9 @@ def test_exact_inner_monomials():
 
 def test_isometry_identity_map():
     b = BlaschkeProduct(0.0, [0.0])
-    err = verify_isometry(b, _monomial(0), _monomial(0), budget=20000, seed=0)
+    err = isometry_details(b, _monomial(0), _monomial(0), budget=20000, seed=0)[
+        "relative_error"
+    ]
     assert err < 1e-3
 
 
@@ -190,14 +192,14 @@ def test_isometry_square_monomials(square):
     grid = build_quadrature_grid(square, 100000, seed=0)
     for k in range(4):
         f = _monomial(k)
-        err = verify_isometry(square, f, f, budget=100000, grid=grid)
+        err = isometry_details(square, f, f, budget=100000, grid=grid)["relative_error"]
         assert err < 1e-2
 
 
 def test_isometry_estimate_converges(square):
     f = _monomial(2)
-    err_half = verify_isometry(square, f, f, budget=500000, seed=0)
-    err_full = verify_isometry(square, f, f, budget=1000000, seed=0)
+    err_half = isometry_details(square, f, f, budget=500000, seed=0)["relative_error"]
+    err_full = isometry_details(square, f, f, budget=1000000, seed=0)["relative_error"]
     assert err_full < err_half or err_full < 1e-2
 
 

@@ -8,7 +8,6 @@ import pytest
 from blaschkelab import (
     NonCommutative,
     Permutation,
-    analyze_commutant,
     commutant_basis,
     is_commutative,
     minimal_projections,
@@ -91,7 +90,7 @@ def test_noncommutativity_of_full_algebra():
 
 def test_minimal_projections_cycle_are_fourier():
     n = 3
-    projs = minimal_projections(commutant_basis([_cycle(n)], n), seed=0)
+    projs = minimal_projections(commutant_basis([_cycle(n)], n))
     assert len(projs) == n
     omega = np.exp(2j * np.pi / n)
     expected = []
@@ -102,29 +101,29 @@ def test_minimal_projections_cycle_are_fourier():
 
 
 def test_minimal_projections_swap():
-    projs = minimal_projections(commutant_basis([Permutation((1, 0))], 2), seed=0)
+    projs = minimal_projections(commutant_basis([Permutation((1, 0))], 2))
     v = permutation_matrix(Permutation((1, 0)))
     expected = [(np.eye(2) + v) / 2.0, (np.eye(2) - v) / 2.0]
     _assert_matched(projs, expected)
 
 
 def test_minimal_projections_single_point():
-    projs = minimal_projections(commutant_basis([], 1), seed=0)
+    projs = minimal_projections(commutant_basis([], 1))
     assert len(projs) == 1
     assert np.allclose(projs[0], [[1.0]])
 
 
 def test_minimal_projections_reject_noncommutative():
     with pytest.raises(NonCommutative):
-        minimal_projections(commutant_basis([], 2), seed=0)
+        minimal_projections(commutant_basis([], 2))
 
 
 def test_projection_partition_properties(order4, rep_of):
     rep = rep_of(order4)
     gens = list(rep.generators)
     n = order4.order
-    cb = analyze_commutant(gens, n, seed=0)
-    projs = cb.projections
+    cb = commutant_basis(gens, n)
+    projs = minimal_projections(cb)
     assert len(projs) == cb.dim
     assert np.linalg.norm(sum(projs) - np.eye(n)) <= 1e-8
     ranks = 0

@@ -279,11 +279,9 @@ def _same_fiber(a, b) -> bool:
     )
 
 
-def _set_collision_factor(monkeypatch, factor):
-    """Run the trackers with `factor` as the default collision factor."""
-    monkeypatch.setattr(
-        tracking, "DEFAULTS", dataclasses.replace(DEFAULTS, collision_factor=factor)
-    )
+def _collision_settings(factor):
+    """DEFAULTS with `factor` as the collision factor."""
+    return dataclasses.replace(DEFAULTS, collision_factor=factor)
 
 
 @pytest.mark.parametrize(
@@ -293,21 +291,21 @@ def _set_collision_factor(monkeypatch, factor):
         (Line(0.25, 0j), 1e6, FiberCollision),
     ],
 )
-def test_track_paths_failing_middle_row(square, monkeypatch, middle, factor, error):
-    _set_collision_factor(monkeypatch, factor)
-    fib = initial_fiber(square, 0.25)
+def test_track_paths_failing_middle_row(square, middle, factor, error):
+    settings = _collision_settings(factor)
+    fib = initial_fiber(square, 0.25, settings)
     paths = [
         _circle(0.0, 0.25),
         PathSpec(segments=(middle,)),
         _circle(0.3, 0.05, start_angle=math.pi),
     ]
-    outcomes = track_paths(square, fib, paths)
+    outcomes = track_paths(square, fib, paths, settings)
     assert len(outcomes) == 3
     assert type(outcomes[1]) is error
     with pytest.raises(error, match=f"^{re.escape(str(outcomes[1]))}$"):
-        track(square, fib, paths[1])
+        track(square, fib, paths[1], settings)
     for k in (0, 2):
-        assert _same_fiber(outcomes[k], track(square, fib, paths[k]))
+        assert _same_fiber(outcomes[k], track(square, fib, paths[k], settings))
     assert outcomes[0].points[0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -318,7 +316,7 @@ def test_track_paths_empty_and_mismatched_start(square):
         track_paths(square, fib, [_circle(0.0, 0.25), _circle(0.0, 0.3)])
     with pytest.raises(ValueError):
         tracking._track_rows(
-            square, fib, [_circle(0.0, 0.25)] * 2, record=lambda *args: None
+            square, fib, [_circle(0.0, 0.25)] * 2, DEFAULTS, record=lambda *args: None
         )
 
 
@@ -377,7 +375,7 @@ def _seeded_products(count):
 
 
 @pytest.mark.parametrize("b", _seeded_products(5))
-def test_track_paths_matches_scalar_reference(b, monkeypatch):
+def test_track_paths_matches_scalar_reference(b):
     data = b.branch_data()
     base = choose_base_point(b, data.branch_values)
     loops = build_loops(b, base, data.branch_values)
@@ -389,11 +387,11 @@ def test_track_paths_matches_scalar_reference(b, monkeypatch):
         for t in (1.0, 1.5)
     ]
     for factor in (10.0, 1e6):
-        _set_collision_factor(monkeypatch, factor)
-        outcomes = track_paths(b, initial_fiber(b, base), paths)
+        settings = _collision_settings(factor)
+        outcomes = track_paths(b, initial_fiber(b, base, settings), paths, settings)
         failed = 0
         for path, got in zip(paths, outcomes):
-            want = _scalar_track(b, initial_fiber(b, base), path, factor)
+            want = _scalar_track(b, initial_fiber(b, base, settings), path, factor)
             if isinstance(got, Exception):
                 failed += 1
                 assert (type(got), str(got)) == want
@@ -431,7 +429,8 @@ def test_choose_base_point_matches_scalar_scan():
             continue
     for betas in cases:
         for grid in (64, 17):
-            got = choose_base_point(None, betas, grid=grid)
+            settings = dataclasses.replace(DEFAULTS, grid=grid)
+            got = choose_base_point(None, betas, settings=settings)
             want = _scalar_base_point(betas, grid)
             assert type(got) is complex
             assert (got.real, got.imag) == (want.real, want.imag)

@@ -1,0 +1,106 @@
+"""Print one sha256 per command-line output of a fixed set of runs.
+
+Run it in two checkouts and diff the outputs; equal lines mean byte-identical
+reports, CSV traces, exit codes and error messages:
+
+    python3 tools/report_digests.py > digests.txt
+
+The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
+3-8, five each; the first 20 are the acceptance suite):
+
+* `analyze --seed 0` on all 30 products;
+* `analyze --newton-tol 1e-30` and `analyze --dedup-tol 1e-7` on product 0;
+* `zn --n 1..8` at `--seed 0` and `--seed 3`;
+* `verify-gamma --budget 100000 --samples 10` on product 15;
+* `trace-loop --index 0` on product 5.
+
+Each digest covers the exit code, stdout and stderr of one run; with
+`--dump DIR` that text is also written to DIR/<label>.txt, so a differing
+digest can be diffed.  The package is imported from the `src/` directory
+next to this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from blaschkelab.blaschke import random_product, to_spec  # noqa: E402
+from blaschkelab.cli import main  # noqa: E402
+
+SUITE_SEED = 2026
+SUITE_ORDERS = (3, 4, 5, 6, 7, 8)
+SUITE_PER_ORDER = 5
+
+
+def suite_specs() -> list:
+    rng = np.random.default_rng(SUITE_SEED)
+    return [
+        to_spec(random_product(order, rng, radius=0.6))
+        for order in SUITE_ORDERS
+        for _ in range(SUITE_PER_ORDER)
+    ]
+
+
+def run(argv) -> str:
+    """Exit code, stdout and stderr of one command-line run, as one text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return f"{rc}\n{out.getvalue()}\n--stderr--\n{err.getvalue()}"
+
+
+def runs(spec_paths) -> list:
+    """(label, argv) of every run in the set."""
+    out = [
+        (f"analyze/product{i:02d}", ["analyze", p, "--seed", "0"])
+        for i, p in enumerate(spec_paths)
+    ]
+    out.append(("analyze/product00/newton-tol-1e-30",
+                ["analyze", spec_paths[0], "--newton-tol", "1e-30"]))
+    out.append(("analyze/product00/dedup-tol-1e-7",
+                ["analyze", spec_paths[0], "--dedup-tol", "1e-7"]))
+    for seed in (0, 3):
+        out += [
+            (f"zn/n{n}/seed{seed}", ["zn", "--n", str(n), "--seed", str(seed)])
+            for n in range(1, 9)
+        ]
+    out.append(("verify-gamma/product15",
+                ["verify-gamma", spec_paths[15], "--budget", "100000",
+                 "--samples", "10", "--seed", "0"]))
+    out.append(("trace-loop/product05/index0",
+                ["trace-loop", spec_paths[5], "--index", "0"]))
+    return out
+
+
+def main_digests(dump=None) -> None:
+    if dump is not None:
+        dump = Path(dump)
+        dump.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, spec in enumerate(suite_specs()):
+            path = Path(tmp) / f"product{i:02d}.json"
+            path.write_text(json.dumps(spec))
+            paths.append(str(path))
+        for label, argv in runs(paths):
+            text = run(argv)
+            if dump is not None:
+                (dump / (label.replace("/", "_") + ".txt")).write_text(text)
+            print(label, hashlib.sha256(text.encode()).hexdigest(), flush=True)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", default=None, help="also write each run's text here")
+    main_digests(parser.parse_args().dump)
