@@ -88,7 +88,8 @@ class GammaSample:
     values: tuple
 
 
-def _cross(u: complex, v: complex) -> float:
+def _cross(u, v):
+    """Cross product of plane vectors given as complex scalars or arrays."""
     return u.real * v.imag - u.imag * v.real
 
 
@@ -211,64 +212,138 @@ def _fan_nodes(cd: CutDisc, eps: float):
     return nodes
 
 
+def _segment_distances(p, a, b):
+    """`point_segment_distance` from points p to segments ab, elementwise over
+    broadcast complex arrays.
+
+    It takes the same floating-point steps: Python's complex `abs` is libm
+    `hypot` (numpy's complex `abs` is not, and differs in the last bit), its
+    `** 2` is libm `pow` (so `float_power`, not a product), and the real part
+    of the complex product is written out.
+    """
+    d, q = b - a, p - a
+    dx, dy = d.real, d.imag
+    denom = np.float_power(np.hypot(dx, dy), 2.0)
+    t = (q.real * dx + q.imag * dy) / np.where(denom == 0.0, 1.0, denom)
+    t = np.minimum(1.0, np.maximum(0.0, t))
+    return np.hypot(p.real - (a.real + t * dx), p.imag - (a.imag + t * dy))
+
+
+# Segment-obstacle pairs per numpy pass of `_visible`: keeps its temporaries
+# at tens of kB however many fan nodes, sample points and cuts there are.
+_VISIBILITY_BLOCK = 2048
+
+
+def _visible(cd: CutDisc, eps: float, u, v) -> np.ndarray:
+    """Whether each segment u -> v keeps clear of every cut and branch value.
+
+    u and v are complex arrays of endpoints that broadcast to a shape of at
+    least one dimension, the shape of the result.  A segment is blocked by a cut it passes nearer than
+    0.5 * min(eps, dist(u, cut), dist(v, cut)), or by a branch value beta it
+    passes nearer than 0.5 * min(eps, |u - beta|, |v - beta|).  The distances
+    take the floating-point steps of the scalar predicate
+    (`_segment_segment_distance` and `point_segment_distance`), which the
+    tests keep as the reference.  The leading axis is split into blocks of
+    about `_VISIBILITY_BLOCK` segment-obstacle pairs (`_visible_block`).
+    """
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    u = u.reshape((1,) * (len(shape) - u.ndim) + u.shape)
+    v = v.reshape((1,) * (len(shape) - v.ndim) + v.shape)
+    pairs = math.prod(shape[1:]) * (len(cd.cuts) + len(cd.branch_values))
+    rows = max(1, _VISIBILITY_BLOCK // max(1, pairs))
+    out = np.empty(shape, dtype=bool)
+    for lo in range(0, shape[0], rows):
+        out[lo:lo + rows] = _visible_block(
+            cd,
+            eps,
+            u if len(u) == 1 else u[lo:lo + rows],
+            v if len(v) == 1 else v[lo:lo + rows],
+        )
+    return out
+
+
+def _visible_block(cd: CutDisc, eps: float, u, v) -> np.ndarray:
+    """`_visible` in one numpy pass per kind of obstacle, over (segments,
+    cuts) and (segments, branch values)."""
+    u = u[..., None]
+    v = v[..., None]
+    blocked = np.zeros(np.broadcast_shapes(u.shape, v.shape)[:-1], dtype=bool)
+    if cd.cuts:
+        c0 = np.array([c.start for c in cd.cuts], dtype=complex)
+        c1 = np.array([c.end for c in cd.cuts], dtype=complex)
+        du = _segment_distances(u, c0, c1)
+        dv = _segment_distances(v, c0, c1)
+        # Segment-to-cut distance: 0 where the two properly cross, else the
+        # least endpoint-to-segment distance.
+        crossing = (
+            ((_cross(v - u, c0 - u) > 0) != (_cross(v - u, c1 - u) > 0))
+            & ((_cross(c1 - c0, u - c0) > 0) != (_cross(c1 - c0, v - c0) > 0))
+        )
+        apart = np.minimum(
+            np.minimum(_segment_distances(c0, u, v), _segment_distances(c1, u, v)),
+            np.minimum(du, dv),
+        )
+        margin = 0.5 * np.minimum(np.minimum(eps, du), dv)
+        blocked |= (np.where(crossing, 0.0, apart) < margin).any(axis=-1)
+    if cd.branch_values:
+        beta = np.array(cd.branch_values, dtype=complex)
+        from_u, from_v = u - beta, v - beta
+        margin = 0.5 * np.minimum(
+            np.minimum(eps, np.hypot(from_u.real, from_u.imag)),
+            np.hypot(from_v.real, from_v.imag),
+        )
+        blocked |= (_segment_distances(beta, u, v) < margin).any(axis=-1)
+    return ~blocked
+
+
+def _fan_edges(p: complex, fan, clear) -> list:
+    """Route edges (j + 2, length) from p to the fan nodes fan[j] it sees."""
+    return [(j + 2, abs(p - fan[j])) for j in np.flatnonzero(clear).tolist()]
+
+
 @lru_cache(maxsize=32)
 def _static_graph(cd: CutDisc, eps: float):
-    """Fan waypoints, their mutual visibility edges, and the edges (j, length)
-    from the labeling base point to fan node j."""
+    """Fan waypoints, their mutual visibility edges, and the edges from the
+    labeling base point to the fan.
+
+    Visibility is decided by one `_visible` call over all fan pairs and one
+    over the base point's segments.  Edges are (node, length) pairs
+    numbered as in a route, where fan node j is node j + 2 after the route's
+    start (0) and end (1), so a route adds its own edges without renumbering.
+    """
     nodes = tuple(_fan_nodes(cd, eps))
-    n = len(nodes)
-    adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _edge_clear(nodes[i], nodes[j], cd, eps):
-                w = abs(nodes[i] - nodes[j])
-                adj[i].append((j, w))
-                adj[j].append((i, w))
-    base_edges = tuple(_fan_edges(complex(cd.base), nodes, cd, eps))
+    fan = np.array(nodes, dtype=complex)
+    adj = [[] for _ in nodes]
+    pairs = np.nonzero(np.triu(_visible(cd, eps, fan[:, None], fan[None, :]), 1))
+    for i, j in zip(*(idx.tolist() for idx in pairs)):
+        w = abs(nodes[i] - nodes[j])
+        adj[i].append((j + 2, w))
+        adj[j].append((i + 2, w))
+    base = complex(cd.base)
+    base_edges = tuple(_fan_edges(base, nodes, _visible(cd, eps, base, fan)))
     return nodes, tuple(tuple(edges) for edges in adj), base_edges
 
 
-def _fan_edges(p: complex, fan, cd: CutDisc, eps: float) -> list:
-    """Visibility edges (j, length) from p to the fan nodes fan[j]."""
-    return [
-        (j, abs(p - node))
-        for j, node in enumerate(fan)
-        if _edge_clear(p, node, cd, eps)
-    ]
+def _route(start, end, fan, fan_adj, start_edges, end_edges, direct):
+    """Dijkstra from start (node 0) to end (node 1) over the fan nodes (2, ...).
 
-
-def _edge_clear(u: complex, v: complex, cd: CutDisc, eps: float) -> bool:
-    for cut in cd.cuts:
-        margin = 0.5 * min(
-            eps,
-            point_segment_distance(u, cut.start, cut.end),
-            point_segment_distance(v, cut.start, cut.end),
-        )
-        if _segment_segment_distance(u, v, cut.start, cut.end) < margin:
-            return False
-    for beta in cd.branch_values:
-        margin = 0.5 * min(eps, abs(u - beta), abs(v - beta))
-        if point_segment_distance(beta, u, v) < margin:
-            return False
-    return True
-
-
-def _route(cd: CutDisc, start: complex, end: complex, eps: float):
-    fan, fan_adj, base_edges = _static_graph(cd, eps)
-    nodes = [start, end] + list(fan)
-    n = len(nodes)
-    adj = [[] for _ in range(n)]
-    for i, edges in enumerate(fan_adj):
-        adj[i + 2] = [(j + 2, w) for j, w in edges]
-    if _edge_clear(start, end, cd, eps):
+    `direct` says whether the segment start -> end is clear.  Returns the
+    waypoints, or None when no route exists.
+    """
+    adj = [[], [], *fan_adj]
+    # A fan node's edges back to the start and end, listed after its own.
+    back = {}
+    if direct:
         w = abs(start - end)
         adj[0].append((1, w))
         adj[1].append((0, w))
-    start_edges = base_edges if start == cd.base else _fan_edges(start, fan, cd, eps)
-    for i, edges in ((0, start_edges), (1, _fan_edges(end, fan, cd, eps))):
+    for i, edges in ((0, start_edges), (1, end_edges)):
         for j, w in edges:
-            adj[i].append((j + 2, w))
-            adj[j + 2].append((i, w))
+            adj[i].append((j, w))
+            back.setdefault(j, []).append((i, w))
+    n = len(adj)
     dist = [math.inf] * n
     prev = [-1] * n
     dist[0] = 0.0
@@ -279,16 +354,16 @@ def _route(cd: CutDisc, start: complex, end: complex, eps: float):
             continue
         if u == 1:
             break
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
+        for edges in (adj[u], back.get(u, ())):
+            for v, w in edges:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = u
+                    heapq.heappush(heap, (nd, v))
     if not math.isfinite(dist[1]):
-        raise PathBlocked(
-            f"no cut-avoiding route from {start:.4f} to {end:.4f}"
-        )
+        return None
+    nodes = [start, end, *fan]
     order = []
     u = 1
     while u != -1:
@@ -298,21 +373,35 @@ def _route(cd: CutDisc, start: complex, end: complex, eps: float):
     return [nodes[i] for i in order]
 
 
-def route_in_cut_disc(cd: CutDisc, start: complex, end: complex, via=None) -> PathSpec:
-    """Shortest cut-avoiding polyline from start to end inside the cut disc.
+def _routes(cd: CutDisc, start: complex, ends, eps: float) -> list:
+    """Waypoints of the shortest route from start to each end, or its
+    PathBlocked.
 
-    Routes over a visibility graph whose waypoints fan around each cut's
-    inner tip (the only side a cut can be passed on, since its outer end
-    lies on the unit circle).  `via` forces the route through an extra
-    waypoint, giving an independent second route for path-independence tests.
+    The visibility of every end -> fan node and start -> end segment is
+    decided by one `_visible` call each; the fan graph and, from the base
+    point, the start's edges come from `_static_graph`.
     """
-    eps = DEFAULTS.visibility_eps
-    if via is None:
-        pts = _route(cd, complex(start), complex(end), eps)
+    fan, fan_adj, base_edges = _static_graph(cd, eps)
+    fan_arr = np.array(fan, dtype=complex)
+    ends_arr = np.array(ends, dtype=complex)
+    if start == cd.base:
+        start_edges = base_edges
     else:
-        head = _route(cd, complex(start), complex(via), eps)
-        tail = _route(cd, complex(via), complex(end), eps)
-        pts = head + tail[1:]
+        start_edges = _fan_edges(start, fan, _visible(cd, eps, start, fan_arr))
+    seen = _visible(cd, eps, ends_arr[:, None], fan_arr[None, :])
+    direct = _visible(cd, eps, start, ends_arr).tolist()
+    out = []
+    for k, end in enumerate(ends):
+        pts = _route(start, end, fan, fan_adj, start_edges,
+                     _fan_edges(end, fan, seen[k]), direct[k])
+        out.append(pts if pts is not None else PathBlocked(
+            f"no cut-avoiding route from {start:.4f} to {end:.4f}"
+        ))
+    return out
+
+
+def _path_spec(cd: CutDisc, start: complex, end: complex, pts) -> PathSpec:
+    """The polyline through `pts`, with its clearance from the branch values."""
     segments = [Line(a, bpt) for a, bpt in zip(pts, pts[1:]) if abs(bpt - a) > 0]
     clearance = (
         min(
@@ -323,15 +412,54 @@ def route_in_cut_disc(cd: CutDisc, start: complex, end: complex, via=None) -> Pa
         else 1.0
     )
     if not segments:
-        segments = [Line(complex(start), complex(end))]
+        segments = [Line(start, end)]
     return PathSpec(segments=tuple(segments), clearance=clearance)
+
+
+def _routes_in_cut_disc(cd: CutDisc, start, ends, via=None) -> list:
+    """`route_in_cut_disc` from one start to many ends: per end, in order,
+    its PathSpec or the PathBlocked its routing raised."""
+    eps = DEFAULTS.visibility_eps
+    start = complex(start)
+    ends = [complex(z) for z in ends]
+    if via is None:
+        routes = _routes(cd, start, ends, eps)
+    else:
+        via = complex(via)
+        (head,) = _routes(cd, start, [via], eps)
+        if isinstance(head, PathBlocked):
+            routes = [head] * len(ends)
+        else:
+            routes = [
+                tail if isinstance(tail, PathBlocked) else head + tail[1:]
+                for tail in _routes(cd, via, ends, eps)
+            ]
+    return [
+        pts if isinstance(pts, PathBlocked) else _path_spec(cd, start, end, pts)
+        for end, pts in zip(ends, routes)
+    ]
+
+
+def route_in_cut_disc(cd: CutDisc, start: complex, end: complex, via=None) -> PathSpec:
+    """Shortest cut-avoiding polyline from start to end inside the cut disc.
+
+    Routes over a visibility graph whose waypoints fan around each cut's
+    inner tip (the only side a cut can be passed on, since its outer end
+    lies on the unit circle).  `via` forces the route through an extra
+    waypoint, giving an independent second route for path-independence tests.
+    This is the one-point case of the batched router `_routes_in_cut_disc`,
+    which decides visibility for all its ends in numpy passes (`_visible`).
+    """
+    (path,) = _raise_first(_routes_in_cut_disc(cd, start, [end], via=via))
+    return path
 
 
 def _labeled_fibers(b, zs, cd: CutDisc, fiber0, via=None) -> list:
     """Outcome per point of `zs`, in order: its labeled fiber or the error.
 
-    Routes every point from the base, continues `fiber0` along all routes in
-    one `track_paths` call and polishes every end fiber in one
+    Routes every point from the base in one batched call
+    (`_routes_in_cut_disc`), continues `fiber0` along all routes in one
+    `track_paths` call and polishes every end fiber in one
     `newton_correct` call (residual 1e-14, 8 iterations).  A point's outcome
     is the fiber in the slot order of `fiber0`, or the error its routing
     (PathBlocked), tracking or polish (NoConvergence) produced.  A point within
@@ -339,17 +467,20 @@ def _labeled_fibers(b, zs, cd: CutDisc, fiber0, via=None) -> list:
     """
     zs = [complex(z) for z in zs]
     outcomes = [None] * len(zs)
-    rows, paths = [], []
+    away = []
     for k, z in enumerate(zs):
         if abs(z - cd.base) < 1e-13:
             outcomes[k] = np.asarray(fiber0.points, dtype=complex)
-            continue
-        try:
-            paths.append(route_in_cut_disc(cd, cd.base, z, via=via))
-        except PathBlocked as exc:
-            outcomes[k] = exc
-            continue
-        rows.append(k)
+        else:
+            away.append(k)
+    rows, paths = [], []
+    routes = _routes_in_cut_disc(cd, cd.base, [zs[k] for k in away], via=via)
+    for k, route in zip(away, routes):
+        if isinstance(route, PathBlocked):
+            outcomes[k] = route
+        else:
+            rows.append(k)
+            paths.append(route)
     tracked = []
     for k, end in zip(rows, track_paths(b, fiber0, paths)):
         if isinstance(end, Exception):
@@ -773,7 +904,8 @@ def verify_disjoint_images(b, samples, seed=None, cut_disc=None,
 
     Also certifies that the labeling is consistent: at each sample, the
     labeled fiber must match the independently solved unordered fiber one to
-    one (AmbiguousMatching otherwise).
+    one (AmbiguousMatching for the first sample in draw order that does not).
+    All samples are matched in one (samples, n, n) distance array.
     """
     if fibers is None:
         fibers = sigma_samples(b, samples, seed=seed, cut_disc=cut_disc)
@@ -784,14 +916,14 @@ def verify_disjoint_images(b, samples, seed=None, cut_disc=None,
     min_sep = float(fiber_separation(sig).min())
     raw = _fiber_batch(b, zs)
     tol = max(min_sep / 3.0, 1e-9)
-    for kk in range(len(zs)):
-        dd = np.abs(sig[kk][:, None] - raw[kk][None, :])
-        match = dd.argmin(axis=1)
-        if len(set(match.tolist())) != n or dd.min(axis=1).max() > tol:
-            raise AmbiguousMatching(
-                f"labeled fiber at z={zs[kk]:.4f} does not biject onto the "
-                "unordered fiber"
-            )
+    dd = np.abs(sig[:, :, None] - raw[:, None, :])
+    bijective = (np.sort(dd.argmin(axis=2), axis=1) == np.arange(n)).all(axis=1)
+    bad = np.flatnonzero(~bijective | (dd.min(axis=2).max(axis=1) > tol))
+    if len(bad):
+        raise AmbiguousMatching(
+            f"labeled fiber at z={zs[bad[0]]:.4f} does not biject onto the "
+            "unordered fiber"
+        )
     return min_sep
 
 

@@ -183,6 +183,20 @@ def test_track_step_floor_on_branch_value_crossing(square):
         track(square, fib, PathSpec(segments=(Line(0.25, -0.25),)))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 3): the absolute residual test certifies "
+    "a fiber at the branch value w = 0, two points 5.6e-6 apart",
+)
+def test_track_refuses_a_fiber_at_a_branch_value(square):
+    # Ending on the branch value, both points converge toward the double
+    # root z = 0, where |z^2| ~ 8e-12 passes the residual test.  A scale-free
+    # certificate (an alpha-test, say) should refuse the last step.
+    fib = initial_fiber(square, 0.25)
+    with pytest.raises(ToolkitError):
+        track(square, fib, PathSpec(segments=(Line(0.25, 0.0),)))
+
+
 def test_loop_permutation_square(square):
     fib = initial_fiber(square, 0.25)
     perm = loop_permutation(square, fib, _circle(0.0, 0.25))

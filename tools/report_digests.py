@@ -12,6 +12,8 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
 * `analyze --newton-tol 1e-30` and `analyze --dedup-tol 1e-7` on product 0;
 * `zn --n 1..8` at `--seed 0` and `--seed 3`;
 * `verify-gamma --budget 100000 --samples 10` on product 15;
+* `verify-gamma --budget 10000 --samples 25` on products 0, 5, 10 and 19
+  (orders 3-6), so labeled routes are compared at every acceptance order;
 * `trace-loop --index 0` on product 5.
 
 Each digest covers the exit code, stdout and stderr of one run; with
@@ -78,6 +80,12 @@ def runs(spec_paths) -> list:
     out.append(("verify-gamma/product15",
                 ["verify-gamma", spec_paths[15], "--budget", "100000",
                  "--samples", "10", "--seed", "0"]))
+    out += [
+        (f"verify-gamma/product{i:02d}/budget10000-samples25",
+         ["verify-gamma", spec_paths[i], "--budget", "10000",
+          "--samples", "25", "--seed", "0"])
+        for i in (0, 5, 10, 19)
+    ]
     out.append(("trace-loop/product05/index0",
                 ["trace-loop", spec_paths[5], "--index", "0"]))
     return out
