@@ -1,22 +1,21 @@
 """Globally continued inverse branches on the cut disc and the induced unitary.
 
-Cutting the disc from each branch value radially out to the unit circle
-leaves a simply connected domain on which the n inverse branches sigma_i of a
-degree-n Blaschke product extend globally.  This module constructs the cuts,
-routes cut-avoiding polylines for labeled analytic continuation, evaluates
-the unitary f -> (1/sqrt n) (f(sigma_i) sigma_i')_i pointwise, and verifies
-its defining properties: isometry (against the exact coefficient-side inner
-product), intertwining with multiplication by the coordinate, and
-disjointness of the branch images.
+Cutting the disc from each branch value out to the unit circle, along the ray
+pointing away from a base point, leaves a domain that is star-shaped about
+that base point, on which the n inverse branches sigma_i of a degree-n
+Blaschke product extend globally.  This module constructs the cuts, continues
+the labeled fiber from the base point along one straight segment to each
+point, evaluates the unitary f -> (1/sqrt n) (f(sigma_i) sigma_i')_i
+pointwise, and verifies its defining properties: isometry (against the
+exact coefficient-side inner product), intertwining with multiplication by
+the coordinate, and disjointness of the branch images.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,20 +57,25 @@ __all__ = [
     "bundle_report",
 ]
 
-# Successive cut directions are rotated by the golden angle on collision:
-# increments equidistribute mod 2pi, so a clear direction is always found.
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _TWO_PI = 2.0 * math.pi
+
+# Cut-disc sampling of `sigma_samples` and `partition_check`: sample radius,
+# and the least distance from a sample to every branch value and every cut.
+_SAMPLE_RMAX = 0.9
+_BRANCH_CLEARANCE = 0.05
+_CUT_CLEARANCE = 1e-3
 
 
 @dataclass(frozen=True)
 class CutDisc:
     """The unit disc minus one straight cut per branch value.
 
-    Each cut runs from its branch value to the unit circle (radially outward
-    where possible, rotated by golden-angle increments when cuts would meet
-    or pass too near the labeling base point).  The remaining domain is
-    simply connected, so inverse branches labeled at `base` extend globally.
+    Each cut runs from its branch value to the unit circle along the ray
+    pointing away from the labeling base point.  Every cut therefore lies on
+    a ray from `base`, so the remaining domain is star-shaped about `base`:
+    the segment from `base` to any of its points avoids every cut.  Being
+    simply connected, it carries the inverse branches labeled at `base` as
+    global single-valued functions.
     """
 
     branch_values: tuple
@@ -88,26 +92,6 @@ class GammaSample:
     values: tuple
 
 
-def _cross(u, v):
-    """Cross product of plane vectors given as complex scalars or arrays."""
-    return u.real * v.imag - u.imag * v.real
-
-
-def _segment_segment_distance(a0, a1, b0, b1) -> float:
-    d1 = _cross(a1 - a0, b0 - a0)
-    d2 = _cross(a1 - a0, b1 - a0)
-    d3 = _cross(b1 - b0, a0 - b0)
-    d4 = _cross(b1 - b0, a1 - b0)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return 0.0
-    return min(
-        point_segment_distance(b0, a0, a1),
-        point_segment_distance(b1, a0, a1),
-        point_segment_distance(a0, b0, b1),
-        point_segment_distance(a1, b0, b1),
-    )
-
-
 def _radial_cut(beta: complex, theta: float) -> Line:
     """Segment from beta along direction theta to the unit circle."""
     d = cmath.exp(1j * theta)
@@ -116,58 +100,24 @@ def _radial_cut(beta: complex, theta: float) -> Line:
     return Line(beta, beta + t * d)
 
 
-def _try_cuts(betas, base, base_margin):
-    chosen = []
-    for i, beta in enumerate(betas):
-        if abs(beta) > 0:
-            theta0 = cmath.phase(beta)
-        elif abs(base) > 0:
-            theta0 = cmath.phase(-base)
-        else:
-            theta0 = 0.0
-        others = [v for j, v in enumerate(betas) if j != i]
-        for m in range(64):
-            cut = _radial_cut(beta, theta0 + m * _GOLDEN_ANGLE)
-            if point_segment_distance(base, cut.start, cut.end) < base_margin:
-                continue
-            if any(abs(v - beta) > 0 and
-                   point_segment_distance(v, cut.start, cut.end) < 1e-6
-                   for v in others):
-                continue
-            if any(
-                _segment_segment_distance(cut.start, cut.end, c.start, c.end)
-                < 1e-6
-                for c in chosen
-            ):
-                continue
-            chosen.append(cut)
-            break
-        else:
-            return None
-    return chosen
-
-
 def build_cut_disc(b, base=None, branch_values=None) -> CutDisc:
-    """Cut system for `b`: disjoint cuts clear of the labeling base point.
+    """Cut system for `b`: each branch value cut away from the base point.
 
-    The base-point margin starts at the quadrature exclusion radius and is
-    halved (down to the minimum cut clearance) if no direction schedule
-    keeps every cut that far away.
+    The cut from beta follows the direction of beta - base out to the unit
+    circle.  Raises LoopConstructionFailed if `base` is a branch value,
+    which leaves no direction to cut along.
     """
     if branch_values is None:
         branch_values = b.branch_data().branch_values
     if base is None:
         base = choose_base_point(b, branch_values)
     betas = tuple(branch_values)
-    margin = DEFAULTS.exclusion_radius
-    while margin >= DEFAULTS.min_cut_clearance:
-        cuts = _try_cuts(betas, base, margin)
-        if cuts is not None:
-            return CutDisc(branch_values=betas, cuts=tuple(cuts), base=base)
-        margin /= 2.0
-    raise LoopConstructionFailed(
-        "no cut system keeps the required clearance from the base point"
-    )
+    if any(beta == base for beta in betas):
+        raise LoopConstructionFailed(
+            f"the base point {complex(base):.4f} is a branch value"
+        )
+    cuts = tuple(_radial_cut(beta, cmath.phase(beta - base)) for beta in betas)
+    return CutDisc(branch_values=betas, cuts=cuts, base=base)
 
 
 def point_in_cut_disc(cd: CutDisc, z: complex, clearance=None) -> bool:
@@ -180,307 +130,47 @@ def point_in_cut_disc(cd: CutDisc, z: complex, clearance=None) -> bool:
     )
 
 
-def _fan_nodes(cd: CutDisc, eps: float):
-    """Waypoints ringing each cut's inner tip for visibility routing.
+def route_in_cut_disc(cd: CutDisc, z: complex) -> PathSpec:
+    """The straight segment from the base point to z, with its clearance
+    from the branch values.
 
-    Seven nodes per ring cover all directions except a 45-degree wedge
-    around the cut itself (nodes there would sit on the segment).  Ring
-    radii adapt to the local geometry: besides the nominal eps ring, a tip
-    whose neighboring cuts come closer than eps gets a proportionally
-    smaller ring, so the corridors between clustered branch values keep
-    usable waypoints.
+    The cut disc is star-shaped about its base, so the segment avoids every
+    cut whenever z does.  Raises PathBlocked unless z is in the cut disc
+    with the margin `DEFAULTS.min_cut_clearance` (`point_in_cut_disc`).
     """
-    nodes = []
-    for i, cut in enumerate(cd.cuts):
-        tip = cut.start
-        theta = cmath.phase(cut.end - cut.start)
-        clear = min(
-            (
-                point_segment_distance(tip, other.start, other.end)
-                for j, other in enumerate(cd.cuts)
-                if j != i
-            ),
-            default=math.inf,
-        )
-        radii = sorted({eps, max(min(eps, 0.35 * clear), 1e-8)}, reverse=True)
-        for r in radii:
-            for j in range(-3, 4):
-                node = tip + r * cmath.exp(1j * (theta + math.pi + j * math.pi / 4.0))
-                if abs(node) >= 1.0 - 1e-6:
-                    continue
-                nodes.append(node)
-    return nodes
-
-
-def _segment_distances(p, a, b):
-    """`point_segment_distance` from points p to segments ab, elementwise over
-    broadcast complex arrays.
-
-    It takes the same floating-point steps: Python's complex `abs` is libm
-    `hypot` (numpy's complex `abs` is not, and differs in the last bit), its
-    `** 2` is libm `pow` (so `float_power`, not a product), and the real part
-    of the complex product is written out.
-    """
-    d, q = b - a, p - a
-    dx, dy = d.real, d.imag
-    denom = np.float_power(np.hypot(dx, dy), 2.0)
-    t = (q.real * dx + q.imag * dy) / np.where(denom == 0.0, 1.0, denom)
-    t = np.minimum(1.0, np.maximum(0.0, t))
-    return np.hypot(p.real - (a.real + t * dx), p.imag - (a.imag + t * dy))
-
-
-# Segment-obstacle pairs per numpy pass of `_visible`: keeps its temporaries
-# at tens of kB however many fan nodes, sample points and cuts there are.
-_VISIBILITY_BLOCK = 2048
-
-
-def _visible(cd: CutDisc, eps: float, u, v) -> np.ndarray:
-    """Whether each segment u -> v keeps clear of every cut and branch value.
-
-    u and v are complex arrays of endpoints that broadcast to a shape of at
-    least one dimension, the shape of the result.  A segment is blocked by a cut it passes nearer than
-    0.5 * min(eps, dist(u, cut), dist(v, cut)), or by a branch value beta it
-    passes nearer than 0.5 * min(eps, |u - beta|, |v - beta|).  The distances
-    take the floating-point steps of the scalar predicate
-    (`_segment_segment_distance` and `point_segment_distance`), which the
-    tests keep as the reference.  The leading axis is split into blocks of
-    about `_VISIBILITY_BLOCK` segment-obstacle pairs (`_visible_block`).
-    """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    shape = np.broadcast_shapes(u.shape, v.shape)
-    u = u.reshape((1,) * (len(shape) - u.ndim) + u.shape)
-    v = v.reshape((1,) * (len(shape) - v.ndim) + v.shape)
-    pairs = math.prod(shape[1:]) * (len(cd.cuts) + len(cd.branch_values))
-    rows = max(1, _VISIBILITY_BLOCK // max(1, pairs))
-    out = np.empty(shape, dtype=bool)
-    for lo in range(0, shape[0], rows):
-        out[lo:lo + rows] = _visible_block(
-            cd,
-            eps,
-            u if len(u) == 1 else u[lo:lo + rows],
-            v if len(v) == 1 else v[lo:lo + rows],
-        )
-    return out
-
-
-def _visible_block(cd: CutDisc, eps: float, u, v) -> np.ndarray:
-    """`_visible` in one numpy pass per kind of obstacle, over (segments,
-    cuts) and (segments, branch values)."""
-    u = u[..., None]
-    v = v[..., None]
-    blocked = np.zeros(np.broadcast_shapes(u.shape, v.shape)[:-1], dtype=bool)
-    if cd.cuts:
-        c0 = np.array([c.start for c in cd.cuts], dtype=complex)
-        c1 = np.array([c.end for c in cd.cuts], dtype=complex)
-        du = _segment_distances(u, c0, c1)
-        dv = _segment_distances(v, c0, c1)
-        # Segment-to-cut distance: 0 where the two properly cross, else the
-        # least endpoint-to-segment distance.
-        crossing = (
-            ((_cross(v - u, c0 - u) > 0) != (_cross(v - u, c1 - u) > 0))
-            & ((_cross(c1 - c0, u - c0) > 0) != (_cross(c1 - c0, v - c0) > 0))
-        )
-        apart = np.minimum(
-            np.minimum(_segment_distances(c0, u, v), _segment_distances(c1, u, v)),
-            np.minimum(du, dv),
-        )
-        margin = 0.5 * np.minimum(np.minimum(eps, du), dv)
-        blocked |= (np.where(crossing, 0.0, apart) < margin).any(axis=-1)
-    if cd.branch_values:
-        beta = np.array(cd.branch_values, dtype=complex)
-        from_u, from_v = u - beta, v - beta
-        margin = 0.5 * np.minimum(
-            np.minimum(eps, np.hypot(from_u.real, from_u.imag)),
-            np.hypot(from_v.real, from_v.imag),
-        )
-        blocked |= (_segment_distances(beta, u, v) < margin).any(axis=-1)
-    return ~blocked
-
-
-def _fan_edges(p: complex, fan, clear) -> list:
-    """Route edges (j + 2, length) from p to the fan nodes fan[j] it sees."""
-    return [(j + 2, abs(p - fan[j])) for j in np.flatnonzero(clear).tolist()]
-
-
-@lru_cache(maxsize=32)
-def _static_graph(cd: CutDisc, eps: float):
-    """Fan waypoints, their mutual visibility edges, and the edges from the
-    labeling base point to the fan.
-
-    Visibility is decided by one `_visible` call over all fan pairs and one
-    over the base point's segments.  Edges are (node, length) pairs
-    numbered as in a route, where fan node j is node j + 2 after the route's
-    start (0) and end (1), so a route adds its own edges without renumbering.
-    """
-    nodes = tuple(_fan_nodes(cd, eps))
-    fan = np.array(nodes, dtype=complex)
-    adj = [[] for _ in nodes]
-    pairs = np.nonzero(np.triu(_visible(cd, eps, fan[:, None], fan[None, :]), 1))
-    for i, j in zip(*(idx.tolist() for idx in pairs)):
-        w = abs(nodes[i] - nodes[j])
-        adj[i].append((j + 2, w))
-        adj[j].append((i + 2, w))
-    base = complex(cd.base)
-    base_edges = tuple(_fan_edges(base, nodes, _visible(cd, eps, base, fan)))
-    return nodes, tuple(tuple(edges) for edges in adj), base_edges
-
-
-def _route(start, end, fan, fan_adj, start_edges, end_edges, direct):
-    """Dijkstra from start (node 0) to end (node 1) over the fan nodes (2, ...).
-
-    `direct` says whether the segment start -> end is clear.  Returns the
-    waypoints, or None when no route exists.
-    """
-    adj = [[], [], *fan_adj]
-    # A fan node's edges back to the start and end, listed after its own.
-    back = {}
-    if direct:
-        w = abs(start - end)
-        adj[0].append((1, w))
-        adj[1].append((0, w))
-    for i, edges in ((0, start_edges), (1, end_edges)):
-        for j, w in edges:
-            adj[i].append((j, w))
-            back.setdefault(j, []).append((i, w))
-    n = len(adj)
-    dist = [math.inf] * n
-    prev = [-1] * n
-    dist[0] = 0.0
-    heap = [(0.0, 0)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        if u == 1:
-            break
-        for edges in (adj[u], back.get(u, ())):
-            for v, w in edges:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    prev[v] = u
-                    heapq.heappush(heap, (nd, v))
-    if not math.isfinite(dist[1]):
-        return None
-    nodes = [start, end, *fan]
-    order = []
-    u = 1
-    while u != -1:
-        order.append(u)
-        u = prev[u]
-    order.reverse()
-    return [nodes[i] for i in order]
-
-
-def _routes(cd: CutDisc, start: complex, ends, eps: float) -> list:
-    """Waypoints of the shortest route from start to each end, or its
-    PathBlocked.
-
-    The visibility of every end -> fan node and start -> end segment is
-    decided by one `_visible` call each; the fan graph and, from the base
-    point, the start's edges come from `_static_graph`.
-    """
-    fan, fan_adj, base_edges = _static_graph(cd, eps)
-    fan_arr = np.array(fan, dtype=complex)
-    ends_arr = np.array(ends, dtype=complex)
-    if start == cd.base:
-        start_edges = base_edges
-    else:
-        start_edges = _fan_edges(start, fan, _visible(cd, eps, start, fan_arr))
-    seen = _visible(cd, eps, ends_arr[:, None], fan_arr[None, :])
-    direct = _visible(cd, eps, start, ends_arr).tolist()
-    out = []
-    for k, end in enumerate(ends):
-        pts = _route(start, end, fan, fan_adj, start_edges,
-                     _fan_edges(end, fan, seen[k]), direct[k])
-        out.append(pts if pts is not None else PathBlocked(
-            f"no cut-avoiding route from {start:.4f} to {end:.4f}"
-        ))
-    return out
-
-
-def _path_spec(cd: CutDisc, start: complex, end: complex, pts) -> PathSpec:
-    """The polyline through `pts`, with its clearance from the branch values."""
-    segments = [Line(a, bpt) for a, bpt in zip(pts, pts[1:]) if abs(bpt - a) > 0]
-    clearance = (
-        min(
-            min(point_segment_distance(v, s.start, s.end) for s in segments)
-            for v in cd.branch_values
-        )
-        if cd.branch_values and segments
-        else 1.0
+    start, end = complex(cd.base), complex(z)
+    if not point_in_cut_disc(cd, end):
+        raise PathBlocked(f"no cut-avoiding route from {start:.4f} to {end:.4f}")
+    clearance = min(
+        (point_segment_distance(v, start, end) for v in cd.branch_values),
+        default=1.0,
     )
-    if not segments:
-        segments = [Line(start, end)]
-    return PathSpec(segments=tuple(segments), clearance=clearance)
+    return PathSpec(segments=(Line(start, end),), clearance=clearance)
 
 
-def _routes_in_cut_disc(cd: CutDisc, start, ends, via=None) -> list:
-    """`route_in_cut_disc` from one start to many ends: per end, in order,
-    its PathSpec or the PathBlocked its routing raised."""
-    eps = DEFAULTS.visibility_eps
-    start = complex(start)
-    ends = [complex(z) for z in ends]
-    if via is None:
-        routes = _routes(cd, start, ends, eps)
-    else:
-        via = complex(via)
-        (head,) = _routes(cd, start, [via], eps)
-        if isinstance(head, PathBlocked):
-            routes = [head] * len(ends)
-        else:
-            routes = [
-                tail if isinstance(tail, PathBlocked) else head + tail[1:]
-                for tail in _routes(cd, via, ends, eps)
-            ]
-    return [
-        pts if isinstance(pts, PathBlocked) else _path_spec(cd, start, end, pts)
-        for end, pts in zip(ends, routes)
-    ]
-
-
-def route_in_cut_disc(cd: CutDisc, start: complex, end: complex, via=None) -> PathSpec:
-    """Shortest cut-avoiding polyline from start to end inside the cut disc.
-
-    Routes over a visibility graph whose waypoints fan around each cut's
-    inner tip (the only side a cut can be passed on, since its outer end
-    lies on the unit circle).  `via` forces the route through an extra
-    waypoint, giving an independent second route for path-independence tests.
-    This is the one-point case of the batched router `_routes_in_cut_disc`,
-    which decides visibility for all its ends in numpy passes (`_visible`).
-    """
-    (path,) = _raise_first(_routes_in_cut_disc(cd, start, [end], via=via))
-    return path
-
-
-def _labeled_fibers(b, zs, cd: CutDisc, fiber0, via=None) -> list:
+def _labeled_fibers(b, zs, cd: CutDisc, fiber0) -> list:
     """Outcome per point of `zs`, in order: its labeled fiber or the error.
 
-    Routes every point from the base in one batched call
-    (`_routes_in_cut_disc`), continues `fiber0` along all routes in one
-    `track_paths` call and polishes every end fiber in one
-    `newton_correct` call (residual 1e-14, 8 iterations).  A point's outcome
-    is the fiber in the slot order of `fiber0`, or the error its routing
-    (PathBlocked), tracking or polish (NoConvergence) produced.  A point within
-    1e-13 of the base gets the base fiber itself.
+    Routes every point from the base by `route_in_cut_disc`, continues
+    `fiber0` along all routes in one `track_paths` call and polishes every
+    end fiber in one `newton_correct` call (residual 1e-14, 8 iterations).
+    A point's outcome is the fiber in the slot order of `fiber0`, or the
+    error its routing (PathBlocked), tracking or polish (NoConvergence)
+    produced.  A point within 1e-13 of the base gets the base fiber itself.
     """
     zs = [complex(z) for z in zs]
     outcomes = [None] * len(zs)
-    away = []
+    rows, paths = [], []
     for k, z in enumerate(zs):
         if abs(z - cd.base) < 1e-13:
             outcomes[k] = np.asarray(fiber0.points, dtype=complex)
-        else:
-            away.append(k)
-    rows, paths = [], []
-    routes = _routes_in_cut_disc(cd, cd.base, [zs[k] for k in away], via=via)
-    for k, route in zip(away, routes):
-        if isinstance(route, PathBlocked):
-            outcomes[k] = route
-        else:
-            rows.append(k)
-            paths.append(route)
+            continue
+        try:
+            paths.append(route_in_cut_disc(cd, z))
+        except PathBlocked as exc:
+            outcomes[k] = exc
+            continue
+        rows.append(k)
     tracked = []
     for k, end in zip(rows, track_paths(b, fiber0, paths)):
         if isinstance(end, Exception):
@@ -510,25 +200,27 @@ def _raise_first(outcomes):
     return outcomes
 
 
-def sigma_values(b, z, cut_disc=None, labeling=None, via=None) -> np.ndarray:
+def sigma_values(b, z, cut_disc=None, labeling=None) -> np.ndarray:
     """All inverse branches at z, in the slot order fixed by the base labeling.
 
-    Continues the base fiber along a cut-avoiding route to z and polishes the
-    endpoints; component i is sigma_i(z) for the globally continued branch
-    whose value at the base point is labeling.points[i].  Raises
-    NoConvergence if the polish does not reach the residual bound.
+    Continues the base fiber along the segment from the base point to z and
+    polishes the endpoints; component i is sigma_i(z) for the globally
+    continued branch whose value at the base point is labeling.points[i].
+    Raises NoConvergence if the polish does not reach the residual bound.
     """
     cd = build_cut_disc(b) if cut_disc is None else cut_disc
     fiber0 = initial_fiber(b, cd.base) if labeling is None else labeling
-    (sig,) = _raise_first(_labeled_fibers(b, [z], cd, fiber0, via=via))
+    (sig,) = _raise_first(_labeled_fibers(b, [z], cd, fiber0))
     return sig
 
 
-def sigma_samples(b, count, seed=None, cut_disc=None, rmax=0.9,
-                  branch_clearance=0.05, cut_clearance=1e-3):
+def sigma_samples(b, count, seed=None, cut_disc=None):
     """Labeled inverse-branch fibers at `count` random cut-disc points.
 
-    Returns (points, fibers) with fibers[k] the slot-ordered branch values at
+    Points are drawn uniformly in the disc of radius `_SAMPLE_RMAX` and kept
+    `_CUT_CLEARANCE` from every cut and `_BRANCH_CLEARANCE` from every
+    branch value.  Returns
+    (points, fibers) with fibers[k] the slot-ordered branch values at
     points[k].  All points are continued together (`_labeled_fibers`); the
     first failing point in draw order raises its error.  Downstream checks
     reuse the fibers across test functions.
@@ -542,10 +234,12 @@ def sigma_samples(b, count, seed=None, cut_disc=None, rmax=0.9,
         attempts += 1
         if attempts > 10000 * count:
             raise PathBlocked("sampling the cut disc kept hitting exclusions")
-        z = rmax * math.sqrt(rng.random()) * cmath.exp(1j * _TWO_PI * rng.random())
-        if not point_in_cut_disc(cd, z, clearance=cut_clearance):
+        z = _SAMPLE_RMAX * math.sqrt(rng.random()) * cmath.exp(
+            1j * _TWO_PI * rng.random()
+        )
+        if not point_in_cut_disc(cd, z, clearance=_CUT_CLEARANCE):
             continue
-        if any(abs(z - v) < branch_clearance for v in cd.branch_values):
+        if any(abs(z - v) < _BRANCH_CLEARANCE for v in cd.branch_values):
             continue
         zs.append(z)
     fibers = np.empty((count, b.order), dtype=complex)
@@ -878,8 +572,7 @@ def isometry_details(b, f: Poly, g: Poly, budget=None, seed=None, grid=None) -> 
     }
 
 
-def verify_intertwining(b, f: Poly, samples, seed=None, cut_disc=None,
-                        fibers=None) -> float:
+def verify_intertwining(b, f: Poly, samples, seed=None, fibers=None) -> float:
     """Max residual of the intertwining identity over random cut-disc points.
 
     At each z the identity reads (B f)(sigma_i(z)) sigma_i' = z f(sigma_i(z))
@@ -888,7 +581,7 @@ def verify_intertwining(b, f: Poly, samples, seed=None, cut_disc=None,
     `sigma_samples` so several test functions share one continuation pass.
     """
     if fibers is None:
-        fibers = sigma_samples(b, samples, seed=seed, cut_disc=cut_disc)
+        fibers = sigma_samples(b, samples, seed=seed)
     zs, sig = fibers
     dv = b.derivative_value(sig)
     scale = 1.0 / (dv * math.sqrt(b.order))
@@ -898,8 +591,7 @@ def verify_intertwining(b, f: Poly, samples, seed=None, cut_disc=None,
     return float(resid.max())
 
 
-def verify_disjoint_images(b, samples, seed=None, cut_disc=None,
-                           fibers=None) -> float:
+def verify_disjoint_images(b, samples, seed=None, fibers=None) -> float:
     """Min pairwise distance among the labeled branch values over the samples.
 
     Also certifies that the labeling is consistent: at each sample, the
@@ -908,7 +600,7 @@ def verify_disjoint_images(b, samples, seed=None, cut_disc=None,
     All samples are matched in one (samples, n, n) distance array.
     """
     if fibers is None:
-        fibers = sigma_samples(b, samples, seed=seed, cut_disc=cut_disc)
+        fibers = sigma_samples(b, samples, seed=seed)
     zs, sig = fibers
     n = b.order
     if n == 1:
@@ -927,7 +619,7 @@ def verify_disjoint_images(b, samples, seed=None, cut_disc=None,
     return min_sep
 
 
-def partition_check(b, samples, seed=None, cut_disc=None) -> bool:
+def partition_check(b, samples, seed=None) -> bool:
     """Each sampled disc point is hit by exactly one branch image.
 
     Draws p uniformly in the disc, keeps those whose image w = B(p) lies in
@@ -936,7 +628,7 @@ def partition_check(b, samples, seed=None, cut_disc=None) -> bool:
     (`_labeled_fibers`) and checked in draw order: the first miss returns
     False, the first failing point before it raises its error.
     """
-    cd = build_cut_disc(b) if cut_disc is None else cut_disc
+    cd = build_cut_disc(b)
     fiber0 = initial_fiber(b, cd.base)
     rng = np.random.default_rng(DEFAULTS.seed if seed is None else seed)
     ps, ws = [], []
@@ -949,9 +641,9 @@ def partition_check(b, samples, seed=None, cut_disc=None) -> bool:
             break
         p = 0.95 * math.sqrt(rng.random()) * cmath.exp(1j * _TWO_PI * rng.random())
         w = b(p)
-        if not point_in_cut_disc(cd, w, clearance=1e-3):
+        if not point_in_cut_disc(cd, w, clearance=_CUT_CLEARANCE):
             continue
-        if any(abs(w - v) < 0.05 for v in cd.branch_values):
+        if any(abs(w - v) < _BRANCH_CLEARANCE for v in cd.branch_values):
             continue
         ps.append(p)
         ws.append(w)
@@ -965,29 +657,30 @@ def partition_check(b, samples, seed=None, cut_disc=None) -> bool:
     return True
 
 
-def bundle_report(b, budget, samples, seed=None, max_degree=5) -> dict:
+def bundle_report(b, budget, samples, seed=None) -> dict:
     """Verification summary across the three bundle-unitary properties.
 
-    Isometry error is the worst relative error over monomial pairs up to
-    `max_degree` on one shared quadrature grid; the intertwining residual is
-    the worst over the same monomials at `samples` tracked cut-disc points.
+    Isometry error is the worst relative error over the monomial pairs
+    (z^j, z^j), j <= 5, on one shared quadrature grid; the intertwining
+    residual is the worst over the same monomials at `samples` tracked
+    cut-disc points.  Raises ValueError if `samples` is below 1.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     seed = DEFAULTS.seed if seed is None else int(seed)
-    cd = build_cut_disc(b)
     grid = build_quadrature_grid(b, budget, seed=seed)
-    monomials = [Poly((0.0,) * j + (1.0,)) for j in range(max_degree + 1)]
+    monomials = [Poly((0.0,) * j + (1.0,)) for j in range(6)]
     iso = 0.0
     excluded = 0.0
     for f in monomials:
         det = isometry_details(b, f, f, grid=grid)
         iso = max(iso, det["relative_error"])
         excluded = max(excluded, det["excluded_mass_bound"])
-    fibers = sigma_samples(b, samples, seed=seed, cut_disc=cd)
+    fibers = sigma_samples(b, samples, seed=seed)
     inter = max(
-        verify_intertwining(b, f, samples, cut_disc=cd, fibers=fibers)
-        for f in monomials
+        verify_intertwining(b, f, samples, fibers=fibers) for f in monomials
     )
-    min_sep = verify_disjoint_images(b, samples, cut_disc=cd, fibers=fibers)
+    min_sep = verify_disjoint_images(b, samples, fibers=fibers)
     return {
         "isometry_error": iso,
         "intertwining_residual": inter,

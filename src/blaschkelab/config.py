@@ -55,10 +55,10 @@ class Settings:
         Radius of the disc excluded around each branch value in quadrature.
     annulus_width : float
         Width of the boundary annulus excluded in quadrature.
-    visibility_eps : float
-        Offset used for visibility-graph nodes around cut tips.
     min_cut_clearance : float
-        Sigma evaluation requires targets at least this far from every cut.
+        Sigma evaluation requires targets at least this far from every cut
+        and from the unit circle: `bundle.route_in_cut_disc` raises
+        PathBlocked for any other target.
     isometry_bound : float
         CLI failure threshold on the isometry relative error.
     intertwining_bound : float
@@ -81,7 +81,6 @@ class Settings:
     projection_retries: int = 5
     exclusion_radius: float = 0.05
     annulus_width: float = 0.02
-    visibility_eps: float = 1e-3
     min_cut_clearance: float = 1e-4
     isometry_bound: float = 1e-2
     intertwining_bound: float = 1e-8

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
-import heapq
 import math
 import re
 
@@ -14,8 +12,10 @@ from blaschkelab import (
     AmbiguousMatching,
     BlaschkeProduct,
     Line,
+    LoopConstructionFailed,
     NoConvergence,
     PathBlocked,
+    PathSpec,
     Poly,
     StepFloorReached,
     build_cut_disc,
@@ -42,7 +42,6 @@ from blaschkelab.bundle import (
     _certified_step,
     _continue_paths,
     _fiber_batch,
-    _segment_segment_distance,
 )
 from blaschkelab.tracking import point_segment_distance
 
@@ -56,6 +55,35 @@ def _acceptance_product(index: int) -> BlaschkeProduct:
     rng = np.random.default_rng(2026)
     suite = [random_product(order, rng) for order in (3, 4, 5, 6) for _ in range(5)]
     return suite[index]
+
+
+def _cross(u, v):
+    """Cross product of plane vectors given as complex scalars."""
+    return u.real * v.imag - u.imag * v.real
+
+
+def _segment_segment_distance(a0, a1, b0, b1) -> float:
+    """Scalar reference distance between segments a0 a1 and b0 b1: 0 where
+    they properly cross, else the least endpoint-to-segment distance."""
+    d1 = _cross(a1 - a0, b0 - a0)
+    d2 = _cross(a1 - a0, b1 - a0)
+    d3 = _cross(b1 - b0, a0 - b0)
+    d4 = _cross(b1 - b0, a1 - b0)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        return 0.0
+    return min(
+        point_segment_distance(b0, a0, a1),
+        point_segment_distance(b1, a0, a1),
+        point_segment_distance(a0, b0, b1),
+        point_segment_distance(a1, b0, b1),
+    )
+
+
+def _clear_of_cuts(cd, u: complex, v: complex) -> bool:
+    """Whether the segment u -> v keeps a positive distance from every cut."""
+    return all(
+        _segment_segment_distance(u, v, cut.start, cut.end) > 0.0 for cut in cd.cuts
+    )
 
 
 def _set_distance(a: np.ndarray, c: np.ndarray) -> float:
@@ -105,15 +133,11 @@ def test_route_avoids_cuts(order4):
         z = 0.85 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         if not point_in_cut_disc(cd, z, clearance=1e-3):
             continue
-        path = route_in_cut_disc(cd, cd.base, z)
+        path = route_in_cut_disc(cd, z)
         assert abs(path.start - cd.base) < 1e-12
         assert abs(path.end - z) < 1e-12
         for seg in path.segments:
-            for cut in cd.cuts:
-                assert (
-                    _segment_segment_distance(seg.start, seg.end, cut.start, cut.end)
-                    > 0.0
-                )
+            assert _clear_of_cuts(cd, seg.start, seg.end)
         routed += 1
 
 
@@ -139,12 +163,19 @@ def test_sigma_path_independence(order3):
                 continue
             return z
 
-    for _ in range(5):
-        z = sample_point()
-        via = sample_point()
+    # Continuation along a two-leg detour base -> via -> z that stays in the
+    # cut disc gives the same labeled fiber as the straight route.
+    base = complex(cd.base)
+    checked = 0
+    while checked < 5:
+        z, via = sample_point(), sample_point()
+        if not (_clear_of_cuts(cd, base, via) and _clear_of_cuts(cd, via, z)):
+            continue
+        detour = PathSpec(segments=(Line(base, via), Line(via, z)))
+        tracked = np.asarray(track(order3, lab, detour).points)
         direct = sigma_values(order3, z, cut_disc=cd, labeling=lab)
-        detour = sigma_values(order3, z, cut_disc=cd, labeling=lab, via=via)
-        assert np.max(np.abs(direct - detour)) < 1e-9
+        assert np.max(np.abs(direct - tracked)) < 1e-9
+        checked += 1
 
 
 def test_sigma_samples_fiber_identity(order4):
@@ -371,7 +402,7 @@ def test_track_paths_equals_track_on_loops_and_routes(index):
     loops = build_loops(b, cd.base, data.branch_values)
     fiber0 = initial_fiber(b, cd.base)
     rng = np.random.default_rng(index)
-    routes = [route_in_cut_disc(cd, cd.base, z) for z in _cut_disc_points(cd, 25, rng)]
+    routes = [route_in_cut_disc(cd, z) for z in _cut_disc_points(cd, 25, rng)]
     paths = list(loops.loops) + [loops.boundary_loop] + routes
     outcomes = track_paths(b, fiber0, paths)
     assert len(outcomes) == len(paths)
@@ -428,110 +459,6 @@ def test_partition_check_stops_at_the_first_miss(order3, monkeypatch):
     assert partition_check(order3, 8, seed=0) is True
 
 
-def _edge_clear(u: complex, v: complex, cd, eps: float) -> bool:
-    """Scalar reference for `bundle._visible`: one segment u -> v at a time,
-    with the same margins (the router's predicate before it was batched)."""
-    for cut in cd.cuts:
-        margin = 0.5 * min(
-            eps,
-            point_segment_distance(u, cut.start, cut.end),
-            point_segment_distance(v, cut.start, cut.end),
-        )
-        if _segment_segment_distance(u, v, cut.start, cut.end) < margin:
-            return False
-    for beta in cd.branch_values:
-        margin = 0.5 * min(eps, abs(u - beta), abs(v - beta))
-        if point_segment_distance(beta, u, v) < margin:
-            return False
-    return True
-
-
-def _reference_fan_graph(cd, eps):
-    """Fan nodes and their (i < j) visibility edges by the scalar predicate."""
-    fan = bundle._fan_nodes(cd, eps)
-    edges = [
-        (i, j, abs(fan[i] - fan[j]))
-        for i in range(len(fan))
-        for j in range(i + 1, len(fan))
-        if _edge_clear(fan[i], fan[j], cd, eps)
-    ]
-    return fan, edges
-
-
-def _reference_route(cd, start, end, eps, fan_graph):
-    """Waypoints of the shortest route by the scalar predicate, or None.
-
-    Nodes are numbered start 0, end 1, fan node j as j + 2, and each node's
-    edges are listed fan edges first, then start, then end, as the router
-    does, with the same Dijkstra.
-    """
-    fan, fan_edges = fan_graph
-    nodes = [start, end, *fan]
-    adj = [[] for _ in nodes]
-    for i, j, w in fan_edges:
-        adj[i + 2].append((j + 2, w))
-        adj[j + 2].append((i + 2, w))
-    if _edge_clear(start, end, cd, eps):
-        adj[0].append((1, abs(start - end)))
-        adj[1].append((0, abs(start - end)))
-    for i in (0, 1):
-        for j, node in enumerate(fan):
-            if _edge_clear(nodes[i], node, cd, eps):
-                adj[i].append((j + 2, abs(nodes[i] - node)))
-                adj[j + 2].append((i, abs(nodes[i] - node)))
-    dist = [math.inf] * len(nodes)
-    prev = [-1] * len(nodes)
-    dist[0] = 0.0
-    heap = [(0.0, 0)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        if u == 1:
-            break
-        for v, w in adj[u]:
-            if d + w < dist[v]:
-                dist[v] = d + w
-                prev[v] = u
-                heapq.heappush(heap, (d + w, v))
-    if not math.isfinite(dist[1]):
-        return None
-    order = [1]
-    while prev[order[-1]] != -1:
-        order.append(prev[order[-1]])
-    return [nodes[i] for i in reversed(order)]
-
-
-def _polyline(pts) -> tuple:
-    return tuple(Line(a, c) for a, c in zip(pts, pts[1:]) if abs(c - a) > 0)
-
-
-def _assert_routes_match_reference(cd, zs, via=None):
-    """Visibility decisions and routes from cd.base to each of zs (through
-    `via` if given) equal those of the scalar reference."""
-    eps = DEFAULTS.visibility_eps
-    fan_graph = _reference_fan_graph(cd, eps)
-    fan = np.array(fan_graph[0], dtype=complex)
-    start = cd.base if via is None else via
-    ends = np.array(zs, dtype=complex)
-    got_ends = bundle._visible(cd, eps, ends[:, None], fan[None, :])
-    want_ends = [[_edge_clear(z, node, cd, eps) for node in fan_graph[0]] for z in zs]
-    assert got_ends.tolist() == want_ends
-    got_direct = bundle._visible(cd, eps, start, ends)
-    assert got_direct.tolist() == [_edge_clear(start, z, cd, eps) for z in zs]
-    got_start = bundle._visible(cd, eps, start, fan)
-    assert got_start.tolist() == [_edge_clear(start, node, cd, eps) for node in fan_graph[0]]
-    head = [cd.base] if via is None else _reference_route(cd, cd.base, via, eps, fan_graph)
-    for z, got in zip(zs, bundle._routes_in_cut_disc(cd, cd.base, zs, via=via)):
-        tail = _reference_route(cd, start, z, eps, fan_graph)
-        if head is None or tail is None:
-            blocked_end = via if head is None else z
-            assert isinstance(got, PathBlocked)
-            assert f"to {blocked_end:.4f}" in str(got)
-        else:
-            assert got.segments == (_polyline(head + tail[1:]) or (Line(cd.base, z),))
-
-
 _ROUTED_PRODUCTS = {
     **{f"suite{i}": (_acceptance_product(i), None) for i in (0, 5, 10, 15, 19)},
     "z^2": (BlaschkeProduct(0.0, [0.0] * 2), 0.25),
@@ -539,56 +466,72 @@ _ROUTED_PRODUCTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_ROUTED_PRODUCTS))
-def test_batched_visibility_and_routes_match_scalar_reference(name):
+def test_cut_disc_is_star_shaped_about_its_base(name):
     b, base = _ROUTED_PRODUCTS[name]
     cd = build_cut_disc(b, base=base)
-    eps = DEFAULTS.visibility_eps
-    fan, fan_adj, base_edges = bundle._static_graph(cd, eps)
-    ref_fan, ref_edges = _reference_fan_graph(cd, eps)
-    assert fan == tuple(ref_fan)
-    want_adj = [[] for _ in fan]
-    for i, j, w in ref_edges:
-        want_adj[i].append((j + 2, w))
-        want_adj[j].append((i + 2, w))
-    assert fan_adj == tuple(tuple(edges) for edges in want_adj)
-    assert base_edges == tuple(
-        (j + 2, abs(cd.base - node))
-        for j, node in enumerate(fan)
-        if _edge_clear(complex(cd.base), node, cd, eps)
-    )
-    rng = np.random.default_rng(0)
-    zs = _cut_disc_points(cd, 100, rng)
-    _assert_routes_match_reference(cd, zs)
-    _assert_routes_match_reference(cd, zs[:40], via=_cut_disc_points(cd, 1, rng)[0])
+    base = complex(cd.base)
+    for beta, cut in zip(cd.branch_values, cd.cuts):
+        assert cut.start == beta
+        assert abs(abs(cut.end) - 1.0) < 1e-12
+        assert point_segment_distance(base, cut.start, cut.end) == abs(beta - base)
+    for z in _cut_disc_points(cd, 100, np.random.default_rng(0)):
+        path = route_in_cut_disc(cd, z)
+        assert path.segments == (Line(base, z),)
+        assert _clear_of_cuts(cd, base, z)
+        assert path.clearance == min(
+            (point_segment_distance(v, base, z) for v in cd.branch_values),
+            default=1.0,
+        )
+
+
+@pytest.mark.parametrize("name", ["suite15", "z^2"])
+def test_points_too_near_a_cut_or_off_the_disc_are_blocked(name):
+    b, base = _ROUTED_PRODUCTS[name]
+    cd = build_cut_disc(b, base=base)
+    gap = DEFAULTS.min_cut_clearance
+
+    def midpoint(cut):
+        return 0.5 * (cut.start + cut.end)
+
+    # The cut whose midpoint lies farthest from the other cuts, so a point
+    # beside it is near no other cut.
+    cut = max(cd.cuts, key=lambda c: min(
+        (point_segment_distance(midpoint(c), o.start, o.end)
+         for o in cd.cuts if o is not c),
+        default=math.inf,
+    ))
+    normal = 1j * (cut.end - cut.start) / abs(cut.end - cut.start)
+    for side in (normal, -normal):
+        near = midpoint(cut) + 0.5 * gap * side
+        clear = midpoint(cut) + 2.0 * gap * side
+        with pytest.raises(PathBlocked, match=re.escape(f"to {near:.4f}")):
+            route_in_cut_disc(cd, near)
+        assert point_in_cut_disc(cd, clear)
+        assert route_in_cut_disc(cd, clear).segments == (Line(complex(cd.base), clear),)
+        assert _clear_of_cuts(cd, cd.base, clear)
+    for z in (1.0 + 0.0j, 0.6 - 0.8j, 1.2j):
+        with pytest.raises(PathBlocked, match=re.escape(
+            f"no cut-avoiding route from {complex(cd.base):.4f} to {z:.4f}"
+        )):
+            route_in_cut_disc(cd, z)
+
+
+def test_base_at_a_branch_value_is_refused(square):
+    with pytest.raises(LoopConstructionFailed):
+        build_cut_disc(square, base=0.0)
+    b = _acceptance_product(10)
+    beta = b.branch_data().branch_values[0]
+    with pytest.raises(LoopConstructionFailed):
+        build_cut_disc(b, base=beta)
 
 
 def test_route_without_cuts_is_the_straight_segment(mobius):
     cd = build_cut_disc(mobius)
     assert cd.cuts == () and cd.branch_values == ()
-    assert bundle._static_graph(cd, DEFAULTS.visibility_eps) == ((), (), ())
-    zs = _cut_disc_points(cd, 5, np.random.default_rng(3))
-    _assert_routes_match_reference(cd, zs)
-    for z, path in zip(zs, bundle._routes_in_cut_disc(cd, cd.base, zs)):
+    for z in _cut_disc_points(cd, 5, np.random.default_rng(3)):
+        path = route_in_cut_disc(cd, z)
         assert path.segments == (Line(complex(cd.base), z),)
         assert path.clearance == 1.0
-
-
-@pytest.mark.parametrize("name", ["suite15", "z^2"])
-def test_routes_to_fan_nodes_and_along_cut_lines_match_reference(name):
-    b, base = _ROUTED_PRODUCTS[name]
-    cd = build_cut_disc(b, base=base)
-    fan = bundle._static_graph(cd, DEFAULTS.visibility_eps)[0]
-    # Ends on fan nodes: zero-length end -> node segments.
-    zs = list(fan[::3])
-    # Ends on a cut's line: past its inner tip (collinear with the fan node
-    # straight behind it) and past its outer end, outside the disc.
-    for cut in cd.cuts:
-        out = (cut.end - cut.start) / abs(cut.end - cut.start)
-        zs += [cut.start - s * out for s in (5e-4, 1e-3, 2e-3, 0.05)]
-        zs += [cut.end + s * out for s in (1e-3, 0.3)]
-    _assert_routes_match_reference(cd, zs)
-    for z, path in zip(zs[: len(fan[::3])], bundle._routes_in_cut_disc(cd, cd.base, zs)):
-        assert path.segments[-1].end == z
 
 
 def test_blocked_point_gets_its_own_error(square):
@@ -602,35 +545,7 @@ def test_blocked_point_gets_its_own_error(square):
     for z, sig in zip(zs[::2], outcomes[::2]):
         assert np.max(np.abs(sig**2 - z)) <= 1e-12
     with pytest.raises(PathBlocked, match=re.escape("to -1.5000+0.0000j")):
-        route_in_cut_disc(cd, cd.base, -1.5)
-    # A blocked via point blocks every route through it, naming itself.
-    _assert_routes_match_reference(cd, zs[::2], via=-1.5)
-
-
-def test_route_from_base_reuses_cached_edges(order4, monkeypatch):
-    cd = build_cut_disc(order4)
-    eps = DEFAULTS.visibility_eps
-    fan = bundle._static_graph(cd, eps)[0]
-    # Same cuts, another base: the fan and its edges are the same, but a
-    # route from cd.base must decide its start's visibility from scratch.
-    uncached = dataclasses.replace(cd, base=cd.base + 0.01)
-    assert bundle._static_graph(uncached, eps)[0] == fan
-    calls = []
-    visible = bundle._visible
-
-    def spy(cd_, eps_, u, v):
-        calls.append((np.shape(u), np.shape(v)))
-        return visible(cd_, eps_, u, v)
-
-    monkeypatch.setattr(bundle, "_visible", spy)
-    zs = _cut_disc_points(cd, 10, np.random.default_rng(7))
-    m, f = len(zs), len(fan)
-    cached = bundle._routes(cd, cd.base, zs, eps)
-    # End -> fan and start -> end only: no base -> fan pass.
-    assert calls == [((m, 1), (1, f)), ((), (m,))]
-    calls.clear()
-    assert bundle._routes(uncached, cd.base, zs, eps) == cached
-    assert calls == [((), (f,)), ((m, 1), (1, f)), ((), (m,))]
+        route_in_cut_disc(cd, -1.5)
 
 
 def test_disjointness_names_the_first_mismatched_sample(order4):

@@ -88,6 +88,15 @@ def test_verify_gamma(square_spec, capsys):
     assert report["budget"] == 20000
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_gamma_needs_a_sample(square_spec, capsys, samples):
+    code = main(
+        ["verify-gamma", str(square_spec), "--budget", "20000", "--samples", samples]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: samples must be at least 1\n"
+
+
 def test_trace_loop_csv(tmp_path, square_spec):
     out = tmp_path / "trace.csv"
     code = main(
