@@ -22,7 +22,6 @@ from blaschkelab import (
     bundle_report,
     exact_inner,
     gamma_apply,
-    initial_fiber,
     random_product,
     sigma_values,
 )
@@ -32,13 +31,12 @@ from blaschkelab import (
 # base point 0.25), inverse branches sigma_(z) = -sqrt(z), sigma_+(z) = +sqrt(z).
 b = BlaschkeProduct(0.0, [0.0, 0.0])
 cd = build_cut_disc(b, base=0.25)
-lab = initial_fiber(b, 0.25)
 print("cut from", cd.cuts[0].start, "toward", np.round(cd.cuts[0].end, 6))
-print("sigma values at 0.25:", np.round(sigma_values(b, 0.25, cut_disc=cd, labeling=lab), 12))
-print("sigma values at 0.09:", np.round(sigma_values(b, 0.09, cut_disc=cd, labeling=lab), 12))
+print("sigma values at 0.25:", np.round(sigma_values(b, 0.25, cut_disc=cd), 12))
+print("sigma values at 0.09:", np.round(sigma_values(b, 0.09, cut_disc=cd), 12))
 
 # Gamma applied to f = 1: components (1/sqrt(2)) * sigma_i'(z) = +-1/(2 sqrt(2 z)).
-sample = gamma_apply(b, Poly([1.0]), 0.25, cut_disc=cd, labeling=lab)
+sample = gamma_apply(b, Poly([1.0]), 0.25, cut_disc=cd)
 print("Gamma(1) at 0.25:", np.round(sample.values, 12))
 print("expected:        ", np.round(np.array([-1.0, 1.0]) / math.sqrt(2.0), 12))
 

@@ -28,8 +28,10 @@ from .errors import (
     PathBlocked,
 )
 from .tracking import (
+    Fiber,
     Line,
     PathSpec,
+    certified_step,
     choose_base_point,
     fiber_separation,
     initial_fiber,
@@ -59,6 +61,15 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
+# Least distance from a routed point to every cut and to the unit circle
+# (`point_in_cut_disc`, `route_in_cut_disc`).
+_MIN_CUT_CLEARANCE = 1e-4
+
+# Quadrature: radius of the disc excluded around each branch value, and width
+# of the boundary annulus; both regions are sampled separately.
+_EXCLUSION_RADIUS = 0.05
+_ANNULUS_WIDTH = 0.02
+
 # Cut-disc sampling of `sigma_samples` and `partition_check`: sample radius,
 # and the least distance from a sample to every branch value and every cut.
 _SAMPLE_RMAX = 0.9
@@ -75,12 +86,14 @@ class CutDisc:
     a ray from `base`, so the remaining domain is star-shaped about `base`:
     the segment from `base` to any of its points avoids every cut.  Being
     simply connected, it carries the inverse branches labeled at `base` as
-    global single-valued functions.
+    global single-valued functions; `fiber0` is that labeling, the fiber over
+    `base` in the slot order of `initial_fiber`.
     """
 
     branch_values: tuple
     cuts: tuple
     base: complex
+    fiber0: Fiber
 
 
 @dataclass(frozen=True)
@@ -105,7 +118,8 @@ def build_cut_disc(b, base=None, branch_values=None) -> CutDisc:
 
     The cut from beta follows the direction of beta - base out to the unit
     circle.  Raises LoopConstructionFailed if `base` is a branch value,
-    which leaves no direction to cut along.
+    which leaves no direction to cut along.  The labeling fiber over `base`
+    is solved once here (`initial_fiber`).
     """
     if branch_values is None:
         branch_values = b.branch_data().branch_values
@@ -117,12 +131,14 @@ def build_cut_disc(b, base=None, branch_values=None) -> CutDisc:
             f"the base point {complex(base):.4f} is a branch value"
         )
     cuts = tuple(_radial_cut(beta, cmath.phase(beta - base)) for beta in betas)
-    return CutDisc(branch_values=betas, cuts=cuts, base=base)
+    return CutDisc(
+        branch_values=betas, cuts=cuts, base=base, fiber0=initial_fiber(b, base)
+    )
 
 
 def point_in_cut_disc(cd: CutDisc, z: complex, clearance=None) -> bool:
     """Whether z lies in the cut disc with the given margin from cuts and rim."""
-    clearance = DEFAULTS.min_cut_clearance if clearance is None else clearance
+    clearance = _MIN_CUT_CLEARANCE if clearance is None else clearance
     if abs(z) >= 1.0 - clearance:
         return False
     return all(
@@ -136,7 +152,7 @@ def route_in_cut_disc(cd: CutDisc, z: complex) -> PathSpec:
 
     The cut disc is star-shaped about its base, so the segment avoids every
     cut whenever z does.  Raises PathBlocked unless z is in the cut disc
-    with the margin `DEFAULTS.min_cut_clearance` (`point_in_cut_disc`).
+    with the margin `_MIN_CUT_CLEARANCE` (`point_in_cut_disc`).
     """
     start, end = complex(cd.base), complex(z)
     if not point_in_cut_disc(cd, end):
@@ -148,13 +164,13 @@ def route_in_cut_disc(cd: CutDisc, z: complex) -> PathSpec:
     return PathSpec(segments=(Line(start, end),), clearance=clearance)
 
 
-def _labeled_fibers(b, zs, cd: CutDisc, fiber0) -> list:
+def _labeled_fibers(b, zs, cd: CutDisc) -> list:
     """Outcome per point of `zs`, in order: its labeled fiber or the error.
 
     Routes every point from the base by `route_in_cut_disc`, continues
-    `fiber0` along all routes in one `track_paths` call and polishes every
+    `cd.fiber0` along all routes in one `track_paths` call and polishes every
     end fiber in one `newton_correct` call (residual 1e-14, 8 iterations).
-    A point's outcome is the fiber in the slot order of `fiber0`, or the
+    A point's outcome is the fiber in the slot order of `cd.fiber0`, or the
     error its routing (PathBlocked), tracking or polish (NoConvergence)
     produced.  A point within 1e-13 of the base gets the base fiber itself.
     """
@@ -163,7 +179,7 @@ def _labeled_fibers(b, zs, cd: CutDisc, fiber0) -> list:
     rows, paths = [], []
     for k, z in enumerate(zs):
         if abs(z - cd.base) < 1e-13:
-            outcomes[k] = np.asarray(fiber0.points, dtype=complex)
+            outcomes[k] = np.asarray(cd.fiber0.points, dtype=complex)
             continue
         try:
             paths.append(route_in_cut_disc(cd, z))
@@ -172,7 +188,7 @@ def _labeled_fibers(b, zs, cd: CutDisc, fiber0) -> list:
             continue
         rows.append(k)
     tracked = []
-    for k, end in zip(rows, track_paths(b, fiber0, paths)):
+    for k, end in zip(rows, track_paths(b, cd.fiber0, paths)):
         if isinstance(end, Exception):
             outcomes[k] = end
         else:
@@ -200,57 +216,67 @@ def _raise_first(outcomes):
     return outcomes
 
 
-def sigma_values(b, z, cut_disc=None, labeling=None) -> np.ndarray:
+def _draw(cd: CutDisc, count, seed, radius, image=None):
+    """Draw points p uniformly in the disc of the given radius until `count`
+    have an image w = image(p) (w = p without `image`) in the cut disc,
+    `_CUT_CLEARANCE` from every cut and `_BRANCH_CLEARANCE` from every
+    branch value.
+
+    Returns (ps, ws, complete), the kept points and their images in draw
+    order; `complete` is False when 10000 * count draws did not keep `count`.
+    """
+    rng = np.random.default_rng(DEFAULTS.seed if seed is None else seed)
+    ps, ws = [], []
+    for _ in range(10000 * count):
+        if len(ws) == count:
+            break
+        p = radius * math.sqrt(rng.random()) * cmath.exp(1j * _TWO_PI * rng.random())
+        w = p if image is None else image(p)
+        if not point_in_cut_disc(cd, w, clearance=_CUT_CLEARANCE):
+            continue
+        if any(abs(w - v) < _BRANCH_CLEARANCE for v in cd.branch_values):
+            continue
+        ps.append(p)
+        ws.append(w)
+    return ps, ws, len(ws) == count
+
+
+def sigma_values(b, z, cut_disc=None) -> np.ndarray:
     """All inverse branches at z, in the slot order fixed by the base labeling.
 
     Continues the base fiber along the segment from the base point to z and
     polishes the endpoints; component i is sigma_i(z) for the globally
-    continued branch whose value at the base point is labeling.points[i].
+    continued branch whose value at the base point is the cut disc's
+    `fiber0.points[i]`.
     Raises NoConvergence if the polish does not reach the residual bound.
     """
     cd = build_cut_disc(b) if cut_disc is None else cut_disc
-    fiber0 = initial_fiber(b, cd.base) if labeling is None else labeling
-    (sig,) = _raise_first(_labeled_fibers(b, [z], cd, fiber0))
+    (sig,) = _raise_first(_labeled_fibers(b, [z], cd))
     return sig
 
 
-def sigma_samples(b, count, seed=None, cut_disc=None):
+def sigma_samples(b, count, seed=None):
     """Labeled inverse-branch fibers at `count` random cut-disc points.
 
-    Points are drawn uniformly in the disc of radius `_SAMPLE_RMAX` and kept
-    `_CUT_CLEARANCE` from every cut and `_BRANCH_CLEARANCE` from every
-    branch value.  Returns
-    (points, fibers) with fibers[k] the slot-ordered branch values at
+    Points are drawn by `_draw` in the disc of radius `_SAMPLE_RMAX`.
+    Returns (points, fibers) with fibers[k] the slot-ordered branch values at
     points[k].  All points are continued together (`_labeled_fibers`); the
     first failing point in draw order raises its error.  Downstream checks
     reuse the fibers across test functions.
     """
-    cd = build_cut_disc(b) if cut_disc is None else cut_disc
-    fiber0 = initial_fiber(b, cd.base)
-    rng = np.random.default_rng(DEFAULTS.seed if seed is None else seed)
-    zs = []
-    attempts = 0
-    while len(zs) < count:
-        attempts += 1
-        if attempts > 10000 * count:
-            raise PathBlocked("sampling the cut disc kept hitting exclusions")
-        z = _SAMPLE_RMAX * math.sqrt(rng.random()) * cmath.exp(
-            1j * _TWO_PI * rng.random()
-        )
-        if not point_in_cut_disc(cd, z, clearance=_CUT_CLEARANCE):
-            continue
-        if any(abs(z - v) < _BRANCH_CLEARANCE for v in cd.branch_values):
-            continue
-        zs.append(z)
+    cd = build_cut_disc(b)
+    _, zs, complete = _draw(cd, count, seed, _SAMPLE_RMAX)
+    if not complete:
+        raise PathBlocked("sampling the cut disc kept hitting exclusions")
     fibers = np.empty((count, b.order), dtype=complex)
-    for k, sig in enumerate(_raise_first(_labeled_fibers(b, zs, cd, fiber0))):
+    for k, sig in enumerate(_raise_first(_labeled_fibers(b, zs, cd))):
         fibers[k] = sig
     return np.asarray(zs, dtype=complex), fibers
 
 
-def gamma_apply(b, f: Poly, z, cut_disc=None, labeling=None) -> GammaSample:
+def gamma_apply(b, f: Poly, z, cut_disc=None) -> GammaSample:
     """Apply the bundle unitary to f at z: (1/sqrt n) f(sigma_i(z)) sigma_i'(z)."""
-    sig = sigma_values(b, z, cut_disc=cut_disc, labeling=labeling)
+    sig = sigma_values(b, z, cut_disc=cut_disc)
     dvals = b.derivative_value(sig)
     values = f(sig) / dvals / math.sqrt(b.order)
     return GammaSample(z=complex(z), values=tuple(values))
@@ -299,8 +325,6 @@ class QuadratureGrid:
     correction: np.ndarray
     budget: int
     seed: int
-    exclusion_radius: float
-    annulus_width: float
     fallbacks: int
 
 
@@ -354,30 +378,6 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     return out
 
 
-def _certified_step(b, pred, w):
-    """Newton-correct predicted fibers pred[k] onto B(z) = w[k] and certify.
-
-    Returns (points, B' at the points, accepted): a row is accepted under
-    `track`'s certificate, i.e. `newton_correct` converged within
-    `max_newton_iters` to `newton_tol`, its fiber separation exceeds
-    collision_factor * newton_tol, and that separation exceeds ten times its
-    largest net correction.
-    """
-    newton_tol = DEFAULTS.newton_tol
-    z, db, converged = newton_correct(
-        b, pred, w, newton_tol, DEFAULTS.max_newton_iters
-    )
-    with np.errstate(all="ignore"):
-        sep = fiber_separation(z)
-        largest = np.abs(z - pred).max(axis=1)
-        accepted = (
-            converged
-            & (sep > DEFAULTS.collision_factor * newton_tol)
-            & (sep > 10.0 * largest)
-        )
-    return z, db, accepted
-
-
 def _continue_paths(b, ws: np.ndarray, lengths):
     """Unordered fibers along sample paths by certified continuation.
 
@@ -385,9 +385,9 @@ def _continue_paths(b, ws: np.ndarray, lengths):
     run of nearby regular values.  Every path starts from an eigenvalue fiber
     of its first sample (`_fiber_batch`); each later sample is reached by an
     Euler predictor z + dw / B'(z) from the previous fiber and a Newton
-    corrector with the certificate of `_certified_step`.  All paths advance
-    together, one vectorized step at a time.  A sample whose step fails the
-    certificate is solved by eigenvalues and its path continues from there.
+    corrector with `track`'s certificate (`certified_step`).  All paths
+    advance together, one vectorized step at a time.  A sample whose step is
+    not accepted is solved by eigenvalues and its path continues from there.
 
     Returns (fibers aligned with ws, B' at those fibers, number of such
     eigenvalue fallbacks).
@@ -413,7 +413,7 @@ def _continue_paths(b, ws: np.ndarray, lengths):
         w_next = ws[idx]
         with np.errstate(all="ignore"):
             pred = z[:live] + (w_next - w[:live])[:, None] / db[:live]
-        z, db, accepted = _certified_step(b, pred, w_next)
+        z, db, _, accepted, _ = certified_step(b, pred, w_next)
         failed = np.nonzero(~accepted)[0]
         if len(failed):
             fallbacks += len(failed)
@@ -446,14 +446,12 @@ def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
     weights do not depend on how the fibers are solved.
     """
     seed = DEFAULTS.seed if seed is None else int(seed)
-    excl = DEFAULTS.exclusion_radius
-    aw = DEFAULTS.annulus_width
     budget = int(budget)
     if budget < 10 ** 4:
         raise ValueError("budget must be at least 10^4")
     betas = np.asarray(b.branch_data().branch_values, dtype=complex)
     k = len(betas)
-    r_main = 1.0 - aw
+    r_main = 1.0 - _ANNULUS_WIDTH
     rng = np.random.default_rng(seed)
 
     n_main = int(0.85 * budget) if k else int(0.95 * budget)
@@ -466,7 +464,7 @@ def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
         if k == 0:
             return np.ones(len(z), dtype=bool)
         d = np.abs(z[:, None] - betas[None, :])
-        return d.min(axis=1) >= excl
+        return d.min(axis=1) >= _EXCLUSION_RADIUS
 
     # Main region: equal-area rings, jittered angles.
     strata = max(16, min(512, int(math.sqrt(n_main))))
@@ -496,7 +494,7 @@ def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
             m = per_disc[i]
             if m == 0:
                 continue
-            r = excl * rng.random(m)
+            r = _EXCLUSION_RADIUS * rng.random(m)
             th = _TWO_PI * (np.arange(m) + rng.random(m)) / m
             z = beta + r * np.exp(1j * th)
             keep = np.abs(z) < r_main
@@ -504,7 +502,7 @@ def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
                 d = np.abs(z[:, None] - betas[None, :])
                 keep &= d.argmin(axis=1) == i
             pts.append(z[keep])
-            wts.append(2.0 * excl * r[keep] / m)
+            wts.append(2.0 * _EXCLUSION_RADIUS * r[keep] / m)
             corr.append(np.ones(int(keep.sum()), dtype=bool))
             on_path.append(np.zeros(int(keep.sum()), dtype=bool))
 
@@ -544,8 +542,6 @@ def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
         correction=correction,
         budget=budget,
         seed=seed,
-        exclusion_radius=excl,
-        annulus_width=aw,
         fallbacks=fallbacks,
     )
 
@@ -624,35 +620,20 @@ def partition_check(b, samples, seed=None) -> bool:
 
     Draws p uniformly in the disc, keeps those whose image w = B(p) lies in
     the cut disc, and verifies that exactly one labeled branch value at w
-    reproduces p.  All kept points are continued together
-    (`_labeled_fibers`) and checked in draw order: the first miss returns
-    False, the first failing point before it raises its error.
+    reproduces p.  Points come from `_draw` in the disc of radius 0.95.  All
+    kept points are continued together (`_labeled_fibers`) and checked in
+    draw order: the first miss returns False, the first failing point before
+    it raises its error.  Only then does a draw that fell short raise
+    PathBlocked.
     """
     cd = build_cut_disc(b)
-    fiber0 = initial_fiber(b, cd.base)
-    rng = np.random.default_rng(DEFAULTS.seed if seed is None else seed)
-    ps, ws = [], []
-    attempts = 0
-    blocked = False
-    while len(ws) < samples:
-        attempts += 1
-        if attempts > 10000 * samples:
-            blocked = True
-            break
-        p = 0.95 * math.sqrt(rng.random()) * cmath.exp(1j * _TWO_PI * rng.random())
-        w = b(p)
-        if not point_in_cut_disc(cd, w, clearance=_CUT_CLEARANCE):
-            continue
-        if any(abs(w - v) < _BRANCH_CLEARANCE for v in cd.branch_values):
-            continue
-        ps.append(p)
-        ws.append(w)
-    for p, sig in zip(ps, _labeled_fibers(b, ws, cd, fiber0)):
+    ps, ws, complete = _draw(cd, samples, seed, 0.95, image=b)
+    for p, sig in zip(ps, _labeled_fibers(b, ws, cd)):
         if isinstance(sig, Exception):
             raise sig
         if int(np.sum(np.abs(sig - p) < 1e-6)) != 1:
             return False
-    if blocked:
+    if not complete:
         raise PathBlocked("sampling the disc kept leaving the cut disc")
     return True
 

@@ -18,6 +18,11 @@ from .errors import NoConvergence
 
 __all__ = ["Poly", "RootCluster", "roots"]
 
+# Upper cap on the multiplicity-aware cluster merge radius, and the default
+# iteration budget of the simultaneous phase.
+_CLUSTER_CAP = 1e-3
+_ROOT_BUDGET = 500
+
 
 @dataclass(frozen=True)
 class Poly:
@@ -213,11 +218,11 @@ def roots(poly, tol=None, budget=None, seed=None):
         roots in the closed unit disc, where the bound reduces to the plain
         tol * (1 + sum|coeffs|).  Default from Settings.
     budget : int, optional
-        Iteration cap for the simultaneous phase.
+        Iteration cap for the simultaneous phase (default `_ROOT_BUDGET`).
     seed : int, optional
         Seed for the initial-guess jitter.
 
-    The merge radius is capped at `DEFAULTS.cluster_cap`.
+    The merge radius is capped at `_CLUSTER_CAP`.
 
     Returns
     -------
@@ -231,7 +236,7 @@ def roots(poly, tol=None, budget=None, seed=None):
         If the iteration budget is exhausted with a residual above the bound.
     """
     tol = DEFAULTS.roots_tol if tol is None else tol
-    budget = DEFAULTS.root_budget if budget is None else budget
+    budget = _ROOT_BUDGET if budget is None else budget
     seed = DEFAULTS.seed if seed is None else seed
 
     if poly.degree < 1 or poly.coeffs[-1] == 0:
@@ -242,7 +247,7 @@ def roots(poly, tol=None, budget=None, seed=None):
 
     coeff_arr = np.array(poly.coeffs, dtype=complex)
     approx = _aberth(coeff_arr, budget, seed)
-    clusters = _merge_clusters(list(approx), tol, DEFAULTS.cluster_cap)
+    clusters = _merge_clusters(list(approx), tol, _CLUSTER_CAP)
 
     base_bound = tol * (1.0 + poly.l1_norm())
     out = []

@@ -49,6 +49,7 @@ __all__ = [
     "winding_number",
     "separation_slope",
     "newton_correct",
+    "certified_step",
     "fiber_separation",
     "point_segment_distance",
 ]
@@ -151,9 +152,6 @@ class PathSpec:
         segs = tuple(s.reversed() for s in reversed(self.segments))
         return PathSpec(segments=segs, clearance=self.clearance)
 
-    def min_distance_to(self, p: complex) -> float:
-        return min(s.distance_to(p) for s in self.segments)
-
 
 @dataclass(frozen=True)
 class Fiber:
@@ -227,6 +225,26 @@ def newton_correct(b, pred, w, tol, iters):
             z[live] -= resid / dval
     converged &= np.all(np.isfinite(z), axis=1)
     return z, db, converged
+
+
+def certified_step(b, pred, w, settings: Settings = DEFAULTS):
+    """Newton-correct predicted fibers pred[k] onto B(z) = w[k] and certify.
+
+    The step certificate of `track` and the quadrature continuation.  Returns
+    (points, B' there, fiber separations, accepted, collided) per row.  A row
+    has collided when it converged (`newton_correct`) with separation at most
+    collision_factor * newton_tol; it is accepted when it converged, has not
+    collided, and its separation exceeds ten times its largest correction.
+    """
+    z, db, converged = newton_correct(
+        b, pred, w, settings.newton_tol, settings.max_newton_iters
+    )
+    with np.errstate(all="ignore"):
+        sep = fiber_separation(z)
+        largest = np.abs(z - pred).max(axis=1)
+        collided = converged & (sep <= settings.collision_factor * settings.newton_tol)
+        accepted = converged & ~collided & (sep > 10.0 * largest)
+    return z, db, sep, accepted, collided
 
 
 def initial_fiber(b, w, settings: Settings = DEFAULTS) -> Fiber:
@@ -439,8 +457,9 @@ def track(b, fiber, path, settings: Settings = DEFAULTS, record=None) -> Fiber:
 def _track_rows(b, fiber, paths, settings: Settings, record=None):
     """Lockstep predictor-corrector behind `track` and `track_paths`.
 
-    Reads newton_tol, step_floor, max_newton_iters and collision_factor from
-    `settings`.  `record` traces a single path; it is refused with several.
+    Steps are judged by `certified_step`: a collided row ends in
+    FiberCollision, any other rejection halves its step.  `record` traces a
+    single path; it is refused with several.
     """
     if record is not None and len(paths) != 1:
         raise ValueError("record needs exactly one path")
@@ -464,32 +483,29 @@ def _track_rows(b, fiber, paths, settings: Settings, record=None):
             complex(paths[r].segments[iseg[r]].point(t)) for r, t in zip(live, targets)
         ]
         rows = np.array(live)
-        # Positions (in `live`) of rows whose corrector converged, and the
-        # index of each one's corrected fiber in `fit` / `fit_db`.
+        # Position (in `live`) of each row that took a step, and the index of
+        # its corrected fiber in the `certified_step` results.
         slot = [-1] * len(live)
         tried = np.nonzero(np.all(np.abs(slope[rows]) > 1e-30, axis=1))[0]
         if len(tried):
             dw = np.array([w_next[k] - w[live[k]] for k in tried])
             pred = pts[rows[tried]] + dw[:, None] / slope[rows[tried]]
-            corrected, deriv, ok = newton_correct(
-                b, pred, np.array([w_next[k] for k in tried]), settings.newton_tol,
-                settings.max_newton_iters,
+            fit, fit_db, sep, accepted, collided = certified_step(
+                b, pred, np.array([w_next[k] for k in tried]), settings
             )
-            fit, fit_db = corrected[ok], deriv[ok]
-            sep = fiber_separation(fit).tolist()
-            largest = np.abs(fit - pred[ok]).max(axis=1).tolist()
-            for j, k in enumerate(tried[ok].tolist()):
+            sep, accepted, collided = sep.tolist(), accepted.tolist(), collided.tolist()
+            for j, k in enumerate(tried.tolist()):
                 slot[k] = j
         still = []
         for k, r in enumerate(live):
             j = slot[k]
             if j >= 0:
-                if sep[j] <= settings.collision_factor * settings.newton_tol:
+                if collided[j]:
                     outcomes[r] = FiberCollision(
                         f"fiber separation {sep[j]:.3e} under threshold near w={w_next[k]}"
                     )
                     continue
-                if sep[j] > 10.0 * largest[j]:
+                if accepted[j]:
                     pts[r], slope[r], w[r], s[r] = fit[j], fit_db[j], w_next[k], targets[k]
                     streak[r] += 1
                     if streak[r] >= 2:

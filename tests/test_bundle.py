@@ -39,11 +39,10 @@ from blaschkelab import (
 )
 from blaschkelab import bundle
 from blaschkelab.bundle import (
-    _certified_step,
     _continue_paths,
     _fiber_batch,
 )
-from blaschkelab.tracking import point_segment_distance
+from blaschkelab.tracking import certified_step, point_segment_distance
 
 
 def _monomial(k: int) -> Poly:
@@ -94,13 +93,11 @@ def _set_distance(a: np.ndarray, c: np.ndarray) -> float:
 
 @pytest.fixture(scope="module")
 def square_setup(square):
-    cd = build_cut_disc(square, base=0.25)
-    labeling = initial_fiber(square, 0.25)
-    return cd, labeling
+    return build_cut_disc(square, base=0.25)
 
 
 def test_cut_disc_square(square_setup):
-    cd, _ = square_setup
+    cd = square_setup
     assert len(cd.cuts) == 1
     cut = cd.cuts[0]
     assert abs(cut.start) < 1e-9
@@ -142,16 +139,15 @@ def test_route_avoids_cuts(order4):
 
 
 def test_sigma_values_square(square, square_setup):
-    cd, lab = square_setup
-    vals = sigma_values(square, 0.25, cut_disc=cd, labeling=lab)
+    cd = square_setup
+    vals = sigma_values(square, 0.25, cut_disc=cd)
     assert np.allclose(vals, [-0.5, 0.5], atol=1e-12)
-    vals = sigma_values(square, 0.09, cut_disc=cd, labeling=lab)
+    vals = sigma_values(square, 0.09, cut_disc=cd)
     assert np.allclose(vals, [-0.3, 0.3], atol=1e-12)
 
 
 def test_sigma_path_independence(order3):
     cd = build_cut_disc(order3)
-    lab = initial_fiber(order3, cd.base)
     rng = np.random.default_rng(19)
 
     def sample_point():
@@ -172,8 +168,8 @@ def test_sigma_path_independence(order3):
         if not (_clear_of_cuts(cd, base, via) and _clear_of_cuts(cd, via, z)):
             continue
         detour = PathSpec(segments=(Line(base, via), Line(via, z)))
-        tracked = np.asarray(track(order3, lab, detour).points)
-        direct = sigma_values(order3, z, cut_disc=cd, labeling=lab)
+        tracked = np.asarray(track(order3, cd.fiber0, detour).points)
+        direct = sigma_values(order3, z, cut_disc=cd)
         assert np.max(np.abs(direct - tracked)) < 1e-9
         checked += 1
 
@@ -185,16 +181,14 @@ def test_sigma_samples_fiber_identity(order4):
 
 
 def test_gamma_square_constant(square, square_setup):
-    cd, lab = square_setup
-    sample = gamma_apply(square, _monomial(0), 0.25, cut_disc=cd, labeling=lab)
+    sample = gamma_apply(square, _monomial(0), 0.25, cut_disc=square_setup)
     assert np.allclose(
         sample.values, np.array([-1.0, 1.0]) / math.sqrt(2.0), atol=1e-12
     )
 
 
 def test_gamma_square_linear(square, square_setup):
-    cd, lab = square_setup
-    sample = gamma_apply(square, _monomial(1), 0.25, cut_disc=cd, labeling=lab)
+    sample = gamma_apply(square, _monomial(1), 0.25, cut_disc=square_setup)
     assert np.allclose(
         sample.values,
         np.array([1.0, 1.0]) / (2.0 * math.sqrt(2.0)),
@@ -288,7 +282,6 @@ def test_bundle_report_structure(order3):
 
 def test_sigma_values_raises_when_polish_fails(order3, monkeypatch):
     cd = build_cut_disc(order3)
-    lab = initial_fiber(order3, cd.base)
     z = cd.base + 0.05
     monkeypatch.setattr(
         bundle,
@@ -296,7 +289,7 @@ def test_sigma_values_raises_when_polish_fails(order3, monkeypatch):
         lambda b, pred, w, tol, iters: (pred, pred, np.zeros(len(pred), dtype=bool)),
     )
     with pytest.raises(NoConvergence):
-        sigma_values(order3, z, cut_disc=cd, labeling=lab)
+        sigma_values(order3, z, cut_disc=cd)
 
 
 _CONTINUED_PRODUCTS = {
@@ -357,21 +350,25 @@ def test_continuation_falls_back_across_a_branch_value(square):
 def test_certificate_rejects_collided_and_overcorrected_steps(order3):
     w0, w1 = 0.135 - 0.45j, 0.318 + 0.108j
     exact = _fiber_batch(order3, np.array([w1]))
-    _, _, ok = _certified_step(order3, exact, np.array([w1]))
+    _, _, _, ok, collided = certified_step(order3, exact, np.array([w1]))
     assert ok.tolist() == [True]
+    assert collided.tolist() == [False]
     # Two points 1e-12 apart on one root: converged at once, with no
     # correction at all, but collided.
     doubled = exact[:, [0, 0, 2]] + np.array([0.0, 1e-12, 0.0])
-    z, _, ok = _certified_step(order3, doubled, np.array([w1]))
+    z, _, _, ok, collided = certified_step(order3, doubled, np.array([w1]))
     assert np.max(np.abs(order3(z) - w1)) <= DEFAULTS.newton_tol
     assert ok.tolist() == [False]
+    assert collided.tolist() == [True]
     # One long Euler step: Newton converges to a fiber, but its corrections
-    # are more than a tenth of the separation, so the step is not trusted.
+    # are more than a tenth of the separation, so the step is not trusted;
+    # it has not collided, so `track` halves its step rather than failing.
     start = _fiber_batch(order3, np.array([w0]))
     pred = start + (w1 - w0) / order3.eval_with_derivative(start)[1]
-    z, _, ok = _certified_step(order3, pred, np.array([w1]))
+    z, _, _, ok, collided = certified_step(order3, pred, np.array([w1]))
     assert np.max(np.abs(order3(z) - w1)) <= DEFAULTS.newton_tol
     assert ok.tolist() == [False]
+    assert collided.tolist() == [False]
 
 
 def test_continuation_single_point_fiber(mobius):
@@ -459,6 +456,59 @@ def test_partition_check_stops_at_the_first_miss(order3, monkeypatch):
     assert partition_check(order3, 8, seed=0) is True
 
 
+def _refuse_samples_after(monkeypatch, draws):
+    """Let the sampler's cut-disc test judge only its first `draws` draws and
+    refuse every later one; routing keeps the real test."""
+    real = bundle.point_in_cut_disc
+    judged = []
+
+    def patched(cd, z, clearance=None):
+        if clearance is None:
+            return real(cd, z)
+        judged.append(z)
+        return len(judged) <= draws and real(cd, z, clearance=clearance)
+
+    monkeypatch.setattr(bundle, "point_in_cut_disc", patched)
+
+
+def test_sampling_that_keeps_missing_the_cut_disc_is_blocked(order3, monkeypatch):
+    monkeypatch.setattr(bundle, "point_in_cut_disc", lambda *args, **kwargs: False)
+    with pytest.raises(
+        PathBlocked, match="^sampling the cut disc kept hitting exclusions$"
+    ):
+        sigma_samples(order3, 2, seed=0)
+    with pytest.raises(
+        PathBlocked, match="^sampling the disc kept leaving the cut disc$"
+    ):
+        partition_check(order3, 2, seed=0)
+
+
+def test_partition_check_judges_its_kept_points_before_it_is_blocked(
+    order3, monkeypatch
+):
+    # Each case installs a fresh patch: the refusal counts draws per call.
+    cd = build_cut_disc(order3)
+    with monkeypatch.context() as m:
+        _refuse_samples_after(m, 6)
+        ps, _, complete = bundle._draw(cd, 8, 0, 0.95, image=order3)
+    assert 0 < len(ps) < 8 and not complete
+    with monkeypatch.context() as m:
+        _refuse_samples_after(m, 6)
+        with pytest.raises(
+            PathBlocked, match="^sampling the disc kept leaving the cut disc$"
+        ):
+            partition_check(order3, 8, seed=0)
+    with monkeypatch.context() as m:
+        _refuse_samples_after(m, 6)
+        _inject(m, polish_shift=[len(ps) - 1])
+        assert partition_check(order3, 8, seed=0) is False
+    with monkeypatch.context() as m:
+        _refuse_samples_after(m, 6)
+        _inject(m, track_errors=[(0, StepFloorReached("row 0"))])
+        with pytest.raises(StepFloorReached, match="row 0"):
+            partition_check(order3, 8, seed=0)
+
+
 _ROUTED_PRODUCTS = {
     **{f"suite{i}": (_acceptance_product(i), None) for i in (0, 5, 10, 15, 19)},
     "z^2": (BlaschkeProduct(0.0, [0.0] * 2), 0.25),
@@ -484,11 +534,20 @@ def test_cut_disc_is_star_shaped_about_its_base(name):
         )
 
 
+@pytest.mark.parametrize("name", sorted(_ROUTED_PRODUCTS))
+def test_cut_disc_owns_its_labeling(name):
+    b, base = _ROUTED_PRODUCTS[name]
+    cd = build_cut_disc(b, base=base)
+    want = initial_fiber(b, cd.base)
+    assert cd.fiber0 == want
+    assert np.array(cd.fiber0.points).tobytes() == np.array(want.points).tobytes()
+
+
 @pytest.mark.parametrize("name", ["suite15", "z^2"])
 def test_points_too_near_a_cut_or_off_the_disc_are_blocked(name):
     b, base = _ROUTED_PRODUCTS[name]
     cd = build_cut_disc(b, base=base)
-    gap = DEFAULTS.min_cut_clearance
+    gap = bundle._MIN_CUT_CLEARANCE
 
     def midpoint(cut):
         return 0.5 * (cut.start + cut.end)
@@ -537,7 +596,7 @@ def test_route_without_cuts_is_the_straight_segment(mobius):
 def test_blocked_point_gets_its_own_error(square):
     cd = build_cut_disc(square, base=0.25)
     zs = [0.3j, -1.5, -0.2 - 0.3j]
-    outcomes = bundle._labeled_fibers(square, zs, cd, initial_fiber(square, 0.25))
+    outcomes = bundle._labeled_fibers(square, zs, cd)
     assert isinstance(outcomes[1], PathBlocked)
     assert str(outcomes[1]) == (
         "no cut-avoiding route from 0.2500+0.0000j to -1.5000+0.0000j"
