@@ -2,9 +2,14 @@
 
 Tracking the base fiber around the loop system yields one permutation per
 branch value; these generate the monodromy action of the covering on sheet
-labels.  Group-level quantities derived here (transitivity, orbit counts on
-ordered pairs, group order) are conjugation invariant and therefore do not
-depend on the arbitrary sheet labeling.  The group order comes from
+labels.  Each loop is a lollipop (stem, head circle, stem reversed), and its
+permutation is read at the loop head: the fiber is tracked out along the stem
+and once around the head, never back along the stem.  `trace-loop` and
+`tracking.loop_permutation` still track the whole lollipop.
+
+Group-level quantities derived here (transitivity, orbit counts on ordered
+pairs, group order) are conjugation invariant and therefore do not depend on
+the arbitrary sheet labeling.  The group order comes from
 Schreier–Sims (`group_order`), without listing the elements.
 """
 
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULTS, Settings
 from .tracking import (
+    PathSpec,
     build_loops,
     choose_base_point,
     initial_fiber,
@@ -115,22 +121,59 @@ def loop_setup(b, settings: Settings = DEFAULTS):
     return fiber0, build_loops(b, base, data.branch_values)
 
 
+def _stem_and_head(loop):
+    """(stem segments, head segment) of a lollipop `stem + head + stem^-1`.
+
+    Raises ValueError when the segments after the head are not the stem
+    reversed; the stem may be empty.
+    """
+    segs = loop.segments
+    k = len(segs) // 2
+    stem = segs[:k]
+    if len(segs) % 2 != 1 or segs[k + 1:] != tuple(s.reversed() for s in reversed(stem)):
+        raise ValueError("loop is not a lollipop: its tail is not the reversed stem")
+    return stem, segs[k]
+
+
 def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
     """Full monodromy computation: branch data, loops, tracked permutations.
 
     Generators follow the loop order (ascending argument of branch value
     minus base); the boundary permutation is tracked independently around the
-    enclosing circle rather than inferred from the generators.  All loops are
-    tracked in one `track_paths` call; the first failing loop in that order
-    raises its error.
+    enclosing circle rather than inferred from the generators.
+
+    Each loop is a lollipop sigma * c * sigma^-1, and tracking keeps slot
+    labels, so its permutation is that of the head circle c read in the fiber
+    at the head's entry point.  The return stem is never tracked: one
+    `track_paths` call carries two rows per loop, the stem alone (ending in
+    the entry fiber; `fiber0` when the stem is empty) and the stem followed
+    by the head.  Rows are bit-identical to tracking each path alone and the
+    step resets at every segment, so the stem row's end is exactly the fiber
+    the second row passes through at the head's start.  The first failing
+    loop in loop order raises its error, its stem's error first.  `trace-loop`
+    still traces the whole lollipop.
     """
     fiber0, loops = loop_setup(b, settings)
-    ends = track_paths(b, fiber0, loops.loops + (loops.boundary_loop,), settings)
+    paths, rows = [], []
+    for loop in loops.loops + (loops.boundary_loop,):
+        stem, head = _stem_and_head(loop)
+        stem_row = None
+        if stem:
+            stem_row = len(paths)
+            paths.append(PathSpec(segments=stem, clearance=loop.clearance))
+        paths.append(PathSpec(segments=stem + (head,), clearance=loop.clearance))
+        rows.append((stem_row, len(paths) - 1))
+    ends = track_paths(b, fiber0, paths, settings)
     perms = []
-    for end in ends:
+    for stem_row, head_row in rows:
+        # The head row repeats the stem row step for step, so it fails with
+        # the stem's own error there and reaches the head only if the stem
+        # row ended in a fiber.
+        end = ends[head_row]
         if isinstance(end, Exception):
             raise end
-        perms.append(match_endpoints(fiber0, end))
+        entry = fiber0 if stem_row is None else ends[stem_row]
+        perms.append(match_endpoints(entry, end))
     return MonodromyRep(
         base=loops.base,
         branch_values=loops.branch_values,

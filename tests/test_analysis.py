@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -45,7 +46,9 @@ def _discrete(report) -> dict:
 
 
 def test_analyze_suite_discrete_fields_match_frozen(tmp_path, capsys):
-    # Frozen from `analyze --seed 0` before the analysis pipeline was unified.
+    # Frozen from `analyze --seed 0` before the analysis pipeline was unified;
+    # entry 27 (a FiberCollision on a return stem until generators were read
+    # at the loop head) is the one later edit.
     frozen = json.loads((FIXTURES / "analyze_suite_discrete.json").read_text())
     suite = frozen["suite"]
     rng = np.random.default_rng(suite["seed"])
@@ -109,3 +112,38 @@ def test_newton_tol_override_reaches_tracking(tmp_path, capsys):
     spec.write_text(json.dumps(to_spec(b)))
     assert main(["analyze", str(spec), "--newton-tol", "1e-30"]) == 3
     assert "blaschkelab.errors.StepFloorReached" in capsys.readouterr().err
+
+
+def _suite_product(index):
+    """Product `index` of the seed-2026 radius-0.6 suite (orders 3-8, five each)."""
+    rng = np.random.default_rng(2026)
+    products = [random_product(order, rng, radius=0.6) for order in range(3, 9) for _ in range(5)]
+    return products[index]
+
+
+def _sweep_draw(order, draw):
+    """Draw `draw` of the order sweep: radius-0.6 products from default_rng(1000 + order)."""
+    rng = np.random.default_rng(1000 + order)
+    for _ in range(draw + 1):
+        b = random_product(order, rng, radius=0.6)
+    return b
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        pytest.param(_suite_product(27), id="suite-product27"),
+        pytest.param(_sweep_draw(6, 14), id="sweep-order6-draw14"),
+        pytest.param(_sweep_draw(10, 14), id="sweep-order10-draw14"),
+    ],
+)
+def test_former_return_stem_collisions_give_the_symmetric_group(b):
+    # Simple critical points with distinct branch values: the monodromy group
+    # is transitive and generated by transpositions, hence S_n with q = 2.
+    n = b.order
+    result = analyze(b)
+    assert result.theorem_checks and all(c["pass"] for c in result.theorem_checks.values())
+    assert result.group_order == math.factorial(n)
+    assert result.q_orbitals == 2
+    transposition = (2,) + (1,) * (n - 2)
+    assert all(g.cycle_type() == transposition for g in result.rep.generators)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from blaschkelab import (
+    DEFAULTS,
     BlaschkeProduct,
     Permutation,
     boundary_product,
@@ -14,6 +17,15 @@ from blaschkelab import (
     is_transitive,
     orbital_count,
     random_product,
+)
+from blaschkelab.monodromy import _stem_and_head, loop_setup
+from blaschkelab.tracking import (
+    Arc,
+    Line,
+    PathSpec,
+    loop_permutation,
+    track,
+    track_with_trace,
 )
 
 
@@ -249,3 +261,59 @@ def test_random_representations_properties():
             conj = [g.conjugate(reversal) for g in gens]
             assert group_order(conj, order) == len(group_closure(gens))
             assert orbital_count(gens, order) >= 2
+
+
+def _acceptance_products():
+    """The twenty seed-2026 radius-0.6 products of orders 3-6."""
+    rng = np.random.default_rng(2026)
+    return [random_product(order, rng, radius=0.6) for order in (3, 4, 5, 6) for _ in range(5)]
+
+
+_HEAD_READ_CASES = [
+    pytest.param(b, id=f"product{i:02d}") for i, b in enumerate(_acceptance_products())
+] + [pytest.param(BlaschkeProduct(0.0, [0.0] * n), id=f"z^{n}") for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("b", _HEAD_READ_CASES)
+def test_generators_read_at_the_loop_head_match_whole_lollipops(b):
+    # The reference tracks every lollipop out, around and back to the base.
+    rep = compute_representation(b)
+    fiber0, loops = loop_setup(b)
+    whole = [loop_permutation(b, fiber0, loop) for loop in loops.loops + (loops.boundary_loop,)]
+    assert list(rep.generators) + [rep.boundary_perm] == whole
+
+
+@pytest.mark.parametrize("index", [0, 5, 10, 15, 19])
+def test_stem_end_is_the_whole_loop_node_at_the_head_entry(index):
+    b = _acceptance_products()[index]
+    fiber0, loops = loop_setup(b)
+    for loop in loops.loops + (loops.boundary_loop,):
+        stem, _ = _stem_and_head(loop)
+        assert stem
+        entry = track(b, fiber0, PathSpec(stem))
+        _, nodes = track_with_trace(b, fiber0, loop)
+        at_entry = [(w, pts) for t, w, pts in nodes if t == len(stem) / len(loop.segments)]
+        assert len(at_entry) == 1
+        w, pts = at_entry[0]
+        assert w == entry.w
+        assert np.array(pts).tobytes() == np.array(entry.points).tobytes()
+
+
+def test_failing_first_loop_raises_what_tracking_it_whole_raises(order3):
+    settings = replace(DEFAULTS, newton_tol=1e-30)
+    fiber0, loops = loop_setup(order3, settings)
+    with pytest.raises(Exception) as whole:
+        track(order3, fiber0, loops.loops[0], settings)
+    with pytest.raises(type(whole.value), match=f"^{re.escape(str(whole.value))}$"):
+        compute_representation(order3, settings)
+
+
+def test_stem_and_head_split_only_lollipops():
+    circle = Arc(0.5 + 0.5j, 0.1, 0.0, 2.0 * math.pi)
+    assert _stem_and_head(PathSpec((circle,))) == ((), circle)
+    stem = Line(0j, 0.6 + 0.5j)
+    assert _stem_and_head(PathSpec((stem, circle, stem.reversed()))) == ((stem,), circle)
+    with pytest.raises(ValueError):
+        _stem_and_head(PathSpec((stem, Line(0.6 + 0.5j, 0j))))
+    with pytest.raises(ValueError):
+        _stem_and_head(PathSpec((stem, circle, Line(0.6 + 0.5j, 0.1j))))

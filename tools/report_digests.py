@@ -9,6 +9,8 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
 3-8, five each; the first 20 are the acceptance suite):
 
 * `analyze --seed 0` on all 30 products;
+* `analyze --seed 0` on draw 14 of the order-6 and order-10 sweeps
+  (radius-0.6 products from `default_rng(1000 + order)`);
 * `analyze --newton-tol 1e-30` and `analyze --dedup-tol 1e-7` on product 0;
 * `zn --n 1..8` at `--seed 0` and `--seed 3`;
 * `verify-gamma --budget 100000 --samples 10` on product 15;
@@ -43,6 +45,8 @@ from blaschkelab.cli import main  # noqa: E402
 SUITE_SEED = 2026
 SUITE_ORDERS = (3, 4, 5, 6, 7, 8)
 SUITE_PER_ORDER = 5
+# (order, draw) of the sweep products in the set.
+SWEEP_DRAWS = ((6, 14), (10, 14))
 
 
 def suite_specs() -> list:
@@ -54,6 +58,14 @@ def suite_specs() -> list:
     ]
 
 
+def sweep_spec(order: int, draw: int) -> dict:
+    """Draw `draw` (from 0) of the order sweep's radius-0.6 products."""
+    rng = np.random.default_rng(1000 + order)
+    for _ in range(draw + 1):
+        b = random_product(order, rng, radius=0.6)
+    return to_spec(b)
+
+
 def run(argv) -> str:
     """Exit code, stdout and stderr of one command-line run, as one text."""
     out, err = io.StringIO(), io.StringIO()
@@ -62,11 +74,15 @@ def run(argv) -> str:
     return f"{rc}\n{out.getvalue()}\n--stderr--\n{err.getvalue()}"
 
 
-def runs(spec_paths) -> list:
+def runs(spec_paths, sweep_paths) -> list:
     """(label, argv) of every run in the set."""
     out = [
         (f"analyze/product{i:02d}", ["analyze", p, "--seed", "0"])
         for i, p in enumerate(spec_paths)
+    ]
+    out += [
+        (f"analyze/sweep-order{order:02d}-draw{draw:02d}", ["analyze", p, "--seed", "0"])
+        for (order, draw), p in zip(SWEEP_DRAWS, sweep_paths)
     ]
     out.append(("analyze/product00/newton-tol-1e-30",
                 ["analyze", spec_paths[0], "--newton-tol", "1e-30"]))
@@ -96,12 +112,18 @@ def main_digests(dump=None) -> None:
         dump = Path(dump)
         dump.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for i, spec in enumerate(suite_specs()):
-            path = Path(tmp) / f"product{i:02d}.json"
+
+        def write(name, spec) -> str:
+            path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(spec))
-            paths.append(str(path))
-        for label, argv in runs(paths):
+            return str(path)
+
+        paths = [write(f"product{i:02d}", spec) for i, spec in enumerate(suite_specs())]
+        sweep_paths = [
+            write(f"sweep-order{order:02d}-draw{draw:02d}", sweep_spec(order, draw))
+            for order, draw in SWEEP_DRAWS
+        ]
+        for label, argv in runs(paths, sweep_paths):
             text = run(argv)
             if dump is not None:
                 (dump / (label.replace("/", "_") + ".txt")).write_text(text)
