@@ -70,6 +70,17 @@ _MIN_CUT_CLEARANCE = 1e-4
 _EXCLUSION_RADIUS = 0.05
 _ANNULUS_WIDTH = 0.02
 
+# Quadrature: the most samples one continuation path holds
+# (`build_quadrature_grid`).  Rings and the annulus are split evenly into
+# pieces no longer than this, so the lockstep loop of `_continue_paths` runs
+# fewer steps, each over more paths, while every path still spans many
+# samples per eigenvalue seed.
+_PATH_LENGTH = 100
+
+# Quadrature: fiber rows per block of the isometry sums (`_isometry_estimates`),
+# so the evaluation's temporaries stay far smaller than the grid's fibers.
+_ROW_BLOCK = 8192
+
 # Cut-disc sampling of `sigma_samples` and `partition_check`: sample radius,
 # and the least distance from a sample to every branch value and every cut.
 _SAMPLE_RMAX = 0.9
@@ -255,7 +266,7 @@ def sigma_values(b, z, cut_disc=None) -> np.ndarray:
     return sig
 
 
-def sigma_samples(b, count, seed=None):
+def sigma_samples(b, count, seed=None, cut_disc=None):
     """Labeled inverse-branch fibers at `count` random cut-disc points.
 
     Points are drawn by `_draw` in the disc of radius `_SAMPLE_RMAX`.
@@ -264,7 +275,7 @@ def sigma_samples(b, count, seed=None):
     first failing point in draw order raises its error.  Downstream checks
     reuse the fibers across test functions.
     """
-    cd = build_cut_disc(b)
+    cd = build_cut_disc(b) if cut_disc is None else cut_disc
     _, zs, complete = _draw(cd, count, seed, _SAMPLE_RMAX)
     if not complete:
         raise PathBlocked("sampling the cut disc kept hitting exclusions")
@@ -302,7 +313,8 @@ class QuadratureGrid:
     The summed integrand sum_i f(p_i) conj(g(p_i)) / |B'(p_i)|^2 over the
     unordered fiber {p_i} of each sample is branch-label-free, so the grid
     stores raw fibers; evaluating a new (f, g) pair costs two vectorized
-    polynomial evaluations.  Because the inverse-branch images partition the
+    polynomial evaluations, and each monomial of `bundle_report` one product
+    with the running power.  Because the inverse-branch images partition the
     disc, this sum integrates to the coefficient-side inner product exactly
     (it is the vector inner product of the 1/sqrt(n)-normalized components
     under the n-weighted fiber metric, the convention that makes the bundle
@@ -311,8 +323,9 @@ class QuadratureGrid:
     is reported as the excluded-mass bound.
 
     Fibers of the main-region rings and of the boundary annulus come from
-    certified continuation along each ring (`_continue_paths`); fibers of the
-    branch-value discs come from eigenvalue solves (`_fiber_batch`).
+    certified continuation along ring pieces of at most `_PATH_LENGTH`
+    samples (`_continue_paths`); fibers of the branch-value discs come from
+    eigenvalue solves (`_fiber_batch`).
     `fallbacks` counts the continued samples whose step failed its
     certificate and were solved by eigenvalues instead (path seeds are not
     counted); it depends only on the product, budget, and seed.
@@ -425,7 +438,14 @@ def _continue_paths(b, ws: np.ndarray, lengths):
     return fibers, derivs, fallbacks
 
 
-def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
+def _pieces(length: int) -> list:
+    """Lengths of the fewest even pieces of at most `_PATH_LENGTH` samples
+    that split a path of `length` samples, longer pieces first."""
+    count = max(1, -(-length // _PATH_LENGTH))
+    return [length // count + (1 if j < length % count else 0) for j in range(count)]
+
+
+def build_quadrature_grid(b, budget, seed=None, cut_disc=None) -> QuadratureGrid:
     """Stratified samples over the disc split into three regions.
 
     Main region: the disc trimmed by the boundary annulus, stratified into
@@ -438,18 +458,25 @@ def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
     regions partition the disc exactly.
 
     Fibers: each main-region ring, in angle order after the exclusion
-    filter, is one continuation path, and so is each piece, about one ring
-    long, of the angle-ordered annulus samples (`_continue_paths`).  The
-    disc samples jump in radius, so they are solved by eigenvalues
+    filter, and the angle-ordered annulus samples are split evenly into
+    continuation paths of at most `_PATH_LENGTH` samples (`_continue_paths`).
+    The disc samples jump in radius, so they are solved by eigenvalues
     (`_fiber_batch`).  B' of a continued fiber is the one its corrector
     last evaluated; the disc fibers evaluate it afresh.  The samples and
     weights do not depend on how the fibers are solved.
+
+    The branch values come from `cut_disc` when one is given, so a caller
+    that already holds the product's cut disc solves no branch data here.
     """
     seed = DEFAULTS.seed if seed is None else int(seed)
     budget = int(budget)
     if budget < 10 ** 4:
         raise ValueError("budget must be at least 10^4")
-    betas = np.asarray(b.branch_data().branch_values, dtype=complex)
+    if cut_disc is None:
+        branch_values = b.branch_data().branch_values
+    else:
+        branch_values = cut_disc.branch_values
+    betas = np.asarray(branch_values, dtype=complex)
     k = len(betas)
     r_main = 1.0 - _ANNULUS_WIDTH
     rng = np.random.default_rng(seed)
@@ -485,7 +512,7 @@ def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
         wts.append(np.full(kept, (r_main ** 2 / strata) / m))
         corr.append(np.zeros(kept, dtype=bool))
         on_path.append(np.ones(kept, dtype=bool))
-        path_lengths.append(kept)
+        path_lengths.extend(_pieces(kept))
 
     # Branch-value discs: polar sampling, nearest-owner indicator.
     if k:
@@ -515,11 +542,7 @@ def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
         wts.append(np.full(n_ann, (1.0 - r_main ** 2) / n_ann))
         corr.append(np.ones(n_ann, dtype=bool))
         on_path.append(np.ones(n_ann, dtype=bool))
-        pieces = max(1, round(n_ann / per[0]))
-        path_lengths.extend(
-            n_ann // pieces + (1 if j < n_ann % pieces else 0)
-            for j in range(pieces)
-        )
+        path_lengths.extend(_pieces(n_ann))
 
     points = np.concatenate(pts)
     weights = np.concatenate(wts)
@@ -546,22 +569,42 @@ def build_quadrature_grid(b, budget, seed=None) -> QuadratureGrid:
     )
 
 
+def _isometry_estimates(grid: QuadratureGrid, evaluate, exacts) -> list:
+    """(estimate, relative error, excluded mass) of quadrature inner products.
+
+    `evaluate(fibers)` yields, for each inner product <f, g> in turn, f and
+    conj(g) at a block of the grid's fiber rows; `exacts` holds their
+    coefficient-side values.  Rows go `_ROW_BLOCK` at a time, so the
+    evaluation's temporaries stay a block in size; each sample's fiber sum
+    and every estimate are the same as over all rows at once.
+    """
+    sums = np.empty((len(exacts), len(grid.points)), dtype=complex)
+    for lo in range(0, len(grid.points), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        for k, (fv, gv) in enumerate(evaluate(grid.fibers[rows])):
+            sums[k, rows] = (fv * gv * grid.inv_db2[rows]).sum(axis=1)
+    out = []
+    for integrand, exact in zip(sums, exacts):
+        terms = grid.weights * integrand
+        estimate = complex(terms.sum())
+        excluded = float(abs(terms[grid.correction].sum()))
+        rel = abs(estimate - exact) / (1.0 + abs(exact))
+        out.append((estimate, float(rel), excluded))
+    return out
+
+
 def isometry_details(b, f: Poly, g: Poly, budget=None, seed=None, grid=None) -> dict:
     """Isometry check data: estimate, exact value, relative error, corrections."""
     if grid is None:
         grid = build_quadrature_grid(b, budget, seed=seed)
-    fv = f(grid.fibers)
-    gv = np.conj(g(grid.fibers))
-    integrand = (fv * gv * grid.inv_db2).sum(axis=1)
-    terms = grid.weights * integrand
-    estimate = complex(terms.sum())
-    excluded = float(abs(terms[grid.correction].sum()))
     exact = exact_inner(f, g)
-    rel = abs(estimate - exact) / (1.0 + abs(exact))
+    ((estimate, rel, excluded),) = _isometry_estimates(
+        grid, lambda z: [(f(z), np.conj(g(z)))], [exact]
+    )
     return {
         "estimate": estimate,
         "exact": exact,
-        "relative_error": float(rel),
+        "relative_error": rel,
         "excluded_mass_bound": excluded,
         "budget": grid.budget,
         "seed": grid.seed,
@@ -581,8 +624,9 @@ def verify_intertwining(b, f: Poly, samples, seed=None, fibers=None) -> float:
     zs, sig = fibers
     dv = b.derivative_value(sig)
     scale = 1.0 / (dv * math.sqrt(b.order))
-    gamma_f = f(sig) * scale
-    gamma_bf = b(sig) * f(sig) * scale
+    fv = f(sig)
+    gamma_f = fv * scale
+    gamma_bf = b(sig) * fv * scale
     resid = np.abs(gamma_bf - zs[:, None] * gamma_f)
     return float(resid.max())
 
@@ -642,22 +686,36 @@ def bundle_report(b, budget, samples, seed=None) -> dict:
     """Verification summary across the three bundle-unitary properties.
 
     Isometry error is the worst relative error over the monomial pairs
-    (z^j, z^j), j <= 5, on one shared quadrature grid; the intertwining
-    residual is the worst over the same monomials at `samples` tracked
-    cut-disc points.  Raises ValueError if `samples` is below 1.
+    (z^j, z^j), j <= 5, on one shared quadrature grid, evaluated in one
+    power pass: per block of fiber rows, one running power z^j, multiplied
+    up once per j, in the arithmetic of `isometry_details`.  The
+    intertwining residual is the worst over the same monomials at `samples`
+    tracked cut-disc points.  One cut disc, with one branch-data solve,
+    serves the grid and the samples.  Raises ValueError if `samples` is
+    below 1.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     seed = DEFAULTS.seed if seed is None else int(seed)
-    grid = build_quadrature_grid(b, budget, seed=seed)
+    cd = build_cut_disc(b)
+    grid = build_quadrature_grid(b, budget, seed=seed, cut_disc=cd)
     monomials = [Poly((0.0,) * j + (1.0,)) for j in range(6)]
+
+    def powers(z):
+        zj = np.ones_like(z)
+        for j in range(len(monomials)):
+            if j:
+                zj = zj * z
+            yield zj, np.conj(zj)
+
     iso = 0.0
     excluded = 0.0
-    for f in monomials:
-        det = isometry_details(b, f, f, grid=grid)
-        iso = max(iso, det["relative_error"])
-        excluded = max(excluded, det["excluded_mass_bound"])
-    fibers = sigma_samples(b, samples, seed=seed)
+    for _, rel, mass in _isometry_estimates(
+        grid, powers, [exact_inner(f, f) for f in monomials]
+    ):
+        iso = max(iso, rel)
+        excluded = max(excluded, mass)
+    fibers = sigma_samples(b, samples, seed=seed, cut_disc=cd)
     inter = max(
         verify_intertwining(b, f, samples, fibers=fibers) for f in monomials
     )

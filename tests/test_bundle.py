@@ -378,6 +378,61 @@ def test_continuation_single_point_fiber(mobius):
     assert np.max(np.abs(mobius(fibers[:, 0]) - ws)) <= DEFAULTS.newton_tol
 
 
+@pytest.mark.parametrize("name", ["suite0-order3", "suite15-order6", "z^2"])
+def test_power_pass_equals_isometry_details_per_monomial(name):
+    b = _CONTINUED_PRODUCTS[name]
+    report = bundle_report(b, 10**4, 5, seed=0)
+    grid = build_quadrature_grid(b, 10**4, seed=0)
+    details = [
+        isometry_details(b, _monomial(j), _monomial(j), grid=grid) for j in range(6)
+    ]
+    want_iso = max(d["relative_error"] for d in details)
+    want_mass = max(d["excluded_mass_bound"] for d in details)
+    assert report["isometry_error"].hex() == want_iso.hex()
+    assert report["excluded_mass_bound"].hex() == want_mass.hex()
+
+
+@pytest.mark.parametrize("budget", [10**4, 10**5, 10**6])
+def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
+    b = _CONTINUED_PRODUCTS["suite0-order3"]
+    seen = []
+
+    def recording(b, ws, lengths):
+        seen.append((len(ws), list(lengths)))
+        return _continue_paths(b, ws, lengths)
+
+    monkeypatch.setattr(bundle, "_continue_paths", recording)
+    grid = build_quadrature_grid(b, budget, seed=0)
+    ((count, lengths),) = seen
+    assert 0 < max(lengths) <= bundle._PATH_LENGTH
+    assert sum(lengths) == count
+    # On a path: every main-ring sample and every annulus sample; the rest
+    # are the branch-value disc samples inside the annulus' inner circle.
+    annulus = np.abs(grid.points) >= 1.0 - bundle._ANNULUS_WIDTH
+    assert count == int(np.count_nonzero(~grid.correction | annulus))
+
+
+def test_bundle_report_solves_branch_data_once(order3, monkeypatch):
+    calls = []
+    original = BlaschkeProduct.branch_data
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlaschkeProduct, "branch_data", counting)
+    bundle_report(order3, 10**4, 5, seed=0)
+    assert calls == [order3]
+
+
+def test_sigma_samples_on_a_given_cut_disc(order4):
+    cd = build_cut_disc(order4)
+    zs, fibers = sigma_samples(order4, 12, seed=1, cut_disc=cd)
+    want_zs, want_fibers = sigma_samples(order4, 12, seed=1)
+    assert zs.tobytes() == want_zs.tobytes()
+    assert fibers.tobytes() == want_fibers.tobytes()
+
+
 def _cut_disc_points(cd, count, rng, rmax=0.9):
     """`count` random cut-disc points clear of the cuts and branch values."""
     zs = []

@@ -13,7 +13,9 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   (radius-0.6 products from `default_rng(1000 + order)`);
 * `analyze --newton-tol 1e-30` and `analyze --dedup-tol 1e-7` on product 0;
 * `zn --n 1..8` at `--seed 0` and `--seed 3`;
-* `verify-gamma --budget 100000 --samples 10` on product 15;
+* `verify-gamma --budget 100000 --samples 10` and
+  `verify-gamma --budget 1000000 --samples 10` on product 15 (at 10^6 every
+  quadrature ring is split into several continuation paths);
 * `verify-gamma --budget 10000 --samples 25` on products 0, 5, 10 and 19
   (orders 3-6), so labeled routes are compared at every acceptance order;
 * `trace-loop --index 0` on product 5.
@@ -95,6 +97,9 @@ def runs(spec_paths, sweep_paths) -> list:
         ]
     out.append(("verify-gamma/product15",
                 ["verify-gamma", spec_paths[15], "--budget", "100000",
+                 "--samples", "10", "--seed", "0"]))
+    out.append(("verify-gamma/product15/budget1000000",
+                ["verify-gamma", spec_paths[15], "--budget", "1000000",
                  "--samples", "10", "--seed", "0"]))
     out += [
         (f"verify-gamma/product{i:02d}/budget10000-samples25",
