@@ -1,8 +1,9 @@
 """The analysis pipeline: monodromy, commutant, minimal projections, checks.
 
 `analyze` is the one place that chains these steps.  One `Settings` record
-reaches every step, so an override such as a seed or a Newton tolerance acts
-on branch data, base point, fibers, tracking and projections alike.  The
+reaches every step, so an override such as a Newton tolerance acts on branch
+data, base point, fibers, tracking and projections alike; the seed reaches
+only the projections, since root solving takes none.  The
 command line renders the result as JSON and the `z^n` oracle compares it
 with the exact model.
 """
@@ -76,8 +77,8 @@ def analyze(b, settings: Settings = DEFAULTS) -> Analysis:
     gens = list(rep.generators)
 
     order = group_order(gens, n)
-    transitive = is_transitive(gens, n) if gens else n == 1
-    q = orbital_count(gens, n) if gens else n * n
+    transitive = is_transitive(gens, n)
+    q = orbital_count(gens, n)
 
     cb = commutant_basis(gens, n, settings=settings)
     commutative, max_comm = is_commutative(cb)

@@ -88,8 +88,7 @@ class BlaschkeProduct:
         """B(z) and B'(z) = (P'Q - PQ') / Q**2 for an array `z` of any shape.
 
         P, Q and their derivatives come from one Horner pass over the
-        stacked coefficients; the values are bit-identical to separate
-        `Poly.eval_with_derivative` passes over P and Q.
+        stacked coefficients.
         """
         z = np.asarray(z, dtype=complex)
         pq = self._pq.reshape(self._pq.shape + (1,) * z.ndim)
@@ -121,12 +120,16 @@ class BlaschkeProduct:
     def branch_data(self, settings: Settings = DEFAULTS) -> "BranchData":
         """Critical points inside the disc and deduplicated branch values.
 
-        Reads `dedup_tol` and `seed` from `settings`.  The residual tolerance
-        for the numerator roots is the fixed 1e-9, not `settings.roots_tol`:
-        reflected critical points outside the disc can sit at large modulus
-        where Horner evaluation noise alone exceeds a 1e-12-level bound.
-        Interior critical points (the ones returned) are polished far beyond
-        this and satisfy |B'(c)| < 1e-9.
+        Reads `dedup_tol` from `settings`; the root solve takes no seed.  The
+        residual tolerance for the numerator roots is the fixed 1e-9, not
+        `settings.roots_tol`: reflected critical points outside the disc can
+        sit at large modulus where Horner evaluation noise alone exceeds a
+        1e-12-level bound.  Interior critical points (the ones returned) are
+        polished far beyond this and satisfy |B'(c)| < 1e-9.
+
+        Scanning in ascending (real, imag) order, a candidate B(c) joins the
+        first kept branch value within `dedup_tol`, which records the local
+        degree of c.
 
         Raises
         ------
@@ -140,7 +143,7 @@ class BlaschkeProduct:
         if numer.degree < 1:
             interior: list[RootCluster] = []
         else:
-            clusters = roots(numer, tol=_CRITICAL_ROOTS_TOL, seed=settings.seed)
+            clusters = roots(numer, tol=_CRITICAL_ROOTS_TOL)
             interior = [c for c in clusters if abs(c.center) < 1.0]
         total = sum(c.multiplicity for c in interior)
         if total != self.order - 1:
@@ -156,19 +159,28 @@ class BlaschkeProduct:
                         f"branch values {candidates[i]} and {candidates[j]} are "
                         f"{d:.3e} apart, inside the dedup ambiguity band"
                     )
-        values: list[complex] = []
-        for cand in sorted(candidates, key=lambda v: (v.real, v.imag)):
-            if not any(abs(cand - v) < settings.dedup_tol for v in values):
-                values.append(cand)
-        return BranchData(critical_points=tuple(interior), branch_values=tuple(values))
+        merged: dict[complex, list] = {}
+        for cand, c in sorted(zip(candidates, interior), key=lambda t: (t[0].real, t[0].imag)):
+            value = next((v for v in merged if abs(cand - v) < settings.dedup_tol), cand)
+            merged.setdefault(value, []).append(c.multiplicity + 1)
+        return BranchData(
+            critical_points=tuple(interior),
+            branch_values=tuple(merged),
+            local_degrees=tuple(tuple(sorted(d, reverse=True)) for d in merged.values()),
+        )
 
 
 @dataclass(frozen=True)
 class BranchData:
-    """Interior critical clusters and the deduplicated branch-value set."""
+    """Interior critical clusters and the deduplicated branch-value set.
+
+    `local_degrees[k]` holds, descending, the local degree m + 1 of every
+    critical point of multiplicity m whose value merged into `branch_values[k]`.
+    """
 
     critical_points: tuple
     branch_values: tuple
+    local_degrees: tuple
 
 
 def from_spec(data) -> BlaschkeProduct:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS
-from .cpoly import Poly, roots as poly_roots
+from .cpoly import Poly, _companion_roots, roots as poly_roots
 from .errors import (
     AmbiguousMatching,
     LoopConstructionFailed,
@@ -344,11 +344,12 @@ class QuadratureGrid:
 def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     """Unordered fibers of many regular values at once, each solved afresh.
 
-    Solves P(z) - w Q(z) = 0 per sample via batched companion-matrix
-    eigenvalues (chunked to bound memory); the leading coefficient never
-    degenerates since |Q_n| < 1 = |P_n| inside the disc.  Residuals are
-    validated against the scale-aware evaluation bound and rare failures are
-    re-solved with the clustering root finder.
+    Solves P(z) - w Q(z) = 0 per sample with the batched companion-eigenvalue
+    kernel of `cpoly` (chunked to bound memory); the leading coefficient
+    never degenerates since |Q_n| < 1 = |P_n| inside the disc.  Residuals
+    are validated against the scale-aware evaluation bound and rare failures
+    are re-solved by `cpoly.roots`, which merges clusters and polishes
+    multiple roots.
 
     Used where no neighbouring fiber is at hand: the first sample of every
     continuation path, samples whose continuation step fails its
@@ -361,18 +362,10 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     q = np.pad(q, (0, len(p) - len(q)))
     out = np.empty((len(ws), n), dtype=complex)
     chunk = 65536
-    eye = np.eye(n - 1) if n > 1 else None
     for lo in range(0, len(ws), chunk):
         w = ws[lo:lo + chunk]
         c = p[None, :] - w[:, None] * q[None, :]
-        if n == 1:
-            out[lo:lo + chunk, 0] = -c[:, 0] / c[:, 1]
-            continue
-        monic = c / c[:, -1][:, None]
-        comp = np.zeros((len(w), n, n), dtype=complex)
-        comp[:, 1:, :-1] = eye
-        comp[:, :, -1] = -monic[:, :-1]
-        roots = np.linalg.eigvals(comp)
+        roots = _companion_roots(c)
         # Horner residual check at the scale-aware bound.
         val = np.zeros_like(roots)
         for k in range(n, -1, -1):
@@ -382,11 +375,8 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
         ) ** n
         bad = np.nonzero(np.any(np.abs(val) > 1e-8 * scale, axis=1))[0]
         for idx in bad:
-            clusters = poly_roots(Poly(tuple(c[idx])), tol=1e-10)
-            redo = []
-            for cl in clusters:
-                redo.extend([cl.center] * cl.multiplicity)
-            roots[idx] = np.asarray(redo, dtype=complex)
+            clusters = poly_roots(Poly(c[idx]), tol=1e-10)
+            roots[idx] = [cl.center for cl in clusters for _ in range(cl.multiplicity)]
         out[lo:lo + chunk] = roots
     return out
 

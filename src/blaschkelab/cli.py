@@ -116,7 +116,7 @@ def cmd_verify_gamma(args) -> int:
 def cmd_trace_loop(args) -> int:
     b = _load(args.spec)
     settings = dataclasses.replace(DEFAULTS, seed=args.seed)
-    fiber0, loops = loop_setup(b, settings)
+    _, fiber0, loops = loop_setup(b, settings)
     if not 0 <= args.index < len(loops.loops):
         print(
             f"error: loop index {args.index} out of range "

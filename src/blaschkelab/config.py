@@ -7,9 +7,10 @@ projection_retries and seed.  Functions on the analysis path
 steps it calls) take one `settings: Settings` argument, `DEFAULTS` unless
 given; an override is a `dataclasses.replace(DEFAULTS, ...)` and reaches every
 step that reads its field.  The command line sets `seed`, `newton_tol` and
-`dedup_tol` this way.  `bundle` reads `DEFAULTS` only for `seed` and the
-certificate's tolerances.  Thresholds nothing varies are constants beside
-their one reader.  Reports do not echo the whole record: `analyze` gives
+`dedup_tol` this way.  Root solving takes no seed, so `seed` reaches only
+the minimal projections and the bundle's sampling.  `bundle` reads
+`DEFAULTS` only for `seed` and the certificate's tolerances.  Thresholds
+nothing varies are constants beside their one reader.  Reports do not echo the whole record: `analyze` gives
 `seed` and, under "tolerances", newton_tol, dedup_tol, nullspace_rtol and
 projection_gap; `verify-gamma` gives only `seed`; `zn` gives none.
 """
@@ -54,7 +55,9 @@ class Settings:
     projection_retries : int
         Fresh generic elements tried before DegenerateGenericElement.
     seed : int
-        Default RNG seed for every stochastic component.
+        Default RNG seed of the generic elements drawn for the minimal
+        projections and of the bundle's sample points.  Root solving is
+        deterministic and takes no seed.
     """
 
     roots_tol: float = 1e-12

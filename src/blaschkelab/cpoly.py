@@ -1,10 +1,13 @@
-"""Complex polynomials with simultaneous root finding and cluster detection.
+"""Complex polynomials and their roots as multiplicity-aware clusters.
 
 Coefficients are stored in ascending order (coeffs[k] multiplies z**k).
-Roots are returned as multiplicity-aware clusters: the Aberth-Ehrlich
-iteration drives all approximants at once, nearby approximants are merged
-into clusters, and each cluster center is re-polished on the appropriate
-derivative so that multiple roots come back with full accuracy.
+Every root solve in the package goes through one kernel: eigenvalues of the
+companion matrix, batched over polynomials of one degree.  The eigenvalue
+solve is backward stable (Edelman and Murakami, "Polynomial roots from
+companion matrix eigenvalues", Math. Comp. 64, 1995) and needs no starting
+guess, so root solving is deterministic.  `roots` merges nearby
+eigenvalues into clusters and re-polishes each cluster center on the
+appropriate derivative so that multiple roots come back with full accuracy.
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ from .errors import NoConvergence
 
 __all__ = ["Poly", "RootCluster", "roots"]
 
-# Upper cap on the multiplicity-aware cluster merge radius, and the default
-# iteration budget of the simultaneous phase.
+# Upper cap on the multiplicity-aware cluster merge radius.
 _CLUSTER_CAP = 1e-3
-_ROOT_BUDGET = 500
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,8 @@ class Poly:
         return p
 
     def eval_with_derivative(self, z):
-        """Value and first derivative at `z` in one Horner pass."""
-        scalar = np.isscalar(z) or isinstance(z, complex)
-        if scalar:
-            p, dp = 0j, 0j
-            for c in reversed(self.coeffs):
-                dp = dp * z + p
-                p = p * z + c
-            return p, dp
-        z = np.asarray(z, dtype=complex)
-        p = np.zeros_like(z)
-        dp = np.zeros_like(z)
+        """Value and first derivative at a scalar `z` in one Horner pass."""
+        p, dp = 0j, 0j
         for c in reversed(self.coeffs):
             dp = dp * z + p
             p = p * z + c
@@ -131,32 +123,21 @@ class RootCluster:
 
     center: complex
     multiplicity: int
-    radius: float
 
 
-def _aberth(coeffs, budget, seed):
-    """Aberth-Ehrlich simultaneous iteration on a monic coefficient array."""
-    deg = len(coeffs) - 1
-    rng = np.random.default_rng(seed)
-    radius = 1.0 + float(np.max(np.abs(coeffs[:-1] / coeffs[-1])))
-    # Perturbed circle: a fixed phase plus seeded jitter breaks the conjugate
-    # symmetry of real-coefficient inputs (symmetric configurations can cycle).
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.25 + 0.5 * rng.random(deg)) / deg
-    z = radius * np.exp(1j * angles)
-    poly = Poly(coeffs)
-    for _ in range(budget):
-        p, dp = poly.eval_with_derivative(z)
-        with np.errstate(all="ignore"):
-            newton = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.1 + 0j)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            repulse = np.sum(1.0 / diff, axis=1) - 1.0
-            denom = 1.0 - newton * repulse
-            step = np.where(np.abs(denom) > 1e-30, newton / np.where(denom != 0, denom, 1.0), newton)
-        z = z - step
-        if np.max(np.abs(step) / (1.0 + np.abs(z))) < 1e-14:
-            break
-    return z
+def _companion_roots(rows) -> np.ndarray:
+    """Roots of m polynomials of one degree d, by companion eigenvalues.
+
+    `rows` is (m, d + 1), ascending coefficients with a nonzero last column;
+    the result is (m, d), each row in LAPACK's eigenvalue order.  Each row's
+    roots are bit-identical to solving that row alone.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    m, d = rows.shape[0], rows.shape[1] - 1
+    comp = np.zeros((m, d, d), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, :, -1] = -(rows[:, :-1] / rows[:, -1:])
+    return np.linalg.eigvals(comp)
 
 
 def _merge_clusters(points, tol, cap):
@@ -204,8 +185,12 @@ def _refine_multiple(poly, center, multiplicity):
     return z
 
 
-def roots(poly, tol=None, budget=None, seed=None):
+def roots(poly, tol=None):
     """All roots of `poly` as multiplicity-aware clusters.
+
+    The companion eigenvalues of `poly` are merged into clusters, and the
+    center of every multiple cluster is Newton-polished on the matching
+    derivative.  No seed and no iteration budget: the solve is deterministic.
 
     Parameters
     ----------
@@ -217,10 +202,6 @@ def roots(poly, tol=None, budget=None, seed=None):
         The last factor is the Horner forward-error scale; it equals 1 for
         roots in the closed unit disc, where the bound reduces to the plain
         tol * (1 + sum|coeffs|).  Default from Settings.
-    budget : int, optional
-        Iteration cap for the simultaneous phase (default `_ROOT_BUDGET`).
-    seed : int, optional
-        Seed for the initial-guess jitter.
 
     The merge radius is capped at `_CLUSTER_CAP`.
 
@@ -233,20 +214,14 @@ def roots(poly, tol=None, budget=None, seed=None):
     Raises
     ------
     NoConvergence
-        If the iteration budget is exhausted with a residual above the bound.
+        If a cluster center has a residual above the bound.
     """
     tol = DEFAULTS.roots_tol if tol is None else tol
-    budget = _ROOT_BUDGET if budget is None else budget
-    seed = DEFAULTS.seed if seed is None else seed
 
-    if poly.degree < 1 or poly.coeffs[-1] == 0:
+    if poly.degree < 1:
         raise ValueError("roots() needs degree >= 1 and a nonzero leading coefficient")
-    if poly.degree == 1:
-        c0, c1 = poly.coeffs
-        return [RootCluster(center=-c0 / c1, multiplicity=1, radius=0.0)]
 
-    coeff_arr = np.array(poly.coeffs, dtype=complex)
-    approx = _aberth(coeff_arr, budget, seed)
+    approx = _companion_roots([poly.coeffs])[0]
     clusters = _merge_clusters(list(approx), tol, _CLUSTER_CAP)
 
     base_bound = tol * (1.0 + poly.l1_norm())
@@ -258,13 +233,12 @@ def roots(poly, tol=None, budget=None, seed=None):
             refined = _refine_multiple(poly, center, m)
             if abs(poly(refined)) <= abs(poly(center)):
                 center = refined
-        radius = max((abs(p - center) for p in members), default=0.0)
         bound = base_bound * max(1.0, abs(center)) ** poly.degree
         if abs(poly(center)) > bound:
             raise NoConvergence(
                 f"root residual {abs(poly(center)):.3e} above bound {bound:.3e} "
-                f"after {budget} iterations (multiplicity {m})"
+                f"(multiplicity {m})"
             )
-        out.append(RootCluster(center=center, multiplicity=m, radius=float(radius)))
+        out.append(RootCluster(center=center, multiplicity=m))
     out.sort(key=lambda c: (c.center.real, c.center.imag))
     return out

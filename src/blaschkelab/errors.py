@@ -34,7 +34,8 @@ class DegenerateClustering(ToolkitError):
 
 
 class BranchCountError(ToolkitError):
-    """Critical-point multiplicities inside the disc do not sum to order - 1."""
+    """Interior critical multiplicities do not sum to order - 1, or a generator's
+    nontrivial cycle lengths differ from the local degrees over its branch value."""
 
 
 class FiberCollision(ToolkitError):

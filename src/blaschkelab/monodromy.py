@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .config import DEFAULTS, Settings
+from .errors import BranchCountError
 from .tracking import (
     PathSpec,
     build_loops,
@@ -114,11 +115,11 @@ class MonodromyRep:
 
 
 def loop_setup(b, settings: Settings = DEFAULTS):
-    """(base fiber, loop system): branch data, base point, its fiber, loops."""
+    """(branch data, base fiber, loop system) of `b`, around the chosen base."""
     data = b.branch_data(settings)
     base = choose_base_point(b, data.branch_values, settings)
     fiber0 = initial_fiber(b, base, settings)
-    return fiber0, build_loops(b, base, data.branch_values)
+    return data, fiber0, build_loops(b, base, data.branch_values)
 
 
 def _stem_and_head(loop):
@@ -152,8 +153,13 @@ def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
     the second row passes through at the head's start.  The first failing
     loop in loop order raises its error, its stem's error first.  `trace-loop`
     still traces the whole lollipop.
+
+    Each generator's nontrivial cycle lengths must equal the local degrees
+    of the critical points over its branch value (`BranchData.local_degrees`),
+    the local structure of a branched cover; the first generator in loop
+    order that disagrees raises `BranchCountError`.
     """
-    fiber0, loops = loop_setup(b, settings)
+    data, fiber0, loops = loop_setup(b, settings)
     paths, rows = [], []
     for loop in loops.loops + (loops.boundary_loop,):
         stem, head = _stem_and_head(loop)
@@ -174,6 +180,14 @@ def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
             raise end
         entry = fiber0 if stem_row is None else ends[stem_row]
         perms.append(match_endpoints(entry, end))
+    local_degrees = dict(zip(data.branch_values, data.local_degrees))
+    for beta, g in zip(loops.branch_values, perms):
+        cycles = tuple(k for k in g.cycle_type() if k > 1)
+        if cycles != local_degrees[beta]:
+            raise BranchCountError(
+                f"generator around branch value {beta} has cycle lengths {cycles}, "
+                f"but the critical points over it have local degrees {local_degrees[beta]}"
+            )
     return MonodromyRep(
         base=loops.base,
         branch_values=loops.branch_values,

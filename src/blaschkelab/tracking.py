@@ -255,7 +255,7 @@ def initial_fiber(b, w, settings: Settings = DEFAULTS) -> Fiber:
     """
     w = complex(w)
     g = b.P - w * b.Q
-    clusters = roots(g, tol=settings.roots_tol, seed=settings.seed)
+    clusters = roots(g, tol=settings.roots_tol)
     if any(c.multiplicity > 1 for c in clusters):
         raise FiberCollision(f"fiber over {w} contains a multiple point")
     pts = np.array([c.center for c in clusters])

@@ -13,16 +13,16 @@ import pytest
 from blaschkelab import (
     DEFAULTS,
     BlaschkeProduct,
+    BranchCountError,
     FiberCollision,
     Permutation,
     analyze,
     choose_base_point,
     random_product,
     to_spec,
-    zn_end_to_end,
 )
-from blaschkelab import blaschke, bundle, tracking
 from blaschkelab.cli import main
+from blaschkelab.monodromy import loop_setup
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _ERROR_RE = re.compile(r"error \[(?:\w+\.)*(\w+)\]")
@@ -74,21 +74,22 @@ def test_analyze_suite_discrete_fields_match_frozen(tmp_path, capsys):
         assert got == want, i
 
 
-def test_zn_seed_reaches_every_root_solve(monkeypatch):
-    seeds = []
-
-    def spying(real):
-        def spy(*args, **kwargs):
-            seeds.append(kwargs.get("seed"))
-            return real(*args, **kwargs)
-        return spy
-
-    monkeypatch.setattr(blaschke, "roots", spying(blaschke.roots))
-    monkeypatch.setattr(tracking, "roots", spying(tracking.roots))
-    monkeypatch.setattr(bundle, "poly_roots", spying(bundle.poly_roots))
-    assert zn_end_to_end(3, seed=5)["ok"]
-    assert len(seeds) >= 2
-    assert seeds == [5] * len(seeds)
+def test_root_solving_is_seed_free():
+    # The seed reaches only the projections and the bundle sampling: base
+    # point, branch values, base fiber and generators are bit-identical.
+    for b in (_suite_product(0), _suite_product(15)):
+        runs = []
+        for seed in (0, 5):
+            settings = replace(DEFAULTS, seed=seed)
+            rep = analyze(b, settings).rep
+            _, fiber0, _ = loop_setup(b, settings)
+            runs.append((
+                rep.base,
+                np.array(rep.branch_values).tobytes(),
+                np.array(fiber0.points).tobytes(),
+                rep.generators,
+            ))
+        assert runs[0] == runs[1]
 
 
 def test_grid_override_reaches_the_base_point(order3):
@@ -147,3 +148,18 @@ def test_former_return_stem_collisions_give_the_symmetric_group(b):
     assert result.q_orbitals == 2
     transposition = (2,) + (1,) * (n - 2)
     assert all(g.cycle_type() == transposition for g in result.rep.generators)
+
+
+@pytest.mark.parametrize("order", [24, 32])
+def test_merged_high_order_branch_values_stop_at_the_ramification_guard(order):
+    # Companion eigenvalues find all n - 1 simple critical points, but the
+    # absolute dedup band merges their values into one.  The loop around it
+    # is an n-cycle, which n - 1 simple critical points over one value
+    # cannot give, so the guard raises instead of reporting Z_n.
+    b = _sweep_draw(order, 0)
+    data = b.branch_data()
+    assert sum(c.multiplicity for c in data.critical_points) == order - 1
+    assert sum(d - 1 for degrees in data.local_degrees for d in degrees) == order - 1
+    with pytest.raises(BranchCountError, match=r"has cycle lengths \(") as info:
+        analyze(b)
+    assert info.traceback[-1].name == "compute_representation"

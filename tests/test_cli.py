@@ -43,15 +43,18 @@ def test_analyze_square(tmp_path, square_spec):
 
 
 def test_analyze_single_zero(tmp_path):
-    spec = _write_spec(tmp_path, "mobius.json", 0.0, [[0.3, 0.0]])
-    out = tmp_path / "report.json"
-    assert main(["analyze", str(spec), "--report", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["order"] == 1
-    assert report["q_orbitals"] == 1
-    assert report["commutant_dim"] == 1
-    assert report["generators"] == []
-    assert report["ok"]
+    # Disc automorphisms: no critical points, no generators.
+    for theta, zero in ((0.0, [0.3, 0.0]), (1.0, [0.2, -0.4])):
+        spec = _write_spec(tmp_path, "mobius.json", theta, [zero])
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(spec), "--report", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["order"] == 1
+        assert report["q_orbitals"] == 1
+        assert report["commutant_dim"] == 1
+        assert report["generators"] == []
+        assert report["theorem_checks"]["monodromy_transitive"]["pass"]
+        assert report["ok"]
 
 
 def test_analyze_stdout(square_spec, capsys):

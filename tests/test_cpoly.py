@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from blaschkelab import NoConvergence, Poly, roots
+from blaschkelab import Poly, random_product, roots
+from blaschkelab.cpoly import _companion_roots
 
 
 def _sorted_centers(clusters):
@@ -128,6 +129,23 @@ def test_product_roots_are_union_of_factors():
             assert abs(a - b) < 1e-8
 
 
-def test_roots_budget_exhaustion():
-    with pytest.raises(NoConvergence):
-        roots(Poly([-1.0, 0.0, 0.0, 1.0]), budget=1)
+def test_companion_kernel_rows_equal_roots_row_by_row():
+    # Fiber polynomials P - wQ of seeded products of orders 1-8, solved in one
+    # batch per order: each row's roots are exactly the centers `roots` gives
+    # for that row alone (simple roots are not merged or polished).
+    rng = np.random.default_rng(9)
+    for order in range(1, 9):
+        b = random_product(order, rng)
+        ws = 0.9 * np.sqrt(rng.random(6)) * np.exp(2j * np.pi * rng.random(6))
+        p = np.array(b.P.coeffs)
+        q = np.array(b.Q.coeffs)
+        q = np.pad(q, (0, len(p) - len(q)))
+        rows = p[None, :] - ws[:, None] * q[None, :]
+        batch = _companion_roots(rows)
+        assert batch.shape == (6, order)
+        for row, got in zip(rows, batch):
+            clusters = roots(Poly(row))
+            assert [c.multiplicity for c in clusters] == [1] * order
+            assert sorted(got, key=lambda z: (z.real, z.imag)) == [c.center for c in clusters]
+        if order == 1:
+            assert np.array_equal(batch[:, 0], -rows[:, 0] / rows[:, 1])

@@ -10,6 +10,7 @@ import pytest
 from blaschkelab import (
     DEFAULTS,
     BlaschkeProduct,
+    BranchCountError,
     Permutation,
     boundary_product,
     compute_representation,
@@ -278,7 +279,7 @@ _HEAD_READ_CASES = [
 def test_generators_read_at_the_loop_head_match_whole_lollipops(b):
     # The reference tracks every lollipop out, around and back to the base.
     rep = compute_representation(b)
-    fiber0, loops = loop_setup(b)
+    _, fiber0, loops = loop_setup(b)
     whole = [loop_permutation(b, fiber0, loop) for loop in loops.loops + (loops.boundary_loop,)]
     assert list(rep.generators) + [rep.boundary_perm] == whole
 
@@ -286,7 +287,7 @@ def test_generators_read_at_the_loop_head_match_whole_lollipops(b):
 @pytest.mark.parametrize("index", [0, 5, 10, 15, 19])
 def test_stem_end_is_the_whole_loop_node_at_the_head_entry(index):
     b = _acceptance_products()[index]
-    fiber0, loops = loop_setup(b)
+    _, fiber0, loops = loop_setup(b)
     for loop in loops.loops + (loops.boundary_loop,):
         stem, _ = _stem_and_head(loop)
         assert stem
@@ -301,7 +302,7 @@ def test_stem_end_is_the_whole_loop_node_at_the_head_entry(index):
 
 def test_failing_first_loop_raises_what_tracking_it_whole_raises(order3):
     settings = replace(DEFAULTS, newton_tol=1e-30)
-    fiber0, loops = loop_setup(order3, settings)
+    _, fiber0, loops = loop_setup(order3, settings)
     with pytest.raises(Exception) as whole:
         track(order3, fiber0, loops.loops[0], settings)
     with pytest.raises(type(whole.value), match=f"^{re.escape(str(whole.value))}$"):
@@ -317,3 +318,26 @@ def test_stem_and_head_split_only_lollipops():
         _stem_and_head(PathSpec((stem, Line(0.6 + 0.5j, 0j))))
     with pytest.raises(ValueError):
         _stem_and_head(PathSpec((stem, circle, Line(0.6 + 0.5j, 0.1j))))
+
+
+def test_altered_local_degrees_fail_the_ramification_guard(monkeypatch):
+    # Mutation check: the guard compares each generator's nontrivial cycle
+    # lengths with the recorded local degrees, so one altered tuple raises.
+    b = _acceptance_products()[15]
+    data = b.branch_data()
+    rep = compute_representation(b)
+    beta = rep.branch_values[0]
+    k = data.branch_values.index(beta)
+    assert data.local_degrees[k] == (2,)
+    altered = data.local_degrees[:k] + ((3,),) + data.local_degrees[k + 1:]
+    monkeypatch.setattr(
+        BlaschkeProduct,
+        "branch_data",
+        lambda self, settings=DEFAULTS: replace(data, local_degrees=altered),
+    )
+    message = (
+        f"generator around branch value {beta} has cycle lengths (2,), "
+        "but the critical points over it have local degrees (3,)"
+    )
+    with pytest.raises(BranchCountError, match=f"^{re.escape(message)}$"):
+        compute_representation(b)

@@ -9,8 +9,11 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
 3-8, five each; the first 20 are the acceptance suite):
 
 * `analyze --seed 0` on all 30 products;
-* `analyze --seed 0` on draw 14 of the order-6 and order-10 sweeps
-  (radius-0.6 products from `default_rng(1000 + order)`);
+* `analyze --seed 0` on draw 14 of the order-6 and order-10 sweeps and on
+  draw 0 of the order-24 sweep (radius-0.6 products from
+  `default_rng(1000 + order)`); the order-24 run solves 23 critical points
+  by companion eigenvalues and exits 3 with the `BranchCountError` of the
+  ramification check in `compute_representation`;
 * `analyze --newton-tol 1e-30` and `analyze --dedup-tol 1e-7` on product 0;
 * `zn --n 1..8` at `--seed 0` and `--seed 3`;
 * `verify-gamma --budget 100000 --samples 10` and
@@ -48,7 +51,7 @@ SUITE_SEED = 2026
 SUITE_ORDERS = (3, 4, 5, 6, 7, 8)
 SUITE_PER_ORDER = 5
 # (order, draw) of the sweep products in the set.
-SWEEP_DRAWS = ((6, 14), (10, 14))
+SWEEP_DRAWS = ((6, 14), (10, 14), (24, 0))
 
 
 def suite_specs() -> list:
