@@ -2,9 +2,10 @@
 Monodromy of a degree-4 Blaschke product, step by step
 ======================================================
 
-Builds one product, finds its branch values, tracks the fiber around a
-lollipop loop per branch value, and prints the resulting permutations
-together with the group facts the package certifies.
+Builds one product, finds its branch values, cuts the disc from each of
+them, reads one permutation per branch value as the jump of the labeled
+fiber across its cut, and prints the permutations together with the group
+facts the package certifies.
 """
 
 import numpy as np

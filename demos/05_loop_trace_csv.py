@@ -2,10 +2,10 @@
 Watching a fiber permute: certified tracking with a CSV trace
 =============================================================
 
-Tracks the full fiber of a degree-3 product around the loop encircling
-one branch value, records every accepted step, writes the trace as CSV
-(the same format as the `blaschkelab trace-loop` subcommand), and prints
-how the start and end fibers line up.
+Tracks the full fiber of a degree-3 product around the loop that crosses
+the cut of one branch value once, records every accepted step, writes the
+trace as CSV (the same format as the `blaschkelab trace-loop` subcommand),
+and prints how the start and end fibers line up.
 """
 
 import csv
@@ -15,24 +15,30 @@ import numpy as np
 
 from blaschkelab import (
     BlaschkeProduct,
-    build_loops,
-    choose_base_point,
-    initial_fiber,
+    PathSpec,
+    build_cut_disc,
+    crossing_paths,
     track_with_trace,
 )
 
 b = BlaschkeProduct(theta=0.0, zeros=[0.0, 0.0, 0.5])
-data = b.branch_data()
-base = choose_base_point(b, data.branch_values)
-fiber0 = initial_fiber(b, base)
-loops = build_loops(b, base, data.branch_values)
+# The cut disc: one cut per branch value, running away from the base point,
+# and the labeled fiber over the base.
+cd = build_cut_disc(b)
+fiber0 = cd.fiber0
+betas, pairs = crossing_paths(cd)
 
-print(f"base point {base:.6f}, fiber {np.round(fiber0.points, 6)}")
-print(f"tracking loop 0 around branch value {data.branch_values[0]:.6f}")
+print(f"base point {cd.base:.6f}, fiber {np.round(fiber0.points, 6)}")
+print(f"tracking the crossing loop of branch value {betas[0]:.6f}")
+
+# The loop goes out to one side of the cut, half way round the branch value
+# through the cut, and back to the base from the other side.
+there, back = pairs[0]
+loop = PathSpec(there.segments + back.reversed().segments)
 
 # The trace is a list of (t, w(t), fiber points) rows, one per accepted
 # predictor-corrector step; adaptive stepping means the row count varies.
-end_fiber, trace = track_with_trace(b, fiber0, loops.loops[0])
+end_fiber, trace = track_with_trace(b, fiber0, loop)
 print(f"{len(trace)} accepted steps")
 
 buffer = io.StringIO()

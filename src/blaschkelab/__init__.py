@@ -64,8 +64,10 @@ from .errors import (
 from .monodromy import (
     MonodromyRep,
     Permutation,
+    approach,
     boundary_product,
     compute_representation,
+    crossing_paths,
     group_order,
     is_transitive,
     orbital_count,
@@ -74,9 +76,7 @@ from .tracking import (
     Arc,
     Fiber,
     Line,
-    LoopSystem,
     PathSpec,
-    build_loops,
     choose_base_point,
     initial_fiber,
     loop_permutation,
@@ -107,7 +107,6 @@ __all__ = [
     "GammaSample",
     "Line",
     "LoopConstructionFailed",
-    "LoopSystem",
     "MonodromyRep",
     "NoConvergence",
     "NonCommutative",
@@ -122,14 +121,15 @@ __all__ = [
     "ToolkitError",
     "ZnCase",
     "analyze",
+    "approach",
     "boundary_product",
     "build_cut_disc",
-    "build_loops",
     "build_quadrature_grid",
     "bundle_report",
     "choose_base_point",
     "commutant_basis",
     "compute_representation",
+    "crossing_paths",
     "cycle_projections",
     "default_taylor_length",
     "exact_inner",

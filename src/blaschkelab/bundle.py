@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Settings
 from .cpoly import Poly, _companion_roots, roots as poly_roots
 from .errors import (
     AmbiguousMatching,
@@ -98,7 +98,9 @@ class CutDisc:
     the segment from `base` to any of its points avoids every cut.  Being
     simply connected, it carries the inverse branches labeled at `base` as
     global single-valued functions; `fiber0` is that labeling, the fiber over
-    `base` in the slot order of `initial_fiber`.
+    `base` in the slot order of `initial_fiber`.  Across the cut from a
+    branch value the labeled branches jump by that value's monodromy
+    generator (`monodromy.compute_representation` reads it there).
     """
 
     branch_values: tuple
@@ -124,18 +126,21 @@ def _radial_cut(beta: complex, theta: float) -> Line:
     return Line(beta, beta + t * d)
 
 
-def build_cut_disc(b, base=None, branch_values=None) -> CutDisc:
+def build_cut_disc(
+    b, base=None, branch_values=None, settings: Settings = DEFAULTS
+) -> CutDisc:
     """Cut system for `b`: each branch value cut away from the base point.
 
     The cut from beta follows the direction of beta - base out to the unit
     circle.  Raises LoopConstructionFailed if `base` is a branch value,
     which leaves no direction to cut along.  The labeling fiber over `base`
-    is solved once here (`initial_fiber`).
+    is solved once here (`initial_fiber`).  `settings` reaches the branch
+    data, the base-point search and the labeling fiber.
     """
     if branch_values is None:
-        branch_values = b.branch_data().branch_values
+        branch_values = b.branch_data(settings).branch_values
     if base is None:
-        base = choose_base_point(b, branch_values)
+        base = choose_base_point(b, branch_values, settings)
     betas = tuple(branch_values)
     if any(beta == base for beta in betas):
         raise LoopConstructionFailed(
@@ -143,7 +148,7 @@ def build_cut_disc(b, base=None, branch_values=None) -> CutDisc:
         )
     cuts = tuple(_radial_cut(beta, cmath.phase(beta - base)) for beta in betas)
     return CutDisc(
-        branch_values=betas, cuts=cuts, base=base, fiber0=initial_fiber(b, base)
+        branch_values=betas, cuts=cuts, base=base, fiber0=initial_fiber(b, base, settings)
     )
 
 
@@ -158,8 +163,7 @@ def point_in_cut_disc(cd: CutDisc, z: complex, clearance=None) -> bool:
 
 
 def route_in_cut_disc(cd: CutDisc, z: complex) -> PathSpec:
-    """The straight segment from the base point to z, with its clearance
-    from the branch values.
+    """The straight segment from the base point to z.
 
     The cut disc is star-shaped about its base, so the segment avoids every
     cut whenever z does.  Raises PathBlocked unless z is in the cut disc
@@ -168,11 +172,7 @@ def route_in_cut_disc(cd: CutDisc, z: complex) -> PathSpec:
     start, end = complex(cd.base), complex(z)
     if not point_in_cut_disc(cd, end):
         raise PathBlocked(f"no cut-avoiding route from {start:.4f} to {end:.4f}")
-    clearance = min(
-        (point_segment_distance(v, start, end) for v in cd.branch_values),
-        default=1.0,
-    )
-    return PathSpec(segments=(Line(start, end),), clearance=clearance)
+    return PathSpec(segments=(Line(start, end),))
 
 
 def _labeled_fibers(b, zs, cd: CutDisc) -> list:

@@ -20,11 +20,11 @@ import numpy as np
 
 from .analysis import analyze
 from .blaschke import from_spec
-from .bundle import bundle_report
+from .bundle import build_cut_disc, bundle_report
 from .config import DEFAULTS
 from .errors import ToolkitError
-from .monodromy import loop_setup
-from .tracking import track_with_trace
+from .monodromy import crossing_paths
+from .tracking import PathSpec, track_with_trace
 from .znmodel import zn_end_to_end
 
 __all__ = ["main"]
@@ -115,16 +115,18 @@ def cmd_verify_gamma(args) -> int:
 
 def cmd_trace_loop(args) -> int:
     b = _load(args.spec)
-    settings = dataclasses.replace(DEFAULTS, seed=args.seed)
-    _, fiber0, loops = loop_setup(b, settings)
-    if not 0 <= args.index < len(loops.loops):
+    cd = build_cut_disc(b)
+    betas, pairs = crossing_paths(cd)
+    if not 0 <= args.index < len(betas):
         print(
             f"error: loop index {args.index} out of range "
-            f"(have {len(loops.loops)} branch values)",
+            f"(have {len(betas)} branch values)",
             file=sys.stderr,
         )
         return 2
-    _, trace = track_with_trace(b, fiber0, loops.loops[args.index], settings)
+    there, back = pairs[args.index]
+    loop = PathSpec(there.segments + back.reversed().segments)
+    _, trace = track_with_trace(b, cd.fiber0, loop)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -158,32 +160,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
-        if spec:
-            p.add_argument("spec", help="JSON file {\"theta\": t, \"zeros\": [[re, im], ...]}")
+    def spec(p):
+        p.add_argument("spec", help="JSON file {\"theta\": t, \"zeros\": [[re, im], ...]}")
+
+    def common(p):
         p.add_argument("--seed", type=int, default=DEFAULTS.seed)
         p.add_argument("--report", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("analyze", help="monodromy + commutant + theorem checks")
+    spec(p)
     common(p)
     p.add_argument("--newton-tol", type=float, default=DEFAULTS.newton_tol)
     p.add_argument("--dedup-tol", type=float, default=DEFAULTS.dedup_tol)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify-gamma", help="isometry/intertwining/disjointness checks")
+    spec(p)
     common(p)
     p.add_argument("--budget", type=int, default=10 ** 5)
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=cmd_verify_gamma)
 
-    p = sub.add_parser("trace-loop", help="CSV fiber trace around one loop")
-    common(p)
+    p = sub.add_parser("trace-loop", help="CSV fiber trace around one cut-crossing loop")
+    spec(p)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_trace_loop)
 
     p = sub.add_parser("zn", help="power-map oracle end-to-end report")
-    common(p, spec=False)
+    common(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_zn)
     return parser

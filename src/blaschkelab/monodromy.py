@@ -1,11 +1,10 @@
 """Monodromy permutations of a Blaschke covering and their group structure.
 
-Tracking the base fiber around the loop system yields one permutation per
-branch value; these generate the monodromy action of the covering on sheet
-labels.  Each loop is a lollipop (stem, head circle, stem reversed), and its
-permutation is read at the loop head: the fiber is tracked out along the stem
-and once around the head, never back along the stem.  `trace-loop` and
-`tracking.loop_permutation` still track the whole lollipop.
+The generators are read off the cut disc that `bundle` continues its labeled
+inverse branches on: generator k is the jump of the labeled branches across
+the cut from branch value k, found by tracking the base fiber to both sides
+of the cut (`crossing_paths`).  These permutations generate the monodromy
+action of the covering on sheet labels.
 
 Group-level quantities derived here (transitivity, orbit counts on ordered
 pairs, group order) are conjugation invariant and therefore do not depend on
@@ -19,21 +18,23 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .bundle import CutDisc, build_cut_disc
 from .config import DEFAULTS, Settings
-from .errors import BranchCountError
+from .errors import BranchCountError, LoopConstructionFailed
 from .tracking import (
+    Arc,
+    Line,
     PathSpec,
-    build_loops,
-    choose_base_point,
-    initial_fiber,
     match_endpoints,
+    point_segment_distance,
     track_paths,
 )
 
 __all__ = [
     "Permutation",
     "MonodromyRep",
-    "loop_setup",
+    "approach",
+    "crossing_paths",
     "compute_representation",
     "boundary_product",
     "group_order",
@@ -114,74 +115,100 @@ class MonodromyRep:
     boundary_perm: Permutation
 
 
-def loop_setup(b, settings: Settings = DEFAULTS):
-    """(branch data, base fiber, loop system) of `b`, around the chosen base."""
-    data = b.branch_data(settings)
-    base = choose_base_point(b, data.branch_values, settings)
-    fiber0 = initial_fiber(b, base, settings)
-    return data, fiber0, build_loops(b, base, data.branch_values)
+def approach(start: complex, z: complex, branch_values) -> tuple:
+    """The segment from `start` to `z` as contiguous pieces (`Line`s).
 
-
-def _stem_and_head(loop):
-    """(stem segments, head segment) of a lollipop `stem + head + stem^-1`.
-
-    Raises ValueError when the segments after the head are not the stem
-    reversed; the stem may be empty.
+    Each piece is no longer than the distance from its start to the nearest
+    branch value, so it lies in a disc about its start that holds no branch
+    value, on which every inverse branch is single-valued.  Without branch
+    values the segment is one piece.  Raises LoopConstructionFailed if the
+    segment runs into a branch value.
     """
-    segs = loop.segments
-    k = len(segs) // 2
-    stem = segs[:k]
-    if len(segs) % 2 != 1 or segs[k + 1:] != tuple(s.reversed() for s in reversed(stem)):
-        raise ValueError("loop is not a lollipop: its tail is not the reversed stem")
-    return stem, segs[k]
+    pieces, cur = [], complex(start)
+    while True:
+        reach = min((abs(cur - v) for v in branch_values), default=math.inf)
+        if reach == 0.0:
+            raise LoopConstructionFailed(f"the segment to {z:.4f} meets a branch value")
+        if abs(z - cur) <= reach:
+            pieces.append(Line(cur, z))
+            return tuple(pieces)
+        nxt = cur + reach * (z - cur) / abs(z - cur)
+        pieces.append(Line(cur, nxt))
+        cur = nxt
+
+
+def crossing_paths(cd: CutDisc) -> tuple:
+    """(branch values, path pairs) of the cut disc's standard generators.
+
+    The branch values come in ascending arg(beta - base), the loop order.
+    Each has a pair (there, back) of paths from the base; the loop "there,
+    then back reversed" crosses its cut once and no other cut, so it winds
+    once about its branch value and zero times about every other.  With
+    phi = arg(beta - base) and r a third of the least distance from beta to
+    the other cuts (each starts at its branch value), the base and the rim,
+    put z+- = beta + r e^{i(phi +- pi/2)}: "there" is the `approach` to z-
+    and the counterclockwise half circle about beta through the cut to z+,
+    "back" the `approach` to z+.
+
+    The last pair is the boundary loop's: "there" is the `approach` to the
+    point of radius (1 + max|beta|)/2 on the ray from 0 through the base,
+    then that circle once counterclockwise; "back" is the approach alone.
+    """
+    base = complex(cd.base)
+    order = sorted(
+        range(len(cd.branch_values)), key=lambda k: cmath.phase(cd.branch_values[k] - base)
+    )
+    betas = tuple(cd.branch_values[k] for k in order)
+    pairs = []
+    for k in order:
+        beta = cd.branch_values[k]
+        phi = cmath.phase(beta - base)
+        r = min(
+            [point_segment_distance(beta, c.start, c.end)
+             for j, c in enumerate(cd.cuts) if j != k]
+            + [abs(beta - base), 1.0 - abs(beta)]
+        ) / 3.0
+        half = Arc(beta, r, phi - math.pi / 2.0, phi + math.pi / 2.0)
+        there = approach(base, half.point(0.0), betas) + (half,)
+        pairs.append((PathSpec(there), PathSpec(approach(base, half.point(1.0), betas))))
+    rc = (1.0 + max((abs(v) for v in betas), default=0.0)) / 2.0
+    a0 = cmath.phase(base) if abs(base) > 0 else 0.0
+    circle = Arc(0j, rc, a0, a0 + 2.0 * math.pi)
+    stem = approach(base, circle.point(0.0), betas)
+    pairs.append((PathSpec(stem + (circle,)), PathSpec(stem)))
+    return betas, tuple(pairs)
 
 
 def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
-    """Full monodromy computation: branch data, loops, tracked permutations.
+    """Full monodromy computation: branch data, cut disc, tracked permutations.
 
-    Generators follow the loop order (ascending argument of branch value
-    minus base); the boundary permutation is tracked independently around the
-    enclosing circle rather than inferred from the generators.
-
-    Each loop is a lollipop sigma * c * sigma^-1, and tracking keeps slot
-    labels, so its permutation is that of the head circle c read in the fiber
-    at the head's entry point.  The return stem is never tracked: one
-    `track_paths` call carries two rows per loop, the stem alone (ending in
-    the entry fiber; `fiber0` when the stem is empty) and the stem followed
-    by the head.  Rows are bit-identical to tracking each path alone and the
-    step resets at every segment, so the stem row's end is exactly the fiber
-    the second row passes through at the head's start.  The first failing
-    loop in loop order raises its error, its stem's error first.  `trace-loop`
-    still traces the whole lollipop.
+    The generators are the transition maps of the cut disc that `bundle`
+    labels its inverse branches on (`bundle.build_cut_disc`): generator k is
+    the jump of the labeled branches across cut k.  One `track_paths` call
+    carries every row of `crossing_paths` from the labeling fiber; a pair's
+    permutation matches the end of "back" to the end of "there", which is
+    the permutation of the closed loop "there, then back reversed", since
+    tracking keeps slot labels.  Generators follow the loop order (ascending
+    argument of branch value minus base); the boundary permutation is
+    tracked independently around the enclosing circle rather than inferred
+    from the generators.  The first failing row in path order raises its
+    error.
 
     Each generator's nontrivial cycle lengths must equal the local degrees
     of the critical points over its branch value (`BranchData.local_degrees`),
     the local structure of a branched cover; the first generator in loop
     order that disagrees raises `BranchCountError`.
     """
-    data, fiber0, loops = loop_setup(b, settings)
-    paths, rows = [], []
-    for loop in loops.loops + (loops.boundary_loop,):
-        stem, head = _stem_and_head(loop)
-        stem_row = None
-        if stem:
-            stem_row = len(paths)
-            paths.append(PathSpec(segments=stem, clearance=loop.clearance))
-        paths.append(PathSpec(segments=stem + (head,), clearance=loop.clearance))
-        rows.append((stem_row, len(paths) - 1))
-    ends = track_paths(b, fiber0, paths, settings)
-    perms = []
-    for stem_row, head_row in rows:
-        # The head row repeats the stem row step for step, so it fails with
-        # the stem's own error there and reaches the head only if the stem
-        # row ended in a fiber.
-        end = ends[head_row]
+    data = b.branch_data(settings)
+    cd = build_cut_disc(b, branch_values=data.branch_values, settings=settings)
+    betas, pairs = crossing_paths(cd)
+    ends = track_paths(b, cd.fiber0, [path for pair in pairs for path in pair], settings)
+    for end in ends:
         if isinstance(end, Exception):
             raise end
-        entry = fiber0 if stem_row is None else ends[stem_row]
-        perms.append(match_endpoints(entry, end))
+    perms = [match_endpoints(back, there) for there, back in zip(ends[::2], ends[1::2])]
     local_degrees = dict(zip(data.branch_values, data.local_degrees))
-    for beta, g in zip(loops.branch_values, perms):
+    for beta, g in zip(betas, perms):
         cycles = tuple(k for k in g.cycle_type() if k > 1)
         if cycles != local_degrees[beta]:
             raise BranchCountError(
@@ -189,8 +216,8 @@ def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
                 f"but the critical points over it have local degrees {local_degrees[beta]}"
             )
     return MonodromyRep(
-        base=loops.base,
-        branch_values=loops.branch_values,
+        base=cd.base,
+        branch_values=betas,
         generators=tuple(perms[:-1]),
         boundary_perm=perms[-1],
     )
@@ -199,12 +226,13 @@ def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
 def boundary_product(rep: MonodromyRep) -> Permutation:
     """Product of the generators in the order a boundary sweep crosses them.
 
-    The lollipop stems leave the base along straight rays; sweeping
-    counterclockwise from the boundary loop's own stem direction (the ray
-    from the origin through the base) crosses them in cyclic order of
-    arg(branch value - base) relative to arg(base).  Composing the generators
-    in that traversal order gives the class of the boundary loop, which
-    `compute_representation` verifies by independent tracking.
+    The generator loops leave the base along straight segments, each toward
+    its branch value; sweeping counterclockwise from the boundary loop's own
+    approach direction (the ray from the origin through the base) crosses
+    them in cyclic order of arg(branch value - base) relative to arg(base).
+    Composing the generators in that traversal order gives the class of the
+    boundary loop, which `compute_representation` verifies by independent
+    tracking.
     """
     n = rep.boundary_perm.n
     if not rep.generators:

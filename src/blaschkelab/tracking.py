@@ -2,8 +2,7 @@
 
 B is an n-to-1 branched cover of the disc; away from the branch values each
 w has a fiber of n distinct preimages.  This module computes initial fibers,
-builds a lollipop loop system around the branch values, and continues whole
-fibers along paths with an Euler predictor (dz = dw / B'(z)) plus a Newton
+chooses the base point, and continues whole fibers along paths with an Euler predictor (dz = dw / B'(z)) plus a Newton
 corrector, halving the step until every corrector run is certified: few
 iterations, small residual, and corrections an order of magnitude smaller
 than the fiber separation.
@@ -28,7 +27,6 @@ from .cpoly import roots
 from .errors import (
     AmbiguousMatching,
     FiberCollision,
-    LoopConstructionFailed,
     StepFloorReached,
 )
 
@@ -37,10 +35,8 @@ __all__ = [
     "Arc",
     "PathSpec",
     "Fiber",
-    "LoopSystem",
     "initial_fiber",
     "choose_base_point",
-    "build_loops",
     "track",
     "track_paths",
     "track_with_trace",
@@ -83,9 +79,6 @@ class Line:
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
 
-    def distance_to(self, p: complex) -> float:
-        return point_segment_distance(p, self.start, self.end)
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -103,33 +96,12 @@ class Arc:
     def reversed(self) -> "Arc":
         return Arc(self.center, self.radius, self.a1, self.a0)
 
-    def distance_to(self, p: complex) -> float:
-        v = p - self.center
-        r = abs(v)
-        if r == 0.0:
-            return self.radius
-        phi = cmath.phase(v)
-        lo, hi = min(self.a0, self.a1), max(self.a0, self.a1)
-        # Does phi + 2*pi*k land inside the swept interval for some integer k?
-        k0 = math.floor((lo - phi) / _TWO_PI)
-        inside = any(
-            lo <= phi + _TWO_PI * k <= hi for k in (k0, k0 + 1, k0 + 2)
-        )
-        if inside:
-            return abs(r - self.radius)
-        return min(abs(p - self.point(0.0)), abs(p - self.point(1.0)))
-
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Piecewise path (lines and arcs) with a recorded obstacle clearance.
-
-    `clearance` is the analytic minimum distance from the path to the branch
-    values it was built against (0.0 when built against none).
-    """
+    """Piecewise path of lines and arcs."""
 
     segments: tuple
-    clearance: float = 0.0
 
     def __post_init__(self):
         for a, b in zip(self.segments, self.segments[1:]):
@@ -150,7 +122,7 @@ class PathSpec:
 
     def reversed(self) -> "PathSpec":
         segs = tuple(s.reversed() for s in reversed(self.segments))
-        return PathSpec(segments=segs, clearance=self.clearance)
+        return PathSpec(segments=segs)
 
 
 @dataclass(frozen=True)
@@ -165,20 +137,6 @@ class Fiber:
     w: complex
     points: tuple
     separation: float
-
-
-@dataclass(frozen=True)
-class LoopSystem:
-    """One lollipop loop per branch value plus the outer boundary loop.
-
-    `branch_values` and `loops` share their order: ascending argument of
-    (branch value - base).
-    """
-
-    base: complex
-    branch_values: tuple
-    loops: tuple
-    boundary_loop: PathSpec
 
 
 @lru_cache(maxsize=None)
@@ -292,135 +250,6 @@ def choose_base_point(b, branch_values, settings: Settings = DEFAULTS) -> comple
     score[rim <= 0.0] = -np.inf
     i, j = np.unravel_index(np.argmax(score), score.shape)
     return complex(centers[i], centers[j])
-
-
-def _chord_params(a, b, center, radius):
-    """Parameters where segment a->b crosses the circle, or None."""
-    d = b - a
-    dd = abs(d) ** 2
-    if dd == 0.0:
-        return None
-    f = a - center
-    t_mid = -(f * d.conjugate()).real / dd
-    disc = radius**2 - abs(f + t_mid * d) ** 2
-    if disc <= 0.0:
-        return None
-    half = math.sqrt(disc / dd)
-    t1, t2 = t_mid - half, t_mid + half
-    if t2 <= 0.0 or t1 >= 1.0:
-        return None
-    if t1 < 0.0 or t2 > 1.0:
-        # Endpoint inside the obstacle circle: caller geometry is broken.
-        raise LoopConstructionFailed("path endpoint inside a detour circle")
-    return t1, t2
-
-
-def _detour_segments(a, b, obstacles):
-    """Straight run from a to b with semicircular detours around every
-    obstacle circle the chord crosses.
-
-    Each obstacle is (center, radius, pass_left); `pass_left` selects the
-    side of the obstacle the detour bulges to (relative to the direction of
-    travel), which fixes the homotopy class of the resulting path in the
-    punctured disc.
-    """
-    hits = []
-    for center, radius, pass_left in obstacles:
-        params = _chord_params(a, b, center, radius)
-        if params is not None:
-            hits.append((params[0], params[1], center, radius, pass_left))
-    hits.sort(key=lambda h: h[0])
-    for (s0, s1, *_), (t0, t1, *_) in zip(hits, hits[1:]):
-        if t0 < s1:
-            raise LoopConstructionFailed("overlapping detour circles on one stem")
-    segs = []
-    cur = a
-    for t1, t2, center, radius, pass_left in hits:
-        p1 = a + t1 * (b - a)
-        p2 = a + t2 * (b - a)
-        segs.append(Line(cur, p1))
-        a1 = cmath.phase(p1 - center)
-        a2 = cmath.phase(p2 - center)
-        if pass_left:
-            while a2 >= a1:
-                a2 -= _TWO_PI
-        else:
-            while a2 <= a1:
-                a2 += _TWO_PI
-        segs.append(Arc(center, radius, a1, a2))
-        cur = p2
-    segs.append(Line(cur, b))
-    return [s for s in segs if not (isinstance(s, Line) and abs(s.end - s.start) < 1e-15)]
-
-
-def _loop_radii(branch_values, base):
-    radii = []
-    for i, beta in enumerate(branch_values):
-        others = [abs(beta - other) for j, other in enumerate(branch_values) if j != i]
-        nearest = min(others) if others else math.inf
-        radii.append(min(nearest, 1.0 - abs(beta), abs(base - beta)) / 3.0)
-    return radii
-
-
-def build_loops(b, base, branch_values) -> LoopSystem:
-    """Lollipop loop system: per-branch-value loops plus the boundary loop.
-
-    Each loop runs from the base straight toward its branch value (detouring
-    around any other branch value whose guard circle blocks the stem), once
-    counterclockwise around the head circle, and back along the same stem.
-    The boundary loop is a circle at radius (1 + max|branch value|)/2 reached
-    by a radial stem, enclosing every branch value exactly once.
-
-    Detour sides are chosen so that every stem stays homotopic (in the disc
-    punctured at the branch values) to the straight ray toward its target: a
-    detour around an obstructing value passes on the side of the obstruction
-    that the ideal ray passes, i.e. on its left exactly when the obstruction
-    sits clockwise of the stem direction.  This is what makes the boundary
-    permutation equal the sweep-ordered product of the generators.
-    """
-
-    def _pass_left(obstacle_angle, stem_angle):
-        return (obstacle_angle - stem_angle) % _TWO_PI > math.pi
-
-    betas = sorted(branch_values, key=lambda v: cmath.phase(v - base))
-    angles = [cmath.phase(v - base) for v in betas]
-    radii = _loop_radii(betas, base)
-    loops = []
-    for i, beta in enumerate(betas):
-        r = radii[i]
-        entry = beta + r * (base - beta) / abs(base - beta)
-        obstacles = [
-            (betas[j], radii[j] / 2.0, _pass_left(angles[j], angles[i]))
-            for j in range(len(betas))
-            if j != i
-        ]
-        stem = _detour_segments(base, entry, obstacles)
-        a0 = cmath.phase(entry - beta)
-        head = Arc(beta, r, a0, a0 + _TWO_PI)
-        segs = tuple(stem + [head] + [s.reversed() for s in reversed(stem)])
-        clearance = min(
-            min(s.distance_to(v) for s in segs) for v in betas
-        )
-        loops.append(PathSpec(segments=segs, clearance=clearance))
-    rc = (1.0 + max((abs(v) for v in betas), default=0.0)) / 2.0
-    direction = base / abs(base) if abs(base) > 0 else 1.0 + 0j
-    rim_point = rc * direction
-    phi0 = cmath.phase(direction)
-    obstacles = [
-        (betas[j], radii[j] / 2.0, _pass_left(angles[j], phi0))
-        for j in range(len(betas))
-    ]
-    stem = _detour_segments(base, rim_point, obstacles)
-    a0 = cmath.phase(rim_point)
-    head = Arc(0j, rc, a0, a0 + _TWO_PI)
-    segs = tuple(stem + [head] + [s.reversed() for s in reversed(stem)])
-    clearance = (
-        min(min(s.distance_to(v) for s in segs) for v in betas) if betas else rc
-    )
-    boundary = PathSpec(segments=segs, clearance=clearance)
-    return LoopSystem(
-        base=base, branch_values=tuple(betas), loops=tuple(loops), boundary_loop=boundary
-    )
 
 
 def track_paths(b, fiber, paths, settings: Settings = DEFAULTS) -> list:

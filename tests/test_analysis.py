@@ -17,12 +17,12 @@ from blaschkelab import (
     FiberCollision,
     Permutation,
     analyze,
+    build_cut_disc,
     choose_base_point,
     random_product,
     to_spec,
 )
 from blaschkelab.cli import main
-from blaschkelab.monodromy import loop_setup
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _ERROR_RE = re.compile(r"error \[(?:\w+\.)*(\w+)\]")
@@ -82,7 +82,7 @@ def test_root_solving_is_seed_free():
         for seed in (0, 5):
             settings = replace(DEFAULTS, seed=seed)
             rep = analyze(b, settings).rep
-            _, fiber0, _ = loop_setup(b, settings)
+            fiber0 = build_cut_disc(b, settings=settings).fiber0
             runs.append((
                 rep.base,
                 np.array(rep.branch_values).tobytes(),

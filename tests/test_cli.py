@@ -3,8 +3,10 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from blaschkelab import random_product, to_spec
 from blaschkelab.cli import main
 
 
@@ -124,6 +126,27 @@ def test_trace_loop_csv(tmp_path, square_spec):
 def test_trace_loop_bad_index(square_spec, capsys):
     assert main(["trace-loop", str(square_spec), "--index", "5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--report", "trace.json"]])
+def test_trace_loop_takes_no_seed_or_report(square_spec, capsys, flag):
+    # Nothing on the trace's path reads a seed, and the CSV goes to --out.
+    assert main(["trace-loop", str(square_spec), "--index", "0", *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_trace_loop_closes_the_crossing_loop_of_suite_product27(tmp_path):
+    # Product 27 has seven branch values within 3e-3 of 0; the closed
+    # crossing loop of the first tracks whole and returns to the base.
+    rng = np.random.default_rng(2026)
+    products = [random_product(order, rng, radius=0.6) for order in range(3, 9) for _ in range(5)]
+    spec = tmp_path / "product27.json"
+    spec.write_text(json.dumps(to_spec(products[27])))
+    out = tmp_path / "trace.csv"
+    assert main(["trace-loop", str(spec), "--index", "0", "--out", str(out)]) == 0
+    with out.open() as fh:
+        rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    assert rows[0][:3] == [0.0, *rows[-1][1:3]] and rows[-1][0] == 1.0
 
 
 def test_zn_subcommand(capsys):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import cmath
 import math
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,23 +13,37 @@ from blaschkelab import (
     DEFAULTS,
     BlaschkeProduct,
     BranchCountError,
+    LoopConstructionFailed,
     Permutation,
+    approach,
     boundary_product,
+    build_cut_disc,
+    choose_base_point,
     compute_representation,
+    crossing_paths,
     group_order,
+    initial_fiber,
     is_transitive,
     orbital_count,
+    point_in_cut_disc,
     random_product,
+    sigma_values,
 )
-from blaschkelab.monodromy import _stem_and_head, loop_setup
+from blaschkelab import bundle
 from blaschkelab.tracking import (
     Arc,
+    Fiber,
     Line,
     PathSpec,
+    fiber_separation,
     loop_permutation,
+    match_endpoints,
+    point_segment_distance,
     track,
-    track_with_trace,
+    winding_number,
 )
+
+_TWO_PI = 2.0 * math.pi
 
 
 class GroupTooLarge(Exception):
@@ -270,54 +286,322 @@ def _acceptance_products():
     return [random_product(order, rng, radius=0.6) for order in (3, 4, 5, 6) for _ in range(5)]
 
 
-_HEAD_READ_CASES = [
-    pytest.param(b, id=f"product{i:02d}") for i, b in enumerate(_acceptance_products())
-] + [pytest.param(BlaschkeProduct(0.0, [0.0] * n), id=f"z^{n}") for n in range(2, 7)]
+def _suite_product(index):
+    """Product `index` of the seed-2026 radius-0.6 suite (orders 3-8, five each)."""
+    rng = np.random.default_rng(2026)
+    products = [random_product(order, rng, radius=0.6) for order in range(3, 9) for _ in range(5)]
+    return products[index]
 
 
-@pytest.mark.parametrize("b", _HEAD_READ_CASES)
-def test_generators_read_at_the_loop_head_match_whole_lollipops(b):
-    # The reference tracks every lollipop out, around and back to the base.
-    rep = compute_representation(b)
-    _, fiber0, loops = loop_setup(b)
-    whole = [loop_permutation(b, fiber0, loop) for loop in loops.loops + (loops.boundary_loop,)]
-    assert list(rep.generators) + [rep.boundary_perm] == whole
+def _sweep_draw(order, draw):
+    """Draw `draw` of the order sweep: radius-0.6 products from default_rng(1000 + order)."""
+    rng = np.random.default_rng(1000 + order)
+    for _ in range(draw + 1):
+        b = random_product(order, rng, radius=0.6)
+    return b
 
 
-@pytest.mark.parametrize("index", [0, 5, 10, 15, 19])
-def test_stem_end_is_the_whole_loop_node_at_the_head_entry(index):
-    b = _acceptance_products()[index]
-    _, fiber0, loops = loop_setup(b)
+# The lollipop loop system the generators were once tracked on, kept as the
+# reference for the cut-crossing generators: one loop per branch value (stem
+# from the base, a circle about the value, the stem back) plus the boundary
+# loop.
+
+
+@dataclass(frozen=True)
+class LoopSystem:
+    """One lollipop loop per branch value plus the outer boundary loop.
+
+    `branch_values` and `loops` share their order: ascending argument of
+    (branch value - base).
+    """
+
+    base: complex
+    branch_values: tuple
+    loops: tuple
+    boundary_loop: PathSpec
+
+
+def _chord_params(a, b, center, radius):
+    """Parameters where segment a->b crosses the circle, or None."""
+    d = b - a
+    dd = abs(d) ** 2
+    if dd == 0.0:
+        return None
+    f = a - center
+    t_mid = -(f * d.conjugate()).real / dd
+    disc = radius**2 - abs(f + t_mid * d) ** 2
+    if disc <= 0.0:
+        return None
+    half = math.sqrt(disc / dd)
+    t1, t2 = t_mid - half, t_mid + half
+    if t2 <= 0.0 or t1 >= 1.0:
+        return None
+    if t1 < 0.0 or t2 > 1.0:
+        # Endpoint inside the obstacle circle: caller geometry is broken.
+        raise LoopConstructionFailed("path endpoint inside a detour circle")
+    return t1, t2
+
+
+def _detour_segments(a, b, obstacles):
+    """Straight run from a to b with semicircular detours around every
+    obstacle circle the chord crosses.
+
+    Each obstacle is (center, radius, pass_left); `pass_left` selects the
+    side of the obstacle the detour bulges to (relative to the direction of
+    travel), which fixes the homotopy class of the resulting path in the
+    punctured disc.
+    """
+    hits = []
+    for center, radius, pass_left in obstacles:
+        params = _chord_params(a, b, center, radius)
+        if params is not None:
+            hits.append((params[0], params[1], center, radius, pass_left))
+    hits.sort(key=lambda h: h[0])
+    for (s0, s1, *_), (t0, t1, *_) in zip(hits, hits[1:]):
+        if t0 < s1:
+            raise LoopConstructionFailed("overlapping detour circles on one stem")
+    segs = []
+    cur = a
+    for t1, t2, center, radius, pass_left in hits:
+        p1 = a + t1 * (b - a)
+        p2 = a + t2 * (b - a)
+        segs.append(Line(cur, p1))
+        a1 = cmath.phase(p1 - center)
+        a2 = cmath.phase(p2 - center)
+        if pass_left:
+            while a2 >= a1:
+                a2 -= _TWO_PI
+        else:
+            while a2 <= a1:
+                a2 += _TWO_PI
+        segs.append(Arc(center, radius, a1, a2))
+        cur = p2
+    segs.append(Line(cur, b))
+    return [s for s in segs if not (isinstance(s, Line) and abs(s.end - s.start) < 1e-15)]
+
+
+def _loop_radii(branch_values, base):
+    radii = []
+    for i, beta in enumerate(branch_values):
+        others = [abs(beta - other) for j, other in enumerate(branch_values) if j != i]
+        nearest = min(others) if others else math.inf
+        radii.append(min(nearest, 1.0 - abs(beta), abs(base - beta)) / 3.0)
+    return radii
+
+
+def build_loops(b, base, branch_values) -> LoopSystem:
+    """Lollipop loop system: per-branch-value loops plus the boundary loop.
+
+    Each loop runs from the base straight toward its branch value (detouring
+    around any other branch value whose guard circle blocks the stem), once
+    counterclockwise around the head circle, and back along the same stem.
+    The boundary loop is a circle at radius (1 + max|branch value|)/2 reached
+    by a radial stem, enclosing every branch value exactly once.
+
+    Detour sides are chosen so that every stem stays homotopic (in the disc
+    punctured at the branch values) to the straight ray toward its target: a
+    detour around an obstructing value passes on the side of the obstruction
+    that the ideal ray passes, i.e. on its left exactly when the obstruction
+    sits clockwise of the stem direction.  This is what makes the boundary
+    permutation equal the sweep-ordered product of the generators.
+    """
+
+    def _pass_left(obstacle_angle, stem_angle):
+        return (obstacle_angle - stem_angle) % _TWO_PI > math.pi
+
+    betas = sorted(branch_values, key=lambda v: cmath.phase(v - base))
+    angles = [cmath.phase(v - base) for v in betas]
+    radii = _loop_radii(betas, base)
+    loops = []
+    for i, beta in enumerate(betas):
+        r = radii[i]
+        entry = beta + r * (base - beta) / abs(base - beta)
+        obstacles = [
+            (betas[j], radii[j] / 2.0, _pass_left(angles[j], angles[i]))
+            for j in range(len(betas))
+            if j != i
+        ]
+        stem = _detour_segments(base, entry, obstacles)
+        a0 = cmath.phase(entry - beta)
+        head = Arc(beta, r, a0, a0 + _TWO_PI)
+        segs = tuple(stem + [head] + [s.reversed() for s in reversed(stem)])
+        loops.append(PathSpec(segments=segs))
+    rc = (1.0 + max((abs(v) for v in betas), default=0.0)) / 2.0
+    direction = base / abs(base) if abs(base) > 0 else 1.0 + 0j
+    rim_point = rc * direction
+    phi0 = cmath.phase(direction)
+    obstacles = [
+        (betas[j], radii[j] / 2.0, _pass_left(angles[j], phi0))
+        for j in range(len(betas))
+    ]
+    stem = _detour_segments(base, rim_point, obstacles)
+    a0 = cmath.phase(rim_point)
+    head = Arc(0j, rc, a0, a0 + _TWO_PI)
+    segs = tuple(stem + [head] + [s.reversed() for s in reversed(stem)])
+    boundary = PathSpec(segments=segs)
+    return LoopSystem(
+        base=base, branch_values=tuple(betas), loops=tuple(loops), boundary_loop=boundary
+    )
+
+
+_CASES = {
+    **{f"product{i:02d}": b for i, b in enumerate(_acceptance_products())},
+    **{f"z^{n}": BlaschkeProduct(0.0, [0.0] * n) for n in range(2, 7)},
+    "C(z^2)": BlaschkeProduct(0.0, [0.0, 0.0, 0.5, -0.5]),
+    "suite-product13": _suite_product(13),
+    "suite-product27": _suite_product(27),
+    "sweep-order6-draw14": _sweep_draw(6, 14),
+    "sweep-order10-draw14": _sweep_draw(10, 14),
+}
+
+
+@lru_cache(maxsize=None)
+def _lollipops(name):
+    """(base fiber, loop system, generators and boundary permutation) of the
+    lollipop loops of case `name`, each loop read at its head.
+
+    The stem is tracked alone and together with the head circle, and the
+    two ends are matched.  That is the whole lollipop's permutation whenever
+    its return stem tracks, since tracking keeps slot labels; on suite
+    product 27 and the two sweep draws a return stem raises FiberCollision.
+    """
+    b = _CASES[name]
+    data = b.branch_data()
+    fiber0 = initial_fiber(b, choose_base_point(b, data.branch_values))
+    loops = build_loops(b, fiber0.w, data.branch_values)
+    perms = []
     for loop in loops.loops + (loops.boundary_loop,):
-        stem, _ = _stem_and_head(loop)
-        assert stem
-        entry = track(b, fiber0, PathSpec(stem))
-        _, nodes = track_with_trace(b, fiber0, loop)
-        at_entry = [(w, pts) for t, w, pts in nodes if t == len(stem) / len(loop.segments)]
-        assert len(at_entry) == 1
-        w, pts = at_entry[0]
-        assert w == entry.w
-        assert np.array(pts).tobytes() == np.array(entry.points).tobytes()
+        k = len(loop.segments) // 2
+        stem = loop.segments[:k]
+        entry = track(b, fiber0, PathSpec(stem)) if stem else fiber0
+        perms.append(match_endpoints(entry, track(b, fiber0, PathSpec(loop.segments[:k + 1]))))
+    return fiber0, loops, perms
+
+
+def _closed(pair) -> PathSpec:
+    """The closed loop "there, then back reversed" of a crossing pair."""
+    there, back = pair
+    return PathSpec(there.segments + back.reversed().segments)
+
+
+@pytest.mark.parametrize(
+    "name", [f"product{i:02d}" for i in range(20)] + [f"z^{n}" for n in range(2, 7)]
+)
+def test_generators_read_at_the_loop_head_match_whole_lollipops(name):
+    # The reference reads each lollipop at its head; where the whole
+    # lollipop tracks out, around and back, it gives the same permutation.
+    b = _CASES[name]
+    fiber0, loops, perms = _lollipops(name)
+    whole = [loop_permutation(b, fiber0, loop) for loop in loops.loops + (loops.boundary_loop,)]
+    assert perms == whole
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_cut_crossing_generators_match_the_lollipop_reference(name):
+    b = _CASES[name]
+    rep = compute_representation(b)
+    fiber0, loops, perms = _lollipops(name)
+    assert rep.base == fiber0.w
+    assert rep.branch_values == loops.branch_values
+    assert list(rep.generators) + [rep.boundary_perm] == perms
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_closed_crossing_loops_wind_once_and_give_the_generators(name):
+    b = _CASES[name]
+    rep = compute_representation(b)
+    cd = build_cut_disc(b)
+    betas, pairs = crossing_paths(cd)
+    assert betas == rep.branch_values
+    assert len(pairs) == len(betas) + 1
+    for k, pair in enumerate(pairs):
+        loop = _closed(pair)
+        assert loop.is_closed and loop.start == cd.base
+        for j, beta in enumerate(betas):
+            # The boundary loop, last, winds once about every branch value.
+            expected = 1.0 if j == k or k == len(betas) else 0.0
+            assert winding_number(loop, beta) == pytest.approx(expected, abs=1e-6)
+    whole = [loop_permutation(b, cd.fiber0, _closed(pair)) for pair in pairs]
+    assert whole == list(rep.generators) + [rep.boundary_perm]
+
+
+def test_labeled_fibers_across_each_cut_give_its_generator():
+    # The bundle's labeled branches jump across cut k by generator k: the
+    # labeled fiber beside the cut, continued across it, lands on the
+    # labeled fiber on its other side permuted by that generator.  The two
+    # points sit at the point of the cut with the most room from the other
+    # cuts and the rim, half that room to each side; a cut is checked when
+    # both points are ones the bundle's sampler could draw.
+    checked = 0
+    for name in [f"product{i:02d}" for i in range(20)] + ["C(z^2)"]:
+        b = _CASES[name]
+        rep = compute_representation(b)
+        cd = build_cut_disc(b)
+        for beta, g in zip(rep.branch_values, rep.generators):
+            k = cd.branch_values.index(beta)
+            cut = cd.cuts[k]
+
+            def room(p):
+                return min(
+                    [point_segment_distance(p, c.start, c.end)
+                     for j, c in enumerate(cd.cuts) if j != k]
+                    + [1.0 - abs(p)]
+                )
+
+            mid = max((cut.point(t) for t in np.linspace(0.0, 1.0, 65)[1:-1]), key=room)
+            offset = 0.5 * room(mid) * 1j * (cut.end - cut.start) / abs(cut.end - cut.start)
+            minus, plus = mid - offset, mid + offset
+            if not all(
+                point_in_cut_disc(cd, z, clearance=bundle._CUT_CLEARANCE)
+                and min(abs(z - v) for v in cd.branch_values) >= bundle._BRANCH_CLEARANCE
+                for z in (minus, plus)
+            ):
+                continue
+            sig_minus, sig_plus = (sigma_values(b, z, cut_disc=cd) for z in (minus, plus))
+            crossed = track(
+                b,
+                Fiber(minus, tuple(sig_minus), float(fiber_separation(sig_minus))),
+                PathSpec((Line(minus, plus),)),
+            )
+            labeled = Fiber(plus, tuple(sig_plus), float(fiber_separation(sig_plus)))
+            assert match_endpoints(labeled, crossed) == g, (name, k)
+            checked += 1
+    # Clustered branch values near 0 leave the other 27 cuts too close
+    # together for the sampler.
+    assert checked == 45
+
+
+def test_approach_pieces_stay_in_branch_free_discs():
+    rng = np.random.default_rng(31)
+
+    def point():
+        return 0.95 * math.sqrt(rng.random()) * cmath.exp(_TWO_PI * 1j * rng.random())
+
+    for _ in range(200):
+        betas = [point() for _ in range(int(rng.integers(1, 9)))]
+        start, z = point(), point()
+        pieces = approach(start, z, betas)
+        assert pieces[0].start == start and pieces[-1].end == z
+        for a, nxt in zip(pieces, pieces[1:]):
+            assert a.end == nxt.start
+        for piece in pieces:
+            # Up to rounding: the points lie in the unit disc.
+            reach = min(abs(piece.start - v) for v in betas)
+            assert abs(piece.end - piece.start) <= reach + 1e-15
+    assert approach(0.1, 0.5j, ()) == (Line(0.1, 0.5j),)
+    with pytest.raises(LoopConstructionFailed):
+        approach(0.5, -0.5, [0j])
 
 
 def test_failing_first_loop_raises_what_tracking_it_whole_raises(order3):
+    # With every row failing, the first "there" row's error is raised.
     settings = replace(DEFAULTS, newton_tol=1e-30)
-    _, fiber0, loops = loop_setup(order3, settings)
+    cd = build_cut_disc(order3, settings=settings)
+    _, pairs = crossing_paths(cd)
     with pytest.raises(Exception) as whole:
-        track(order3, fiber0, loops.loops[0], settings)
+        track(order3, cd.fiber0, pairs[0][0], settings)
     with pytest.raises(type(whole.value), match=f"^{re.escape(str(whole.value))}$"):
         compute_representation(order3, settings)
-
-
-def test_stem_and_head_split_only_lollipops():
-    circle = Arc(0.5 + 0.5j, 0.1, 0.0, 2.0 * math.pi)
-    assert _stem_and_head(PathSpec((circle,))) == ((), circle)
-    stem = Line(0j, 0.6 + 0.5j)
-    assert _stem_and_head(PathSpec((stem, circle, stem.reversed()))) == ((stem,), circle)
-    with pytest.raises(ValueError):
-        _stem_and_head(PathSpec((stem, Line(0.6 + 0.5j, 0j))))
-    with pytest.raises(ValueError):
-        _stem_and_head(PathSpec((stem, circle, Line(0.6 + 0.5j, 0.1j))))
 
 
 def test_altered_local_degrees_fail_the_ramification_guard(monkeypatch):

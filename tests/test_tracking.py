@@ -16,8 +16,9 @@ from blaschkelab import (
     PathSpec,
     StepFloorReached,
     ToolkitError,
-    build_loops,
+    build_cut_disc,
     choose_base_point,
+    crossing_paths,
     initial_fiber,
     loop_permutation,
     random_product,
@@ -25,7 +26,6 @@ from blaschkelab import (
     track,
     track_paths,
     track_with_trace,
-    winding_number,
 )
 from blaschkelab import tracking
 from blaschkelab.config import DEFAULTS
@@ -89,39 +89,6 @@ def test_choose_base_point_power():
     assert min(abs(w0), 1.0 - abs(w0)) >= 0.25
 
 
-def test_build_loops_square(square):
-    data = square.branch_data()
-    w0 = choose_base_point(square, data.branch_values)
-    loops = build_loops(square, w0, data.branch_values)
-    assert len(loops.loops) == 1
-    assert loops.loops[0].is_closed
-    assert abs(loops.loops[0].start - w0) < 1e-12
-    assert winding_number(loops.loops[0], 0.0) == pytest.approx(1.0, abs=1e-6)
-    assert loops.boundary_loop.is_closed
-    assert winding_number(loops.boundary_loop, 0.0) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_build_loops_winding_matrix():
-    rng = np.random.default_rng(14)
-    b = random_product(4, rng)
-    data = b.branch_data()
-    w0 = choose_base_point(b, data.branch_values)
-    loops = build_loops(b, w0, data.branch_values)
-    betas = loops.branch_values
-    assert len(loops.loops) == len(betas)
-    for i, loop in enumerate(loops.loops):
-        assert loop.is_closed
-        for j, beta in enumerate(betas):
-            expected = 1.0 if i == j else 0.0
-            assert winding_number(loop, beta) == pytest.approx(expected, abs=1e-6)
-    for beta in betas:
-        assert winding_number(loops.boundary_loop, beta) == pytest.approx(
-            1.0, abs=1e-6
-        )
-    phases = [cmath.phase(beta - w0) for beta in betas]
-    assert phases == sorted(phases)
-
-
 def test_track_square_monodromy(square):
     fib = initial_fiber(square, 0.25)
     end = track(square, fib, _circle(0.0, 0.25))
@@ -159,11 +126,12 @@ def test_track_reversal_roundtrip(order3):
 
 
 def test_track_keeps_residuals_and_separation(order3):
-    data = order3.branch_data()
-    w0 = choose_base_point(order3, data.branch_values)
-    loops = build_loops(order3, w0, data.branch_values)
-    fib = initial_fiber(order3, w0)
-    end, rows = track_with_trace(order3, fib, loops.loops[0])
+    cd = build_cut_disc(order3)
+    w0, fib = cd.base, cd.fiber0
+    _, pairs = crossing_paths(cd)
+    there, back = pairs[0]
+    loop = PathSpec(there.segments + back.reversed().segments)
+    end, rows = track_with_trace(order3, fib, loop)
     assert len(rows) >= 2
     assert rows[0][0] == 0.0
     assert rows[-1][0] == 1.0
@@ -391,9 +359,10 @@ def _seeded_products(count):
 @pytest.mark.parametrize("b", _seeded_products(5))
 def test_track_paths_matches_scalar_reference(b):
     data = b.branch_data()
-    base = choose_base_point(b, data.branch_values)
-    loops = build_loops(b, base, data.branch_values)
-    paths = list(loops.loops) + [loops.boundary_loop]
+    cd = build_cut_disc(b, branch_values=data.branch_values)
+    base = cd.base
+    _, pairs = crossing_paths(cd)
+    paths = [path for pair in pairs for path in pair]
     # Straight runs through and past each branch value fail their rows.
     paths += [
         PathSpec(segments=(Line(base, base + t * (v - base)),))

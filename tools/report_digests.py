@@ -21,7 +21,8 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   quadrature ring is split into several continuation paths);
 * `verify-gamma --budget 10000 --samples 25` on products 0, 5, 10 and 19
   (orders 3-6), so labeled routes are compared at every acceptance order;
-* `trace-loop --index 0` on product 5.
+* `trace-loop --index 0` on products 5 and 27 (on product 27 the loop once
+  ended in a `FiberCollision`).
 
 Each digest covers the exit code, stdout and stderr of one run; with
 `--dump DIR` that text is also written to DIR/<label>.txt, so a differing
@@ -110,8 +111,10 @@ def runs(spec_paths, sweep_paths) -> list:
           "--samples", "25", "--seed", "0"])
         for i in (0, 5, 10, 19)
     ]
-    out.append(("trace-loop/product05/index0",
-                ["trace-loop", spec_paths[5], "--index", "0"]))
+    out += [
+        (f"trace-loop/product{i:02d}/index0", ["trace-loop", spec_paths[i], "--index", "0"])
+        for i in (5, 27)
+    ]
     return out
 
 
