@@ -2,8 +2,9 @@
 The bundle map on a cut disc: inverse branches and isometry checks
 ==================================================================
 
-Cuts the disc along one segment per branch value, continues all inverse
-branches of B from a base fiber, and evaluates the bundle map
+Cuts the disc along one segment per branch value (`build_cut_disc`),
+continues all inverse branches of B from a base fiber on that cut disc, and
+evaluates the bundle map
 
     (Gamma f)_i = (1 / sqrt(n)) * (f o sigma_i) * sigma_i'
 
@@ -32,11 +33,11 @@ from blaschkelab import (
 b = BlaschkeProduct(0.0, [0.0, 0.0])
 cd = build_cut_disc(b, base=0.25)
 print("cut from", cd.cuts[0].start, "toward", np.round(cd.cuts[0].end, 6))
-print("sigma values at 0.25:", np.round(sigma_values(b, 0.25, cut_disc=cd), 12))
-print("sigma values at 0.09:", np.round(sigma_values(b, 0.09, cut_disc=cd), 12))
+print("sigma values at 0.25:", np.round(sigma_values(cd, 0.25), 12))
+print("sigma values at 0.09:", np.round(sigma_values(cd, 0.09), 12))
 
 # Gamma applied to f = 1: components (1/sqrt(2)) * sigma_i'(z) = +-1/(2 sqrt(2 z)).
-sample = gamma_apply(b, Poly([1.0]), 0.25, cut_disc=cd)
+sample = gamma_apply(cd, Poly([1.0]), 0.25)
 print("Gamma(1) at 0.25:", np.round(sample.values, 12))
 print("expected:        ", np.round(np.array([-1.0, 1.0]) / math.sqrt(2.0), 12))
 
@@ -50,10 +51,12 @@ f = Poly([0.0, 1.0])
 print()
 print("exact <z, z> =", exact_inner(f, f))
 
-# One call runs all three checks: isometry of Gamma on low-degree
-# monomials, the intertwining relation Gamma(B f) = z Gamma(f) on labeled
-# fibers, and the minimal separation between the inverse-branch images.
-report = bundle_report(b3, budget=200000, samples=100, seed=0)
+# One call on the product's cut disc runs all three checks: isometry of
+# Gamma on low-degree monomials, the intertwining relation
+# Gamma(B f) = z Gamma(f) on labeled fibers, and the minimal separation
+# between the inverse-branch images.  The cut disc carries the settings
+# (here `DEFAULTS`, seed 0) that seed its samples and certify its tracking.
+report = bundle_report(build_cut_disc(b3), budget=200000, samples=100)
 print(f"isometry error        = {report['isometry_error']:.3e}")
 print(f"intertwining residual = {report['intertwining_residual']:.3e}")
 print(f"min image separation  = {report['min_separation']:.3f}")

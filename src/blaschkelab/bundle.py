@@ -9,16 +9,22 @@ point, evaluates the unitary f -> (1/sqrt n) (f(sigma_i) sigma_i')_i
 pointwise, and verifies its defining properties: isometry (against the
 exact coefficient-side inner product), intertwining with multiplication by
 the coordinate, and disjointness of the branch images.
+
+Sampling, continuation and the report work on one `CutDisc`, which carries
+its product, its branch data and the `Settings` it was built with: their
+seed draws its points and their tolerances certify its continuation.
+`verify_disjoint_images` alone takes the product and builds its own.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .blaschke import BranchData
 from .config import DEFAULTS, Settings
 from .cpoly import Poly, _companion_roots, roots as poly_roots
 from .errors import (
@@ -101,12 +107,21 @@ class CutDisc:
     `base` in the slot order of `initial_fiber`.  Across the cut from a
     branch value the labeled branches jump by that value's monodromy
     generator (`monodromy.compute_representation` reads it there).
+
+    It keeps the product `b`, the `settings` it was built with and every
+    function taking it works under, and the `branch_data` it was cut from.
     """
 
-    branch_values: tuple
+    b: object
+    settings: Settings
+    branch_data: BranchData
     cuts: tuple
     base: complex
     fiber0: Fiber
+
+    @property
+    def branch_values(self) -> tuple:
+        return self.branch_data.branch_values
 
 
 @dataclass(frozen=True)
@@ -126,30 +141,25 @@ def _radial_cut(beta: complex, theta: float) -> Line:
     return Line(beta, beta + t * d)
 
 
-def build_cut_disc(
-    b, base=None, branch_values=None, settings: Settings = DEFAULTS
-) -> CutDisc:
+def build_cut_disc(b, base=None, settings: Settings = DEFAULTS) -> CutDisc:
     """Cut system for `b`: each branch value cut away from the base point.
 
     The cut from beta follows the direction of beta - base out to the unit
     circle.  Raises LoopConstructionFailed if `base` is a branch value,
-    which leaves no direction to cut along.  The labeling fiber over `base`
-    is solved once here (`initial_fiber`).  `settings` reaches the branch
-    data, the base-point search and the labeling fiber.
+    which leaves no direction to cut along.  The branch data, the base point
+    (`choose_base_point`, unless `base` is given) and the labeling fiber over
+    it (`initial_fiber`) are solved once here under `settings`, which the cut
+    disc keeps.
     """
-    if branch_values is None:
-        branch_values = b.branch_data(settings).branch_values
+    data = b.branch_data(settings)
     if base is None:
-        base = choose_base_point(b, branch_values, settings)
-    betas = tuple(branch_values)
-    if any(beta == base for beta in betas):
+        base = choose_base_point(b, data.branch_values, settings)
+    if any(beta == base for beta in data.branch_values):
         raise LoopConstructionFailed(
             f"the base point {complex(base):.4f} is a branch value"
         )
-    cuts = tuple(_radial_cut(beta, cmath.phase(beta - base)) for beta in betas)
-    return CutDisc(
-        branch_values=betas, cuts=cuts, base=base, fiber0=initial_fiber(b, base, settings)
-    )
+    cuts = tuple(_radial_cut(beta, cmath.phase(beta - base)) for beta in data.branch_values)
+    return CutDisc(b, settings, data, cuts, base, initial_fiber(b, base, settings))
 
 
 def point_in_cut_disc(cd: CutDisc, z: complex, clearance=None) -> bool:
@@ -175,12 +185,13 @@ def route_in_cut_disc(cd: CutDisc, z: complex) -> PathSpec:
     return PathSpec(segments=(Line(start, end),))
 
 
-def _labeled_fibers(b, zs, cd: CutDisc) -> list:
+def _labeled_fibers(cd: CutDisc, zs) -> list:
     """Outcome per point of `zs`, in order: its labeled fiber or the error.
 
     Routes every point from the base by `route_in_cut_disc`, continues
-    `cd.fiber0` along all routes in one `track_paths` call and polishes every
-    end fiber in one `newton_correct` call (residual 1e-14, 8 iterations).
+    `cd.fiber0` along all routes in one `track_paths` call under
+    `cd.settings` and polishes every end fiber in one `newton_correct` call
+    (residual 1e-14, 8 iterations).
     A point's outcome is the fiber in the slot order of `cd.fiber0`, or the
     error its routing (PathBlocked), tracking or polish (NoConvergence)
     produced.  A point within 1e-13 of the base gets the base fiber itself.
@@ -199,14 +210,14 @@ def _labeled_fibers(b, zs, cd: CutDisc) -> list:
             continue
         rows.append(k)
     tracked = []
-    for k, end in zip(rows, track_paths(b, cd.fiber0, paths)):
+    for k, end in zip(rows, track_paths(cd.b, cd.fiber0, paths, cd.settings)):
         if isinstance(end, Exception):
             outcomes[k] = end
         else:
             tracked.append((k, end.points))
     if tracked:
         pts, _, ok = newton_correct(
-            b,
+            cd.b,
             np.asarray([points for _, points in tracked], dtype=complex),
             np.array([zs[k] for k, _ in tracked]),
             1e-14,
@@ -227,16 +238,16 @@ def _raise_first(outcomes):
     return outcomes
 
 
-def _draw(cd: CutDisc, count, seed, radius, image=None):
+def _draw(cd: CutDisc, count, radius, image=None):
     """Draw points p uniformly in the disc of the given radius until `count`
     have an image w = image(p) (w = p without `image`) in the cut disc,
     `_CUT_CLEARANCE` from every cut and `_BRANCH_CLEARANCE` from every
-    branch value.
+    branch value.  The draws are seeded by `cd.settings.seed`.
 
     Returns (ps, ws, complete), the kept points and their images in draw
     order; `complete` is False when 10000 * count draws did not keep `count`.
     """
-    rng = np.random.default_rng(DEFAULTS.seed if seed is None else seed)
+    rng = np.random.default_rng(cd.settings.seed)
     ps, ws = [], []
     for _ in range(10000 * count):
         if len(ws) == count:
@@ -252,7 +263,7 @@ def _draw(cd: CutDisc, count, seed, radius, image=None):
     return ps, ws, len(ws) == count
 
 
-def sigma_values(b, z, cut_disc=None) -> np.ndarray:
+def sigma_values(cd: CutDisc, z) -> np.ndarray:
     """All inverse branches at z, in the slot order fixed by the base labeling.
 
     Continues the base fiber along the segment from the base point to z and
@@ -261,12 +272,11 @@ def sigma_values(b, z, cut_disc=None) -> np.ndarray:
     `fiber0.points[i]`.
     Raises NoConvergence if the polish does not reach the residual bound.
     """
-    cd = build_cut_disc(b) if cut_disc is None else cut_disc
-    (sig,) = _raise_first(_labeled_fibers(b, [z], cd))
+    (sig,) = _raise_first(_labeled_fibers(cd, [z]))
     return sig
 
 
-def sigma_samples(b, count, seed=None, cut_disc=None):
+def sigma_samples(cd: CutDisc, count):
     """Labeled inverse-branch fibers at `count` random cut-disc points.
 
     Points are drawn by `_draw` in the disc of radius `_SAMPLE_RMAX`.
@@ -275,21 +285,18 @@ def sigma_samples(b, count, seed=None, cut_disc=None):
     first failing point in draw order raises its error.  Downstream checks
     reuse the fibers across test functions.
     """
-    cd = build_cut_disc(b) if cut_disc is None else cut_disc
-    _, zs, complete = _draw(cd, count, seed, _SAMPLE_RMAX)
+    _, zs, complete = _draw(cd, count, _SAMPLE_RMAX)
     if not complete:
         raise PathBlocked("sampling the cut disc kept hitting exclusions")
-    fibers = np.empty((count, b.order), dtype=complex)
-    for k, sig in enumerate(_raise_first(_labeled_fibers(b, zs, cd))):
-        fibers[k] = sig
-    return np.asarray(zs, dtype=complex), fibers
+    fibers = np.array(_raise_first(_labeled_fibers(cd, zs)), dtype=complex)
+    return np.asarray(zs, dtype=complex), fibers.reshape(count, cd.b.order)
 
 
-def gamma_apply(b, f: Poly, z, cut_disc=None) -> GammaSample:
+def gamma_apply(cd: CutDisc, f: Poly, z) -> GammaSample:
     """Apply the bundle unitary to f at z: (1/sqrt n) f(sigma_i(z)) sigma_i'(z)."""
-    sig = sigma_values(b, z, cut_disc=cut_disc)
-    dvals = b.derivative_value(sig)
-    values = f(sig) / dvals / math.sqrt(b.order)
+    sig = sigma_values(cd, z)
+    dvals = cd.b.derivative_value(sig)
+    values = f(sig) / dvals / math.sqrt(cd.b.order)
     return GammaSample(z=complex(z), values=tuple(values))
 
 
@@ -328,7 +335,7 @@ class QuadratureGrid:
     eigenvalue solves (`_fiber_batch`).
     `fallbacks` counts the continued samples whose step failed its
     certificate and were solved by eigenvalues instead (path seeds are not
-    counted); it depends only on the product, budget, and seed.
+    counted); it depends only on the cut disc and the budget.
     """
 
     points: np.ndarray
@@ -381,22 +388,23 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     return out
 
 
-def _continue_paths(b, ws: np.ndarray, lengths):
-    """Unordered fibers along sample paths by certified continuation.
+def _continue_paths(cd: CutDisc, ws: np.ndarray, lengths):
+    """Unordered fibers of `cd.b` along sample paths by certified continuation.
 
     `ws` is the concatenation of paths of the given lengths, each an ordered
     run of nearby regular values.  Every path starts from an eigenvalue fiber
     of its first sample (`_fiber_batch`); each later sample is reached by an
     Euler predictor z + dw / B'(z) from the previous fiber and a Newton
-    corrector with `track`'s certificate (`certified_step`).  All paths
-    advance together, one vectorized step at a time.  A sample whose step is
-    not accepted is solved by eigenvalues and its path continues from there.
+    corrector with `track`'s certificate (`certified_step` under
+    `cd.settings`).  All paths advance together, one vectorized step at a
+    time.  A sample whose step is not accepted is solved by eigenvalues and
+    its path continues from there.
 
     Returns (fibers aligned with ws, B' at those fibers, number of such
     eigenvalue fallbacks).
     """
-    n = b.order
-    fibers = np.empty((len(ws), n), dtype=complex)
+    b = cd.b
+    fibers = np.empty((len(ws), b.order), dtype=complex)
     derivs = np.empty_like(fibers)
     lengths = np.asarray(lengths, dtype=int)
     lengths = lengths[lengths > 0]
@@ -416,7 +424,7 @@ def _continue_paths(b, ws: np.ndarray, lengths):
         w_next = ws[idx]
         with np.errstate(all="ignore"):
             pred = z[:live] + (w_next - w[:live])[:, None] / db[:live]
-        z, db, _, accepted, _ = certified_step(b, pred, w_next)
+        z, db, _, accepted, _ = certified_step(b, pred, w_next, cd.settings)
         failed = np.nonzero(~accepted)[0]
         if len(failed):
             fallbacks += len(failed)
@@ -435,7 +443,7 @@ def _pieces(length: int) -> list:
     return [length // count + (1 if j < length % count else 0) for j in range(count)]
 
 
-def build_quadrature_grid(b, budget, seed=None, cut_disc=None) -> QuadratureGrid:
+def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
     """Stratified samples over the disc split into three regions.
 
     Main region: the disc trimmed by the boundary annulus, stratified into
@@ -455,21 +463,17 @@ def build_quadrature_grid(b, budget, seed=None, cut_disc=None) -> QuadratureGrid
     last evaluated; the disc fibers evaluate it afresh.  The samples and
     weights do not depend on how the fibers are solved.
 
-    The branch values come from `cut_disc` when one is given, so a caller
-    that already holds the product's cut disc solves no branch data here.
+    The branch values are the cut disc's, and the samples are drawn from
+    `cd.settings.seed`.
     """
-    seed = DEFAULTS.seed if seed is None else int(seed)
+    b = cd.b
     budget = int(budget)
     if budget < 10 ** 4:
         raise ValueError("budget must be at least 10^4")
-    if cut_disc is None:
-        branch_values = b.branch_data().branch_values
-    else:
-        branch_values = cut_disc.branch_values
-    betas = np.asarray(branch_values, dtype=complex)
+    betas = np.asarray(cd.branch_values, dtype=complex)
     k = len(betas)
     r_main = 1.0 - _ANNULUS_WIDTH
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cd.settings.seed)
 
     n_main = int(0.85 * budget) if k else int(0.95 * budget)
     n_corr = int(0.10 * budget) if k else 0
@@ -542,7 +546,7 @@ def build_quadrature_grid(b, budget, seed=None, cut_disc=None) -> QuadratureGrid
     fibers = np.empty((len(points), b.order), dtype=complex)
     dvals = np.empty_like(fibers)
     fibers[on_path], dvals[on_path], fallbacks = _continue_paths(
-        b, points[on_path], path_lengths
+        cd, points[on_path], path_lengths
     )
     fibers[~on_path] = _fiber_batch(b, points[~on_path])
     dvals[~on_path] = b.derivative_value(fibers[~on_path])
@@ -554,7 +558,7 @@ def build_quadrature_grid(b, budget, seed=None, cut_disc=None) -> QuadratureGrid
         weights=weights,
         correction=correction,
         budget=budget,
-        seed=seed,
+        seed=cd.settings.seed,
         fallbacks=fallbacks,
     )
 
@@ -583,10 +587,9 @@ def _isometry_estimates(grid: QuadratureGrid, evaluate, exacts) -> list:
     return out
 
 
-def isometry_details(b, f: Poly, g: Poly, budget=None, seed=None, grid=None) -> dict:
-    """Isometry check data: estimate, exact value, relative error, corrections."""
-    if grid is None:
-        grid = build_quadrature_grid(b, budget, seed=seed)
+def isometry_details(grid: QuadratureGrid, f: Poly, g: Poly) -> dict:
+    """Isometry check data on `grid`: estimate, exact value, relative error,
+    corrections."""
     exact = exact_inner(f, g)
     ((estimate, rel, excluded),) = _isometry_estimates(
         grid, lambda z: [(f(z), np.conj(g(z)))], [exact]
@@ -601,37 +604,33 @@ def isometry_details(b, f: Poly, g: Poly, budget=None, seed=None, grid=None) -> 
     }
 
 
-def verify_intertwining(b, f: Poly, samples, seed=None, fibers=None) -> float:
-    """Max residual of the intertwining identity over random cut-disc points.
+def verify_intertwining(b, polys, fibers) -> float:
+    """Max residual of the intertwining identity over polynomials and points.
 
     At each z the identity reads (B f)(sigma_i(z)) sigma_i' = z f(sigma_i(z))
     sigma_i' componentwise, exact up to the fiber tolerance since
-    B(sigma_i(z)) = z.  `fibers` accepts precomputed (points, fibers) from
-    `sigma_samples` so several test functions share one continuation pass.
+    B(sigma_i(z)) = z.  `fibers` holds (points, fibers) from `sigma_samples`;
+    B and B' are evaluated there once for all of `polys`.
     """
-    if fibers is None:
-        fibers = sigma_samples(b, samples, seed=seed)
     zs, sig = fibers
-    dv = b.derivative_value(sig)
-    scale = 1.0 / (dv * math.sqrt(b.order))
-    fv = f(sig)
-    gamma_f = fv * scale
-    gamma_bf = b(sig) * fv * scale
-    resid = np.abs(gamma_bf - zs[:, None] * gamma_f)
-    return float(resid.max())
+    scale = 1.0 / (b.derivative_value(sig) * math.sqrt(b.order))
+    b_sig = b(sig)
+
+    def residual(f):
+        fv = f(sig)
+        return float(np.abs(b_sig * fv * scale - zs[:, None] * (fv * scale)).max())
+
+    return max(residual(f) for f in polys)
 
 
-def verify_disjoint_images(b, samples, seed=None, fibers=None) -> float:
-    """Min pairwise distance among the labeled branch values over the samples.
+def _min_separation(b, zs, sig) -> float:
+    """Min pairwise distance among the labeled fibers `sig` at the points `zs`.
 
-    Also certifies that the labeling is consistent: at each sample, the
+    Also certifies that the labeling is consistent: at each point, the
     labeled fiber must match the independently solved unordered fiber one to
-    one (AmbiguousMatching for the first sample in draw order that does not).
-    All samples are matched in one (samples, n, n) distance array.
+    one (AmbiguousMatching for the first point in draw order that does not).
+    All points are matched in one (points, n, n) distance array.
     """
-    if fibers is None:
-        fibers = sigma_samples(b, samples, seed=seed)
-    zs, sig = fibers
     n = b.order
     if n == 1:
         return math.inf
@@ -649,7 +648,14 @@ def verify_disjoint_images(b, samples, seed=None, fibers=None) -> float:
     return min_sep
 
 
-def partition_check(b, samples, seed=None) -> bool:
+def verify_disjoint_images(b, samples, seed=0) -> float:
+    """`_min_separation` at `samples` points of the cut disc of `b` built
+    under the default settings with `seed`."""
+    cd = build_cut_disc(b, settings=replace(DEFAULTS, seed=seed))
+    return _min_separation(b, *sigma_samples(cd, samples))
+
+
+def partition_check(cd: CutDisc, samples) -> bool:
     """Each sampled disc point is hit by exactly one branch image.
 
     Draws p uniformly in the disc, keeps those whose image w = B(p) lies in
@@ -660,9 +666,8 @@ def partition_check(b, samples, seed=None) -> bool:
     it raises its error.  Only then does a draw that fell short raise
     PathBlocked.
     """
-    cd = build_cut_disc(b)
-    ps, ws, complete = _draw(cd, samples, seed, 0.95, image=b)
-    for p, sig in zip(ps, _labeled_fibers(b, ws, cd)):
+    ps, ws, complete = _draw(cd, samples, 0.95, image=cd.b)
+    for p, sig in zip(ps, _labeled_fibers(cd, ws)):
         if isinstance(sig, Exception):
             raise sig
         if int(np.sum(np.abs(sig - p) < 1e-6)) != 1:
@@ -672,7 +677,7 @@ def partition_check(b, samples, seed=None) -> bool:
     return True
 
 
-def bundle_report(b, budget, samples, seed=None) -> dict:
+def bundle_report(cd: CutDisc, budget, samples) -> dict:
     """Verification summary across the three bundle-unitary properties.
 
     Isometry error is the worst relative error over the monomial pairs
@@ -680,15 +685,13 @@ def bundle_report(b, budget, samples, seed=None) -> dict:
     power pass: per block of fiber rows, one running power z^j, multiplied
     up once per j, in the arithmetic of `isometry_details`.  The
     intertwining residual is the worst over the same monomials at `samples`
-    tracked cut-disc points.  One cut disc, with one branch-data solve,
-    serves the grid and the samples.  Raises ValueError if `samples` is
-    below 1.
+    tracked cut-disc points, whose fibers also give the minimal separation
+    (`_min_separation`).  The grid and the samples are both drawn on `cd`.
+    Raises ValueError if `samples` is below 1.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    seed = DEFAULTS.seed if seed is None else int(seed)
-    cd = build_cut_disc(b)
-    grid = build_quadrature_grid(b, budget, seed=seed, cut_disc=cd)
+    grid = build_quadrature_grid(cd, budget)
     monomials = [Poly((0.0,) * j + (1.0,)) for j in range(6)]
 
     def powers(z):
@@ -705,16 +708,12 @@ def bundle_report(b, budget, samples, seed=None) -> dict:
     ):
         iso = max(iso, rel)
         excluded = max(excluded, mass)
-    fibers = sigma_samples(b, samples, seed=seed, cut_disc=cd)
-    inter = max(
-        verify_intertwining(b, f, samples, fibers=fibers) for f in monomials
-    )
-    min_sep = verify_disjoint_images(b, samples, fibers=fibers)
+    zs, sig = sigma_samples(cd, samples)
     return {
         "isometry_error": iso,
-        "intertwining_residual": inter,
-        "min_separation": min_sep,
+        "intertwining_residual": verify_intertwining(cd.b, monomials, (zs, sig)),
+        "min_separation": _min_separation(cd.b, zs, sig),
         "excluded_mass_bound": excluded,
-        "budget": int(budget),
-        "seed": seed,
+        "budget": grid.budget,
+        "seed": grid.seed,
     }

@@ -101,7 +101,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify_gamma(args) -> int:
     b = _load(args.spec)
-    report = bundle_report(b, args.budget, args.samples, seed=args.seed)
+    cd = build_cut_disc(b, settings=dataclasses.replace(DEFAULTS, seed=args.seed))
+    report = bundle_report(cd, args.budget, args.samples)
     report["schema"] = "1"
     report["input"] = {"theta": b.theta, "zeros": [_pair(a) for a in b.zeros]}
     ok = (
@@ -126,7 +127,7 @@ def cmd_trace_loop(args) -> int:
         return 2
     there, back = pairs[args.index]
     loop = PathSpec(there.segments + back.reversed().segments)
-    _, trace = track_with_trace(b, cd.fiber0, loop)
+    _, trace = track_with_trace(b, cd.fiber0, loop, cd.settings)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)

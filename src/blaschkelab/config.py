@@ -9,10 +9,11 @@ given; an override is a `dataclasses.replace(DEFAULTS, ...)` and reaches every
 step that reads its field.  The command line sets `seed`, `newton_tol` and
 `dedup_tol` this way.  Root solving takes no seed, so `seed` reaches only
 the minimal projections and the bundle's sampling.  `bundle.build_cut_disc`
-takes `settings` too, so the branch data, base point and labeling fiber of
-the one cut disc follow it; the rest of `bundle` reads `DEFAULTS` only for
-`seed` and the certificate's tolerances.  Thresholds nothing varies are
-constants beside their one reader.  Reports do not echo the whole record:
+takes `settings` too: the branch data, base point and labeling fiber of the
+one cut disc follow it, and the `CutDisc` keeps it, so every `bundle`
+function taking the cut disc draws from its seed and certifies under its
+tolerances.  Thresholds nothing varies are constants beside their one
+reader.  Reports do not echo the whole record:
 `analyze` gives `seed` and, under "tolerances", newton_tol, dedup_tol,
 nullspace_rtol and projection_gap; `verify-gamma` gives only `seed`; `zn`
 gives none.
@@ -29,8 +30,8 @@ __all__ = ["Settings", "DEFAULTS"]
 class Settings:
     """Default tolerances, thresholds, and budgets: the eleven fields below.
 
-    `bundle.build_cut_disc` takes a `Settings`; the rest of `bundle` reads
-    only `seed` and the certificate's tolerances, from `DEFAULTS`.
+    `bundle.build_cut_disc` takes a `Settings`, and the cut disc it builds
+    carries it to the rest of `bundle`.
 
     Attributes
     ----------

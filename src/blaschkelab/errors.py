@@ -51,7 +51,7 @@ class AmbiguousMatching(ToolkitError):
 
 
 class LoopConstructionFailed(ToolkitError):
-    """Loop geometry could not be built (detour insertion cycled)."""
+    """The cut disc's base point or an `approach` segment hits a branch value."""
 
 
 class PathBlocked(ToolkitError):

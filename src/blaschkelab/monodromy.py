@@ -195,19 +195,18 @@ def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
     error.
 
     Each generator's nontrivial cycle lengths must equal the local degrees
-    of the critical points over its branch value (`BranchData.local_degrees`),
-    the local structure of a branched cover; the first generator in loop
-    order that disagrees raises `BranchCountError`.
+    of the critical points over its branch value (`cd.branch_data`), the
+    local structure of a branched cover; the first generator in loop order
+    that disagrees raises `BranchCountError`.
     """
-    data = b.branch_data(settings)
-    cd = build_cut_disc(b, branch_values=data.branch_values, settings=settings)
+    cd = build_cut_disc(b, settings=settings)
     betas, pairs = crossing_paths(cd)
     ends = track_paths(b, cd.fiber0, [path for pair in pairs for path in pair], settings)
     for end in ends:
         if isinstance(end, Exception):
             raise end
     perms = [match_endpoints(back, there) for there, back in zip(ends[::2], ends[1::2])]
-    local_degrees = dict(zip(data.branch_values, data.local_degrees))
+    local_degrees = dict(zip(cd.branch_values, cd.branch_data.local_degrees))
     for beta, g in zip(betas, perms):
         cycles = tuple(k for k in g.cycle_type() if k > 1)
         if cycles != local_degrees[beta]:

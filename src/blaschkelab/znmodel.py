@@ -116,52 +116,50 @@ def _match_projection_sets(computed, expected, tol=1e-8) -> bool:
 def zn_end_to_end(n: int, seed: int = 0) -> dict:
     """Run `analyze` on B = z^n at `seed` and compare with the exact model.
 
-    Checks: branch set {0}; a single n-cycle generator whose boundary
-    product matches; orbital count, commutant dimension, and projection
-    count all equal n; every projection rank one and matching the cycle's
-    spectral projections up to relabeling; the residue-class projections
-    commute exactly (to the bit) with the truncated multiplication matrix;
-    and the norm identity holds as exact rationals.  The report maps each
-    named check to its outcome plus the integers involved.
+    Checks: branch set {0} with a single n-cycle generator (for n = 1 no
+    branch value and no generator); the tracked boundary permutation equals
+    the generators' product; orbital count, commutant dimension, and
+    projection count all equal n; every projection rank one and matching the
+    spectral projections of the boundary n-cycle up to relabeling; the
+    residue-class projections commute exactly (to the bit) with the
+    truncated multiplication matrix; and the norm identity holds as exact
+    rationals.  The report maps each named check to its outcome plus the
+    integers involved.
     """
     if not 1 <= n <= 8:
         raise ValueError("supported orders are 1..8")
     b = BlaschkeProduct(theta=0.0, zeros=(0j,) * n)
+    result = analyze(b, replace(DEFAULTS, seed=seed))
+    rep = result.rep
+    gens = rep.generators
+    # z has no branch value; z^n for n >= 2 has the one branch value 0, and
+    # its generator is an n-cycle.  Either way the boundary loop is one
+    # n-cycle, whose spectral projections are the minimal ones.
+    cuts = 1 if n > 1 else 0
     report = {"n": n}
-
-    if n == 1:
-        report.update(
-            branch_set_ok=True, generator_cycle_ok=True, boundary_ok=True,
-            q_orbitals=1, q_ok=True, commutant_dim=1, dim_ok=True,
-            commutative=True, max_commutator=0.0, num_projections=1,
-            rank_one_ok=True, dft_match_ok=True,
-        )
-    else:
-        result = analyze(b, replace(DEFAULTS, seed=seed))
-        rep = result.rep
-        gens = rep.generators
-        report["branch_set_ok"] = (
-            len(rep.branch_values) == 1 and abs(rep.branch_values[0]) < 1e-9
-        )
-        report["generator_cycle_ok"] = (
-            len(gens) == 1 and sorted(gens[0].cycle_type()) == [n]
-        )
-        report["boundary_ok"] = result.theorem_checks["boundary_product_identity"]["pass"]
-        report["q_orbitals"] = result.q_orbitals
-        report["q_ok"] = result.q_orbitals == n
-        report["commutant_dim"] = result.commutant.dim
-        report["dim_ok"] = result.commutant.dim == n
-        report["commutative"] = result.commutative
-        report["max_commutator"] = result.max_commutator
-        projs = result.projections
-        report["num_projections"] = len(projs)
-        report["rank_one_ok"] = all(
-            abs(np.trace(p).real - 1.0) < 1e-8 for p in projs
-        )
-        report["dft_match_ok"] = (
-            report["generator_cycle_ok"]
-            and _match_projection_sets(projs, cycle_projections(gens[0]))
-        )
+    report["branch_set_ok"] = (
+        len(rep.branch_values) == cuts and all(abs(v) < 1e-9 for v in rep.branch_values)
+    )
+    report["generator_cycle_ok"] = (
+        len(gens) == cuts and all(sorted(g.cycle_type()) == [n] for g in gens)
+    )
+    report["boundary_ok"] = result.theorem_checks["boundary_product_identity"]["pass"]
+    report["q_orbitals"] = result.q_orbitals
+    report["q_ok"] = result.q_orbitals == n
+    report["commutant_dim"] = result.commutant.dim
+    report["dim_ok"] = result.commutant.dim == n
+    report["commutative"] = result.commutative
+    report["max_commutator"] = result.max_commutator
+    projs = result.projections
+    report["num_projections"] = len(projs)
+    report["rank_one_ok"] = all(
+        abs(np.trace(p).real - 1.0) < 1e-8 for p in projs
+    )
+    report["dft_match_ok"] = (
+        report["generator_cycle_ok"]
+        and report["boundary_ok"]
+        and _match_projection_sets(projs, cycle_projections(rep.boundary_perm))
+    )
 
     size = 3 * n + 2
     m = truncated_matrix(b, size)

@@ -17,6 +17,7 @@ import pytest
 
 from blaschkelab import (
     analyze,
+    build_cut_disc,
     bundle_report,
     commutant_basis,
     compute_representation,
@@ -101,7 +102,7 @@ def test_criterion_5_bundle_unitary_verification(suite):
     start = time.perf_counter()
     for idx in (0, 1, 5, 10, 15):
         b = members[idx]["b"]
-        report = bundle_report(b, 10**6, 100, seed=0)
+        report = bundle_report(build_cut_disc(b), 10**6, 100)
         assert report["intertwining_residual"] < 1e-9
         assert report["isometry_error"] < 1e-2
         assert report["excluded_mass_bound"] >= 0.0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from blaschkelab import (
     crossing_paths,
     build_quadrature_grid,
     bundle_report,
+    compute_representation,
     exact_inner,
     gamma_apply,
     initial_fiber,
@@ -138,11 +140,11 @@ def test_route_avoids_cuts(order4):
         routed += 1
 
 
-def test_sigma_values_square(square, square_setup):
+def test_sigma_values_square(square_setup):
     cd = square_setup
-    vals = sigma_values(square, 0.25, cut_disc=cd)
+    vals = sigma_values(cd, 0.25)
     assert np.allclose(vals, [-0.5, 0.5], atol=1e-12)
-    vals = sigma_values(square, 0.09, cut_disc=cd)
+    vals = sigma_values(cd, 0.09)
     assert np.allclose(vals, [-0.3, 0.3], atol=1e-12)
 
 
@@ -169,26 +171,26 @@ def test_sigma_path_independence(order3):
             continue
         detour = PathSpec(segments=(Line(base, via), Line(via, z)))
         tracked = np.asarray(track(order3, cd.fiber0, detour).points)
-        direct = sigma_values(order3, z, cut_disc=cd)
+        direct = sigma_values(cd, z)
         assert np.max(np.abs(direct - tracked)) < 1e-9
         checked += 1
 
 
 def test_sigma_samples_fiber_identity(order4):
-    zs, sig = sigma_samples(order4, 50, seed=0)
+    zs, sig = sigma_samples(build_cut_disc(order4), 50)
     assert sig.shape == (50, order4.order)
     assert np.max(np.abs(order4(sig) - zs[:, None])) <= 1e-10
 
 
-def test_gamma_square_constant(square, square_setup):
-    sample = gamma_apply(square, _monomial(0), 0.25, cut_disc=square_setup)
+def test_gamma_square_constant(square_setup):
+    sample = gamma_apply(square_setup, _monomial(0), 0.25)
     assert np.allclose(
         sample.values, np.array([-1.0, 1.0]) / math.sqrt(2.0), atol=1e-12
     )
 
 
-def test_gamma_square_linear(square, square_setup):
-    sample = gamma_apply(square, _monomial(1), 0.25, cut_disc=square_setup)
+def test_gamma_square_linear(square_setup):
+    sample = gamma_apply(square_setup, _monomial(1), 0.25)
     assert np.allclose(
         sample.values,
         np.array([1.0, 1.0]) / (2.0 * math.sqrt(2.0)),
@@ -199,7 +201,7 @@ def test_gamma_square_linear(square, square_setup):
 def test_gamma_identity_map():
     b = BlaschkeProduct(0.0, [0.0])
     f = Poly([0.3, 0.7])
-    sample = gamma_apply(b, f, 0.4)
+    sample = gamma_apply(build_cut_disc(b), f, 0.4)
     assert len(sample.values) == 1
     assert sample.values[0] == pytest.approx(f(0.4), abs=1e-12)
 
@@ -213,36 +215,37 @@ def test_exact_inner_monomials():
 
 def test_isometry_identity_map():
     b = BlaschkeProduct(0.0, [0.0])
-    err = isometry_details(b, _monomial(0), _monomial(0), budget=20000, seed=0)[
-        "relative_error"
-    ]
+    grid = build_quadrature_grid(build_cut_disc(b), 20000)
+    err = isometry_details(grid, _monomial(0), _monomial(0))["relative_error"]
     assert err < 1e-3
 
 
 def test_isometry_square_monomials(square):
-    grid = build_quadrature_grid(square, 100000, seed=0)
+    grid = build_quadrature_grid(build_cut_disc(square), 100000)
     for k in range(4):
         f = _monomial(k)
-        err = isometry_details(square, f, f, budget=100000, grid=grid)["relative_error"]
+        err = isometry_details(grid, f, f)["relative_error"]
         assert err < 1e-2
 
 
 def test_isometry_estimate_converges(square):
     f = _monomial(2)
-    err_half = isometry_details(square, f, f, budget=500000, seed=0)["relative_error"]
-    err_full = isometry_details(square, f, f, budget=1000000, seed=0)["relative_error"]
+    cd = build_cut_disc(square)
+    err_half = isometry_details(build_quadrature_grid(cd, 500000), f, f)["relative_error"]
+    err_full = isometry_details(build_quadrature_grid(cd, 1000000), f, f)["relative_error"]
     assert err_full < err_half or err_full < 1e-2
 
 
 def test_intertwining_residual_square(square):
-    assert verify_intertwining(square, _monomial(0), 100, seed=0) < 1e-10
-    assert verify_intertwining(square, _monomial(1), 100, seed=0) < 1e-10
+    fibers = sigma_samples(build_cut_disc(square), 100)
+    assert verify_intertwining(square, [_monomial(0), _monomial(1)], fibers) < 1e-10
 
 
 def test_intertwining_residual_random_poly(order3):
     rng = np.random.default_rng(20)
     coeffs = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
-    assert verify_intertwining(order3, Poly(coeffs), 100, seed=0) < 1e-9
+    fibers = sigma_samples(build_cut_disc(order3), 100)
+    assert verify_intertwining(order3, [Poly(coeffs)], fibers) < 1e-9
 
 
 def test_disjoint_images_square(square):
@@ -254,17 +257,17 @@ def test_disjoint_images_threshold(order4):
 
 
 def test_partition_single_hit(square, order3):
-    assert partition_check(square, 50, seed=0)
-    assert partition_check(order3, 50, seed=0)
+    assert partition_check(build_cut_disc(square), 50)
+    assert partition_check(build_cut_disc(order3), 50)
 
 
-def test_quadrature_budget_floor(square):
+def test_quadrature_budget_floor(square_setup):
     with pytest.raises(ValueError):
-        build_quadrature_grid(square, 5000)
+        build_quadrature_grid(square_setup, 5000)
 
 
 def test_bundle_report_structure(order3):
-    report = bundle_report(order3, 10**4, 30, seed=0)
+    report = bundle_report(build_cut_disc(order3), 10**4, 30)
     assert set(report) == {
         "isometry_error",
         "intertwining_residual",
@@ -289,7 +292,7 @@ def test_sigma_values_raises_when_polish_fails(order3, monkeypatch):
         lambda b, pred, w, tol, iters: (pred, pred, np.zeros(len(pred), dtype=bool)),
     )
     with pytest.raises(NoConvergence):
-        sigma_values(order3, z, cut_disc=cd)
+        sigma_values(cd, z)
 
 
 _CONTINUED_PRODUCTS = {
@@ -307,7 +310,7 @@ _CONTINUED_PRODUCTS = {
 @pytest.mark.parametrize("name", sorted(_CONTINUED_PRODUCTS))
 def test_continued_fibers_match_eigenvalue_fibers(name, budget):
     b = _CONTINUED_PRODUCTS[name]
-    grid = build_quadrature_grid(b, budget, seed=0)
+    grid = build_quadrature_grid(build_cut_disc(b), budget)
     assert grid.fibers.shape == (len(grid.points), b.order)
     assert _set_distance(grid.fibers, _fiber_batch(b, grid.points)) <= 1e-10
     resid = np.abs(b(grid.fibers) - grid.points[:, None])
@@ -318,16 +321,16 @@ def test_continued_fibers_match_eigenvalue_fibers(name, budget):
 
 
 def test_continuation_leaves_samples_and_weights_unchanged(monkeypatch):
-    b = _acceptance_product(15)
-    continued = build_quadrature_grid(b, 10**4, seed=3)
-    again = build_quadrature_grid(b, 10**4, seed=3)
+    cd = build_cut_disc(_acceptance_product(15), settings=replace(DEFAULTS, seed=3))
+    continued = build_quadrature_grid(cd, 10**4)
+    again = build_quadrature_grid(cd, 10**4)
     assert again.fallbacks == continued.fallbacks
-    def eig_paths(b, ws, lengths):
-        fibers = _fiber_batch(b, ws)
-        return fibers, b.derivative_value(fibers), 0
+    def eig_paths(cd, ws, lengths):
+        fibers = _fiber_batch(cd.b, ws)
+        return fibers, cd.b.derivative_value(fibers), 0
 
     monkeypatch.setattr(bundle, "_continue_paths", eig_paths)
-    eig_only = build_quadrature_grid(b, 10**4, seed=3)
+    eig_only = build_quadrature_grid(cd, 10**4)
     for field in ("points", "weights", "correction"):
         got, want = getattr(continued, field), getattr(eig_only, field)
         assert got.dtype == want.dtype
@@ -335,12 +338,12 @@ def test_continuation_leaves_samples_and_weights_unchanged(monkeypatch):
     assert _set_distance(continued.fibers, eig_only.fibers) <= 1e-10
 
 
-def test_continuation_falls_back_across_a_branch_value(square):
+def test_continuation_falls_back_across_a_branch_value(square, square_setup):
     # The step from 1/4 to -1/4 crosses the branch value 0: the Euler
     # predictor lands both points on the critical point, so the step fails
     # its certificate and the fiber at -1/4 comes from eigenvalues.
     ws = np.array([0.25, -0.25, -0.25 + 0.01j, 0.3, 0.3 + 0.01j])
-    fibers, derivs, fallbacks = _continue_paths(square, ws, [3, 2])
+    fibers, derivs, fallbacks = _continue_paths(square_setup, ws, [3, 2])
     assert fallbacks == 1
     assert np.max(np.abs(derivs - 2.0 * fibers)) <= 1e-12
     assert _set_distance(fibers, _fiber_batch(square, ws)) <= 1e-12
@@ -373,19 +376,17 @@ def test_certificate_rejects_collided_and_overcorrected_steps(order3):
 
 def test_continuation_single_point_fiber(mobius):
     ws = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 200))
-    fibers, _, fallbacks = _continue_paths(mobius, ws, [200])
+    fibers, _, fallbacks = _continue_paths(build_cut_disc(mobius), ws, [200])
     assert fallbacks == 0
     assert np.max(np.abs(mobius(fibers[:, 0]) - ws)) <= DEFAULTS.newton_tol
 
 
 @pytest.mark.parametrize("name", ["suite0-order3", "suite15-order6", "z^2"])
 def test_power_pass_equals_isometry_details_per_monomial(name):
-    b = _CONTINUED_PRODUCTS[name]
-    report = bundle_report(b, 10**4, 5, seed=0)
-    grid = build_quadrature_grid(b, 10**4, seed=0)
-    details = [
-        isometry_details(b, _monomial(j), _monomial(j), grid=grid) for j in range(6)
-    ]
+    cd = build_cut_disc(_CONTINUED_PRODUCTS[name])
+    report = bundle_report(cd, 10**4, 5)
+    grid = build_quadrature_grid(cd, 10**4)
+    details = [isometry_details(grid, _monomial(j), _monomial(j)) for j in range(6)]
     want_iso = max(d["relative_error"] for d in details)
     want_mass = max(d["excluded_mass_bound"] for d in details)
     assert report["isometry_error"].hex() == want_iso.hex()
@@ -397,12 +398,12 @@ def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
     b = _CONTINUED_PRODUCTS["suite0-order3"]
     seen = []
 
-    def recording(b, ws, lengths):
+    def recording(cd, ws, lengths):
         seen.append((len(ws), list(lengths)))
-        return _continue_paths(b, ws, lengths)
+        return _continue_paths(cd, ws, lengths)
 
     monkeypatch.setattr(bundle, "_continue_paths", recording)
-    grid = build_quadrature_grid(b, budget, seed=0)
+    grid = build_quadrature_grid(build_cut_disc(b), budget)
     ((count, lengths),) = seen
     assert 0 < max(lengths) <= bundle._PATH_LENGTH
     assert sum(lengths) == count
@@ -413,6 +414,7 @@ def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
 
 
 def test_bundle_report_solves_branch_data_once(order3, monkeypatch):
+    # The cut disc solves the branch data; its grid and report reuse it.
     calls = []
     original = BlaschkeProduct.branch_data
 
@@ -421,16 +423,53 @@ def test_bundle_report_solves_branch_data_once(order3, monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(BlaschkeProduct, "branch_data", counting)
-    bundle_report(order3, 10**4, 5, seed=0)
+    cd = build_cut_disc(order3)
+    assert calls == [order3]
+    build_quadrature_grid(cd, 10**4)
+    bundle_report(cd, 10**4, 5)
     assert calls == [order3]
 
 
-def test_sigma_samples_on_a_given_cut_disc(order4):
-    cd = build_cut_disc(order4)
-    zs, fibers = sigma_samples(order4, 12, seed=1, cut_disc=cd)
-    want_zs, want_fibers = sigma_samples(order4, 12, seed=1)
-    assert zs.tobytes() == want_zs.tobytes()
-    assert fibers.tobytes() == want_fibers.tobytes()
+def test_cut_disc_settings_reach_labeled_tracking(order3):
+    # Under newton_tol = 1e-30 no step is certified: the cut disc's labeled
+    # fibers stop at the step floor, as the monodromy does.
+    settings = replace(DEFAULTS, newton_tol=1e-30)
+    cd = build_cut_disc(order3, settings=settings)
+    with pytest.raises(StepFloorReached):
+        compute_representation(order3, settings)
+    with pytest.raises(StepFloorReached):
+        sigma_samples(cd, 5)
+
+
+def test_cut_disc_settings_reach_the_quadrature(order3, monkeypatch):
+    # Under newton_tol = 1e-30 almost no continuation step is certified (a
+    # residual can round to exactly 0), so nearly every continued sample but
+    # the seed of its path falls back to eigenvalues; the samples come from
+    # the cut disc's seed either way.
+    lengths = []
+
+    def recording(cd, ws, path_lengths):
+        lengths.append(list(path_lengths))
+        return _continue_paths(cd, ws, path_lengths)
+
+    monkeypatch.setattr(bundle, "_continue_paths", recording)
+    seeded = replace(DEFAULTS, seed=3)
+    strict = build_cut_disc(order3, settings=replace(seeded, newton_tol=1e-30))
+    grid = build_quadrature_grid(strict, 10**4)
+    assert grid.fallbacks >= 0.95 * (sum(lengths[0]) - len(lengths[0]))
+    assert grid.seed == 3
+    want = build_quadrature_grid(build_cut_disc(order3, settings=seeded), 10**4)
+    assert want.fallbacks < 0.01 * 10**4
+    assert grid.points.tobytes() == want.points.tobytes()
+
+
+def test_cut_disc_seed_draws_its_samples_and_grid(order3):
+    seed0, seed3 = (build_cut_disc(order3, settings=replace(DEFAULTS, seed=s)) for s in (0, 3))
+    zs = sigma_samples(seed3, 5)[0]
+    assert zs.tobytes() == sigma_samples(seed3, 5)[0].tobytes()
+    assert zs.tobytes() != sigma_samples(seed0, 5)[0].tobytes()
+    points = build_quadrature_grid(seed3, 10**4).points
+    assert points.tobytes() != build_quadrature_grid(seed0, 10**4).points.tobytes()
 
 
 def _cut_disc_points(cd, count, rng, rmax=0.9):
@@ -470,8 +509,8 @@ def _inject(monkeypatch, track_errors=(), polish_fail=(), polish_shift=()):
     """
     real_track, real_polish = bundle.track_paths, bundle.newton_correct
 
-    def fake_track(b, fiber, paths, **kwargs):
-        outcomes = real_track(b, fiber, paths, **kwargs)
+    def fake_track(b, fiber, paths, *args):
+        outcomes = real_track(b, fiber, paths, *args)
         for row, error in track_errors:
             outcomes[row] = error
         return outcomes
@@ -487,26 +526,28 @@ def _inject(monkeypatch, track_errors=(), polish_fail=(), polish_shift=()):
 
 
 def test_sigma_samples_raises_the_earliest_failure(order3, monkeypatch):
-    zs, _ = sigma_samples(order3, 8, seed=0)
+    cd = build_cut_disc(order3)
+    zs, _ = sigma_samples(cd, 8)
     with monkeypatch.context() as m:
         _inject(m, track_errors=[(4, StepFloorReached("row 4"))], polish_fail=[2])
         with pytest.raises(NoConvergence, match=f"z={zs[2]:.4f}"):
-            sigma_samples(order3, 8, seed=0)
+            sigma_samples(cd, 8)
     with monkeypatch.context() as m:
         _inject(m, track_errors=[(1, StepFloorReached("row 1"))], polish_fail=[2])
         with pytest.raises(StepFloorReached, match="row 1"):
-            sigma_samples(order3, 8, seed=0)
+            sigma_samples(cd, 8)
 
 
 def test_partition_check_stops_at_the_first_miss(order3, monkeypatch):
+    cd = build_cut_disc(order3)
     with monkeypatch.context() as m:
         _inject(m, track_errors=[(5, StepFloorReached("row 5"))], polish_shift=[2])
-        assert partition_check(order3, 8, seed=0) is False
+        assert partition_check(cd, 8) is False
     with monkeypatch.context() as m:
         _inject(m, track_errors=[(5, StepFloorReached("row 5"))])
         with pytest.raises(StepFloorReached, match="row 5"):
-            partition_check(order3, 8, seed=0)
-    assert partition_check(order3, 8, seed=0) is True
+            partition_check(cd, 8)
+    assert partition_check(cd, 8) is True
 
 
 def _refuse_samples_after(monkeypatch, draws):
@@ -525,15 +566,16 @@ def _refuse_samples_after(monkeypatch, draws):
 
 
 def test_sampling_that_keeps_missing_the_cut_disc_is_blocked(order3, monkeypatch):
+    cd = build_cut_disc(order3)
     monkeypatch.setattr(bundle, "point_in_cut_disc", lambda *args, **kwargs: False)
     with pytest.raises(
         PathBlocked, match="^sampling the cut disc kept hitting exclusions$"
     ):
-        sigma_samples(order3, 2, seed=0)
+        sigma_samples(cd, 2)
     with pytest.raises(
         PathBlocked, match="^sampling the disc kept leaving the cut disc$"
     ):
-        partition_check(order3, 2, seed=0)
+        partition_check(cd, 2)
 
 
 def test_partition_check_judges_its_kept_points_before_it_is_blocked(
@@ -543,23 +585,23 @@ def test_partition_check_judges_its_kept_points_before_it_is_blocked(
     cd = build_cut_disc(order3)
     with monkeypatch.context() as m:
         _refuse_samples_after(m, 6)
-        ps, _, complete = bundle._draw(cd, 8, 0, 0.95, image=order3)
+        ps, _, complete = bundle._draw(cd, 8, 0.95, image=order3)
     assert 0 < len(ps) < 8 and not complete
     with monkeypatch.context() as m:
         _refuse_samples_after(m, 6)
         with pytest.raises(
             PathBlocked, match="^sampling the disc kept leaving the cut disc$"
         ):
-            partition_check(order3, 8, seed=0)
+            partition_check(cd, 8)
     with monkeypatch.context() as m:
         _refuse_samples_after(m, 6)
         _inject(m, polish_shift=[len(ps) - 1])
-        assert partition_check(order3, 8, seed=0) is False
+        assert partition_check(cd, 8) is False
     with monkeypatch.context() as m:
         _refuse_samples_after(m, 6)
         _inject(m, track_errors=[(0, StepFloorReached("row 0"))])
         with pytest.raises(StepFloorReached, match="row 0"):
-            partition_check(order3, 8, seed=0)
+            partition_check(cd, 8)
 
 
 _ROUTED_PRODUCTS = {
@@ -644,7 +686,7 @@ def test_route_without_cuts_is_the_straight_segment(mobius):
 def test_blocked_point_gets_its_own_error(square):
     cd = build_cut_disc(square, base=0.25)
     zs = [0.3j, -1.5, -0.2 - 0.3j]
-    outcomes = bundle._labeled_fibers(square, zs, cd)
+    outcomes = bundle._labeled_fibers(cd, zs)
     assert isinstance(outcomes[1], PathBlocked)
     assert str(outcomes[1]) == (
         "no cut-avoiding route from 0.2500+0.0000j to -1.5000+0.0000j"
@@ -656,16 +698,17 @@ def test_blocked_point_gets_its_own_error(square):
 
 
 def test_disjointness_names_the_first_mismatched_sample(order4):
-    zs, sig = sigma_samples(order4, 8, seed=0)
-    assert verify_disjoint_images(order4, 8, fibers=(zs, sig)) > 1e-4
+    zs, sig = sigma_samples(build_cut_disc(order4), 8)
+    assert bundle._min_separation(order4, zs, sig) == verify_disjoint_images(order4, 8)
+    assert bundle._min_separation(order4, zs, sig) > 1e-4
     # Samples 3 and 4 trade their labeled fibers: both stop matching their
     # unordered fibers, and the first in draw order is named.
     swapped = sig.copy()
     swapped[[3, 4]] = sig[[4, 3]]
     with pytest.raises(AmbiguousMatching, match=re.escape(f"z={zs[3]:.4f} ")):
-        verify_disjoint_images(order4, 8, fibers=(zs, swapped))
+        bundle._min_separation(order4, zs, swapped)
     # Two labels of sample 3 on one branch value: no longer one to one.
     doubled = sig.copy()
     doubled[3, 1] = sig[3, 0]
     with pytest.raises(AmbiguousMatching, match=re.escape(f"z={zs[3]:.4f} ")):
-        verify_disjoint_images(order4, 8, fibers=(zs, doubled))
+        bundle._min_separation(order4, zs, doubled)

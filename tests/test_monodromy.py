@@ -557,7 +557,7 @@ def test_labeled_fibers_across_each_cut_give_its_generator():
                 for z in (minus, plus)
             ):
                 continue
-            sig_minus, sig_plus = (sigma_values(b, z, cut_disc=cd) for z in (minus, plus))
+            sig_minus, sig_plus = (sigma_values(cd, z) for z in (minus, plus))
             crossed = track(
                 b,
                 Fiber(minus, tuple(sig_minus), float(fiber_separation(sig_minus))),

@@ -358,15 +358,14 @@ def _seeded_products(count):
 
 @pytest.mark.parametrize("b", _seeded_products(5))
 def test_track_paths_matches_scalar_reference(b):
-    data = b.branch_data()
-    cd = build_cut_disc(b, branch_values=data.branch_values)
+    cd = build_cut_disc(b)
     base = cd.base
     _, pairs = crossing_paths(cd)
     paths = [path for pair in pairs for path in pair]
     # Straight runs through and past each branch value fail their rows.
     paths += [
         PathSpec(segments=(Line(base, base + t * (v - base)),))
-        for v in data.branch_values
+        for v in cd.branch_values
         for t in (1.0, 1.5)
     ]
     for factor in (10.0, 1e6):

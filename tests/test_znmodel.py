@@ -14,6 +14,7 @@ from blaschkelab import (
     zn_end_to_end,
     zn_projection,
 )
+from blaschkelab import znmodel
 
 
 def test_zn_projection_diagonal():
@@ -75,3 +76,18 @@ def test_zn_end_to_end_reports_ok():
         report = zn_end_to_end(n)
         assert report["n"] == n
         assert report["ok"], report
+
+
+def test_zn_end_to_end_runs_the_pipeline_at_order_one(monkeypatch):
+    # z has no branch value and no generator; its report still comes from
+    # `analyze`, so a failing pipeline fails it.
+    seen = []
+    real = znmodel.analyze
+
+    def spy(b, settings):
+        seen.append((b.order, settings.seed))
+        return real(b, settings)
+
+    monkeypatch.setattr(znmodel, "analyze", spy)
+    assert zn_end_to_end(1, seed=3)["ok"]
+    assert seen == [(1, 3)]

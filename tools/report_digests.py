@@ -19,6 +19,9 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
 * `verify-gamma --budget 100000 --samples 10` and
   `verify-gamma --budget 1000000 --samples 10` on product 15 (at 10^6 every
   quadrature ring is split into several continuation paths);
+* `verify-gamma --seed 3 --budget 100000 --samples 10` on product 15, so a
+  seed that did not reach the cut disc's settings would show (every other
+  `verify-gamma` run is at seed 0, the default);
 * `verify-gamma --budget 10000 --samples 25` on products 0, 5, 10 and 19
   (orders 3-6), so labeled routes are compared at every acceptance order;
 * `trace-loop --index 0` on products 5 and 27 (on product 27 the loop once
@@ -102,6 +105,9 @@ def runs(spec_paths, sweep_paths) -> list:
     out.append(("verify-gamma/product15",
                 ["verify-gamma", spec_paths[15], "--budget", "100000",
                  "--samples", "10", "--seed", "0"]))
+    out.append(("verify-gamma/product15/seed3",
+                ["verify-gamma", spec_paths[15], "--budget", "100000",
+                 "--samples", "10", "--seed", "3"]))
     out.append(("verify-gamma/product15/budget1000000",
                 ["verify-gamma", spec_paths[15], "--budget", "1000000",
                  "--samples", "10", "--seed", "0"]))
