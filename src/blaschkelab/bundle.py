@@ -83,6 +83,12 @@ _ANNULUS_WIDTH = 0.02
 # samples per eigenvalue seed.
 _PATH_LENGTH = 100
 
+# Residual and iteration budget of the polish that takes labeled fibers and
+# the continued branch-value disc fibers of the quadrature from the tracking
+# tolerance to near machine precision (`_labeled_fibers`, `_continue_paths`).
+_POLISH_TOL = 1e-14
+_POLISH_ITERS = 8
+
 # Quadrature: fiber rows per block of the isometry sums (`_isometry_estimates`),
 # so the evaluation's temporaries stay far smaller than the grid's fibers.
 _ROW_BLOCK = 8192
@@ -191,7 +197,7 @@ def _labeled_fibers(cd: CutDisc, zs) -> list:
     Routes every point from the base by `route_in_cut_disc`, continues
     `cd.fiber0` along all routes in one `track_paths` call under
     `cd.settings` and polishes every end fiber in one `newton_correct` call
-    (residual 1e-14, 8 iterations).
+    (residual `_POLISH_TOL`, `_POLISH_ITERS` iterations).
     A point's outcome is the fiber in the slot order of `cd.fiber0`, or the
     error its routing (PathBlocked), tracking or polish (NoConvergence)
     produced.  A point within 1e-13 of the base gets the base fiber itself.
@@ -220,8 +226,8 @@ def _labeled_fibers(cd: CutDisc, zs) -> list:
             cd.b,
             np.asarray([points for _, points in tracked], dtype=complex),
             np.array([zs[k] for k, _ in tracked]),
-            1e-14,
-            8,
+            _POLISH_TOL,
+            _POLISH_ITERS,
         )
         for i, (k, _) in enumerate(tracked):
             outcomes[k] = pts[i] if ok[i] else NoConvergence(
@@ -329,13 +335,16 @@ class QuadratureGrid:
     regions (branch-value discs, boundary annulus), whose summed contribution
     is reported as the excluded-mass bound.
 
-    Fibers of the main-region rings and of the boundary annulus come from
-    certified continuation along ring pieces of at most `_PATH_LENGTH`
-    samples (`_continue_paths`); fibers of the branch-value discs come from
-    eigenvalue solves (`_fiber_batch`).
+    Fibers come from certified continuation along pieces of at most
+    `_PATH_LENGTH` samples (`_continue_paths`): of the main-region rings, of
+    the boundary annulus, and of the polar bands of each branch-value disc,
+    whose continued fibers are then polished.  The innermost band of each
+    disc is solved by eigenvalues (`_fiber_batch`), as is every path seed.
     `fallbacks` counts the continued samples whose step failed its
-    certificate and were solved by eigenvalues instead (path seeds are not
-    counted); it depends only on the cut disc and the budget.
+    certificate and were solved by eigenvalues instead (path seeds, the
+    innermost bands and the rare disc fibers whose polish fails, which are
+    solved by eigenvalues too, are not counted); it depends only on the cut
+    disc and the budget.
     """
 
     points: np.ndarray
@@ -360,8 +369,9 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
 
     Used where no neighbouring fiber is at hand: the first sample of every
     continuation path, samples whose continuation step fails its
-    certificate, the branch-value correction discs of the quadrature grid,
-    and the independent unordered fibers of `verify_disjoint_images`.
+    certificate or whose polish fails, the innermost band of each
+    branch-value disc of the quadrature grid, and the independent unordered
+    fibers of `_min_separation`.
     """
     n = b.order
     p = np.asarray(b.P.coeffs, dtype=complex)
@@ -388,20 +398,54 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     return out
 
 
-def _continue_paths(cd: CutDisc, ws: np.ndarray, lengths):
-    """Unordered fibers of `cd.b` along sample paths by certified continuation.
+def _predict(prev, last, w_next, euler):
+    """Predicted fibers at `w_next` from each path's last two nodes.
 
-    `ws` is the concatenation of paths of the given lengths, each an ordered
-    run of nearby regular values.  Every path starts from an eigenvalue fiber
-    of its first sample (`_fiber_batch`); each later sample is reached by an
-    Euler predictor z + dw / B'(z) from the previous fiber and a Newton
-    corrector with `track`'s certificate (`certified_step` under
-    `cd.settings`).  All paths advance together, one vectorized step at a
-    time.  A sample whose step is not accepted is solved by eigenvalues and
-    its path continues from there.
+    `prev` and `last` hold (w, z, B'(z)) at the node before last and at the
+    last node, row per path.  The prediction is the cubic Hermite
+    extrapolation through both nodes with the slopes dz/dw = 1/B'(z) there;
+    rows flagged `euler` take the Euler step z + dw / B'(z) from the last
+    node instead.
+    """
+    (w0, z0, db0), (w1, z1, db1) = prev, last
+    dw = (w_next - w1)[:, None]
+    with np.errstate(all="ignore"):
+        s1 = 1.0 / db1
+        euler_pred = z1 + dw * s1
+        h = (w1 - w0)[:, None]
+        u = dw / h
+        d = (z1 - z0) / h
+        s0 = 1.0 / db0
+        hermite = z1 + dw * (s1 + u * (s1 - d) + u * (1.0 + u) * (s1 - 2.0 * d + s0))
+    return np.where(euler[:, None], euler_pred, hermite)
 
-    Returns (fibers aligned with ws, B' at those fibers, number of such
-    eigenvalue fallbacks).
+
+def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, polish):
+    """Unordered fibers of `cd.b` over `ws`, mostly by certified continuation.
+
+    `rows` indexes `ws`: it is the concatenation of paths of the given
+    lengths, each an ordered run of nearby regular values, so the paths take
+    the values in an order of their own while `ws` keeps its order.  Every
+    path starts from an eigenvalue fiber of its first sample (`_fiber_batch`,
+    which also solves every value on no path); each later sample is reached
+    by a predictor and a Newton corrector with `track`'s certificate
+    (`certified_step` under `cd.settings`).  The predictor is the cubic
+    Hermite extrapolation through the path's last two nodes (`_predict`),
+    and the Euler step z + dw / B'(z) where the last node was solved by
+    eigenvalues (a path's first step and the step after a fallback), whose
+    slots need not follow the node before.  All paths advance together, one
+    vectorized step at a time.  A sample whose step is not accepted is
+    solved by eigenvalues and its path continues from there.
+
+    The continued fibers of the path entries flagged in `polish` (the
+    quadrature's branch-value disc samples) are then Newton-polished in one
+    call to residual `_POLISH_TOL` within `_POLISH_ITERS` iterations: next to
+    a critical point a fiber point at residual `newton_tol` can sit about
+    newton_tol / |B'| from the root.  A fiber whose polish does not converge
+    is solved by eigenvalues.
+
+    Returns (fibers aligned with ws, B' at those fibers, number of samples
+    whose step failed its certificate).
     """
     b = cd.b
     fibers = np.empty((len(ws), b.order), dtype=complex)
@@ -412,27 +456,50 @@ def _continue_paths(cd: CutDisc, ws: np.ndarray, lengths):
     # Longest paths first, so the paths still running at step k are a prefix.
     order = np.argsort(-lengths, kind="stable")
     starts, lengths = starts[order], lengths[order]
-    w = ws[starts]
-    z = _fiber_batch(b, w)
-    db = b.derivative_value(z)
-    fibers[starts] = z
-    derivs[starts] = db
+    seeds = rows[starts]
+    by_eigenvalues = np.ones(len(ws), dtype=bool)
+    by_eigenvalues[rows] = False
+    by_eigenvalues[seeds] = True
+    solve = np.flatnonzero(by_eigenvalues)
+    fibers[solve] = _fiber_batch(b, ws[solve])
+    derivs[solve] = b.derivative_value(fibers[solve])
+    w, z, db = ws[seeds], fibers[seeds], derivs[seeds]
+    # The node before last of every path (the seed itself at the first step,
+    # where every path is flagged `restarted` and takes the Euler step).
+    prev = (w, z, db)
+    restarted = np.ones(len(starts), dtype=bool)
     fallbacks = 0
     for k in range(1, int(lengths[0])):
         live = int(np.count_nonzero(lengths > k))
-        idx = starts[:live] + k
+        idx = rows[starts[:live] + k]
         w_next = ws[idx]
-        with np.errstate(all="ignore"):
-            pred = z[:live] + (w_next - w[:live])[:, None] / db[:live]
+        last = (w[:live], z[:live], db[:live])
+        pred = _predict(
+            tuple(a[:live] for a in prev), last, w_next, restarted[:live]
+        )
+        prev = last
         z, db, _, accepted, _ = certified_step(b, pred, w_next, cd.settings)
         failed = np.nonzero(~accepted)[0]
         if len(failed):
             fallbacks += len(failed)
             z[failed] = _fiber_batch(b, w_next[failed])
             db[failed] = b.derivative_value(z[failed])
+            by_eigenvalues[idx[failed]] = True
+        restarted = ~accepted
         fibers[idx] = z
         derivs[idx] = db
         w = w_next
+    polished = rows[polish]
+    polished = polished[~by_eigenvalues[polished]]
+    if len(polished):
+        z, db, ok = newton_correct(
+            b, fibers[polished], ws[polished], _POLISH_TOL, _POLISH_ITERS
+        )
+        bad = ~ok
+        z[bad] = _fiber_batch(b, ws[polished[bad]])
+        db[bad] = b.derivative_value(z[bad])
+        fibers[polished] = z
+        derivs[polished] = db
     return fibers, derivs, fallbacks
 
 
@@ -456,17 +523,22 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
     regions partition the disc exactly.
 
     Fibers: each main-region ring, in angle order after the exclusion
-    filter, and the angle-ordered annulus samples are split evenly into
-    continuation paths of at most `_PATH_LENGTH` samples (`_continue_paths`).
-    The disc samples jump in radius, so they are solved by eigenvalues
-    (`_fiber_batch`).  B' of a continued fiber is the one its corrector
-    last evaluated; the disc fibers evaluate it afresh.  The samples and
-    weights do not depend on how the fibers are solved.
+    filter, the angle-ordered annulus samples and each disc's samples are
+    split evenly into continuation paths of at most `_PATH_LENGTH` samples
+    (`_continue_paths`).  A disc of m samples is split into ceil(m /
+    `_PATH_LENGTH`) polar bands of equal width; its samples run band by
+    band outwards, each band in angle order, forward and back in turn.  The
+    innermost band, next to the branch value where the fiber's separation
+    vanishes, is solved by eigenvalues (`_fiber_batch`), and the continued
+    disc fibers are polished.  The paths visit the samples through an index
+    permutation, so the grid keeps its own order.  B' of a continued fiber
+    is the one its corrector or polish last evaluated; the eigenvalue fibers
+    evaluate it afresh.  The samples and weights do not depend on how the
+    fibers are solved.
 
     The branch values are the cut disc's, and the samples are drawn from
     `cd.settings.seed`.
     """
-    b = cd.b
     budget = int(budget)
     if budget < 10 ** 4:
         raise ValueError("budget must be at least 10^4")
@@ -479,7 +551,11 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
     n_corr = int(0.10 * budget) if k else 0
     n_ann = budget - n_main - n_corr
 
-    pts, wts, corr, on_path, path_lengths = [], [], [], [], []
+    pts, wts, corr = [], [], []
+    # (grid rows in continuation order, whether to polish) of each run of
+    # nearby samples; the disc runs are polished.
+    runs = []
+    rows = 0
 
     def _outside_exclusions(z):
         if k == 0:
@@ -505,8 +581,8 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
         pts.append(z[keep])
         wts.append(np.full(kept, (r_main ** 2 / strata) / m))
         corr.append(np.zeros(kept, dtype=bool))
-        on_path.append(np.ones(kept, dtype=bool))
-        path_lengths.extend(_pieces(kept))
+        runs.append((np.arange(rows, rows + kept), False))
+        rows += kept
 
     # Branch-value discs: polar sampling, nearest-owner indicator.
     if k:
@@ -515,7 +591,8 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
             m = per_disc[i]
             if m == 0:
                 continue
-            r = _EXCLUSION_RADIUS * rng.random(m)
+            u = rng.random(m)
+            r = _EXCLUSION_RADIUS * u
             th = _TWO_PI * (np.arange(m) + rng.random(m)) / m
             z = beta + r * np.exp(1j * th)
             keep = np.abs(z) < r_main
@@ -525,7 +602,15 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
             pts.append(z[keep])
             wts.append(2.0 * _EXCLUSION_RADIUS * r[keep] / m)
             corr.append(np.ones(int(keep.sum()), dtype=bool))
-            on_path.append(np.zeros(int(keep.sum()), dtype=bool))
+            # Polar bands of equal width, of about `_PATH_LENGTH` drawn
+            # samples each, outwards; within a band in angle order, forward
+            # and back in turn.  The innermost band is left off the run.
+            bands = -(-m // _PATH_LENGTH)
+            band = np.minimum((u[keep] * bands).astype(int), bands - 1)
+            along = np.arange(len(band))
+            order = np.lexsort((np.where(band % 2, -along, along), band))
+            runs.append((rows + order[band[order] > 0], True))
+            rows += len(band)
 
     # Boundary annulus: uniform by area.
     if n_ann > 0:
@@ -535,21 +620,19 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
         pts.append(z)
         wts.append(np.full(n_ann, (1.0 - r_main ** 2) / n_ann))
         corr.append(np.ones(n_ann, dtype=bool))
-        on_path.append(np.ones(n_ann, dtype=bool))
-        path_lengths.extend(_pieces(n_ann))
+        runs.append((np.arange(rows, rows + n_ann), False))
 
     points = np.concatenate(pts)
     weights = np.concatenate(wts)
     correction = np.concatenate(corr)
-    on_path = np.concatenate(on_path)
 
-    fibers = np.empty((len(points), b.order), dtype=complex)
-    dvals = np.empty_like(fibers)
-    fibers[on_path], dvals[on_path], fallbacks = _continue_paths(
-        cd, points[on_path], path_lengths
+    fibers, dvals, fallbacks = _continue_paths(
+        cd,
+        points,
+        np.concatenate([run for run, _ in runs]),
+        [p for run, _ in runs for p in _pieces(len(run))],
+        np.concatenate([np.full(len(run), disc) for run, disc in runs]),
     )
-    fibers[~on_path] = _fiber_batch(b, points[~on_path])
-    dvals[~on_path] = b.derivative_value(fibers[~on_path])
     inv_db2 = 1.0 / np.abs(dvals) ** 2
     return QuadratureGrid(
         points=points,

@@ -146,9 +146,11 @@ def _merge_clusters(points, tol, cap):
     Two clusters of sizes s_a, s_b merge when their centers are closer than
     min(tol ** (1 / (s_a + s_b + 1)), cap): the exponent tracks the expected
     numerical spread of a root of the merged multiplicity, with one level of
-    slack so genuine members do not straddle the threshold.
+    slack so genuine members do not straddle the threshold.  Each cluster's
+    center is its members' mean, recomputed only when it absorbs another.
     """
     clusters = [[p] for p in points]
+    centers = list(points)
     merged = True
     while merged:
         merged = False
@@ -156,11 +158,10 @@ def _merge_clusters(points, tol, cap):
             for j in range(i + 1, len(clusters)):
                 m = len(clusters[i]) + len(clusters[j])
                 thresh = min(tol ** (1.0 / (m + 1)), cap)
-                ci = np.mean(clusters[i])
-                cj = np.mean(clusters[j])
-                if abs(ci - cj) < thresh:
+                if abs(centers[i] - centers[j]) < thresh:
                     clusters[i] = clusters[i] + clusters[j]
-                    del clusters[j]
+                    centers[i] = np.mean(clusters[i])
+                    del clusters[j], centers[j]
                     merged = True
                     break
             if merged:

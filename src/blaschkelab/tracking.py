@@ -164,21 +164,27 @@ def newton_correct(b, pred, w, tol, iters):
     `tol` or `iters` corrections are spent; the loop ends once every row has
     converged.  Returns (points, B' at the points, converged rows).  A row
     whose iterate turns non-finite never converges.  Callers apply their own
-    acceptance rule on top.
+    acceptance rule on top.  Until some row converges every row is live, and
+    the rows are worked on in place rather than gathered by index.
     """
     z = pred.copy()
     db = np.empty_like(z)
     converged = np.zeros(len(z), dtype=bool)
-    live = np.arange(len(z))
+    live = slice(None)
     with np.errstate(all="ignore"):
         for it in range(iters + 1):
             val, dval = b.eval_with_derivative(z[live])
             resid = val - w[live, None]
             done = np.all(np.abs(resid) <= tol, axis=1)
             db[live] = dval
-            converged[live[done]] = True
-            live, resid, dval = live[~done], resid[~done], dval[~done]
-            if len(live) == 0 or it == iters:
+            if done.all():
+                converged[live] = True
+                break
+            if done.any():
+                live = np.arange(len(z))[live]
+                converged[live[done]] = True
+                live, resid, dval = live[~done], resid[~done], dval[~done]
+            if it == iters:
                 break
             z[live] -= resid / dval
     converged &= np.all(np.isfinite(z), axis=1)

@@ -325,7 +325,7 @@ def test_continuation_leaves_samples_and_weights_unchanged(monkeypatch):
     continued = build_quadrature_grid(cd, 10**4)
     again = build_quadrature_grid(cd, 10**4)
     assert again.fallbacks == continued.fallbacks
-    def eig_paths(cd, ws, lengths):
+    def eig_paths(cd, ws, rows, lengths, polish):
         fibers = _fiber_batch(cd.b, ws)
         return fibers, cd.b.derivative_value(fibers), 0
 
@@ -343,7 +343,10 @@ def test_continuation_falls_back_across_a_branch_value(square, square_setup):
     # predictor lands both points on the critical point, so the step fails
     # its certificate and the fiber at -1/4 comes from eigenvalues.
     ws = np.array([0.25, -0.25, -0.25 + 0.01j, 0.3, 0.3 + 0.01j])
-    fibers, derivs, fallbacks = _continue_paths(square_setup, ws, [3, 2])
+    unpolished = np.zeros(len(ws), dtype=bool)
+    fibers, derivs, fallbacks = _continue_paths(
+        square_setup, ws, np.arange(len(ws)), [3, 2], unpolished
+    )
     assert fallbacks == 1
     assert np.max(np.abs(derivs - 2.0 * fibers)) <= 1e-12
     assert _set_distance(fibers, _fiber_batch(square, ws)) <= 1e-12
@@ -376,7 +379,10 @@ def test_certificate_rejects_collided_and_overcorrected_steps(order3):
 
 def test_continuation_single_point_fiber(mobius):
     ws = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 200))
-    fibers, _, fallbacks = _continue_paths(build_cut_disc(mobius), ws, [200])
+    unpolished = np.zeros(len(ws), dtype=bool)
+    fibers, _, fallbacks = _continue_paths(
+        build_cut_disc(mobius), ws, np.arange(len(ws)), [200], unpolished
+    )
     assert fallbacks == 0
     assert np.max(np.abs(mobius(fibers[:, 0]) - ws)) <= DEFAULTS.newton_tol
 
@@ -398,19 +404,67 @@ def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
     b = _CONTINUED_PRODUCTS["suite0-order3"]
     seen = []
 
-    def recording(cd, ws, lengths):
-        seen.append((len(ws), list(lengths)))
-        return _continue_paths(cd, ws, lengths)
+    def recording(cd, ws, rows, lengths, polish):
+        seen.append((len(rows), list(lengths)))
+        return _continue_paths(cd, ws, rows, lengths, polish)
 
     monkeypatch.setattr(bundle, "_continue_paths", recording)
-    grid = build_quadrature_grid(build_cut_disc(b), budget)
+    cd = build_cut_disc(b)
+    grid = build_quadrature_grid(cd, budget)
     ((count, lengths),) = seen
     assert 0 < max(lengths) <= bundle._PATH_LENGTH
     assert sum(lengths) == count
-    # On a path: every main-ring sample and every annulus sample; the rest
-    # are the branch-value disc samples inside the annulus' inner circle.
-    annulus = np.abs(grid.points) >= 1.0 - bundle._ANNULUS_WIDTH
-    assert count == int(np.count_nonzero(~grid.correction | annulus))
+    # On a path: every sample but the branch-value disc samples (inside the
+    # annulus' inner circle) in their disc's innermost band.  A disc of m
+    # samples has ceil(m / _PATH_LENGTH) bands of equal width.
+    betas = np.asarray(cd.branch_values)
+    n_corr, k = budget // 10, len(betas)
+    per_disc = [n_corr // k + (i < n_corr % k) for i in range(k)]
+    bands = np.array([-(-m // bundle._PATH_LENGTH) for m in per_disc])
+    width = bundle._EXCLUSION_RADIUS / bands
+    disc = grid.correction & (np.abs(grid.points) < 1.0 - bundle._ANNULUS_WIDTH)
+    d = np.abs(grid.points[:, None] - betas[None, :])
+    owner = d.argmin(axis=1)
+    innermost = disc & (d[np.arange(len(d)), owner] < width[owner])
+    assert count == len(grid.points) - int(np.count_nonzero(innermost))
+
+
+def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
+    # Product 15 at 10^5: eigenvalues solve exactly the path seeds, the
+    # innermost disc bands, the failed steps and the failed polishes, and
+    # B and B' are evaluated at few fibers per sample.
+    cd = build_cut_disc(_acceptance_product(15))
+    seen, eig_rows, polish_failures, evaluated = [], [0], [0], [0]
+    real_paths, real_batch = bundle._continue_paths, bundle._fiber_batch
+    real_polish, real_eval = bundle.newton_correct, BlaschkeProduct.eval_with_derivative
+
+    def paths(cd, ws, rows, lengths, polish):
+        seen.append((len(rows), list(lengths)))
+        return real_paths(cd, ws, rows, lengths, polish)
+
+    def batch(b, ws):
+        eig_rows[0] += len(ws)
+        return real_batch(b, ws)
+
+    def polishing(b, pred, w, tol, iters):
+        z, db, ok = real_polish(b, pred, w, tol, iters)
+        polish_failures[0] += int(np.count_nonzero(~ok))
+        return z, db, ok
+
+    def evaluate(self, z):
+        evaluated[0] += len(z)
+        return real_eval(self, z)
+
+    monkeypatch.setattr(bundle, "_continue_paths", paths)
+    monkeypatch.setattr(bundle, "_fiber_batch", batch)
+    monkeypatch.setattr(bundle, "newton_correct", polishing)
+    monkeypatch.setattr(BlaschkeProduct, "eval_with_derivative", evaluate)
+    grid = build_quadrature_grid(cd, 10**5)
+    ((count, lengths),) = seen
+    seeds = int(np.count_nonzero(lengths))
+    innermost = len(grid.points) - count
+    assert eig_rows[0] == seeds + innermost + grid.fallbacks + polish_failures[0]
+    assert evaluated[0] <= 2.3 * len(grid.points)
 
 
 def test_bundle_report_solves_branch_data_once(order3, monkeypatch):
@@ -448,9 +502,9 @@ def test_cut_disc_settings_reach_the_quadrature(order3, monkeypatch):
     # the cut disc's seed either way.
     lengths = []
 
-    def recording(cd, ws, path_lengths):
+    def recording(cd, ws, rows, path_lengths, polish):
         lengths.append(list(path_lengths))
-        return _continue_paths(cd, ws, path_lengths)
+        return _continue_paths(cd, ws, rows, path_lengths, polish)
 
     monkeypatch.setattr(bundle, "_continue_paths", recording)
     seeded = replace(DEFAULTS, seed=3)

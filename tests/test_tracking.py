@@ -215,6 +215,33 @@ def test_newton_correct_rows_converge_independently(order3):
         assert db.tobytes() == order3.eval_with_derivative(z)[1].tobytes()
 
 
+def test_newton_correct_batch_equals_row_by_row(square):
+    # On z^2 over w = 1/4: rows that converge after 0, 1, 2 and `iters`
+    # corrections, one that has not converged after `iters`, and one that
+    # starts on the critical point 0 and turns non-finite.
+    tol, iters = 1e-13, 4
+    ws = np.full(6, 0.25 + 0j)
+    pred = np.array([[0.5, -0.5]] * 6, dtype=complex)
+    pred[1:5, 0] += [1e-7, 1e-4, 0.1, 0.3]
+    pred[5, 0] = 0.0
+    rows = [slice(k, k + 1) for k in range(len(ws))]
+
+    def first_converged(row):
+        return next(
+            (i for i in range(iters + 1)
+             if newton_correct(square, pred[row], ws[row], tol, i)[2][0]),
+            None,
+        )
+
+    assert [first_converged(row) for row in rows] == [0, 1, 2, iters, None, None]
+    z, db, converged = newton_correct(square, pred, ws, tol, iters)
+    assert not np.isfinite(z[5]).all()
+    for row in rows:
+        want = newton_correct(square, pred[row], ws[row], tol, iters)
+        for got, one in zip((z, db, converged), want):
+            assert got[row].tobytes() == one.tobytes()
+
+
 def test_newton_correct_zero_iterations_only_evaluates(order3):
     ws = np.array([0.2 + 0.1j, -0.3j])
     exact = np.array([initial_fiber(order3, w).points for w in ws])

@@ -29,8 +29,14 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
 
 Each digest covers the exit code, stdout and stderr of one run; with
 `--dump DIR` that text is also written to DIR/<label>.txt, so a differing
-digest can be diffed.  The package is imported from the `src/` directory
-next to this script.
+digest can be diffed.  Given two such directories,
+
+    python3 tools/report_digests.py --diff DIR_A DIR_B
+
+prints, per run that differs, its exit codes and every JSON field of its
+report that differs, with the absolute and relative change of a number
+(output that is not JSON, such as a CSV trace, is compared line by line).
+The package is imported from the `src/` directory next to this script.
 """
 
 from __future__ import annotations
@@ -124,6 +130,84 @@ def runs(spec_paths, sweep_paths) -> list:
     return out
 
 
+def split_run(text: str) -> tuple:
+    """(exit code, stdout, stderr) of one run's text as `run` writes it."""
+    rc, _, rest = text.partition("\n")
+    out, _, err = rest.rpartition("\n--stderr--\n")
+    return rc, out, err
+
+
+def flatten(value, prefix="") -> dict:
+    """JSON value as {dotted path: leaf}; list items are indexed as [i]."""
+    if isinstance(value, dict):
+        items = [(f"{prefix}.{k}" if prefix else str(k), v) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{prefix}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return {prefix: value}
+    out = {}
+    for path, v in items:
+        out.update(flatten(v, path))
+    return out
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def field_changes(a: str, b: str) -> list:
+    """One line per field of the JSON texts `a` and `b` that differs; for
+    text that is not JSON, one line per differing line."""
+    try:
+        fa, fb = flatten(json.loads(a)), flatten(json.loads(b))
+    except json.JSONDecodeError:
+        la, lb = a.splitlines(), b.splitlines()
+        lines = [
+            f"line {i + 1}: {x!r} -> {y!r}"
+            for i, (x, y) in enumerate(zip(la, lb)) if x != y
+        ]
+        if len(la) != len(lb):
+            lines.append(f"{len(la)} -> {len(lb)} lines")
+        return lines
+    lines = []
+    for path in sorted(fa.keys() | fb.keys()):
+        x, y = fa.get(path, "<absent>"), fb.get(path, "<absent>")
+        if x == y and type(x) is type(y):
+            continue
+        if is_number(x) and is_number(y):
+            change = y - x
+            rel = f"{change / abs(x):+.3e}" if x else "inf"
+            lines.append(f"{path}: {x!r} -> {y!r} (abs {change:+.3e}, rel {rel})")
+        else:
+            lines.append(f"{path}: {x!r} -> {y!r}")
+    return lines
+
+
+def main_diff(dir_a, dir_b) -> None:
+    """Print the differing fields of every run dumped in both directories."""
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    names = sorted({p.name for p in dir_a.glob("*.txt")} | {p.name for p in dir_b.glob("*.txt")})
+    differing = 0
+    for name in names:
+        pa, pb = dir_a / name, dir_b / name
+        if not (pa.exists() and pb.exists()):
+            differing += 1
+            print(f"{name[:-4]}: only in {dir_a if pa.exists() else dir_b}")
+            continue
+        (rc_a, out_a, err_a), (rc_b, out_b, err_b) = (
+            split_run(p.read_text()) for p in (pa, pb)
+        )
+        lines = [f"exit code: {rc_a} -> {rc_b}"] if rc_a != rc_b else []
+        lines += field_changes(out_a, out_b) if out_a != out_b else []
+        lines += [f"stderr: {err_a!r} -> {err_b!r}"] if err_a != err_b else []
+        if lines:
+            differing += 1
+            print(name[:-4])
+            for line in lines:
+                print(f"  {line}")
+    print(f"{differing} of {len(names)} runs differ")
+
+
 def main_digests(dump=None) -> None:
     if dump is not None:
         dump = Path(dump)
@@ -150,4 +234,12 @@ def main_digests(dump=None) -> None:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", default=None, help="also write each run's text here")
-    main_digests(parser.parse_args().dump)
+    parser.add_argument(
+        "--diff", nargs=2, metavar=("DIR_A", "DIR_B"), default=None,
+        help="compare two --dump directories instead of running",
+    )
+    args = parser.parse_args()
+    if args.diff:
+        main_diff(*args.diff)
+    else:
+        main_digests(args.dump)
