@@ -64,7 +64,6 @@ from .errors import (
 from .monodromy import (
     MonodromyRep,
     Permutation,
-    approach,
     boundary_product,
     compute_representation,
     crossing_paths,
@@ -77,6 +76,7 @@ from .tracking import (
     Fiber,
     Line,
     PathSpec,
+    approach,
     choose_base_point,
     initial_fiber,
     loop_permutation,

@@ -5,10 +5,11 @@ pointing away from a base point, leaves a domain that is star-shaped about
 that base point, on which the n inverse branches sigma_i of a degree-n
 Blaschke product extend globally.  This module constructs the cuts, continues
 the labeled fiber from the base point along one straight segment to each
-point, evaluates the unitary f -> (1/sqrt n) (f(sigma_i) sigma_i')_i
-pointwise, and verifies its defining properties: isometry (against the
-exact coefficient-side inner product), intertwining with multiplication by
-the coordinate, and disjointness of the branch images.
+point (cut into short pieces by the splitting rule of `tracking`), evaluates
+the unitary f -> (1/sqrt n) (f(sigma_i) sigma_i')_i pointwise, and verifies
+its defining properties: isometry (against the exact coefficient-side inner
+product), intertwining with multiplication by the coordinate, and
+disjointness of the branch images.
 
 Sampling, continuation and the report work on one `CutDisc`, which carries
 its product, its branch data and the `Settings` it was built with: their
@@ -26,7 +27,7 @@ import numpy as np
 
 from .blaschke import BranchData
 from .config import DEFAULTS, Settings
-from .cpoly import Poly, _companion_roots, roots as poly_roots
+from .cpoly import Poly
 from .errors import (
     AmbiguousMatching,
     LoopConstructionFailed,
@@ -37,6 +38,8 @@ from .tracking import (
     Fiber,
     Line,
     PathSpec,
+    _fiber_batch,
+    approach,
     certified_step,
     choose_base_point,
     fiber_separation,
@@ -179,16 +182,18 @@ def point_in_cut_disc(cd: CutDisc, z: complex, clearance=None) -> bool:
 
 
 def route_in_cut_disc(cd: CutDisc, z: complex) -> PathSpec:
-    """The straight segment from the base point to z.
+    """The straight segment from the base point to z, cut by the splitting rule.
 
     The cut disc is star-shaped about its base, so the segment avoids every
-    cut whenever z does.  Raises PathBlocked unless z is in the cut disc
-    with the margin `_MIN_CUT_CLEARANCE` (`point_in_cut_disc`).
+    cut whenever z does.  Its pieces are the `approach` to z: each is short
+    next to the branch values, one lane of `track_paths`.  Raises
+    PathBlocked unless z is in the cut disc with the margin
+    `_MIN_CUT_CLEARANCE` (`point_in_cut_disc`).
     """
     start, end = complex(cd.base), complex(z)
     if not point_in_cut_disc(cd, end):
         raise PathBlocked(f"no cut-avoiding route from {start:.4f} to {end:.4f}")
-    return PathSpec(segments=(Line(start, end),))
+    return PathSpec(segments=approach(start, end, cd.branch_values))
 
 
 def _labeled_fibers(cd: CutDisc, zs) -> list:
@@ -355,47 +360,6 @@ class QuadratureGrid:
     budget: int
     seed: int
     fallbacks: int
-
-
-def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
-    """Unordered fibers of many regular values at once, each solved afresh.
-
-    Solves P(z) - w Q(z) = 0 per sample with the batched companion-eigenvalue
-    kernel of `cpoly` (chunked to bound memory); the leading coefficient
-    never degenerates since |Q_n| < 1 = |P_n| inside the disc.  Residuals
-    are validated against the scale-aware evaluation bound and rare failures
-    are re-solved by `cpoly.roots`, which merges clusters and polishes
-    multiple roots.
-
-    Used where no neighbouring fiber is at hand: the first sample of every
-    continuation path, samples whose continuation step fails its
-    certificate or whose polish fails, the innermost band of each
-    branch-value disc of the quadrature grid, and the independent unordered
-    fibers of `_min_separation`.
-    """
-    n = b.order
-    p = np.asarray(b.P.coeffs, dtype=complex)
-    q = np.asarray(b.Q.coeffs, dtype=complex)
-    q = np.pad(q, (0, len(p) - len(q)))
-    out = np.empty((len(ws), n), dtype=complex)
-    chunk = 65536
-    for lo in range(0, len(ws), chunk):
-        w = ws[lo:lo + chunk]
-        c = p[None, :] - w[:, None] * q[None, :]
-        roots = _companion_roots(c)
-        # Horner residual check at the scale-aware bound.
-        val = np.zeros_like(roots)
-        for k in range(n, -1, -1):
-            val = val * roots + c[:, k][:, None]
-        scale = (1.0 + np.abs(c).sum(axis=1))[:, None] * np.maximum(
-            1.0, np.abs(roots)
-        ) ** n
-        bad = np.nonzero(np.any(np.abs(val) > 1e-8 * scale, axis=1))[0]
-        for idx in bad:
-            clusters = poly_roots(Poly(c[idx]), tol=1e-10)
-            roots[idx] = [cl.center for cl in clusters for _ in range(cl.multiplicity)]
-        out[lo:lo + chunk] = roots
-    return out
 
 
 def _predict(prev, last, w_next, euler):

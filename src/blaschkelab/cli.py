@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,7 +154,9 @@ def cmd_zn(args) -> int:
     return 0 if report["ok"] else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="blaschkelab",
         description="Monodromy, commutant, and bundle-unitary toolkit for "

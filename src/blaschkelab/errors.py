@@ -51,7 +51,8 @@ class AmbiguousMatching(ToolkitError):
 
 
 class LoopConstructionFailed(ToolkitError):
-    """The cut disc's base point or an `approach` segment hits a branch value."""
+    """The cut disc's base point or a segment cut by `split_segment` hits a
+    branch value."""
 
 
 class PathBlocked(ToolkitError):

@@ -20,20 +20,20 @@ from dataclasses import dataclass
 
 from .bundle import CutDisc, build_cut_disc
 from .config import DEFAULTS, Settings
-from .errors import BranchCountError, LoopConstructionFailed
+from .errors import BranchCountError
 from .tracking import (
     Arc,
-    Line,
     PathSpec,
+    approach,
     match_endpoints,
     point_segment_distance,
+    split_segment,
     track_paths,
 )
 
 __all__ = [
     "Permutation",
     "MonodromyRep",
-    "approach",
     "crossing_paths",
     "compute_representation",
     "boundary_product",
@@ -115,28 +115,6 @@ class MonodromyRep:
     boundary_perm: Permutation
 
 
-def approach(start: complex, z: complex, branch_values) -> tuple:
-    """The segment from `start` to `z` as contiguous pieces (`Line`s).
-
-    Each piece is no longer than the distance from its start to the nearest
-    branch value, so it lies in a disc about its start that holds no branch
-    value, on which every inverse branch is single-valued.  Without branch
-    values the segment is one piece.  Raises LoopConstructionFailed if the
-    segment runs into a branch value.
-    """
-    pieces, cur = [], complex(start)
-    while True:
-        reach = min((abs(cur - v) for v in branch_values), default=math.inf)
-        if reach == 0.0:
-            raise LoopConstructionFailed(f"the segment to {z:.4f} meets a branch value")
-        if abs(z - cur) <= reach:
-            pieces.append(Line(cur, z))
-            return tuple(pieces)
-        nxt = cur + reach * (z - cur) / abs(z - cur)
-        pieces.append(Line(cur, nxt))
-        cur = nxt
-
-
 def crossing_paths(cd: CutDisc) -> tuple:
     """(branch values, path pairs) of the cut disc's standard generators.
 
@@ -153,6 +131,10 @@ def crossing_paths(cd: CutDisc) -> tuple:
     The last pair is the boundary loop's: "there" is the `approach` to the
     point of radius (1 + max|beta|)/2 on the ray from 0 through the base,
     then that circle once counterclockwise; "back" is the approach alone.
+
+    Every segment, the half circles and the boundary circle included, is
+    cut by `split_segment`, so each piece is one short lane of
+    `track_paths`.
     """
     base = complex(cd.base)
     order = sorted(
@@ -169,13 +151,13 @@ def crossing_paths(cd: CutDisc) -> tuple:
             + [abs(beta - base), 1.0 - abs(beta)]
         ) / 3.0
         half = Arc(beta, r, phi - math.pi / 2.0, phi + math.pi / 2.0)
-        there = approach(base, half.point(0.0), betas) + (half,)
+        there = approach(base, half.point(0.0), betas) + split_segment(half, betas)
         pairs.append((PathSpec(there), PathSpec(approach(base, half.point(1.0), betas))))
     rc = (1.0 + max((abs(v) for v in betas), default=0.0)) / 2.0
     a0 = cmath.phase(base) if abs(base) > 0 else 0.0
     circle = Arc(0j, rc, a0, a0 + 2.0 * math.pi)
     stem = approach(base, circle.point(0.0), betas)
-    pairs.append((PathSpec(stem + (circle,)), PathSpec(stem)))
+    pairs.append((PathSpec(stem + split_segment(circle, betas)), PathSpec(stem)))
     return betas, tuple(pairs)
 
 

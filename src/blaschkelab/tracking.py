@@ -2,15 +2,22 @@
 
 B is an n-to-1 branched cover of the disc; away from the branch values each
 w has a fiber of n distinct preimages.  This module computes initial fibers,
-chooses the base point, and continues whole fibers along paths with an Euler predictor (dz = dw / B'(z)) plus a Newton
-corrector, halving the step until every corrector run is certified: few
-iterations, small residual, and corrections an order of magnitude smaller
-than the fiber separation.
+chooses the base point, and continues whole fibers along paths with an Euler
+predictor (dz = dw / B'(z)) plus a Newton corrector, halving the step until
+every corrector run is certified: few iterations, small residual, and
+corrections an order of magnitude smaller than the fiber separation.
 
-`track_paths` continues one start fiber along many paths in lockstep: each
-path is a row with its own step control, and one `newton_correct` call
-corrects every live row per iteration.  A failing row yields its typed
-error as its outcome while the others go on.  `track` is its one-path case.
+`track_paths` continues one start fiber along many paths in one lockstep
+loop whose rows are lanes: every segment of every path is one lane with its
+own step control, and one `newton_correct` call corrects every live lane per
+iteration.  A path's first lane starts from the given fiber; each later lane
+starts from the eigenvalue fiber of its start (`_fiber_batch`, one call for
+all of them), and the lanes of a path are chained by matching fibers at
+their junctions.  Path builders cut their segments by one rule
+(`split_segment`) into pieces short next to the branch values, so that a
+lane typically finishes in the minimum four certified steps.  A failing lane
+or junction yields its typed error as its path's outcome while the others go
+on.  `track` is the one-path case.
 """
 
 from __future__ import annotations
@@ -23,10 +30,11 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULTS, Settings
-from .cpoly import roots
+from .cpoly import Poly, _companion_roots, roots
 from .errors import (
     AmbiguousMatching,
     FiberCollision,
+    LoopConstructionFailed,
     StepFloorReached,
 )
 
@@ -35,6 +43,8 @@ __all__ = [
     "Arc",
     "PathSpec",
     "Fiber",
+    "split_segment",
+    "approach",
     "initial_fiber",
     "choose_base_point",
     "track",
@@ -53,6 +63,12 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 # A fiber may start a path only if its w lies this close to the path start.
 _START_TOL = 1e-9
+# `split_segment` cuts pieces no longer than this fraction of the distance
+# from their start to the nearest branch value.  At 1 a piece may end on the
+# circle through that value: on the seed-2026 suite of 30 products its
+# longest lane took 28 tries.  At 0.7 every lane took the minimum 4; 0.5 did
+# too, with 60% more start fibers solved by eigenvalues.
+_REACH_FRACTION = 0.7
 
 
 def point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -91,7 +107,8 @@ class Arc:
 
     def point(self, t: float) -> complex:
         ang = self.a0 + t * (self.a1 - self.a0)
-        return self.center + self.radius * cmath.exp(1j * ang)
+        # np.exp, as in the lanes' stacked evaluation (`_segment_points`).
+        return complex(self.center + self.radius * np.exp(1j * ang))
 
     def reversed(self) -> "Arc":
         return Arc(self.center, self.radius, self.a1, self.a0)
@@ -123,6 +140,45 @@ class PathSpec:
     def reversed(self) -> "PathSpec":
         segs = tuple(s.reversed() for s in reversed(self.segments))
         return PathSpec(segments=segs)
+
+
+def split_segment(seg, branch_values) -> tuple:
+    """`seg` (a `Line` or an `Arc`) as contiguous pieces of its own kind.
+
+    The one splitting rule of the package's paths: each piece is no longer
+    (an arc's by arc length) than `_REACH_FRACTION` times the distance from
+    its start to the nearest branch value, so it lies well inside a disc
+    about its start that holds no branch value, and a lane on it (see
+    `track_paths`) finishes in few certified steps.  Without branch values
+    the segment is one piece; the last piece ends exactly where the segment
+    does.  Raises LoopConstructionFailed if the segment runs into a branch
+    value, toward which the pieces would otherwise shrink forever.
+    """
+    arc = isinstance(seg, Arc)
+    # The position along the segment: an angle on an arc, a point on a line.
+    cur, end = (seg.a0, seg.a1) if arc else (complex(seg.start), complex(seg.end))
+    scale = seg.radius if arc else 1.0
+    pieces = []
+    while True:
+        at = seg.center + seg.radius * cmath.exp(1j * cur) if arc else cur
+        reach = _REACH_FRACTION * min((abs(at - v) for v in branch_values), default=math.inf)
+        left = scale * abs(end - cur)
+        if reach > 0.0 and left <= reach:
+            nxt = end
+        else:
+            nxt = cur + (reach / left) * (end - cur) if reach > 0.0 else cur
+            if nxt == cur:
+                target = seg.point(1.0) if arc else end
+                raise LoopConstructionFailed(f"the segment to {target:.4f} meets a branch value")
+        pieces.append(Arc(seg.center, seg.radius, cur, nxt) if arc else Line(cur, nxt))
+        if nxt == end:
+            return tuple(pieces)
+        cur = nxt
+
+
+def approach(start: complex, z: complex, branch_values) -> tuple:
+    """The segment from `start` to `z` as contiguous `Line`s (`split_segment`)."""
+    return split_segment(Line(start, z), branch_values)
 
 
 @dataclass(frozen=True)
@@ -258,15 +314,65 @@ def choose_base_point(b, branch_values, settings: Settings = DEFAULTS) -> comple
     return complex(centers[i], centers[j])
 
 
+def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
+    """Unordered fibers of many regular values at once, each solved afresh.
+
+    Solves P(z) - w Q(z) = 0 per sample with the batched companion-eigenvalue
+    kernel of `cpoly` (chunked to bound memory); the leading coefficient
+    never degenerates since |Q_n| < 1 = |P_n| inside the disc.  Residuals
+    are validated against the scale-aware evaluation bound and rare failures
+    are re-solved by `cpoly.roots`, which merges clusters and polishes
+    multiple roots.  Each row is bit-identical to solving its value alone.
+
+    Used where no neighbouring fiber is at hand: the start of every lane
+    after a path's first (`track_paths`), the first sample of every
+    quadrature continuation path, quadrature samples whose continuation
+    step fails its certificate or whose polish fails, the innermost band of
+    each branch-value disc of the quadrature grid, and the independent
+    unordered fibers of `bundle._min_separation`.
+    """
+    n = b.order
+    p = np.asarray(b.P.coeffs, dtype=complex)
+    q = np.asarray(b.Q.coeffs, dtype=complex)
+    q = np.pad(q, (0, len(p) - len(q)))
+    out = np.empty((len(ws), n), dtype=complex)
+    chunk = 65536
+    for lo in range(0, len(ws), chunk):
+        w = ws[lo:lo + chunk]
+        c = p[None, :] - w[:, None] * q[None, :]
+        found = _companion_roots(c)
+        # Horner residual check at the scale-aware bound.
+        val = np.zeros_like(found)
+        for k in range(n, -1, -1):
+            val = val * found + c[:, k][:, None]
+        scale = (1.0 + np.abs(c).sum(axis=1))[:, None] * np.maximum(
+            1.0, np.abs(found)
+        ) ** n
+        bad = np.nonzero(np.any(np.abs(val) > 1e-8 * scale, axis=1))[0]
+        for idx in bad:
+            clusters = roots(Poly(c[idx]), tol=1e-10)
+            found[idx] = [cl.center for cl in clusters for _ in range(cl.multiplicity)]
+        out[lo:lo + chunk] = found
+    return out
+
+
 def track_paths(b, fiber, paths, settings: Settings = DEFAULTS) -> list:
     """Continue `fiber` along every path in `paths` at once, in lockstep.
 
     Returns one outcome per path, in order: the end Fiber (slot i follows
-    input point i), or the FiberCollision / StepFloorReached instance that
-    `track` would raise on that path alone.  Each row keeps its own segment,
-    step and acceptance streak; one `newton_correct` call corrects every live
-    row per iteration, and rows finish or fail independently.  Every row is
-    bit-identical to tracking its path alone.
+    input point i), or the first failure in path order.  Every segment of
+    every path is one lane of one lockstep loop (`_track_lanes`); a path's
+    first lane starts from `fiber`, every later lane from the eigenvalue
+    fiber of its start, all solved in one `_fiber_batch` call under
+    `initial_fiber`'s collision rule.  At each junction the end fiber of a
+    lane is matched to the start fiber of the next by `match_endpoints`'
+    rule, for all junctions at once, and the path's end fiber is its last
+    lane's end in the slot order of `fiber`.  A failure is a lane's
+    FiberCollision (at its start or on it) or StepFloorReached ("segment k"
+    names the lane's index in its path), or AmbiguousMatching at a
+    junction.  Lanes are bit-identical however many paths are tracked
+    together, and equal segments at equal positions are tracked once.
+    Build paths with `split_segment` so that every lane is short.
     """
     return _track_rows(b, fiber, paths, settings)
 
@@ -278,10 +384,15 @@ def track(b, fiber, path, settings: Settings = DEFAULTS, record=None) -> Fiber:
     every point within the iteration cap, the corrected fiber stays separated
     (FiberCollision otherwise), and the separation exceeds ten times the
     largest Newton correction; otherwise the step is halved down to the floor
-    (StepFloorReached).  This is the one-path case of `track_paths`.
+    (StepFloorReached).  Each segment of `path` is continued on its own from
+    its start fiber and joined to the next at their common point, as in
+    `track_paths`, of which this is the one-path case.
 
     `record`, if given, is called as record(t, w, points) at the start node
-    and after every accepted step, with t the global path parameter in [0, 1].
+    and at every accepted node, in path order, once the path is tracked, with
+    t the global path parameter in [0, 1] (segment k spans [k, k + 1] / the
+    number of segments) and the points in the slot order of `fiber`.  Nodes
+    up to the path's first failure are recorded.
     """
     (end,) = _track_rows(b, fiber, [path], settings, record)
     if isinstance(end, Exception):
@@ -289,87 +400,199 @@ def track(b, fiber, path, settings: Settings = DEFAULTS, record=None) -> Fiber:
     return end
 
 
-def _track_rows(b, fiber, paths, settings: Settings, record=None):
-    """Lockstep predictor-corrector behind `track` and `track_paths`.
+def _segment_points(segs):
+    """Stacked `point` of the segments: at(rows, t)[k] is segs[rows[k]].point(t[k]).
 
-    Steps are judged by `certified_step`: a collided row ends in
-    FiberCollision, any other rejection halves its step.  `record` traces a
-    single path; it is refused with several.
+    Lines and arcs are evaluated by the formulas of `Line.point` and
+    `Arc.point`, in numpy, so each value is bit-identical to the method's.
+    """
+    arc = np.array([isinstance(seg, Arc) for seg in segs], dtype=bool)
+    origin = np.array([seg.center if a else seg.start for seg, a in zip(segs, arc)], dtype=complex)
+    delta = np.array([0j if a else seg.end - seg.start for seg, a in zip(segs, arc)], dtype=complex)
+    radius = np.array([seg.radius if a else 0.0 for seg, a in zip(segs, arc)])
+    a0 = np.array([seg.a0 if a else 0.0 for seg, a in zip(segs, arc)])
+    sweep = np.array([seg.a1 - seg.a0 if a else 0.0 for seg, a in zip(segs, arc)])
+
+    def at(rows, t):
+        out = origin[rows] + t * delta[rows]
+        on = arc[rows]
+        if on.any():
+            q = rows[on]
+            out[on] = origin[q] + radius[q] * np.exp(1j * (a0[q] + t[on] * sweep[q]))
+        return out
+
+    return at
+
+
+def _track_lanes(b, pts, segs, positions, errors, settings: Settings, keep_nodes=False):
+    """Lockstep predictor-corrector: continue fiber pts[k] along segs[k].
+
+    Each lane keeps its own state, in arrays over the lanes: w, points, B'
+    there, the parameter s on its segment, the step h and the streak of
+    accepted steps since its last rejection.  Steps are judged by
+    `certified_step`: a collided lane ends in FiberCollision, any other
+    rejection halves its step (StepFloorReached below the floor;
+    `positions[k]` is the segment index its message names).  Lanes whose
+    `errors` entry is set are not continued; failures are written there.
+
+    Returns (points, w) at the lanes' ends and, with `keep_nodes`, the
+    accepted nodes (s, w, points) of every lane.
+    """
+    pts = pts.copy()
+    m = len(segs)
+    at = _segment_points(segs)
+    w = at(np.arange(m), np.zeros(m))
+    slope = b.derivative_value(pts)
+    s, h = np.zeros(m), np.full(m, 0.25)
+    streak = np.zeros(m, dtype=int)
+    nodes = [[] for _ in range(m)] if keep_nodes else None
+    live = np.flatnonzero([e is None for e in errors])
+    while len(live):
+        t = np.minimum(s[live] + h[live], 1.0)
+        w_next = at(live, t)
+        accepted = np.zeros(len(live), dtype=bool)
+        ended = np.zeros(len(live), dtype=bool)
+        tried = np.flatnonzero(np.all(np.abs(slope[live]) > 1e-30, axis=1))
+        if len(tried):
+            rows = live[tried]
+            pred = pts[rows] + (w_next[tried] - w[rows])[:, None] / slope[rows]
+            fit, fit_db, sep, ok, collided = certified_step(b, pred, w_next[tried], settings)
+            for j in np.flatnonzero(collided):
+                errors[rows[j]] = FiberCollision(
+                    f"fiber separation {sep[j]:.3e} under threshold "
+                    f"near w={complex(w_next[tried[j]])}"
+                )
+            ended[tried[collided]] = True
+            accepted[tried[ok]] = True
+            rows = rows[ok]
+            pts[rows], slope[rows] = fit[ok], fit_db[ok]
+            w[rows], s[rows] = w_next[accepted], t[accepted]
+            streak[rows] += 1
+            h[rows] = np.where(streak[rows] >= 2, np.minimum(2.0 * h[rows], 0.25), h[rows])
+            if keep_nodes:
+                for r in rows.tolist():
+                    nodes[r].append((float(s[r]), complex(w[r]), pts[r].copy()))
+            ended |= accepted & (t >= 1.0)
+        rejected = np.flatnonzero(~accepted & ~ended)
+        rows = live[rejected]
+        h[rows] *= 0.5
+        streak[rows] = 0
+        for k in rejected[h[rows] < settings.step_floor].tolist():
+            errors[live[k]] = StepFloorReached(
+                f"step floor reached on segment {positions[live[k]]} "
+                f"near w={complex(w_next[k])}"
+            )
+            ended[k] = True
+        live = live[~ended]
+    return pts, w, nodes
+
+
+def _track_rows(b, fiber, paths, settings: Settings, record=None):
+    """Lanes, junctions and per-path outcomes behind `track` and `track_paths`.
+
+    `record` traces a single path; it is refused with several.
     """
     if record is not None and len(paths) != 1:
         raise ValueError("record needs exactly one path")
     if any(abs(fiber.w - path.start) > _START_TOL for path in paths):
         raise ValueError("fiber base does not match path start")
-    m = len(paths)
+    # One lane per distinct (segment, index in its path), numbered in order.
+    index, path_lanes = {}, []
+    for path in paths:
+        path_lanes.append(
+            [index.setdefault((seg, k), len(index)) for k, seg in enumerate(path.segments)]
+        )
+    if not index:
+        return []
+    segs = [seg for seg, _ in index]
+    positions = [k for _, k in index]
     start = np.array(fiber.points, dtype=complex)
-    pts = np.tile(start, (m, 1))
-    slope = np.tile(b.derivative_value(start), (m, 1))
-    # Per-row state: current w, segment index, parameter s on the segment,
-    # step h and the streak of accepted steps since the last rejection.
-    w = [complex(path.start) for path in paths]
-    iseg, s, h, streak = [0] * m, [0.0] * m, [0.25] * m, [0] * m
-    outcomes = [None] * m
-    if record is not None:
-        record(0.0, w[0], pts[0].copy())
-    live = list(range(m))
-    while live:
-        targets = [min(s[r] + h[r], 1.0) for r in live]
-        w_next = [
-            complex(paths[r].segments[iseg[r]].point(t)) for r, t in zip(live, targets)
-        ]
-        rows = np.array(live)
-        # Position (in `live`) of each row that took a step, and the index of
-        # its corrected fiber in the `certified_step` results.
-        slot = [-1] * len(live)
-        tried = np.nonzero(np.all(np.abs(slope[rows]) > 1e-30, axis=1))[0]
-        if len(tried):
-            dw = np.array([w_next[k] - w[live[k]] for k in tried])
-            pred = pts[rows[tried]] + dw[:, None] / slope[rows[tried]]
-            fit, fit_db, sep, accepted, collided = certified_step(
-                b, pred, np.array([w_next[k] for k in tried]), settings
-            )
-            sep, accepted, collided = sep.tolist(), accepted.tolist(), collided.tolist()
-            for j, k in enumerate(tried.tolist()):
-                slot[k] = j
-        still = []
-        for k, r in enumerate(live):
-            j = slot[k]
-            if j >= 0:
-                if collided[j]:
-                    outcomes[r] = FiberCollision(
-                        f"fiber separation {sep[j]:.3e} under threshold near w={w_next[k]}"
-                    )
-                    continue
-                if accepted[j]:
-                    pts[r], slope[r], w[r], s[r] = fit[j], fit_db[j], w_next[k], targets[k]
-                    streak[r] += 1
-                    if streak[r] >= 2:
-                        h[r] = min(2.0 * h[r], 0.25)
-                    nseg = len(paths[r].segments)
-                    if record is not None:
-                        record((iseg[r] + s[r]) / nseg, w[r], pts[r].copy())
-                    if s[r] >= 1.0:
-                        iseg[r] += 1
-                        if iseg[r] == nseg:
-                            outcomes[r] = Fiber(
-                                w=w[r],
-                                points=tuple(pts[r].tolist()),
-                                separation=float(fiber_separation(pts[r])),
-                            )
-                            continue
-                        s[r], h[r], streak[r] = 0.0, 0.25, 0
-                    still.append(r)
-                    continue
-            h[r] *= 0.5
-            streak[r] = 0
-            if h[r] < settings.step_floor:
-                outcomes[r] = StepFloorReached(
-                    f"step floor reached on segment {iseg[r]} near w={w_next[k]}"
+    starts = np.tile(start, (len(segs), 1))
+    errors = [None] * len(segs)
+    later = np.flatnonzero(positions)
+    if len(later):
+        ws = _segment_points(segs)(later, np.zeros(len(later)))
+        starts[later] = _fiber_batch(b, ws)
+        threshold = settings.collision_factor * settings.newton_tol
+        for r, w0, sep in zip(later.tolist(), ws, fiber_separation(starts[later])):
+            if sep <= threshold:
+                errors[r] = FiberCollision(
+                    f"fiber separation {sep:.3e} at w={complex(w0)} is below threshold"
                 )
-                continue
-            still.append(r)
-        live = still
+    started = [e is None for e in errors]
+    ends, w, nodes = _track_lanes(
+        b, starts, segs, positions, errors, settings, keep_nodes=record is not None
+    )
+    # Every junction whose two fibers exist, matched at once.
+    junctions = sorted({
+        (a, c) for lanes in path_lanes for a, c in zip(lanes, lanes[1:])
+        if errors[a] is None and started[c]
+    })
+    matches = {}
+    if junctions:
+        a, c = np.array(junctions).T
+        images, messages = _match_rows(
+            ends[a], starts[c], fiber_separation(starts[c]) / 3.0
+        )
+        matches = {
+            key: image if message is None else AmbiguousMatching(message)
+            for key, image, message in zip(junctions, images, messages)
+        }
+    outcomes = []
+    for path, lanes in zip(paths, path_lanes):
+        # slots[i] is the slot of path slot i in the current lane.
+        slots = np.arange(len(start))
+        if record is not None:
+            record(0.0, complex(path.start), start.copy())
+        for k, lane in enumerate(lanes):
+            if k:
+                # The junction's slot map, or the start collision of the lane.
+                joined = matches.get((lanes[k - 1], lane), errors[lane])
+                if isinstance(joined, Exception):
+                    outcome = joined
+                    break
+                slots = joined[slots]
+            if record is not None:
+                for s, w_node, pts in nodes[lane]:
+                    record((k + s) / len(lanes), w_node, pts[slots])
+            if errors[lane] is not None:
+                outcome = errors[lane]
+                break
+        else:
+            points = ends[lanes[-1]][slots]
+            outcome = Fiber(
+                w=complex(w[lanes[-1]]),
+                points=tuple(points.tolist()),
+                separation=float(fiber_separation(points)),
+            )
+        outcomes.append(outcome)
     return outcomes
+
+
+def _match_rows(ends, starts, bounds):
+    """Match fiber ends[k] to starts[k] for every row k at once.
+
+    Each end point goes to its nearest start point, which must lie closer
+    than bounds[k] and make a bijection.  Returns (images, messages): images[k]
+    maps slot i of ends[k] to a slot of starts[k], and messages[k] is None or
+    says why row k fails (its first end point too far, else not a bijection).
+    """
+    dists = np.abs(ends[:, :, None] - starts[:, None, :])
+    images = dists.argmin(axis=2)
+    nearest = np.take_along_axis(dists, images[:, :, None], axis=2)[:, :, 0]
+    far = nearest >= bounds[:, None]
+    bijective = (np.sort(images, axis=1) == np.arange(ends.shape[1])).all(axis=1)
+    messages = [None] * len(ends)
+    for k in np.flatnonzero(far.any(axis=1) | ~bijective).tolist():
+        if far[k].any():
+            i = int(np.argmax(far[k]))
+            messages[k] = (
+                f"endpoint {complex(ends[k, i])} is {nearest[k, i]:.3e} from its "
+                f"nearest start point (bound {bounds[k]:.3e})"
+            )
+        else:
+            messages[k] = "endpoint matching is not a bijection"
+    return images, messages
 
 
 def track_with_trace(b, fiber, path, settings: Settings = DEFAULTS):
@@ -398,26 +621,19 @@ def match_endpoints(fiber0, end):
     """Permutation tau with end.points[i] = fiber0.points[tau(i)].
 
     Matches endpoints to start points by nearest neighbour within a third of
-    the starting separation (AmbiguousMatching otherwise).
+    the starting separation (AmbiguousMatching otherwise), the rule that
+    also joins the lanes of a path (`_match_rows`).
     """
     from .monodromy import Permutation
 
-    start_pts = np.array(fiber0.points)
-    end_pts = np.array(end.points)
-    images = []
-    bound = fiber0.separation / 3.0
-    for e in end_pts:
-        dists = np.abs(start_pts - e)
-        j = int(np.argmin(dists))
-        if dists[j] >= bound:
-            raise AmbiguousMatching(
-                f"endpoint {e} is {dists[j]:.3e} from its nearest start point "
-                f"(bound {bound:.3e})"
-            )
-        images.append(j)
-    if len(set(images)) != len(images):
-        raise AmbiguousMatching("endpoint matching is not a bijection")
-    return Permutation(tuple(images))
+    (images,), (message,) = _match_rows(
+        np.array([end.points], dtype=complex),
+        np.array([fiber0.points], dtype=complex),
+        np.array([fiber0.separation / 3.0]),
+    )
+    if message is not None:
+        raise AmbiguousMatching(message)
+    return Permutation(tuple(images.tolist()))
 
 
 def winding_number(path, point, samples_per_segment=512) -> float:

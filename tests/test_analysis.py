@@ -150,6 +150,19 @@ def test_former_return_stem_collisions_give_the_symmetric_group(b):
     assert all(g.cycle_type() == transposition for g in result.rep.generators)
 
 
+@pytest.mark.parametrize("order, draw", [(16, 5), (18, 0)])
+def test_clustered_high_order_branch_values_give_the_symmetric_group(order, draw):
+    # At dedup_tol 1e-12 these draws keep branch values about 1e-9 apart.
+    # Continued along whole segments, a crossing path reached the step floor
+    # near them; cut into pieces short beside each branch value, every lane
+    # certifies and the group is S_n with q = 2.
+    b = _sweep_draw(order, draw)
+    result = analyze(b, replace(DEFAULTS, dedup_tol=1e-12))
+    assert result.ok
+    assert result.group_order == math.factorial(order)
+    assert result.q_orbitals == 2
+
+
 @pytest.mark.parametrize("order", [24, 32])
 def test_merged_high_order_branch_values_stop_at_the_ramification_guard(order):
     # Companion eigenvalues find all n - 1 simple critical points, but the

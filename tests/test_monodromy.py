@@ -29,7 +29,7 @@ from blaschkelab import (
     random_product,
     sigma_values,
 )
-from blaschkelab import bundle
+from blaschkelab import bundle, tracking
 from blaschkelab.tracking import (
     Arc,
     Fiber,
@@ -39,6 +39,7 @@ from blaschkelab.tracking import (
     loop_permutation,
     match_endpoints,
     point_segment_distance,
+    split_segment,
     track,
     winding_number,
 )
@@ -577,6 +578,9 @@ def test_approach_pieces_stay_in_branch_free_discs():
     def point():
         return 0.95 * math.sqrt(rng.random()) * cmath.exp(_TWO_PI * 1j * rng.random())
 
+    def reach(p, betas):
+        return 0.7 * min(abs(p - v) for v in betas)
+
     for _ in range(200):
         betas = [point() for _ in range(int(rng.integers(1, 9)))]
         start, z = point(), point()
@@ -586,11 +590,44 @@ def test_approach_pieces_stay_in_branch_free_discs():
             assert a.end == nxt.start
         for piece in pieces:
             # Up to rounding: the points lie in the unit disc.
-            reach = min(abs(piece.start - v) for v in betas)
-            assert abs(piece.end - piece.start) <= reach + 1e-15
+            assert abs(piece.end - piece.start) <= reach(piece.start, betas) + 1e-15
+        # Arcs by arc length, in either sense of rotation.
+        a0 = _TWO_PI * rng.random()
+        sweep = _TWO_PI * (rng.random() - 0.5)
+        arc = Arc(start, 0.5 * rng.random(), a0, a0 + sweep)
+        try:
+            arcs = split_segment(arc, betas)
+        except LoopConstructionFailed:
+            continue
+        assert arcs[0].a0 == arc.a0 and arcs[-1].a1 == arc.a1
+        for a, nxt in zip(arcs, arcs[1:]):
+            assert a.a1 == nxt.a0
+        for piece in arcs:
+            assert (piece.center, piece.radius) == (arc.center, arc.radius)
+            length = piece.radius * abs(piece.a1 - piece.a0)
+            assert length <= reach(piece.point(0.0), betas) + 1e-15
     assert approach(0.1, 0.5j, ()) == (Line(0.1, 0.5j),)
     with pytest.raises(LoopConstructionFailed):
         approach(0.5, -0.5, [0j])
+    with pytest.raises(LoopConstructionFailed):
+        split_segment(Arc(0j, 0.5, -math.pi / 2.0, math.pi / 2.0), [0.5])
+
+
+def test_acceptance_representations_take_few_lockstep_iterations(monkeypatch):
+    # Every lane is a short piece that certifies in the minimum four steps,
+    # so the lockstep loop iterates a few times per product (742 certified
+    # steps over these 20 products when each path went segment by segment).
+    calls = [0]
+    step = tracking.certified_step
+
+    def counting(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(tracking, "certified_step", counting)
+    for b in _acceptance_products():
+        compute_representation(b)
+    assert calls[0] <= 200
 
 
 def test_failing_first_loop_raises_what_tracking_it_whole_raises(order3):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from blaschkelab import (
+    AmbiguousMatching,
     Arc,
     BlaschkeProduct,
     FiberCollision,
@@ -254,11 +255,11 @@ def test_newton_correct_zero_iterations_only_evaluates(order3):
 
 
 def test_track_predicts_with_b_prime_at_the_current_fiber(order3, monkeypatch):
-    events = []
+    steps, nodes = [], []
     correct = tracking.newton_correct
 
     def spy(b, pred, w, tol, iters):
-        events.append(("step", pred[0].copy(), complex(w[0])))
+        steps.append((pred[0].copy(), complex(w[0])))
         return correct(b, pred, w, tol, iters)
 
     monkeypatch.setattr(tracking, "newton_correct", spy)
@@ -267,17 +268,21 @@ def test_track_predicts_with_b_prime_at_the_current_fiber(order3, monkeypatch):
         order3,
         initial_fiber(order3, base),
         _circle(0j, abs(base), cmath.phase(base)),
-        record=lambda t, w, pts: events.append(("node", pts, w)),
+        record=lambda t, w, pts: nodes.append((pts, w)),
     )
-    steps = 0
-    for kind, pts, w in events:
-        if kind == "node":
-            current, w_cur = pts, w
-            continue
-        steps += 1
-        want = current + (w - w_cur) / order3.derivative_value(current)
-        assert pts.tobytes() == want.tobytes()
-    assert steps > 10
+    # Nodes are recorded once the path is tracked, so each step is matched
+    # to the node it was predicted from: the same node until a step is
+    # accepted, then the next.
+    current = 0
+    for pred, w in steps:
+        while True:
+            pts, w_cur = nodes[current]
+            want = pts + (w - w_cur) / order3.derivative_value(pts)
+            if pred.tobytes() == want.tobytes():
+                break
+            current += 1
+    assert current == len(nodes) - 2
+    assert len(steps) > 10
 
 
 def _same_fiber(a, b) -> bool:
@@ -330,16 +335,39 @@ def test_track_paths_empty_and_mismatched_start(square):
 
 
 def _scalar_track(b, fiber, path, collision_factor=10.0):
-    """One path, one step at a time: the per-row rule `track_paths` batches.
+    """One path, one lane at a time, one step at a time: the per-lane rule
+    `track_paths` batches.
 
-    Returns the end fiber as (w, points, separation) or the error as
-    (type, message), with the default tolerances.
+    Segment k > 0 starts from the eigenvalue fiber of its start; its points
+    are matched to the end of segment k - 1 by nearest neighbour within a
+    third of their separation.  Returns the end fiber as (w, points in the
+    slots of `fiber`, separation) or the error as (type, message), with the
+    default tolerances.
     """
     tol, floor, iters = 1e-11, 1e-12, 5
     pts = np.array(fiber.points, dtype=complex)
-    slope = b.derivative_value(pts)
-    w = complex(path.start)
+    slots = list(range(len(pts)))
     for iseg, seg in enumerate(path.segments):
+        w = complex(seg.point(0.0))
+        if iseg:
+            start = tracking._fiber_batch(b, np.array([w]))[0]
+            sep = float(tracking.fiber_separation(start))
+            if sep <= collision_factor * tol:
+                return (FiberCollision, f"fiber separation {sep:.3e} at w={w} is below threshold")
+            images = []
+            for e in pts:
+                dists = np.abs(start - e)
+                j = int(np.argmin(dists))
+                if dists[j] >= sep / 3.0:
+                    return (AmbiguousMatching,
+                            f"endpoint {complex(e)} is {dists[j]:.3e} from its nearest "
+                            f"start point (bound {sep / 3.0:.3e})")
+                images.append(j)
+            if sorted(images) != list(range(len(pts))):
+                return (AmbiguousMatching, "endpoint matching is not a bijection")
+            slots = [images[i] for i in slots]
+            pts = start
+        slope = b.derivative_value(pts)
         s, h, streak = 0.0, 0.25, 0
         while s < 1.0:
             target = min(s + h, 1.0)
@@ -365,7 +393,29 @@ def _scalar_track(b, fiber, path, collision_factor=10.0):
                 if h < floor:
                     return (StepFloorReached,
                             f"step floor reached on segment {iseg} near w={w_next}")
+    pts = pts[slots]
     return (w, pts.tobytes(), float(tracking.fiber_separation(pts)))
+
+
+def test_junction_fiber_moved_by_half_its_separation_is_ambiguous(square, monkeypatch):
+    # The second lane's start fiber, shifted by half its separation, leaves
+    # every end point of the first lane at least a third of it from the
+    # nearest start point: the junction refuses to match.
+    real = tracking._fiber_batch
+
+    def moved(b, ws):
+        fibers = real(b, ws)
+        return fibers + 0.5 * tracking.fiber_separation(fibers)[:, None]
+
+    monkeypatch.setattr(tracking, "_fiber_batch", moved)
+    fib = initial_fiber(square, 0.25)
+    path = PathSpec(segments=(Line(0.25, 0.25 + 0.05j), Line(0.25 + 0.05j, 0.25 + 0.1j)))
+    with pytest.raises(AmbiguousMatching, match="from its nearest start point") as info:
+        track(square, fib, path)
+    assert (AmbiguousMatching, str(info.value)) == _scalar_track(square, fib, path)
+    first, second = track_paths(square, fib, [PathSpec(path.segments[:1]), path])
+    assert first.points[1] == pytest.approx(cmath.sqrt(0.25 + 0.05j), abs=1e-12)
+    assert type(second) is AmbiguousMatching
 
 
 def _seeded_products(count):
