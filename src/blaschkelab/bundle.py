@@ -38,9 +38,10 @@ from .tracking import (
     Fiber,
     Line,
     PathSpec,
+    _continue_nodes,
     _fiber_batch,
+    _match_rows,
     approach,
-    certified_step,
     choose_base_point,
     fiber_separation,
     initial_fiber,
@@ -81,9 +82,9 @@ _ANNULUS_WIDTH = 0.02
 
 # Quadrature: the most samples one continuation path holds
 # (`build_quadrature_grid`).  Rings and the annulus are split evenly into
-# pieces no longer than this, so the lockstep loop of `_continue_paths` runs
-# fewer steps, each over more paths, while every path still spans many
-# samples per eigenvalue seed.
+# pieces no longer than this, so the lockstep continuation loop
+# (`_continue_paths`) runs fewer steps, each over more paths, while every
+# path still spans many samples per eigenvalue seed.
 _PATH_LENGTH = 100
 
 # Residual and iteration budget of the polish that takes labeled fibers and
@@ -340,15 +341,11 @@ class QuadratureGrid:
     regions (branch-value discs, boundary annulus), whose summed contribution
     is reported as the excluded-mass bound.
 
-    Fibers come from certified continuation along pieces of at most
-    `_PATH_LENGTH` samples (`_continue_paths`): of the main-region rings, of
-    the boundary annulus, and of the polar bands of each branch-value disc,
-    whose continued fibers are then polished.  The innermost band of each
-    disc is solved by eigenvalues (`_fiber_batch`), as is every path seed.
+    Fibers come from certified continuation (`build_quadrature_grid`).
     `fallbacks` counts the continued samples whose step failed its
-    certificate and were solved by eigenvalues instead (path seeds, the
-    innermost bands and the rare disc fibers whose polish fails, which are
-    solved by eigenvalues too, are not counted); it depends only on the cut
+    certificate: the nodes the continuation loop reported and solved by
+    eigenvalues (path seeds, innermost disc bands and failed polishes are
+    solved by eigenvalues too, but not counted).  It depends only on the cut
     disc and the budget.
     """
 
@@ -362,51 +359,19 @@ class QuadratureGrid:
     fallbacks: int
 
 
-def _predict(prev, last, w_next, euler):
-    """Predicted fibers at `w_next` from each path's last two nodes.
-
-    `prev` and `last` hold (w, z, B'(z)) at the node before last and at the
-    last node, row per path.  The prediction is the cubic Hermite
-    extrapolation through both nodes with the slopes dz/dw = 1/B'(z) there;
-    rows flagged `euler` take the Euler step z + dw / B'(z) from the last
-    node instead.
-    """
-    (w0, z0, db0), (w1, z1, db1) = prev, last
-    dw = (w_next - w1)[:, None]
-    with np.errstate(all="ignore"):
-        s1 = 1.0 / db1
-        euler_pred = z1 + dw * s1
-        h = (w1 - w0)[:, None]
-        u = dw / h
-        d = (z1 - z0) / h
-        s0 = 1.0 / db0
-        hermite = z1 + dw * (s1 + u * (s1 - d) + u * (1.0 + u) * (s1 - 2.0 * d + s0))
-    return np.where(euler[:, None], euler_pred, hermite)
-
-
 def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, polish):
     """Unordered fibers of `cd.b` over `ws`, mostly by certified continuation.
 
-    `rows` indexes `ws`: it is the concatenation of paths of the given
-    lengths, each an ordered run of nearby regular values, so the paths take
-    the values in an order of their own while `ws` keeps its order.  Every
-    path starts from an eigenvalue fiber of its first sample (`_fiber_batch`,
-    which also solves every value on no path); each later sample is reached
-    by a predictor and a Newton corrector with `track`'s certificate
-    (`certified_step` under `cd.settings`).  The predictor is the cubic
-    Hermite extrapolation through the path's last two nodes (`_predict`),
-    and the Euler step z + dw / B'(z) where the last node was solved by
-    eigenvalues (a path's first step and the step after a fallback), whose
-    slots need not follow the node before.  All paths advance together, one
-    vectorized step at a time.  A sample whose step is not accepted is
-    solved by eigenvalues and its path continues from there.
-
-    The continued fibers of the path entries flagged in `polish` (the
-    quadrature's branch-value disc samples) are then Newton-polished in one
-    call to residual `_POLISH_TOL` within `_POLISH_ITERS` iterations: next to
-    a critical point a fiber point at residual `newton_tol` can sit about
-    newton_tol / |B'| from the root.  A fiber whose polish does not converge
-    is solved by eigenvalues.
+    `rows` indexes `ws`: the concatenation of paths of the given lengths,
+    each an ordered run of nearby regular values.  Each path's first sample
+    and every value on no path are solved by eigenvalues (`_fiber_batch`);
+    the later samples are the paths' nodes in the continuation loop of
+    `tracking` (`_continue_nodes` under `cd.settings`).  The continued
+    fibers flagged in `polish` (the branch-value disc samples) are then
+    Newton-polished in one call to residual `_POLISH_TOL` within
+    `_POLISH_ITERS` iterations, since next to a critical point a fiber point
+    at residual `newton_tol` can sit about newton_tol / |B'| from the root;
+    a fiber whose polish fails is solved by eigenvalues.
 
     Returns (fibers aligned with ws, B' at those fibers, number of samples
     whose step failed its certificate).
@@ -416,55 +381,23 @@ def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, polish):
     derivs = np.empty_like(fibers)
     lengths = np.asarray(lengths, dtype=int)
     lengths = lengths[lengths > 0]
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    # Longest paths first, so the paths still running at step k are a prefix.
-    order = np.argsort(-lengths, kind="stable")
-    starts, lengths = starts[order], lengths[order]
-    seeds = rows[starts]
+    seeds = rows[np.cumsum(lengths) - lengths]
     by_eigenvalues = np.ones(len(ws), dtype=bool)
     by_eigenvalues[rows] = False
     by_eigenvalues[seeds] = True
     solve = np.flatnonzero(by_eigenvalues)
     fibers[solve] = _fiber_batch(b, ws[solve])
     derivs[solve] = b.derivative_value(fibers[solve])
-    w, z, db = ws[seeds], fibers[seeds], derivs[seeds]
-    # The node before last of every path (the seed itself at the first step,
-    # where every path is flagged `restarted` and takes the Euler step).
-    prev = (w, z, db)
-    restarted = np.ones(len(starts), dtype=bool)
-    fallbacks = 0
-    for k in range(1, int(lengths[0])):
-        live = int(np.count_nonzero(lengths > k))
-        idx = rows[starts[:live] + k]
-        w_next = ws[idx]
-        last = (w[:live], z[:live], db[:live])
-        pred = _predict(
-            tuple(a[:live] for a in prev), last, w_next, restarted[:live]
-        )
-        prev = last
-        z, db, _, accepted, _ = certified_step(b, pred, w_next, cd.settings)
-        failed = np.nonzero(~accepted)[0]
-        if len(failed):
-            fallbacks += len(failed)
-            z[failed] = _fiber_batch(b, w_next[failed])
-            db[failed] = b.derivative_value(z[failed])
-            by_eigenvalues[idx[failed]] = True
-        restarted = ~accepted
-        fibers[idx] = z
-        derivs[idx] = db
-        w = w_next
+    restarted, _, _ = _continue_nodes(b, ws, rows, lengths, fibers, derivs, cd.settings)
+    by_eigenvalues[restarted] = True
     polished = rows[polish]
     polished = polished[~by_eigenvalues[polished]]
     if len(polished):
-        z, db, ok = newton_correct(
-            b, fibers[polished], ws[polished], _POLISH_TOL, _POLISH_ITERS
-        )
-        bad = ~ok
-        z[bad] = _fiber_batch(b, ws[polished[bad]])
-        db[bad] = b.derivative_value(z[bad])
-        fibers[polished] = z
-        derivs[polished] = db
-    return fibers, derivs, fallbacks
+        z, db, ok = newton_correct(b, fibers[polished], ws[polished], _POLISH_TOL, _POLISH_ITERS)
+        z[~ok] = _fiber_batch(b, ws[polished[~ok]])
+        db[~ok] = b.derivative_value(z[~ok])
+        fibers[polished], derivs[polished] = z, db
+    return fibers, derivs, len(restarted)
 
 
 def _pieces(length: int) -> list:
@@ -488,16 +421,16 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
 
     Fibers: each main-region ring, in angle order after the exclusion
     filter, the angle-ordered annulus samples and each disc's samples are
-    split evenly into continuation paths of at most `_PATH_LENGTH` samples
-    (`_continue_paths`).  A disc of m samples is split into ceil(m /
-    `_PATH_LENGTH`) polar bands of equal width; its samples run band by
-    band outwards, each band in angle order, forward and back in turn.  The
-    innermost band, next to the branch value where the fiber's separation
-    vanishes, is solved by eigenvalues (`_fiber_batch`), and the continued
-    disc fibers are polished.  The paths visit the samples through an index
-    permutation, so the grid keeps its own order.  B' of a continued fiber
-    is the one its corrector or polish last evaluated; the eigenvalue fibers
-    evaluate it afresh.  The samples and weights do not depend on how the
+    split evenly into paths of at most `_PATH_LENGTH` samples, the nodes of
+    the continuation loop of `tracking` (`_continue_paths`).  A disc of m
+    samples is split into ceil(m / `_PATH_LENGTH`) polar bands of equal
+    width; its samples run band by band outwards, each band in angle order,
+    forward and back in turn.  The innermost band, next to the branch value
+    where the fiber's separation vanishes, is solved by eigenvalues
+    (`_fiber_batch`), and the continued disc fibers are polished.  The paths
+    visit the samples through an index permutation, so the grid keeps its
+    own order.  B' of a continued fiber is the one its corrector or polish
+    last evaluated.  The samples and weights do not depend on how the
     fibers are solved.
 
     The branch values are the cut disc's, and the samples are drawn from
@@ -675,23 +608,20 @@ def _min_separation(b, zs, sig) -> float:
 
     Also certifies that the labeling is consistent: at each point, the
     labeled fiber must match the independently solved unordered fiber one to
-    one (AmbiguousMatching for the first point in draw order that does not).
-    All points are matched in one (points, n, n) distance array.
+    one, by the nearest-neighbour rule that joins tracking lanes
+    (`tracking._match_rows`) within max(min_sep / 3, 1e-9); AmbiguousMatching
+    names the first point in draw order that does not.
     """
-    n = b.order
-    if n == 1:
+    if b.order == 1:
         return math.inf
     min_sep = float(fiber_separation(sig).min())
-    raw = _fiber_batch(b, zs)
-    tol = max(min_sep / 3.0, 1e-9)
-    dd = np.abs(sig[:, :, None] - raw[:, None, :])
-    bijective = (np.sort(dd.argmin(axis=2), axis=1) == np.arange(n)).all(axis=1)
-    bad = np.flatnonzero(~bijective | (dd.min(axis=2).max(axis=1) > tol))
-    if len(bad):
-        raise AmbiguousMatching(
-            f"labeled fiber at z={zs[bad[0]]:.4f} does not biject onto the "
-            "unordered fiber"
-        )
+    bound = np.full(len(zs), max(min_sep / 3.0, 1e-9))
+    _, messages = _match_rows(sig, _fiber_batch(b, zs), bound)
+    for z, message in zip(zs, messages):
+        if message is not None:
+            raise AmbiguousMatching(
+                f"labeled fiber at z={z:.4f} does not biject onto the unordered fiber"
+            )
     return min_sep
 
 

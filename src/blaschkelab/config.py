@@ -43,7 +43,7 @@ class Settings:
     dedup_tol : float
         Distance below which two branch-value candidates are identified.
     step_floor : float
-        Smallest admissible continuation step (in segment parameter).
+        Smallest spacing of a retried tracking step (in segment parameter).
     max_newton_iters : int
         Corrector iterations allowed per tracking or quadrature continuation
         step.

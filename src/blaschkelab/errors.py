@@ -43,7 +43,7 @@ class FiberCollision(ToolkitError):
 
 
 class StepFloorReached(ToolkitError):
-    """Adaptive continuation halved its step below the floor without acceptance."""
+    """A tracking step was rejected until its halved spacing fell below the floor."""
 
 
 class AmbiguousMatching(ToolkitError):

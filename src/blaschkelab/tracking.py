@@ -2,22 +2,22 @@
 
 B is an n-to-1 branched cover of the disc; away from the branch values each
 w has a fiber of n distinct preimages.  This module computes initial fibers,
-chooses the base point, and continues whole fibers along paths with an Euler
-predictor (dz = dw / B'(z)) plus a Newton corrector, halving the step until
-every corrector run is certified: few iterations, small residual, and
-corrections an order of magnitude smaller than the fiber separation.
+chooses the base point, and continues whole fibers in one lockstep loop,
+`_continue_nodes`, which tracking and the quadrature of `bundle` share: it
+advances many paths through prescribed nodes, predicts each step by Hermite
+extrapolation or an Euler step, certifies it (`certified_step`: few Newton
+iterations, small residual, corrections well below the fiber separation),
+and solves a rejected node by eigenvalues and reports it.
 
-`track_paths` continues one start fiber along many paths in one lockstep
-loop whose rows are lanes: every segment of every path is one lane with its
-own step control, and one `newton_correct` call corrects every live lane per
-iteration.  A path's first lane starts from the given fiber; each later lane
-starts from the eigenvalue fiber of its start (`_fiber_batch`, one call for
-all of them), and the lanes of a path are chained by matching fibers at
-their junctions.  Path builders cut their segments by one rule
-(`split_segment`) into pieces short next to the branch values, so that a
-lane typically finishes in the minimum four certified steps.  A failing lane
-or junction yields its typed error as its path's outcome while the others go
-on.  `track` is the one-path case.
+`track_paths` runs every segment of every path as a lane with nodes at
+t = 0, 1/4, 1/2, 3/4 and 1.  A path's first lane starts from the given
+fiber, each later lane from the eigenvalue fiber of its start, and the lanes
+are chained by matching fibers at their junctions.  A rejected step ends its
+lane in a collision, or is retried alone to a halfway node down to the step
+floor.  Path builders cut segments by one rule (`split_segment`) into pieces
+short next to the branch values, so a lane typically takes its four steps.
+A failing lane or junction is its path's typed outcome, while the others go
+on; `track` is the one-path case.
 """
 
 from __future__ import annotations
@@ -69,6 +69,16 @@ _START_TOL = 1e-9
 # longest lane took 28 tries.  At 0.7 every lane took the minimum 4; 0.5 did
 # too, with 60% more start fibers solved by eigenvalues.
 _REACH_FRACTION = 0.7
+# `split_segment` refuses a piece that would start within this multiple of
+# |start| of a branch value: that close, rounding alone separates the two, as
+# on an arc whose end angle is pi in floating point.
+_ROUNDING = 8.0 * np.finfo(float).eps
+# `_continue_nodes` takes the Euler step where the last two nodes lie at most
+# this many newton_tol apart in w.  Each node sits about newton_tol / |B'| off
+# its root, so the Hermite predictor's divided difference (z1 - z0) / (w1 -
+# w0) has a relative error of about newton_tol / |w1 - w0|: on lanes 1e-10
+# long beside clustered branch values it failed down to the step floor.
+_HERMITE_SPACING = 1e4
 
 
 def point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -152,7 +162,9 @@ def split_segment(seg, branch_values) -> tuple:
     `track_paths`) finishes in few certified steps.  Without branch values
     the segment is one piece; the last piece ends exactly where the segment
     does.  Raises LoopConstructionFailed if the segment runs into a branch
-    value, toward which the pieces would otherwise shrink forever.
+    value, toward which the pieces would otherwise shrink forever: once a
+    piece would start within `_ROUNDING` times |start| of a branch value, or
+    would not advance.
     """
     arc = isinstance(seg, Arc)
     # The position along the segment: an angle on an arc, a point on a line.
@@ -161,7 +173,9 @@ def split_segment(seg, branch_values) -> tuple:
     pieces = []
     while True:
         at = seg.center + seg.radius * cmath.exp(1j * cur) if arc else cur
-        reach = _REACH_FRACTION * min((abs(at - v) for v in branch_values), default=math.inf)
+        gap = min((abs(at - v) for v in branch_values), default=math.inf)
+        # Within rounding of a branch value no reach is left.
+        reach = _REACH_FRACTION * gap if gap > _ROUNDING * abs(at) else 0.0
         left = scale * abs(end - cur)
         if reach > 0.0 and left <= reach:
             nxt = end
@@ -250,11 +264,12 @@ def newton_correct(b, pred, w, tol, iters):
 def certified_step(b, pred, w, settings: Settings = DEFAULTS):
     """Newton-correct predicted fibers pred[k] onto B(z) = w[k] and certify.
 
-    The step certificate of `track` and the quadrature continuation.  Returns
-    (points, B' there, fiber separations, accepted, collided) per row.  A row
-    has collided when it converged (`newton_correct`) with separation at most
-    collision_factor * newton_tol; it is accepted when it converged, has not
-    collided, and its separation exceeds ten times its largest correction.
+    The one step certificate, of the continuation loop `_continue_nodes`.
+    Returns (points, B' there, fiber separations, accepted, collided) per
+    row.  A row has collided when it converged (`newton_correct`) with
+    separation at most collision_factor * newton_tol; it is accepted when it
+    converged, has not collided, and its separation exceeds ten times its
+    largest correction.
     """
     z, db, converged = newton_correct(
         b, pred, w, settings.newton_tol, settings.max_newton_iters
@@ -323,13 +338,8 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     are validated against the scale-aware evaluation bound and rare failures
     are re-solved by `cpoly.roots`, which merges clusters and polishes
     multiple roots.  Each row is bit-identical to solving its value alone.
-
-    Used where no neighbouring fiber is at hand: the start of every lane
-    after a path's first (`track_paths`), the first sample of every
-    quadrature continuation path, quadrature samples whose continuation
-    step fails its certificate or whose polish fails, the innermost band of
-    each branch-value disc of the quadrature grid, and the independent
-    unordered fibers of `bundle._min_separation`.
+    Used where no neighbouring fiber is at hand: lane starts, rejected
+    continuation nodes, quadrature path seeds and failed polishes.
     """
     n = b.order
     p = np.asarray(b.P.coeffs, dtype=complex)
@@ -361,18 +371,15 @@ def track_paths(b, fiber, paths, settings: Settings = DEFAULTS) -> list:
 
     Returns one outcome per path, in order: the end Fiber (slot i follows
     input point i), or the first failure in path order.  Every segment of
-    every path is one lane of one lockstep loop (`_track_lanes`); a path's
-    first lane starts from `fiber`, every later lane from the eigenvalue
-    fiber of its start, all solved in one `_fiber_batch` call under
-    `initial_fiber`'s collision rule.  At each junction the end fiber of a
-    lane is matched to the start fiber of the next by `match_endpoints`'
-    rule, for all junctions at once, and the path's end fiber is its last
-    lane's end in the slot order of `fiber`.  A failure is a lane's
-    FiberCollision (at its start or on it) or StepFloorReached ("segment k"
-    names the lane's index in its path), or AmbiguousMatching at a
-    junction.  Lanes are bit-identical however many paths are tracked
-    together, and equal segments at equal positions are tracked once.
-    Build paths with `split_segment` so that every lane is short.
+    every path is one lane (`_continue_lanes`).  A path's first lane starts
+    from `fiber`, every later lane from the eigenvalue fiber of its start
+    (one `_fiber_batch` call, under `initial_fiber`'s collision rule), and
+    all junctions are matched at once by `match_endpoints`' rule.  A failure
+    is a lane's FiberCollision or StepFloorReached ("segment k" names the
+    lane's index in its path), or AmbiguousMatching at a junction.  Lanes
+    are bit-identical however many paths are tracked together; equal
+    segments at equal positions are tracked once.  Build paths with
+    `split_segment` so that every lane is short.
     """
     return _track_rows(b, fiber, paths, settings)
 
@@ -380,13 +387,12 @@ def track_paths(b, fiber, paths, settings: Settings = DEFAULTS) -> list:
 def track(b, fiber, path, settings: Settings = DEFAULTS, record=None) -> Fiber:
     """Continue a whole fiber along `path`; slot i follows input point i.
 
-    A step from w to w_next is accepted only if the corrector converges for
-    every point within the iteration cap, the corrected fiber stays separated
-    (FiberCollision otherwise), and the separation exceeds ten times the
-    largest Newton correction; otherwise the step is halved down to the floor
-    (StepFloorReached).  Each segment of `path` is continued on its own from
-    its start fiber and joined to the next at their common point, as in
-    `track_paths`, of which this is the one-path case.
+    The one-path case of `track_paths`; raises the path's failure.  A step
+    is accepted only if the corrector converges for every point within the
+    iteration cap, the corrected fiber stays separated (FiberCollision
+    otherwise), and the separation exceeds ten times the largest Newton
+    correction; otherwise it is retried to a node halfway into it, down to
+    the step floor (StepFloorReached).
 
     `record`, if given, is called as record(t, w, points) at the start node
     and at every accepted node, in path order, once the path is tracked, with
@@ -424,66 +430,128 @@ def _segment_points(segs):
     return at
 
 
-def _track_lanes(b, pts, segs, positions, errors, settings: Settings, keep_nodes=False):
-    """Lockstep predictor-corrector: continue fiber pts[k] along segs[k].
+def _predict(prev, last, w_next, euler):
+    """Fibers at `w_next` by cubic Hermite extrapolation through (w, z, B'(z))
+    at each path's node before last (`prev`) and last node (`last`), with
+    slopes dz/dw = 1/B' (Allgower and Georg, Introduction to Numerical
+    Continuation Methods); rows flagged `euler` take the Euler step instead."""
+    (w0, z0, db0), (w1, z1, db1) = prev, last
+    dw, h = (w_next - w1)[:, None], (w1 - w0)[:, None]
+    with np.errstate(all="ignore"):
+        s0, s1, u, d = 1.0 / db0, 1.0 / db1, dw / h, (z1 - z0) / h
+        pred = z1 + dw * (s1 + u * (s1 - d) + u * (1.0 + u) * (s1 - 2.0 * d + s0))
+        pred[euler] = z1[euler] + dw[euler] * s1[euler]
+    return pred
 
-    Each lane keeps its own state, in arrays over the lanes: w, points, B'
-    there, the parameter s on its segment, the step h and the streak of
-    accepted steps since its last rejection.  Steps are judged by
-    `certified_step`: a collided lane ends in FiberCollision, any other
-    rejection halves its step (StepFloorReached below the floor;
-    `positions[k]` is the segment index its message names).  Lanes whose
-    `errors` entry is set are not continued; failures are written there.
 
-    Returns (points, w) at the lanes' ends and, with `keep_nodes`, the
-    accepted nodes (s, w, points) of every lane.
+def _continue_nodes(b, ws, rows, lengths, fibers, derivs, settings: Settings):
+    """The one lockstep continuation loop: fibers of `b` from node to node.
+
+    `rows` indexes `ws`: the concatenation of paths of the given (positive)
+    lengths, each an ordered run of nearby regular values, its nodes.
+    fibers[rows[s]] and derivs[rows[s]] hold the fiber and B' at each path's
+    first node s; the loop fills in the later nodes', all paths one node
+    per iteration.  Steps are predicted by `_predict` (Euler at a path's
+    first step, after a restart, and between nodes at most
+    `_HERMITE_SPACING` * newton_tol apart) and judged by `certified_step`.
+    A rejected node is solved by eigenvalues (`_fiber_batch`) and its path
+    restarts there.  Returns the rejected nodes sparsely, in step order:
+    their rows of `ws`, whether the step collided, and the separation.
     """
-    pts = pts.copy()
+    lengths = np.asarray(lengths, dtype=int)
+    starts = np.cumsum(lengths) - lengths
+    # Longest paths first, so the paths still running at step k are a prefix.
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[order], lengths[order]
+    seeds = rows[starts]
+    # The node before last of every path (the seed itself at the first step).
+    prev = w, z, db = ws[seeds], fibers[seeds], derivs[seeds]
+    restarted = np.ones(len(starts), dtype=bool)
+    rejected = [(np.empty(0, dtype=int), np.empty(0, dtype=bool), np.empty(0))]
+    for k in range(1, int(lengths.max(initial=1))):
+        live = int(np.count_nonzero(lengths > k))
+        idx = rows[starts[:live] + k]
+        w_next = ws[idx]
+        last = (w[:live], z[:live], db[:live])
+        prev = tuple(a[:live] for a in prev)
+        near = np.abs(last[0] - prev[0]) <= _HERMITE_SPACING * settings.newton_tol
+        pred = _predict(prev, last, w_next, restarted[:live] | near)
+        prev = last
+        z, db, sep, accepted, collided = certified_step(b, pred, w_next, settings)
+        failed = np.flatnonzero(~accepted)
+        if len(failed):
+            z[failed] = _fiber_batch(b, w_next[failed])
+            db[failed] = b.derivative_value(z[failed])
+            rejected.append((idx[failed], collided[failed], sep[failed]))
+        restarted = ~accepted
+        fibers[idx], derivs[idx], w = z, db, w_next
+    return tuple(np.concatenate(parts) for parts in zip(*rejected))
+
+
+def _continue_lanes(b, pts, segs, positions, errors, settings: Settings, keep_nodes=False):
+    """Continue fiber pts[k] along segs[k] through `_continue_nodes`.
+
+    Lane k's nodes are t = 0, 1/4, 1/2, 3/4 and 1 of segs[k]; each round runs
+    every unfinished lane as one path from its last accepted node through
+    its remaining nodes.  At its first rejected node a lane ends in
+    FiberCollision if the step collided; else a node is inserted halfway
+    into the step, down to the step floor (StepFloorReached on segment
+    positions[k]), and the lane takes one step a round until it is past the
+    rejected node.  Lanes with an `errors` entry are skipped; failures are
+    written there.  Returns (points, w) at the lane ends and, with
+    `keep_nodes`, the accepted nodes (t, w, points) of every lane.
+    """
     m = len(segs)
     at = _segment_points(segs)
-    w = at(np.arange(m), np.zeros(m))
-    slope = b.derivative_value(pts)
-    s, h = np.zeros(m), np.full(m, 0.25)
-    streak = np.zeros(m, dtype=int)
-    nodes = [[] for _ in range(m)] if keep_nodes else None
-    live = np.flatnonzero([e is None for e in errors])
-    while len(live):
-        t = np.minimum(s[live] + h[live], 1.0)
-        w_next = at(live, t)
-        accepted = np.zeros(len(live), dtype=bool)
-        ended = np.zeros(len(live), dtype=bool)
-        tried = np.flatnonzero(np.all(np.abs(slope[live]) > 1e-30, axis=1))
-        if len(tried):
-            rows = live[tried]
-            pred = pts[rows] + (w_next[tried] - w[rows])[:, None] / slope[rows]
-            fit, fit_db, sep, ok, collided = certified_step(b, pred, w_next[tried], settings)
-            for j in np.flatnonzero(collided):
-                errors[rows[j]] = FiberCollision(
-                    f"fiber separation {sep[j]:.3e} under threshold "
-                    f"near w={complex(w_next[tried[j]])}"
+    pts, db, w = pts.copy(), b.derivative_value(pts), at(np.arange(m), np.zeros(m))
+    # Per lane: its last accepted parameter, the nodes it has still to reach,
+    # and its furthest rejected node, up to which it takes one step a round.
+    t_last, todo, until = [0.0] * m, [[0.25, 0.5, 0.75, 1.0] for _ in segs], [0.0] * m
+    nodes = [[] for _ in segs]
+    live = [k for k in range(m) if errors[k] is None]
+    while live:
+        params = [[t_last[k]] + todo[k][:1 if todo[k][0] <= until[k] else None] for k in live]
+        lengths = np.array([len(p) for p in params])
+        starts = np.cumsum(lengths) - lengths
+        t = np.concatenate(params)
+        # Every node row starts as its lane's last accepted fiber.
+        lanes = np.repeat(live, lengths)
+        ws, fibers, derivs = at(lanes, t), pts[lanes], db[lanes]
+        rejected, collided, sep = _continue_nodes(
+            b, ws, np.arange(len(ws)), lengths, fibers, derivs, settings
+        )
+        # Each path's first rejected node (the reports come in step order).
+        paths = np.searchsorted(starts, rejected, side="right") - 1
+        first = {j: i for i, j in reversed(list(enumerate(paths.tolist())))}
+        unfinished = []
+        for j, k in enumerate(live):
+            i = first.get(j)
+            done = range(starts[j] + 1, starts[j] + lengths[j] if i is None else rejected[i])
+            if done:
+                q = done[-1]
+                pts[k], db[k], w[k], t_last[k] = fibers[q], derivs[q], ws[q], t[q]
+                del todo[k][:len(done)]
+                if keep_nodes:
+                    nodes[k] += [(float(t[q]), complex(ws[q]), fibers[q]) for q in done]
+            if i is None:
+                if todo[k]:
+                    unfinished.append(k)
+                continue
+            r = rejected[i]
+            half = 0.5 * (t[r] - t_last[k])
+            if collided[i]:
+                errors[k] = FiberCollision(
+                    f"fiber separation {sep[i]:.3e} under threshold near w={complex(ws[r])}"
                 )
-            ended[tried[collided]] = True
-            accepted[tried[ok]] = True
-            rows = rows[ok]
-            pts[rows], slope[rows] = fit[ok], fit_db[ok]
-            w[rows], s[rows] = w_next[accepted], t[accepted]
-            streak[rows] += 1
-            h[rows] = np.where(streak[rows] >= 2, np.minimum(2.0 * h[rows], 0.25), h[rows])
-            if keep_nodes:
-                for r in rows.tolist():
-                    nodes[r].append((float(s[r]), complex(w[r]), pts[r].copy()))
-            ended |= accepted & (t >= 1.0)
-        rejected = np.flatnonzero(~accepted & ~ended)
-        rows = live[rejected]
-        h[rows] *= 0.5
-        streak[rows] = 0
-        for k in rejected[h[rows] < settings.step_floor].tolist():
-            errors[live[k]] = StepFloorReached(
-                f"step floor reached on segment {positions[live[k]]} "
-                f"near w={complex(w_next[k])}"
-            )
-            ended[k] = True
-        live = live[~ended]
+            elif half < settings.step_floor:
+                errors[k] = StepFloorReached(
+                    f"step floor reached on segment {positions[k]} near w={complex(ws[r])}"
+                )
+            else:
+                todo[k].insert(0, t_last[k] + half)
+                until[k] = max(until[k], t[r])
+                unfinished.append(k)
+        live = unfinished
     return pts, w, nodes
 
 
@@ -504,8 +572,7 @@ def _track_rows(b, fiber, paths, settings: Settings, record=None):
         )
     if not index:
         return []
-    segs = [seg for seg, _ in index]
-    positions = [k for _, k in index]
+    segs, positions = zip(*index)
     start = np.array(fiber.points, dtype=complex)
     starts = np.tile(start, (len(segs), 1))
     errors = [None] * len(segs)
@@ -520,7 +587,7 @@ def _track_rows(b, fiber, paths, settings: Settings, record=None):
                     f"fiber separation {sep:.3e} at w={complex(w0)} is below threshold"
                 )
     started = [e is None for e in errors]
-    ends, w, nodes = _track_lanes(
+    ends, w, nodes = _continue_lanes(
         b, starts, segs, positions, errors, settings, keep_nodes=record is not None
     )
     # Every junction whose two fibers exist, matched at once.

@@ -39,7 +39,7 @@ from blaschkelab import (
     verify_disjoint_images,
     verify_intertwining,
 )
-from blaschkelab import bundle
+from blaschkelab import bundle, tracking
 from blaschkelab.bundle import (
     _continue_paths,
     _fiber_batch,
@@ -446,8 +446,9 @@ def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
 
 def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
     # Product 15 at 10^5: eigenvalues solve exactly the path seeds, the
-    # innermost disc bands, the failed steps and the failed polishes, and
-    # B and B' are evaluated at few fibers per sample.
+    # innermost disc bands and the failed polishes (in `bundle`) and the
+    # failed steps (in the continuation loop of `tracking`), and B and B'
+    # are evaluated at few fibers per sample.
     cd = build_cut_disc(_acceptance_product(15))
     seen, eig_rows, polish_failures, evaluated = [], [0], [0], [0]
     real_paths, real_batch = bundle._continue_paths, bundle._fiber_batch
@@ -472,6 +473,7 @@ def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(bundle, "_continue_paths", paths)
     monkeypatch.setattr(bundle, "_fiber_batch", batch)
+    monkeypatch.setattr(tracking, "_fiber_batch", batch)
     monkeypatch.setattr(bundle, "newton_correct", polishing)
     monkeypatch.setattr(BlaschkeProduct, "eval_with_derivative", evaluate)
     grid = build_quadrature_grid(cd, 10**5)

@@ -611,6 +611,10 @@ def test_approach_pieces_stay_in_branch_free_discs():
         approach(0.5, -0.5, [0j])
     with pytest.raises(LoopConstructionFailed):
         split_segment(Arc(0j, 0.5, -math.pi / 2.0, math.pi / 2.0), [0.5])
+    # The end angle pi is not exact in floating point: the arc ends 6e-17
+    # from its branch value, within rounding of it.
+    with pytest.raises(LoopConstructionFailed):
+        split_segment(Arc(0j, 0.5, 0.0, math.pi), [-0.5])
 
 
 def test_acceptance_representations_take_few_lockstep_iterations(monkeypatch):

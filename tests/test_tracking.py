@@ -255,7 +255,11 @@ def test_newton_correct_zero_iterations_only_evaluates(order3):
 
 
 def test_track_predicts_with_b_prime_at_the_current_fiber(order3, monkeypatch):
-    steps, nodes = [], []
+    # A lane's first step is the Euler step with B' at its start; each later
+    # step is the cubic Hermite extrapolation through the last two nodes, with
+    # B' at both, unless they lie at most 1e-7 apart in w: on a lane 1e-9
+    # long every step is the Euler step from the current node.
+    steps = []
     correct = tracking.newton_correct
 
     def spy(b, pred, w, tol, iters):
@@ -264,25 +268,40 @@ def test_track_predicts_with_b_prime_at_the_current_fiber(order3, monkeypatch):
 
     monkeypatch.setattr(tracking, "newton_correct", spy)
     base = 0.3 + 0.2j
-    track(
-        order3,
-        initial_fiber(order3, base),
-        _circle(0j, abs(base), cmath.phase(base)),
-        record=lambda t, w, pts: nodes.append((pts, w)),
+    fib = initial_fiber(order3, base)
+    for length, hermite in ((0.01, True), (1e-9, False)):
+        steps.clear()
+        _, rows = track_with_trace(order3, fib, PathSpec((Line(base, base + length),)))
+        nodes = [(w, np.array(pts), order3.derivative_value(np.array(pts))) for _, w, pts in rows]
+        # Four steps, each accepted at the node it aimed for.
+        assert [w for _, w in steps] == [w for w, _, _ in nodes[1:]]
+        assert len(steps) == 4
+        for k, (pred, w) in enumerate(steps):
+            want = _hermite(nodes[k - 1], nodes[k], w) if k and hermite else _euler(nodes[k], w)
+            assert pred.tobytes() == want.tobytes()
+
+
+def test_lane_past_a_branch_value_inserts_halfway_nodes(square, monkeypatch):
+    # The line passes 5e-4 above the branch value 0 of z^2.  Quarter steps
+    # next to it are rejected, and the lane retries each to a node inserted
+    # halfway into it (29 certified steps under the former halving step
+    # control); the sheet of +0.5 ends at the principal square root.
+    calls = [0]
+    step = tracking.certified_step
+
+    def counting(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(tracking, "certified_step", counting)
+    fib = initial_fiber(square, 0.25)
+    path = PathSpec(segments=(Line(0.25, -0.25 + 1e-3j),))
+    end = track(square, fib, path)
+    assert 4 < calls[0] <= 60
+    assert end.points[1] == pytest.approx(cmath.sqrt(-0.25 + 1e-3j), abs=1e-12)
+    assert (end.w, np.array(end.points).tobytes(), end.separation) == _scalar_track(
+        square, fib, path
     )
-    # Nodes are recorded once the path is tracked, so each step is matched
-    # to the node it was predicted from: the same node until a step is
-    # accepted, then the next.
-    current = 0
-    for pred, w in steps:
-        while True:
-            pts, w_cur = nodes[current]
-            want = pts + (w - w_cur) / order3.derivative_value(pts)
-            if pred.tobytes() == want.tobytes():
-                break
-            current += 1
-    assert current == len(nodes) - 2
-    assert len(steps) > 10
 
 
 def _same_fiber(a, b) -> bool:
@@ -334,17 +353,41 @@ def test_track_paths_empty_and_mismatched_start(square):
         )
 
 
+def _hermite(before, last, w_next):
+    """Cubic Hermite extrapolation to `w_next` through the nodes `before` and
+    `last`, each (w, points, B' there), with the slopes dz/dw = 1/B'."""
+    (w0, z0, db0), (w1, z1, db1) = before, last
+    dw, h = np.array([w_next - w1]), np.array([w1 - w0])
+    s1, s0 = 1.0 / db1, 1.0 / db0
+    u, d = dw / h, (z1 - z0) / h
+    return z1 + dw * (s1 + u * (s1 - d) + u * (1.0 + u) * (s1 - 2.0 * d + s0))
+
+
+def _euler(last, w_next):
+    """The Euler step to `w_next` from the node `last` = (w, points, B')."""
+    w1, z1, db1 = last
+    return z1 + np.array([w_next - w1]) * (1.0 / db1)
+
+
 def _scalar_track(b, fiber, path, collision_factor=10.0):
     """One path, one lane at a time, one step at a time: the per-lane rule
     `track_paths` batches.
 
-    Segment k > 0 starts from the eigenvalue fiber of its start; its points
-    are matched to the end of segment k - 1 by nearest neighbour within a
-    third of their separation.  Returns the end fiber as (w, points in the
-    slots of `fiber`, separation) or the error as (type, message), with the
-    default tolerances.
+    A lane's nodes are t = 0, 1/4, 1/2, 3/4 and 1 of its segment.  A
+    rejected step that did not collide is retried to a node inserted halfway
+    into it, unless that halves its spacing below the floor, and the lane
+    goes one step at a time up to its furthest rejected node.  A step is the
+    cubic Hermite extrapolation through the last two nodes, except for the
+    Euler step at the lane's first step, after a rejection, after a step
+    taken one at a time, and where the two nodes lie at most 1e-7 apart in
+    w.  Segment k > 0
+    starts from the eigenvalue fiber of its start; its points are matched to
+    the end of segment k - 1 by nearest neighbour within a third of their
+    separation.  Returns the end fiber as (w, points in the slots of
+    `fiber`, separation) or the error as (type, message), with the default
+    tolerances.
     """
-    tol, floor, iters = 1e-11, 1e-12, 5
+    tol, floor, iters, near = 1e-11, 1e-12, 5, 1e-7
     pts = np.array(fiber.points, dtype=complex)
     slots = list(range(len(pts)))
     for iseg, seg in enumerate(path.segments):
@@ -367,32 +410,30 @@ def _scalar_track(b, fiber, path, collision_factor=10.0):
                 return (AmbiguousMatching, "endpoint matching is not a bijection")
             slots = [images[i] for i in slots]
             pts = start
-        slope = b.derivative_value(pts)
-        s, h, streak = 0.0, 0.25, 0
-        while s < 1.0:
-            target = min(s + h, 1.0)
-            w_next = complex(seg.point(target))
-            accepted = False
-            if np.all(np.abs(slope) > 1e-30):
-                pred = pts + (w_next - w) / slope
-                z, db, ok = newton_correct(b, pred[None], np.array([w_next]), tol, iters)
-                if ok[0]:
-                    sep = float(tracking.fiber_separation(z[0]))
-                    if sep <= collision_factor * tol:
-                        return (FiberCollision,
-                                f"fiber separation {sep:.3e} under threshold near w={w_next}")
-                    if sep > 10.0 * float(np.max(np.abs(z[0] - pred))):
-                        pts, slope, w, s = z[0], db[0], w_next, target
-                        streak += 1
-                        if streak >= 2:
-                            h = min(2.0 * h, 0.25)
-                        accepted = True
-            if not accepted:
-                h *= 0.5
-                streak = 0
-                if h < floor:
-                    return (StepFloorReached,
-                            f"step floor reached on segment {iseg} near w={w_next}")
+        node = (w, pts, b.derivative_value(pts))
+        before, until, t, todo = None, 0.0, 0.0, [0.25, 0.5, 0.75, 1.0]
+        while todo:
+            w_next = complex(seg.point(todo[0]))
+            if before is None or abs(node[0] - before[0]) <= near:
+                pred = _euler(node, w_next)
+            else:
+                pred = _hermite(before, node, w_next)
+            z, db, ok = newton_correct(b, pred[None], np.array([w_next]), tol, iters)
+            sep = float(tracking.fiber_separation(z[0]))
+            if ok[0] and sep <= collision_factor * tol:
+                return (FiberCollision,
+                        f"fiber separation {sep:.3e} under threshold near w={w_next}")
+            if ok[0] and sep > 10.0 * float(np.max(np.abs(z[0] - pred))):
+                before = None if todo[0] <= until else node
+                node, t = (w_next, z[0], db[0]), todo.pop(0)
+                continue
+            half = 0.5 * (todo[0] - t)
+            if half < floor:
+                return (StepFloorReached,
+                        f"step floor reached on segment {iseg} near w={w_next}")
+            before, until = None, max(until, todo[0])
+            todo.insert(0, t + half)
+        w, pts = node[0], node[1]
     pts = pts[slots]
     return (w, pts.tobytes(), float(tracking.fiber_separation(pts)))
 

@@ -19,6 +19,10 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   whose branch values lie about 1e-9 apart; it exits 0 since crossing
   paths are cut into short pieces beside every branch value (it reached the
   step floor while each path segment was continued whole);
+* `analyze --seed 0 --dedup-tol 1e-12` on draw 4 of the order-20 sweep,
+  whose lanes beside clustered branch values reject many steps and retry
+  them to inserted halfway nodes (about 1.5 s), so the retry path is
+  covered;
 * `zn --n 1..8` at `--seed 0` and `--seed 3`;
 * `verify-gamma --budget 100000 --samples 10` and
   `verify-gamma --budget 1000000 --samples 10` on product 15 (at 10^6 every
@@ -64,10 +68,10 @@ from blaschkelab.cli import main  # noqa: E402
 SUITE_SEED = 2026
 SUITE_ORDERS = (3, 4, 5, 6, 7, 8)
 SUITE_PER_ORDER = 5
-# (order, draw) of the sweep products in the set; the last is run at
-# --dedup-tol 1e-12 only.
+# (order, draw) of the sweep products in the set, run at the default
+# settings and at --dedup-tol 1e-12 only.
 SWEEP_DRAWS = ((6, 14), (10, 14), (24, 0))
-FINE_DEDUP_DRAW = (16, 5)
+FINE_DEDUP_DRAWS = ((16, 5), (20, 4))
 
 
 def suite_specs() -> list:
@@ -105,9 +109,11 @@ def runs(spec_paths, sweep_paths) -> list:
         (f"analyze/sweep-order{order:02d}-draw{draw:02d}", ["analyze", p, "--seed", "0"])
         for (order, draw), p in zip(SWEEP_DRAWS, sweep_paths)
     ]
-    order, draw = FINE_DEDUP_DRAW
-    out.append((f"analyze/sweep-order{order:02d}-draw{draw:02d}/dedup-tol-1e-12",
-                ["analyze", sweep_paths[-1], "--seed", "0", "--dedup-tol", "1e-12"]))
+    out += [
+        (f"analyze/sweep-order{order:02d}-draw{draw:02d}/dedup-tol-1e-12",
+         ["analyze", p, "--seed", "0", "--dedup-tol", "1e-12"])
+        for (order, draw), p in zip(FINE_DEDUP_DRAWS, sweep_paths[len(SWEEP_DRAWS):])
+    ]
     out.append(("analyze/product00/newton-tol-1e-30",
                 ["analyze", spec_paths[0], "--newton-tol", "1e-30"]))
     out.append(("analyze/product00/dedup-tol-1e-7",
@@ -231,7 +237,7 @@ def main_digests(dump=None) -> None:
         paths = [write(f"product{i:02d}", spec) for i, spec in enumerate(suite_specs())]
         sweep_paths = [
             write(f"sweep-order{order:02d}-draw{draw:02d}", sweep_spec(order, draw))
-            for order, draw in SWEEP_DRAWS + (FINE_DEDUP_DRAW,)
+            for order, draw in SWEEP_DRAWS + FINE_DEDUP_DRAWS
         ]
         for label, argv in runs(paths, sweep_paths):
             text = run(argv)
