@@ -9,7 +9,8 @@ evaluates the bundle map
     (Gamma f)_i = (1 / sqrt(n)) * (f o sigma_i) * sigma_i'
 
 for B = z^2, where everything is known in closed form.  Then runs the
-Monte Carlo isometry and exact intertwining checks on a random product.
+isometry check, a deterministic quadrature with one chart per branch value,
+and the exact intertwining check on a random product.
 """
 
 import math
@@ -45,7 +46,7 @@ print("expected:        ", np.round(np.array([-1.0, 1.0]) / math.sqrt(2.0), 12))
 rng = np.random.default_rng(5)
 b3 = random_product(3, rng)
 
-# exact_inner is the coefficient-side Bergman inner product the Monte Carlo
+# exact_inner is the coefficient-side Bergman inner product the quadrature
 # estimate must reproduce: <z^k, z^k> = 1/(k+1).
 f = Poly([0.0, 1.0])
 print()
@@ -55,7 +56,8 @@ print("exact <z, z> =", exact_inner(f, f))
 # Gamma on low-degree monomials, the intertwining relation
 # Gamma(B f) = z Gamma(f) on labeled fibers, and the minimal separation
 # between the inverse-branch images.  The cut disc carries the settings
-# (here `DEFAULTS`, seed 0) that seed its samples and certify its tracking.
+# (here `DEFAULTS`, seed 0) that seed its labeled samples and certify its
+# tracking; the quadrature grid is capped by the budget and takes no seed.
 report = bundle_report(build_cut_disc(b3), budget=200000, samples=100)
 print(f"isometry error        = {report['isometry_error']:.3e}")
 print(f"intertwining residual = {report['intertwining_residual']:.3e}")

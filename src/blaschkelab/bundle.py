@@ -13,8 +13,11 @@ disjointness of the branch images.
 
 Sampling, continuation and the report work on one `CutDisc`, which carries
 its product, its branch data and the `Settings` it was built with: their
-seed draws its points and their tolerances certify its continuation.
-`verify_disjoint_images` alone takes the product and builds its own.
+seed draws its labeled sample points and their tolerances certify its
+continuation.  The isometry quadrature draws nothing: it has one chart per
+branch value, a singularity-removing substitution about that value with the
+trapezoid rule in angle.  `verify_disjoint_images` alone takes the product
+and builds its own cut disc.
 """
 
 from __future__ import annotations
@@ -75,21 +78,18 @@ _TWO_PI = 2.0 * math.pi
 # (`point_in_cut_disc`, `route_in_cut_disc`).
 _MIN_CUT_CLEARANCE = 1e-4
 
-# Quadrature: radius of the disc excluded around each branch value, and width
-# of the boundary annulus; both regions are sampled separately.
-_EXCLUSION_RADIUS = 0.05
-_ANNULUS_WIDTH = 0.02
-
-# Quadrature: the most samples one continuation path holds
-# (`build_quadrature_grid`).  Rings and the annulus are split evenly into
-# pieces no longer than this, so the lockstep continuation loop
-# (`_continue_paths`) runs fewer steps, each over more paths, while every
-# path still spans many samples per eigenvalue seed.
-_PATH_LENGTH = 100
+# Quadrature (`build_quadrature_grid`): per chart, the angles of the
+# trapezoid rule, the levels in t and their ratio in |w - beta|, and the most
+# Gauss-Legendre nodes per level; the rings of one continuation path.
+_ANGLES = 32
+_LEVELS = 12
+_LEVEL_RATIO = 0.25
+_GAUSS_MAX = 8
+_PATH_RINGS = 4
 
 # Residual and iteration budget of the polish that takes labeled fibers and
-# the continued branch-value disc fibers of the quadrature from the tracking
-# tolerance to near machine precision (`_labeled_fibers`, `_continue_paths`).
+# the continued fibers of the quadrature from the tracking tolerance to near
+# machine precision (`_labeled_fibers`, `_continue_paths`).
 _POLISH_TOL = 1e-14
 _POLISH_ITERS = 8
 
@@ -143,12 +143,16 @@ class GammaSample:
     values: tuple
 
 
+def _rim_distance(beta: complex, d):
+    """Distance from beta to the unit circle along the unit direction(s) d."""
+    p = (beta.conjugate() * d).real
+    return -p + np.sqrt(np.maximum(p * p + 1.0 - abs(beta) ** 2, 0.0))
+
+
 def _radial_cut(beta: complex, theta: float) -> Line:
     """Segment from beta along direction theta to the unit circle."""
     d = cmath.exp(1j * theta)
-    p = (beta.conjugate() * d).real
-    t = -p + math.sqrt(max(p * p + 1.0 - abs(beta) ** 2, 0.0))
-    return Line(beta, beta + t * d)
+    return Line(beta, beta + float(_rim_distance(beta, d)) * d)
 
 
 def build_cut_disc(b, base=None, settings: Settings = DEFAULTS) -> CutDisc:
@@ -321,32 +325,33 @@ def exact_inner(f: Poly, g: Poly) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo verification of the isometry property
+# Chart quadrature for the isometry property
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Precomputed samples, fibers, and weights for the isometry estimate.
+    """Nodes, fibers, and weights of the deterministic isometry quadrature.
 
     The summed integrand sum_i f(p_i) conj(g(p_i)) / |B'(p_i)|^2 over the
-    unordered fiber {p_i} of each sample is branch-label-free, so the grid
+    unordered fiber {p_i} of each node is branch-label-free, so the grid
     stores raw fibers; evaluating a new (f, g) pair costs two vectorized
     polynomial evaluations, and each monomial of `bundle_report` one product
     with the running power.  Because the inverse-branch images partition the
     disc, this sum integrates to the coefficient-side inner product exactly
     (it is the vector inner product of the 1/sqrt(n)-normalized components
     under the n-weighted fiber metric, the convention that makes the bundle
-    map unitary).  `correction` marks the samples covering the excluded
-    regions (branch-value discs, boundary annulus), whose summed contribution
-    is reported as the excluded-mass bound.
+    map unitary).  The nodes and weights are those of one chart per branch
+    value (`build_quadrature_grid`); `correction` marks each chart's
+    innermost level, whose summed contribution is reported as the
+    excluded-mass bound.
 
     Fibers come from certified continuation (`build_quadrature_grid`).
-    `fallbacks` counts the continued samples whose step failed its
+    `fallbacks` counts the continued nodes whose step failed its
     certificate: the nodes the continuation loop reported and solved by
-    eigenvalues (path seeds, innermost disc bands and failed polishes are
-    solved by eigenvalues too, but not counted).  It depends only on the cut
-    disc and the budget.
+    eigenvalues (path seeds, innermost levels and failed polishes are solved
+    by eigenvalues too, but not counted).  The grid depends only on the cut
+    disc's product, branch data and tolerances and on the budget.
     """
 
     points: np.ndarray
@@ -355,25 +360,26 @@ class QuadratureGrid:
     weights: np.ndarray
     correction: np.ndarray
     budget: int
-    seed: int
     fallbacks: int
 
 
-def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, polish):
+def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths):
     """Unordered fibers of `cd.b` over `ws`, mostly by certified continuation.
 
     `rows` indexes `ws`: the concatenation of paths of the given lengths,
-    each an ordered run of nearby regular values.  Each path's first sample
+    each an ordered run of nearby regular values.  Each path's first node
     and every value on no path are solved by eigenvalues (`_fiber_batch`);
-    the later samples are the paths' nodes in the continuation loop of
-    `tracking` (`_continue_nodes` under `cd.settings`).  The continued
-    fibers flagged in `polish` (the branch-value disc samples) are then
-    Newton-polished in one call to residual `_POLISH_TOL` within
-    `_POLISH_ITERS` iterations, since next to a critical point a fiber point
-    at residual `newton_tol` can sit about newton_tol / |B'| from the root;
-    a fiber whose polish fails is solved by eigenvalues.
+    the later nodes are the paths' nodes in the continuation loop of
+    `tracking` (`_continue_nodes` under `cd.settings`).  Every continued
+    fiber then takes one Newton step and is Newton-polished in one call to
+    residual `_POLISH_TOL` within `_POLISH_ITERS` iterations: next to a
+    critical point a fiber point at residual `newton_tol` can sit about
+    newton_tol / |B'| from the root, and near a branch value of local degree
+    m > 2 even residual `_POLISH_TOL` is reached off the root (on z^4 the
+    fibers sat 1.2e-10 from the eigenvalue fibers without the step).  A
+    fiber whose polish fails is solved by eigenvalues.
 
-    Returns (fibers aligned with ws, B' at those fibers, number of samples
+    Returns (fibers aligned with ws, B' at those fibers, number of nodes
     whose step failed its certificate).
     """
     b = cd.b
@@ -390,155 +396,113 @@ def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, polish):
     derivs[solve] = b.derivative_value(fibers[solve])
     restarted, _, _ = _continue_nodes(b, ws, rows, lengths, fibers, derivs, cd.settings)
     by_eigenvalues[restarted] = True
-    polished = rows[polish]
-    polished = polished[~by_eigenvalues[polished]]
+    polished = np.flatnonzero(~by_eigenvalues)
     if len(polished):
-        z, db, ok = newton_correct(b, fibers[polished], ws[polished], _POLISH_TOL, _POLISH_ITERS)
+        val, db = b.eval_with_derivative(fibers[polished])
+        z = fibers[polished] - (val - ws[polished, None]) / db
+        z, db, ok = newton_correct(b, z, ws[polished], _POLISH_TOL, _POLISH_ITERS)
         z[~ok] = _fiber_batch(b, ws[polished[~ok]])
         db[~ok] = b.derivative_value(z[~ok])
         fibers[polished], derivs[polished] = z, db
     return fibers, derivs, len(restarted)
 
 
-def _pieces(length: int) -> list:
-    """Lengths of the fewest even pieces of at most `_PATH_LENGTH` samples
-    that split a path of `length` samples, longer pieces first."""
-    count = max(1, -(-length // _PATH_LENGTH))
-    return [length // count + (1 if j < length % count else 0) for j in range(count)]
+def _gauss_legendre(count: int) -> tuple:
+    """Ascending nodes in (0, 1) and weights of the `count`-point
+    Gauss-Legendre rule on [0, 1], from the eigenvectors of its Jacobi
+    matrix (Golub-Welsch)."""
+    k = np.arange(1.0, count)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return (x + 1.0) / 2.0, v[0] ** 2
 
 
 def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
-    """Stratified samples over the disc split into three regions.
+    """Deterministic quadrature nodes: one chart per branch value.
 
-    Main region: the disc trimmed by the boundary annulus, stratified into
-    equal-area rings with jittered-angle grids, samples inside any
-    branch-value exclusion disc dropped (their area is covered below).
-    Correction regions: each exclusion disc is sampled in polar coordinates
-    (uniform radius cancels the 1/r blowup of the integrand at the branch
-    value, keeping weights bounded) and the annulus uniformly by area.
-    Nearest-branch-value ownership resolves overlapping discs so the three
-    regions partition the disc exactly.
+    The chart about beta is w = beta + rho(theta) t^m e^{i theta} over
+    t in [0, 1] and theta in [0, 2 pi), where m is the largest local degree
+    over beta and rho(theta) the distance from beta to the unit circle along
+    the ray (`_rim_distance`); it covers the disc, and the substitution
+    r = rho t^m cancels the |w - beta|^(-2(m-1)/m) singularity of the
+    integrand at beta (Duffy).  A product without branch values has one
+    chart about 0 with m = 1.  In theta the rule is the trapezoid rule on
+    `_ANGLES` equispaced angles; in t, `_LEVELS` levels [0, q^((L-1)/m)],
+    ..., [q^(1/m), 1] with q = `_LEVEL_RATIO`, of G Gauss-Legendre nodes
+    each.  The levels are geometric in |w - beta| = rho t^m, not in t: with
+    ratio q in t, the levels of z^5 would reach |w| ~ 3e-17, where the
+    absolute residuals of the continuation certify nothing.  The weight of a
+    node is
+    (2 / M) g m rho^2 t^(2m-1) psi_beta(w), the area element over pi, with
+    the partition of unity psi_beta = |w - beta|^-4 / sum_gamma
+    |w - gamma|^-4 (1 for a single chart).  `correction` marks each chart's
+    innermost level.
 
-    Fibers: each main-region ring, in angle order after the exclusion
-    filter, the angle-ordered annulus samples and each disc's samples are
-    split evenly into paths of at most `_PATH_LENGTH` samples, the nodes of
-    the continuation loop of `tracking` (`_continue_paths`).  A disc of m
-    samples is split into ceil(m / `_PATH_LENGTH`) polar bands of equal
-    width; its samples run band by band outwards, each band in angle order,
-    forward and back in turn.  The innermost band, next to the branch value
-    where the fiber's separation vanishes, is solved by eigenvalues
-    (`_fiber_batch`), and the continued disc fibers are polished.  The paths
-    visit the samples through an index permutation, so the grid keeps its
-    own order.  B' of a continued fiber is the one its corrector or polish
-    last evaluated.  The samples and weights do not depend on how the
-    fibers are solved.
+    The budget caps the points: G = min(`_GAUSS_MAX`, budget // (charts M
+    L)).  Raises ValueError if the budget is below 10^4 or G would be 0.
 
-    The branch values are the cut disc's, and the samples are drawn from
-    `cd.settings.seed`.
+    Fibers: each chart's innermost level, where the fiber's separation
+    vanishes, is solved by eigenvalues (`_fiber_batch`).  Its other rings
+    (the M nodes at one t), in ascending t, run in paths of `_PATH_RINGS`
+    consecutive rings, forward and back in angle in turn; the paths' nodes
+    are those of the continuation loop of `tracking` (`_continue_paths`).
+    The paths visit the nodes through an index permutation, so the grid
+    keeps its own order (chart, t, angle).  B' of a continued fiber is the
+    one its polish last evaluated.  The nodes and weights do not depend on
+    how the fibers are solved, and nothing is drawn at random.
     """
     budget = int(budget)
     if budget < 10 ** 4:
         raise ValueError("budget must be at least 10^4")
-    betas = np.asarray(cd.branch_values, dtype=complex)
-    k = len(betas)
-    r_main = 1.0 - _ANNULUS_WIDTH
-    rng = np.random.default_rng(cd.settings.seed)
-
-    n_main = int(0.85 * budget) if k else int(0.95 * budget)
-    n_corr = int(0.10 * budget) if k else 0
-    n_ann = budget - n_main - n_corr
-
-    pts, wts, corr = [], [], []
-    # (grid rows in continuation order, whether to polish) of each run of
-    # nearby samples; the disc runs are polished.
-    runs = []
-    rows = 0
-
-    def _outside_exclusions(z):
-        if k == 0:
-            return np.ones(len(z), dtype=bool)
-        d = np.abs(z[:, None] - betas[None, :])
-        return d.min(axis=1) >= _EXCLUSION_RADIUS
-
-    # Main region: equal-area rings, jittered angles.
-    strata = max(16, min(512, int(math.sqrt(n_main))))
-    per = [n_main // strata + (1 if j < n_main % strata else 0)
-           for j in range(strata)]
-    for j in range(strata):
-        m = per[j]
-        if m == 0:
-            continue
-        r_lo2 = r_main ** 2 * j / strata
-        r_hi2 = r_main ** 2 * (j + 1) / strata
-        r = np.sqrt(r_lo2 + rng.random(m) * (r_hi2 - r_lo2))
-        th = _TWO_PI * (np.arange(m) + rng.random(m)) / m
-        z = r * np.exp(1j * th)
-        keep = _outside_exclusions(z)
-        kept = int(keep.sum())
-        pts.append(z[keep])
-        wts.append(np.full(kept, (r_main ** 2 / strata) / m))
-        corr.append(np.zeros(kept, dtype=bool))
-        runs.append((np.arange(rows, rows + kept), False))
-        rows += kept
-
-    # Branch-value discs: polar sampling, nearest-owner indicator.
-    if k:
-        per_disc = [n_corr // k + (1 if j < n_corr % k else 0) for j in range(k)]
-        for i, beta in enumerate(betas):
-            m = per_disc[i]
-            if m == 0:
-                continue
-            u = rng.random(m)
-            r = _EXCLUSION_RADIUS * u
-            th = _TWO_PI * (np.arange(m) + rng.random(m)) / m
-            z = beta + r * np.exp(1j * th)
-            keep = np.abs(z) < r_main
-            if k > 1:
-                d = np.abs(z[:, None] - betas[None, :])
-                keep &= d.argmin(axis=1) == i
-            pts.append(z[keep])
-            wts.append(2.0 * _EXCLUSION_RADIUS * r[keep] / m)
-            corr.append(np.ones(int(keep.sum()), dtype=bool))
-            # Polar bands of equal width, of about `_PATH_LENGTH` drawn
-            # samples each, outwards; within a band in angle order, forward
-            # and back in turn.  The innermost band is left off the run.
-            bands = -(-m // _PATH_LENGTH)
-            band = np.minimum((u[keep] * bands).astype(int), bands - 1)
-            along = np.arange(len(band))
-            order = np.lexsort((np.where(band % 2, -along, along), band))
-            runs.append((rows + order[band[order] > 0], True))
-            rows += len(band)
-
-    # Boundary annulus: uniform by area.
-    if n_ann > 0:
-        r = np.sqrt(r_main ** 2 + rng.random(n_ann) * (1.0 - r_main ** 2))
-        th = _TWO_PI * (np.arange(n_ann) + rng.random(n_ann)) / n_ann
-        z = r * np.exp(1j * th)
-        pts.append(z)
-        wts.append(np.full(n_ann, (1.0 - r_main ** 2) / n_ann))
-        corr.append(np.ones(n_ann, dtype=bool))
-        runs.append((np.arange(rows, rows + n_ann), False))
-
+    data = cd.branch_data
+    if data.branch_values:
+        centers = np.asarray(data.branch_values, dtype=complex)
+        degrees = [max(d) for d in data.local_degrees]
+    else:
+        centers, degrees = np.zeros(1, dtype=complex), [1]
+    # Points per Gauss node of a level.
+    per_node = len(centers) * _ANGLES * _LEVELS
+    gauss = min(_GAUSS_MAX, budget // per_node)
+    if gauss == 0:
+        raise ValueError(f"budget {budget} is below {per_node}, one node per level of every chart")
+    x, g = _gauss_legendre(gauss)
+    d = np.exp(1j * _TWO_PI * np.arange(_ANGLES) / _ANGLES)
+    pts, wts = [], []
+    for beta, m in zip(centers, degrees):
+        edges = np.append(0.0, _LEVEL_RATIO ** (np.arange(_LEVELS - 1, -1, -1) / m))
+        t = (edges[:-1, None] + np.diff(edges)[:, None] * x).reshape(-1, 1)
+        gw = (np.diff(edges)[:, None] * g).reshape(-1, 1)
+        rho = _rim_distance(beta, d)
+        pts.append((beta + rho * t ** m * d).ravel())
+        wts.append((2.0 / _ANGLES * m * gw * rho ** 2 * t ** (2 * m - 1)).ravel())
     points = np.concatenate(pts)
-    weights = np.concatenate(wts)
-    correction = np.concatenate(corr)
-
+    # Rows per chart are (level, node, angle); the innermost level comes first.
+    per_chart = _LEVELS * gauss * _ANGLES
+    dist = np.abs(points[:, None] - centers[None, :])
+    own = dist[np.arange(len(points)), np.arange(len(points)) // per_chart]
+    with np.errstate(divide="ignore"):
+        weights = np.concatenate(wts) / ((own[:, None] / dist) ** 4).sum(axis=1)
+    correction = np.arange(len(points)) % per_chart < gauss * _ANGLES
+    # The rings outside the innermost level, by paths of `_PATH_RINGS`.
+    rings = np.arange(gauss, _LEVELS * gauss)
+    angles = np.arange(_ANGLES)
+    back = (rings - gauss) % _PATH_RINGS % 2 == 1
+    ring_rows = (rings[:, None] * _ANGLES + np.where(back[:, None], angles[::-1], angles)).ravel()
+    runs = _PATH_RINGS * np.arange(-(-len(rings) // _PATH_RINGS))
+    lengths = np.minimum(_PATH_RINGS, len(rings) - runs) * _ANGLES
     fibers, dvals, fallbacks = _continue_paths(
         cd,
         points,
-        np.concatenate([run for run, _ in runs]),
-        [p for run, _ in runs for p in _pieces(len(run))],
-        np.concatenate([np.full(len(run), disc) for run, disc in runs]),
+        (per_chart * np.arange(len(centers))[:, None] + ring_rows).ravel(),
+        np.tile(lengths, len(centers)),
     )
-    inv_db2 = 1.0 / np.abs(dvals) ** 2
     return QuadratureGrid(
         points=points,
         fibers=fibers,
-        inv_db2=inv_db2,
+        inv_db2=1.0 / np.abs(dvals) ** 2,
         weights=weights,
         correction=correction,
         budget=budget,
-        seed=cd.settings.seed,
         fallbacks=fallbacks,
     )
 
@@ -580,7 +544,6 @@ def isometry_details(grid: QuadratureGrid, f: Poly, g: Poly) -> dict:
         "relative_error": rel,
         "excluded_mass_bound": excluded,
         "budget": grid.budget,
-        "seed": grid.seed,
     }
 
 
@@ -660,11 +623,13 @@ def bundle_report(cd: CutDisc, budget, samples) -> dict:
     Isometry error is the worst relative error over the monomial pairs
     (z^j, z^j), j <= 5, on one shared quadrature grid, evaluated in one
     power pass: per block of fiber rows, one running power z^j, multiplied
-    up once per j, in the arithmetic of `isometry_details`.  The
+    up once per j, in the arithmetic of `isometry_details`; the excluded-mass
+    bound is the largest mass of the charts' innermost levels.  The
     intertwining residual is the worst over the same monomials at `samples`
-    tracked cut-disc points, whose fibers also give the minimal separation
-    (`_min_separation`).  The grid and the samples are both drawn on `cd`.
-    Raises ValueError if `samples` is below 1.
+    tracked cut-disc points drawn from `cd.settings.seed`, whose fibers also
+    give the minimal separation (`_min_separation`; infinite for order 1).
+    The report echoes that seed; the grid takes none.  Raises ValueError if
+    `samples` is below 1.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -692,5 +657,5 @@ def bundle_report(cd: CutDisc, budget, samples) -> dict:
         "min_separation": _min_separation(cd.b, zs, sig),
         "excluded_mass_bound": excluded,
         "budget": grid.budget,
-        "seed": grid.seed,
+        "seed": cd.settings.seed,
     }

@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -104,6 +105,9 @@ def cmd_verify_gamma(args) -> int:
     b = _load(args.spec)
     cd = build_cut_disc(b, settings=dataclasses.replace(DEFAULTS, seed=args.seed))
     report = bundle_report(cd, args.budget, args.samples)
+    if math.isinf(report["min_separation"]):
+        # One-point fibers have no separation; JSON has no Infinity.
+        report["min_separation"] = None
     report["schema"] = "1"
     report["input"] = {"theta": b.theta, "zeros": [_pair(a) for a in b.zeros]}
     ok = (

@@ -8,11 +8,12 @@ steps it calls) take one `settings: Settings` argument, `DEFAULTS` unless
 given; an override is a `dataclasses.replace(DEFAULTS, ...)` and reaches every
 step that reads its field.  The command line sets `seed`, `newton_tol` and
 `dedup_tol` this way.  Root solving takes no seed, so `seed` reaches only
-the minimal projections and the bundle's sampling.  `bundle.build_cut_disc`
-takes `settings` too: the branch data, base point and labeling fiber of the
-one cut disc follow it, and the `CutDisc` keeps it, so every `bundle`
-function taking the cut disc draws from its seed and certifies under its
-tolerances.  Thresholds nothing varies are constants beside their one
+the minimal projections and the bundle's labeled samples.
+`bundle.build_cut_disc` takes `settings` too: the branch data, base point and
+labeling fiber of the one cut disc follow it, and the `CutDisc` keeps it, so
+every `bundle` function taking the cut disc draws its labeled samples from
+its seed and certifies under its tolerances; the quadrature grid draws
+nothing.  Thresholds nothing varies are constants beside their one
 reader.  Reports do not echo the whole record:
 `analyze` gives `seed` and, under "tolerances", newton_tol, dedup_tol,
 nullspace_rtol and projection_gap; `verify-gamma` gives only `seed`; `zn`
@@ -60,8 +61,8 @@ class Settings:
         Fresh generic elements tried before DegenerateGenericElement.
     seed : int
         Default RNG seed of the generic elements drawn for the minimal
-        projections and of the bundle's sample points.  Root solving is
-        deterministic and takes no seed.
+        projections and of the bundle's labeled sample points.  Root solving
+        and the bundle's quadrature grid are deterministic and take no seed.
     """
 
     roots_tol: float = 1e-12

@@ -40,6 +40,7 @@ from blaschkelab import (
     verify_intertwining,
 )
 from blaschkelab import bundle, tracking
+from blaschkelab.blaschke import BranchData
 from blaschkelab.bundle import (
     _continue_paths,
     _fiber_batch,
@@ -340,7 +341,7 @@ def test_continuation_leaves_samples_and_weights_unchanged(monkeypatch):
     continued = build_quadrature_grid(cd, 10**4)
     again = build_quadrature_grid(cd, 10**4)
     assert again.fallbacks == continued.fallbacks
-    def eig_paths(cd, ws, rows, lengths, polish):
+    def eig_paths(cd, ws, rows, lengths):
         fibers = _fiber_batch(cd.b, ws)
         return fibers, cd.b.derivative_value(fibers), 0
 
@@ -358,10 +359,7 @@ def test_continuation_falls_back_across_a_branch_value(square, square_setup):
     # predictor lands both points on the critical point, so the step fails
     # its certificate and the fiber at -1/4 comes from eigenvalues.
     ws = np.array([0.25, -0.25, -0.25 + 0.01j, 0.3, 0.3 + 0.01j])
-    unpolished = np.zeros(len(ws), dtype=bool)
-    fibers, derivs, fallbacks = _continue_paths(
-        square_setup, ws, np.arange(len(ws)), [3, 2], unpolished
-    )
+    fibers, derivs, fallbacks = _continue_paths(square_setup, ws, np.arange(len(ws)), [3, 2])
     assert fallbacks == 1
     assert np.max(np.abs(derivs - 2.0 * fibers)) <= 1e-12
     assert _set_distance(fibers, _fiber_batch(square, ws)) <= 1e-12
@@ -394,10 +392,7 @@ def test_certificate_rejects_collided_and_overcorrected_steps(order3):
 
 def test_continuation_single_point_fiber(mobius):
     ws = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 200))
-    unpolished = np.zeros(len(ws), dtype=bool)
-    fibers, _, fallbacks = _continue_paths(
-        build_cut_disc(mobius), ws, np.arange(len(ws)), [200], unpolished
-    )
+    fibers, _, fallbacks = _continue_paths(build_cut_disc(mobius), ws, np.arange(len(ws)), [200])
     assert fallbacks == 0
     assert np.max(np.abs(mobius(fibers[:, 0]) - ws)) <= DEFAULTS.newton_tol
 
@@ -414,49 +409,90 @@ def test_power_pass_equals_isometry_details_per_monomial(name):
     assert report["excluded_mass_bound"].hex() == want_mass.hex()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_power_map_quadrature_is_exact(n):
+    # z^n has one branch value, 0, of local degree n.  On its one chart,
+    # w = t^n e^{i theta}, every monomial integrand is a polynomial in t of
+    # degree at most 11, which each level's Gauss-Legendre rule integrates
+    # exactly.
+    cd = build_cut_disc(BlaschkeProduct(0.0, [0.0] * n))
+    assert cd.branch_data.local_degrees == ((n,),)
+    grid = build_quadrature_grid(cd, 10**4)
+    assert len(grid.points) == bundle._ANGLES * bundle._LEVELS * bundle._GAUSS_MAX
+    assert bundle_report(cd, 10**4, 5)["isometry_error"] <= 1e-12
+
+
+def test_isometry_holds_after_a_disc_automorphism():
+    # phi(B) for phi(w) = (w - a) / (1 - conj(a) w) is, up to a rotation, the
+    # product whose zeros are the fiber of B over a.  Its branch values are
+    # those of B moved by phi, from within 0.005 of 0 out to radius 1/2, but
+    # its monomial Gram matrix is diag(1/(j+1)), as for every product.
+    b = _acceptance_product(15)
+    moved = BlaschkeProduct(0.0, list(_fiber_batch(b, np.array([0.5j]))[0]))
+    cd = build_cut_disc(moved)
+    assert max(abs(v) for v in b.branch_data().branch_values) < 0.01
+    assert min(abs(v) for v in cd.branch_values) > 0.45
+    assert bundle_report(cd, 10**5, 5)["isometry_error"] <= 1e-5
+
+
+@pytest.mark.parametrize("budget", [10**4, 10**5])
+def test_quadrature_grid_is_capped_and_draws_nothing(budget):
+    # Product 15 has five charts: at 10^4 the cap leaves 5 Gauss nodes per
+    # level of the most, 8.  The cut disc's seed changes no byte of the grid.
+    b = _acceptance_product(15)
+    grids = [
+        build_quadrature_grid(build_cut_disc(b, settings=replace(DEFAULTS, seed=s)), budget)
+        for s in (0, 3)
+    ]
+    assert len(grids[0].points) <= budget
+    for field in ("points", "fibers", "inv_db2", "weights", "correction"):
+        assert getattr(grids[0], field).tobytes() == getattr(grids[1], field).tobytes()
+    assert grids[0].fallbacks == grids[1].fallbacks
+
+
+def test_quadrature_budget_below_one_node_per_level_is_refused(order3):
+    # 27 charts of 32 angles and 12 levels need 10,368 points at one Gauss
+    # node per level.
+    cd = build_cut_disc(order3)
+    betas = tuple(0.5 * cmath.exp(2j * math.pi * k / 27) for k in range(27))
+    crowded = replace(cd, branch_data=BranchData((), betas, ((2,),) * 27))
+    with pytest.raises(ValueError, match="one node per level"):
+        build_quadrature_grid(crowded, 10**4)
+
+
 @pytest.mark.parametrize("budget", [10**4, 10**5, 10**6])
 def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
+    # Each path runs over at most `_PATH_RINGS` rings of one chart, and
+    # every row outside the charts' innermost levels is on exactly one path.
     b = _CONTINUED_PRODUCTS["suite0-order3"]
     seen = []
 
-    def recording(cd, ws, rows, lengths, polish):
-        seen.append((len(rows), list(lengths)))
-        return _continue_paths(cd, ws, rows, lengths, polish)
+    def recording(cd, ws, rows, lengths):
+        seen.append((rows, list(lengths)))
+        return _continue_paths(cd, ws, rows, lengths)
 
     monkeypatch.setattr(bundle, "_continue_paths", recording)
-    cd = build_cut_disc(b)
-    grid = build_quadrature_grid(cd, budget)
-    ((count, lengths),) = seen
-    assert 0 < max(lengths) <= bundle._PATH_LENGTH
-    assert sum(lengths) == count
-    # On a path: every sample but the branch-value disc samples (inside the
-    # annulus' inner circle) in their disc's innermost band.  A disc of m
-    # samples has ceil(m / _PATH_LENGTH) bands of equal width.
-    betas = np.asarray(cd.branch_values)
-    n_corr, k = budget // 10, len(betas)
-    per_disc = [n_corr // k + (i < n_corr % k) for i in range(k)]
-    bands = np.array([-(-m // bundle._PATH_LENGTH) for m in per_disc])
-    width = bundle._EXCLUSION_RADIUS / bands
-    disc = grid.correction & (np.abs(grid.points) < 1.0 - bundle._ANNULUS_WIDTH)
-    d = np.abs(grid.points[:, None] - betas[None, :])
-    owner = d.argmin(axis=1)
-    innermost = disc & (d[np.arange(len(d)), owner] < width[owner])
-    assert count == len(grid.points) - int(np.count_nonzero(innermost))
+    grid = build_quadrature_grid(build_cut_disc(b), budget)
+    ((rows, lengths),) = seen
+    assert 0 < max(lengths) <= bundle._PATH_RINGS * bundle._ANGLES
+    assert sum(lengths) == len(rows)
+    on_paths = np.bincount(rows, minlength=len(grid.points))
+    assert np.array_equal(on_paths, (~grid.correction).astype(int))
 
 
 def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
     # Product 15 at 10^5: eigenvalues solve exactly the path seeds, the
-    # innermost disc bands and the failed polishes (in `bundle`) and the
+    # charts' innermost levels and the failed polishes (in `bundle`) and the
     # failed steps (in the continuation loop of `tracking`), and B and B'
-    # are evaluated at few fibers per sample.
+    # are evaluated at few fibers: at most 2.3 per unit of budget.
     cd = build_cut_disc(_acceptance_product(15))
     seen, eig_rows, polish_failures, evaluated = [], [0], [0], [0]
     real_paths, real_batch = bundle._continue_paths, bundle._fiber_batch
     real_polish, real_eval = bundle.newton_correct, BlaschkeProduct.eval_with_derivative
 
-    def paths(cd, ws, rows, lengths, polish):
+    def paths(cd, ws, rows, lengths):
         seen.append((len(rows), list(lengths)))
-        return real_paths(cd, ws, rows, lengths, polish)
+        return real_paths(cd, ws, rows, lengths)
 
     def batch(b, ws):
         eig_rows[0] += len(ws)
@@ -481,7 +517,7 @@ def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
     seeds = int(np.count_nonzero(lengths))
     innermost = len(grid.points) - count
     assert eig_rows[0] == seeds + innermost + grid.fallbacks + polish_failures[0]
-    assert evaluated[0] <= 2.3 * len(grid.points)
+    assert evaluated[0] <= 2.3 * 10**5
 
 
 def test_bundle_report_solves_branch_data_once(order3, monkeypatch):
@@ -514,33 +550,33 @@ def test_cut_disc_settings_reach_labeled_tracking(order3):
 
 def test_cut_disc_settings_reach_the_quadrature(order3, monkeypatch):
     # Under newton_tol = 1e-30 almost no continuation step is certified (a
-    # residual can round to exactly 0), so nearly every continued sample but
-    # the seed of its path falls back to eigenvalues; the samples come from
-    # the cut disc's seed either way.
+    # residual can round to exactly 0), so nearly every continued node but
+    # the seed of its path falls back to eigenvalues; the nodes are the same
+    # either way.
     lengths = []
 
-    def recording(cd, ws, rows, path_lengths, polish):
+    def recording(cd, ws, rows, path_lengths):
         lengths.append(list(path_lengths))
-        return _continue_paths(cd, ws, rows, path_lengths, polish)
+        return _continue_paths(cd, ws, rows, path_lengths)
 
     monkeypatch.setattr(bundle, "_continue_paths", recording)
     seeded = replace(DEFAULTS, seed=3)
     strict = build_cut_disc(order3, settings=replace(seeded, newton_tol=1e-30))
     grid = build_quadrature_grid(strict, 10**4)
     assert grid.fallbacks >= 0.95 * (sum(lengths[0]) - len(lengths[0]))
-    assert grid.seed == 3
     want = build_quadrature_grid(build_cut_disc(order3, settings=seeded), 10**4)
     assert want.fallbacks < 0.01 * 10**4
     assert grid.points.tobytes() == want.points.tobytes()
 
 
 def test_cut_disc_seed_draws_its_samples_and_grid(order3):
+    # The seed draws the labeled samples; the quadrature grid draws nothing.
     seed0, seed3 = (build_cut_disc(order3, settings=replace(DEFAULTS, seed=s)) for s in (0, 3))
     zs = sigma_samples(seed3, 5)[0]
     assert zs.tobytes() == sigma_samples(seed3, 5)[0].tobytes()
     assert zs.tobytes() != sigma_samples(seed0, 5)[0].tobytes()
     points = build_quadrature_grid(seed3, 10**4).points
-    assert points.tobytes() != build_quadrature_grid(seed0, 10**4).points.tobytes()
+    assert points.tobytes() == build_quadrature_grid(seed0, 10**4).points.tobytes()
 
 
 def _cut_disc_points(cd, count, rng, rmax=0.9):

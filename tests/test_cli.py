@@ -93,6 +93,20 @@ def test_verify_gamma(square_spec, capsys):
     assert report["budget"] == 20000
 
 
+def test_verify_gamma_order1_report_is_strict_json(tmp_path, capsys):
+    # A disc automorphism has one-point fibers, so no separation: the report
+    # says null, not the Infinity that RFC 8259 does not allow.
+    spec = _write_spec(tmp_path, "mobius.json", 0, [[0.3, 0.1]])
+    assert main(["verify-gamma", str(spec), "--budget", "10000", "--samples", "5"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert report["min_separation"] is None
+    assert report["ok"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_gamma_needs_a_sample(square_spec, capsys, samples):
     code = main(

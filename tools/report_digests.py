@@ -25,13 +25,18 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   covered;
 * `zn --n 1..8` at `--seed 0` and `--seed 3`;
 * `verify-gamma --budget 100000 --samples 10` and
-  `verify-gamma --budget 1000000 --samples 10` on product 15 (at 10^6 every
-  quadrature ring is split into several continuation paths);
+  `verify-gamma --budget 1000000 --samples 10` on product 15 (the quadrature
+  grid is capped well below 10^5 points, so the two runs give one report but
+  for the budget);
 * `verify-gamma --seed 3 --budget 100000 --samples 10` on product 15, so a
-  seed that did not reach the cut disc's settings would show (every other
-  `verify-gamma` run is at seed 0, the default);
+  seed that did not reach the labeled samples would show (every other
+  `verify-gamma` run is at seed 0, the default; the quadrature grid takes no
+  seed);
 * `verify-gamma --budget 10000 --samples 25` on products 0, 5, 10 and 19
   (orders 3-6), so labeled routes are compared at every acceptance order;
+* `verify-gamma --budget 10000 --samples 5` on the order-1 product
+  {"theta": 0, "zeros": [[0.3, 0.1]]}: a single quadrature chart about 0,
+  and a `min_separation` of null, since one-point fibers have none;
 * `trace-loop --index 0` on products 5 and 27 (on product 27 the loop once
   ended in a `FiberCollision`).
 
@@ -72,6 +77,8 @@ SUITE_PER_ORDER = 5
 # settings and at --dedup-tol 1e-12 only.
 SWEEP_DRAWS = ((6, 14), (10, 14), (24, 0))
 FINE_DEDUP_DRAWS = ((16, 5), (20, 4))
+# A disc automorphism: order 1, no branch value.
+ORDER1_SPEC = {"theta": 0, "zeros": [[0.3, 0.1]]}
 
 
 def suite_specs() -> list:
@@ -99,7 +106,7 @@ def run(argv) -> str:
     return f"{rc}\n{out.getvalue()}\n--stderr--\n{err.getvalue()}"
 
 
-def runs(spec_paths, sweep_paths) -> list:
+def runs(spec_paths, sweep_paths, order1_path) -> list:
     """(label, argv) of every run in the set."""
     out = [
         (f"analyze/product{i:02d}", ["analyze", p, "--seed", "0"])
@@ -138,6 +145,8 @@ def runs(spec_paths, sweep_paths) -> list:
           "--samples", "25", "--seed", "0"])
         for i in (0, 5, 10, 19)
     ]
+    out.append(("verify-gamma/order1/budget10000-samples5",
+                ["verify-gamma", order1_path, "--budget", "10000", "--samples", "5"]))
     out += [
         (f"trace-loop/product{i:02d}/index0", ["trace-loop", spec_paths[i], "--index", "0"])
         for i in (5, 27)
@@ -239,7 +248,8 @@ def main_digests(dump=None) -> None:
             write(f"sweep-order{order:02d}-draw{draw:02d}", sweep_spec(order, draw))
             for order, draw in SWEEP_DRAWS + FINE_DEDUP_DRAWS
         ]
-        for label, argv in runs(paths, sweep_paths):
+        order1_path = write("order1", ORDER1_SPEC)
+        for label, argv in runs(paths, sweep_paths, order1_path):
             text = run(argv)
             if dump is not None:
                 (dump / (label.replace("/", "_") + ".txt")).write_text(text)
