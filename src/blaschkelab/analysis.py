@@ -1,11 +1,11 @@
 """The analysis pipeline: monodromy, commutant, minimal projections, checks.
 
 `analyze` is the one place that chains these steps.  One `Settings` record
-reaches every step, so an override such as a Newton tolerance acts on branch
-data, base point, fibers, tracking and projections alike; the seed reaches
-only the projections, since root solving takes none.  The
-command line renders the result as JSON and the `z^n` oracle compares it
-with the exact model.
+reaches every step that reads it, so a dedup tolerance acts on the branch
+data and with it the base point, and a Newton tolerance on fibers and
+tracking alike; the seed reaches only the projections, since root solving
+takes none.  The command line renders the result as JSON and the `z^n`
+oracle compares it with the exact model.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def analyze(b, settings: Settings = DEFAULTS) -> Analysis:
     transitive = is_transitive(gens, n)
     q = orbital_count(gens, n)
 
-    cb = commutant_basis(gens, n, settings=settings)
+    cb = commutant_basis(gens, n)
     commutative, max_comm = is_commutative(cb)
     projections, attempts = ([], 0)
     if commutative:

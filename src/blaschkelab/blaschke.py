@@ -9,6 +9,7 @@ e_k = sqrt(k+1) z^k, so <z^k, z^k> = 1/(k+1)).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -44,6 +45,7 @@ class BlaschkeProduct:
         Unimodular phase, B = e^{i theta} * prod of disc automorphism factors.
     zeros : sequence of complex
         Zeros a_i with |a_i| < 1 - 1e-9; repeats allowed; order >= 1.
+        Raises ValueError unless theta and the zeros are finite.
     """
 
     theta: float
@@ -56,6 +58,8 @@ class BlaschkeProduct:
         zeros = tuple(complex(a) for a in zeros)
         if len(zeros) < 1:
             raise ValueError("a Blaschke product needs at least one zero")
+        if not (math.isfinite(float(theta)) and all(map(cmath.isfinite, zeros))):
+            raise ValueError("theta and every zero must be finite")
         for a in zeros:
             if abs(a) >= _MAX_MODULUS:
                 raise ValueError(f"zero {a} has modulus >= {_MAX_MODULUS}")
@@ -122,10 +126,10 @@ class BlaschkeProduct:
 
         Reads `dedup_tol` from `settings`; the root solve takes no seed.  The
         residual tolerance for the numerator roots is the fixed 1e-9, not
-        `settings.roots_tol`: reflected critical points outside the disc can
-        sit at large modulus where Horner evaluation noise alone exceeds a
-        1e-12-level bound.  Interior critical points (the ones returned) are
-        polished far beyond this and satisfy |B'(c)| < 1e-9.
+        the 1e-12 default of `cpoly.roots`: reflected critical points outside
+        the disc can sit at large modulus where Horner evaluation noise alone
+        exceeds a 1e-12-level bound.  Interior critical points (the ones
+        returned) are polished far beyond this and satisfy |B'(c)| < 1e-9.
 
         Scanning in ascending (real, imag) order, a candidate B(c) joins the
         first kept branch value within `dedup_tol`, which records the local
@@ -183,12 +187,19 @@ class BranchData:
     local_degrees: tuple
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def from_spec(data) -> BlaschkeProduct:
-    """Build a product from {"theta": float, "zeros": [[re, im], ...]}."""
-    if not isinstance(data, dict) or "theta" not in data or "zeros" not in data:
+    """Build a product from {"theta": real, "zeros": [[re, im], ...]}; raises
+    ValueError unless theta is a real number and every zero a pair of them."""
+    zeros = data.get("zeros") if isinstance(data, dict) else None
+    if not isinstance(zeros, list) or not all(
+        isinstance(a, list) and len(a) == 2 and all(map(_is_real, a)) for a in zeros
+    ) or not _is_real(data.get("theta")):
         raise ValueError('spec must be {"theta": real, "zeros": [[re, im], ...]}')
-    zeros = [complex(re, im) for re, im in data["zeros"]]
-    return BlaschkeProduct(theta=float(data["theta"]), zeros=zeros)
+    return BlaschkeProduct(theta=float(data["theta"]), zeros=[complex(*a) for a in zeros])
 
 
 def to_spec(b: BlaschkeProduct) -> dict:

@@ -80,12 +80,11 @@ _MIN_CUT_CLEARANCE = 1e-4
 
 # Quadrature (`build_quadrature_grid`): per chart, the angles of the
 # trapezoid rule, the levels in t and their ratio in |w - beta|, and the most
-# Gauss-Legendre nodes per level; the rings of one continuation path.
+# Gauss-Legendre nodes per level.
 _ANGLES = 32
 _LEVELS = 12
 _LEVEL_RATIO = 0.25
 _GAUSS_MAX = 8
-_PATH_RINGS = 4
 
 # Residual and iteration budget of the polish that takes labeled fibers and
 # the continued fibers of the quadrature from the tracking tolerance to near
@@ -167,7 +166,7 @@ def build_cut_disc(b, base=None, settings: Settings = DEFAULTS) -> CutDisc:
     """
     data = b.branch_data(settings)
     if base is None:
-        base = choose_base_point(b, data.branch_values, settings)
+        base = choose_base_point(b, data.branch_values)
     if any(beta == base for beta in data.branch_values):
         raise LoopConstructionFailed(
             f"the base point {complex(base):.4f} is a branch value"
@@ -349,9 +348,10 @@ class QuadratureGrid:
     Fibers come from certified continuation (`build_quadrature_grid`).
     `fallbacks` counts the continued nodes whose step failed its
     certificate: the nodes the continuation loop reported and solved by
-    eigenvalues (path seeds, innermost levels and failed polishes are solved
-    by eigenvalues too, but not counted).  The grid depends only on the cut
-    disc's product, branch data and tolerances and on the budget.
+    eigenvalues (the innermost levels, which hold the path seeds, and failed
+    polishes are solved by eigenvalues too, but not counted).  The grid
+    depends only on the cut disc's product, branch data and tolerances and
+    on the budget.
     """
 
     points: np.ndarray
@@ -442,13 +442,13 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
     L)).  Raises ValueError if the budget is below 10^4 or G would be 0.
 
     Fibers: each chart's innermost level, where the fiber's separation
-    vanishes, is solved by eigenvalues (`_fiber_batch`).  Its other rings
-    (the M nodes at one t), in ascending t, run in paths of `_PATH_RINGS`
-    consecutive rings, forward and back in angle in turn; the paths' nodes
-    are those of the continuation loop of `tracking` (`_continue_paths`).
-    The paths visit the nodes through an index permutation, so the grid
-    keeps its own order (chart, t, angle).  B' of a continued fiber is the
-    one its polish last evaluated.  The nodes and weights do not depend on
+    vanishes, is solved by eigenvalues (`_fiber_batch`).  Every other node
+    lies on one ray of its chart: at each angle, a path from the innermost
+    level's outermost node out through the other levels in ascending t, its
+    1 + (L - 1) G nodes those of the continuation loop of `tracking`
+    (`_continue_paths`).  The paths visit the nodes through an index
+    permutation, so the grid keeps its own order (chart, t, angle).  B' of a
+    continued fiber is the one its polish last evaluated.  The nodes and weights do not depend on
     how the fibers are solved, and nothing is drawn at random.
     """
     budget = int(budget)
@@ -483,18 +483,14 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
     with np.errstate(divide="ignore"):
         weights = np.concatenate(wts) / ((own[:, None] / dist) ** 4).sum(axis=1)
     correction = np.arange(len(points)) % per_chart < gauss * _ANGLES
-    # The rings outside the innermost level, by paths of `_PATH_RINGS`.
-    rings = np.arange(gauss, _LEVELS * gauss)
-    angles = np.arange(_ANGLES)
-    back = (rings - gauss) % _PATH_RINGS % 2 == 1
-    ring_rows = (rings[:, None] * _ANGLES + np.where(back[:, None], angles[::-1], angles)).ravel()
-    runs = _PATH_RINGS * np.arange(-(-len(rings) // _PATH_RINGS))
-    lengths = np.minimum(_PATH_RINGS, len(rings) - runs) * _ANGLES
+    # One ray per chart and angle, from the innermost level's outer ring out.
+    rings = np.arange(gauss - 1, _LEVELS * gauss)
+    rays = (rings[None, :] * _ANGLES + np.arange(_ANGLES)[:, None]).ravel()
     fibers, dvals, fallbacks = _continue_paths(
         cd,
         points,
-        (per_chart * np.arange(len(centers))[:, None] + ring_rows).ravel(),
-        np.tile(lengths, len(centers)),
+        (per_chart * np.arange(len(centers))[:, None] + rays).ravel(),
+        np.full(len(centers) * _ANGLES, len(rings)),
     )
     return QuadratureGrid(
         points=points,

@@ -23,6 +23,7 @@ import numpy as np
 from .analysis import analyze
 from .blaschke import from_spec
 from .bundle import build_cut_disc, bundle_report
+from .commutant import _NULLSPACE_RTOL, _PROJECTION_GAP
 from .config import DEFAULTS
 from .errors import ToolkitError
 from .monodromy import crossing_paths
@@ -56,8 +57,8 @@ def _analysis_report(b, settings, result) -> dict:
         "tolerances": {
             "newton_tol": settings.newton_tol,
             "dedup_tol": settings.dedup_tol,
-            "nullspace_rtol": settings.nullspace_rtol,
-            "projection_gap": settings.projection_gap,
+            "nullspace_rtol": _NULLSPACE_RTOL,
+            "projection_gap": _PROJECTION_GAP,
         },
         "base_point": _pair(rep.base),
         "branch_values": [_pair(v) for v in rep.branch_values],
@@ -84,6 +85,14 @@ def _emit(report: dict, path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _tolerance(text: str) -> float:
+    """The argparse type of the tolerance flags: a finite positive float."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
 
 
 def _load(spec_path):
@@ -178,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="monodromy + commutant + theorem checks")
     spec(p)
     common(p)
-    p.add_argument("--newton-tol", type=float, default=DEFAULTS.newton_tol)
-    p.add_argument("--dedup-tol", type=float, default=DEFAULTS.dedup_tol)
+    p.add_argument("--newton-tol", type=_tolerance, default=DEFAULTS.newton_tol)
+    p.add_argument("--dedup-tol", type=_tolerance, default=DEFAULTS.dedup_tol)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify-gamma", help="isometry/intertwining/disjointness checks")

@@ -25,6 +25,14 @@ __all__ = [
     "minimal_projections",
 ]
 
+# Singular values below _NULLSPACE_RTOL times the largest span the commutant
+# (`commutant_basis`); `minimal_projections` splits a generic element's
+# spectrum at gaps above _PROJECTION_GAP and draws at most
+# _PROJECTION_RETRIES of them.
+_NULLSPACE_RTOL = 1e-10
+_PROJECTION_GAP = 1e-6
+_PROJECTION_RETRIES = 5
+
 
 @dataclass(frozen=True)
 class CommutantBasis:
@@ -69,12 +77,12 @@ def _matrix_units(n: int):
     return out
 
 
-def commutant_basis(generators, n: int, settings: Settings = DEFAULTS) -> CommutantBasis:
+def commutant_basis(generators, n: int) -> CommutantBasis:
     """Orthonormal basis of {X : X V_i = V_i X for every generator}.
 
     Stacks the k maps X -> X V_i - V_i X as a (k n^2) x n^2 matrix acting on
     the row-major vectorization of X and keeps the right singular vectors
-    whose singular values fall below `settings.nullspace_rtol` times the
+    whose singular values fall below `_NULLSPACE_RTOL` times the
     largest one.  With no generators the commutant is the full matrix
     algebra, returned in the matrix-unit basis.
     """
@@ -94,7 +102,7 @@ def commutant_basis(generators, n: int, settings: Settings = DEFAULTS) -> Commut
     )
     # At least n^2 rows, so the reduced vh is still the full n^2 x n^2 V^H.
     _, s, vh = np.linalg.svd(system, full_matrices=False)
-    cutoff = settings.nullspace_rtol * (s[0] if s.size else 0.0)
+    cutoff = _NULLSPACE_RTOL * (s[0] if s.size else 0.0)
     nullity = n * n - int(np.sum(s > cutoff))
     basis = tuple(
         vh[n * n - nullity + j].reshape(n, n).astype(complex)
@@ -121,11 +129,11 @@ def minimal_projections(
 
     Draws a generic element Z = sum c_a X_a with deterministic complex
     Gaussian coefficients, takes the self-adjoint part H = (Z + Z*)/2, and
-    groups the eigendecomposition of H at `settings.projection_gap`.  In a
+    groups the eigendecomposition of H at `_PROJECTION_GAP`.  In a
     commutative algebra of dimension d a generic H has exactly d eigenvalue
     groups and its spectral projections are the minimal ones; fewer groups
     means the draw was degenerate and the next seed is tried, up to
-    `settings.projection_retries` draws from `settings.seed` on; with
+    `_PROJECTION_RETRIES` draws from `settings.seed` on; with
     `return_attempts` the result is (projections, draws used).
 
     Complex coefficients are essential: a real-coefficient self-adjoint
@@ -141,7 +149,7 @@ def minimal_projections(
         raise NonCommutative(
             f"commutant algebra is not commutative (max commutator {worst:.3e})"
         )
-    for attempt in range(settings.projection_retries):
+    for attempt in range(_PROJECTION_RETRIES):
         rng = np.random.default_rng(settings.seed + attempt)
         coeffs = rng.standard_normal(cb.dim) + 1j * rng.standard_normal(cb.dim)
         z = sum(c * x for c, x in zip(coeffs, cb.basis))
@@ -151,7 +159,7 @@ def minimal_projections(
         # by more than the gap; each block is one spectral projection.
         splits = [0]
         for j in range(1, len(eigvals)):
-            if eigvals[j] - eigvals[j - 1] > settings.projection_gap:
+            if eigvals[j] - eigvals[j - 1] > _PROJECTION_GAP:
                 splits.append(j)
         splits.append(len(eigvals))
         if len(splits) - 1 != cb.dim:
@@ -165,6 +173,6 @@ def minimal_projections(
         return projections
     raise DegenerateGenericElement(
         f"no generic element split the spectrum into {cb.dim} groups "
-        f"after {settings.projection_retries} attempts"
+        f"after {_PROJECTION_RETRIES} attempts"
     )
 

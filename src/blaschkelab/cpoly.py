@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import NoConvergence
 
 __all__ = ["Poly", "RootCluster", "roots"]
 
 # Upper cap on the multiplicity-aware cluster merge radius.
 _CLUSTER_CAP = 1e-3
+# Default residual bound of `roots`, relative to 1 + the coefficients' l1-norm.
+_ROOTS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def _refine_multiple(poly, center, multiplicity):
     return z
 
 
-def roots(poly, tol=None):
+def roots(poly, tol=_ROOTS_TOL):
     """All roots of `poly` as multiplicity-aware clusters.
 
     The companion eigenvalues of `poly` are merged into clusters, and the
@@ -202,7 +203,7 @@ def roots(poly, tol=None):
         |poly(c)| <= tol * (1 + sum|coeffs|) * max(1, |c|)**degree.
         The last factor is the Horner forward-error scale; it equals 1 for
         roots in the closed unit disc, where the bound reduces to the plain
-        tol * (1 + sum|coeffs|).  Default from Settings.
+        tol * (1 + sum|coeffs|).  Default `_ROOTS_TOL`.
 
     The merge radius is capped at `_CLUSTER_CAP`.
 
@@ -217,8 +218,6 @@ def roots(poly, tol=None):
     NoConvergence
         If a cluster center has a residual above the bound.
     """
-    tol = DEFAULTS.roots_tol if tol is None else tol
-
     if poly.degree < 1:
         raise ValueError("roots() needs degree >= 1 and a nonzero leading coefficient")
 

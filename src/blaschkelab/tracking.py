@@ -79,6 +79,14 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 # w0) has a relative error of about newton_tol / |w1 - w0|: on lanes 1e-10
 # long beside clustered branch values it failed down to the step floor.
 _HERMITE_SPACING = 1e4
+# Corrector iterations per continuation step (`certified_step`); fiber points
+# within _COLLISION_FACTOR * newton_tol have collided (`certified_step`,
+# `_start_collision`); the least spacing of a retried lane step, in segment
+# parameter; the base-point search lattice's cells per side.
+_MAX_NEWTON_ITERS = 5
+_COLLISION_FACTOR = 10.0
+_STEP_FLOOR = 1e-12
+_BASE_GRID = 64
 
 
 def point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -267,30 +275,34 @@ def certified_step(b, pred, w, settings: Settings = DEFAULTS):
     The one step certificate, of the continuation loop `_continue_nodes`.
     Returns (points, B' there, fiber separations, accepted, collided) per
     row.  A row has collided when it converged (`newton_correct`) with
-    separation at most collision_factor * newton_tol; it is accepted when it
-    converged, has not collided, and its separation exceeds ten times its
+    separation at most _COLLISION_FACTOR * newton_tol; it is accepted when
+    it converged, has not collided, and its separation exceeds ten times its
     largest correction.
     """
-    z, db, converged = newton_correct(
-        b, pred, w, settings.newton_tol, settings.max_newton_iters
-    )
+    z, db, converged = newton_correct(b, pred, w, settings.newton_tol, _MAX_NEWTON_ITERS)
     with np.errstate(all="ignore"):
         sep = fiber_separation(z)
         largest = np.abs(z - pred).max(axis=1)
-        collided = converged & (sep <= settings.collision_factor * settings.newton_tol)
+        collided = converged & (sep <= _COLLISION_FACTOR * settings.newton_tol)
         accepted = converged & ~collided & (sep > 10.0 * largest)
     return z, db, sep, accepted, collided
+
+
+def _start_collision(w, sep, settings: Settings):
+    """FiberCollision if a fresh fiber over `w` of separation `sep` has collided, else None."""
+    if sep <= _COLLISION_FACTOR * settings.newton_tol:
+        return FiberCollision(f"fiber separation {sep:.3e} at w={w} is below threshold")
 
 
 def initial_fiber(b, w, settings: Settings = DEFAULTS) -> Fiber:
     """Solve B(z) = w from scratch; points sorted lexicographically.
 
     Raises FiberCollision when w is (numerically) a branch value: repeated
-    roots or separation below collision_factor * newton_tol.
+    roots or a separation `_start_collision` refuses.
     """
     w = complex(w)
     g = b.P - w * b.Q
-    clusters = roots(g, tol=settings.roots_tol)
+    clusters = roots(g)
     if any(c.multiplicity > 1 for c in clusters):
         raise FiberCollision(f"fiber over {w} contains a multiple point")
     pts = np.array([c.center for c in clusters])
@@ -304,22 +316,22 @@ def initial_fiber(b, w, settings: Settings = DEFAULTS) -> Fiber:
     order = np.lexsort((pts.imag, pts.real))
     pts = pts[order]
     sep = float(fiber_separation(pts))
-    if sep <= settings.collision_factor * settings.newton_tol:
-        raise FiberCollision(f"fiber separation {sep:.3e} at w={w} is below threshold")
+    collision = _start_collision(w, sep, settings)
+    if collision is not None:
+        raise collision
     return Fiber(w=w, points=tuple(pts.tolist()), separation=sep)
 
 
-def choose_base_point(b, branch_values, settings: Settings = DEFAULTS) -> complex:
+def choose_base_point(b, branch_values) -> complex:
     """Grid-search base point maximizing clearance from branch values and the rim.
 
-    Deterministic: scans a grid x grid lattice of cell centers over the
-    bounding square (grid = `settings.grid`) and returns the first maximizer
-    in scan order.
+    Deterministic: scans the `_BASE_GRID` x `_BASE_GRID` lattice of cell
+    centers over the bounding square and returns the first maximizer in scan
+    order.
     """
-    grid = settings.grid
     if len(branch_values) == 0:
         return 0j
-    centers = -1.0 + (2.0 * np.arange(grid) + 1.0) / grid
+    centers = -1.0 + (2.0 * np.arange(_BASE_GRID) + 1.0) / _BASE_GRID
     w = centers[:, None] + 1j * centers[None, :]  # w[i, j] = x_i + i y_j
     rim = 1.0 - np.abs(w)
     beta = np.asarray(branch_values, dtype=complex)
@@ -373,7 +385,7 @@ def track_paths(b, fiber, paths, settings: Settings = DEFAULTS) -> list:
     input point i), or the first failure in path order.  Every segment of
     every path is one lane (`_continue_lanes`).  A path's first lane starts
     from `fiber`, every later lane from the eigenvalue fiber of its start
-    (one `_fiber_batch` call, under `initial_fiber`'s collision rule), and
+    (one `_fiber_batch` call, refused as `initial_fiber` refuses), and
     all junctions are matched at once by `match_endpoints`' rule.  A failure
     is a lane's FiberCollision or StepFloorReached ("segment k" names the
     lane's index in its path), or AmbiguousMatching at a junction.  Lanes
@@ -543,7 +555,7 @@ def _continue_lanes(b, pts, segs, positions, errors, settings: Settings, keep_no
                 errors[k] = FiberCollision(
                     f"fiber separation {sep[i]:.3e} under threshold near w={complex(ws[r])}"
                 )
-            elif half < settings.step_floor:
+            elif half < _STEP_FLOOR:
                 errors[k] = StepFloorReached(
                     f"step floor reached on segment {positions[k]} near w={complex(ws[r])}"
                 )
@@ -580,12 +592,8 @@ def _track_rows(b, fiber, paths, settings: Settings, record=None):
     if len(later):
         ws = _segment_points(segs)(later, np.zeros(len(later)))
         starts[later] = _fiber_batch(b, ws)
-        threshold = settings.collision_factor * settings.newton_tol
         for r, w0, sep in zip(later.tolist(), ws, fiber_separation(starts[later])):
-            if sep <= threshold:
-                errors[r] = FiberCollision(
-                    f"fiber separation {sep:.3e} at w={complex(w0)} is below threshold"
-                )
+            errors[r] = _start_collision(complex(w0), sep, settings)
     started = [e is None for e in errors]
     ends, w, nodes = _continue_lanes(
         b, starts, segs, positions, errors, settings, keep_nodes=record is not None

@@ -22,6 +22,7 @@ from blaschkelab import (
     random_product,
     to_spec,
 )
+from blaschkelab import tracking
 from blaschkelab.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -92,18 +93,21 @@ def test_root_solving_is_seed_free():
         assert runs[0] == runs[1]
 
 
-def test_grid_override_reaches_the_base_point(order3):
+def test_analyze_uses_the_chosen_base_point(order3, monkeypatch):
     betas = order3.branch_data().branch_values
-    coarse = replace(DEFAULTS, grid=17)
-    base17 = choose_base_point(order3, betas, settings=coarse)
-    assert base17 != choose_base_point(order3, betas)
-    assert analyze(order3, coarse).rep.base == base17
-    assert analyze(order3).rep.base == choose_base_point(order3, betas)
+    base64 = choose_base_point(order3, betas)
+    monkeypatch.setattr(tracking, "_BASE_GRID", 17)
+    base17 = choose_base_point(order3, betas)
+    assert base17 != base64
+    assert analyze(order3).rep.base == base17
+    monkeypatch.undo()
+    assert analyze(order3).rep.base == base64
 
 
-def test_collision_override_reaches_the_initial_fiber(order3):
+def test_collided_base_fiber_raises_from_initial_fiber(order3, monkeypatch):
+    monkeypatch.setattr(tracking, "_COLLISION_FACTOR", 1e12)
     with pytest.raises(FiberCollision) as info:
-        analyze(order3, replace(DEFAULTS, collision_factor=1e12))
+        analyze(order3)
     assert info.traceback[-1].name == "initial_fiber"
 
 

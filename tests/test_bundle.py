@@ -462,8 +462,9 @@ def test_quadrature_budget_below_one_node_per_level_is_refused(order3):
 
 @pytest.mark.parametrize("budget", [10**4, 10**5, 10**6])
 def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
-    # Each path runs over at most `_PATH_RINGS` rings of one chart, and
-    # every row outside the charts' innermost levels is on exactly one path.
+    # Each path is one ray of one chart: at one angle, the innermost level's
+    # outer ring and then every ring outside it in ascending t.  Every row
+    # outside the charts' innermost levels is on exactly one path.
     b = _CONTINUED_PRODUCTS["suite0-order3"]
     seen = []
 
@@ -472,27 +473,31 @@ def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
         return _continue_paths(cd, ws, rows, lengths)
 
     monkeypatch.setattr(bundle, "_continue_paths", recording)
-    grid = build_quadrature_grid(build_cut_disc(b), budget)
+    cd = build_cut_disc(b)
+    grid = build_quadrature_grid(cd, budget)
     ((rows, lengths),) = seen
-    assert 0 < max(lengths) <= bundle._PATH_RINGS * bundle._ANGLES
     assert sum(lengths) == len(rows)
+    per_chart = len(grid.points) // len(cd.branch_values)
+    gauss = per_chart // (bundle._LEVELS * bundle._ANGLES)
+    chart, ring = rows // per_chart, rows % per_chart // bundle._ANGLES
+    angle = rows % bundle._ANGLES
+    for path in np.split(np.arange(len(rows)), np.cumsum(lengths)[:-1]):
+        assert len(set(chart[path])) == len(set(angle[path])) == 1
+        assert ring[path].tolist() == list(range(gauss - 1, bundle._LEVELS * gauss))
     on_paths = np.bincount(rows, minlength=len(grid.points))
-    assert np.array_equal(on_paths, (~grid.correction).astype(int))
+    assert np.all(on_paths[~grid.correction] == 1)
 
 
 def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
-    # Product 15 at 10^5: eigenvalues solve exactly the path seeds, the
-    # charts' innermost levels and the failed polishes (in `bundle`) and the
-    # failed steps (in the continuation loop of `tracking`), and B and B'
-    # are evaluated at few fibers: at most 2.3 per unit of budget.
+    # Product 15 at 10^5: eigenvalues solve exactly the charts' innermost
+    # levels, which hold the path seeds, and the failed polishes (in
+    # `bundle`) and the failed steps (in the continuation loop of
+    # `tracking`), and B and B' are evaluated at few fibers: at most 2.3 per
+    # unit of budget.
     cd = build_cut_disc(_acceptance_product(15))
-    seen, eig_rows, polish_failures, evaluated = [], [0], [0], [0]
-    real_paths, real_batch = bundle._continue_paths, bundle._fiber_batch
+    eig_rows, polish_failures, evaluated = [0], [0], [0]
+    real_batch = bundle._fiber_batch
     real_polish, real_eval = bundle.newton_correct, BlaschkeProduct.eval_with_derivative
-
-    def paths(cd, ws, rows, lengths):
-        seen.append((len(rows), list(lengths)))
-        return real_paths(cd, ws, rows, lengths)
 
     def batch(b, ws):
         eig_rows[0] += len(ws)
@@ -507,16 +512,13 @@ def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
         evaluated[0] += len(z)
         return real_eval(self, z)
 
-    monkeypatch.setattr(bundle, "_continue_paths", paths)
     monkeypatch.setattr(bundle, "_fiber_batch", batch)
     monkeypatch.setattr(tracking, "_fiber_batch", batch)
     monkeypatch.setattr(bundle, "newton_correct", polishing)
     monkeypatch.setattr(BlaschkeProduct, "eval_with_derivative", evaluate)
     grid = build_quadrature_grid(cd, 10**5)
-    ((count, lengths),) = seen
-    seeds = int(np.count_nonzero(lengths))
-    innermost = len(grid.points) - count
-    assert eig_rows[0] == seeds + innermost + grid.fallbacks + polish_failures[0]
+    innermost = int(np.count_nonzero(grid.correction))
+    assert eig_rows[0] == innermost + grid.fallbacks + polish_failures[0]
     assert evaluated[0] <= 2.3 * 10**5
 
 

@@ -16,6 +16,10 @@ def _write_spec(tmp_path, name, theta, zeros):
     return path
 
 
+def _refuse(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture()
 def square_spec(tmp_path):
     return _write_spec(tmp_path, "square.json", 0.0, [[0.0, 0.0], [0.0, 0.0]])
@@ -61,8 +65,34 @@ def test_analyze_single_zero(tmp_path):
 
 def test_analyze_stdout(square_spec, capsys):
     assert main(["analyze", str(square_spec)]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse)
     assert report["order"] == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"theta": 0, "zeros": [0.1, 0.2]}',
+        '{"theta": 0, "zeros": [["a", 0]]}',
+        '{"theta": 0, "zeros": null}',
+        '{"theta": NaN, "zeros": [[0.1, 0.2]]}',
+        '{"theta": 0, "zeros": [[NaN, 0.2]]}',
+    ],
+)
+def test_malformed_spec_exits_2(tmp_path, capsys, text):
+    spec = tmp_path / "bad.json"
+    spec.write_text(text)
+    assert main(["analyze", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--newton-tol", "--dedup-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_tolerance_flags_need_a_finite_positive_value(square_spec, capsys, flag, value):
+    assert main(["analyze", str(square_spec), flag, value]) == 2
+    assert "is not a finite positive number" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path, square_spec, capsys):
@@ -98,11 +128,7 @@ def test_verify_gamma_order1_report_is_strict_json(tmp_path, capsys):
     # says null, not the Infinity that RFC 8259 does not allow.
     spec = _write_spec(tmp_path, "mobius.json", 0, [[0.3, 0.1]])
     assert main(["verify-gamma", str(spec), "--budget", "10000", "--samples", "5"]) == 0
-
-    def refuse(name):
-        raise ValueError(f"{name} is not JSON")
-
-    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse)
     assert report["min_separation"] is None
     assert report["ok"]
 

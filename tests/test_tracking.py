@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import re
 
@@ -312,11 +311,6 @@ def _same_fiber(a, b) -> bool:
     )
 
 
-def _collision_settings(factor):
-    """DEFAULTS with `factor` as the collision factor."""
-    return dataclasses.replace(DEFAULTS, collision_factor=factor)
-
-
 @pytest.mark.parametrize(
     "middle, factor, error",
     [
@@ -324,21 +318,21 @@ def _collision_settings(factor):
         (Line(0.25, 0j), 1e6, FiberCollision),
     ],
 )
-def test_track_paths_failing_middle_row(square, middle, factor, error):
-    settings = _collision_settings(factor)
-    fib = initial_fiber(square, 0.25, settings)
+def test_track_paths_failing_middle_row(square, middle, factor, error, monkeypatch):
+    monkeypatch.setattr(tracking, "_COLLISION_FACTOR", factor)
+    fib = initial_fiber(square, 0.25)
     paths = [
         _circle(0.0, 0.25),
         PathSpec(segments=(middle,)),
         _circle(0.3, 0.05, start_angle=math.pi),
     ]
-    outcomes = track_paths(square, fib, paths, settings)
+    outcomes = track_paths(square, fib, paths)
     assert len(outcomes) == 3
     assert type(outcomes[1]) is error
     with pytest.raises(error, match=f"^{re.escape(str(outcomes[1]))}$"):
-        track(square, fib, paths[1], settings)
+        track(square, fib, paths[1])
     for k in (0, 2):
-        assert _same_fiber(outcomes[k], track(square, fib, paths[k], settings))
+        assert _same_fiber(outcomes[k], track(square, fib, paths[k]))
     assert outcomes[0].points[0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -475,7 +469,7 @@ def _seeded_products(count):
 
 
 @pytest.mark.parametrize("b", _seeded_products(5))
-def test_track_paths_matches_scalar_reference(b):
+def test_track_paths_matches_scalar_reference(b, monkeypatch):
     cd = build_cut_disc(b)
     base = cd.base
     _, pairs = crossing_paths(cd)
@@ -487,11 +481,11 @@ def test_track_paths_matches_scalar_reference(b):
         for t in (1.0, 1.5)
     ]
     for factor in (10.0, 1e6):
-        settings = _collision_settings(factor)
-        outcomes = track_paths(b, initial_fiber(b, base, settings), paths, settings)
+        monkeypatch.setattr(tracking, "_COLLISION_FACTOR", factor)
+        outcomes = track_paths(b, initial_fiber(b, base), paths)
         failed = 0
         for path, got in zip(paths, outcomes):
-            want = _scalar_track(b, initial_fiber(b, base, settings), path, factor)
+            want = _scalar_track(b, initial_fiber(b, base), path, factor)
             if isinstance(got, Exception):
                 failed += 1
                 assert (type(got), str(got)) == want
@@ -517,7 +511,7 @@ def _scalar_base_point(branch_values, grid):
     return best
 
 
-def test_choose_base_point_matches_scalar_scan():
+def test_choose_base_point_matches_scalar_scan(monkeypatch):
     # 50 seeded products, plus branch sets of z^n and a mirror-symmetric
     # pair, whose best scores tie between cells.
     rng = np.random.default_rng(50)
@@ -529,8 +523,8 @@ def test_choose_base_point_matches_scalar_scan():
             continue
     for betas in cases:
         for grid in (64, 17):
-            settings = dataclasses.replace(DEFAULTS, grid=grid)
-            got = choose_base_point(None, betas, settings=settings)
+            monkeypatch.setattr(tracking, "_BASE_GRID", grid)
+            got = choose_base_point(None, betas)
             want = _scalar_base_point(betas, grid)
             assert type(got) is complex
             assert (got.real, got.imag) == (want.real, want.imag)

@@ -38,7 +38,10 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   {"theta": 0, "zeros": [[0.3, 0.1]]}: a single quadrature chart about 0,
   and a `min_separation` of null, since one-point fibers have none;
 * `trace-loop --index 0` on products 5 and 27 (on product 27 the loop once
-  ended in a `FiberCollision`).
+  ended in a `FiberCollision`);
+* two runs that exit 2 with a one-line message: `analyze` on the malformed
+  spec {"theta": 0, "zeros": [0.1, 0.2]}, whose zeros are not [re, im]
+  pairs, and `analyze --dedup-tol nan` on product 0.
 
 Each digest covers the exit code, stdout and stderr of one run; with
 `--dump DIR` that text is also written to DIR/<label>.txt, so a differing
@@ -79,6 +82,8 @@ SWEEP_DRAWS = ((6, 14), (10, 14), (24, 0))
 FINE_DEDUP_DRAWS = ((16, 5), (20, 4))
 # A disc automorphism: order 1, no branch value.
 ORDER1_SPEC = {"theta": 0, "zeros": [[0.3, 0.1]]}
+# Zeros that are not [re, im] pairs: a usage error.
+MALFORMED_SPEC = {"theta": 0, "zeros": [0.1, 0.2]}
 
 
 def suite_specs() -> list:
@@ -106,7 +111,7 @@ def run(argv) -> str:
     return f"{rc}\n{out.getvalue()}\n--stderr--\n{err.getvalue()}"
 
 
-def runs(spec_paths, sweep_paths, order1_path) -> list:
+def runs(spec_paths, sweep_paths, order1_path, malformed_path) -> list:
     """(label, argv) of every run in the set."""
     out = [
         (f"analyze/product{i:02d}", ["analyze", p, "--seed", "0"])
@@ -151,6 +156,9 @@ def runs(spec_paths, sweep_paths, order1_path) -> list:
         (f"trace-loop/product{i:02d}/index0", ["trace-loop", spec_paths[i], "--index", "0"])
         for i in (5, 27)
     ]
+    out.append(("analyze/malformed-zeros", ["analyze", malformed_path]))
+    out.append(("analyze/product00/dedup-tol-nan",
+                ["analyze", spec_paths[0], "--dedup-tol", "nan"]))
     return out
 
 
@@ -249,7 +257,8 @@ def main_digests(dump=None) -> None:
             for order, draw in SWEEP_DRAWS + FINE_DEDUP_DRAWS
         ]
         order1_path = write("order1", ORDER1_SPEC)
-        for label, argv in runs(paths, sweep_paths, order1_path):
+        malformed_path = write("malformed", MALFORMED_SPEC)
+        for label, argv in runs(paths, sweep_paths, order1_path, malformed_path):
             text = run(argv)
             if dump is not None:
                 (dump / (label.replace("/", "_") + ".txt")).write_text(text)
