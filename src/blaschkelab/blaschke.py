@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,10 @@ _MAX_MODULUS = 1.0 - 1e-9
 # Residual tolerance for the roots of the critical numerator (see branch_data).
 _CRITICAL_ROOTS_TOL = 1e-9
 _TAYLOR_CAP = 4096
+# `eval_with_derivative` runs longer inputs this many rows at a time, so its
+# Horner temporaries stay in cache: a 14,080 x 6 evaluation took 11.9 ms
+# whole and 5.4-5.7 ms in blocks of 2,048 rows.
+_EVAL_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -92,9 +97,20 @@ class BlaschkeProduct:
         """B(z) and B'(z) = (P'Q - PQ') / Q**2 for an array `z` of any shape.
 
         P, Q and their derivatives come from one Horner pass over the
-        stacked coefficients.
+        stacked coefficients, `_EVAL_ROWS` rows of `z` at a time; each
+        element's arithmetic does not depend on the blocking.
         """
         z = np.asarray(z, dtype=complex)
+        if z.ndim == 0 or len(z) <= _EVAL_ROWS:
+            return self._eval_block(z)
+        val, der = np.empty_like(z), np.empty_like(z)
+        for lo in range(0, len(z), _EVAL_ROWS):
+            block = slice(lo, lo + _EVAL_ROWS)
+            val[block], der[block] = self._eval_block(z[block])
+        return val, der
+
+    def _eval_block(self, z):
+        """`eval_with_derivative` on one block of rows."""
         pq = self._pq.reshape(self._pq.shape + (1,) * z.ndim)
         v = np.empty((2,) + z.shape, dtype=complex)
         v[...] = pq[0]
@@ -188,7 +204,10 @@ class BranchData:
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number a float holds: a float, or an int within the float range."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, float) or (isinstance(x, int) and abs(x) <= sys.float_info.max)
 
 
 def from_spec(data) -> BlaschkeProduct:

@@ -45,6 +45,7 @@ from .tracking import (
     _fiber_batch,
     _match_rows,
     approach,
+    certified_step,
     choose_base_point,
     fiber_separation,
     initial_fiber,
@@ -85,6 +86,13 @@ _ANGLES = 32
 _LEVELS = 12
 _LEVEL_RATIO = 0.25
 _GAUSS_MAX = 8
+# Innermost-level rows within this many newton_tol of their chart's center
+# are solved by eigenvalues, not stepped to (`build_quadrature_grid`): there
+# a residual of newton_tol certifies nothing.  On the seed-2026 suite's
+# product 15 at 10^5, ring 0 (|w - beta| ~ 1e-10) stepped and polished to
+# `_POLISH_TOL` lay up to 1.2e-9 from the 50-digit fibers, by eigenvalues
+# 5e-11, and stepping it tripled the fallbacks.
+_EIGENVALUE_GATE = 100.0
 
 # Residual and iteration budget of the polish that takes labeled fibers and
 # the continued fibers of the quadrature from the tracking tolerance to near
@@ -231,7 +239,7 @@ def _labeled_fibers(cd: CutDisc, zs) -> list:
         else:
             tracked.append((k, end.points))
     if tracked:
-        pts, _, ok = newton_correct(
+        pts, _, _, ok = newton_correct(
             cd.b,
             np.asarray([points for _, points in tracked], dtype=complex),
             np.array([zs[k] for k, _ in tracked]),
@@ -346,12 +354,14 @@ class QuadratureGrid:
     excluded-mass bound.
 
     Fibers come from certified continuation (`build_quadrature_grid`).
-    `fallbacks` counts the continued nodes whose step failed its
-    certificate: the nodes the continuation loop reported and solved by
-    eigenvalues (the innermost levels, which hold the path seeds, and failed
-    polishes are solved by eigenvalues too, but not counted).  The grid
-    depends only on the cut disc's product, branch data and tolerances and
-    on the budget.
+    `fallbacks` counts the nodes whose certified step failed and that were
+    solved by eigenvalues instead: rejected nodes of the continuation loop
+    and rejected steps into the innermost levels.  Not counted are the rows
+    solved by eigenvalues by design (each ray's seed on the innermost
+    level's outer ring, and the innermost rows within `_EIGENVALUE_GATE`
+    newton_tol of their chart's center) and the fibers whose polish failed.
+    The grid depends only on the cut disc's product, branch data and
+    tolerances and on the budget.
     """
 
     points: np.ndarray
@@ -363,44 +373,62 @@ class QuadratureGrid:
     fallbacks: int
 
 
-def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths):
+def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, spokes=None):
     """Unordered fibers of `cd.b` over `ws`, mostly by certified continuation.
 
     `rows` indexes `ws`: the concatenation of paths of the given lengths,
     each an ordered run of nearby regular values.  Each path's first node
-    and every value on no path are solved by eigenvalues (`_fiber_batch`);
-    the later nodes are the paths' nodes in the continuation loop of
-    `tracking` (`_continue_nodes` under `cd.settings`).  Every continued
-    fiber then takes one Newton step and is Newton-polished in one call to
-    residual `_POLISH_TOL` within `_POLISH_ITERS` iterations: next to a
-    critical point a fiber point at residual `newton_tol` can sit about
-    newton_tol / |B'| from the root, and near a branch value of local degree
-    m > 2 even residual `_POLISH_TOL` is reached off the root (on z^4 the
-    fibers sat 1.2e-10 from the eigenvalue fibers without the step).  A
+    and every value on no path and no spoke are solved by eigenvalues
+    (`_fiber_batch`); the later nodes are the paths' nodes in the
+    continuation loop of `tracking` (`_continue_nodes` under
+    `cd.settings`).  `spokes`, if given, is (targets, sources, dw): row
+    targets[k], on no path, takes one `certified_step` from the fiber z at
+    the eigenvalue row sources[k], predicted by the Euler step
+    z + dw[k] / B'(z).  Every rejected node or spoke is solved by
+    eigenvalues and counted.
+
+    Every accepted fiber then takes one Newton step, from the residual and
+    B' of its certified step's last evaluation, and is Newton-polished in
+    one call to residual `_POLISH_TOL` within `_POLISH_ITERS` iterations:
+    next to a critical point a fiber point at residual `newton_tol` can sit
+    about newton_tol / |B'| from the root, and near a branch value of local
+    degree m > 2 even residual `_POLISH_TOL` is reached off the root (on z^4
+    the fibers sat 1.2e-10 from the eigenvalue fibers without the step).  A
     fiber whose polish fails is solved by eigenvalues.
 
-    Returns (fibers aligned with ws, B' at those fibers, number of nodes
-    whose step failed its certificate).
+    Returns (fibers aligned with ws, B' at those fibers, number of rejected
+    nodes and spokes).
     """
     b = cd.b
     fibers = np.empty((len(ws), b.order), dtype=complex)
-    derivs = np.empty_like(fibers)
+    derivs, resids = np.empty_like(fibers), np.empty_like(fibers)
     lengths = np.asarray(lengths, dtype=int)
     lengths = lengths[lengths > 0]
     seeds = rows[np.cumsum(lengths) - lengths]
+    targets, sources, dw = spokes if spokes is not None else (np.empty(0, dtype=int),) * 3
     by_eigenvalues = np.ones(len(ws), dtype=bool)
     by_eigenvalues[rows] = False
+    by_eigenvalues[targets] = False
     by_eigenvalues[seeds] = True
     solve = np.flatnonzero(by_eigenvalues)
     fibers[solve] = _fiber_batch(b, ws[solve])
     derivs[solve] = b.derivative_value(fibers[solve])
-    restarted, _, _ = _continue_nodes(b, ws, rows, lengths, fibers, derivs, cd.settings)
+    restarted, _, _ = _continue_nodes(
+        b, ws, rows, lengths, fibers, derivs, cd.settings, resids
+    )
+    with np.errstate(all="ignore"):
+        pred = fibers[sources] + dw[:, None] / derivs[sources]
+    z, db, res, _, accepted, _ = certified_step(b, pred, ws[targets], cd.settings)
+    fibers[targets], derivs[targets], resids[targets] = z, db, res
+    rejected = targets[~accepted]
+    fibers[rejected] = _fiber_batch(b, ws[rejected])
+    derivs[rejected] = b.derivative_value(fibers[rejected])
+    restarted = np.concatenate([restarted, rejected])
     by_eigenvalues[restarted] = True
     polished = np.flatnonzero(~by_eigenvalues)
     if len(polished):
-        val, db = b.eval_with_derivative(fibers[polished])
-        z = fibers[polished] - (val - ws[polished, None]) / db
-        z, db, ok = newton_correct(b, z, ws[polished], _POLISH_TOL, _POLISH_ITERS)
+        z = fibers[polished] - resids[polished] / derivs[polished]
+        z, db, _, ok = newton_correct(b, z, ws[polished], _POLISH_TOL, _POLISH_ITERS)
         z[~ok] = _fiber_batch(b, ws[polished[~ok]])
         db[~ok] = b.derivative_value(z[~ok])
         fibers[polished], derivs[polished] = z, db
@@ -441,15 +469,22 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
     The budget caps the points: G = min(`_GAUSS_MAX`, budget // (charts M
     L)).  Raises ValueError if the budget is below 10^4 or G would be 0.
 
-    Fibers: each chart's innermost level, where the fiber's separation
-    vanishes, is solved by eigenvalues (`_fiber_batch`).  Every other node
-    lies on one ray of its chart: at each angle, a path from the innermost
-    level's outermost node out through the other levels in ascending t, its
-    1 + (L - 1) G nodes those of the continuation loop of `tracking`
-    (`_continue_paths`).  The paths visit the nodes through an index
-    permutation, so the grid keeps its own order (chart, t, angle).  B' of a
-    continued fiber is the one its polish last evaluated.  The nodes and weights do not depend on
-    how the fibers are solved, and nothing is drawn at random.
+    Fibers (`_continue_paths`): at each angle of each chart, the innermost
+    level's outermost node is solved by eigenvalues (`_fiber_batch`) and
+    seeds the chart's ray there.  Every node outside the innermost level
+    lies on one ray: a path from the seed out through the other levels in
+    ascending t, its 1 + (L - 1) G nodes those of the continuation loop of
+    `tracking`.  The paths visit the nodes through an index permutation, so
+    the grid keeps its own order (chart, t, angle).  Every other innermost
+    node takes one certified step inward from the seed at its angle,
+    predicted by the Euler step in the chart variable, dz/dt = m (w - beta)
+    / (t B'(z)): the chart is the Puiseux uniformizer at beta, so the fiber
+    is nearly linear in t there.  Innermost nodes within `_EIGENVALUE_GATE`
+    newton_tol of beta stay on eigenvalues: there the residual certifies
+    nothing (ring 0 at m = 2 lies about 1e-10 rho from beta, and the inner
+    rings of z^5 about 3e-12).  B' of a continued fiber is the one its
+    polish last evaluated.  The nodes and weights do not depend on how the
+    fibers are solved, and nothing is drawn at random.
     """
     budget = int(budget)
     if budget < 10 ** 4:
@@ -467,7 +502,7 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
         raise ValueError(f"budget {budget} is below {per_node}, one node per level of every chart")
     x, g = _gauss_legendre(gauss)
     d = np.exp(1j * _TWO_PI * np.arange(_ANGLES) / _ANGLES)
-    pts, wts = [], []
+    pts, wts, ts = [], [], []
     for beta, m in zip(centers, degrees):
         edges = np.append(0.0, _LEVEL_RATIO ** (np.arange(_LEVELS - 1, -1, -1) / m))
         t = (edges[:-1, None] + np.diff(edges)[:, None] * x).reshape(-1, 1)
@@ -475,22 +510,33 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
         rho = _rim_distance(beta, d)
         pts.append((beta + rho * t ** m * d).ravel())
         wts.append((2.0 / _ANGLES * m * gw * rho ** 2 * t ** (2 * m - 1)).ravel())
-    points = np.concatenate(pts)
+        ts.append(np.repeat(t.ravel(), _ANGLES))
+    points, ts = np.concatenate(pts), np.concatenate(ts)
     # Rows per chart are (level, node, angle); the innermost level comes first.
     per_chart = _LEVELS * gauss * _ANGLES
     dist = np.abs(points[:, None] - centers[None, :])
     own = dist[np.arange(len(points)), np.arange(len(points)) // per_chart]
     with np.errstate(divide="ignore"):
         weights = np.concatenate(wts) / ((own[:, None] / dist) ** 4).sum(axis=1)
-    correction = np.arange(len(points)) % per_chart < gauss * _ANGLES
+    chart, offset = np.divmod(np.arange(len(points)), per_chart)
+    correction = offset < gauss * _ANGLES
     # One ray per chart and angle, from the innermost level's outer ring out.
     rings = np.arange(gauss - 1, _LEVELS * gauss)
     rays = (rings[None, :] * _ANGLES + np.arange(_ANGLES)[:, None]).ravel()
+    # One spoke from each ray's seed to every innermost node at its angle
+    # clear of the chart's center, an Euler step in t with dw/dt = m (w - beta) / t.
+    targets = np.flatnonzero(
+        (offset < (gauss - 1) * _ANGLES) & (own >= _EIGENVALUE_GATE * cd.settings.newton_tol)
+    )
+    sources = per_chart * chart[targets] + (gauss - 1) * _ANGLES + targets % _ANGLES
+    slope = np.asarray(degrees)[chart] * (points - centers[chart]) / ts
+    dw = (ts[targets] - ts[sources]) * slope[sources]
     fibers, dvals, fallbacks = _continue_paths(
         cd,
         points,
         (per_chart * np.arange(len(centers))[:, None] + rays).ravel(),
         np.full(len(centers) * _ANGLES, len(rings)),
+        (targets, sources, dw),
     )
     return QuadratureGrid(
         points=points,

@@ -240,13 +240,16 @@ def newton_correct(b, pred, w, tol, iters):
 
     Row k is corrected until its largest residual |B(z) - w[k]| is at most
     `tol` or `iters` corrections are spent; the loop ends once every row has
-    converged.  Returns (points, B' at the points, converged rows).  A row
-    whose iterate turns non-finite never converges.  Callers apply their own
-    acceptance rule on top.  Until some row converges every row is live, and
-    the rows are worked on in place rather than gathered by index.
+    converged.  Returns (points, B' and the residual B - w of each row's
+    last evaluation, converged rows): at a converged row the points are
+    where B' and the residual were evaluated, so a further Newton step needs
+    no evaluation.  A row whose iterate turns non-finite never converges.
+    Callers apply their own acceptance rule on top.  Until some row
+    converges every row is live, and the rows are worked on in place rather
+    than gathered by index.
     """
     z = pred.copy()
-    db = np.empty_like(z)
+    db, res = np.empty_like(z), np.empty_like(z)
     converged = np.zeros(len(z), dtype=bool)
     live = slice(None)
     with np.errstate(all="ignore"):
@@ -254,7 +257,7 @@ def newton_correct(b, pred, w, tol, iters):
             val, dval = b.eval_with_derivative(z[live])
             resid = val - w[live, None]
             done = np.all(np.abs(resid) <= tol, axis=1)
-            db[live] = dval
+            db[live], res[live] = dval, resid
             if done.all():
                 converged[live] = True
                 break
@@ -266,26 +269,27 @@ def newton_correct(b, pred, w, tol, iters):
                 break
             z[live] -= resid / dval
     converged &= np.all(np.isfinite(z), axis=1)
-    return z, db, converged
+    return z, db, res, converged
 
 
 def certified_step(b, pred, w, settings: Settings = DEFAULTS):
     """Newton-correct predicted fibers pred[k] onto B(z) = w[k] and certify.
 
     The one step certificate, of the continuation loop `_continue_nodes`.
-    Returns (points, B' there, fiber separations, accepted, collided) per
-    row.  A row has collided when it converged (`newton_correct`) with
-    separation at most _COLLISION_FACTOR * newton_tol; it is accepted when
-    it converged, has not collided, and its separation exceeds ten times its
-    largest correction.
+    Returns (points, B' and the residual B - w there, fiber separations,
+    accepted, collided) per row; B' and the residual are those of
+    `newton_correct`'s last evaluation.  A row has collided when it
+    converged with separation at most _COLLISION_FACTOR * newton_tol; it is
+    accepted when it converged, has not collided, and its separation exceeds
+    ten times its largest correction.
     """
-    z, db, converged = newton_correct(b, pred, w, settings.newton_tol, _MAX_NEWTON_ITERS)
+    z, db, res, converged = newton_correct(b, pred, w, settings.newton_tol, _MAX_NEWTON_ITERS)
     with np.errstate(all="ignore"):
         sep = fiber_separation(z)
         largest = np.abs(z - pred).max(axis=1)
         collided = converged & (sep <= _COLLISION_FACTOR * settings.newton_tol)
         accepted = converged & ~collided & (sep > 10.0 * largest)
-    return z, db, sep, accepted, collided
+    return z, db, res, sep, accepted, collided
 
 
 def _start_collision(w, sep, settings: Settings):
@@ -351,7 +355,8 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     are re-solved by `cpoly.roots`, which merges clusters and polishes
     multiple roots.  Each row is bit-identical to solving its value alone.
     Used where no neighbouring fiber is at hand: lane starts, rejected
-    continuation nodes, quadrature path seeds and failed polishes.
+    continuation nodes, quadrature path seeds, quadrature nodes next to a
+    branch value, and failed polishes.
     """
     n = b.order
     p = np.asarray(b.P.coeffs, dtype=complex)
@@ -456,14 +461,16 @@ def _predict(prev, last, w_next, euler):
     return pred
 
 
-def _continue_nodes(b, ws, rows, lengths, fibers, derivs, settings: Settings):
+def _continue_nodes(b, ws, rows, lengths, fibers, derivs, settings: Settings, resids=None):
     """The one lockstep continuation loop: fibers of `b` from node to node.
 
     `rows` indexes `ws`: the concatenation of paths of the given (positive)
     lengths, each an ordered run of nearby regular values, its nodes.
     fibers[rows[s]] and derivs[rows[s]] hold the fiber and B' at each path's
     first node s; the loop fills in the later nodes', all paths one node
-    per iteration.  Steps are predicted by `_predict` (Euler at a path's
+    per iteration, and, if `resids` is given, the residual B - w at every
+    accepted node (both B' and the residual from the step's last
+    evaluation).  Steps are predicted by `_predict` (Euler at a path's
     first step, after a restart, and between nodes at most
     `_HERMITE_SPACING` * newton_tol apart) and judged by `certified_step`.
     A rejected node is solved by eigenvalues (`_fiber_batch`) and its path
@@ -489,7 +496,9 @@ def _continue_nodes(b, ws, rows, lengths, fibers, derivs, settings: Settings):
         near = np.abs(last[0] - prev[0]) <= _HERMITE_SPACING * settings.newton_tol
         pred = _predict(prev, last, w_next, restarted[:live] | near)
         prev = last
-        z, db, sep, accepted, collided = certified_step(b, pred, w_next, settings)
+        z, db, res, sep, accepted, collided = certified_step(b, pred, w_next, settings)
+        if resids is not None:
+            resids[idx] = res
         failed = np.flatnonzero(~accepted)
         if len(failed):
             z[failed] = _fiber_batch(b, w_next[failed])

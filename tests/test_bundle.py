@@ -305,7 +305,7 @@ def test_sigma_values_raises_when_polish_fails(order3, monkeypatch):
     monkeypatch.setattr(
         bundle,
         "newton_correct",
-        lambda b, pred, w, tol, iters: (pred, pred, np.zeros(len(pred), dtype=bool)),
+        lambda b, pred, w, tol, iters: (pred, pred, pred, np.zeros(len(pred), dtype=bool)),
     )
     with pytest.raises(NoConvergence):
         sigma_values(cd, z)
@@ -341,7 +341,7 @@ def test_continuation_leaves_samples_and_weights_unchanged(monkeypatch):
     continued = build_quadrature_grid(cd, 10**4)
     again = build_quadrature_grid(cd, 10**4)
     assert again.fallbacks == continued.fallbacks
-    def eig_paths(cd, ws, rows, lengths):
+    def eig_paths(cd, ws, rows, lengths, spokes):
         fibers = _fiber_batch(cd.b, ws)
         return fibers, cd.b.derivative_value(fibers), 0
 
@@ -369,13 +369,13 @@ def test_continuation_falls_back_across_a_branch_value(square, square_setup):
 def test_certificate_rejects_collided_and_overcorrected_steps(order3):
     w0, w1 = 0.135 - 0.45j, 0.318 + 0.108j
     exact = _fiber_batch(order3, np.array([w1]))
-    _, _, _, ok, collided = certified_step(order3, exact, np.array([w1]))
+    _, _, _, _, ok, collided = certified_step(order3, exact, np.array([w1]))
     assert ok.tolist() == [True]
     assert collided.tolist() == [False]
     # Two points 1e-12 apart on one root: converged at once, with no
     # correction at all, but collided.
     doubled = exact[:, [0, 0, 2]] + np.array([0.0, 1e-12, 0.0])
-    z, _, _, ok, collided = certified_step(order3, doubled, np.array([w1]))
+    z, _, _, _, ok, collided = certified_step(order3, doubled, np.array([w1]))
     assert np.max(np.abs(order3(z) - w1)) <= DEFAULTS.newton_tol
     assert ok.tolist() == [False]
     assert collided.tolist() == [True]
@@ -384,7 +384,7 @@ def test_certificate_rejects_collided_and_overcorrected_steps(order3):
     # it has not collided, so `track` halves its step rather than failing.
     start = _fiber_batch(order3, np.array([w0]))
     pred = start + (w1 - w0) / order3.eval_with_derivative(start)[1]
-    z, _, _, ok, collided = certified_step(order3, pred, np.array([w1]))
+    z, _, _, _, ok, collided = certified_step(order3, pred, np.array([w1]))
     assert np.max(np.abs(order3(z) - w1)) <= DEFAULTS.newton_tol
     assert ok.tolist() == [False]
     assert collided.tolist() == [False]
@@ -468,9 +468,9 @@ def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
     b = _CONTINUED_PRODUCTS["suite0-order3"]
     seen = []
 
-    def recording(cd, ws, rows, lengths):
+    def recording(cd, ws, rows, lengths, spokes):
         seen.append((rows, list(lengths)))
-        return _continue_paths(cd, ws, rows, lengths)
+        return _continue_paths(cd, ws, rows, lengths, spokes)
 
     monkeypatch.setattr(bundle, "_continue_paths", recording)
     cd = build_cut_disc(b)
@@ -489,11 +489,12 @@ def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
 
 
 def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
-    # Product 15 at 10^5: eigenvalues solve exactly the charts' innermost
-    # levels, which hold the path seeds, and the failed polishes (in
-    # `bundle`) and the failed steps (in the continuation loop of
-    # `tracking`), and B and B' are evaluated at few fibers: at most 2.3 per
-    # unit of budget.
+    # Product 15 at 10^5: eigenvalues solve the rays' seeds, the innermost
+    # rows within the gate of their chart's center, the failed steps (in the
+    # continuation loop of `tracking` and into the innermost levels) and the
+    # failed polishes (in `bundle`): at most 400 rows (1,321 when every
+    # innermost row was solved by eigenvalues).  B and B' are evaluated at
+    # few fibers: at most 2.3 per unit of budget.
     cd = build_cut_disc(_acceptance_product(15))
     eig_rows, polish_failures, evaluated = [0], [0], [0]
     real_batch = bundle._fiber_batch
@@ -504,9 +505,9 @@ def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
         return real_batch(b, ws)
 
     def polishing(b, pred, w, tol, iters):
-        z, db, ok = real_polish(b, pred, w, tol, iters)
+        z, db, res, ok = real_polish(b, pred, w, tol, iters)
         polish_failures[0] += int(np.count_nonzero(~ok))
-        return z, db, ok
+        return z, db, res, ok
 
     def evaluate(self, z):
         evaluated[0] += len(z)
@@ -517,9 +518,55 @@ def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
     monkeypatch.setattr(bundle, "newton_correct", polishing)
     monkeypatch.setattr(BlaschkeProduct, "eval_with_derivative", evaluate)
     grid = build_quadrature_grid(cd, 10**5)
-    innermost = int(np.count_nonzero(grid.correction))
-    assert eig_rows[0] == innermost + grid.fallbacks + polish_failures[0]
+    seeds, gated = _seeds_and_gated_rows(cd, grid)
+    assert eig_rows[0] == len(seeds) + len(gated) + grid.fallbacks + polish_failures[0]
+    assert eig_rows[0] <= 400
     assert evaluated[0] <= 2.3 * 10**5
+
+
+def _seeds_and_gated_rows(cd, grid):
+    """Rows of the rays' seeds (each innermost level's outer ring) and of the
+    other innermost rows within the gate of their chart's center."""
+    centers = np.asarray(cd.branch_values or (0j,))
+    per_chart = len(grid.points) // len(centers)
+    chart, offset = np.divmod(np.arange(len(grid.points)), per_chart)
+    ring = offset // bundle._ANGLES
+    outer = int(ring[grid.correction].max())
+    near = np.abs(grid.points - centers[chart]) < bundle._EIGENVALUE_GATE * cd.settings.newton_tol
+    seeds = np.flatnonzero(grid.correction & (ring == outer))
+    gated = np.flatnonzero(grid.correction & (ring < outer) & near)
+    return seeds, gated
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_innermost_rows_step_from_the_seed_unless_gated(n, monkeypatch):
+    # On z^n at 10^4 the innermost rows within the gate of 0 are solved by
+    # eigenvalues; every other innermost row but the seeds takes one
+    # certified step and is accepted.
+    b = BlaschkeProduct(0.0, [0.0] * n)
+    cd = build_cut_disc(b)
+    solved, stepped = [], []
+    real_batch, real_step = bundle._fiber_batch, bundle.certified_step
+
+    def batch(b, ws):
+        solved.append(ws.copy())
+        return real_batch(b, ws)
+
+    def step(b, pred, w, settings):
+        stepped.append(w.copy())
+        return real_step(b, pred, w, settings)
+
+    monkeypatch.setattr(bundle, "_fiber_batch", batch)
+    monkeypatch.setattr(bundle, "certified_step", step)
+    grid = build_quadrature_grid(cd, 10**4)
+    seeds, gated = _seeds_and_gated_rows(cd, grid)
+    assert grid.fallbacks == 0
+    assert len(gated) > 0
+    assert np.concatenate(solved).tobytes() == grid.points[np.union1d(seeds, gated)].tobytes()
+    inner = np.setdiff1d(np.flatnonzero(grid.correction), np.union1d(seeds, gated))
+    assert len(inner) > 0
+    (w,) = stepped
+    assert w.tobytes() == grid.points[inner].tobytes()
 
 
 def test_bundle_report_solves_branch_data_once(order3, monkeypatch):
@@ -557,9 +604,9 @@ def test_cut_disc_settings_reach_the_quadrature(order3, monkeypatch):
     # either way.
     lengths = []
 
-    def recording(cd, ws, rows, path_lengths):
+    def recording(cd, ws, rows, path_lengths, spokes):
         lengths.append(list(path_lengths))
-        return _continue_paths(cd, ws, rows, path_lengths)
+        return _continue_paths(cd, ws, rows, path_lengths, spokes)
 
     monkeypatch.setattr(bundle, "_continue_paths", recording)
     seeded = replace(DEFAULTS, seed=3)
@@ -625,10 +672,10 @@ def _inject(monkeypatch, track_errors=(), polish_fail=(), polish_shift=()):
         return outcomes
 
     def fake_polish(b, pred, w, tol, iters):
-        z, db, ok = real_polish(b, pred, w, tol, iters)
+        z, db, res, ok = real_polish(b, pred, w, tol, iters)
         ok[list(polish_fail)] = False
         z[list(polish_shift)] += 1e-3
-        return z, db, ok
+        return z, db, res, ok
 
     monkeypatch.setattr(bundle, "track_paths", fake_track)
     monkeypatch.setattr(bundle, "newton_correct", fake_polish)

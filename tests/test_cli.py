@@ -77,6 +77,8 @@ def test_analyze_stdout(square_spec, capsys):
         '{"theta": 0, "zeros": null}',
         '{"theta": NaN, "zeros": [[0.1, 0.2]]}',
         '{"theta": 0, "zeros": [[NaN, 0.2]]}',
+        pytest.param('{"theta": 1%s, "zeros": [[0.1, 0.2]]}' % ("0" * 400), id="huge-int-theta"),
+        pytest.param('{"theta": 0, "zeros": [[1%s, 0.2]]}' % ("0" * 400), id="huge-int-zero"),
     ],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, text):

@@ -1,10 +1,12 @@
-"""`tools/order_sweep.py`: the frozen outcomes of orders 6-12."""
+"""`tools/order_sweep.py`: the frozen outcomes of orders 6-12, and its flags."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,3 +27,12 @@ def test_order_sweep_outcomes_match_the_fixture():
     fields = ("order", "draw", "outcome", "group_order", "q")
     assert [{k: r[k] for k in fields} for r in sweep] == frozen
     assert len(frozen) == 60
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_dedup_tol_needs_a_finite_positive_value(capsys, value):
+    # Refused by argparse before any draw is analyzed.
+    with pytest.raises(SystemExit) as exc:
+        _load_script().main(["--orders", "6", "--draws", "1", "--dedup-tol", value])
+    assert exc.value.code == 2
+    assert "is not a finite positive number" in capsys.readouterr().err

@@ -206,7 +206,7 @@ def test_newton_correct_rows_converge_independently(order3):
     pred = exact + 1e-4
     pred[1, 2] = complex(np.nan, 0.0)
     before = pred.tobytes()
-    z, db, converged = newton_correct(order3, pred, ws, 1e-11, 5)
+    z, db, _, converged = newton_correct(order3, pred, ws, 1e-11, 5)
     assert converged.tolist() == [True, False, True]
     assert pred.tobytes() == before
     assert np.max(np.abs(z[[0, 2]] - exact[[0, 2]])) <= 1e-10
@@ -229,16 +229,16 @@ def test_newton_correct_batch_equals_row_by_row(square):
     def first_converged(row):
         return next(
             (i for i in range(iters + 1)
-             if newton_correct(square, pred[row], ws[row], tol, i)[2][0]),
+             if newton_correct(square, pred[row], ws[row], tol, i)[3][0]),
             None,
         )
 
     assert [first_converged(row) for row in rows] == [0, 1, 2, iters, None, None]
-    z, db, converged = newton_correct(square, pred, ws, tol, iters)
+    z, db, res, converged = newton_correct(square, pred, ws, tol, iters)
     assert not np.isfinite(z[5]).all()
     for row in rows:
         want = newton_correct(square, pred[row], ws[row], tol, iters)
-        for got, one in zip((z, db, converged), want):
+        for got, one in zip((z, db, res, converged), want):
             assert got[row].tobytes() == one.tobytes()
 
 
@@ -247,10 +247,23 @@ def test_newton_correct_zero_iterations_only_evaluates(order3):
     exact = np.array([initial_fiber(order3, w).points for w in ws])
     pred = exact.copy()
     pred[1] += 1e-3
-    z, db, converged = newton_correct(order3, pred, ws, 1e-11, 0)
+    z, db, _, converged = newton_correct(order3, pred, ws, 1e-11, 0)
     assert z.tobytes() == pred.tobytes()
     assert db.tobytes() == order3.eval_with_derivative(pred)[1].tobytes()
     assert converged.tolist() == [True, False]
+
+
+def test_newton_correct_residual_is_that_of_the_returned_points(order3):
+    # A converged row's residual B(z) - w is that of the returned points, bit
+    # for bit, so a further Newton step from them needs no evaluation.
+    ws = np.array([0.2 + 0.1j, -0.3j, 0.1, 0.4 - 0.2j])
+    exact = np.array([initial_fiber(order3, w).points for w in ws])
+    pred = exact + np.array([0.0, 1e-8, 1e-4, 1e-2])[:, None]
+    for iters in (0, 1, 2, 5):
+        z, _, res, converged = newton_correct(order3, pred, ws, 1e-11, iters)
+        assert converged.any()
+        want = order3.eval_with_derivative(z[converged])[0] - ws[converged, None]
+        assert res[converged].tobytes() == want.tobytes()
 
 
 def test_track_predicts_with_b_prime_at_the_current_fiber(order3, monkeypatch):
@@ -412,7 +425,7 @@ def _scalar_track(b, fiber, path, collision_factor=10.0):
                 pred = _euler(node, w_next)
             else:
                 pred = _hermite(before, node, w_next)
-            z, db, ok = newton_correct(b, pred[None], np.array([w_next]), tol, iters)
+            z, db, _, ok = newton_correct(b, pred[None], np.array([w_next]), tol, iters)
             sep = float(tracking.fiber_separation(z[0]))
             if ok[0] and sep <= collision_factor * tol:
                 return (FiberCollision,

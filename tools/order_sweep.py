@@ -33,6 +33,7 @@ import numpy as np  # noqa: E402
 
 from blaschkelab.analysis import analyze  # noqa: E402
 from blaschkelab.blaschke import random_product  # noqa: E402
+from blaschkelab.cli import _tolerance  # noqa: E402
 from blaschkelab.config import DEFAULTS  # noqa: E402
 from blaschkelab.errors import ToolkitError  # noqa: E402
 
@@ -86,7 +87,7 @@ def main(argv=None) -> None:
                         choices=sorted(DRAWS), help="orders to run (default: all)")
     parser.add_argument("--draws", type=int, default=None,
                         help="only the first DRAWS draws of each order")
-    parser.add_argument("--dedup-tol", type=float, default=None,
+    parser.add_argument("--dedup-tol", type=_tolerance, default=None,
                         help="branch-value dedup tolerance (default: the settings' default)")
     args = parser.parse_args(argv)
     records = []

@@ -37,6 +37,9 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
 * `verify-gamma --budget 10000 --samples 5` on the order-1 product
   {"theta": 0, "zeros": [[0.3, 0.1]]}: a single quadrature chart about 0,
   and a `min_separation` of null, since one-point fibers have none;
+* `verify-gamma --budget 10000 --samples 5` on z^3: a single chart about the
+  branch value 0 of local degree 3, whose innermost rows within the gate of
+  0 are solved by eigenvalues and the others by one step from the ray seed;
 * `trace-loop --index 0` on products 5 and 27 (on product 27 the loop once
   ended in a `FiberCollision`);
 * two runs that exit 2 with a one-line message: `analyze` on the malformed
@@ -82,6 +85,8 @@ SWEEP_DRAWS = ((6, 14), (10, 14), (24, 0))
 FINE_DEDUP_DRAWS = ((16, 5), (20, 4))
 # A disc automorphism: order 1, no branch value.
 ORDER1_SPEC = {"theta": 0, "zeros": [[0.3, 0.1]]}
+# z^3: one chart, of local degree 3.
+CUBE_SPEC = {"theta": 0, "zeros": [[0, 0]] * 3}
 # Zeros that are not [re, im] pairs: a usage error.
 MALFORMED_SPEC = {"theta": 0, "zeros": [0.1, 0.2]}
 
@@ -111,7 +116,7 @@ def run(argv) -> str:
     return f"{rc}\n{out.getvalue()}\n--stderr--\n{err.getvalue()}"
 
 
-def runs(spec_paths, sweep_paths, order1_path, malformed_path) -> list:
+def runs(spec_paths, sweep_paths, order1_path, cube_path, malformed_path) -> list:
     """(label, argv) of every run in the set."""
     out = [
         (f"analyze/product{i:02d}", ["analyze", p, "--seed", "0"])
@@ -152,6 +157,8 @@ def runs(spec_paths, sweep_paths, order1_path, malformed_path) -> list:
     ]
     out.append(("verify-gamma/order1/budget10000-samples5",
                 ["verify-gamma", order1_path, "--budget", "10000", "--samples", "5"]))
+    out.append(("verify-gamma/cube/budget10000-samples5",
+                ["verify-gamma", cube_path, "--budget", "10000", "--samples", "5"]))
     out += [
         (f"trace-loop/product{i:02d}/index0", ["trace-loop", spec_paths[i], "--index", "0"])
         for i in (5, 27)
@@ -257,8 +264,9 @@ def main_digests(dump=None) -> None:
             for order, draw in SWEEP_DRAWS + FINE_DEDUP_DRAWS
         ]
         order1_path = write("order1", ORDER1_SPEC)
+        cube_path = write("cube", CUBE_SPEC)
         malformed_path = write("malformed", MALFORMED_SPEC)
-        for label, argv in runs(paths, sweep_paths, order1_path, malformed_path):
+        for label, argv in runs(paths, sweep_paths, order1_path, cube_path, malformed_path):
             text = run(argv)
             if dump is not None:
                 (dump / (label.replace("/", "_") + ".txt")).write_text(text)
