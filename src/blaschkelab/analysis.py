@@ -22,14 +22,7 @@ from .commutant import (
     permutation_matrix,
 )
 from .config import DEFAULTS, Settings
-from .monodromy import (
-    MonodromyRep,
-    boundary_product,
-    compute_representation,
-    group_order,
-    is_transitive,
-    orbital_count,
-)
+from .monodromy import MonodromyRep, boundary_product, compute_representation, group_order
 
 __all__ = ["Analysis", "analyze"]
 
@@ -66,7 +59,8 @@ def analyze(b, settings: Settings = DEFAULTS) -> Analysis:
     """Monodromy, commutant and minimal projections of `b`, with the checks
     that tie them together.
 
-    The checks: the orbit count q equals the commutant dimension; the
+    The checks: the orbit count q (one basis matrix per orbit on ordered
+    pairs) equals the commutant dimension counted by singular values; the
     commutant is commutative; the group is transitive; the tracked boundary
     permutation equals the sweep-ordered product of the generators; and the
     projections have ranks summing to the order, sum to the identity, and
@@ -77,10 +71,11 @@ def analyze(b, settings: Settings = DEFAULTS) -> Analysis:
     gens = list(rep.generators)
 
     order = group_order(gens, n)
-    transitive = is_transitive(gens, n)
-    q = orbital_count(gens, n)
-
+    # One basis matrix per orbit on ordered pairs; the group is transitive
+    # when the diagonal pairs form one orbit.
     cb = commutant_basis(gens, n)
+    q = len(cb.basis)
+    transitive = len(set(cb.orbitals.diagonal().tolist())) == 1
     commutative, max_comm = is_commutative(cb)
     projections, attempts = ([], 0)
     if commutative:

@@ -95,6 +95,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """The argparse type of --seed: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 def _load(spec_path):
     with open(spec_path) as fh:
         return from_spec(json.load(fh))
@@ -181,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="JSON file {\"theta\": t, \"zeros\": [[re, im], ...]}")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULTS.seed)
+        p.add_argument("--seed", type=_seed, default=DEFAULTS.seed)
         p.add_argument("--report", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("analyze", help="monodromy + commutant + theorem checks")

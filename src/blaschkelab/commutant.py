@@ -1,11 +1,13 @@
 """Commutant of a family of permutation unitaries and its minimal projections.
 
 Each fiber permutation acts on C^n by the 0/1 unitary V e_j = e_{tau(j)}.
-The commutant {X : X V_i = V_i X for all i} is computed as the nullspace of
-the stacked linear system vec(X V_i - V_i X) = 0 via singular-value
-thresholding.  When the algebra is commutative its minimal projections are
-recovered by spectrally splitting a generic self-adjoint element; the number
-of minimal projections equals the algebra dimension.
+The commutant {X : X V_i = V_i X for all i} is spanned by the 0/1 matrices
+of the orbits on ordered pairs (`monodromy.orbitals`), the label-side form
+of Douglas-Sun-Zheng's E_G (Adv. Math. 226, 2011); the singular values of
+the stacked system vec(X V_i - V_i X) = 0 count its dimension independently.
+When the algebra is commutative its minimal projections are recovered by
+spectrally splitting a generic self-adjoint element; the number of minimal
+projections equals the algebra dimension.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .config import DEFAULTS, Settings
 from .errors import DegenerateGenericElement, NonCommutative
+from .monodromy import orbitals
 
 __all__ = [
     "CommutantBasis",
@@ -25,9 +28,9 @@ __all__ = [
     "minimal_projections",
 ]
 
-# Singular values below _NULLSPACE_RTOL times the largest span the commutant
-# (`commutant_basis`); `minimal_projections` splits a generic element's
-# spectrum at gaps above _PROJECTION_GAP and draws at most
+# Singular values below _NULLSPACE_RTOL times the largest count toward the
+# commutant dimension (`commutant_basis`); `minimal_projections` splits a
+# generic element's spectrum at gaps above _PROJECTION_GAP and draws at most
 # _PROJECTION_RETRIES of them.
 _NULLSPACE_RTOL = 1e-10
 _PROJECTION_GAP = 1e-6
@@ -43,14 +46,18 @@ class CommutantBasis:
     n : int
         Size of the underlying permutation domain (matrices are n x n).
     dim : int
-        Nullity of the stacked commutation system = algebra dimension.
+        Nullity of the stacked commutation system, from singular values only.
     basis : tuple of ndarray
-        Frobenius-orthonormal n x n complex matrices spanning the algebra.
+        basis[g] is 1 where ``orbitals == g`` and 0 elsewhere, scaled to unit
+        Frobenius norm; disjoint supports make the basis exactly orthonormal.
+    orbitals : ndarray
+        The n x n integer orbit labels of `monodromy.orbitals`.
     """
 
     n: int
     dim: int
     basis: tuple
+    orbitals: np.ndarray
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -59,67 +66,51 @@ def permutation_matrix(perm) -> np.ndarray:
     Matrix multiplication matches composition: the matrix of a.compose(b)
     (apply b, then a) equals permutation_matrix(a) @ permutation_matrix(b).
     """
-    n = perm.n
-    v = np.zeros((n, n))
-    for j in range(n):
-        v[perm(j), j] = 1.0
-    return v
-
-
-def _matrix_units(n: int):
-    """Row-major matrix-unit basis of the full n x n algebra."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            out.append(e)
-    return out
+    return np.eye(perm.n)[:, list(perm.images)]
 
 
 def commutant_basis(generators, n: int) -> CommutantBasis:
-    """Orthonormal basis of {X : X V_i = V_i X for every generator}.
+    """Orbit-matrix basis of {X : X V_i = V_i X for every generator}.
 
-    Stacks the k maps X -> X V_i - V_i X as a (k n^2) x n^2 matrix acting on
-    the row-major vectorization of X and keeps the right singular vectors
-    whose singular values fall below `_NULLSPACE_RTOL` times the
-    largest one.  With no generators the commutant is the full matrix
-    algebra, returned in the matrix-unit basis.
+    X commutes with every V_i exactly when X[i, j] is constant on each orbit
+    of ordered pairs, so the normalized orbit matrices span the commutant.
+    With no generators the orbits are single pairs and the basis is the
+    matrix units in row-major order.  `dim` is counted independently: the
+    number of singular values of the (k n^2) x n^2 matrix of the maps
+    X -> X V_i - V_i X that fall below `_NULLSPACE_RTOL` times the largest.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    mats = [permutation_matrix(g) for g in generators]
-    for v in mats:
-        if v.shape != (n, n):
-            raise ValueError("generator degree does not match n")
-    if not mats:
-        return CommutantBasis(n=n, dim=n * n, basis=tuple(_matrix_units(n)))
+    labels = orbitals(generators, n)
+    orbits = [(labels == g).astype(float) for g in range(int(labels.max()) + 1)]
     eye = np.eye(n)
     # Row-major vec obeys vec(A X B) = kron(A, B.T) vec(X), so the
     # commutation constraint X V - V X = 0 reads (kron(I, V.T) - kron(V, I)).
-    system = np.vstack(
-        [np.kron(eye, v.T) - np.kron(v, eye) for v in mats]
+    system = np.array(
+        [np.kron(eye, v.T) - np.kron(v, eye) for v in map(permutation_matrix, generators)]
+    ).reshape(-1, n * n)
+    s = np.linalg.svd(system, compute_uv=False)
+    nullity = n * n - int(np.sum(s > _NULLSPACE_RTOL * s.max(initial=0.0)))
+    return CommutantBasis(
+        n=n, dim=nullity, basis=tuple(a / np.sqrt(a.sum()) for a in orbits), orbitals=labels
     )
-    # At least n^2 rows, so the reduced vh is still the full n^2 x n^2 V^H.
-    _, s, vh = np.linalg.svd(system, full_matrices=False)
-    cutoff = _NULLSPACE_RTOL * (s[0] if s.size else 0.0)
-    nullity = n * n - int(np.sum(s > cutoff))
-    basis = tuple(
-        vh[n * n - nullity + j].reshape(n, n).astype(complex)
-        for j in range(nullity)
-    )
-    return CommutantBasis(n=n, dim=nullity, basis=basis)
 
 
 def is_commutative(cb: CommutantBasis):
-    """(all pairwise commutators below 1e-8, their max Frobenius norm)."""
+    """(whether the orbit matrices commute, the largest commutator norm).
+
+    The test A_G A_H == A_H A_G runs on the 0/1 orbit matrices in integer
+    arithmetic, so it is exact; the norm reported is the Frobenius norm of
+    the commutator of the unit-norm basis matrices, 0.0 when they commute.
+    """
+    orbit = np.stack([cb.orbitals == g for g in range(len(cb.basis))]).astype(np.int64)
+    sizes = orbit.sum(axis=(1, 2))
     worst = 0.0
-    for a in range(cb.dim):
-        x = cb.basis[a]
-        for b in range(a + 1, cb.dim):
-            y = cb.basis[b]
-            worst = max(worst, float(np.linalg.norm(x @ y - y @ x)))
-    return worst < 1e-8, worst
+    for g in range(len(orbit) - 1):
+        comm = orbit[g] @ orbit[g + 1:] - orbit[g + 1:] @ orbit[g]
+        squares = (comm * comm).sum(axis=(1, 2))
+        worst = max(worst, float(np.sqrt(squares / (sizes[g] * sizes[g + 1:])).max()))
+    return worst == 0.0, worst
 
 
 def minimal_projections(
@@ -130,7 +121,7 @@ def minimal_projections(
     Draws a generic element Z = sum c_a X_a with deterministic complex
     Gaussian coefficients, takes the self-adjoint part H = (Z + Z*)/2, and
     groups the eigendecomposition of H at `_PROJECTION_GAP`.  In a
-    commutative algebra of dimension d a generic H has exactly d eigenvalue
+    commutative algebra with d basis matrices a generic H has exactly d eigenvalue
     groups and its spectral projections are the minimal ones; fewer groups
     means the draw was degenerate and the next seed is tried, up to
     `_PROJECTION_RETRIES` draws from `settings.seed` on; with
@@ -149,9 +140,10 @@ def minimal_projections(
         raise NonCommutative(
             f"commutant algebra is not commutative (max commutator {worst:.3e})"
         )
+    d = len(cb.basis)
     for attempt in range(_PROJECTION_RETRIES):
         rng = np.random.default_rng(settings.seed + attempt)
-        coeffs = rng.standard_normal(cb.dim) + 1j * rng.standard_normal(cb.dim)
+        coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         z = sum(c * x for c, x in zip(coeffs, cb.basis))
         h = (z + z.conj().T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(h)
@@ -162,7 +154,7 @@ def minimal_projections(
             if eigvals[j] - eigvals[j - 1] > _PROJECTION_GAP:
                 splits.append(j)
         splits.append(len(eigvals))
-        if len(splits) - 1 != cb.dim:
+        if len(splits) - 1 != d:
             continue
         projections = []
         for lo, hi in zip(splits[:-1], splits[1:]):
@@ -172,7 +164,7 @@ def minimal_projections(
             return projections, attempt + 1
         return projections
     raise DegenerateGenericElement(
-        f"no generic element split the spectrum into {cb.dim} groups "
+        f"no generic element split the spectrum into {d} groups "
         f"after {_PROJECTION_RETRIES} attempts"
     )
 

@@ -10,8 +10,8 @@ it, so every `bundle` function taking the cut disc draws its labeled samples
 from its seed and certifies under its newton_tol.  Thresholds nothing varies
 are constants beside their one reader: the root residual bound in `cpoly`;
 the step floor, corrector iterations, collision factor and base-point grid
-in `tracking`; the nullspace cutoff, projection gap and retries in
-`commutant`.  `analyze` echoes every field, with the commutant's
+in `tracking`; the nullspace cutoff of the dimension check, projection
+gap and retries in `commutant`.  `analyze` echoes every field, with the commutant's
 nullspace_rtol and projection_gap; `verify-gamma` gives only `seed`; `zn`
 gives none.
 """

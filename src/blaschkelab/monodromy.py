@@ -6,9 +6,10 @@ the cut from branch value k, found by tracking the base fiber to both sides
 of the cut (`crossing_paths`).  These permutations generate the monodromy
 action of the covering on sheet labels.
 
-Group-level quantities derived here (transitivity, orbit counts on ordered
-pairs, group order) are conjugation invariant and therefore do not depend on
-the arbitrary sheet labeling.  The group order comes from
+The orbits on ordered pairs of sheets (`orbitals`) give transitivity, the
+orbit count and the commutant basis of `commutant`.  Transitivity, the orbit
+count and the group order are conjugation invariant and therefore do not
+depend on the arbitrary sheet labeling.  The group order comes from
 Schreier–Sims (`group_order`), without listing the elements.
 """
 
@@ -17,6 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bundle import CutDisc, build_cut_disc
 from .config import DEFAULTS, Settings
@@ -40,6 +43,7 @@ __all__ = [
     "group_order",
     "is_transitive",
     "orbital_count",
+    "orbitals",
 ]
 
 
@@ -229,25 +233,6 @@ def boundary_product(rep: MonodromyRep) -> Permutation:
     return acc
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def count(self):
-        return len({self.find(x) for x in range(len(self.parent))})
-
-
 def _orbit(point: int, gens: list, identity: tuple) -> dict:
     """Schreier transversal {image: (u, u^{-1})} with u(point) = image."""
     table = {point: (identity, identity)}
@@ -335,20 +320,38 @@ def group_order(generators, degree: int) -> int:
     return math.prod(len(orbit) for orbit in orbits)
 
 
+def orbitals(generators, n: int) -> np.ndarray:
+    """Orbit labels of the ordered pairs (i, j) under the coordinate-wise action.
+
+    Entry [i, j] numbers the orbit of (i, j), in the row-major order of each
+    orbit's first pair (with no generators it is i*n + j).  For sheets these
+    orbits are the components of the curve B(z) = B(w) over the base fiber:
+    some loop carries sheets (i, j) to (k, l) exactly when they share one.
+    """
+    if any(g.n != n for g in generators):
+        raise ValueError(f"a generator's degree is not {n}")
+    maps = [(np.asarray(g.images)[:, None] * n + g.images).ravel().tolist() for g in generators]
+    labels = [-1] * (n * n)
+    count = 0
+    for first in range(n * n):
+        if labels[first] < 0:
+            labels[first], frontier = count, [first]
+            while frontier:
+                pair = frontier.pop()
+                for image in maps:
+                    if labels[image[pair]] < 0:
+                        labels[image[pair]] = count
+                        frontier.append(image[pair])
+            count += 1
+    return np.array(labels, dtype=np.int64).reshape(n, n)
+
+
 def is_transitive(generators, n: int) -> bool:
-    """Whether the generated group acts transitively on {0, ..., n-1}."""
-    uf = _UnionFind(n)
-    for g in generators:
-        for i in range(n):
-            uf.union(i, g(i))
-    return uf.count() == 1
+    """Whether the generated group acts transitively on {0, ..., n-1}: the
+    diagonal pairs (i, i) form one orbit."""
+    return len(set(orbitals(generators, n).diagonal().tolist())) == 1
 
 
 def orbital_count(generators, n: int) -> int:
     """Number of orbits on ordered pairs under the coordinate-wise action."""
-    uf = _UnionFind(n * n)
-    for g in generators:
-        for i in range(n):
-            for j in range(n):
-                uf.union(i * n + j, g(i) * n + g(j))
-    return uf.count()
+    return int(orbitals(generators, n).max(initial=-1)) + 1

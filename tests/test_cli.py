@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from blaschkelab import random_product, to_spec
+from blaschkelab import cli, random_product, to_spec
 from blaschkelab.cli import main
 
 
@@ -95,6 +95,20 @@ def test_malformed_spec_exits_2(tmp_path, capsys, text):
 def test_tolerance_flags_need_a_finite_positive_value(square_spec, capsys, flag, value):
     assert main(["analyze", str(square_spec), flag, value]) == 2
     assert "is not a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-gamma", "zn"])
+def test_negative_seed_exits_2_before_any_work(square_spec, capsys, monkeypatch, command):
+    # argparse refuses the seed, naming the flag; no spec is loaded and no
+    # analysis, grid or model is built.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(cli, "_load", unreachable)
+    monkeypatch.setattr(cli, "zn_end_to_end", unreachable)
+    argv = ["zn", "--n", "3"] if command == "zn" else [command, str(square_spec)]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "argument --seed: '-1' is not a non-negative integer" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path, square_spec, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -8,11 +9,16 @@ import pytest
 from blaschkelab import (
     NonCommutative,
     Permutation,
+    ToolkitError,
+    analyze,
     commutant_basis,
     is_commutative,
     minimal_projections,
     permutation_matrix,
+    random_product,
 )
+from blaschkelab import commutant as commutant_module
+from blaschkelab.monodromy import orbitals
 
 
 def _cycle(n: int) -> Permutation:
@@ -149,3 +155,94 @@ def test_dimension_is_conjugation_invariant(order3, rep_of):
     relabel = Permutation(tuple(int(i) for i in rng.permutation(n)))
     conj = [g.conjugate(relabel) for g in gens]
     assert commutant_basis(conj, n).dim == commutant_basis(gens, n).dim
+
+
+def _suite_products():
+    """The thirty seed-2026 radius-0.6 products of orders 3-8."""
+    rng = np.random.default_rng(2026)
+    return [random_product(order, rng, radius=0.6) for order in range(3, 9) for _ in range(5)]
+
+
+def test_basis_commutes_bit_exactly_with_every_suite_generator(rep_of):
+    accepted = 0
+    for b in _suite_products():
+        try:
+            rep = rep_of(b)
+        except ToolkitError:
+            continue
+        accepted += 1
+        cb = commutant_basis(rep.generators, b.order)
+        assert len(cb.basis) == cb.dim
+        for g in rep.generators:
+            v = permutation_matrix(g)
+            for x in cb.basis:
+                assert np.array_equal(x @ v, v @ x)
+    assert accepted == 28
+
+
+def test_conjugating_the_generators_permutes_the_basis(order4, rep_of):
+    gens = list(rep_of(order4).generators)
+    n = order4.order
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        relabel = Permutation(tuple(int(i) for i in rng.permutation(n)))
+        p = permutation_matrix(relabel)
+        moved = commutant_basis([g.conjugate(relabel) for g in gens], n)
+        expected = commutant_basis(gens, n)
+        assert moved.dim == expected.dim
+        assert sorted(x.tobytes() for x in moved.basis) == sorted(
+            (p @ x @ p.T).tobytes() for x in expected.basis
+        )
+
+
+def test_no_generators_give_the_matrix_units_in_row_major_order():
+    n = 3
+    cb = commutant_basis([], n)
+    assert cb.dim == len(cb.basis) == n * n
+    for k, x in enumerate(cb.basis):
+        unit = np.zeros((n, n))
+        unit[divmod(k, n)] = 1.0
+        assert np.array_equal(x, unit)
+
+
+def test_regular_action_of_s3_has_an_exactly_noncommutative_commutant():
+    # S_3 acting on itself by left multiplication: the commutant is the
+    # right regular representation, six orbit matrices A_x with
+    # A_x A_y = A_xy, so a non-commuting pair has a commutator of twelve
+    # +-1 entries and, scaled by the orbit sizes 6 and 6, norm sqrt(12/36).
+    elements = [tuple(p) for p in itertools.permutations(range(3))]
+    index = {e: k for k, e in enumerate(elements)}
+
+    def left(s):
+        return Permutation(tuple(index[tuple(s[i] for i in e)] for e in elements))
+
+    gens = [left((1, 0, 2)), left((1, 2, 0))]
+    cb = commutant_basis(gens, 6)
+    assert cb.dim == len(cb.basis) == 6
+    flag, worst = is_commutative(cb)
+    assert not flag
+    assert worst == pytest.approx(math.sqrt(12 / 36), rel=1e-15)
+    with pytest.raises(NonCommutative):
+        minimal_projections(cb)
+
+
+def test_merged_orbit_labels_fail_only_the_dimension_check(cube, monkeypatch):
+    # z^3 has the three orbits of Z_3 on ordered pairs.  Merging the two
+    # off-diagonal ones leaves {I, J - I}, a commutative algebra whose
+    # projections still pass; the singular values still count three, so
+    # only the comparison of the two counts fails.
+    honest = analyze(cube).theorem_checks["q_orbitals_equals_commutant_dim"]
+    assert honest == {"pass": True, "q_orbitals": 3, "commutant_dim": 3}
+
+    def merged(generators, n):
+        labels = orbitals(generators, n)
+        return np.where(labels >= 2, labels - 1, labels)
+
+    monkeypatch.setattr(commutant_module, "orbitals", merged)
+    checks = analyze(cube).theorem_checks
+    assert checks["q_orbitals_equals_commutant_dim"] == {
+        "pass": False, "q_orbitals": 2, "commutant_dim": 3,
+    }
+    assert [name for name, c in checks.items() if not c["pass"]] == [
+        "q_orbitals_equals_commutant_dim"
+    ]

@@ -30,6 +30,7 @@ from blaschkelab import (
     sigma_values,
 )
 from blaschkelab import bundle, tracking
+from blaschkelab.monodromy import orbitals
 from blaschkelab.tracking import (
     Arc,
     Fiber,
@@ -241,6 +242,14 @@ def test_transitivity_examples():
     assert is_transitive([_cycle(3)], 3)
     assert not is_transitive([Permutation((0, 1))], 2)
     assert not is_transitive([], 2)
+
+
+def test_orbitals_number_the_orbits_in_row_major_order():
+    assert orbitals([_cycle(3)], 3).tolist() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+    assert orbitals([], 2).tolist() == [[0, 1], [2, 3]]
+    assert orbitals([Permutation((1, 0))], 2).tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(ValueError):
+        orbitals([_cycle(3)], 4)
 
 
 def test_orbital_count_examples():

@@ -1,4 +1,5 @@
-"""`tools/order_sweep.py`: the frozen outcomes of orders 6-12, and its flags."""
+"""`tools/order_sweep.py`: the frozen outcomes of orders 6-12 and of the
+compositions of orders 8-16, the orbits of the compositions, and its flags."""
 
 from __future__ import annotations
 
@@ -6,7 +7,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from blaschkelab import analyze, build_cut_disc
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +31,50 @@ def test_order_sweep_outcomes_match_the_fixture():
     fields = ("order", "draw", "outcome", "group_order", "q")
     assert [{k: r[k] for k in fields} for r in sweep] == frozen
     assert len(frozen) == 60
+
+
+_FROZEN_PAIRS = ((2, 4), (3, 4), (4, 4))
+
+
+def test_composition_outcomes_match_the_fixture():
+    # Outcome, group order, q and whether |G| = (d!)^c c! of three draws of
+    # C2oD4, C3oD4 and C4oD4 under the default settings.
+    frozen = json.loads((_ROOT / "tests" / "fixtures" / "composition_sweep.json").read_text())
+    records = _load_script().composition_sweep(_FROZEN_PAIRS)
+    fields = ("draw", "outcome", "group_order", "q", "wreath")
+    assert [{"pair": list(r["pair"]), **{k: r[k] for k in fields}} for r in records] == frozen
+    assert len(frozen) == 9
+
+
+@pytest.mark.parametrize("pair", _FROZEN_PAIRS, ids=lambda p: f"C{p[0]}oD{p[1]}")
+def test_composition_orbits_are_the_components_of_b_z_equals_b_w(pair):
+    # Over the base fiber z_1..z_n of B = C o D, the curve B(z) = B(w) has
+    # the diagonal, the component D(z) = D(w) off it, and the rest.  Off the
+    # diagonal, (i, j) lies in the "same block" orbit exactly when
+    # D(z_i) = D(z_j); the minimal projections have ranks 1, c - 1 and
+    # c (d - 1).
+    c, d = pair
+    for b, d_prod in _load_script().composition_products(c, d, 3):
+        result = analyze(b)
+        assert result.ok
+        labels = result.commutant.orbitals
+        images = d_prod(np.asarray(build_cut_disc(b).fiber0.points))
+        same = np.abs(images[:, None] - images[None, :]) < 1e-6
+        off = ~np.eye(b.order, dtype=bool)
+        block = np.unique(labels[same & off])
+        assert block.size == 1
+        assert np.array_equal(labels[off] == block[0], same[off])
+        assert np.unique(labels[off]).size == 2
+        ranks = sorted(int(round(np.trace(p).real)) for p in result.projections)
+        assert ranks == sorted((1, c - 1, c * (d - 1)))
+
+
+@pytest.mark.parametrize("pair", ["0x4", "4", "2x", "2x-4"])
+def test_pairs_need_two_positive_orders(capsys, pair):
+    with pytest.raises(SystemExit) as exc:
+        _load_script().main(["--family", "composition", "--pairs", pair])
+    assert exc.value.code == 2
+    assert "is not CxD with positive orders" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

@@ -14,13 +14,29 @@ count q, and the w named by the message of a failure), where the outcome is
 `ok`, `not-ok` when a check of the analysis fails, or the class of the typed
 error it raised; then the count table, one row per order.  The output is
 deterministic.  `tests/fixtures/order_sweep.json` freezes orders 6-12 at
-the default settings.  The package is imported from the `src/` directory
-next to this script.
+the default settings.
+
+`--family composition` runs compositions B = C o D instead, of a
+radius-0.6 product C of order c after one D of order d, three draws per
+pair (c, d) from `default_rng(3000 + 100 c + d)`, C drawn before D:
+
+    python3 tools/order_sweep.py --family composition
+    python3 tools/order_sweep.py --family composition --pairs 3x6 --dedup-tol 1e-12
+
+The monodromy group of a composition lies in the wreath product of S_d and
+S_c, whose blocks are the fibers of D; a generic draw gives the whole wreath
+product, of order (d!)^c c!, and q = 3 orbits on ordered pairs (equal,
+in one block, in two blocks).  Each line also says whether |G| is that
+order, and the table has one row per pair.
+`tests/fixtures/composition_sweep.json` freezes the pairs 2x4, 3x4 and 4x4.
+The package is imported from the `src/` directory next to this script.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import re
 import sys
 from collections import Counter
@@ -32,13 +48,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from blaschkelab.analysis import analyze  # noqa: E402
-from blaschkelab.blaschke import random_product  # noqa: E402
+from blaschkelab.blaschke import BlaschkeProduct, random_product  # noqa: E402
 from blaschkelab.cli import _tolerance  # noqa: E402
 from blaschkelab.config import DEFAULTS  # noqa: E402
 from blaschkelab.errors import ToolkitError  # noqa: E402
+from blaschkelab.tracking import _fiber_batch  # noqa: E402
 
 # Draws per order.
 DRAWS = {**{order: 15 for order in range(6, 17, 2)}, 18: 6, 20: 6, 24: 6, 32: 2}
+# (c, d) pairs of the composition family, and its draws per pair.
+PAIRS = ((2, 4), (3, 4), (4, 4), (3, 6), (4, 6), (4, 8), (6, 6), (5, 8))
+COMPOSITION_DRAWS = 3
 
 _W = re.compile(r"w=(\([^)]*\)|\S+)")
 
@@ -47,6 +67,32 @@ def sweep_products(order: int, draws: int) -> list:
     """The first `draws` radius-0.6 products of the sweep at `order`."""
     rng = np.random.default_rng(1000 + order)
     return [random_product(order, rng, radius=0.6) for _ in range(draws)]
+
+
+def compose(c_prod, d_prod) -> BlaschkeProduct:
+    """The Blaschke product C o D.
+
+    Its zeros are the fibers of D over the zeros of C.  Its phase is matched
+    to C(D(z)) at z = 1 and checked at z = 0.5i, where the two must agree to
+    1e-9.
+    """
+    zeros = _fiber_batch(d_prod, np.asarray(c_prod.zeros)).ravel()
+    unphased = BlaschkeProduct(0.0, zeros)
+    b = BlaschkeProduct(cmath.phase(c_prod(d_prod(1.0)) / unphased(1.0)), zeros)
+    if abs(b(0.5j) - c_prod(d_prod(0.5j))) > 1e-9:
+        raise ValueError("the composed product does not match C(D(z)) at z = 0.5i")
+    return b
+
+
+def composition_products(c: int, d: int, draws: int) -> list:
+    """(C o D, D) of the first `draws` compositions of the pair (c, d)."""
+    rng = np.random.default_rng(3000 + 100 * c + d)
+    out = []
+    for _ in range(draws):
+        c_prod = random_product(c, rng, radius=0.6)
+        d_prod = random_product(d, rng, radius=0.6)
+        out.append((compose(c_prod, d_prod), d_prod))
+    return out
 
 
 def outcome(b, settings) -> dict:
@@ -71,35 +117,78 @@ def sweep(orders, draws=None, dedup_tol=None) -> list:
     ]
 
 
-def table(records) -> list:
-    """Lines of the count table: per order, the draws and each outcome's count."""
+def composition_sweep(pairs, draws=COMPOSITION_DRAWS, dedup_tol=None) -> list:
+    """One record per composition draw: its pair (c, d), draw, `outcome`, and
+    whether its group order is that of the wreath product, (d!)^c c!."""
+    settings = DEFAULTS if dedup_tol is None else replace(DEFAULTS, dedup_tol=dedup_tol)
+    records = []
+    for c, d in pairs:
+        wreath = math.factorial(d) ** c * math.factorial(c)
+        for k, (b, _) in enumerate(composition_products(c, d, draws)):
+            found = outcome(b, settings)
+            records.append({"pair": (c, d), "draw": k, **found,
+                            "wreath": found["group_order"] == wreath})
+    return records
+
+
+def table(records, key="order", label="order {:2d}") -> list:
+    """Lines of the count table: per value of `key` (labeled by formatting
+    `label` with it), the draws and each outcome's count."""
     lines = []
-    for order in sorted({r["order"] for r in records}):
-        counts = Counter(r["outcome"] for r in records if r["order"] == order)
+    for value in sorted({r[key] for r in records}):
+        counts = Counter(r["outcome"] for r in records if r[key] == value)
         parts = ", ".join(f"{counts[o]} {o}" for o in sorted(counts, key=lambda o: (o != "ok", o)))
-        lines.append(f"order {order:2d}: {sum(counts.values()):2d} draws: {parts}")
+        lines.append(f"{label.format(value)}: {sum(counts.values()):2d} draws: {parts}")
     return lines
+
+
+def _pair(text: str) -> tuple:
+    """The argparse type of --pairs: CxD, two positive orders."""
+    c, _, d = text.partition("x")
+    if not (c.isdigit() and d.isdigit() and int(c) > 0 and int(d) > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not CxD with positive orders C and D")
+    return int(c), int(d)
+
+
+def _line(head: str, r: dict) -> str:
+    """The printed line of one draw's record, after `head`."""
+    g = "-" if r["group_order"] is None else r["group_order"]
+    q = "-" if r["q"] is None else r["q"]
+    w = "" if r["w"] is None else f" w={r['w']}"
+    return f"{head} {r['outcome']} |G|={g} q={q}{w}"
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--family", choices=("sweep", "composition"), default="sweep",
+                        help="random products of one order, or compositions C o D")
     parser.add_argument("--orders", type=int, nargs="+", default=sorted(DRAWS),
-                        choices=sorted(DRAWS), help="orders to run (default: all)")
+                        choices=sorted(DRAWS), help="sweep orders to run (default: all)")
+    parser.add_argument("--pairs", type=_pair, nargs="+", default=PAIRS,
+                        help="composition pairs CxD to run (default: all)")
     parser.add_argument("--draws", type=int, default=None,
-                        help="only the first DRAWS draws of each order")
+                        help="only the first DRAWS draws of each order or pair")
     parser.add_argument("--dedup-tol", type=_tolerance, default=None,
                         help="branch-value dedup tolerance (default: the settings' default)")
     args = parser.parse_args(argv)
     records = []
-    for order in args.orders:
-        for r in sweep([order], args.draws, args.dedup_tol):
-            records.append(r)
-            g = "-" if r["group_order"] is None else r["group_order"]
-            q = "-" if r["q"] is None else r["q"]
-            w = "" if r["w"] is None else f" w={r['w']}"
-            print(f"{r['order']:2d} {r['draw']:2d} {r['outcome']} |G|={g} q={q}{w}", flush=True)
+    if args.family == "composition":
+        draws = COMPOSITION_DRAWS if args.draws is None else args.draws
+        for pair in args.pairs:
+            for r in composition_sweep([pair], draws, args.dedup_tol):
+                records.append(r)
+                head = f"C{pair[0]}oD{pair[1]} {r['draw']:2d}"
+                wreath = "-" if r["group_order"] is None else "yes" if r["wreath"] else "no"
+                print(f"{_line(head, r)} wreath={wreath}", flush=True)
+        lines = table(records, key="pair", label="C{0[0]}oD{0[1]}")
+    else:
+        for order in args.orders:
+            for r in sweep([order], args.draws, args.dedup_tol):
+                records.append(r)
+                print(_line(f"{r['order']:2d} {r['draw']:2d}", r), flush=True)
+        lines = table(records)
     print()
-    for line in table(records):
+    for line in lines:
         print(line)
 
 

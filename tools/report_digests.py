@@ -23,6 +23,11 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   whose lanes beside clustered branch values reject many steps and retry
   them to inserted halfway nodes (about 1.5 s), so the retry path is
   covered;
+* `analyze --seed 0` on draw 0 of the composition C3 o D4 of
+  `tools/order_sweep.py --family composition` (order 12), whose group, the
+  wreath product of S_4 and S_3, has three orbits on ordered pairs (equal
+  sheets, one block of D, two blocks): a commutant that neither S_n (two
+  orbits) nor the cyclic z^n covers;
 * `zn --n 1..8` at `--seed 0` and `--seed 3`;
 * `verify-gamma --budget 100000 --samples 10` and
   `verify-gamma --budget 1000000 --samples 10` on product 15 (the quadrature
@@ -44,7 +49,9 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   ended in a `FiberCollision`);
 * two runs that exit 2 with a one-line message: `analyze` on the malformed
   spec {"theta": 0, "zeros": [0.1, 0.2]}, whose zeros are not [re, im]
-  pairs, and `analyze --dedup-tol nan` on product 0.
+  pairs, and `analyze --dedup-tol nan` on product 0;
+* `analyze --seed -1` on product 0, which exits 2 naming `--seed` before
+  any analysis runs.
 
 Each digest covers the exit code, stdout and stderr of one run; with
 `--dump DIR` that text is also written to DIR/<label>.txt, so a differing
@@ -70,11 +77,13 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import numpy as np  # noqa: E402
 
 from blaschkelab.blaschke import random_product, to_spec  # noqa: E402
 from blaschkelab.cli import main  # noqa: E402
+from order_sweep import composition_products  # noqa: E402
 
 SUITE_SEED = 2026
 SUITE_ORDERS = (3, 4, 5, 6, 7, 8)
@@ -83,6 +92,8 @@ SUITE_PER_ORDER = 5
 # settings and at --dedup-tol 1e-12 only.
 SWEEP_DRAWS = ((6, 14), (10, 14), (24, 0))
 FINE_DEDUP_DRAWS = ((16, 5), (20, 4))
+# (c, d, draw) of the composition C o D in the set.
+COMPOSITION_DRAW = (3, 4, 0)
 # A disc automorphism: order 1, no branch value.
 ORDER1_SPEC = {"theta": 0, "zeros": [[0.3, 0.1]]}
 # z^3: one chart, of local degree 3.
@@ -116,7 +127,13 @@ def run(argv) -> str:
     return f"{rc}\n{out.getvalue()}\n--stderr--\n{err.getvalue()}"
 
 
-def runs(spec_paths, sweep_paths, order1_path, cube_path, malformed_path) -> list:
+def composition_spec(c: int, d: int, draw: int) -> dict:
+    """Draw `draw` (from 0) of the composition family's pair (c, d)."""
+    return to_spec(composition_products(c, d, draw + 1)[draw][0])
+
+
+def runs(spec_paths, sweep_paths, composition_path, order1_path, cube_path,
+         malformed_path) -> list:
     """(label, argv) of every run in the set."""
     out = [
         (f"analyze/product{i:02d}", ["analyze", p, "--seed", "0"])
@@ -131,6 +148,8 @@ def runs(spec_paths, sweep_paths, order1_path, cube_path, malformed_path) -> lis
          ["analyze", p, "--seed", "0", "--dedup-tol", "1e-12"])
         for (order, draw), p in zip(FINE_DEDUP_DRAWS, sweep_paths[len(SWEEP_DRAWS):])
     ]
+    out.append(("analyze/composition-C{}oD{}-draw{:02d}".format(*COMPOSITION_DRAW),
+                ["analyze", composition_path, "--seed", "0"]))
     out.append(("analyze/product00/newton-tol-1e-30",
                 ["analyze", spec_paths[0], "--newton-tol", "1e-30"]))
     out.append(("analyze/product00/dedup-tol-1e-7",
@@ -166,6 +185,8 @@ def runs(spec_paths, sweep_paths, order1_path, cube_path, malformed_path) -> lis
     out.append(("analyze/malformed-zeros", ["analyze", malformed_path]))
     out.append(("analyze/product00/dedup-tol-nan",
                 ["analyze", spec_paths[0], "--dedup-tol", "nan"]))
+    out.append(("analyze/product00/seed-minus-1",
+                ["analyze", spec_paths[0], "--seed", "-1"]))
     return out
 
 
@@ -263,10 +284,12 @@ def main_digests(dump=None) -> None:
             write(f"sweep-order{order:02d}-draw{draw:02d}", sweep_spec(order, draw))
             for order, draw in SWEEP_DRAWS + FINE_DEDUP_DRAWS
         ]
+        composition_path = write("composition", composition_spec(*COMPOSITION_DRAW))
         order1_path = write("order1", ORDER1_SPEC)
         cube_path = write("cube", CUBE_SPEC)
         malformed_path = write("malformed", MALFORMED_SPEC)
-        for label, argv in runs(paths, sweep_paths, order1_path, cube_path, malformed_path):
+        for label, argv in runs(paths, sweep_paths, composition_path, order1_path,
+                                cube_path, malformed_path):
             text = run(argv)
             if dump is not None:
                 (dump / (label.replace("/", "_") + ".txt")).write_text(text)
