@@ -15,9 +15,8 @@ from blaschkelab import (
     boundary_product,
     compute_representation,
     group_order,
-    is_transitive,
-    orbital_count,
 )
+from blaschkelab.monodromy import orbitals
 
 # A composition-shaped example: C(z^2) with C a degree-2 product, so the
 # monodromy group is smaller than the full symmetric group.
@@ -47,10 +46,11 @@ print("boundary permutation:", rep.boundary_perm.images)
 product = boundary_product(rep)
 print("generator product == boundary?", product.images == rep.boundary_perm.images)
 
-# Group invariants: the group order (by Schreier-Sims), transitivity (the
-# product is not a composition of disjoint pieces) and the orbit count q on
-# ordered pairs.
+# Group invariants: the group order (by Schreier-Sims), and from the orbit
+# labels of the ordered pairs of sheets, transitivity (the diagonal pairs
+# form one orbit) and the orbit count q.
 gens = list(rep.generators)
+labels = orbitals(gens, b.order)
 print(f"monodromy group order = {group_order(gens, b.order)}")
-print("transitive?", is_transitive(gens, b.order))
-print("orbital count q =", orbital_count(gens, b.order))
+print("transitive?", len(set(labels.diagonal().tolist())) == 1)
+print("orbital count q =", len(np.unique(labels)))

@@ -36,10 +36,11 @@ print(f"tracking the crossing loop of branch value {betas[0]:.6f}")
 there, back = pairs[0]
 loop = PathSpec(there.segments + back.reversed().segments)
 
-# The trace is a list of (t, w(t), fiber points) rows, one per accepted
-# predictor-corrector step; adaptive stepping means the row count varies.
+# The trace is a list of (t, w(t), fiber points) rows: the start and one row
+# per accepted predictor-corrector step.  Every piece of the loop is stepped
+# through its quarter nodes, so the row count follows the number of pieces.
 end_fiber, trace = track_with_trace(b, fiber0, loop)
-print(f"{len(trace)} accepted steps")
+print(f"{len(trace) - 1} accepted steps after the start row")
 
 buffer = io.StringIO()
 writer = csv.writer(buffer)

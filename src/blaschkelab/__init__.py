@@ -31,7 +31,6 @@ from .bundle import (
     exact_inner,
     gamma_apply,
     isometry_details,
-    partition_check,
     point_in_cut_disc,
     route_in_cut_disc,
     sigma_samples,
@@ -68,8 +67,6 @@ from .monodromy import (
     compute_representation,
     crossing_paths,
     group_order,
-    is_transitive,
-    orbital_count,
 )
 from .tracking import (
     Arc,
@@ -79,12 +76,9 @@ from .tracking import (
     approach,
     choose_base_point,
     initial_fiber,
-    loop_permutation,
-    separation_slope,
     track,
     track_paths,
     track_with_trace,
-    winding_number,
 )
 from .znmodel import ZnCase, cycle_projections, u_i_norm_check, zn_end_to_end, zn_projection
 
@@ -138,18 +132,13 @@ __all__ = [
     "group_order",
     "initial_fiber",
     "is_commutative",
-    "is_transitive",
     "isometry_details",
-    "loop_permutation",
     "minimal_projections",
-    "orbital_count",
-    "partition_check",
     "permutation_matrix",
     "point_in_cut_disc",
     "random_product",
     "roots",
     "route_in_cut_disc",
-    "separation_slope",
     "sigma_samples",
     "sigma_values",
     "taylor",
@@ -161,7 +150,6 @@ __all__ = [
     "u_i_norm_check",
     "verify_disjoint_images",
     "verify_intertwining",
-    "winding_number",
     "zn_end_to_end",
     "zn_projection",
 ]

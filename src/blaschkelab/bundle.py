@@ -69,7 +69,6 @@ __all__ = [
     "isometry_details",
     "verify_intertwining",
     "verify_disjoint_images",
-    "partition_check",
     "bundle_report",
 ]
 
@@ -104,8 +103,8 @@ _POLISH_ITERS = 8
 # so the evaluation's temporaries stay far smaller than the grid's fibers.
 _ROW_BLOCK = 8192
 
-# Cut-disc sampling of `sigma_samples` and `partition_check`: sample radius,
-# and the least distance from a sample to every branch value and every cut.
+# Cut-disc sampling of `sigma_samples`: sample radius, and the least distance
+# from a sample to every branch value and every cut.
 _SAMPLE_RMAX = 0.9
 _BRANCH_CLEARANCE = 0.05
 _CUT_CLEARANCE = 1e-3
@@ -261,29 +260,27 @@ def _raise_first(outcomes):
     return outcomes
 
 
-def _draw(cd: CutDisc, count, radius, image=None):
-    """Draw points p uniformly in the disc of the given radius until `count`
-    have an image w = image(p) (w = p without `image`) in the cut disc,
-    `_CUT_CLEARANCE` from every cut and `_BRANCH_CLEARANCE` from every
-    branch value.  The draws are seeded by `cd.settings.seed`.
+def _draw(cd: CutDisc, count, radius):
+    """Draw points uniformly in the disc of the given radius until `count`
+    lie in the cut disc, `_CUT_CLEARANCE` from every cut and
+    `_BRANCH_CLEARANCE` from every branch value.  The draws are seeded by
+    `cd.settings.seed`.
 
-    Returns (ps, ws, complete), the kept points and their images in draw
-    order; `complete` is False when 10000 * count draws did not keep `count`.
+    Returns (zs, complete), the kept points in draw order; `complete` is
+    False when 10000 * count draws did not keep `count`.
     """
     rng = np.random.default_rng(cd.settings.seed)
-    ps, ws = [], []
+    zs = []
     for _ in range(10000 * count):
-        if len(ws) == count:
+        if len(zs) == count:
             break
-        p = radius * math.sqrt(rng.random()) * cmath.exp(1j * _TWO_PI * rng.random())
-        w = p if image is None else image(p)
-        if not point_in_cut_disc(cd, w, clearance=_CUT_CLEARANCE):
+        z = radius * math.sqrt(rng.random()) * cmath.exp(1j * _TWO_PI * rng.random())
+        if not point_in_cut_disc(cd, z, clearance=_CUT_CLEARANCE):
             continue
-        if any(abs(w - v) < _BRANCH_CLEARANCE for v in cd.branch_values):
+        if any(abs(z - v) < _BRANCH_CLEARANCE for v in cd.branch_values):
             continue
-        ps.append(p)
-        ws.append(w)
-    return ps, ws, len(ws) == count
+        zs.append(z)
+    return zs, len(zs) == count
 
 
 def sigma_values(cd: CutDisc, z) -> np.ndarray:
@@ -308,7 +305,7 @@ def sigma_samples(cd: CutDisc, count):
     first failing point in draw order raises its error.  Downstream checks
     reuse the fibers across test functions.
     """
-    _, zs, complete = _draw(cd, count, _SAMPLE_RMAX)
+    zs, complete = _draw(cd, count, _SAMPLE_RMAX)
     if not complete:
         raise PathBlocked("sampling the cut disc kept hitting exclusions")
     fibers = np.array(_raise_first(_labeled_fibers(cd, zs)), dtype=complex)
@@ -635,28 +632,6 @@ def verify_disjoint_images(b, samples, seed=0) -> float:
     under the default settings with `seed`."""
     cd = build_cut_disc(b, settings=replace(DEFAULTS, seed=seed))
     return _min_separation(b, *sigma_samples(cd, samples))
-
-
-def partition_check(cd: CutDisc, samples) -> bool:
-    """Each sampled disc point is hit by exactly one branch image.
-
-    Draws p uniformly in the disc, keeps those whose image w = B(p) lies in
-    the cut disc, and verifies that exactly one labeled branch value at w
-    reproduces p.  Points come from `_draw` in the disc of radius 0.95.  All
-    kept points are continued together (`_labeled_fibers`) and checked in
-    draw order: the first miss returns False, the first failing point before
-    it raises its error.  Only then does a draw that fell short raise
-    PathBlocked.
-    """
-    ps, ws, complete = _draw(cd, samples, 0.95, image=cd.b)
-    for p, sig in zip(ps, _labeled_fibers(cd, ws)):
-        if isinstance(sig, Exception):
-            raise sig
-        if int(np.sum(np.abs(sig - p) < 1e-6)) != 1:
-            return False
-    if not complete:
-        raise PathBlocked("sampling the disc kept leaving the cut disc")
-    return True
 
 
 def bundle_report(cd: CutDisc, budget, samples) -> dict:

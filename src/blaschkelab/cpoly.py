@@ -111,9 +111,6 @@ class Poly:
             other = Poly([other])
         return self + (-1.0) * other
 
-    def __neg__(self):
-        return (-1.0) * self
-
     def l1_norm(self) -> float:
         return float(sum(abs(c) for c in self.coeffs))
 

@@ -23,12 +23,12 @@ import numpy as np
 
 from .bundle import CutDisc, build_cut_disc
 from .config import DEFAULTS, Settings
-from .errors import BranchCountError
+from .errors import AmbiguousMatching, BranchCountError
 from .tracking import (
     Arc,
     PathSpec,
+    _match_rows,
     approach,
-    match_endpoints,
     point_segment_distance,
     split_segment,
     track_paths,
@@ -36,13 +36,12 @@ from .tracking import (
 
 __all__ = [
     "Permutation",
+    "match_endpoints",
     "MonodromyRep",
     "crossing_paths",
     "compute_representation",
     "boundary_product",
     "group_order",
-    "is_transitive",
-    "orbital_count",
     "orbitals",
 ]
 
@@ -107,6 +106,23 @@ class Permutation:
                 length += 1
             lengths.append(length)
         return tuple(sorted(lengths, reverse=True))
+
+
+def match_endpoints(fiber0, end) -> Permutation:
+    """Permutation tau with end.points[i] = fiber0.points[tau(i)].
+
+    Matches endpoints to start points by nearest neighbour within a third of
+    the starting separation (AmbiguousMatching otherwise), the rule that
+    also joins the lanes of a path (`tracking._match_rows`).
+    """
+    (images,), (message,) = _match_rows(
+        np.array([end.points], dtype=complex),
+        np.array([fiber0.points], dtype=complex),
+        np.array([fiber0.separation / 3.0]),
+    )
+    if message is not None:
+        raise AmbiguousMatching(message)
+    return Permutation(tuple(images.tolist()))
 
 
 @dataclass(frozen=True)
@@ -344,14 +360,3 @@ def orbitals(generators, n: int) -> np.ndarray:
                         frontier.append(image[pair])
             count += 1
     return np.array(labels, dtype=np.int64).reshape(n, n)
-
-
-def is_transitive(generators, n: int) -> bool:
-    """Whether the generated group acts transitively on {0, ..., n-1}: the
-    diagonal pairs (i, i) form one orbit."""
-    return len(set(orbitals(generators, n).diagonal().tolist())) == 1
-
-
-def orbital_count(generators, n: int) -> int:
-    """Number of orbits on ordered pairs under the coordinate-wise action."""
-    return int(orbitals(generators, n).max(initial=-1)) + 1

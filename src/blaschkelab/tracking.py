@@ -50,17 +50,12 @@ __all__ = [
     "track",
     "track_paths",
     "track_with_trace",
-    "loop_permutation",
-    "match_endpoints",
-    "winding_number",
-    "separation_slope",
     "newton_correct",
     "certified_step",
     "fiber_separation",
     "point_segment_distance",
 ]
 
-_TWO_PI = 2.0 * math.pi
 # A fiber may start a path only if its w lies this close to the path start.
 _START_TOL = 1e-9
 # `split_segment` cuts pieces no longer than this fraction of the distance
@@ -310,13 +305,11 @@ def initial_fiber(b, w, settings: Settings = DEFAULTS) -> Fiber:
     if any(c.multiplicity > 1 for c in clusters):
         raise FiberCollision(f"fiber over {w} contains a multiple point")
     pts = np.array([c.center for c in clusters])
-    # Newton polish on B(z) - w down to machine-level residuals.
-    for _ in range(4):
-        val, deriv = b.eval_with_derivative(pts)
-        resid = val - w
-        pts = pts - resid / deriv
-        if np.max(np.abs(resid)) < 1e-15:
-            break
+    # Newton polish on B(z) - w down to machine-level residuals: at most three
+    # corrections until every residual is below 1e-15 (`newton_correct` stops
+    # at residuals up to its tolerance), then one step from the last residual.
+    z, db, res, _ = newton_correct(b, pts[None], np.array([w]), np.nextafter(1e-15, 0.0), 3)
+    pts = z[0] - res[0] / db[0]
     order = np.lexsort((pts.imag, pts.real))
     pts = pts[order]
     sep = float(fiber_separation(pts))
@@ -383,7 +376,7 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     return out
 
 
-def track_paths(b, fiber, paths, settings: Settings = DEFAULTS) -> list:
+def track_paths(b, fiber, paths, settings: Settings = DEFAULTS, record=None) -> list:
     """Continue `fiber` along every path in `paths` at once, in lockstep.
 
     Returns one outcome per path, in order: the end Fiber (slot i follows
@@ -391,14 +384,85 @@ def track_paths(b, fiber, paths, settings: Settings = DEFAULTS) -> list:
     every path is one lane (`_continue_lanes`).  A path's first lane starts
     from `fiber`, every later lane from the eigenvalue fiber of its start
     (one `_fiber_batch` call, refused as `initial_fiber` refuses), and
-    all junctions are matched at once by `match_endpoints`' rule.  A failure
+    all junctions are matched at once by `_match_rows`.  A failure
     is a lane's FiberCollision or StepFloorReached ("segment k" names the
     lane's index in its path), or AmbiguousMatching at a junction.  Lanes
     are bit-identical however many paths are tracked together; equal
     segments at equal positions are tracked once.  Build paths with
     `split_segment` so that every lane is short.
+
+    `record` traces a single path, as in `track`; it is refused with several.
     """
-    return _track_rows(b, fiber, paths, settings)
+    if record is not None and len(paths) != 1:
+        raise ValueError("record needs exactly one path")
+    if any(abs(fiber.w - path.start) > _START_TOL for path in paths):
+        raise ValueError("fiber base does not match path start")
+    # One lane per distinct (segment, index in its path), numbered in order.
+    index, path_lanes = {}, []
+    for path in paths:
+        path_lanes.append(
+            [index.setdefault((seg, k), len(index)) for k, seg in enumerate(path.segments)]
+        )
+    if not index:
+        return []
+    segs, positions = zip(*index)
+    start = np.array(fiber.points, dtype=complex)
+    starts = np.tile(start, (len(segs), 1))
+    errors = [None] * len(segs)
+    later = np.flatnonzero(positions)
+    if len(later):
+        ws = _segment_points(segs)(later, np.zeros(len(later)))
+        starts[later] = _fiber_batch(b, ws)
+        for r, w0, sep in zip(later.tolist(), ws, fiber_separation(starts[later])):
+            errors[r] = _start_collision(complex(w0), sep, settings)
+    started = [e is None for e in errors]
+    ends, w, nodes = _continue_lanes(
+        b, starts, segs, positions, errors, settings, keep_nodes=record is not None
+    )
+    # Every junction whose two fibers exist, matched at once.
+    junctions = sorted({
+        (a, c) for lanes in path_lanes for a, c in zip(lanes, lanes[1:])
+        if errors[a] is None and started[c]
+    })
+    matches = {}
+    if junctions:
+        a, c = np.array(junctions).T
+        images, messages = _match_rows(
+            ends[a], starts[c], fiber_separation(starts[c]) / 3.0
+        )
+        matches = {
+            key: image if message is None else AmbiguousMatching(message)
+            for key, image, message in zip(junctions, images, messages)
+        }
+    outcomes = []
+    for path, lanes in zip(paths, path_lanes):
+        # slots[i] is the slot of path slot i in the current lane.
+        slots = np.arange(len(start))
+        if record is not None:
+            record(0.0, complex(path.start), start.copy())
+        for k, lane in enumerate(lanes):
+            if k:
+                # The junction's slot map, or the start collision of the lane.
+                joined = matches.get((lanes[k - 1], lane), errors[lane])
+                if isinstance(joined, Exception):
+                    outcome = joined
+                    break
+                slots = joined[slots]
+            if record is not None:
+                for s, w_node, pts in nodes[lane]:
+                    record((k + s) / len(lanes), w_node, pts[slots])
+            if errors[lane] is not None:
+                outcome = errors[lane]
+                break
+        else:
+            points = ends[lanes[-1]][slots]
+            outcome = Fiber(
+                w=complex(w[lanes[-1]]),
+                points=tuple(points.tolist()),
+                separation=float(fiber_separation(points)),
+            )
+        outcomes.append(outcome)
+    return outcomes
 
 
 def track(b, fiber, path, settings: Settings = DEFAULTS, record=None) -> Fiber:
@@ -417,7 +481,7 @@ def track(b, fiber, path, settings: Settings = DEFAULTS, record=None) -> Fiber:
     number of segments) and the points in the slot order of `fiber`.  Nodes
     up to the path's first failure are recorded.
     """
-    (end,) = _track_rows(b, fiber, [path], settings, record)
+    (end,) = track_paths(b, fiber, [path], settings, record)
     if isinstance(end, Exception):
         raise end
     return end
@@ -576,83 +640,6 @@ def _continue_lanes(b, pts, segs, positions, errors, settings: Settings, keep_no
     return pts, w, nodes
 
 
-def _track_rows(b, fiber, paths, settings: Settings, record=None):
-    """Lanes, junctions and per-path outcomes behind `track` and `track_paths`.
-
-    `record` traces a single path; it is refused with several.
-    """
-    if record is not None and len(paths) != 1:
-        raise ValueError("record needs exactly one path")
-    if any(abs(fiber.w - path.start) > _START_TOL for path in paths):
-        raise ValueError("fiber base does not match path start")
-    # One lane per distinct (segment, index in its path), numbered in order.
-    index, path_lanes = {}, []
-    for path in paths:
-        path_lanes.append(
-            [index.setdefault((seg, k), len(index)) for k, seg in enumerate(path.segments)]
-        )
-    if not index:
-        return []
-    segs, positions = zip(*index)
-    start = np.array(fiber.points, dtype=complex)
-    starts = np.tile(start, (len(segs), 1))
-    errors = [None] * len(segs)
-    later = np.flatnonzero(positions)
-    if len(later):
-        ws = _segment_points(segs)(later, np.zeros(len(later)))
-        starts[later] = _fiber_batch(b, ws)
-        for r, w0, sep in zip(later.tolist(), ws, fiber_separation(starts[later])):
-            errors[r] = _start_collision(complex(w0), sep, settings)
-    started = [e is None for e in errors]
-    ends, w, nodes = _continue_lanes(
-        b, starts, segs, positions, errors, settings, keep_nodes=record is not None
-    )
-    # Every junction whose two fibers exist, matched at once.
-    junctions = sorted({
-        (a, c) for lanes in path_lanes for a, c in zip(lanes, lanes[1:])
-        if errors[a] is None and started[c]
-    })
-    matches = {}
-    if junctions:
-        a, c = np.array(junctions).T
-        images, messages = _match_rows(
-            ends[a], starts[c], fiber_separation(starts[c]) / 3.0
-        )
-        matches = {
-            key: image if message is None else AmbiguousMatching(message)
-            for key, image, message in zip(junctions, images, messages)
-        }
-    outcomes = []
-    for path, lanes in zip(paths, path_lanes):
-        # slots[i] is the slot of path slot i in the current lane.
-        slots = np.arange(len(start))
-        if record is not None:
-            record(0.0, complex(path.start), start.copy())
-        for k, lane in enumerate(lanes):
-            if k:
-                # The junction's slot map, or the start collision of the lane.
-                joined = matches.get((lanes[k - 1], lane), errors[lane])
-                if isinstance(joined, Exception):
-                    outcome = joined
-                    break
-                slots = joined[slots]
-            if record is not None:
-                for s, w_node, pts in nodes[lane]:
-                    record((k + s) / len(lanes), w_node, pts[slots])
-            if errors[lane] is not None:
-                outcome = errors[lane]
-                break
-        else:
-            points = ends[lanes[-1]][slots]
-            outcome = Fiber(
-                w=complex(w[lanes[-1]]),
-                points=tuple(points.tolist()),
-                separation=float(fiber_separation(points)),
-            )
-        outcomes.append(outcome)
-    return outcomes
-
-
 def _match_rows(ends, starts, bounds):
     """Match fiber ends[k] to starts[k] for every row k at once.
 
@@ -688,67 +675,3 @@ def track_with_trace(b, fiber, path, settings: Settings = DEFAULTS):
 
     end = track(b, fiber, path, settings, record=record)
     return end, rows
-
-
-def loop_permutation(b, fiber0, loop, settings: Settings = DEFAULTS):
-    """Permutation induced by continuing `fiber0` around the closed `loop`.
-
-    Returns the Permutation tau with end.points[i] = fiber0.points[tau(i)]
-    (see `match_endpoints`).
-    """
-    if not loop.is_closed:
-        raise ValueError("loop_permutation needs a closed path")
-    return match_endpoints(fiber0, track(b, fiber0, loop, settings))
-
-
-def match_endpoints(fiber0, end):
-    """Permutation tau with end.points[i] = fiber0.points[tau(i)].
-
-    Matches endpoints to start points by nearest neighbour within a third of
-    the starting separation (AmbiguousMatching otherwise), the rule that
-    also joins the lanes of a path (`_match_rows`).
-    """
-    from .monodromy import Permutation
-
-    (images,), (message,) = _match_rows(
-        np.array([end.points], dtype=complex),
-        np.array([fiber0.points], dtype=complex),
-        np.array([fiber0.separation / 3.0]),
-    )
-    if message is not None:
-        raise AmbiguousMatching(message)
-    return Permutation(tuple(images.tolist()))
-
-
-def winding_number(path, point, samples_per_segment=512) -> float:
-    """Total argument increment of (path - point) in turns (independent check)."""
-    total = 0.0
-    for seg in path.segments:
-        prev = cmath.phase(seg.point(0.0) - point)
-        for k in range(1, samples_per_segment + 1):
-            cur = cmath.phase(seg.point(k / samples_per_segment) - point)
-            delta = cur - prev
-            while delta > math.pi:
-                delta -= _TWO_PI
-            while delta < -math.pi:
-                delta += _TWO_PI
-            total += delta
-            prev = cur
-    return total / _TWO_PI
-
-
-def separation_slope(b, beta, radii=(1e-2, 1e-3, 1e-4), samples_per_circle=8):
-    """Log-log slope of the minimal fiber separation on circles around `beta`.
-
-    Near a simple branch value the two colliding sheets separate like the
-    square root of the distance, so the fitted slope is 0.5.
-    """
-    min_seps = []
-    for r in radii:
-        seps = []
-        for k in range(samples_per_circle):
-            w = beta + r * cmath.exp(2j * math.pi * (k + 0.37) / samples_per_circle)
-            seps.append(initial_fiber(b, w).separation)
-        min_seps.append(min(seps))
-    coef = np.polyfit(np.log(np.asarray(radii)), np.log(np.asarray(min_seps)), 1)
-    return float(coef[0])

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
-import json
-from dataclasses import replace
+import os
 
-import pytest
+# One BLAS thread, as in CI, set before numpy loads: under OpenBLAS's default
+# of two on a 2-core machine, one suite's commutant solves took 0.04 s in one
+# run and 1.0 s in another.  A value already in the environment is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from blaschkelab import DEFAULTS, BlaschkeProduct, compute_representation, to_spec
+import json  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+import pytest  # noqa: E402
+
+from blaschkelab import DEFAULTS, BlaschkeProduct, compute_representation, to_spec  # noqa: E402
 
 
 @pytest.fixture(scope="session")

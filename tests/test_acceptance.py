@@ -23,18 +23,14 @@ from blaschkelab import (
     compute_representation,
     from_spec,
     is_commutative,
-    orbital_count,
     random_product,
-    separation_slope,
     u_i_norm_check,
     verify_disjoint_images,
     zn_end_to_end,
 )
 from blaschkelab.cli import main
-
-_SUITE_SEED = 2026
-_SUITE_ORDERS = (3, 4, 5, 6)
-_SUITE_PER_ORDER = 5
+from blaschkelab.monodromy import orbitals
+from helpers import acceptance_products, separation_slope
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -42,16 +38,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture(scope="module")
 def suite():
     """Twenty random products of orders 3-6 with monodromy and commutant."""
-    rng = np.random.default_rng(_SUITE_SEED)
     start = time.perf_counter()
     members = []
-    for order in _SUITE_ORDERS:
-        for _ in range(_SUITE_PER_ORDER):
-            b = random_product(order, rng)
-            rep = compute_representation(b)
-            cb = commutant_basis(rep.generators, order)
-            q = orbital_count(rep.generators, order)
-            members.append({"b": b, "order": order, "rep": rep, "cb": cb, "q": q})
+    for b in acceptance_products():
+        order = b.order
+        rep = compute_representation(b)
+        cb = commutant_basis(rep.generators, order)
+        # The orbit count on ordered pairs, from the labels alone.
+        q = len(np.unique(orbitals(rep.generators, order)))
+        members.append({"b": b, "order": order, "rep": rep, "cb": cb, "q": q})
     elapsed = time.perf_counter() - start
     return members, elapsed
 
@@ -65,7 +60,7 @@ def test_criterion_1_order2_products_have_two_reducing_subspaces():
         rep = result.rep
         assert len(rep.generators) == 1
         assert rep.generators[0].images == (1, 0)
-        assert orbital_count(rep.generators, 2) == 2
+        assert result.q_orbitals == 2
         assert result.commutant.dim == 2
         assert len(result.projections) == 2
     assert time.perf_counter() - start < 5.0
@@ -137,7 +132,7 @@ def test_criterion_7_component_counts_match_frozen_factorizations():
     for case in cases:
         b = from_spec({"theta": case["theta"], "zeros": case["zeros"]})
         rep = compute_representation(b)
-        q = orbital_count(rep.generators, b.order)
+        q = len(np.unique(orbitals(rep.generators, b.order)))
         assert q == case["absolute_factor_count"], case["name"]
 
 

@@ -19,11 +19,11 @@ from blaschkelab import (
     analyze,
     build_cut_disc,
     choose_base_point,
-    random_product,
     to_spec,
 )
 from blaschkelab import tracking
 from blaschkelab.cli import main
+from helpers import suite_products, sweep_draw
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _ERROR_RE = re.compile(r"error \[(?:\w+\.)*(\w+)\]")
@@ -51,13 +51,9 @@ def test_analyze_suite_discrete_fields_match_frozen(tmp_path, capsys):
     # entry 27 (a FiberCollision on a return stem until generators were read
     # at the loop head) is the one later edit.
     frozen = json.loads((FIXTURES / "analyze_suite_discrete.json").read_text())
-    suite = frozen["suite"]
-    rng = np.random.default_rng(suite["seed"])
-    specs = [
-        to_spec(random_product(order, rng, radius=suite["radius"]))
-        for order in suite["orders"]
-        for _ in range(suite["per_order"])
-    ]
+    suite = {"seed": 2026, "orders": [3, 4, 5, 6, 7, 8], "per_order": 5, "radius": 0.6}
+    assert frozen["suite"] == suite
+    specs = [to_spec(b) for b in suite_products()]
     canonical = json.dumps(specs, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == frozen["specs_sha256"]
     assert len(specs) == len(frozen["outcomes"]) == 30
@@ -78,7 +74,7 @@ def test_analyze_suite_discrete_fields_match_frozen(tmp_path, capsys):
 def test_root_solving_is_seed_free():
     # The seed reaches only the projections and the bundle sampling: base
     # point, branch values, base fiber and generators are bit-identical.
-    for b in (_suite_product(0), _suite_product(15)):
+    for b in (suite_products()[0], suite_products()[15]):
         runs = []
         for seed in (0, 5):
             settings = replace(DEFAULTS, seed=seed)
@@ -119,27 +115,12 @@ def test_newton_tol_override_reaches_tracking(tmp_path, capsys):
     assert "blaschkelab.errors.StepFloorReached" in capsys.readouterr().err
 
 
-def _suite_product(index):
-    """Product `index` of the seed-2026 radius-0.6 suite (orders 3-8, five each)."""
-    rng = np.random.default_rng(2026)
-    products = [random_product(order, rng, radius=0.6) for order in range(3, 9) for _ in range(5)]
-    return products[index]
-
-
-def _sweep_draw(order, draw):
-    """Draw `draw` of the order sweep: radius-0.6 products from default_rng(1000 + order)."""
-    rng = np.random.default_rng(1000 + order)
-    for _ in range(draw + 1):
-        b = random_product(order, rng, radius=0.6)
-    return b
-
-
 @pytest.mark.parametrize(
     "b",
     [
-        pytest.param(_suite_product(27), id="suite-product27"),
-        pytest.param(_sweep_draw(6, 14), id="sweep-order6-draw14"),
-        pytest.param(_sweep_draw(10, 14), id="sweep-order10-draw14"),
+        pytest.param(suite_products()[27], id="suite-product27"),
+        pytest.param(sweep_draw(6, 14), id="sweep-order6-draw14"),
+        pytest.param(sweep_draw(10, 14), id="sweep-order10-draw14"),
     ],
 )
 def test_former_return_stem_collisions_give_the_symmetric_group(b):
@@ -160,7 +141,7 @@ def test_clustered_high_order_branch_values_give_the_symmetric_group(order, draw
     # Continued along whole segments, a crossing path reached the step floor
     # near them; cut into pieces short beside each branch value, every lane
     # certifies and the group is S_n with q = 2.
-    b = _sweep_draw(order, draw)
+    b = sweep_draw(order, draw)
     result = analyze(b, replace(DEFAULTS, dedup_tol=1e-12))
     assert result.ok
     assert result.group_order == math.factorial(order)
@@ -173,7 +154,7 @@ def test_merged_high_order_branch_values_stop_at_the_ramification_guard(order):
     # absolute dedup band merges their values into one.  The loop around it
     # is an n-cycle, which n - 1 simple critical points over one value
     # cannot give, so the guard raises instead of reporting Z_n.
-    b = _sweep_draw(order, 0)
+    b = sweep_draw(order, 0)
     data = b.branch_data()
     assert sum(c.multiplicity for c in data.critical_points) == order - 1
     assert sum(d - 1 for degrees in data.local_degrees for d in degrees) == order - 1

@@ -28,7 +28,6 @@ from blaschkelab import (
     gamma_apply,
     initial_fiber,
     isometry_details,
-    partition_check,
     point_in_cut_disc,
     random_product,
     route_in_cut_disc,
@@ -46,17 +45,11 @@ from blaschkelab.bundle import (
     _fiber_batch,
 )
 from blaschkelab.tracking import certified_step, point_segment_distance
+from helpers import acceptance_products, draw_images, partition_check
 
 
 def _monomial(k: int) -> Poly:
     return Poly((0.0,) * k + (1.0,))
-
-
-def _acceptance_product(index: int) -> BlaschkeProduct:
-    """Product `index` of the seed-2026 acceptance suite (orders 3-6, five each)."""
-    rng = np.random.default_rng(2026)
-    suite = [random_product(order, rng) for order in (3, 4, 5, 6) for _ in range(5)]
-    return suite[index]
 
 
 def _cross(u, v):
@@ -312,10 +305,10 @@ def test_sigma_values_raises_when_polish_fails(order3, monkeypatch):
 
 
 _CONTINUED_PRODUCTS = {
-    "suite0-order3": _acceptance_product(0),
-    "suite5-order4": _acceptance_product(5),
-    "suite10-order5": _acceptance_product(10),
-    "suite15-order6": _acceptance_product(15),
+    "suite0-order3": acceptance_products()[0],
+    "suite5-order4": acceptance_products()[5],
+    "suite10-order5": acceptance_products()[10],
+    "suite15-order6": acceptance_products()[15],
     "z^2": BlaschkeProduct(0.0, [0.0] * 2),
     "z^5": BlaschkeProduct(0.0, [0.0] * 5),
     "identity": BlaschkeProduct(0.0, [0.0]),
@@ -337,7 +330,7 @@ def test_continued_fibers_match_eigenvalue_fibers(name, budget):
 
 
 def test_continuation_leaves_samples_and_weights_unchanged(monkeypatch):
-    cd = build_cut_disc(_acceptance_product(15), settings=replace(DEFAULTS, seed=3))
+    cd = build_cut_disc(acceptance_products()[15], settings=replace(DEFAULTS, seed=3))
     continued = build_quadrature_grid(cd, 10**4)
     again = build_quadrature_grid(cd, 10**4)
     assert again.fallbacks == continued.fallbacks
@@ -427,7 +420,7 @@ def test_isometry_holds_after_a_disc_automorphism():
     # product whose zeros are the fiber of B over a.  Its branch values are
     # those of B moved by phi, from within 0.005 of 0 out to radius 1/2, but
     # its monomial Gram matrix is diag(1/(j+1)), as for every product.
-    b = _acceptance_product(15)
+    b = acceptance_products()[15]
     moved = BlaschkeProduct(0.0, list(_fiber_batch(b, np.array([0.5j]))[0]))
     cd = build_cut_disc(moved)
     assert max(abs(v) for v in b.branch_data().branch_values) < 0.01
@@ -439,7 +432,7 @@ def test_isometry_holds_after_a_disc_automorphism():
 def test_quadrature_grid_is_capped_and_draws_nothing(budget):
     # Product 15 has five charts: at 10^4 the cap leaves 5 Gauss nodes per
     # level of the most, 8.  The cut disc's seed changes no byte of the grid.
-    b = _acceptance_product(15)
+    b = acceptance_products()[15]
     grids = [
         build_quadrature_grid(build_cut_disc(b, settings=replace(DEFAULTS, seed=s)), budget)
         for s in (0, 3)
@@ -495,7 +488,7 @@ def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
     # failed polishes (in `bundle`): at most 400 rows (1,321 when every
     # innermost row was solved by eigenvalues).  B and B' are evaluated at
     # few fibers: at most 2.3 per unit of budget.
-    cd = build_cut_disc(_acceptance_product(15))
+    cd = build_cut_disc(acceptance_products()[15])
     eig_rows, polish_failures, evaluated = [0], [0], [0]
     real_batch = bundle._fiber_batch
     real_polish, real_eval = bundle.newton_correct, BlaschkeProduct.eval_with_derivative
@@ -643,7 +636,7 @@ def _cut_disc_points(cd, count, rng, rmax=0.9):
 
 @pytest.mark.parametrize("index", [0, 5, 10, 15, 19])
 def test_track_paths_equals_track_on_loops_and_routes(index):
-    b = _acceptance_product(index)
+    b = acceptance_products()[index]
     cd = build_cut_disc(b)
     _, pairs = crossing_paths(cd)
     rng = np.random.default_rng(index)
@@ -741,7 +734,7 @@ def test_partition_check_judges_its_kept_points_before_it_is_blocked(
     cd = build_cut_disc(order3)
     with monkeypatch.context() as m:
         _refuse_samples_after(m, 6)
-        ps, _, complete = bundle._draw(cd, 8, 0.95, image=order3)
+        ps, _, complete = draw_images(cd, 8, 0.95)
     assert 0 < len(ps) < 8 and not complete
     with monkeypatch.context() as m:
         _refuse_samples_after(m, 6)
@@ -761,7 +754,7 @@ def test_partition_check_judges_its_kept_points_before_it_is_blocked(
 
 
 _ROUTED_PRODUCTS = {
-    **{f"suite{i}": (_acceptance_product(i), None) for i in (0, 5, 10, 15, 19)},
+    **{f"suite{i}": (acceptance_products()[i], None) for i in (0, 5, 10, 15, 19)},
     "z^2": (BlaschkeProduct(0.0, [0.0] * 2), 0.25),
 }
 
@@ -827,7 +820,7 @@ def test_route_past_a_close_branch_pair_keeps_its_sheets():
     # 4e-4 from one of them; continued along it whole, the fiber jumped
     # sheets there ("fiber separation 1.252e-12").  Cut by the splitting
     # rule, the route gives what 4,000 even pieces of the segment give.
-    cd = build_cut_disc(_acceptance_product(7))
+    cd = build_cut_disc(acceptance_products()[7])
     cut = cd.cuts[0]
     normal = 1j * (cut.end - cut.start) / abs(cut.end - cut.start)
     z = 0.5 * (cut.start + cut.end) - 8e-4 * normal
@@ -841,7 +834,7 @@ def test_route_past_a_close_branch_pair_keeps_its_sheets():
 def test_base_at_a_branch_value_is_refused(square):
     with pytest.raises(LoopConstructionFailed):
         build_cut_disc(square, base=0.0)
-    b = _acceptance_product(10)
+    b = acceptance_products()[10]
     beta = b.branch_data().branch_values[0]
     with pytest.raises(LoopConstructionFailed):
         build_cut_disc(b, base=beta)

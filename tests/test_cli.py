@@ -3,11 +3,11 @@ from __future__ import annotations
 import csv
 import json
 
-import numpy as np
 import pytest
 
-from blaschkelab import cli, random_product, to_spec
+from blaschkelab import cli, to_spec
 from blaschkelab.cli import main
+from helpers import suite_products
 
 
 def _write_spec(tmp_path, name, theta, zeros):
@@ -194,10 +194,8 @@ def test_trace_loop_takes_no_seed_or_report(square_spec, capsys, flag):
 def test_trace_loop_closes_the_crossing_loop_of_suite_product27(tmp_path):
     # Product 27 has seven branch values within 3e-3 of 0; the closed
     # crossing loop of the first tracks whole and returns to the base.
-    rng = np.random.default_rng(2026)
-    products = [random_product(order, rng, radius=0.6) for order in range(3, 9) for _ in range(5)]
     spec = tmp_path / "product27.json"
-    spec.write_text(json.dumps(to_spec(products[27])))
+    spec.write_text(json.dumps(to_spec(suite_products()[27])))
     out = tmp_path / "trace.csv"
     assert main(["trace-loop", str(spec), "--index", "0", "--out", str(out)]) == 0
     with out.open() as fh:

@@ -15,10 +15,10 @@ from blaschkelab import (
     is_commutative,
     minimal_projections,
     permutation_matrix,
-    random_product,
 )
 from blaschkelab import commutant as commutant_module
 from blaschkelab.monodromy import orbitals
+from helpers import suite_products
 
 
 def _cycle(n: int) -> Permutation:
@@ -157,15 +157,9 @@ def test_dimension_is_conjugation_invariant(order3, rep_of):
     assert commutant_basis(conj, n).dim == commutant_basis(gens, n).dim
 
 
-def _suite_products():
-    """The thirty seed-2026 radius-0.6 products of orders 3-8."""
-    rng = np.random.default_rng(2026)
-    return [random_product(order, rng, radius=0.6) for order in range(3, 9) for _ in range(5)]
-
-
 def test_basis_commutes_bit_exactly_with_every_suite_generator(rep_of):
     accepted = 0
-    for b in _suite_products():
+    for b in suite_products():
         try:
             rep = rep_of(b)
         except ToolkitError:

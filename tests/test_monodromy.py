@@ -23,25 +23,27 @@ from blaschkelab import (
     crossing_paths,
     group_order,
     initial_fiber,
-    is_transitive,
-    orbital_count,
     point_in_cut_disc,
     random_product,
     sigma_values,
 )
 from blaschkelab import bundle, tracking
-from blaschkelab.monodromy import orbitals
+from blaschkelab.monodromy import match_endpoints, orbitals
 from blaschkelab.tracking import (
     Arc,
     Fiber,
     Line,
     PathSpec,
     fiber_separation,
-    loop_permutation,
-    match_endpoints,
     point_segment_distance,
     split_segment,
     track,
+)
+from helpers import (
+    acceptance_products,
+    loop_permutation,
+    suite_products,
+    sweep_draw,
     winding_number,
 )
 
@@ -238,10 +240,20 @@ def test_group_order_past_the_closure_cap():
         assert group_order(gens, n) == order
 
 
+def _transitive(gens, n) -> bool:
+    """Whether the diagonal pairs (i, i) form one orbit, as `analyze` reads it."""
+    return len(set(orbitals(gens, n).diagonal().tolist())) == 1
+
+
+def _orbit_count(gens, n) -> int:
+    """The number of orbits on ordered pairs, from their labels."""
+    return len(np.unique(orbitals(gens, n)))
+
+
 def test_transitivity_examples():
-    assert is_transitive([_cycle(3)], 3)
-    assert not is_transitive([Permutation((0, 1))], 2)
-    assert not is_transitive([], 2)
+    assert _transitive([_cycle(3)], 3)
+    assert not _transitive([Permutation((0, 1))], 2)
+    assert not _transitive([], 2)
 
 
 def test_orbitals_number_the_orbits_in_row_major_order():
@@ -253,10 +265,10 @@ def test_orbitals_number_the_orbits_in_row_major_order():
 
 
 def test_orbital_count_examples():
-    assert orbital_count([Permutation((1, 0))], 2) == 2
+    assert _orbit_count([Permutation((1, 0))], 2) == 2
     for n in (3, 4, 5):
-        assert orbital_count([_cycle(n)], n) == n
-    assert orbital_count([Permutation((1, 0, 2)), _cycle(3)], 3) == 2
+        assert _orbit_count([_cycle(n)], n) == n
+    assert _orbit_count([Permutation((1, 0, 2)), _cycle(3)], 3) == 2
 
 
 def test_conjugation_invariance(order4, rep_of):
@@ -267,10 +279,10 @@ def test_conjugation_invariance(order4, rep_of):
     for _ in range(5):
         relabel = Permutation(tuple(int(i) for i in rng.permutation(n)))
         conj = [g.conjugate(relabel) for g in gens]
-        assert orbital_count(conj, n) == orbital_count(gens, n)
+        assert _orbit_count(conj, n) == _orbit_count(gens, n)
         assert len(group_closure(conj)) == len(group_closure(gens))
         assert group_order(conj, n) == group_order(gens, n)
-        assert is_transitive(conj, n) == is_transitive(gens, n)
+        assert _transitive(conj, n) == _transitive(gens, n)
 
 
 def test_random_representations_properties():
@@ -280,35 +292,14 @@ def test_random_representations_properties():
             b = random_product(order, rng)
             rep = compute_representation(b)
             gens = list(rep.generators)
-            assert is_transitive(gens, order)
+            assert _transitive(gens, order)
             assert rep.boundary_perm.cycle_type() == (order,)
             assert boundary_product(rep).images == rep.boundary_perm.images
             assert math.factorial(order) % len(group_closure(gens)) == 0
             reversal = Permutation(tuple(reversed(range(order))))
             conj = [g.conjugate(reversal) for g in gens]
             assert group_order(conj, order) == len(group_closure(gens))
-            assert orbital_count(gens, order) >= 2
-
-
-def _acceptance_products():
-    """The twenty seed-2026 radius-0.6 products of orders 3-6."""
-    rng = np.random.default_rng(2026)
-    return [random_product(order, rng, radius=0.6) for order in (3, 4, 5, 6) for _ in range(5)]
-
-
-def _suite_product(index):
-    """Product `index` of the seed-2026 radius-0.6 suite (orders 3-8, five each)."""
-    rng = np.random.default_rng(2026)
-    products = [random_product(order, rng, radius=0.6) for order in range(3, 9) for _ in range(5)]
-    return products[index]
-
-
-def _sweep_draw(order, draw):
-    """Draw `draw` of the order sweep: radius-0.6 products from default_rng(1000 + order)."""
-    rng = np.random.default_rng(1000 + order)
-    for _ in range(draw + 1):
-        b = random_product(order, rng, radius=0.6)
-    return b
+            assert _orbit_count(gens, order) >= 2
 
 
 # The lollipop loop system the generators were once tracked on, kept as the
@@ -455,13 +446,13 @@ def build_loops(b, base, branch_values) -> LoopSystem:
 
 
 _CASES = {
-    **{f"product{i:02d}": b for i, b in enumerate(_acceptance_products())},
+    **{f"product{i:02d}": b for i, b in enumerate(acceptance_products())},
     **{f"z^{n}": BlaschkeProduct(0.0, [0.0] * n) for n in range(2, 7)},
     "C(z^2)": BlaschkeProduct(0.0, [0.0, 0.0, 0.5, -0.5]),
-    "suite-product13": _suite_product(13),
-    "suite-product27": _suite_product(27),
-    "sweep-order6-draw14": _sweep_draw(6, 14),
-    "sweep-order10-draw14": _sweep_draw(10, 14),
+    "suite-product13": suite_products()[13],
+    "suite-product27": suite_products()[27],
+    "sweep-order6-draw14": sweep_draw(6, 14),
+    "sweep-order10-draw14": sweep_draw(10, 14),
 }
 
 
@@ -638,7 +629,7 @@ def test_acceptance_representations_take_few_lockstep_iterations(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(tracking, "certified_step", counting)
-    for b in _acceptance_products():
+    for b in acceptance_products():
         compute_representation(b)
     assert calls[0] <= 200
 
@@ -657,7 +648,7 @@ def test_failing_first_loop_raises_what_tracking_it_whole_raises(order3):
 def test_altered_local_degrees_fail_the_ramification_guard(monkeypatch):
     # Mutation check: the guard compares each generator's nontrivial cycle
     # lengths with the recorded local degrees, so one altered tuple raises.
-    b = _acceptance_products()[15]
+    b = acceptance_products()[15]
     data = b.branch_data()
     rep = compute_representation(b)
     beta = rep.branch_values[0]

@@ -84,3 +84,13 @@ def test_dedup_tol_needs_a_finite_positive_value(capsys, value):
         _load_script().main(["--orders", "6", "--draws", "1", "--dedup-tol", value])
     assert exc.value.code == 2
     assert "is not a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_draws_need_a_positive_count(capsys, value):
+    # Refused by argparse in both families, before any draw is analyzed.
+    for family in (["--orders", "6"], ["--family", "composition", "--pairs", "2x4"]):
+        with pytest.raises(SystemExit) as exc:
+            _load_script().main([*family, "--draws", value])
+        assert exc.value.code == 2
+        assert "is not a positive integer" in capsys.readouterr().err

@@ -20,16 +20,14 @@ from blaschkelab import (
     choose_base_point,
     crossing_paths,
     initial_fiber,
-    loop_permutation,
     random_product,
-    separation_slope,
     track,
     track_paths,
     track_with_trace,
 )
 from blaschkelab import tracking
-from blaschkelab.config import DEFAULTS
 from blaschkelab.tracking import newton_correct
+from helpers import loop_permutation, separation_slope
 
 _TWO_PI = 2.0 * math.pi
 
@@ -355,9 +353,7 @@ def test_track_paths_empty_and_mismatched_start(square):
     with pytest.raises(ValueError):
         track_paths(square, fib, [_circle(0.0, 0.25), _circle(0.0, 0.3)])
     with pytest.raises(ValueError):
-        tracking._track_rows(
-            square, fib, [_circle(0.0, 0.25)] * 2, DEFAULTS, record=lambda *args: None
-        )
+        track_paths(square, fib, [_circle(0.0, 0.25)] * 2, record=lambda *args: None)
 
 
 def _hermite(before, last, w_next):

@@ -150,6 +150,13 @@ def _pair(text: str) -> tuple:
     return int(c), int(d)
 
 
+def _count(text: str) -> int:
+    """The argparse type of --draws: a positive integer."""
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _line(head: str, r: dict) -> str:
     """The printed line of one draw's record, after `head`."""
     g = "-" if r["group_order"] is None else r["group_order"]
@@ -166,7 +173,7 @@ def main(argv=None) -> None:
                         choices=sorted(DRAWS), help="sweep orders to run (default: all)")
     parser.add_argument("--pairs", type=_pair, nargs="+", default=PAIRS,
                         help="composition pairs CxD to run (default: all)")
-    parser.add_argument("--draws", type=int, default=None,
+    parser.add_argument("--draws", type=_count, default=None,
                         help="only the first DRAWS draws of each order or pair")
     parser.add_argument("--dedup-tol", type=_tolerance, default=None,
                         help="branch-value dedup tolerance (default: the settings' default)")
