@@ -56,8 +56,10 @@ print("exact <z, z> =", exact_inner(f, f))
 # Gamma on low-degree monomials, the intertwining relation
 # Gamma(B f) = z Gamma(f) on labeled fibers, and the minimal separation
 # between the inverse-branch images.  The cut disc carries the settings
-# (here `DEFAULTS`, seed 0) that seed its labeled samples and certify its
-# tracking; the quadrature grid is capped by the budget and takes no seed.
+# (here `DEFAULTS`, seed 0) that seed its labeled samples; its tracking is
+# certified at a tolerance worked out from the product's own evaluation
+# noise (`tracking.newton_tol`), and the quadrature grid is capped by the
+# budget and takes no seed.
 report = bundle_report(build_cut_disc(b3), budget=200000, samples=100)
 print(f"isometry error        = {report['isometry_error']:.3e}")
 print(f"intertwining residual = {report['intertwining_residual']:.3e}")

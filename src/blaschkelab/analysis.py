@@ -2,10 +2,9 @@
 
 `analyze` is the one place that chains these steps.  One `Settings` record
 reaches every step that reads it, so a dedup tolerance acts on the branch
-data and with it the base point, and a Newton tolerance on fibers and
-tracking alike; the seed reaches only the projections, since root solving
-takes none.  The command line renders the result as JSON and the `z^n`
-oracle compares it with the exact model.
+data and with it the base point; the seed reaches only the projections,
+since root solving takes none.  The command line renders the result as JSON
+and the `z^n` oracle compares it with the exact model.
 """
 
 from __future__ import annotations

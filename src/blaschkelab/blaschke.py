@@ -13,6 +13,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +127,14 @@ class BlaschkeProduct:
     def derivative_value(self, z):
         """B'(z), the second value of `eval_with_derivative`."""
         return self.eval_with_derivative(z)[1]
+
+    @cached_property
+    def eval_noise(self) -> float:
+        """Rounding of `eval_with_derivative` on this product, measured once:
+        max | |B(zeta)| - 1 | over 4n equispaced zeta on the unit circle,
+        where |B| = 1 exactly."""
+        zeta = np.exp(2j * np.pi * np.arange(4 * self.order) / (4 * self.order))
+        return float(np.abs(np.abs(self.eval_with_derivative(zeta)[0]) - 1.0).max())
 
     def critical_numerator(self) -> Poly:
         """P'Q - PQ', whose disc roots are the critical points of B.

@@ -12,12 +12,10 @@ product), intertwining with multiplication by the coordinate, and
 disjointness of the branch images.
 
 Sampling, continuation and the report work on one `CutDisc`, which carries
-its product, its branch data and the `Settings` it was built with: their
-seed draws its labeled sample points and their tolerances certify its
-continuation.  The isometry quadrature draws nothing: it has one chart per
-branch value, a singularity-removing substitution about that value with the
-trapezoid rule in angle.  `verify_disjoint_images` alone takes the product
-and builds its own cut disc.
+its product, its branch data and the `Settings` whose seed draws its labeled
+sample points.  The isometry quadrature draws nothing: one chart per branch
+value, a singularity-removing substitution about it, the trapezoid rule in
+angle.  `verify_disjoint_images` alone builds its own cut disc.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ from .tracking import (
     fiber_separation,
     initial_fiber,
     newton_correct,
+    newton_tol,
     point_segment_distance,
     track_paths,
 )
@@ -85,7 +84,7 @@ _ANGLES = 32
 _LEVELS = 12
 _LEVEL_RATIO = 0.25
 _GAUSS_MAX = 8
-# Innermost-level rows within this many newton_tol of their chart's center
+# Innermost-level rows within this many `newton_tol` of their chart's center
 # are solved by eigenvalues, not stepped to (`build_quadrature_grid`): there
 # a residual of newton_tol certifies nothing.  On the seed-2026 suite's
 # product 15 at 10^5, ring 0 (|w - beta| ~ 1e-10) stepped and polished to
@@ -93,9 +92,8 @@ _GAUSS_MAX = 8
 # 5e-11, and stepping it tripled the fallbacks.
 _EIGENVALUE_GATE = 100.0
 
-# Residual and iteration budget of the polish that takes labeled fibers and
-# the continued fibers of the quadrature from the tracking tolerance to near
-# machine precision (`_labeled_fibers`, `_continue_paths`).
+# The polish of labeled and quadrature fibers to near machine precision
+# (`_labeled_fibers`, `_continue_paths`): least residual (`_polish_tol`), iterations.
 _POLISH_TOL = 1e-14
 _POLISH_ITERS = 8
 
@@ -124,8 +122,8 @@ class CutDisc:
     branch value the labeled branches jump by that value's monodromy
     generator (`monodromy.compute_representation` reads it there).
 
-    It keeps the product `b`, the `settings` it was built with and every
-    function taking it works under, and the `branch_data` it was cut from.
+    It keeps the product `b`, the `settings` whose seed draws its samples,
+    and the `branch_data` it was cut from.
     """
 
     b: object
@@ -155,6 +153,11 @@ def _rim_distance(beta: complex, d):
     return -p + np.sqrt(np.maximum(p * p + 1.0 - abs(beta) ** 2, 0.0))
 
 
+def _polish_tol(b) -> float:
+    """Residual bound of the polish on `b`: no less than its `eval_noise`."""
+    return max(_POLISH_TOL, b.eval_noise)
+
+
 def _radial_cut(beta: complex, theta: float) -> Line:
     """Segment from beta along direction theta to the unit circle."""
     d = cmath.exp(1j * theta)
@@ -168,8 +171,8 @@ def build_cut_disc(b, base=None, settings: Settings = DEFAULTS) -> CutDisc:
     circle.  Raises LoopConstructionFailed if `base` is a branch value,
     which leaves no direction to cut along.  The branch data, the base point
     (`choose_base_point`, unless `base` is given) and the labeling fiber over
-    it (`initial_fiber`) are solved once here under `settings`, which the cut
-    disc keeps.
+    it (`initial_fiber`) are solved once here, the branch data under
+    `settings`, which the cut disc keeps.
     """
     data = b.branch_data(settings)
     if base is None:
@@ -179,7 +182,7 @@ def build_cut_disc(b, base=None, settings: Settings = DEFAULTS) -> CutDisc:
             f"the base point {complex(base):.4f} is a branch value"
         )
     cuts = tuple(_radial_cut(beta, cmath.phase(beta - base)) for beta in data.branch_values)
-    return CutDisc(b, settings, data, cuts, base, initial_fiber(b, base, settings))
+    return CutDisc(b, settings, data, cuts, base, initial_fiber(b, base))
 
 
 def point_in_cut_disc(cd: CutDisc, z: complex, clearance=None) -> bool:
@@ -211,9 +214,9 @@ def _labeled_fibers(cd: CutDisc, zs) -> list:
     """Outcome per point of `zs`, in order: its labeled fiber or the error.
 
     Routes every point from the base by `route_in_cut_disc`, continues
-    `cd.fiber0` along all routes in one `track_paths` call under
-    `cd.settings` and polishes every end fiber in one `newton_correct` call
-    (residual `_POLISH_TOL`, `_POLISH_ITERS` iterations).
+    `cd.fiber0` along all routes in one `track_paths` call and polishes
+    every end fiber in one `newton_correct` call (residual `_polish_tol`,
+    `_POLISH_ITERS` iterations).
     A point's outcome is the fiber in the slot order of `cd.fiber0`, or the
     error its routing (PathBlocked), tracking or polish (NoConvergence)
     produced.  A point within 1e-13 of the base gets the base fiber itself.
@@ -232,7 +235,7 @@ def _labeled_fibers(cd: CutDisc, zs) -> list:
             continue
         rows.append(k)
     tracked = []
-    for k, end in zip(rows, track_paths(cd.b, cd.fiber0, paths, cd.settings)):
+    for k, end in zip(rows, track_paths(cd.b, cd.fiber0, paths)):
         if isinstance(end, Exception):
             outcomes[k] = end
         else:
@@ -242,7 +245,7 @@ def _labeled_fibers(cd: CutDisc, zs) -> list:
             cd.b,
             np.asarray([points for _, points in tracked], dtype=complex),
             np.array([zs[k] for k, _ in tracked]),
-            _POLISH_TOL,
+            _polish_tol(cd.b),
             _POLISH_ITERS,
         )
         for i, (k, _) in enumerate(tracked):
@@ -302,9 +305,11 @@ def sigma_samples(cd: CutDisc, count):
     Points are drawn by `_draw` in the disc of radius `_SAMPLE_RMAX`.
     Returns (points, fibers) with fibers[k] the slot-ordered branch values at
     points[k].  All points are continued together (`_labeled_fibers`); the
-    first failing point in draw order raises its error.  Downstream checks
-    reuse the fibers across test functions.
+    first failing point in draw order raises its error.  Raises ValueError
+    if `count` is below 1.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     zs, complete = _draw(cd, count, _SAMPLE_RMAX)
     if not complete:
         raise PathBlocked("sampling the cut disc kept hitting exclusions")
@@ -356,9 +361,9 @@ class QuadratureGrid:
     and rejected steps into the innermost levels.  Not counted are the rows
     solved by eigenvalues by design (each ray's seed on the innermost
     level's outer ring, and the innermost rows within `_EIGENVALUE_GATE`
-    newton_tol of their chart's center) and the fibers whose polish failed.
-    The grid depends only on the cut disc's product, branch data and
-    tolerances and on the budget.
+    `newton_tol` of their chart's center) and the fibers whose polish failed.
+    The grid depends only on the cut disc's product and branch data and on
+    the budget.
     """
 
     points: np.ndarray
@@ -377,16 +382,15 @@ def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, spokes=None):
     each an ordered run of nearby regular values.  Each path's first node
     and every value on no path and no spoke are solved by eigenvalues
     (`_fiber_batch`); the later nodes are the paths' nodes in the
-    continuation loop of `tracking` (`_continue_nodes` under
-    `cd.settings`).  `spokes`, if given, is (targets, sources, dw): row
-    targets[k], on no path, takes one `certified_step` from the fiber z at
-    the eigenvalue row sources[k], predicted by the Euler step
-    z + dw[k] / B'(z).  Every rejected node or spoke is solved by
-    eigenvalues and counted.
+    continuation loop of `tracking` (`_continue_nodes`).  `spokes`, if
+    given, is (targets, sources, dw): row targets[k], on no path, takes one
+    `certified_step` from the fiber z at the eigenvalue row sources[k],
+    predicted by the Euler step z + dw[k] / B'(z).  Every rejected node or
+    spoke is solved by eigenvalues and counted.
 
     Every accepted fiber then takes one Newton step, from the residual and
     B' of its certified step's last evaluation, and is Newton-polished in
-    one call to residual `_POLISH_TOL` within `_POLISH_ITERS` iterations:
+    one call to residual `_polish_tol` within `_POLISH_ITERS` iterations:
     next to a critical point a fiber point at residual `newton_tol` can sit
     about newton_tol / |B'| from the root, and near a branch value of local
     degree m > 2 even residual `_POLISH_TOL` is reached off the root (on z^4
@@ -410,12 +414,10 @@ def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, spokes=None):
     solve = np.flatnonzero(by_eigenvalues)
     fibers[solve] = _fiber_batch(b, ws[solve])
     derivs[solve] = b.derivative_value(fibers[solve])
-    restarted, _, _ = _continue_nodes(
-        b, ws, rows, lengths, fibers, derivs, cd.settings, resids
-    )
+    restarted, _, _ = _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids)
     with np.errstate(all="ignore"):
         pred = fibers[sources] + dw[:, None] / derivs[sources]
-    z, db, res, _, accepted, _ = certified_step(b, pred, ws[targets], cd.settings)
+    z, db, res, _, accepted, _ = certified_step(b, pred, ws[targets])
     fibers[targets], derivs[targets], resids[targets] = z, db, res
     rejected = targets[~accepted]
     fibers[rejected] = _fiber_batch(b, ws[rejected])
@@ -425,7 +427,7 @@ def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, spokes=None):
     polished = np.flatnonzero(~by_eigenvalues)
     if len(polished):
         z = fibers[polished] - resids[polished] / derivs[polished]
-        z, db, _, ok = newton_correct(b, z, ws[polished], _POLISH_TOL, _POLISH_ITERS)
+        z, db, _, ok = newton_correct(b, z, ws[polished], _polish_tol(b), _POLISH_ITERS)
         z[~ok] = _fiber_batch(b, ws[polished[~ok]])
         db[~ok] = b.derivative_value(z[~ok])
         fibers[polished], derivs[polished] = z, db
@@ -477,7 +479,7 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
     predicted by the Euler step in the chart variable, dz/dt = m (w - beta)
     / (t B'(z)): the chart is the Puiseux uniformizer at beta, so the fiber
     is nearly linear in t there.  Innermost nodes within `_EIGENVALUE_GATE`
-    newton_tol of beta stay on eigenvalues: there the residual certifies
+    `newton_tol` of beta stay on eigenvalues: there the residual certifies
     nothing (ring 0 at m = 2 lies about 1e-10 rho from beta, and the inner
     rings of z^5 about 3e-12).  B' of a continued fiber is the one its
     polish last evaluated.  The nodes and weights do not depend on how the
@@ -523,7 +525,7 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
     # One spoke from each ray's seed to every innermost node at its angle
     # clear of the chart's center, an Euler step in t with dw/dt = m (w - beta) / t.
     targets = np.flatnonzero(
-        (offset < (gauss - 1) * _ANGLES) & (own >= _EIGENVALUE_GATE * cd.settings.newton_tol)
+        (offset < (gauss - 1) * _ANGLES) & (own >= _EIGENVALUE_GATE * newton_tol(cd.b))
     )
     sources = per_chart * chart[targets] + (gauss - 1) * _ANGLES + targets % _ANGLES
     slope = np.asarray(degrees)[chart] * (points - centers[chart]) / ts

@@ -27,7 +27,7 @@ from .commutant import _NULLSPACE_RTOL, _PROJECTION_GAP
 from .config import DEFAULTS
 from .errors import ToolkitError
 from .monodromy import crossing_paths
-from .tracking import PathSpec, track_with_trace
+from .tracking import PathSpec, newton_tol, track_with_trace
 from .znmodel import zn_end_to_end
 
 __all__ = ["main"]
@@ -55,7 +55,7 @@ def _analysis_report(b, settings, result) -> dict:
         "order": b.order,
         "seed": settings.seed,
         "tolerances": {
-            "newton_tol": settings.newton_tol,
+            "newton_tol": newton_tol(b),
             "dedup_tol": settings.dedup_tol,
             "nullspace_rtol": _NULLSPACE_RTOL,
             "projection_gap": _PROJECTION_GAP,
@@ -88,7 +88,7 @@ def _emit(report: dict, path) -> None:
 
 
 def _tolerance(text: str) -> float:
-    """The argparse type of the tolerance flags: a finite positive float."""
+    """The argparse type of --dedup-tol: a finite positive float."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
@@ -110,9 +110,7 @@ def _load(spec_path):
 
 def cmd_analyze(args) -> int:
     b = _load(args.spec)
-    settings = dataclasses.replace(
-        DEFAULTS, seed=args.seed, newton_tol=args.newton_tol, dedup_tol=args.dedup_tol
-    )
+    settings = dataclasses.replace(DEFAULTS, seed=args.seed, dedup_tol=args.dedup_tol)
     report = _analysis_report(b, settings, analyze(b, settings))
     _emit(report, args.report)
     return 0 if report["ok"] else 1
@@ -149,7 +147,7 @@ def cmd_trace_loop(args) -> int:
         return 2
     there, back = pairs[args.index]
     loop = PathSpec(there.segments + back.reversed().segments)
-    _, trace = track_with_trace(b, cd.fiber0, loop, cd.settings)
+    _, trace = track_with_trace(b, cd.fiber0, loop)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -195,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="monodromy + commutant + theorem checks")
     spec(p)
     common(p)
-    p.add_argument("--newton-tol", type=_tolerance, default=DEFAULTS.newton_tol)
     p.add_argument("--dedup-tol", type=_tolerance, default=DEFAULTS.dedup_tol)
     p.set_defaults(func=cmd_analyze)
 

@@ -203,7 +203,7 @@ def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
     """
     cd = build_cut_disc(b, settings=settings)
     betas, pairs = crossing_paths(cd)
-    ends = track_paths(b, cd.fiber0, [path for pair in pairs for path in pair], settings)
+    ends = track_paths(b, cd.fiber0, [path for pair in pairs for path in pair])
     for end in ends:
         if isinstance(end, Exception):
             raise end

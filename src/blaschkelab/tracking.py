@@ -9,15 +9,12 @@ extrapolation or an Euler step, certifies it (`certified_step`: few Newton
 iterations, small residual, corrections well below the fiber separation),
 and solves a rejected node by eigenvalues and reports it.
 
-`track_paths` runs every segment of every path as a lane with nodes at
-t = 0, 1/4, 1/2, 3/4 and 1.  A path's first lane starts from the given
-fiber, each later lane from the eigenvalue fiber of its start, and the lanes
-are chained by matching fibers at their junctions.  A rejected step ends its
-lane in a collision, or is retried alone to a halfway node down to the step
-floor.  Path builders cut segments by one rule (`split_segment`) into pieces
-short next to the branch values, so a lane typically takes its four steps.
-A failing lane or junction is its path's typed outcome, while the others go
-on; `track` is the one-path case.
+`track_paths` runs every segment of every path as a lane of four steps
+(`_continue_lanes`) and chains the lanes by matching fibers at their
+junctions; `track` is the one-path case.  Path builders cut segments by one
+rule (`split_segment`) into pieces short next to the branch values.  The
+Newton residual bound of every step is worked out from the product's own
+evaluation noise (`newton_tol`); tracking takes no settings.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULTS, Settings
 from .cpoly import Poly, _companion_roots, roots
 from .errors import (
     AmbiguousMatching,
@@ -50,6 +46,7 @@ __all__ = [
     "track",
     "track_paths",
     "track_with_trace",
+    "newton_tol",
     "newton_correct",
     "certified_step",
     "fiber_separation",
@@ -267,33 +264,40 @@ def newton_correct(b, pred, w, tol, iters):
     return z, db, res, converged
 
 
-def certified_step(b, pred, w, settings: Settings = DEFAULTS):
-    """Newton-correct predicted fibers pred[k] onto B(z) = w[k] and certify.
+def newton_tol(b) -> float:
+    """The Newton residual bound |B(z) - w| of certified continuation on `b`:
+    1e-11, or ten times `b.eval_noise` where that is larger, since a bound
+    under the noise of evaluating B certifies nothing."""
+    return max(1e-11, 10.0 * b.eval_noise)
 
-    The one step certificate, of the continuation loop `_continue_nodes`.
-    Returns (points, B' and the residual B - w there, fiber separations,
-    accepted, collided) per row; B' and the residual are those of
-    `newton_correct`'s last evaluation.  A row has collided when it
-    converged with separation at most _COLLISION_FACTOR * newton_tol; it is
-    accepted when it converged, has not collided, and its separation exceeds
-    ten times its largest correction.
+
+def certified_step(b, pred, w):
+    """Newton-correct predicted fibers pred[k] onto B(z) = w[k], down to
+    residual `newton_tol(b)`, and certify them: the one step certificate, of
+    `_continue_nodes`.  Returns (points, B' and the residual B - w there, as
+    `newton_correct` last evaluated them, fiber separations, accepted,
+    collided) per row.  A row has collided when it converged with separation
+    at most _COLLISION_FACTOR * newton_tol; it is accepted when it
+    converged, has not collided, and its separation exceeds ten times its
+    largest correction.
     """
-    z, db, res, converged = newton_correct(b, pred, w, settings.newton_tol, _MAX_NEWTON_ITERS)
+    tol = newton_tol(b)
+    z, db, res, converged = newton_correct(b, pred, w, tol, _MAX_NEWTON_ITERS)
     with np.errstate(all="ignore"):
         sep = fiber_separation(z)
         largest = np.abs(z - pred).max(axis=1)
-        collided = converged & (sep <= _COLLISION_FACTOR * settings.newton_tol)
+        collided = converged & (sep <= _COLLISION_FACTOR * tol)
         accepted = converged & ~collided & (sep > 10.0 * largest)
     return z, db, res, sep, accepted, collided
 
 
-def _start_collision(w, sep, settings: Settings):
-    """FiberCollision if a fresh fiber over `w` of separation `sep` has collided, else None."""
-    if sep <= _COLLISION_FACTOR * settings.newton_tol:
+def _start_collision(b, w, sep):
+    """FiberCollision if `b`'s fresh fiber over `w` of separation `sep` collided, else None."""
+    if sep <= _COLLISION_FACTOR * newton_tol(b):
         return FiberCollision(f"fiber separation {sep:.3e} at w={w} is below threshold")
 
 
-def initial_fiber(b, w, settings: Settings = DEFAULTS) -> Fiber:
+def initial_fiber(b, w) -> Fiber:
     """Solve B(z) = w from scratch; points sorted lexicographically.
 
     Raises FiberCollision when w is (numerically) a branch value: repeated
@@ -313,7 +317,7 @@ def initial_fiber(b, w, settings: Settings = DEFAULTS) -> Fiber:
     order = np.lexsort((pts.imag, pts.real))
     pts = pts[order]
     sep = float(fiber_separation(pts))
-    collision = _start_collision(w, sep, settings)
+    collision = _start_collision(b, w, sep)
     if collision is not None:
         raise collision
     return Fiber(w=w, points=tuple(pts.tolist()), separation=sep)
@@ -376,7 +380,7 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     return out
 
 
-def track_paths(b, fiber, paths, settings: Settings = DEFAULTS, record=None) -> list:
+def track_paths(b, fiber, paths, record=None) -> list:
     """Continue `fiber` along every path in `paths` at once, in lockstep.
 
     Returns one outcome per path, in order: the end Fiber (slot i follows
@@ -414,10 +418,10 @@ def track_paths(b, fiber, paths, settings: Settings = DEFAULTS, record=None) -> 
         ws = _segment_points(segs)(later, np.zeros(len(later)))
         starts[later] = _fiber_batch(b, ws)
         for r, w0, sep in zip(later.tolist(), ws, fiber_separation(starts[later])):
-            errors[r] = _start_collision(complex(w0), sep, settings)
+            errors[r] = _start_collision(b, complex(w0), sep)
     started = [e is None for e in errors]
     ends, w, nodes = _continue_lanes(
-        b, starts, segs, positions, errors, settings, keep_nodes=record is not None
+        b, starts, segs, positions, errors, keep_nodes=record is not None
     )
     # Every junction whose two fibers exist, matched at once.
     junctions = sorted({
@@ -465,15 +469,11 @@ def track_paths(b, fiber, paths, settings: Settings = DEFAULTS, record=None) -> 
     return outcomes
 
 
-def track(b, fiber, path, settings: Settings = DEFAULTS, record=None) -> Fiber:
+def track(b, fiber, path, record=None) -> Fiber:
     """Continue a whole fiber along `path`; slot i follows input point i.
 
-    The one-path case of `track_paths`; raises the path's failure.  A step
-    is accepted only if the corrector converges for every point within the
-    iteration cap, the corrected fiber stays separated (FiberCollision
-    otherwise), and the separation exceeds ten times the largest Newton
-    correction; otherwise it is retried to a node halfway into it, down to
-    the step floor (StepFloorReached).
+    The one-path case of `track_paths`; raises the path's failure
+    (FiberCollision, StepFloorReached or AmbiguousMatching).
 
     `record`, if given, is called as record(t, w, points) at the start node
     and at every accepted node, in path order, once the path is tracked, with
@@ -481,7 +481,7 @@ def track(b, fiber, path, settings: Settings = DEFAULTS, record=None) -> Fiber:
     number of segments) and the points in the slot order of `fiber`.  Nodes
     up to the path's first failure are recorded.
     """
-    (end,) = track_paths(b, fiber, [path], settings, record)
+    (end,) = track_paths(b, fiber, [path], record)
     if isinstance(end, Exception):
         raise end
     return end
@@ -525,7 +525,7 @@ def _predict(prev, last, w_next, euler):
     return pred
 
 
-def _continue_nodes(b, ws, rows, lengths, fibers, derivs, settings: Settings, resids=None):
+def _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids=None):
     """The one lockstep continuation loop: fibers of `b` from node to node.
 
     `rows` indexes `ws`: the concatenation of paths of the given (positive)
@@ -536,7 +536,7 @@ def _continue_nodes(b, ws, rows, lengths, fibers, derivs, settings: Settings, re
     accepted node (both B' and the residual from the step's last
     evaluation).  Steps are predicted by `_predict` (Euler at a path's
     first step, after a restart, and between nodes at most
-    `_HERMITE_SPACING` * newton_tol apart) and judged by `certified_step`.
+    `_HERMITE_SPACING` * `newton_tol(b)` apart) and judged by `certified_step`.
     A rejected node is solved by eigenvalues (`_fiber_batch`) and its path
     restarts there.  Returns the rejected nodes sparsely, in step order:
     their rows of `ws`, whether the step collided, and the separation.
@@ -557,10 +557,10 @@ def _continue_nodes(b, ws, rows, lengths, fibers, derivs, settings: Settings, re
         w_next = ws[idx]
         last = (w[:live], z[:live], db[:live])
         prev = tuple(a[:live] for a in prev)
-        near = np.abs(last[0] - prev[0]) <= _HERMITE_SPACING * settings.newton_tol
+        near = np.abs(last[0] - prev[0]) <= _HERMITE_SPACING * newton_tol(b)
         pred = _predict(prev, last, w_next, restarted[:live] | near)
         prev = last
-        z, db, res, sep, accepted, collided = certified_step(b, pred, w_next, settings)
+        z, db, res, sep, accepted, collided = certified_step(b, pred, w_next)
         if resids is not None:
             resids[idx] = res
         failed = np.flatnonzero(~accepted)
@@ -573,7 +573,7 @@ def _continue_nodes(b, ws, rows, lengths, fibers, derivs, settings: Settings, re
     return tuple(np.concatenate(parts) for parts in zip(*rejected))
 
 
-def _continue_lanes(b, pts, segs, positions, errors, settings: Settings, keep_nodes=False):
+def _continue_lanes(b, pts, segs, positions, errors, keep_nodes=False):
     """Continue fiber pts[k] along segs[k] through `_continue_nodes`.
 
     Lane k's nodes are t = 0, 1/4, 1/2, 3/4 and 1 of segs[k]; each round runs
@@ -603,7 +603,7 @@ def _continue_lanes(b, pts, segs, positions, errors, settings: Settings, keep_no
         lanes = np.repeat(live, lengths)
         ws, fibers, derivs = at(lanes, t), pts[lanes], db[lanes]
         rejected, collided, sep = _continue_nodes(
-            b, ws, np.arange(len(ws)), lengths, fibers, derivs, settings
+            b, ws, np.arange(len(ws)), lengths, fibers, derivs
         )
         # Each path's first rejected node (the reports come in step order).
         paths = np.searchsorted(starts, rejected, side="right") - 1
@@ -666,12 +666,12 @@ def _match_rows(ends, starts, bounds):
     return images, messages
 
 
-def track_with_trace(b, fiber, path, settings: Settings = DEFAULTS):
+def track_with_trace(b, fiber, path):
     """Like `track` but also returns the list of (t, w, points) nodes."""
     rows = []
 
     def record(t, w, pts):
         rows.append((t, w, tuple(pts.tolist())))
 
-    end = track(b, fiber, path, settings, record=record)
+    end = track(b, fiber, path, record=record)
     return end, rows

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from blaschkelab import bundle, random_product
-from blaschkelab.config import DEFAULTS, Settings
 from blaschkelab.errors import PathBlocked
 from blaschkelab.monodromy import match_endpoints
 from blaschkelab.tracking import initial_fiber, track
@@ -44,6 +43,13 @@ def sweep_draw(order, draw):
     for _ in range(draw + 1):
         b = random_product(order, rng, radius=0.6)
     return b
+
+
+def noisy_witness():
+    """The sixth radius-0.98 order-16 product of default_rng(1698), whose
+    evaluation noise on the unit circle is 1.6e-10 (`eval_noise`)."""
+    rng = np.random.default_rng(1698)
+    return [random_product(16, rng, radius=0.98) for _ in range(6)][5]
 
 
 def winding_number(path, point, samples_per_segment=512) -> float:
@@ -80,7 +86,7 @@ def separation_slope(b, beta, radii=(1e-2, 1e-3, 1e-4), samples_per_circle=8):
     return float(coef[0])
 
 
-def loop_permutation(b, fiber0, loop, settings: Settings = DEFAULTS):
+def loop_permutation(b, fiber0, loop):
     """Permutation induced by continuing `fiber0` around the closed `loop`.
 
     Returns the Permutation tau with end.points[i] = fiber0.points[tau(i)]
@@ -88,7 +94,7 @@ def loop_permutation(b, fiber0, loop, settings: Settings = DEFAULTS):
     """
     if not loop.is_closed:
         raise ValueError("loop_permutation needs a closed path")
-    return match_endpoints(fiber0, track(b, fiber0, loop, settings))
+    return match_endpoints(fiber0, track(b, fiber0, loop))
 
 
 def draw_images(cd, count, radius):

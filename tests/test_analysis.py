@@ -23,7 +23,7 @@ from blaschkelab import (
 )
 from blaschkelab import tracking
 from blaschkelab.cli import main
-from helpers import suite_products, sweep_draw
+from helpers import noisy_witness, suite_products, sweep_draw
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _ERROR_RE = re.compile(r"error \[(?:\w+\.)*(\w+)\]")
@@ -107,12 +107,28 @@ def test_collided_base_fiber_raises_from_initial_fiber(order3, monkeypatch):
     assert info.traceback[-1].name == "initial_fiber"
 
 
-def test_newton_tol_override_reaches_tracking(tmp_path, capsys):
+def test_newton_tol_override_reaches_tracking(tmp_path, capsys, monkeypatch):
+    # Under a tolerance of 1e-30 no continuation step is certified.
     b = BlaschkeProduct(0.0, [0.0, 0.0, 0.5])
     spec = tmp_path / "order3.json"
     spec.write_text(json.dumps(to_spec(b)))
-    assert main(["analyze", str(spec), "--newton-tol", "1e-30"]) == 3
+    monkeypatch.setattr(tracking, "newton_tol", lambda b: 1e-30)
+    assert main(["analyze", str(spec)]) == 3
     assert "blaschkelab.errors.StepFloorReached" in capsys.readouterr().err
+
+
+def test_noisy_product_is_analyzed_at_its_own_tolerance(tmp_path):
+    # The witness evaluates B to about 1.6e-10 on the unit circle, so Newton
+    # stops at ten times that; under the fixed 1e-11 it reached the step floor.
+    b = noisy_witness()
+    spec, out = tmp_path / "witness.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(to_spec(b)))
+    assert main(["analyze", str(spec), "--report", str(out), "--seed", "0"]) == 0
+    report = json.loads(out.read_text())
+    assert report["group_order"] == math.factorial(16)
+    assert report["q_orbitals"] == 2
+    assert report["tolerances"]["newton_tol"] == tracking.newton_tol(b) == 10.0 * b.eval_noise
+    assert 1e-9 < report["tolerances"]["newton_tol"] < 2e-9
 
 
 @pytest.mark.parametrize(

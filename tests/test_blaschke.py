@@ -38,6 +38,26 @@ def test_boundary_modulus_is_one():
         assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12
 
 
+def test_eval_noise_is_the_kernel_rounding_on_the_circle(monkeypatch):
+    # max | |B| - 1 | over 4n equispaced points of the circle, measured by
+    # `eval_with_derivative` on the first read only.
+    b = BlaschkeProduct(0.7, [0.3, -0.2 + 0.4j, 0.1j])
+    zeta = np.exp(2j * np.pi * np.arange(12) / 12)
+    want = float(np.max(np.abs(np.abs(b.eval_with_derivative(zeta)[0]) - 1.0)))
+    calls = []
+    real = BlaschkeProduct.eval_with_derivative
+
+    def counting(self, z):
+        calls.append(np.shape(z))
+        return real(self, z)
+
+    monkeypatch.setattr(BlaschkeProduct, "eval_with_derivative", counting)
+    assert b.eval_noise == want < 1e-15
+    assert b.eval_noise == want
+    assert calls == [(12,)]
+    assert BlaschkeProduct(0.0, [0.0] * 4).eval_noise <= 4.0 * np.finfo(float).eps
+
+
 def test_evaluate_vanishes_at_zero_of_factor():
     b = BlaschkeProduct(0.0, [0.5])
     assert b.evaluate(0.5) == 0.0

@@ -44,8 +44,8 @@ from blaschkelab.bundle import (
     _continue_paths,
     _fiber_batch,
 )
-from blaschkelab.tracking import certified_step, point_segment_distance
-from helpers import acceptance_products, draw_images, partition_check
+from blaschkelab.tracking import certified_step, newton_tol, point_segment_distance
+from helpers import acceptance_products, draw_images, noisy_witness, partition_check
 
 
 def _monomial(k: int) -> Poly:
@@ -183,6 +183,26 @@ def test_sigma_path_independence(order3):
         direct = sigma_values(cd, z)
         assert np.max(np.abs(direct - tracked)) < 1e-9
         checked += 1
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_sigma_samples_refuse_a_count_below_one(order4, count):
+    # A usage error, refused before any point is drawn: not an empty sample,
+    # on which the disjointness check had no minimum, nor PathBlocked.
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        sigma_samples(build_cut_disc(order4), count)
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        verify_disjoint_images(order4, count)
+
+
+def test_noisy_product_samples_polish_at_its_noise():
+    # The witness evaluates B to about 1.6e-10 on the unit circle: its
+    # labeled samples track at ten times that and polish at it (under the
+    # fixed 1e-11 and 1e-14 they failed).
+    b = noisy_witness()
+    assert bundle._polish_tol(b) == b.eval_noise > 1e-10
+    fibers = sigma_samples(build_cut_disc(b), 5)
+    assert verify_intertwining(b, [_monomial(j) for j in range(6)], fibers) <= 1e-8
 
 
 def test_sigma_samples_fiber_identity(order4):
@@ -323,7 +343,7 @@ def test_continued_fibers_match_eigenvalue_fibers(name, budget):
     assert grid.fibers.shape == (len(grid.points), b.order)
     assert _set_distance(grid.fibers, _fiber_batch(b, grid.points)) <= 1e-10
     resid = np.abs(b(grid.fibers) - grid.points[:, None])
-    assert resid.max() <= DEFAULTS.newton_tol
+    assert resid.max() <= newton_tol(b)
     assert 0 <= grid.fallbacks < 0.01 * budget
     want = 1.0 / np.abs(b.derivative_value(grid.fibers)) ** 2
     assert np.max(np.abs(grid.inv_db2 / want - 1.0)) <= 1e-12
@@ -356,7 +376,7 @@ def test_continuation_falls_back_across_a_branch_value(square, square_setup):
     assert fallbacks == 1
     assert np.max(np.abs(derivs - 2.0 * fibers)) <= 1e-12
     assert _set_distance(fibers, _fiber_batch(square, ws)) <= 1e-12
-    assert np.max(np.abs(fibers**2 - ws[:, None])) <= DEFAULTS.newton_tol
+    assert np.max(np.abs(fibers**2 - ws[:, None])) <= newton_tol(square)
 
 
 def test_certificate_rejects_collided_and_overcorrected_steps(order3):
@@ -369,7 +389,7 @@ def test_certificate_rejects_collided_and_overcorrected_steps(order3):
     # correction at all, but collided.
     doubled = exact[:, [0, 0, 2]] + np.array([0.0, 1e-12, 0.0])
     z, _, _, _, ok, collided = certified_step(order3, doubled, np.array([w1]))
-    assert np.max(np.abs(order3(z) - w1)) <= DEFAULTS.newton_tol
+    assert np.max(np.abs(order3(z) - w1)) <= newton_tol(order3)
     assert ok.tolist() == [False]
     assert collided.tolist() == [True]
     # One long Euler step: Newton converges to a fiber, but its corrections
@@ -378,7 +398,7 @@ def test_certificate_rejects_collided_and_overcorrected_steps(order3):
     start = _fiber_batch(order3, np.array([w0]))
     pred = start + (w1 - w0) / order3.eval_with_derivative(start)[1]
     z, _, _, _, ok, collided = certified_step(order3, pred, np.array([w1]))
-    assert np.max(np.abs(order3(z) - w1)) <= DEFAULTS.newton_tol
+    assert np.max(np.abs(order3(z) - w1)) <= newton_tol(order3)
     assert ok.tolist() == [False]
     assert collided.tolist() == [False]
 
@@ -387,7 +407,7 @@ def test_continuation_single_point_fiber(mobius):
     ws = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 200))
     fibers, _, fallbacks = _continue_paths(build_cut_disc(mobius), ws, np.arange(len(ws)), [200])
     assert fallbacks == 0
-    assert np.max(np.abs(mobius(fibers[:, 0]) - ws)) <= DEFAULTS.newton_tol
+    assert np.max(np.abs(mobius(fibers[:, 0]) - ws)) <= newton_tol(mobius)
 
 
 @pytest.mark.parametrize("name", ["suite0-order3", "suite15-order6", "z^2"])
@@ -525,7 +545,7 @@ def _seeds_and_gated_rows(cd, grid):
     chart, offset = np.divmod(np.arange(len(grid.points)), per_chart)
     ring = offset // bundle._ANGLES
     outer = int(ring[grid.correction].max())
-    near = np.abs(grid.points - centers[chart]) < bundle._EIGENVALUE_GATE * cd.settings.newton_tol
+    near = np.abs(grid.points - centers[chart]) < bundle._EIGENVALUE_GATE * newton_tol(cd.b)
     seeds = np.flatnonzero(grid.correction & (ring == outer))
     gated = np.flatnonzero(grid.correction & (ring < outer) & near)
     return seeds, gated
@@ -545,9 +565,9 @@ def test_innermost_rows_step_from_the_seed_unless_gated(n, monkeypatch):
         solved.append(ws.copy())
         return real_batch(b, ws)
 
-    def step(b, pred, w, settings):
+    def step(b, pred, w):
         stepped.append(w.copy())
-        return real_step(b, pred, w, settings)
+        return real_step(b, pred, w)
 
     monkeypatch.setattr(bundle, "_fiber_batch", batch)
     monkeypatch.setattr(bundle, "certified_step", step)
@@ -579,22 +599,23 @@ def test_bundle_report_solves_branch_data_once(order3, monkeypatch):
     assert calls == [order3]
 
 
-def test_cut_disc_settings_reach_labeled_tracking(order3):
-    # Under newton_tol = 1e-30 no step is certified: the cut disc's labeled
-    # fibers stop at the step floor, as the monodromy does.
-    settings = replace(DEFAULTS, newton_tol=1e-30)
-    cd = build_cut_disc(order3, settings=settings)
+def test_cut_disc_settings_reach_labeled_tracking(order3, monkeypatch):
+    # Under a tracking tolerance of 1e-30 no step is certified: the cut
+    # disc's labeled fibers stop at the step floor, as the monodromy does.
+    monkeypatch.setattr(tracking, "newton_tol", lambda b: 1e-30)
+    cd = build_cut_disc(order3)
     with pytest.raises(StepFloorReached):
-        compute_representation(order3, settings)
+        compute_representation(order3)
     with pytest.raises(StepFloorReached):
         sigma_samples(cd, 5)
 
 
 def test_cut_disc_settings_reach_the_quadrature(order3, monkeypatch):
-    # Under newton_tol = 1e-30 almost no continuation step is certified (a
-    # residual can round to exactly 0), so nearly every continued node but
-    # the seed of its path falls back to eigenvalues; the nodes are the same
-    # either way.
+    # Under a tracking tolerance of 1e-30 (read by the steps in `tracking`
+    # and by the eigenvalue gate in `bundle`) almost no continuation step is
+    # certified (a residual can round to exactly 0), so nearly every
+    # continued node but the seed of its path falls back to eigenvalues; the
+    # nodes are the same either way.
     lengths = []
 
     def recording(cd, ws, rows, path_lengths, spokes):
@@ -602,12 +623,13 @@ def test_cut_disc_settings_reach_the_quadrature(order3, monkeypatch):
         return _continue_paths(cd, ws, rows, path_lengths, spokes)
 
     monkeypatch.setattr(bundle, "_continue_paths", recording)
-    seeded = replace(DEFAULTS, seed=3)
-    strict = build_cut_disc(order3, settings=replace(seeded, newton_tol=1e-30))
-    grid = build_quadrature_grid(strict, 10**4)
-    assert grid.fallbacks >= 0.95 * (sum(lengths[0]) - len(lengths[0]))
-    want = build_quadrature_grid(build_cut_disc(order3, settings=seeded), 10**4)
+    cd = build_cut_disc(order3, settings=replace(DEFAULTS, seed=3))
+    want = build_quadrature_grid(cd, 10**4)
     assert want.fallbacks < 0.01 * 10**4
+    for module in (tracking, bundle):
+        monkeypatch.setattr(module, "newton_tol", lambda b: 1e-30)
+    grid = build_quadrature_grid(cd, 10**4)
+    assert grid.fallbacks >= 0.95 * (sum(lengths[1]) - len(lengths[1]))
     assert grid.points.tobytes() == want.points.tobytes()
 
 

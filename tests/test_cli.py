@@ -90,11 +90,18 @@ def test_malformed_spec_exits_2(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--newton-tol", "--dedup-tol"])
+@pytest.mark.parametrize("flag", ["--dedup-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
 def test_tolerance_flags_need_a_finite_positive_value(square_spec, capsys, flag, value):
     assert main(["analyze", str(square_spec), flag, value]) == 2
     assert "is not a finite positive number" in capsys.readouterr().err
+
+
+def test_newton_tol_flag_is_gone(square_spec, capsys):
+    # The tracking tolerance is worked out from each product
+    # (`tracking.newton_tol`); no flag sets it.
+    assert main(["analyze", str(square_spec), "--newton-tol", "1e-9"]) == 2
+    assert "unrecognized arguments: --newton-tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify-gamma", "zn"])
@@ -121,11 +128,14 @@ def test_usage_errors_exit_2(tmp_path, square_spec, capsys):
     capsys.readouterr()
 
 
-def test_numerical_failure_exit_3(square_spec, capsys):
-    code = main(["analyze", str(square_spec), "--newton-tol", "1e-30"])
+def test_numerical_failure_exit_3(tmp_path, capsys):
+    # Suite product 23 has two branch values inside the dedup ambiguity band.
+    spec = tmp_path / "product23.json"
+    spec.write_text(json.dumps(to_spec(suite_products()[23])))
+    code = main(["analyze", str(spec)])
     captured = capsys.readouterr()
     assert code == 3
-    assert "blaschkelab." in captured.err
+    assert "error [blaschkelab.errors.DegenerateClustering]" in captured.err
 
 
 def test_verify_gamma(square_spec, capsys):

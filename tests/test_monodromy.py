@@ -634,15 +634,16 @@ def test_acceptance_representations_take_few_lockstep_iterations(monkeypatch):
     assert calls[0] <= 200
 
 
-def test_failing_first_loop_raises_what_tracking_it_whole_raises(order3):
-    # With every row failing, the first "there" row's error is raised.
-    settings = replace(DEFAULTS, newton_tol=1e-30)
-    cd = build_cut_disc(order3, settings=settings)
+def test_failing_first_loop_raises_what_tracking_it_whole_raises(order3, monkeypatch):
+    # With every row failing under a tolerance of 1e-30, the first "there"
+    # row's error is raised.
+    monkeypatch.setattr(tracking, "newton_tol", lambda b: 1e-30)
+    cd = build_cut_disc(order3)
     _, pairs = crossing_paths(cd)
     with pytest.raises(Exception) as whole:
-        track(order3, cd.fiber0, pairs[0][0], settings)
+        track(order3, cd.fiber0, pairs[0][0])
     with pytest.raises(type(whole.value), match=f"^{re.escape(str(whole.value))}$"):
-        compute_representation(order3, settings)
+        compute_representation(order3)
 
 
 def test_altered_local_degrees_fail_the_ramification_guard(monkeypatch):

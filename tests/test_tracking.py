@@ -26,6 +26,7 @@ from blaschkelab import (
     track_with_trace,
 )
 from blaschkelab import tracking
+from blaschkelab.cpoly import Poly, roots
 from blaschkelab.tracking import newton_correct
 from helpers import loop_permutation, separation_slope
 
@@ -439,6 +440,29 @@ def _scalar_track(b, fiber, path, collision_factor=10.0):
         w, pts = node[0], node[1]
     pts = pts[slots]
     return (w, pts.tobytes(), float(tracking.fiber_separation(pts)))
+
+
+def test_fiber_batch_solves_a_row_over_the_residual_bound_by_roots(order3, monkeypatch):
+    # A row of the companion solve whose residual exceeds the bound is solved
+    # again by `cpoly.roots`: over w = 0 its fiber is the zeros 0, 0, 0.5 of
+    # order3, cluster centers repeated by multiplicity.  The other rows keep
+    # the companion roots bit for bit.
+    ws = np.array([0.1 + 0.2j, 0.0, -0.3 + 0.1j, 0.05 - 0.4j])
+    want = tracking._fiber_batch(order3, ws)
+    real = tracking._companion_roots
+
+    def spoiled(c):
+        found = real(c)
+        found[1] += 1e-3
+        return found
+
+    monkeypatch.setattr(tracking, "_companion_roots", spoiled)
+    got = tracking._fiber_batch(order3, ws)
+    clusters = roots(Poly(np.asarray(order3.P.coeffs, dtype=complex)), tol=1e-10)
+    assert [c.multiplicity for c in clusters] == [2, 1]
+    assert got[1].tolist() == [c.center for c in clusters for _ in range(c.multiplicity)]
+    others = [0, 2, 3]
+    assert got[others].tobytes() == want[others].tobytes()
 
 
 def test_junction_fiber_moved_by_half_its_separation_is_ambiguous(square, monkeypatch):
