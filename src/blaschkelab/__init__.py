@@ -1,8 +1,10 @@
 """Monodromy, commutants, and reducing-subspace structure of finite
 Blaschke products acting by multiplication on the Bergman space.
 
-The pipeline: root-cluster polynomial solving (`cpoly`), product/branch
-geometry (`blaschke`), certified fiber continuation (`tracking`), monodromy
+The pipeline: polynomials and root clusters (`cpoly`), products, the two
+eigenproblems built from their zeros alone, whose eigenvalues are the fibers
+and the critical points, and branch data (`blaschke`), certified fiber
+continuation (`tracking`), monodromy
 permutations and their group invariants (`monodromy`), the commutant algebra
 and its minimal projections (`commutant`), the one analysis chaining them
 (`analysis.analyze`), globally continued inverse branches and the bundle
@@ -46,7 +48,7 @@ from .commutant import (
     permutation_matrix,
 )
 from .config import DEFAULTS, Settings
-from .cpoly import Poly, RootCluster, roots
+from .cpoly import Poly, RootCluster
 from .errors import (
     AmbiguousMatching,
     BranchCountError,
@@ -137,7 +139,6 @@ __all__ = [
     "permutation_matrix",
     "point_in_cut_disc",
     "random_product",
-    "roots",
     "route_in_cut_disc",
     "sigma_samples",
     "sigma_values",

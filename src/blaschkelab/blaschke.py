@@ -1,10 +1,14 @@
 """Finite Blaschke products on the unit disc.
 
 A product of order n is B(z) = e^{i theta} * prod (z - a_i) / (1 - conj(a_i) z)
-with all |a_i| < 1.  This module holds the rational form P/Q, locates the
-critical points and branch values, and exposes the Taylor/matrix views of the
-induced multiplication operator on the Bergman space (orthonormal basis
-e_k = sqrt(k+1) z^k, so <z^k, z^k> = 1/(k+1)).
+with all |a_i| < 1.  This module holds the rational form P/Q, which
+evaluates B and B', and two eigenproblems built from the zeros alone: the
+compressed shift of the model space, whose rank-one perturbations have the
+fibers of B as eigenvalues (`compressed_shift`), and the pole form of B'/B,
+whose eigenvalues are the critical points (`branch_data`).  It also exposes
+the Taylor/matrix views of the induced multiplication operator on the
+Bergman space (orthonormal basis e_k = sqrt(k+1) z^k, so
+<z^k, z^k> = 1/(k+1)).
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULTS, Settings
-from .cpoly import Poly, RootCluster, roots
+from .cpoly import Poly, RootCluster, _merge_clusters
 from .errors import BranchCountError, DegenerateClustering
 
 __all__ = [
@@ -32,8 +37,12 @@ __all__ = [
 ]
 
 _MAX_MODULUS = 1.0 - 1e-9
-# Residual tolerance for the roots of the critical numerator (see branch_data).
-_CRITICAL_ROOTS_TOL = 1e-9
+# Eigenvalues of the pole form closer than this merge into one multiple
+# critical point, since an m-fold one spreads them about 1e-16^(1/m) apart
+# (1e-4 at m = 4); then the Newton steps that polish each point
+# (`_critical_points`).
+_CRITICAL_MERGE = 1e-3
+_CRITICAL_NEWTON = 2
 _TAYLOR_CAP = 4096
 # `eval_with_derivative` runs longer inputs this many rows at a time, so its
 # Horner temporaries stay in cache: a 14,080 x 6 evaluation took 11.9 ms
@@ -136,25 +145,77 @@ class BlaschkeProduct:
         zeta = np.exp(2j * np.pi * np.arange(4 * self.order) / (4 * self.order))
         return float(np.abs(np.abs(self.eval_with_derivative(zeta)[0]) - 1.0).max())
 
-    def critical_numerator(self) -> Poly:
-        """P'Q - PQ', whose disc roots are the critical points of B.
+    @cached_property
+    def compressed_shift(self) -> tuple:
+        """(M, x, y, c0): the compressed shift of this product's model space.
 
-        Leading coefficients that are pure convolution noise (below
-        1e-13 * max|coeff|) are trimmed so the root finder sees the true
-        degree.
+        With s_j = sqrt(1 - |a_j|^2) and g_l = -conj(a_l), M is the upper
+        triangular matrix of the Takenaka-Malmquist basis: M_jj = a_j and
+        M_jk = s_j s_k prod_{j<l<k} g_l for j < k.  Further
+        x_j = s_j prod_{l>j} g_l, y_k = s_k prod_{l<k} g_l and
+        c0 = -prod_l g_l, so that y^T (zI - M)^{-1} x = 1/B~(z) + c0 with
+        B~ = e^{-i theta} B.  By the matrix determinant lemma the eigenvalues
+        of M + c x y^T, c = u / (1 + u c0), are then the fiber of B over
+        w = e^{i theta} u (Sarason, Operators and Matrices 1, 2007; Garcia,
+        Mashreghi and Ross, Finite Blaschke Products and Their Connections,
+        2018).  Every entry has modulus at most 1; repeated zeros and zeros
+        at 0 need no special case, and for z^n M + u x y^T is the companion
+        matrix of z^n - u.
         """
-        n = self.P.derivative() * self.Q - self.P * self.Q.derivative()
-        return n.trimmed(1e-13)
+        a = np.asarray(self.zeros, dtype=complex)
+        n = len(a)
+        s = np.sqrt(1.0 - np.abs(a) ** 2)
+        g = -a.conj()
+        m = np.diag(a)
+        for j in range(n - 1):
+            m[j, j + 1:] = s[j] * s[j + 1:] * np.cumprod(np.concatenate(([1.0], g[j + 1:-1])))
+        x = s * np.cumprod(np.concatenate(([1.0], g[:0:-1])))[::-1]
+        y = s * np.cumprod(np.concatenate(([1.0], g[:-1])))
+        return m, x, y, -np.prod(g)
+
+    def _critical_points(self) -> list:
+        """The critical points of B in the disc as clusters with
+        multiplicity, in ascending (real, imag) order of their centers.
+
+        A zero of B of multiplicity m is a critical point of multiplicity
+        m - 1.  The others are the zeros of
+        f = B'/B = sum_j r_j / (z - p_j), whose poles p_j are the distinct
+        zeros (residue r_j their multiplicity) and the reflections
+        1/conj(a) of the nonzero ones (residue minus it).  No pole lies on
+        the unit circle, and there z B'/B > 0, so f(1) != 0.  After the
+        Mobius shift z = 1 + 1/s, with q_j = 1 - p_j, the zeros of f are
+        the eigenvalues s of diag(-1/q) + v 1^T, v_j = r_j / (q_j^2 f(1));
+        s = 0 is the zero of f at infinity.  The eigenvalues that land in
+        the disc merge within `_CRITICAL_MERGE` (`cpoly._merge_clusters`).
+        A cluster of m eigenvalues is a simple zero of f^(m-1), on which its
+        mean takes `_CRITICAL_NEWTON` Newton steps in pole form.
+        """
+        mult = Counter(self.zeros)
+        zeros = np.array(list(mult), dtype=complex)
+        count = np.array(list(mult.values()), dtype=float)
+        nonzero = zeros != 0
+        poles = np.concatenate([zeros, 1.0 / zeros[nonzero].conj()])
+        res = np.concatenate([count, -count[nonzero]])
+        q = 1.0 - poles
+        shifted = np.diag(-1.0 / q) + (res / (q * q * np.sum(res / q)))[:, None]
+        with np.errstate(all="ignore"):
+            z = 1.0 + 1.0 / np.linalg.eigvals(shifted)
+        out = [RootCluster(a, m - 1) for a, m in mult.items() if m > 1]
+        for members in _merge_clusters(list(z[np.abs(z) < 1.0]), _CRITICAL_MERGE):
+            m = len(members)
+            c = complex(np.mean(members))
+            for _ in range(_CRITICAL_NEWTON):
+                d = c - poles
+                c += complex(np.sum(res / d**m) / (m * np.sum(res / d**(m + 1))))
+            out.append(RootCluster(c, m))
+        return sorted(out, key=lambda c: (c.center.real, c.center.imag))
 
     def branch_data(self, settings: Settings = DEFAULTS) -> "BranchData":
         """Critical points inside the disc and deduplicated branch values.
 
-        Reads `dedup_tol` from `settings`; the root solve takes no seed.  The
-        residual tolerance for the numerator roots is the fixed 1e-9, not
-        the 1e-12 default of `cpoly.roots`: reflected critical points outside
-        the disc can sit at large modulus where Horner evaluation noise alone
-        exceeds a 1e-12-level bound.  Interior critical points (the ones
-        returned) are polished far beyond this and satisfy |B'(c)| < 1e-9.
+        Reads `dedup_tol` from `settings`.  The critical points come from
+        the zeros alone, by the pole form of B'/B (`_critical_points`); no
+        polynomial is solved.
 
         Scanning in ascending (real, imag) order, a candidate B(c) joins the
         first kept branch value within `dedup_tol`, which records the local
@@ -168,12 +229,7 @@ class BlaschkeProduct:
             If two branch-value candidates land in the ambiguity band
             [dedup_tol, 10 * dedup_tol).
         """
-        numer = self.critical_numerator()
-        if numer.degree < 1:
-            interior: list[RootCluster] = []
-        else:
-            clusters = roots(numer, tol=_CRITICAL_ROOTS_TOL)
-            interior = [c for c in clusters if abs(c.center) < 1.0]
+        interior = self._critical_points()
         total = sum(c.multiplicity for c in interior)
         if total != self.order - 1:
             raise BranchCountError(

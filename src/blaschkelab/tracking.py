@@ -26,11 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cpoly import Poly, _companion_roots, roots
 from .errors import (
     AmbiguousMatching,
     FiberCollision,
     LoopConstructionFailed,
+    NoConvergence,
     StepFloorReached,
 )
 
@@ -79,6 +79,17 @@ _MAX_NEWTON_ITERS = 5
 _COLLISION_FACTOR = 10.0
 _STEP_FLOOR = 1e-12
 _BASE_GRID = 64
+# An eigenvalue fiber (`_fiber_batch`) may leave residuals |B(z) - w| up to
+# this, or a thousand times the product's evaluation noise where that is
+# larger.  On the suite, sweep draws of orders 6-32, the compositions of
+# orders 8-40 and the noisy order-16 product, over random values, branch
+# values and values 1e-9 from them, the residuals reached 5.9e-10 and 56
+# times the noise.
+_EIGEN_RESIDUAL = 1e-8
+# `initial_fiber` refuses a fiber with two eigenvalues closer than this as a
+# multiple point: at an exact branch value its polish leaves the two points
+# of a double root about 1e-8 apart, far above the collision threshold.
+_MULTIPLE_POINT = 1e-4
 
 
 def point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -300,19 +311,18 @@ def _start_collision(b, w, sep):
 def initial_fiber(b, w) -> Fiber:
     """Solve B(z) = w from scratch; points sorted lexicographically.
 
-    Raises FiberCollision when w is (numerically) a branch value: repeated
-    roots or a separation `_start_collision` refuses.
+    The one-row case of `_fiber_batch`, Newton-polished.  Raises
+    FiberCollision when w is (numerically) a branch value: two eigenvalues
+    within `_MULTIPLE_POINT`, or a separation `_start_collision` refuses.
     """
     w = complex(w)
-    g = b.P - w * b.Q
-    clusters = roots(g)
-    if any(c.multiplicity > 1 for c in clusters):
+    pts = _fiber_batch(b, np.array([w]))
+    if fiber_separation(pts[0]) < _MULTIPLE_POINT:
         raise FiberCollision(f"fiber over {w} contains a multiple point")
-    pts = np.array([c.center for c in clusters])
     # Newton polish on B(z) - w down to machine-level residuals: at most three
     # corrections until every residual is below 1e-15 (`newton_correct` stops
     # at residuals up to its tolerance), then one step from the last residual.
-    z, db, res, _ = newton_correct(b, pts[None], np.array([w]), np.nextafter(1e-15, 0.0), 3)
+    z, db, res, _ = newton_correct(b, pts, np.array([w]), np.nextafter(1e-15, 0.0), 3)
     pts = z[0] - res[0] / db[0]
     order = np.lexsort((pts.imag, pts.real))
     pts = pts[order]
@@ -345,37 +355,33 @@ def choose_base_point(b, branch_values) -> complex:
 def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     """Unordered fibers of many regular values at once, each solved afresh.
 
-    Solves P(z) - w Q(z) = 0 per sample with the batched companion-eigenvalue
-    kernel of `cpoly` (chunked to bound memory); the leading coefficient
-    never degenerates since |Q_n| < 1 = |P_n| inside the disc.  Residuals
-    are validated against the scale-aware evaluation bound and rare failures
-    are re-solved by `cpoly.roots`, which merges clusters and polishes
-    multiple roots.  Each row is bit-identical to solving its value alone.
-    Used where no neighbouring fiber is at hand: lane starts, rejected
-    continuation nodes, quadrature path seeds, quadrature nodes next to a
-    branch value, and failed polishes.
+    Row k holds the eigenvalues of M + c_k x y^T, c_k = u_k / (1 + u_k c0)
+    with u_k = e^{-i theta} ws[k], from the product's `compressed_shift`:
+    exactly the fiber over ws[k], from the zeros alone (chunked to bound
+    memory).  Each row is bit-identical to solving its value alone.  Raises
+    NoConvergence naming the first w whose fiber leaves a residual
+    |B(z) - w| above `_EIGEN_RESIDUAL`, or above 1e3 `b.eval_noise` where
+    that is larger.  Used where no neighbouring fiber is at hand: lane
+    starts, rejected continuation nodes, quadrature path seeds, quadrature
+    nodes next to a branch value, failed polishes, and `initial_fiber`.
     """
-    n = b.order
-    p = np.asarray(b.P.coeffs, dtype=complex)
-    q = np.asarray(b.Q.coeffs, dtype=complex)
-    q = np.pad(q, (0, len(p) - len(q)))
-    out = np.empty((len(ws), n), dtype=complex)
+    m, x, y, c0 = b.compressed_shift
+    xy = np.outer(x, y)
+    bound = max(_EIGEN_RESIDUAL, 1e3 * b.eval_noise)
+    u = ws * complex(math.cos(b.theta), -math.sin(b.theta))
+    out = np.empty((len(ws), b.order), dtype=complex)
     chunk = 65536
     for lo in range(0, len(ws), chunk):
-        w = ws[lo:lo + chunk]
-        c = p[None, :] - w[:, None] * q[None, :]
-        found = _companion_roots(c)
-        # Horner residual check at the scale-aware bound.
-        val = np.zeros_like(found)
-        for k in range(n, -1, -1):
-            val = val * found + c[:, k][:, None]
-        scale = (1.0 + np.abs(c).sum(axis=1))[:, None] * np.maximum(
-            1.0, np.abs(found)
-        ) ** n
-        bad = np.nonzero(np.any(np.abs(val) > 1e-8 * scale, axis=1))[0]
-        for idx in bad:
-            clusters = roots(Poly(c[idx]), tol=1e-10)
-            found[idx] = [cl.center for cl in clusters for _ in range(cl.multiplicity)]
+        w, v = ws[lo:lo + chunk], u[lo:lo + chunk]
+        found = np.linalg.eigvals(m + (v / (1.0 + v * c0))[:, None, None] * xy)
+        resid = np.abs(b.eval_with_derivative(found)[0] - w[:, None]).max(axis=1)
+        bad = np.flatnonzero(~(resid <= bound))
+        if len(bad):
+            k = bad[0]
+            raise NoConvergence(
+                f"eigenvalue fiber residual {resid[k]:.3e} above bound {bound:.3e} "
+                f"at w={complex(w[k])}"
+            )
         out[lo:lo + chunk] = found
     return out
 

@@ -83,6 +83,15 @@ def test_derivative_matches_finite_difference():
         assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
+def _horner_with_derivative(coeffs, z):
+    """p(z) and p'(z) of the ascending `coeffs`, in one Horner pass."""
+    p, dp = 0j, 0j
+    for c in reversed(coeffs):
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
 @pytest.mark.parametrize("name", ["cube", "order3", "mobius", "random8"])
 def test_eval_with_derivative_is_the_quotient_rule(name, request):
     rng = np.random.default_rng(8)
@@ -93,8 +102,8 @@ def test_eval_with_derivative_is_the_quotient_rule(name, request):
     for shape in [(b.order,), (5, b.order)]:
         z = 0.9 * np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
         value, deriv = b.eval_with_derivative(z)
-        p, dp = b.P.eval_with_derivative(z)
-        q, dq = b.Q.eval_with_derivative(z)
+        p, dp = _horner_with_derivative(b.P.coeffs, z)
+        q, dq = _horner_with_derivative(b.Q.coeffs, z)
         assert value.shape == deriv.shape == shape
         assert value.tobytes() == (p / q).tobytes()
         assert deriv.tobytes() == ((dp * q - p * dq) / (q * q)).tobytes()
@@ -137,6 +146,37 @@ def test_branch_counts_random():
         assert sum(c.multiplicity for c in data.critical_points) == b.order - 1
         assert 1 <= len(data.branch_values) <= b.order - 1
         assert all(abs(v) < 1.0 for v in data.branch_values)
+    # phi_c(z^4) = (z^4 - c) / (1 - conj(c) z^4), whose zeros are the fourth
+    # roots of c: a critical point of multiplicity 3 at 0 that is no zero,
+    # with branch value -c, from four merged eigenvalues of the pole form.
+    c = 0.3 + 0.2j
+    b = BlaschkeProduct(0.0, c**0.25 * np.exp(0.5j * np.pi * np.arange(4)))
+    data = b.branch_data()
+    assert [p.multiplicity for p in data.critical_points] == [3]
+    assert abs(data.critical_points[0].center) <= 1e-14
+    assert len(data.branch_values) == 1
+    assert abs(data.branch_values[0] + c) <= 1e-14
+    assert data.local_degrees == ((4,),)
+
+
+@pytest.mark.parametrize("name", ["cube", "order3", "mobius", "random8"])
+def test_compressed_shift_resolvent_is_one_over_b(name, request):
+    # y^T (zI - M)^{-1} x = e^{i theta} / B(z) + c0, every entry of M, x and
+    # y has modulus at most 1, and for z^n M + u x y^T is the companion
+    # matrix of z^n - u.
+    rng = np.random.default_rng(14)
+    b = random_product(8, rng) if name == "random8" else request.getfixturevalue(name)
+    m, x, y, c0 = b.compressed_shift
+    assert np.array_equal(m, np.triu(m))
+    assert np.array_equal(np.diag(m), np.array(b.zeros))
+    assert max(np.abs(m).max(), np.abs(x).max(), np.abs(y).max()) <= 1.0
+    for z in 0.9 * np.sqrt(rng.random(4)) * np.exp(2j * np.pi * rng.random(4)):
+        got = y @ np.linalg.solve(z * np.eye(b.order) - m, x)
+        want = np.exp(1j * b.theta) / b(z) + c0
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    if name == "cube":
+        u = 0.3 - 0.1j
+        assert np.array_equal(m + u * np.outer(x, y), [[0, 1, 0], [0, 0, 1], [u, 0, 0]])
 
 
 def test_taylor_pure_power(cube):

@@ -47,6 +47,18 @@ def test_composition_outcomes_match_the_fixture():
 
 
 @pytest.mark.parametrize("pair", _FROZEN_PAIRS, ids=lambda p: f"C{p[0]}oD{p[1]}")
+def test_composition_critical_points_match_the_exact_ones(pair):
+    # The distance column of `--family composition`: the critical points of
+    # C o D lie within 1e-10 of D's and of the fibers of D over C's, and
+    # every one of those has a computed point as near.
+    script = _load_script()
+    for c_prod, d_prod in script.composition_factors(*pair, 3):
+        b = script.compose(c_prod, d_prod)
+        assert sum(p.multiplicity for p in b._critical_points()) == b.order - 1
+        assert script.critical_error(b, c_prod, d_prod) <= 1e-10
+
+
+@pytest.mark.parametrize("pair", _FROZEN_PAIRS, ids=lambda p: f"C{p[0]}oD{p[1]}")
 def test_composition_orbits_are_the_components_of_b_z_equals_b_w(pair):
     # Over the base fiber z_1..z_n of B = C o D, the curve B(z) = B(w) has
     # the diagonal, the component D(z) = D(w) off it, and the rest.  Off the

@@ -47,7 +47,7 @@ def test_diff_lists_each_changed_field(tmp_path, capsys):
 def test_digest_inputs_keep_the_floor_tolerances():
     # The tracking and polish tolerances rise above their floors only on
     # products evaluated less accurately than the floors assume, so the
-    # digests of these inputs do not move.  Two analyze-only inputs measure
+    # digests of these inputs do not move.  One analyze-only input measures
     # an evaluation noise just above the polish floor, which analyze never
     # reads; the noisy witness is the one input above the tracking floor.
     digests = _load_script()
@@ -58,7 +58,7 @@ def test_digest_inputs_keep_the_floor_tolerances():
     for n in range(1, 9):
         products[f"z^{n}"] = BlaschkeProduct(0.0, [0.0] * n)
     products["order1"] = from_spec(digests.ORDER1_SPEC)
-    above_polish_floor = {"sweep24-0", "composition"}
+    above_polish_floor = {"sweep24-0"}
     for name, b in products.items():
         assert tracking.newton_tol(b) == 1e-11, name
         if name in above_polish_floor:

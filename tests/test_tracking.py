@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +21,14 @@ from blaschkelab import (
     build_cut_disc,
     choose_base_point,
     crossing_paths,
+    from_spec,
     initial_fiber,
     random_product,
     track,
     track_paths,
     track_with_trace,
 )
-from blaschkelab import tracking
-from blaschkelab.cpoly import Poly, roots
+from blaschkelab import NoConvergence, tracking
 from blaschkelab.tracking import newton_correct
 from helpers import loop_permutation, separation_slope
 
@@ -68,9 +70,14 @@ def test_initial_fiber_residuals_random(order3):
         assert fib.separation > 0.0
 
 
-def test_initial_fiber_collision_guard(square):
-    with pytest.raises(FiberCollision):
-        initial_fiber(square, 1e-24)
+def test_initial_fiber_collision_guard(square, order3):
+    # Over w = 0 the eigenvalues repeat exactly (0, 0 for z^2; 0, 0, 0.5 for
+    # order3), where a polish would divide by B' = 0; over order3's other
+    # branch value the polish would leave the double point 7e-9 apart.
+    c = max((p.center for p in order3.branch_data().critical_points), key=abs)
+    for b, w in ((square, 1e-24), (square, 0.0), (order3, 0.0), (order3, order3(c))):
+        with pytest.raises(FiberCollision, match="contains a multiple point"):
+            initial_fiber(b, w)
 
 
 def test_choose_base_point_square(square):
@@ -442,33 +449,66 @@ def _scalar_track(b, fiber, path, collision_factor=10.0):
     return (w, pts.tobytes(), float(tracking.fiber_separation(pts)))
 
 
-def test_fiber_batch_solves_a_row_over_the_residual_bound_by_roots(order3, monkeypatch):
-    # A row of the companion solve whose residual exceeds the bound is solved
-    # again by `cpoly.roots`: over w = 0 its fiber is the zeros 0, 0, 0.5 of
-    # order3, cluster centers repeated by multiplicity.  The other rows keep
-    # the companion roots bit for bit.
+def test_fiber_batch_refuses_a_row_over_the_residual_bound(order3, monkeypatch):
+    # A row of eigenvalues whose residual |B(z) - w| exceeds the bound raises
+    # NoConvergence naming its w; unspoiled, the same batch passes.
     ws = np.array([0.1 + 0.2j, 0.0, -0.3 + 0.1j, 0.05 - 0.4j])
-    want = tracking._fiber_batch(order3, ws)
-    real = tracking._companion_roots
+    tracking._fiber_batch(order3, ws)
+    real = np.linalg.eigvals
 
-    def spoiled(c):
-        found = real(c)
+    def spoiled(mats):
+        found = real(mats)
         found[1] += 1e-3
         return found
 
-    monkeypatch.setattr(tracking, "_companion_roots", spoiled)
-    got = tracking._fiber_batch(order3, ws)
-    clusters = roots(Poly(np.asarray(order3.P.coeffs, dtype=complex)), tol=1e-10)
-    assert [c.multiplicity for c in clusters] == [2, 1]
-    assert got[1].tolist() == [c.center for c in clusters for _ in range(c.multiplicity)]
-    others = [0, 2, 3]
-    assert got[others].tobytes() == want[others].tobytes()
+    monkeypatch.setattr(np.linalg, "eigvals", spoiled)
+    with pytest.raises(NoConvergence, match=re.escape("at w=0j")):
+        tracking._fiber_batch(order3, ws)
+
+
+def test_fiber_batch_rows_equal_each_row_solved_alone():
+    # Fibers of seeded products of orders 1-8 over six values each, solved in
+    # one batch per order: each row is bit-identical to its value solved
+    # alone, and lies on the fiber.  At order 1 the fiber is the inverse
+    # Mobius map (a + u) / (1 + conj(a) u), u = e^{-i theta} w.
+    rng = np.random.default_rng(9)
+    for order in range(1, 9):
+        b = random_product(order, rng)
+        ws = 0.9 * np.sqrt(rng.random(6)) * np.exp(2j * np.pi * rng.random(6))
+        batch = tracking._fiber_batch(b, ws)
+        assert batch.shape == (6, order)
+        for w, got in zip(ws, batch):
+            assert tracking._fiber_batch(b, np.array([w]))[0].tobytes() == got.tobytes()
+        assert np.abs(b(batch) - ws[:, None]).max() <= 1e-13
+        if order == 1:
+            a, u = b.zeros[0], ws * np.exp(-1j * b.theta)
+            assert np.abs(batch[:, 0] - (a + u) / (1.0 + a.conjugate() * u)).max() <= 1e-15
+
+
+def test_fiber_batch_matches_the_50_digit_oracle():
+    # The fibers over w = 0.3 - 0.2i of the twelve pinned compositions of
+    # orders 24-40 and the noisy order-16 product, refined at 50 digits by
+    # `tools/fiber_oracle.py`: every eigenvalue lies within 1e-14 of its own
+    # frozen point.
+    frozen = json.loads((Path(__file__).parent / "fixtures" / "fiber_oracle.json").read_text())
+    w = complex(*frozen["w"])
+    assert len(frozen["products"]) == 13
+    for case in frozen["products"]:
+        b = from_spec(case)
+        want = np.array([complex(*p) for p in case["fiber"]])
+        got = tracking._fiber_batch(b, np.array([w]))[0]
+        dist = np.abs(got[:, None] - want[None, :])
+        nearest = dist.argmin(axis=1)
+        assert sorted(nearest) == list(range(b.order)), case["name"]
+        assert dist.min(axis=1).max() <= 1e-14, case["name"]
 
 
 def test_junction_fiber_moved_by_half_its_separation_is_ambiguous(square, monkeypatch):
     # The second lane's start fiber, shifted by half its separation, leaves
     # every end point of the first lane at least a third of it from the
-    # nearest start point: the junction refuses to match.
+    # nearest start point: the junction refuses to match.  The base fiber is
+    # solved before the patch, since `initial_fiber` solves by `_fiber_batch`.
+    fib = initial_fiber(square, 0.25)
     real = tracking._fiber_batch
 
     def moved(b, ws):
@@ -476,7 +516,6 @@ def test_junction_fiber_moved_by_half_its_separation_is_ambiguous(square, monkey
         return fibers + 0.5 * tracking.fiber_separation(fibers)[:, None]
 
     monkeypatch.setattr(tracking, "_fiber_batch", moved)
-    fib = initial_fiber(square, 0.25)
     path = PathSpec(segments=(Line(0.25, 0.25 + 0.05j), Line(0.25 + 0.05j, 0.25 + 0.1j)))
     with pytest.raises(AmbiguousMatching, match="from its nearest start point") as info:
         track(square, fib, path)

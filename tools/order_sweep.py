@@ -27,7 +27,9 @@ The monodromy group of a composition lies in the wreath product of S_d and
 S_c, whose blocks are the fibers of D; a generic draw gives the whole wreath
 product, of order (d!)^c c!, and q = 3 orbits on ordered pairs (equal,
 in one block, in two blocks).  Each line also says whether |G| is that
-order, and the table has one row per pair.
+order, and `crit_err`, the largest distance between the critical points
+`branch_data` computes and the exact ones (D's critical points and the
+fibers of D over C's, `critical_error`); the table has one row per pair.
 `tests/fixtures/composition_sweep.json` freezes the pairs 2x4, 3x4 and 4x4.
 The package is imported from the `src/` directory next to this script.
 """
@@ -84,15 +86,32 @@ def compose(c_prod, d_prod) -> BlaschkeProduct:
     return b
 
 
+def composition_factors(c: int, d: int, draws: int) -> list:
+    """(C, D) of the first `draws` compositions of the pair (c, d)."""
+    rng = np.random.default_rng(3000 + 100 * c + d)
+    return [(random_product(c, rng, radius=0.6), random_product(d, rng, radius=0.6))
+            for _ in range(draws)]
+
+
 def composition_products(c: int, d: int, draws: int) -> list:
     """(C o D, D) of the first `draws` compositions of the pair (c, d)."""
-    rng = np.random.default_rng(3000 + 100 * c + d)
-    out = []
-    for _ in range(draws):
-        c_prod = random_product(c, rng, radius=0.6)
-        d_prod = random_product(d, rng, radius=0.6)
-        out.append((compose(c_prod, d_prod), d_prod))
-    return out
+    return [(compose(c_prod, d_prod), d_prod)
+            for c_prod, d_prod in composition_factors(c, d, draws)]
+
+
+def critical_error(b, c_prod, d_prod) -> float:
+    """Largest distance of a critical point of b = C o D, as `branch_data`
+    computes them, from the exact set, or of an exact one from the computed
+    set.  By the chain rule the exact set is D's critical points together
+    with D^{-1}(u) for each critical point u of C, each from a solve of
+    order at most max(c, d)."""
+    exact = np.concatenate([
+        [p.center for p in d_prod._critical_points()],
+        _fiber_batch(d_prod, np.array([p.center for p in c_prod._critical_points()])).ravel(),
+    ])
+    got = np.array([p.center for p in b._critical_points()])
+    dist = np.abs(got[:, None] - exact[None, :])
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
 def outcome(b, settings) -> dict:
@@ -118,16 +137,19 @@ def sweep(orders, draws=None, dedup_tol=None) -> list:
 
 
 def composition_sweep(pairs, draws=COMPOSITION_DRAWS, dedup_tol=None) -> list:
-    """One record per composition draw: its pair (c, d), draw, `outcome`, and
-    whether its group order is that of the wreath product, (d!)^c c!."""
+    """One record per composition draw: its pair (c, d), draw, `outcome`,
+    whether its group order is that of the wreath product, (d!)^c c!, and
+    the `critical_error` of its critical points."""
     settings = DEFAULTS if dedup_tol is None else replace(DEFAULTS, dedup_tol=dedup_tol)
     records = []
     for c, d in pairs:
         wreath = math.factorial(d) ** c * math.factorial(c)
-        for k, (b, _) in enumerate(composition_products(c, d, draws)):
+        for k, (c_prod, d_prod) in enumerate(composition_factors(c, d, draws)):
+            b = compose(c_prod, d_prod)
             found = outcome(b, settings)
             records.append({"pair": (c, d), "draw": k, **found,
-                            "wreath": found["group_order"] == wreath})
+                            "wreath": found["group_order"] == wreath,
+                            "critical_error": critical_error(b, c_prod, d_prod)})
     return records
 
 
@@ -186,7 +208,8 @@ def main(argv=None) -> None:
                 records.append(r)
                 head = f"C{pair[0]}oD{pair[1]} {r['draw']:2d}"
                 wreath = "-" if r["group_order"] is None else "yes" if r["wreath"] else "no"
-                print(f"{_line(head, r)} wreath={wreath}", flush=True)
+                print(f"{_line(head, r)} wreath={wreath} "
+                      f"crit_err={r['critical_error']:.1e}", flush=True)
         lines = table(records, key="pair", label="C{0[0]}oD{0[1]}")
     else:
         for order in args.orders:

@@ -11,8 +11,8 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
 * `analyze --seed 0` on all 30 products;
 * `analyze --seed 0` on draw 14 of the order-6 and order-10 sweeps and on
   draw 0 of the order-24 sweep (radius-0.6 products from
-  `default_rng(1000 + order)`); the order-24 run solves 23 critical points
-  by companion eigenvalues and exits 3 with the `BranchCountError` of the
+  `default_rng(1000 + order)`); the order-24 run finds 23 critical points
+  by the pole form of B'/B and exits 3 with the `BranchCountError` of the
   ramification check in `compute_representation`;
 * `analyze --dedup-tol 1e-7` on product 0;
 * `analyze --seed 0 --dedup-tol 1e-12` on draw 5 of the order-16 sweep,
