@@ -53,7 +53,6 @@ from .errors import (
     AmbiguousMatching,
     BranchCountError,
     DegenerateClustering,
-    DegenerateGenericElement,
     FiberCollision,
     LoopConstructionFailed,
     NoConvergence,
@@ -97,7 +96,6 @@ __all__ = [
     "CutDisc",
     "DEFAULTS",
     "DegenerateClustering",
-    "DegenerateGenericElement",
     "Fiber",
     "FiberCollision",
     "GammaSample",

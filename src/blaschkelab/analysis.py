@@ -2,9 +2,10 @@
 
 `analyze` is the one place that chains these steps.  One `Settings` record
 reaches every step that reads it, so a dedup tolerance acts on the branch
-data and with it the base point; the seed reaches only the projections,
-since root solving takes none.  The command line renders the result as JSON
-and the `z^n` oracle compares it with the exact model.
+data and with it the base point.  Nothing on the way draws from a random
+generator: the seed of `Settings` draws only the bundle's samples, which
+`analyze` does not take.  The command line renders the result as JSON and
+the `z^n` oracle compares it with the exact model.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ class Analysis:
 
     `rep` holds the base point, branch values, loop generators and boundary
     permutation; `commutant` the basis of the generators' commutant.
-    `projections` is empty when the commutant is not commutative, and
-    `projection_attempts` counts the generic elements drawn for them (0 when
-    none were).  `theorem_checks` maps each named check to
+    `projections` is empty when the commutant is not commutative.
+    `theorem_checks` maps each named check to
     {"pass": bool, ...numeric evidence}; `ok` is their conjunction.
     """
 
@@ -46,7 +46,6 @@ class Analysis:
     commutative: bool
     max_commutator: float
     projections: tuple
-    projection_attempts: int
     theorem_checks: dict
 
     @property
@@ -62,8 +61,9 @@ def analyze(b, settings: Settings = DEFAULTS) -> Analysis:
     pairs) equals the commutant dimension counted by singular values; the
     commutant is commutative; the group is transitive; the tracked boundary
     permutation equals the sweep-ordered product of the generators; and the
-    projections have ranks summing to the order, sum to the identity, and
-    commute with every generator.  Typed errors of any step propagate.
+    projections are q in number, have ranks summing to the order, sum to the
+    identity, and commute with every generator.  Typed errors of any step
+    propagate.
     """
     n = b.order
     rep = compute_representation(b, settings)
@@ -76,9 +76,7 @@ def analyze(b, settings: Settings = DEFAULTS) -> Analysis:
     q = len(cb.basis)
     transitive = len(set(cb.orbitals.diagonal().tolist())) == 1
     commutative, max_comm = is_commutative(cb)
-    projections, attempts = ([], 0)
-    if commutative:
-        projections, attempts = minimal_projections(cb, settings, return_attempts=True)
+    projections = minimal_projections(cb) if commutative else []
 
     boundary = rep.boundary_perm
     product = boundary_product(rep)
@@ -106,7 +104,7 @@ def analyze(b, settings: Settings = DEFAULTS) -> Analysis:
             "sweep_product": list(product.images),
         },
         "projection_partition": {
-            "pass": bool(projections)
+            "pass": len(projections) == q
             and rank_sum == n
             and partition_err < 1e-8
             and proj_commute < 1e-8,
@@ -124,6 +122,5 @@ def analyze(b, settings: Settings = DEFAULTS) -> Analysis:
         commutative=bool(commutative),
         max_commutator=max_comm,
         projections=tuple(projections),
-        projection_attempts=attempts,
         theorem_checks=checks,
     )

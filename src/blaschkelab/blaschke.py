@@ -217,9 +217,12 @@ class BlaschkeProduct:
         the zeros alone, by the pole form of B'/B (`_critical_points`); no
         polynomial is solved.
 
-        Scanning in ascending (real, imag) order, a candidate B(c) joins the
-        first kept branch value within `dedup_tol`, which records the local
-        degree of c.
+        Each candidate B(c) is evaluated on the factored form
+        e^{i theta} prod (c - a)/(1 - conj(a) c), which keeps its relative
+        accuracy where P/Q loses digits at high order.  Scanning in
+        ascending (real, imag) order, a candidate joins the first kept
+        branch value within `dedup_tol`, which records the local degree
+        of c.
 
         Raises
         ------
@@ -235,7 +238,12 @@ class BlaschkeProduct:
             raise BranchCountError(
                 f"interior critical multiplicities sum to {total}, expected {self.order - 1}"
             )
-        candidates = [complex(self.evaluate(c.center)) for c in interior]
+        a = np.asarray(self.zeros)
+        phase = complex(math.cos(self.theta), math.sin(self.theta))
+        candidates = [
+            phase * complex(np.prod((c.center - a) / (1.0 - a.conj() * c.center)))
+            for c in interior
+        ]
         for i in range(len(candidates)):
             for j in range(i + 1, len(candidates)):
                 d = abs(candidates[i] - candidates[j])

@@ -2,8 +2,8 @@
 dump loop traces, and run the power-map oracle.
 
 All reports are versioned JSON ("schema": "1") with complex numbers encoded
-as [re, im] pairs and matrices row-major; identical inputs, seed, and flags
-produce byte-identical output.  Exit codes: 0 success, 1 theorem-check
+as [re, im] pairs and matrices row-major; identical inputs and flags produce
+byte-identical output.  Exit codes: 0 success, 1 theorem-check
 failure, 2 usage error, 3 numerical failure (diagnostic names the module
 that raised).
 """
@@ -53,7 +53,6 @@ def _analysis_report(b, settings, result) -> dict:
         "schema": "1",
         "input": {"theta": b.theta, "zeros": [_pair(a) for a in b.zeros]},
         "order": b.order,
-        "seed": settings.seed,
         "tolerances": {
             "newton_tol": newton_tol(b),
             "dedup_tol": settings.dedup_tol,
@@ -71,7 +70,6 @@ def _analysis_report(b, settings, result) -> dict:
         "commutative": result.commutative,
         "max_commutator": result.max_commutator,
         "num_minimal_projections": len(result.projections),
-        "projection_attempts": result.projection_attempts,
         "projections": [_matrix_pairs(p) for p in result.projections],
         "theorem_checks": result.theorem_checks,
         "ok": result.ok,
@@ -110,7 +108,7 @@ def _load(spec_path):
 
 def cmd_analyze(args) -> int:
     b = _load(args.spec)
-    settings = dataclasses.replace(DEFAULTS, seed=args.seed, dedup_tol=args.dedup_tol)
+    settings = dataclasses.replace(DEFAULTS, dedup_tol=args.dedup_tol)
     report = _analysis_report(b, settings, analyze(b, settings))
     _emit(report, args.report)
     return 0 if report["ok"] else 1
@@ -167,7 +165,7 @@ def cmd_trace_loop(args) -> int:
 
 
 def cmd_zn(args) -> int:
-    report = zn_end_to_end(args.n, seed=args.seed)
+    report = zn_end_to_end(args.n)
     report["schema"] = "1"
     _emit(report, args.report)
     return 0 if report["ok"] else 1
@@ -186,19 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
     def spec(p):
         p.add_argument("spec", help="JSON file {\"theta\": t, \"zeros\": [[re, im], ...]}")
 
-    def common(p):
-        p.add_argument("--seed", type=_seed, default=DEFAULTS.seed)
+    def seed(p, help):
+        p.add_argument("--seed", type=_seed, default=DEFAULTS.seed, help=help)
+
+    def report(p):
         p.add_argument("--report", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("analyze", help="monodromy + commutant + theorem checks")
     spec(p)
-    common(p)
+    seed(p, "accepted and ignored: the analysis draws nothing at random")
+    report(p)
     p.add_argument("--dedup-tol", type=_tolerance, default=DEFAULTS.dedup_tol)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify-gamma", help="isometry/intertwining/disjointness checks")
     spec(p)
-    common(p)
+    seed(p, "seed of the labeled sample points")
+    report(p)
     p.add_argument("--budget", type=int, default=10 ** 5)
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=cmd_verify_gamma)
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace_loop)
 
     p = sub.add_parser("zn", help="power-map oracle end-to-end report")
-    common(p)
+    report(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_zn)
     return parser

@@ -5,19 +5,20 @@ The commutant {X : X V_i = V_i X for all i} is spanned by the 0/1 matrices
 of the orbits on ordered pairs (`monodromy.orbitals`), the label-side form
 of Douglas-Sun-Zheng's E_G (Adv. Math. 226, 2011); the singular values of
 the stacked system vec(X V_i - V_i X) = 0 count its dimension independently.
-When the algebra is commutative its minimal projections are recovered by
-spectrally splitting a generic self-adjoint element; the number of minimal
-projections equals the algebra dimension.
+When the algebra is commutative (for a Blaschke product it always is:
+Douglas-Putinar-Wang, J. Funct. Anal. 263, 2012) its minimal projections
+are unique, one per basis matrix: the joint eigenspaces of the orbit
+matrices, which `minimal_projections` splits out without drawing anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULTS, Settings
-from .errors import DegenerateGenericElement, NonCommutative
+from .errors import NonCommutative
 from .monodromy import orbitals
 
 __all__ = [
@@ -30,11 +31,9 @@ __all__ = [
 
 # Singular values below _NULLSPACE_RTOL times the largest count toward the
 # commutant dimension (`commutant_basis`); `minimal_projections` splits a
-# generic element's spectrum at gaps above _PROJECTION_GAP and draws at most
-# _PROJECTION_RETRIES of them.
+# subspace where consecutive eigenvalues differ by more than _PROJECTION_GAP.
 _NULLSPACE_RTOL = 1e-10
 _PROJECTION_GAP = 1e-6
-_PROJECTION_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,23 @@ class CommutantBasis:
     dim: int
     basis: tuple
     orbitals: np.ndarray
+
+    @cached_property
+    def _orbit_matrices(self) -> np.ndarray:
+        """The 0/1 orbit matrices, stacked as a (len(basis), n, n) integer array."""
+        return np.stack([self.orbitals == g for g in range(len(self.basis))]).astype(np.int64)
+
+    @cached_property
+    def _commutativity(self) -> tuple:
+        """`is_commutative`, computed once per basis."""
+        orbit = self._orbit_matrices
+        sizes = orbit.sum(axis=(1, 2))
+        worst = 0.0
+        for g in range(len(orbit) - 1):
+            comm = orbit[g] @ orbit[g + 1:] - orbit[g + 1:] @ orbit[g]
+            squares = (comm * comm).sum(axis=(1, 2))
+            worst = max(worst, float(np.sqrt(squares / (sizes[g] * sizes[g + 1:])).max()))
+        return worst == 0.0, worst
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -102,69 +118,49 @@ def is_commutative(cb: CommutantBasis):
     The test A_G A_H == A_H A_G runs on the 0/1 orbit matrices in integer
     arithmetic, so it is exact; the norm reported is the Frobenius norm of
     the commutator of the unit-norm basis matrices, 0.0 when they commute.
+    It runs once per basis, however often it is asked.
     """
-    orbit = np.stack([cb.orbitals == g for g in range(len(cb.basis))]).astype(np.int64)
-    sizes = orbit.sum(axis=(1, 2))
-    worst = 0.0
-    for g in range(len(orbit) - 1):
-        comm = orbit[g] @ orbit[g + 1:] - orbit[g + 1:] @ orbit[g]
-        squares = (comm * comm).sum(axis=(1, 2))
-        worst = max(worst, float(np.sqrt(squares / (sizes[g] * sizes[g + 1:])).max()))
-    return worst == 0.0, worst
+    return cb._commutativity
 
 
-def minimal_projections(
-    cb: CommutantBasis, settings: Settings = DEFAULTS, return_attempts: bool = False
-):
+def _split(space: np.ndarray, h: np.ndarray) -> list:
+    """The eigenspaces of the Hermitian `h` restricted to the orthonormal
+    columns of `space`, eigenvalues grouped where consecutive ones differ by
+    more than `_PROJECTION_GAP`; each is returned as orthonormal columns."""
+    eigvals, eigvecs = np.linalg.eigh(space.conj().T @ h @ space)
+    cuts = np.flatnonzero(np.diff(eigvals) > _PROJECTION_GAP) + 1
+    return [space @ block for block in np.split(eigvecs, cuts, axis=1)]
+
+
+def minimal_projections(cb: CommutantBasis) -> list:
     """Minimal self-adjoint idempotents of a commutative commutant algebra.
 
-    Draws a generic element Z = sum c_a X_a with deterministic complex
-    Gaussian coefficients, takes the self-adjoint part H = (Z + Z*)/2, and
-    groups the eigendecomposition of H at `_PROJECTION_GAP`.  In a
-    commutative algebra with d basis matrices a generic H has exactly d eigenvalue
-    groups and its spectral projections are the minimal ones; fewer groups
-    means the draw was degenerate and the next seed is tried, up to
-    `_PROJECTION_RETRIES` draws from `settings.seed` on; with
-    `return_attempts` the result is (projections, draws used).
+    The minimal projections of a commutative algebra are its joint
+    eigenprojections, so they are unique, and there are len(cb.basis) of
+    them.  Starting from the whole space C^n, every current subspace is split
+    by the eigenspaces of (A + A^T)/2 and then of (A - A^T)/(2i), restricted
+    to it, for each orbit matrix A in turn (a zero part is skipped), until
+    there are len(cb.basis) subspaces.  Their orthogonal projections are
+    returned in ascending order of rank, equal ranks in the order the splits
+    leave them.  The antisymmetric part separates complex-conjugate
+    eigenvector pairs (the Fourier pairs of a circulant algebra), which no
+    real symmetric matrix can.  If the orbit matrices run out first, fewer
+    projections are returned.
 
-    Complex coefficients are essential: a real-coefficient self-adjoint
-    combination of a real basis is a real symmetric matrix, which cannot
-    separate complex-conjugate eigenvector pairs (e.g. the Fourier pairs of a
-    circulant algebra), so the group count would stall below d forever.
-
-    Raises NonCommutative if the algebra is not commutative and
-    DegenerateGenericElement when every retry fails to split the spectrum.
+    Raises NonCommutative if the algebra is not commutative.
     """
     ok, worst = is_commutative(cb)
     if not ok:
         raise NonCommutative(
             f"commutant algebra is not commutative (max commutator {worst:.3e})"
         )
-    d = len(cb.basis)
-    for attempt in range(_PROJECTION_RETRIES):
-        rng = np.random.default_rng(settings.seed + attempt)
-        coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        z = sum(c * x for c, x in zip(coeffs, cb.basis))
-        h = (z + z.conj().T) / 2.0
-        eigvals, eigvecs = np.linalg.eigh(h)
-        # Split the sorted spectrum wherever consecutive eigenvalues differ
-        # by more than the gap; each block is one spectral projection.
-        splits = [0]
-        for j in range(1, len(eigvals)):
-            if eigvals[j] - eigvals[j - 1] > _PROJECTION_GAP:
-                splits.append(j)
-        splits.append(len(eigvals))
-        if len(splits) - 1 != d:
-            continue
-        projections = []
-        for lo, hi in zip(splits[:-1], splits[1:]):
-            block = eigvecs[:, lo:hi]
-            projections.append(block @ block.conj().T)
-        if return_attempts:
-            return projections, attempt + 1
-        return projections
-    raise DegenerateGenericElement(
-        f"no generic element split the spectrum into {d} groups "
-        f"after {_PROJECTION_RETRIES} attempts"
+    parts = (
+        h for a in cb._orbit_matrices for h in ((a + a.T) / 2.0, (a - a.T) / 2j) if h.any()
     )
-
+    spaces = [np.eye(cb.n, dtype=complex)]
+    for h in parts:
+        if len(spaces) == len(cb.basis):
+            break
+        spaces = [part for space in spaces for part in _split(space, h)]
+    spaces.sort(key=lambda space: space.shape[1])
+    return [space @ space.conj().T for space in spaces]

@@ -17,7 +17,6 @@ __all__ = [
     "LoopConstructionFailed",
     "PathBlocked",
     "NonCommutative",
-    "DegenerateGenericElement",
 ]
 
 
@@ -61,7 +60,3 @@ class PathBlocked(ToolkitError):
 
 class NonCommutative(ToolkitError):
     """Commutant is not commutative; minimal projections are not defined here."""
-
-
-class DegenerateGenericElement(ToolkitError):
-    """Generic self-adjoint element kept producing degenerate spectra."""

@@ -11,7 +11,7 @@ the full pipeline against them end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from .analysis import analyze
 from .blaschke import BlaschkeProduct, truncated_matrix
 from .commutant import permutation_matrix
-from .config import DEFAULTS
 
 __all__ = [
     "ZnCase",
@@ -113,8 +112,8 @@ def _match_projection_sets(computed, expected, tol=1e-8) -> bool:
     return True
 
 
-def zn_end_to_end(n: int, seed: int = 0) -> dict:
-    """Run `analyze` on B = z^n at `seed` and compare with the exact model.
+def zn_end_to_end(n: int) -> dict:
+    """Run `analyze` on B = z^n and compare with the exact model.
 
     Checks: branch set {0} with a single n-cycle generator (for n = 1 no
     branch value and no generator); the tracked boundary permutation equals
@@ -129,7 +128,7 @@ def zn_end_to_end(n: int, seed: int = 0) -> dict:
     if not 1 <= n <= 8:
         raise ValueError("supported orders are 1..8")
     b = BlaschkeProduct(theta=0.0, zeros=(0j,) * n)
-    result = analyze(b, replace(DEFAULTS, seed=seed))
+    result = analyze(b)
     rep = result.rep
     gens = rep.generators
     # z has no branch value; z^n for n >= 2 has the one branch value 0, and

@@ -9,11 +9,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import json  # noqa: E402
-from dataclasses import replace  # noqa: E402
 
 import pytest  # noqa: E402
 
-from blaschkelab import DEFAULTS, BlaschkeProduct, compute_representation, to_spec  # noqa: E402
+from blaschkelab import BlaschkeProduct, compute_representation, to_spec  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -46,10 +45,10 @@ def rep_of():
     """Memoized monodromy computation shared across test modules."""
     cache = {}
 
-    def get(b: BlaschkeProduct, seed: int = 0):
-        key = (json.dumps(to_spec(b), sort_keys=True), seed)
+    def get(b: BlaschkeProduct):
+        key = json.dumps(to_spec(b), sort_keys=True)
         if key not in cache:
-            cache[key] = compute_representation(b, replace(DEFAULTS, seed=seed))
+            cache[key] = compute_representation(b)
         return cache[key]
 
     return get

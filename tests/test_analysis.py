@@ -20,8 +20,9 @@ from blaschkelab import (
     build_cut_disc,
     choose_base_point,
     to_spec,
+    zn_end_to_end,
 )
-from blaschkelab import tracking
+from blaschkelab import commutant, tracking
 from blaschkelab.cli import main
 from helpers import noisy_witness, suite_products, sweep_draw
 
@@ -47,7 +48,7 @@ def _discrete(report) -> dict:
 
 
 def test_analyze_suite_discrete_fields_match_frozen(tmp_path, capsys):
-    # Frozen from `analyze --seed 0` before the analysis pipeline was unified;
+    # Frozen from `analyze` before the analysis pipeline was unified;
     # entry 27 (a FiberCollision on a return stem until generators were read
     # at the loop head) is the one later edit.
     frozen = json.loads((FIXTURES / "analyze_suite_discrete.json").read_text())
@@ -60,7 +61,7 @@ def test_analyze_suite_discrete_fields_match_frozen(tmp_path, capsys):
     for i, (spec, want) in enumerate(zip(specs, frozen["outcomes"])):
         path, out = tmp_path / f"product{i}.json", tmp_path / f"report{i}.json"
         path.write_text(json.dumps(spec))
-        code = main(["analyze", str(path), "--report", str(out), "--seed", "0"])
+        code = main(["analyze", str(path), "--report", str(out)])
         err = capsys.readouterr().err
         if code == 3:
             got = {"error": _ERROR_RE.search(err).group(1)}
@@ -72,21 +73,53 @@ def test_analyze_suite_discrete_fields_match_frozen(tmp_path, capsys):
 
 
 def test_root_solving_is_seed_free():
-    # The seed reaches only the projections and the bundle sampling: base
-    # point, branch values, base fiber and generators are bit-identical.
-    for b in (suite_products()[0], suite_products()[15]):
+    # The seed reaches only the bundle sampling: base point, branch values,
+    # base fiber, generators and the minimal projections (the joint
+    # eigenspaces of the orbit matrices, found without a draw) are
+    # bit-identical.
+    for b in (suite_products()[0], suite_products()[15], BlaschkeProduct(0.0, [0.0] * 4)):
         runs = []
         for seed in (0, 5):
             settings = replace(DEFAULTS, seed=seed)
-            rep = analyze(b, settings).rep
+            result = analyze(b, settings)
+            rep = result.rep
             fiber0 = build_cut_disc(b, settings=settings).fiber0
             runs.append((
                 rep.base,
                 np.array(rep.branch_values).tobytes(),
                 np.array(fiber0.points).tobytes(),
                 rep.generators,
+                np.array(result.projections).tobytes(),
             ))
         assert runs[0] == runs[1]
+
+
+def test_analyze_and_zn_draw_nothing_at_random(monkeypatch):
+    b = suite_products()[15]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random generator was drawn from")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert analyze(b).ok
+    assert zn_end_to_end(4)["ok"]
+
+
+def test_a_split_short_of_q_projections_fails_the_partition(monkeypatch):
+    # With a gap above every eigenvalue spread, nothing splits: the one
+    # projection I still sums to the identity and commutes with every
+    # generator, but it is one where q are due.
+    b = suite_products()[0]
+    assert analyze(b).theorem_checks["projection_partition"]["pass"]
+    monkeypatch.setattr(commutant, "_PROJECTION_GAP", 1e6)
+    result = analyze(b)
+    assert len(result.projections) == 1 < result.q_orbitals
+    partition = result.theorem_checks["projection_partition"]
+    assert partition["rank_sum"] == b.order and partition["sum_minus_identity"] < 1e-12
+    assert not partition["pass"]
+    assert [name for name, c in result.theorem_checks.items() if not c["pass"]] == [
+        "projection_partition"
+    ]
 
 
 def test_analyze_uses_the_chosen_base_point(order3, monkeypatch):
@@ -123,7 +156,7 @@ def test_noisy_product_is_analyzed_at_its_own_tolerance(tmp_path):
     b = noisy_witness()
     spec, out = tmp_path / "witness.json", tmp_path / "report.json"
     spec.write_text(json.dumps(to_spec(b)))
-    assert main(["analyze", str(spec), "--report", str(out), "--seed", "0"]) == 0
+    assert main(["analyze", str(spec), "--report", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["group_order"] == math.factorial(16)
     assert report["q_orbitals"] == 2

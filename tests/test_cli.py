@@ -34,7 +34,7 @@ def order3_spec(tmp_path):
 
 def test_analyze_square(tmp_path, square_spec):
     out = tmp_path / "report.json"
-    code = main(["analyze", str(square_spec), "--report", str(out), "--seed", "3"])
+    code = main(["analyze", str(square_spec), "--report", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["schema"] == "1"
@@ -104,18 +104,26 @@ def test_newton_tol_flag_is_gone(square_spec, capsys):
     assert "unrecognized arguments: --newton-tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["analyze", "verify-gamma", "zn"])
+@pytest.mark.parametrize("command", ["analyze", "verify-gamma"])
 def test_negative_seed_exits_2_before_any_work(square_spec, capsys, monkeypatch, command):
     # argparse refuses the seed, naming the flag; no spec is loaded and no
-    # analysis, grid or model is built.
+    # analysis or grid is built.
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before the seed was checked")
 
     monkeypatch.setattr(cli, "_load", unreachable)
-    monkeypatch.setattr(cli, "zn_end_to_end", unreachable)
-    argv = ["zn", "--n", "3"] if command == "zn" else [command, str(square_spec)]
-    assert main(argv + ["--seed", "-1"]) == 2
+    assert main([command, str(square_spec), "--seed", "-1"]) == 2
     assert "argument --seed: '-1' is not a non-negative integer" in capsys.readouterr().err
+
+
+def test_zn_takes_no_seed(capsys, monkeypatch):
+    # The power-map oracle draws nothing at random, so it has no seed.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("zn ran with a seed")
+
+    monkeypatch.setattr(cli, "zn_end_to_end", unreachable)
+    assert main(["zn", "--n", "3", "--seed", "0"]) == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path, square_spec, capsys):
@@ -223,12 +231,14 @@ def test_zn_subcommand(capsys):
 
 
 def test_reports_byte_identical(tmp_path, order3_spec):
+    # --seed is still accepted, and read nowhere: the reports at two seeds
+    # are byte-identical and echo no seed.
     outputs = []
-    for name in ("a.json", "b.json"):
-        out = tmp_path / name
-        code = main(
-            ["analyze", str(order3_spec), "--report", str(out), "--seed", "7"]
-        )
+    for seed in ("0", "3"):
+        out = tmp_path / f"seed{seed}.json"
+        code = main(["analyze", str(order3_spec), "--report", str(out), "--seed", seed])
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
+    assert "seed" not in report and "projection_attempts" not in report

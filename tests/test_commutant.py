@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from blaschkelab import (
+    CommutantBasis,
     NonCommutative,
     Permutation,
     ToolkitError,
     analyze,
     commutant_basis,
+    cycle_projections,
     is_commutative,
     minimal_projections,
     permutation_matrix,
@@ -23,6 +25,11 @@ from helpers import suite_products
 
 def _cycle(n: int) -> Permutation:
     return Permutation(tuple((i + 1) % n for i in range(n)))
+
+
+def _dihedral(n: int) -> list:
+    """Rotation and reflection generating the dihedral group of degree n."""
+    return [_cycle(n), Permutation(tuple((-i) % n for i in range(n)))]
 
 
 def _assert_matched(computed, expected, tol=1e-8):
@@ -117,6 +124,60 @@ def test_minimal_projections_single_point():
     projs = minimal_projections(commutant_basis([], 1))
     assert len(projs) == 1
     assert np.allclose(projs[0], [[1.0]])
+
+
+def test_the_64_cycle_splits_into_its_spectral_projections():
+    # The circulant algebra's joint eigenspaces are the 64 Fourier lines;
+    # the antisymmetric parts of the orbit matrices separate each
+    # complex-conjugate pair, which no real symmetric matrix can.
+    # The basis is built without `commutant_basis`'s singular-value count,
+    # whose SVD of a 4096 x 4096 system takes tens of seconds; the
+    # projections do not read `dim`.
+    n = 64
+    labels = orbitals([_cycle(n)], n)
+    basis = tuple((labels == g) / math.sqrt(n) for g in range(n))
+    projs = minimal_projections(CommutantBasis(n=n, dim=n, basis=basis, orbitals=labels))
+    _assert_matched(projs, cycle_projections(_cycle(n)), tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_dihedral_groups_split_into_their_distance_classes(n):
+    # The dihedral group of even degree n has n/2 + 1 orbits on ordered
+    # pairs, one per distance.  Its minimal projections are the Fourier
+    # lines of frequencies 0 and n/2, and the sums of the pairs +-k.
+    projs = minimal_projections(commutant_basis(_dihedral(n), n))
+    fourier = cycle_projections(_cycle(n))
+    ranks = sorted(int(round(np.trace(p).real)) for p in projs)
+    assert ranks == [1, 1] + [2] * (n // 2 - 1)
+    for p in projs:
+        # Each projection is a sum of Fourier projections.
+        assert np.linalg.norm(sum(p @ f for f in fourier) - p) < 1e-12
+        weights = [np.trace(p @ f).real for f in fourier]
+        assert all(abs(w) < 1e-12 or abs(w - 1.0) < 1e-12 for w in weights)
+
+
+@pytest.mark.parametrize(
+    "gens, n",
+    [
+        (_dihedral(8), 8),
+        ([_cycle(6)], 6),
+        # S_2 wr S_3 on the blocks {0, 1}, {2, 3}, {4, 5}: ranks 1, 2 and 3.
+        ([Permutation((1, 0, 2, 3, 4, 5)), Permutation((2, 3, 4, 5, 0, 1)),
+          Permutation((2, 3, 0, 1, 4, 5))], 6),
+    ],
+    ids=["dihedral8", "cycle6", "wreath2x3"],
+)
+def test_relabeling_the_generators_moves_the_projections(gens, n):
+    # Relabeled by R, the generators' commutant is R X R^T, and so are its
+    # minimal projections; the split reaches them whatever order the orbit
+    # labels take.
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        relabel = Permutation(tuple(int(i) for i in rng.permutation(n)))
+        r = permutation_matrix(relabel)
+        moved = minimal_projections(commutant_basis([g.conjugate(relabel) for g in gens], n))
+        expected = minimal_projections(commutant_basis(gens, n))
+        _assert_matched(moved, [r @ p @ r.T for p in expected], tol=1e-12)
 
 
 def test_minimal_projections_reject_noncommutative():

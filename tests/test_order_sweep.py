@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blaschkelab import analyze, build_cut_disc
+from blaschkelab import Settings, analyze, build_cut_disc
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,6 +79,17 @@ def test_composition_orbits_are_the_components_of_b_z_equals_b_w(pair):
         assert np.unique(labels[off]).size == 2
         ranks = sorted(int(round(np.trace(p).real)) for p in result.projections)
         assert ranks == sorted((1, c - 1, c * (d - 1)))
+
+
+def test_fine_dedup_keeps_the_equal_branch_values_of_c4od6_draw2_equal():
+    # The 18 critical points over C's three critical values share their
+    # branch value six by six.  Evaluated by P/Q those values were off by
+    # up to 1.1e-12, which put pairs of them inside the dedup band
+    # [1e-12, 1e-11); on the factored form they merge, and D's five
+    # critical points keep five values of their own.
+    b = _load_script().composition_products(4, 6, 3)[2][0]
+    data = b.branch_data(Settings(dedup_tol=1e-12))
+    assert sorted(data.local_degrees) == [(2,)] * 5 + [(2,) * 6] * 3
 
 
 @pytest.mark.parametrize("pair", ["0x4", "4", "2x", "2x-4"])

@@ -84,10 +84,10 @@ def test_zn_end_to_end_runs_the_pipeline_at_order_one(monkeypatch):
     seen = []
     real = znmodel.analyze
 
-    def spy(b, settings):
-        seen.append((b.order, settings.seed))
-        return real(b, settings)
+    def spy(b, *args):
+        seen.append((b.order, args))
+        return real(b, *args)
 
     monkeypatch.setattr(znmodel, "analyze", spy)
-    assert zn_end_to_end(1, seed=3)["ok"]
-    assert seen == [(1, 3)]
+    assert zn_end_to_end(1)["ok"]
+    assert seen == [(1, ())]

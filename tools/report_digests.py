@@ -8,32 +8,32 @@ reports, CSV traces, exit codes and error messages:
 The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
 3-8, five each; the first 20 are the acceptance suite):
 
-* `analyze --seed 0` on all 30 products;
-* `analyze --seed 0` on draw 14 of the order-6 and order-10 sweeps and on
+* `analyze` on all 30 products;
+* `analyze` on draw 14 of the order-6 and order-10 sweeps and on
   draw 0 of the order-24 sweep (radius-0.6 products from
   `default_rng(1000 + order)`); the order-24 run finds 23 critical points
   by the pole form of B'/B and exits 3 with the `BranchCountError` of the
   ramification check in `compute_representation`;
 * `analyze --dedup-tol 1e-7` on product 0;
-* `analyze --seed 0 --dedup-tol 1e-12` on draw 5 of the order-16 sweep,
+* `analyze --dedup-tol 1e-12` on draw 5 of the order-16 sweep,
   whose branch values lie about 1e-9 apart; it exits 0 since crossing
   paths are cut into short pieces beside every branch value (it reached the
   step floor while each path segment was continued whole);
-* `analyze --seed 0 --dedup-tol 1e-12` on draw 4 of the order-20 sweep,
+* `analyze --dedup-tol 1e-12` on draw 4 of the order-20 sweep,
   whose lanes beside clustered branch values reject many steps and retry
   them to inserted halfway nodes (about 1.5 s), so the retry path is
   covered;
-* `analyze --seed 0` on draw 0 of the composition C3 o D4 of
+* `analyze` on draw 0 of the composition C3 o D4 of
   `tools/order_sweep.py --family composition` (order 12), whose group, the
   wreath product of S_4 and S_3, has three orbits on ordered pairs (equal
   sheets, one block of D, two blocks): a commutant that neither S_n (two
   orbits) nor the cyclic z^n covers;
-* `analyze --seed 0` on draw 5 of the radius-0.98 order-16 products of
+* `analyze` on draw 5 of the radius-0.98 order-16 products of
   `default_rng(1698)`, whose evaluation noise on the unit circle is 1.6e-10:
   it is ok (S_16, q = 2) under the tracking tolerance derived from that
   noise, about 1.6e-9, which its report echoes (under a fixed 1e-11 it
   reached the step floor);
-* `zn --n 1..8` at `--seed 0` and `--seed 3`;
+* `zn --n 1..8`;
 * `verify-gamma --budget 100000 --samples 10` and
   `verify-gamma --budget 1000000 --samples 10` on product 15 (the quadrature
   grid is capped well below 10^5 points, so the two runs give one report but
@@ -56,7 +56,8 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   spec {"theta": 0, "zeros": [0.1, 0.2]}, whose zeros are not [re, im]
   pairs, and `analyze --dedup-tol nan` on product 0;
 * `analyze --seed -1` on product 0, which exits 2 naming `--seed` before
-  any analysis runs.
+  any analysis runs (`analyze` accepts a seed and reads it nowhere: its
+  reports draw nothing at random).
 
 Each digest covers the exit code, stdout and stderr of one run; with
 `--dump DIR` that text is also written to DIR/<label>.txt, so a differing
@@ -143,29 +144,25 @@ def runs(spec_paths, sweep_paths, composition_path, noisy_path, order1_path, cub
          malformed_path) -> list:
     """(label, argv) of every run in the set."""
     out = [
-        (f"analyze/product{i:02d}", ["analyze", p, "--seed", "0"])
+        (f"analyze/product{i:02d}", ["analyze", p])
         for i, p in enumerate(spec_paths)
     ]
     out += [
-        (f"analyze/sweep-order{order:02d}-draw{draw:02d}", ["analyze", p, "--seed", "0"])
+        (f"analyze/sweep-order{order:02d}-draw{draw:02d}", ["analyze", p])
         for (order, draw), p in zip(SWEEP_DRAWS, sweep_paths)
     ]
     out += [
         (f"analyze/sweep-order{order:02d}-draw{draw:02d}/dedup-tol-1e-12",
-         ["analyze", p, "--seed", "0", "--dedup-tol", "1e-12"])
+         ["analyze", p, "--dedup-tol", "1e-12"])
         for (order, draw), p in zip(FINE_DEDUP_DRAWS, sweep_paths[len(SWEEP_DRAWS):])
     ]
     out.append(("analyze/composition-C{}oD{}-draw{:02d}".format(*COMPOSITION_DRAW),
-                ["analyze", composition_path, "--seed", "0"]))
+                ["analyze", composition_path]))
     out.append((f"analyze/noisy-order{NOISY_DRAW[0]:02d}-draw{NOISY_DRAW[3]:02d}",
-                ["analyze", noisy_path, "--seed", "0"]))
+                ["analyze", noisy_path]))
     out.append(("analyze/product00/dedup-tol-1e-7",
                 ["analyze", spec_paths[0], "--dedup-tol", "1e-7"]))
-    for seed in (0, 3):
-        out += [
-            (f"zn/n{n}/seed{seed}", ["zn", "--n", str(n), "--seed", str(seed)])
-            for n in range(1, 9)
-        ]
+    out += [(f"zn/n{n}", ["zn", "--n", str(n)]) for n in range(1, 9)]
     out.append(("verify-gamma/product15",
                 ["verify-gamma", spec_paths[15], "--budget", "100000",
                  "--samples", "10", "--seed", "0"]))
