@@ -3,13 +3,16 @@ Blaschke products acting by multiplication on the Bergman space.
 
 The pipeline: polynomials and root clusters (`cpoly`), products, the two
 eigenproblems built from their zeros alone, whose eigenvalues are the fibers
-and the critical points, and branch data (`blaschke`), certified fiber
-continuation (`tracking`), monodromy
-permutations and their group invariants (`monodromy`), the commutant algebra
-and its minimal projections (`commutant`), the one analysis chaining them
-(`analysis.analyze`), globally continued inverse branches and the bundle
-unitary (`bundle`), the exact power-map oracle (`znmodel`), and a JSON/CSV
-command line (`cli`).
+and the critical points, and branch data, whose values are deduplicated by
+their own rounding radii (`blaschke`), certified fiber continuation
+(`tracking`), monodromy permutations and their group invariants
+(`monodromy`), the commutant algebra and its minimal projections
+(`commutant`), the one analysis chaining them (`analysis.analyze`),
+globally continued inverse branches and the bundle unitary (`bundle`), the
+exact power-map oracle (`znmodel`), and a JSON/CSV command line (`cli`).
+Nothing takes a settings record: tolerances are worked out from each
+product or are constants beside their one reader, and the one seed draws
+the bundle's labeled samples (`bundle.sigma_samples`).
 """
 
 from .analysis import Analysis, analyze
@@ -47,7 +50,6 @@ from .commutant import (
     minimal_projections,
     permutation_matrix,
 )
-from .config import DEFAULTS, Settings
 from .cpoly import Poly, RootCluster
 from .errors import (
     AmbiguousMatching,
@@ -94,7 +96,6 @@ __all__ = [
     "BranchData",
     "CommutantBasis",
     "CutDisc",
-    "DEFAULTS",
     "DegenerateClustering",
     "Fiber",
     "FiberCollision",
@@ -110,7 +111,6 @@ __all__ = [
     "Poly",
     "QuadratureGrid",
     "RootCluster",
-    "Settings",
     "StepFloorReached",
     "ToolkitError",
     "ZnCase",

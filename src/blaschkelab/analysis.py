@@ -1,11 +1,11 @@
 """The analysis pipeline: monodromy, commutant, minimal projections, checks.
 
-`analyze` is the one place that chains these steps.  One `Settings` record
-reaches every step that reads it, so a dedup tolerance acts on the branch
-data and with it the base point.  Nothing on the way draws from a random
-generator: the seed of `Settings` draws only the bundle's samples, which
-`analyze` does not take.  The command line renders the result as JSON and
-the `z^n` oracle compares it with the exact model.
+`analyze` is the one place that chains these steps.  It takes the product
+alone: every tolerance on the way is worked out from the product or is a
+constant beside its one reader.  Nothing on the way draws from a random
+generator; a seed draws only the bundle's samples, which `analyze` does not
+take.  The command line renders the result as JSON and the `z^n` oracle
+compares it with the exact model.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .commutant import (
     minimal_projections,
     permutation_matrix,
 )
-from .config import DEFAULTS, Settings
 from .monodromy import MonodromyRep, boundary_product, compute_representation, group_order
 
 __all__ = ["Analysis", "analyze"]
@@ -53,7 +52,7 @@ class Analysis:
         return all(c["pass"] for c in self.theorem_checks.values())
 
 
-def analyze(b, settings: Settings = DEFAULTS) -> Analysis:
+def analyze(b) -> Analysis:
     """Monodromy, commutant and minimal projections of `b`, with the checks
     that tie them together.
 
@@ -66,7 +65,7 @@ def analyze(b, settings: Settings = DEFAULTS) -> Analysis:
     propagate.
     """
     n = b.order
-    rep = compute_representation(b, settings)
+    rep = compute_representation(b)
     gens = list(rep.generators)
 
     order = group_order(gens, n)

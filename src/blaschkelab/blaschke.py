@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULTS, Settings
 from .cpoly import Poly, RootCluster, _merge_clusters
 from .errors import BranchCountError, DegenerateClustering
 
@@ -43,6 +42,14 @@ _MAX_MODULUS = 1.0 - 1e-9
 # (`_critical_points`).
 _CRITICAL_MERGE = 1e-3
 _CRITICAL_NEWTON = 2
+# Branch-value candidates closer than _MERGE_FACTOR times the sum of their
+# rounding radii are one value; from there up to _BAND_FACTOR times farther
+# they are ambiguous (`branch_data`).  Over the seed-2026 suite, the order
+# sweep and the composition family, coincident values lie within 5.6 times
+# their radii and distinct ones at least 6.5e7 times apart.
+_MERGE_FACTOR = 100.0
+_BAND_FACTOR = 1e3
+_UNIT_ROUNDOFF = 2.0 ** -53
 _TAYLOR_CAP = 4096
 # `eval_with_derivative` runs longer inputs this many rows at a time, so its
 # Horner temporaries stay in cache: a 14,080 x 6 evaluation took 11.9 ms
@@ -210,27 +217,28 @@ class BlaschkeProduct:
             out.append(RootCluster(c, m))
         return sorted(out, key=lambda c: (c.center.real, c.center.imag))
 
-    def branch_data(self, settings: Settings = DEFAULTS) -> "BranchData":
+    def branch_data(self) -> "BranchData":
         """Critical points inside the disc and deduplicated branch values.
 
-        Reads `dedup_tol` from `settings`.  The critical points come from
-        the zeros alone, by the pole form of B'/B (`_critical_points`); no
-        polynomial is solved.
+        The critical points come from the zeros alone, by the pole form of
+        B'/B (`_critical_points`); no polynomial is solved.
 
         Each candidate B(c) is evaluated on the factored form
         e^{i theta} prod (c - a)/(1 - conj(a) c), which keeps its relative
-        accuracy where P/Q loses digits at high order.  Scanning in
-        ascending (real, imag) order, a candidate joins the first kept
-        branch value within `dedup_tol`, which records the local degree
-        of c.
+        accuracy where P/Q loses digits at high order, and gets the rounding
+        radius of that evaluation (`_rounding_radii`).  Two candidates are
+        one value when they lie less than `_MERGE_FACTOR` times the sum of
+        their radii apart, or coincide.  Scanning in ascending (real, imag)
+        order, a candidate joins the first kept branch value it is one value
+        with, which records the local degree of c.
 
         Raises
         ------
         BranchCountError
             If interior critical multiplicities do not sum to order - 1.
         DegenerateClustering
-            If two branch-value candidates land in the ambiguity band
-            [dedup_tol, 10 * dedup_tol).
+            If two candidates lie in the ambiguity band, from `_MERGE_FACTOR`
+            to `_MERGE_FACTOR * _BAND_FACTOR` times the sum of their radii.
         """
         interior = self._critical_points()
         total = sum(c.multiplicity for c in interior)
@@ -244,23 +252,44 @@ class BlaschkeProduct:
             phase * complex(np.prod((c.center - a) / (1.0 - a.conj() * c.center)))
             for c in interior
         ]
-        for i in range(len(candidates)):
-            for j in range(i + 1, len(candidates)):
-                d = abs(candidates[i] - candidates[j])
-                if settings.dedup_tol <= d < 10.0 * settings.dedup_tol:
-                    raise DegenerateClustering(
-                        f"branch values {candidates[i]} and {candidates[j]} are "
-                        f"{d:.3e} apart, inside the dedup ambiguity band"
-                    )
-        merged: dict[complex, list] = {}
-        for cand, c in sorted(zip(candidates, interior), key=lambda t: (t[0].real, t[0].imag)):
-            value = next((v for v in merged if abs(cand - v) < settings.dedup_tol), cand)
-            merged.setdefault(value, []).append(c.multiplicity + 1)
+        radii = self._rounding_radii([c.center for c in interior], candidates)
+        values = np.asarray(candidates, dtype=complex)
+        dist = np.abs(values[:, None] - values[None, :])
+        reach = _MERGE_FACTOR * (radii[:, None] + radii[None, :])
+        i, j = np.nonzero(np.triu((reach <= dist) & (dist < _BAND_FACTOR * reach), 1))
+        if len(i):
+            i, j = i[0], j[0]
+            raise DegenerateClustering(
+                f"branch values {candidates[i]} and {candidates[j]} are "
+                f"{dist[i, j]:.3e} apart, {dist[i, j] / (radii[i] + radii[j]):.3e} "
+                "times their rounding radii, inside the dedup ambiguity band"
+            )
+        same = (dist < reach) | (dist == 0.0)
+        merged: dict[int, list] = {}
+        for k in sorted(range(len(candidates)), key=lambda k: (values[k].real, values[k].imag)):
+            first = next((v for v in merged if same[k, v]), k)
+            merged.setdefault(first, []).append(interior[k].multiplicity + 1)
         return BranchData(
             critical_points=tuple(interior),
-            branch_values=tuple(merged),
+            branch_values=tuple(candidates[k] for k in merged),
             local_degrees=tuple(tuple(sorted(d, reverse=True)) for d in merged.values()),
         )
+
+    def _rounding_radii(self, points, values) -> np.ndarray:
+        """First-order running-error bound of each value B(c) of `branch_data`.
+
+        For the factored form over n zeros it is
+        |B(c)| u (sum_j [2 + (1 + 2 |a_j| |c|) / |1 - conj(a_j) c|] + n + 1),
+        u = 2^-53: per factor the subtraction, the product conj(a_j) c and
+        the quotient, then the n - 1 products of the factors and the phase
+        (Higham, Accuracy and Stability of Numerical Algorithms, SIAM 2002).
+        The error of a critical point c itself enters at second order only,
+        since B'(c) = 0.
+        """
+        c = np.asarray(points, dtype=complex)[:, None]
+        a = np.asarray(self.zeros)
+        terms = 2.0 + (1.0 + 2.0 * np.abs(a) * np.abs(c)) / np.abs(1.0 - a.conj() * c)
+        return np.abs(values) * _UNIT_ROUNDOFF * (terms.sum(axis=1) + self.order + 1)
 
 
 @dataclass(frozen=True)

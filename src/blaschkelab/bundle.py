@@ -12,22 +12,22 @@ product), intertwining with multiplication by the coordinate, and
 disjointness of the branch images.
 
 Sampling, continuation and the report work on one `CutDisc`, which carries
-its product, its branch data and the `Settings` whose seed draws its labeled
-sample points.  The isometry quadrature draws nothing: one chart per branch
-value, a singularity-removing substitution about it, the trapezoid rule in
-angle.  `verify_disjoint_images` alone builds its own cut disc.
+its product and its branch data.  The labeled sample points are drawn from
+the seed given to `sigma_samples`, the one function that draws.  The
+isometry quadrature draws nothing: one chart per branch value, a
+singularity-removing substitution about it, the trapezoid rule in angle.
+`verify_disjoint_images` alone builds its own cut disc.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blaschke import BranchData
-from .config import DEFAULTS, Settings
 from .cpoly import Poly
 from .errors import (
     AmbiguousMatching,
@@ -122,12 +122,10 @@ class CutDisc:
     branch value the labeled branches jump by that value's monodromy
     generator (`monodromy.compute_representation` reads it there).
 
-    It keeps the product `b`, the `settings` whose seed draws its samples,
-    and the `branch_data` it was cut from.
+    It keeps the product `b` and the `branch_data` it was cut from.
     """
 
     b: object
-    settings: Settings
     branch_data: BranchData
     cuts: tuple
     base: complex
@@ -164,17 +162,16 @@ def _radial_cut(beta: complex, theta: float) -> Line:
     return Line(beta, beta + float(_rim_distance(beta, d)) * d)
 
 
-def build_cut_disc(b, base=None, settings: Settings = DEFAULTS) -> CutDisc:
+def build_cut_disc(b, base=None) -> CutDisc:
     """Cut system for `b`: each branch value cut away from the base point.
 
     The cut from beta follows the direction of beta - base out to the unit
     circle.  Raises LoopConstructionFailed if `base` is a branch value,
     which leaves no direction to cut along.  The branch data, the base point
     (`choose_base_point`, unless `base` is given) and the labeling fiber over
-    it (`initial_fiber`) are solved once here, the branch data under
-    `settings`, which the cut disc keeps.
+    it (`initial_fiber`) are solved once here.
     """
-    data = b.branch_data(settings)
+    data = b.branch_data()
     if base is None:
         base = choose_base_point(b, data.branch_values)
     if any(beta == base for beta in data.branch_values):
@@ -182,7 +179,7 @@ def build_cut_disc(b, base=None, settings: Settings = DEFAULTS) -> CutDisc:
             f"the base point {complex(base):.4f} is a branch value"
         )
     cuts = tuple(_radial_cut(beta, cmath.phase(beta - base)) for beta in data.branch_values)
-    return CutDisc(b, settings, data, cuts, base, initial_fiber(b, base))
+    return CutDisc(b, data, cuts, base, initial_fiber(b, base))
 
 
 def point_in_cut_disc(cd: CutDisc, z: complex, clearance=None) -> bool:
@@ -263,16 +260,16 @@ def _raise_first(outcomes):
     return outcomes
 
 
-def _draw(cd: CutDisc, count, radius):
+def _draw(cd: CutDisc, count, radius, seed):
     """Draw points uniformly in the disc of the given radius until `count`
     lie in the cut disc, `_CUT_CLEARANCE` from every cut and
     `_BRANCH_CLEARANCE` from every branch value.  The draws are seeded by
-    `cd.settings.seed`.
+    `seed`.
 
     Returns (zs, complete), the kept points in draw order; `complete` is
     False when 10000 * count draws did not keep `count`.
     """
-    rng = np.random.default_rng(cd.settings.seed)
+    rng = np.random.default_rng(seed)
     zs = []
     for _ in range(10000 * count):
         if len(zs) == count:
@@ -299,10 +296,11 @@ def sigma_values(cd: CutDisc, z) -> np.ndarray:
     return sig
 
 
-def sigma_samples(cd: CutDisc, count):
+def sigma_samples(cd: CutDisc, count, seed=0):
     """Labeled inverse-branch fibers at `count` random cut-disc points.
 
-    Points are drawn by `_draw` in the disc of radius `_SAMPLE_RMAX`.
+    Points are drawn by `_draw` from `seed` in the disc of radius
+    `_SAMPLE_RMAX`.
     Returns (points, fibers) with fibers[k] the slot-ordered branch values at
     points[k].  All points are continued together (`_labeled_fibers`); the
     first failing point in draw order raises its error.  Raises ValueError
@@ -310,7 +308,7 @@ def sigma_samples(cd: CutDisc, count):
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    zs, complete = _draw(cd, count, _SAMPLE_RMAX)
+    zs, complete = _draw(cd, count, _SAMPLE_RMAX, seed)
     if not complete:
         raise PathBlocked("sampling the cut disc kept hitting exclusions")
     fibers = np.array(_raise_first(_labeled_fibers(cd, zs)), dtype=complex)
@@ -630,13 +628,12 @@ def _min_separation(b, zs, sig) -> float:
 
 
 def verify_disjoint_images(b, samples, seed=0) -> float:
-    """`_min_separation` at `samples` points of the cut disc of `b` built
-    under the default settings with `seed`."""
-    cd = build_cut_disc(b, settings=replace(DEFAULTS, seed=seed))
-    return _min_separation(b, *sigma_samples(cd, samples))
+    """`_min_separation` at `samples` points of the cut disc of `b`, drawn
+    from `seed`."""
+    return _min_separation(b, *sigma_samples(build_cut_disc(b), samples, seed))
 
 
-def bundle_report(cd: CutDisc, budget, samples) -> dict:
+def bundle_report(cd: CutDisc, budget, samples, seed=0) -> dict:
     """Verification summary across the three bundle-unitary properties.
 
     Isometry error is the worst relative error over the monomial pairs
@@ -645,7 +642,7 @@ def bundle_report(cd: CutDisc, budget, samples) -> dict:
     up once per j, in the arithmetic of `isometry_details`; the excluded-mass
     bound is the largest mass of the charts' innermost levels.  The
     intertwining residual is the worst over the same monomials at `samples`
-    tracked cut-disc points drawn from `cd.settings.seed`, whose fibers also
+    tracked cut-disc points drawn from `seed`, whose fibers also
     give the minimal separation (`_min_separation`; infinite for order 1).
     The report echoes that seed; the grid takes none.  Raises ValueError if
     `samples` is below 1.
@@ -669,12 +666,12 @@ def bundle_report(cd: CutDisc, budget, samples) -> dict:
     ):
         iso = max(iso, rel)
         excluded = max(excluded, mass)
-    zs, sig = sigma_samples(cd, samples)
+    zs, sig = sigma_samples(cd, samples, seed)
     return {
         "isometry_error": iso,
         "intertwining_residual": verify_intertwining(cd.b, monomials, (zs, sig)),
         "min_separation": _min_separation(cd.b, zs, sig),
         "excluded_mass_bound": excluded,
         "budget": grid.budget,
-        "seed": cd.settings.seed,
+        "seed": seed,
     }

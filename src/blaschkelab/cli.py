@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -21,10 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import analyze
-from .blaschke import from_spec
+from .blaschke import _BAND_FACTOR, _MERGE_FACTOR, from_spec
 from .bundle import build_cut_disc, bundle_report
 from .commutant import _NULLSPACE_RTOL, _PROJECTION_GAP
-from .config import DEFAULTS
 from .errors import ToolkitError
 from .monodromy import crossing_paths
 from .tracking import PathSpec, newton_tol, track_with_trace
@@ -46,8 +44,8 @@ def _matrix_pairs(m) -> list:
     return [[_pair(v) for v in row] for row in np.asarray(m)]
 
 
-def _analysis_report(b, settings, result) -> dict:
-    """The `analyze` JSON report of the `Analysis` of `b` under `settings`."""
+def _analysis_report(b, result) -> dict:
+    """The `analyze` JSON report of the `Analysis` of `b`."""
     rep = result.rep
     return {
         "schema": "1",
@@ -55,7 +53,8 @@ def _analysis_report(b, settings, result) -> dict:
         "order": b.order,
         "tolerances": {
             "newton_tol": newton_tol(b),
-            "dedup_tol": settings.dedup_tol,
+            "dedup_merge_factor": _MERGE_FACTOR,
+            "dedup_band_factor": _BAND_FACTOR,
             "nullspace_rtol": _NULLSPACE_RTOL,
             "projection_gap": _PROJECTION_GAP,
         },
@@ -85,14 +84,6 @@ def _emit(report: dict, path) -> None:
         sys.stdout.write(text)
 
 
-def _tolerance(text: str) -> float:
-    """The argparse type of --dedup-tol: a finite positive float."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
-    return value
-
-
 def _seed(text: str) -> int:
     """The argparse type of --seed: a non-negative integer."""
     value = int(text)
@@ -108,16 +99,14 @@ def _load(spec_path):
 
 def cmd_analyze(args) -> int:
     b = _load(args.spec)
-    settings = dataclasses.replace(DEFAULTS, dedup_tol=args.dedup_tol)
-    report = _analysis_report(b, settings, analyze(b, settings))
+    report = _analysis_report(b, analyze(b))
     _emit(report, args.report)
     return 0 if report["ok"] else 1
 
 
 def cmd_verify_gamma(args) -> int:
     b = _load(args.spec)
-    cd = build_cut_disc(b, settings=dataclasses.replace(DEFAULTS, seed=args.seed))
-    report = bundle_report(cd, args.budget, args.samples)
+    report = bundle_report(build_cut_disc(b), args.budget, args.samples, args.seed)
     if math.isinf(report["min_separation"]):
         # One-point fibers have no separation; JSON has no Infinity.
         report["min_separation"] = None
@@ -185,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="JSON file {\"theta\": t, \"zeros\": [[re, im], ...]}")
 
     def seed(p, help):
-        p.add_argument("--seed", type=_seed, default=DEFAULTS.seed, help=help)
+        p.add_argument("--seed", type=_seed, default=0, help=help)
 
     def report(p):
         p.add_argument("--report", default=None, help="write JSON here instead of stdout")
@@ -194,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     spec(p)
     seed(p, "accepted and ignored: the analysis draws nothing at random")
     report(p)
-    p.add_argument("--dedup-tol", type=_tolerance, default=DEFAULTS.dedup_tol)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify-gamma", help="isometry/intertwining/disjointness checks")

@@ -60,8 +60,15 @@ class CommutantBasis:
 
     @cached_property
     def _orbit_matrices(self) -> np.ndarray:
-        """The 0/1 orbit matrices, stacked as a (len(basis), n, n) integer array."""
-        return np.stack([self.orbitals == g for g in range(len(self.basis))]).astype(np.int64)
+        """The 0/1 orbit matrices, stacked as a (len(basis), n, n) float64 array.
+
+        Float64, not integer, so their products go to BLAS: on z^64 the
+        commutativity test ran about ten times faster than in int64.  Every
+        partial sum in an entry of a product or commutator of two of them is
+        an integer of modulus at most n, and a sum of squares of those
+        entries at most n^4, so below n = 2^13 float64 computes them exactly.
+        """
+        return np.stack([self.orbitals == g for g in range(len(self.basis))]).astype(float)
 
     @cached_property
     def _commutativity(self) -> tuple:
@@ -115,8 +122,9 @@ def commutant_basis(generators, n: int) -> CommutantBasis:
 def is_commutative(cb: CommutantBasis):
     """(whether the orbit matrices commute, the largest commutator norm).
 
-    The test A_G A_H == A_H A_G runs on the 0/1 orbit matrices in integer
-    arithmetic, so it is exact; the norm reported is the Frobenius norm of
+    The test A_G A_H == A_H A_G runs on the 0/1 orbit matrices, whose
+    products have integer entries that float64 holds exactly, so it is
+    exact; the norm reported is the Frobenius norm of
     the commutator of the unit-norm basis matrices, 0.0 when they commute.
     It runs once per basis, however often it is asked.
     """

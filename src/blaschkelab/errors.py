@@ -29,7 +29,9 @@ class NoConvergence(ToolkitError):
 
 
 class DegenerateClustering(ToolkitError):
-    """Two candidate branch values fall inside the dedup ambiguity band."""
+    """Two candidate branch values fall inside the dedup ambiguity band, too
+    far apart for their rounding radii to merge them and too near to be
+    told apart."""
 
 
 class BranchCountError(ToolkitError):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import CutDisc, build_cut_disc
-from .config import DEFAULTS, Settings
 from .errors import AmbiguousMatching, BranchCountError
 from .tracking import (
     Arc,
@@ -181,7 +180,7 @@ def crossing_paths(cd: CutDisc) -> tuple:
     return betas, tuple(pairs)
 
 
-def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
+def compute_representation(b) -> MonodromyRep:
     """Full monodromy computation: branch data, cut disc, tracked permutations.
 
     The generators are the transition maps of the cut disc that `bundle`
@@ -201,7 +200,7 @@ def compute_representation(b, settings: Settings = DEFAULTS) -> MonodromyRep:
     local structure of a branched cover; the first generator in loop order
     that disagrees raises `BranchCountError`.
     """
-    cd = build_cut_disc(b, settings=settings)
+    cd = build_cut_disc(b)
     betas, pairs = crossing_paths(cd)
     ends = track_paths(b, cd.fiber0, [path for pair in pairs for path in pair])
     for end in ends:

@@ -14,7 +14,7 @@ and solves a rejected node by eigenvalues and reports it.
 junctions; `track` is the one-path case.  Path builders cut segments by one
 rule (`split_segment`) into pieces short next to the branch values.  The
 Newton residual bound of every step is worked out from the product's own
-evaluation noise (`newton_tol`); tracking takes no settings.
+evaluation noise (`newton_tol`).
 """
 
 from __future__ import annotations

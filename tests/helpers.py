@@ -11,11 +11,14 @@ labeled branch images.
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from blaschkelab import bundle, random_product
+from blaschkelab import BlaschkeProduct, bundle, random_product
 from blaschkelab.errors import PathBlocked
 from blaschkelab.monodromy import match_endpoints
 from blaschkelab.tracking import initial_fiber, track
@@ -43,6 +46,33 @@ def sweep_draw(order, draw):
     for _ in range(draw + 1):
         b = random_product(order, rng, radius=0.6)
     return b
+
+
+@lru_cache(maxsize=None)
+def order_sweep_script():
+    """`tools/order_sweep.py`, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "order_sweep.py"
+    spec = importlib.util.spec_from_file_location("order_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def composition_draw(c, d, draw):
+    """Draw `draw` of the composition family's pair (c, d): the product C o D."""
+    return order_sweep_script().composition_products(c, d, draw + 1)[draw][0]
+
+
+def nudged_composition():
+    """Draw 0 of C2 o D4 with its first zero moved by 2e-11.
+
+    The four critical points over the critical point of C share their branch
+    value in C2 o D4, within 1.5 times their rounding radii.  The nudge
+    spreads those four values 750 to 13,000 times their radii apart: inside
+    the dedup ambiguity band of `branch_data`, 100 to 1e5 times.
+    """
+    b = composition_draw(2, 4, 0)
+    return BlaschkeProduct(b.theta, (b.zeros[0] + 2e-11,) + b.zeros[1:])
 
 
 def noisy_witness():
@@ -97,17 +127,17 @@ def loop_permutation(b, fiber0, loop):
     return match_endpoints(fiber0, track(b, fiber0, loop))
 
 
-def draw_images(cd, count, radius):
+def draw_images(cd, count, radius, seed=0):
     """Draw points p uniformly in the disc of the given radius until `count`
     have an image w = B(p) in the cut disc, as far from every cut and every
     branch value as the bundle's sampler keeps its points.  The draws are
-    seeded by `cd.settings.seed`, and the cut-disc test is looked up in
-    `bundle` at each draw.
+    seeded by `seed`, and the cut-disc test is looked up in `bundle` at each
+    draw.
 
     Returns (ps, ws, complete), the kept points and their images in draw
     order; `complete` is False when 10000 * count draws did not keep `count`.
     """
-    rng = np.random.default_rng(cd.settings.seed)
+    rng = np.random.default_rng(seed)
     ps, ws = [], []
     for _ in range(10000 * count):
         if len(ws) == count:

@@ -4,16 +4,13 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blaschkelab import (
-    DEFAULTS,
     BlaschkeProduct,
-    BranchCountError,
     FiberCollision,
     Permutation,
     analyze,
@@ -48,9 +45,11 @@ def _discrete(report) -> dict:
 
 
 def test_analyze_suite_discrete_fields_match_frozen(tmp_path, capsys):
-    # Frozen from `analyze` before the analysis pipeline was unified;
-    # entry 27 (a FiberCollision on a return stem until generators were read
-    # at the loop head) is the one later edit.
+    # Frozen from `analyze` before the analysis pipeline was unified.  Later
+    # edits: entry 27 (a FiberCollision on a return stem until generators
+    # were read at the loop head), and entries 23 and 25 (DegenerateClustering
+    # under an absolute dedup tolerance of 1e-6, S_7 and S_8 with q = 2 since
+    # branch values are deduplicated by their rounding radii).
     frozen = json.loads((FIXTURES / "analyze_suite_discrete.json").read_text())
     suite = {"seed": 2026, "orders": [3, 4, 5, 6, 7, 8], "per_order": 5, "radius": 0.6}
     assert frozen["suite"] == suite
@@ -72,26 +71,22 @@ def test_analyze_suite_discrete_fields_match_frozen(tmp_path, capsys):
         assert got == want, i
 
 
-def test_root_solving_is_seed_free():
-    # The seed reaches only the bundle sampling: base point, branch values,
-    # base fiber, generators and the minimal projections (the joint
-    # eigenspaces of the orbit matrices, found without a draw) are
-    # bit-identical.
+def test_root_solving_is_seed_free(tmp_path, capsys):
+    # The seed reaches only the bundle sampling: `analyze --seed` is accepted
+    # and read nowhere, so base point, branch values, generators and the
+    # minimal projections (the joint eigenspaces of the orbit matrices, found
+    # without a draw) give byte-identical reports, and the cut disc's base
+    # fiber is the analysis's own.
     for b in (suite_products()[0], suite_products()[15], BlaschkeProduct(0.0, [0.0] * 4)):
-        runs = []
-        for seed in (0, 5):
-            settings = replace(DEFAULTS, seed=seed)
-            result = analyze(b, settings)
-            rep = result.rep
-            fiber0 = build_cut_disc(b, settings=settings).fiber0
-            runs.append((
-                rep.base,
-                np.array(rep.branch_values).tobytes(),
-                np.array(fiber0.points).tobytes(),
-                rep.generators,
-                np.array(result.projections).tobytes(),
-            ))
-        assert runs[0] == runs[1]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(to_spec(b)))
+        reports = []
+        for seed in ("0", "5"):
+            assert main(["analyze", str(spec), "--seed", seed]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        base = build_cut_disc(b).base
+        assert json.loads(reports[0])["base_point"] == [base.real, base.imag]
 
 
 def test_analyze_and_zn_draw_nothing_at_random(monkeypatch):
@@ -186,27 +181,34 @@ def test_former_return_stem_collisions_give_the_symmetric_group(b):
 
 @pytest.mark.parametrize("order, draw", [(16, 5), (18, 0)])
 def test_clustered_high_order_branch_values_give_the_symmetric_group(order, draw):
-    # At dedup_tol 1e-12 these draws keep branch values about 1e-9 apart.
-    # Continued along whole segments, a crossing path reached the step floor
-    # near them; cut into pieces short beside each branch value, every lane
-    # certifies and the group is S_n with q = 2.
+    # These draws have branch values about 1e-9 apart, over 1e13 times
+    # their rounding radii, so they are kept apart.  Continued along whole
+    # segments, a crossing path reached the step floor near them; cut into
+    # pieces short beside each branch value, every lane certifies and the
+    # group is S_n with q = 2.
     b = sweep_draw(order, draw)
-    result = analyze(b, replace(DEFAULTS, dedup_tol=1e-12))
+    result = analyze(b)
     assert result.ok
     assert result.group_order == math.factorial(order)
     assert result.q_orbitals == 2
 
 
-@pytest.mark.parametrize("order", [24, 32])
-def test_merged_high_order_branch_values_stop_at_the_ramification_guard(order):
-    # Companion eigenvalues find all n - 1 simple critical points, but the
-    # absolute dedup band merges their values into one.  The loop around it
-    # is an n-cycle, which n - 1 simple critical points over one value
-    # cannot give, so the guard raises instead of reporting Z_n.
-    b = sweep_draw(order, 0)
-    data = b.branch_data()
-    assert sum(c.multiplicity for c in data.critical_points) == order - 1
-    assert sum(d - 1 for degrees in data.local_degrees for d in degrees) == order - 1
-    with pytest.raises(BranchCountError, match=r"has cycle lengths \(") as info:
-        analyze(b)
-    assert info.traceback[-1].name == "compute_representation"
+def test_order24_draw0_gives_the_symmetric_group():
+    # The 23 branch values of this draw have moduli from 2e-13 to 2.4e-7.
+    # An absolute dedup tolerance of 1e-6 merged them into one, and the
+    # ramification guard refused the 24-cycle around it.  Deduplicated by
+    # their rounding radii they stay 23 simple values, and the group is S_24.
+    b = sweep_draw(24, 0)
+    result = analyze(b)
+    assert result.ok
+    assert len(result.rep.branch_values) == 23
+    assert result.group_order == math.factorial(24)
+    assert result.q_orbitals == 2
+
+
+def test_order32_draw0_keeps_31_simple_branch_values():
+    # The branch data alone: 31 simple critical points, 31 distinct values,
+    # of moduli from 7e-16 to 3.7e-9.
+    data = sweep_draw(32, 0).branch_data()
+    assert sum(c.multiplicity for c in data.critical_points) == 31
+    assert data.local_degrees == ((2,),) * 31

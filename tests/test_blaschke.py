@@ -8,6 +8,7 @@ import pytest
 
 from blaschkelab import (
     BlaschkeProduct,
+    DegenerateClustering,
     default_taylor_length,
     from_spec,
     random_product,
@@ -15,6 +16,8 @@ from blaschkelab import (
     to_spec,
     truncated_matrix,
 )
+from blaschkelab.blaschke import _BAND_FACTOR, _MERGE_FACTOR
+from helpers import composition_draw, nudged_composition, suite_products
 
 
 def test_evaluate_square(square):
@@ -157,6 +160,63 @@ def test_branch_counts_random():
     assert len(data.branch_values) == 1
     assert abs(data.branch_values[0] + c) <= 1e-14
     assert data.local_degrees == ((4,),)
+
+
+def _candidate_gaps(b):
+    """Distance over the sum of rounding radii of every pair of branch-value
+    candidates of `b`, the quantity `branch_data` dedups by."""
+    a = np.asarray(b.zeros)
+    points = [c.center for c in b._critical_points()]
+    phase = complex(math.cos(b.theta), math.sin(b.theta))
+    values = np.array([phase * np.prod((c - a) / (1.0 - a.conj() * c)) for c in points])
+    radii = b._rounding_radii(points, values)
+    i, j = np.triu_indices(len(values), 1)
+    return np.abs(values[i] - values[j]) / (radii[i] + radii[j])
+
+
+def test_branch_data_merges_values_within_their_rounding_radii():
+    # C2 o D4: the four critical points over C's critical point share one
+    # branch value, which rounding spreads by at most 1.5 times the radii;
+    # D's three critical points keep three values of their own.
+    b = composition_draw(2, 4, 0)
+    data = b.branch_data()
+    assert sorted(data.local_degrees) == [(2,), (2,), (2,), (2, 2, 2, 2)]
+    gaps = _candidate_gaps(b)
+    assert np.count_nonzero(gaps < _MERGE_FACTOR) == 6
+    assert gaps[gaps < _MERGE_FACTOR].max() < 1.5
+
+
+def test_branch_data_refuses_values_in_the_ambiguity_band():
+    # One zero moved by 2e-11 spreads the four shared values of C2 o D4
+    # inside the band: neither one value nor clearly four.
+    b = nudged_composition()
+    gaps = _candidate_gaps(b)
+    in_band = (_MERGE_FACTOR <= gaps) & (gaps < _MERGE_FACTOR * _BAND_FACTOR)
+    assert np.count_nonzero(in_band) == 6
+    with pytest.raises(DegenerateClustering, match="inside the dedup ambiguity band"):
+        b.branch_data()
+
+
+def test_branch_data_keeps_distinct_values_apart():
+    # Suite product 25 (order 8): seven simple critical points, seven values.
+    # The nearest two lie 1.2e-6 apart, inside the band [1e-6, 1e-5) of the
+    # absolute tolerance that once refused them, and 3e13 times their radii.
+    b = suite_products()[25]
+    data = b.branch_data()
+    assert data.local_degrees == ((2,),) * 7
+    assert _candidate_gaps(b).min() > _MERGE_FACTOR * _BAND_FACTOR
+
+
+def test_branch_data_merges_coincident_values_of_zero_radius():
+    # Zeros {0, 0, a, a}: both double zeros are critical points with the
+    # value 0 exactly and radius 0, so they merge at distance 0; the third
+    # critical point, between them, has a value of its own.
+    a = 0.3 + 0.4j
+    data = BlaschkeProduct(0.0, [0.0, 0.0, a, a]).branch_data()
+    assert 0j in data.branch_values
+    k = data.branch_values.index(0j)
+    assert data.local_degrees[k] == (2, 2)
+    assert sorted(data.local_degrees) == [(2,), (2, 2)]
 
 
 @pytest.mark.parametrize("name", ["cube", "order3", "mobius", "random8"])

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from blaschkelab import (
-    DEFAULTS,
     AmbiguousMatching,
     BlaschkeProduct,
     Line,
@@ -350,7 +349,7 @@ def test_continued_fibers_match_eigenvalue_fibers(name, budget):
 
 
 def test_continuation_leaves_samples_and_weights_unchanged(monkeypatch):
-    cd = build_cut_disc(acceptance_products()[15], settings=replace(DEFAULTS, seed=3))
+    cd = build_cut_disc(acceptance_products()[15])
     continued = build_quadrature_grid(cd, 10**4)
     again = build_quadrature_grid(cd, 10**4)
     assert again.fallbacks == continued.fallbacks
@@ -449,14 +448,17 @@ def test_isometry_holds_after_a_disc_automorphism():
 
 
 @pytest.mark.parametrize("budget", [10**4, 10**5])
-def test_quadrature_grid_is_capped_and_draws_nothing(budget):
+def test_quadrature_grid_is_capped_and_draws_nothing(budget, monkeypatch):
     # Product 15 has five charts: at 10^4 the cap leaves 5 Gauss nodes per
-    # level of the most, 8.  The cut disc's seed changes no byte of the grid.
+    # level of the most, 8.  No random generator is drawn from, and a second
+    # grid repeats every byte of the first.
     b = acceptance_products()[15]
-    grids = [
-        build_quadrature_grid(build_cut_disc(b, settings=replace(DEFAULTS, seed=s)), budget)
-        for s in (0, 3)
-    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random generator was drawn from")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    grids = [build_quadrature_grid(build_cut_disc(b), budget) for _ in range(2)]
     assert len(grids[0].points) <= budget
     for field in ("points", "fibers", "inv_db2", "weights", "correction"):
         assert getattr(grids[0], field).tobytes() == getattr(grids[1], field).tobytes()
@@ -623,7 +625,7 @@ def test_cut_disc_settings_reach_the_quadrature(order3, monkeypatch):
         return _continue_paths(cd, ws, rows, path_lengths, spokes)
 
     monkeypatch.setattr(bundle, "_continue_paths", recording)
-    cd = build_cut_disc(order3, settings=replace(DEFAULTS, seed=3))
+    cd = build_cut_disc(order3)
     want = build_quadrature_grid(cd, 10**4)
     assert want.fallbacks < 0.01 * 10**4
     for module in (tracking, bundle):
@@ -634,13 +636,17 @@ def test_cut_disc_settings_reach_the_quadrature(order3, monkeypatch):
 
 
 def test_cut_disc_seed_draws_its_samples_and_grid(order3):
-    # The seed draws the labeled samples; the quadrature grid draws nothing.
-    seed0, seed3 = (build_cut_disc(order3, settings=replace(DEFAULTS, seed=s)) for s in (0, 3))
-    zs = sigma_samples(seed3, 5)[0]
-    assert zs.tobytes() == sigma_samples(seed3, 5)[0].tobytes()
-    assert zs.tobytes() != sigma_samples(seed0, 5)[0].tobytes()
-    points = build_quadrature_grid(seed3, 10**4).points
-    assert points.tobytes() == build_quadrature_grid(seed0, 10**4).points.tobytes()
+    # The seed of `sigma_samples` draws the labeled samples, 0 unless given;
+    # the quadrature grid draws nothing.
+    cd = build_cut_disc(order3)
+    zs = sigma_samples(cd, 5, seed=3)[0]
+    assert zs.tobytes() == sigma_samples(cd, 5, seed=3)[0].tobytes()
+    assert zs.tobytes() != sigma_samples(cd, 5)[0].tobytes()
+    assert sigma_samples(cd, 5)[0].tobytes() == sigma_samples(cd, 5, seed=0)[0].tobytes()
+    report = bundle_report(cd, 10**4, 5, seed=3)
+    assert report["seed"] == 3
+    points = build_quadrature_grid(cd, 10**4).points
+    assert points.tobytes() == build_quadrature_grid(build_cut_disc(order3), 10**4).points.tobytes()
 
 
 def _cut_disc_points(cd, count, rng, rmax=0.9):

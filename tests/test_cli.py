@@ -6,8 +6,9 @@ import json
 import pytest
 
 from blaschkelab import cli, to_spec
+from blaschkelab.blaschke import _BAND_FACTOR, _MERGE_FACTOR
 from blaschkelab.cli import main
-from helpers import suite_products
+from helpers import nudged_composition, suite_products
 
 
 def _write_spec(tmp_path, name, theta, zeros):
@@ -90,11 +91,17 @@ def test_malformed_spec_exits_2(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--dedup-tol"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-def test_tolerance_flags_need_a_finite_positive_value(square_spec, capsys, flag, value):
-    assert main(["analyze", str(square_spec), flag, value]) == 2
-    assert "is not a finite positive number" in capsys.readouterr().err
+def test_dedup_tol_flag_is_gone(square_spec, capsys):
+    # Branch values are deduplicated by their own rounding radii
+    # (`BlaschkeProduct.branch_data`); no flag sets a tolerance, and the
+    # report echoes the two factors of the rule.
+    assert main(["analyze", str(square_spec), "--dedup-tol", "1e-12"]) == 2
+    assert "unrecognized arguments: --dedup-tol 1e-12" in capsys.readouterr().err
+    assert main(["analyze", str(square_spec)]) == 0
+    tolerances = json.loads(capsys.readouterr().out)["tolerances"]
+    assert "dedup_tol" not in tolerances
+    assert tolerances["dedup_merge_factor"] == _MERGE_FACTOR == 100.0
+    assert tolerances["dedup_band_factor"] == _BAND_FACTOR == 1e3
 
 
 def test_newton_tol_flag_is_gone(square_spec, capsys):
@@ -137,9 +144,10 @@ def test_usage_errors_exit_2(tmp_path, square_spec, capsys):
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys):
-    # Suite product 23 has two branch values inside the dedup ambiguity band.
-    spec = tmp_path / "product23.json"
-    spec.write_text(json.dumps(to_spec(suite_products()[23])))
+    # C2 o D4 with one zero nudged has four branch values inside the dedup
+    # ambiguity band.
+    spec = tmp_path / "nudged.json"
+    spec.write_text(json.dumps(to_spec(nudged_composition())))
     code = main(["analyze", str(spec)])
     captured = capsys.readouterr()
     assert code == 3

@@ -232,7 +232,7 @@ def test_basis_commutes_bit_exactly_with_every_suite_generator(rep_of):
             v = permutation_matrix(g)
             for x in cb.basis:
                 assert np.array_equal(x @ v, v @ x)
-    assert accepted == 28
+    assert accepted == 30
 
 
 def test_conjugating_the_generators_permutes_the_basis(order4, rep_of):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from blaschkelab import (
-    DEFAULTS,
     BlaschkeProduct,
     BranchCountError,
     LoopConstructionFailed,
@@ -659,7 +658,7 @@ def test_altered_local_degrees_fail_the_ramification_guard(monkeypatch):
     monkeypatch.setattr(
         BlaschkeProduct,
         "branch_data",
-        lambda self, settings=DEFAULTS: replace(data, local_degrees=altered),
+        lambda self: replace(data, local_degrees=altered),
     )
     message = (
         f"generator around branch value {beta} has cycle lengths (2,), "

@@ -12,8 +12,8 @@ _MODULES = [blaschkelab] + [
     importlib.import_module(f"blaschkelab.{info.name}")
     for info in pkgutil.iter_modules(blaschkelab.__path__)
 ]
-# The test-only checks, and the error of the generic element the minimal
-# projections no longer draw.
+# The test-only checks, the error of the generic element the minimal
+# projections no longer draw, and the settings record no function takes.
 _EXPORTED_NOWHERE = {
     "winding_number",
     "separation_slope",
@@ -22,6 +22,8 @@ _EXPORTED_NOWHERE = {
     "is_transitive",
     "orbital_count",
     "DegenerateGenericElement",
+    "Settings",
+    "DEFAULTS",
 }
 
 

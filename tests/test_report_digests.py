@@ -52,7 +52,7 @@ def test_digest_inputs_keep_the_floor_tolerances():
     # reads; the noisy witness is the one input above the tracking floor.
     digests = _load_script()
     products = {f"product{i:02d}": from_spec(s) for i, s in enumerate(digests.suite_specs())}
-    for order, draw in digests.SWEEP_DRAWS + digests.FINE_DEDUP_DRAWS:
+    for order, draw in digests.SWEEP_DRAWS:
         products[f"sweep{order}-{draw}"] = digests.sweep_products(order, draw + 1)[draw]
     products["composition"] = from_spec(digests.composition_spec(*digests.COMPOSITION_DRAW))
     for n in range(1, 9):

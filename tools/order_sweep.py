@@ -2,26 +2,24 @@
 
 The sweep draws radius-0.6 products from `default_rng(1000 + order)`: 15
 per order at orders 6-16, 6 at orders 18, 20 and 24, and 2 at order 32.
-Each draw is analyzed under the default settings, with `--dedup-tol`
-replacing the branch-value dedup tolerance if given:
+Each draw is analyzed by `analyze`:
 
     python3 tools/order_sweep.py
-    python3 tools/order_sweep.py --orders 16 18 --dedup-tol 1e-12
+    python3 tools/order_sweep.py --orders 16 18
     python3 tools/order_sweep.py --orders 20 --draws 5
 
 It prints one line per draw (order, draw, outcome, group order |G|, orbital
 count q, and the w named by the message of a failure), where the outcome is
 `ok`, `not-ok` when a check of the analysis fails, or the class of the typed
 error it raised; then the count table, one row per order.  The output is
-deterministic.  `tests/fixtures/order_sweep.json` freezes orders 6-12 at
-the default settings.
+deterministic.  `tests/fixtures/order_sweep.json` freezes orders 6-12.
 
 `--family composition` runs compositions B = C o D instead, of a
 radius-0.6 product C of order c after one D of order d, three draws per
 pair (c, d) from `default_rng(3000 + 100 c + d)`, C drawn before D:
 
     python3 tools/order_sweep.py --family composition
-    python3 tools/order_sweep.py --family composition --pairs 3x6 --dedup-tol 1e-12
+    python3 tools/order_sweep.py --family composition --pairs 3x6
 
 The monodromy group of a composition lies in the wreath product of S_d and
 S_c, whose blocks are the fibers of D; a generic draw gives the whole wreath
@@ -42,7 +40,6 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -51,8 +48,6 @@ import numpy as np  # noqa: E402
 
 from blaschkelab.analysis import analyze  # noqa: E402
 from blaschkelab.blaschke import BlaschkeProduct, random_product  # noqa: E402
-from blaschkelab.cli import _tolerance  # noqa: E402
-from blaschkelab.config import DEFAULTS  # noqa: E402
 from blaschkelab.errors import ToolkitError  # noqa: E402
 from blaschkelab.tracking import _fiber_batch  # noqa: E402
 
@@ -114,10 +109,10 @@ def critical_error(b, c_prod, d_prod) -> float:
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
-def outcome(b, settings) -> dict:
-    """Outcome, |G|, q and the w of a failure of `analyze(b, settings)`."""
+def outcome(b) -> dict:
+    """Outcome, |G|, q and the w of a failure of `analyze(b)`."""
     try:
-        result = analyze(b, settings)
+        result = analyze(b)
     except ToolkitError as exc:
         found = _W.search(str(exc))
         return {"outcome": type(exc).__name__, "group_order": None, "q": None,
@@ -126,27 +121,25 @@ def outcome(b, settings) -> dict:
             "group_order": result.group_order, "q": result.q_orbitals, "w": None}
 
 
-def sweep(orders, draws=None, dedup_tol=None) -> list:
+def sweep(orders, draws=None) -> list:
     """One record per draw: order, draw and its `outcome`, in sweep order."""
-    settings = DEFAULTS if dedup_tol is None else replace(DEFAULTS, dedup_tol=dedup_tol)
     return [
-        {"order": order, "draw": k, **outcome(b, settings)}
+        {"order": order, "draw": k, **outcome(b)}
         for order in orders
         for k, b in enumerate(sweep_products(order, DRAWS[order] if draws is None else draws))
     ]
 
 
-def composition_sweep(pairs, draws=COMPOSITION_DRAWS, dedup_tol=None) -> list:
+def composition_sweep(pairs, draws=COMPOSITION_DRAWS) -> list:
     """One record per composition draw: its pair (c, d), draw, `outcome`,
     whether its group order is that of the wreath product, (d!)^c c!, and
     the `critical_error` of its critical points."""
-    settings = DEFAULTS if dedup_tol is None else replace(DEFAULTS, dedup_tol=dedup_tol)
     records = []
     for c, d in pairs:
         wreath = math.factorial(d) ** c * math.factorial(c)
         for k, (c_prod, d_prod) in enumerate(composition_factors(c, d, draws)):
             b = compose(c_prod, d_prod)
-            found = outcome(b, settings)
+            found = outcome(b)
             records.append({"pair": (c, d), "draw": k, **found,
                             "wreath": found["group_order"] == wreath,
                             "critical_error": critical_error(b, c_prod, d_prod)})
@@ -197,14 +190,12 @@ def main(argv=None) -> None:
                         help="composition pairs CxD to run (default: all)")
     parser.add_argument("--draws", type=_count, default=None,
                         help="only the first DRAWS draws of each order or pair")
-    parser.add_argument("--dedup-tol", type=_tolerance, default=None,
-                        help="branch-value dedup tolerance (default: the settings' default)")
     args = parser.parse_args(argv)
     records = []
     if args.family == "composition":
         draws = COMPOSITION_DRAWS if args.draws is None else args.draws
         for pair in args.pairs:
-            for r in composition_sweep([pair], draws, args.dedup_tol):
+            for r in composition_sweep([pair], draws):
                 records.append(r)
                 head = f"C{pair[0]}oD{pair[1]} {r['draw']:2d}"
                 wreath = "-" if r["group_order"] is None else "yes" if r["wreath"] else "no"
@@ -213,7 +204,7 @@ def main(argv=None) -> None:
         lines = table(records, key="pair", label="C{0[0]}oD{0[1]}")
     else:
         for order in args.orders:
-            for r in sweep([order], args.draws, args.dedup_tol):
+            for r in sweep([order], args.draws):
                 records.append(r)
                 print(_line(f"{r['order']:2d} {r['draw']:2d}", r), flush=True)
         lines = table(records)

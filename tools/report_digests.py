@@ -12,17 +12,15 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
 * `analyze` on draw 14 of the order-6 and order-10 sweeps and on
   draw 0 of the order-24 sweep (radius-0.6 products from
   `default_rng(1000 + order)`); the order-24 run finds 23 critical points
-  by the pole form of B'/B and exits 3 with the `BranchCountError` of the
-  ramification check in `compute_representation`;
-* `analyze --dedup-tol 1e-7` on product 0;
-* `analyze --dedup-tol 1e-12` on draw 5 of the order-16 sweep,
-  whose branch values lie about 1e-9 apart; it exits 0 since crossing
-  paths are cut into short pieces beside every branch value (it reached the
-  step floor while each path segment was continued whole);
-* `analyze --dedup-tol 1e-12` on draw 4 of the order-20 sweep,
-  whose lanes beside clustered branch values reject many steps and retry
-  them to inserted halfway nodes (about 1.5 s), so the retry path is
-  covered;
+  by the pole form of B'/B, keeps their 23 values apart by their rounding
+  radii and exits 0 with S_24, q = 2;
+* `analyze` on draw 5 of the order-16 sweep, whose branch values lie about
+  1e-9 apart; it exits 0 since crossing paths are cut into short pieces
+  beside every branch value (it reached the step floor while each path
+  segment was continued whole);
+* `analyze` on draw 4 of the order-20 sweep, whose lanes beside clustered
+  branch values reject 42 steps and retry them to inserted halfway nodes
+  (about 0.7 s), so the retry path is covered;
 * `analyze` on draw 0 of the composition C3 o D4 of
   `tools/order_sweep.py --family composition` (order 12), whose group, the
   wreath product of S_4 and S_3, has three orbits on ordered pairs (equal
@@ -54,7 +52,8 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   ended in a `FiberCollision`);
 * two runs that exit 2 with a one-line message: `analyze` on the malformed
   spec {"theta": 0, "zeros": [0.1, 0.2]}, whose zeros are not [re, im]
-  pairs, and `analyze --dedup-tol nan` on product 0;
+  pairs, and `analyze --dedup-tol 1e-12` on product 0, a flag that no
+  longer exists;
 * `analyze --seed -1` on product 0, which exits 2 naming `--seed` before
   any analysis runs (`analyze` accepts a seed and reads it nowhere: its
   reports draw nothing at random).
@@ -94,10 +93,8 @@ from order_sweep import composition_products, sweep_products  # noqa: E402
 SUITE_SEED = 2026
 SUITE_ORDERS = (3, 4, 5, 6, 7, 8)
 SUITE_PER_ORDER = 5
-# (order, draw) of the sweep products in the set, run at the default
-# settings and at --dedup-tol 1e-12 only.
-SWEEP_DRAWS = ((6, 14), (10, 14), (24, 0))
-FINE_DEDUP_DRAWS = ((16, 5), (20, 4))
+# (order, draw) of the sweep products in the set.
+SWEEP_DRAWS = ((6, 14), (10, 14), (16, 5), (20, 4), (24, 0))
 # (order, rng seed, radius, draw) of a product evaluated less accurately than
 # the floor of the tracking tolerance assumes.
 NOISY_DRAW = (16, 1698, 0.98, 5)
@@ -151,17 +148,10 @@ def runs(spec_paths, sweep_paths, composition_path, noisy_path, order1_path, cub
         (f"analyze/sweep-order{order:02d}-draw{draw:02d}", ["analyze", p])
         for (order, draw), p in zip(SWEEP_DRAWS, sweep_paths)
     ]
-    out += [
-        (f"analyze/sweep-order{order:02d}-draw{draw:02d}/dedup-tol-1e-12",
-         ["analyze", p, "--dedup-tol", "1e-12"])
-        for (order, draw), p in zip(FINE_DEDUP_DRAWS, sweep_paths[len(SWEEP_DRAWS):])
-    ]
     out.append(("analyze/composition-C{}oD{}-draw{:02d}".format(*COMPOSITION_DRAW),
                 ["analyze", composition_path]))
     out.append((f"analyze/noisy-order{NOISY_DRAW[0]:02d}-draw{NOISY_DRAW[3]:02d}",
                 ["analyze", noisy_path]))
-    out.append(("analyze/product00/dedup-tol-1e-7",
-                ["analyze", spec_paths[0], "--dedup-tol", "1e-7"]))
     out += [(f"zn/n{n}", ["zn", "--n", str(n)]) for n in range(1, 9)]
     out.append(("verify-gamma/product15",
                 ["verify-gamma", spec_paths[15], "--budget", "100000",
@@ -187,8 +177,8 @@ def runs(spec_paths, sweep_paths, composition_path, noisy_path, order1_path, cub
         for i in (5, 27)
     ]
     out.append(("analyze/malformed-zeros", ["analyze", malformed_path]))
-    out.append(("analyze/product00/dedup-tol-nan",
-                ["analyze", spec_paths[0], "--dedup-tol", "nan"]))
+    out.append(("analyze/product00/dedup-tol-1e-12",
+                ["analyze", spec_paths[0], "--dedup-tol", "1e-12"]))
     out.append(("analyze/product00/seed-minus-1",
                 ["analyze", spec_paths[0], "--seed", "-1"]))
     return out
@@ -287,7 +277,7 @@ def main_digests(dump=None) -> None:
         sweep_paths = [
             write(f"sweep-order{order:02d}-draw{draw:02d}",
                   to_spec(sweep_products(order, draw + 1)[draw]))
-            for order, draw in SWEEP_DRAWS + FINE_DEDUP_DRAWS
+            for order, draw in SWEEP_DRAWS
         ]
         composition_path = write("composition", composition_spec(*COMPOSITION_DRAW))
         noisy_path = write("noisy", noisy_spec())
