@@ -91,6 +91,15 @@ def test_malformed_spec_exits_2(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--dedup-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_tolerance_flags_need_a_finite_positive_value(square_spec, capsys, flag, value):
+    # No value of a tolerance flag is taken: `--dedup-tol` is gone, so even
+    # the values it refused as not finite positive exit 2 as unrecognized.
+    assert main(["analyze", str(square_spec), flag, value]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 def test_dedup_tol_flag_is_gone(square_spec, capsys):
     # Branch values are deduplicated by their own rounding radii
     # (`BlaschkeProduct.branch_data`); no flag sets a tolerance, and the

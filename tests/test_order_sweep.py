@@ -131,6 +131,16 @@ def test_pairs_need_two_positive_orders(capsys, pair):
     assert "is not CxD with positive orders" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_dedup_tol_needs_a_finite_positive_value(capsys, value):
+    # Refused by argparse before any draw is analyzed: `--dedup-tol` is gone,
+    # so the values it refused as not finite positive exit 2 as unrecognized.
+    with pytest.raises(SystemExit) as exc:
+        _load_script().main(["--orders", "6", "--draws", "1", "--dedup-tol", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --dedup-tol {value}" in capsys.readouterr().err
+
+
 def test_dedup_tol_flag_is_gone(capsys):
     # Refused by argparse before any draw is analyzed: `analyze` takes no
     # tolerance to pass on.
