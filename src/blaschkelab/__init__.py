@@ -1,15 +1,16 @@
 """Monodromy, commutants, and reducing-subspace structure of finite
 Blaschke products acting by multiplication on the Bergman space.
 
-The pipeline: polynomials and root clusters (`cpoly`), products, the two
-eigenproblems built from their zeros alone, whose eigenvalues are the fibers
-and the critical points, and branch data, whose values are deduplicated by
-their own rounding radii (`blaschke`), certified fiber continuation
-(`tracking`), monodromy permutations and their group invariants
-(`monodromy`), the commutant algebra and its minimal projections
+The pipeline: products, stored as their phase and zeros, the two
+eigenproblems built from the zeros alone, whose eigenvalues are the fibers
+and the critical points (merged into root clusters), and branch data, whose
+values are deduplicated by their own rounding radii (`blaschke`), certified
+fiber continuation (`tracking`), monodromy permutations and their group
+invariants (`monodromy`), the commutant algebra and its minimal projections
 (`commutant`), the one analysis chaining them (`analysis.analyze`),
-globally continued inverse branches and the bundle unitary (`bundle`), the
-exact power-map oracle (`znmodel`), and a JSON/CSV command line (`cli`).
+globally continued inverse branches and the bundle unitary on polynomials
+(`bundle`), the exact power-map oracle (`znmodel`), and a JSON/CSV command
+line (`cli`).
 Nothing takes a settings record: tolerances are worked out from each
 product or are constants beside their one reader, and the one seed draws
 the bundle's labeled samples (`bundle.sigma_samples`).
@@ -19,6 +20,7 @@ from .analysis import Analysis, analyze
 from .blaschke import (
     BlaschkeProduct,
     BranchData,
+    RootCluster,
     default_taylor_length,
     from_spec,
     random_product,
@@ -29,6 +31,7 @@ from .blaschke import (
 from .bundle import (
     CutDisc,
     GammaSample,
+    Poly,
     QuadratureGrid,
     build_cut_disc,
     build_quadrature_grid,
@@ -50,7 +53,6 @@ from .commutant import (
     minimal_projections,
     permutation_matrix,
 )
-from .cpoly import Poly, RootCluster
 from .errors import (
     AmbiguousMatching,
     BranchCountError,

@@ -1,14 +1,15 @@
 """Finite Blaschke products on the unit disc.
 
 A product of order n is B(z) = e^{i theta} * prod (z - a_i) / (1 - conj(a_i) z)
-with all |a_i| < 1.  This module holds the rational form P/Q, which
-evaluates B and B', and two eigenproblems built from the zeros alone: the
+with all |a_i| < 1, and is stored as its phase and zeros.  Everything else
+is built from them: the coefficient table of the rational kernel that
+evaluates B and B' (`eval_with_derivative`), and two eigenproblems: the
 compressed shift of the model space, whose rank-one perturbations have the
 fibers of B as eigenvalues (`compressed_shift`), and the pole form of B'/B,
 whose eigenvalues are the critical points (`branch_data`).  It also exposes
 the Taylor/matrix views of the induced multiplication operator on the
 Bergman space (orthonormal basis e_k = sqrt(k+1) z^k, so
-<z^k, z^k> = 1/(k+1)).
+<z^k, z^k> = 1/(k+1)); the Taylor series is the product of the factor series.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .cpoly import Poly, RootCluster, _merge_clusters
 from .errors import BranchCountError, DegenerateClustering
 
 __all__ = [
     "BlaschkeProduct",
     "BranchData",
+    "RootCluster",
     "from_spec",
     "to_spec",
     "taylor",
@@ -59,7 +60,7 @@ _EVAL_ROWS = 2048
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
-    """Finite Blaschke product stored as a rational function P/Q.
+    """Finite Blaschke product, fixed by its phase and zeros.
 
     Parameters
     ----------
@@ -72,8 +73,6 @@ class BlaschkeProduct:
 
     theta: float
     zeros: tuple
-    P: Poly = field(init=False, repr=False, compare=False)
-    Q: Poly = field(init=False, repr=False, compare=False)
     _pq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, theta, zeros):
@@ -87,17 +86,17 @@ class BlaschkeProduct:
                 raise ValueError(f"zero {a} has modulus >= {_MAX_MODULUS}")
         object.__setattr__(self, "theta", float(theta))
         object.__setattr__(self, "zeros", zeros)
-        phase = complex(math.cos(self.theta), math.sin(self.theta))
-        object.__setattr__(self, "P", phase * Poly.from_roots(zeros))
-        q = Poly([1.0])
+        # The coefficients of B = P/Q, P = e^{i theta} prod (z - a) and
+        # Q = prod (1 - conj(a) z), side by side and highest degree first,
+        # for the one-pass Horner evaluation in `eval_with_derivative`.
+        p = q = np.array([1.0 + 0j])
         for a in zeros:
-            q = q * Poly([1.0, -a.conjugate()])
-        object.__setattr__(self, "Q", q)
-        # P and Q coefficients side by side, highest degree first, for the
-        # one-pass Horner evaluation in `eval_with_derivative`.
-        pq = np.zeros((len(self.P.coeffs), 2), dtype=complex)
-        pq[:, 0] = self.P.coeffs
-        pq[: len(q.coeffs), 1] = q.coeffs
+            p = np.convolve(p, [-a, 1.0])
+            q = np.convolve(q, [1.0, -a.conjugate()] if a else [1.0])
+        phase = complex(math.cos(self.theta), math.sin(self.theta))
+        pq = np.zeros((len(p), 2), dtype=complex)
+        pq[:, 0] = [phase * c for c in p.tolist()]
+        pq[: len(q), 1] = q
         object.__setattr__(self, "_pq", pq[::-1])
 
     @property
@@ -105,8 +104,9 @@ class BlaschkeProduct:
         return len(self.zeros)
 
     def evaluate(self, z):
-        """B(z) for scalar or ndarray `z` (valid wherever Q(z) != 0)."""
-        return self.P(z) / self.Q(z)
+        """B(z) for scalar or ndarray `z`, the first value of
+        `eval_with_derivative`."""
+        return self.eval_with_derivative(z)[0]
 
     __call__ = evaluate
 
@@ -193,7 +193,7 @@ class BlaschkeProduct:
         Mobius shift z = 1 + 1/s, with q_j = 1 - p_j, the zeros of f are
         the eigenvalues s of diag(-1/q) + v 1^T, v_j = r_j / (q_j^2 f(1));
         s = 0 is the zero of f at infinity.  The eigenvalues that land in
-        the disc merge within `_CRITICAL_MERGE` (`cpoly._merge_clusters`).
+        the disc merge within `_CRITICAL_MERGE` (`_merge_clusters`).
         A cluster of m eigenvalues is a simple zero of f^(m-1), on which its
         mean takes `_CRITICAL_NEWTON` Newton steps in pole form.
         """
@@ -293,6 +293,39 @@ class BlaschkeProduct:
 
 
 @dataclass(frozen=True)
+class RootCluster:
+    """A group of root approximants treated as one root with multiplicity."""
+
+    center: complex
+    multiplicity: int
+
+
+def _merge_clusters(points, radius):
+    """Single-linkage agglomeration of `points` at a fixed `radius`.
+
+    Two clusters merge when their centers are closer than `radius`.  Each
+    cluster's center is its members' mean, recomputed only when it absorbs
+    another.  Returns the clusters as lists of their members.
+    """
+    clusters = [[p] for p in points]
+    centers = list(points)
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                if abs(centers[i] - centers[j]) < radius:
+                    clusters[i] = clusters[i] + clusters[j]
+                    centers[i] = np.mean(clusters[i])
+                    del clusters[j], centers[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    return clusters
+
+
+@dataclass(frozen=True)
 class BranchData:
     """Interior critical clusters and the deduplicated branch-value set.
 
@@ -337,24 +370,20 @@ def default_taylor_length(b: BlaschkeProduct) -> int:
 def taylor(b: BlaschkeProduct, length=None) -> np.ndarray:
     """First `length` Taylor coefficients of B at 0.
 
-    Uses the reciprocal-series recurrence for 1/Q followed by convolution
-    with P; the coefficients decay geometrically like (max|a_i|)^k past the
-    polynomial degree.
+    The truncated product of e^{i theta} and the factor series
+    (z - a)/(1 - conj(a) z) = -a + (1 - |a|^2) sum_{k>=1} conj(a)^(k-1) z^k,
+    whose coefficients decay geometrically like |a|^k.
     """
     if length is None:
         length = default_taylor_length(b)
-    q = list(b.Q.coeffs)
-    recip = np.zeros(length, dtype=complex)
-    recip[0] = 1.0 / q[0]
-    for m in range(1, length):
-        acc = 0j
-        for j in range(1, min(m, len(q) - 1) + 1):
-            acc += q[j] * recip[m - j]
-        recip[m] = -acc / q[0]
-    p = np.array(b.P.coeffs, dtype=complex)
-    full = np.convolve(p, recip)[:length]
     out = np.zeros(length, dtype=complex)
-    out[: len(full)] = full
+    out[0] = complex(math.cos(b.theta), math.sin(b.theta))
+    powers = np.arange(length - 1)
+    for a in b.zeros:
+        factor = np.empty(length, dtype=complex)
+        factor[0] = -a
+        factor[1:] = (1.0 - abs(a) ** 2) * a.conjugate() ** powers
+        out = np.convolve(out, factor)[:length]
     return out
 
 

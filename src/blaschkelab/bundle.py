@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BranchData
-from .cpoly import Poly
 from .errors import (
     AmbiguousMatching,
     LoopConstructionFailed,
@@ -36,12 +35,14 @@ from .errors import (
     PathBlocked,
 )
 from .tracking import (
+    _POLISH_ITERS,
     Fiber,
     Line,
     PathSpec,
     _continue_nodes,
     _fiber_batch,
     _match_rows,
+    _polish_tol,
     approach,
     certified_step,
     choose_base_point,
@@ -56,6 +57,7 @@ from .tracking import (
 __all__ = [
     "CutDisc",
     "GammaSample",
+    "Poly",
     "QuadratureGrid",
     "build_cut_disc",
     "point_in_cut_disc",
@@ -91,11 +93,6 @@ _GAUSS_MAX = 8
 # `_POLISH_TOL` lay up to 1.2e-9 from the 50-digit fibers, by eigenvalues
 # 5e-11, and stepping it tripled the fallbacks.
 _EIGENVALUE_GATE = 100.0
-
-# The polish of labeled and quadrature fibers to near machine precision
-# (`_labeled_fibers`, `_continue_paths`): least residual (`_polish_tol`), iterations.
-_POLISH_TOL = 1e-14
-_POLISH_ITERS = 8
 
 # Quadrature: fiber rows per block of the isometry sums (`_isometry_estimates`),
 # so the evaluation's temporaries stay far smaller than the grid's fibers.
@@ -137,6 +134,39 @@ class CutDisc:
 
 
 @dataclass(frozen=True)
+class Poly:
+    """Polynomial with complex coefficients in ascending order
+    (coeffs[k] multiplies z**k), the functions f the unitary acts on.
+
+    Trailing zero coefficients are trimmed on construction; the zero
+    polynomial is stored as the single coefficient 0.
+    """
+
+    coeffs: tuple
+
+    def __init__(self, coeffs):
+        arr = [complex(c) for c in coeffs]
+        if not arr:
+            arr = [0j]
+        while len(arr) > 1 and arr[-1] == 0:
+            arr.pop()
+        object.__setattr__(self, "coeffs", tuple(arr))
+
+    def __call__(self, z):
+        """Horner evaluation; `z` may be a scalar or an ndarray."""
+        if np.isscalar(z) or isinstance(z, complex):
+            p = 0j
+            for c in reversed(self.coeffs):
+                p = p * z + c
+            return p
+        z = np.asarray(z, dtype=complex)
+        p = np.zeros_like(z)
+        for c in reversed(self.coeffs):
+            p = p * z + c
+        return p
+
+
+@dataclass(frozen=True)
 class GammaSample:
     """Value of the bundle unitary at one point: component i is
     (1/sqrt n) f(sigma_i(z)) sigma_i'(z)."""
@@ -149,11 +179,6 @@ def _rim_distance(beta: complex, d):
     """Distance from beta to the unit circle along the unit direction(s) d."""
     p = (beta.conjugate() * d).real
     return -p + np.sqrt(np.maximum(p * p + 1.0 - abs(beta) ** 2, 0.0))
-
-
-def _polish_tol(b) -> float:
-    """Residual bound of the polish on `b`: no less than its `eval_noise`."""
-    return max(_POLISH_TOL, b.eval_noise)
 
 
 def _radial_cut(beta: complex, theta: float) -> Line:
@@ -595,8 +620,8 @@ def verify_intertwining(b, polys, fibers) -> float:
     B and B' are evaluated there once for all of `polys`.
     """
     zs, sig = fibers
-    scale = 1.0 / (b.derivative_value(sig) * math.sqrt(b.order))
-    b_sig = b(sig)
+    b_sig, db = b.eval_with_derivative(sig)
+    scale = 1.0 / (db * math.sqrt(b.order))
 
     def residual(f):
         fv = f(sig)

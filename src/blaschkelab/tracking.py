@@ -90,6 +90,11 @@ _EIGEN_RESIDUAL = 1e-8
 # multiple point: at an exact branch value its polish leaves the two points
 # of a double root about 1e-8 apart, far above the collision threshold.
 _MULTIPLE_POINT = 1e-4
+# The polish of a fiber to near machine precision (`initial_fiber`, and the
+# labeled and quadrature fibers of `bundle`): least residual (`_polish_tol`),
+# iterations.
+_POLISH_TOL = 1e-14
+_POLISH_ITERS = 8
 
 
 def point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -282,6 +287,11 @@ def newton_tol(b) -> float:
     return max(1e-11, 10.0 * b.eval_noise)
 
 
+def _polish_tol(b) -> float:
+    """Residual bound of the polish on `b`: no less than its `eval_noise`."""
+    return max(_POLISH_TOL, b.eval_noise)
+
+
 def certified_step(b, pred, w):
     """Newton-correct predicted fibers pred[k] onto B(z) = w[k], down to
     residual `newton_tol(b)`, and certify them: the one step certificate, of
@@ -311,18 +321,20 @@ def _start_collision(b, w, sep):
 def initial_fiber(b, w) -> Fiber:
     """Solve B(z) = w from scratch; points sorted lexicographically.
 
-    The one-row case of `_fiber_batch`, Newton-polished.  Raises
-    FiberCollision when w is (numerically) a branch value: two eigenvalues
-    within `_MULTIPLE_POINT`, or a separation `_start_collision` refuses.
+    The one-row case of `_fiber_batch`, Newton-polished to residual
+    `_polish_tol` within `_POLISH_ITERS` corrections, then one step from the
+    last residual.  Raises FiberCollision when w is (numerically) a branch
+    value: two eigenvalues within `_MULTIPLE_POINT`, or a separation
+    `_start_collision` refuses; NoConvergence naming w when the polish does
+    not reach its residual bound.
     """
     w = complex(w)
     pts = _fiber_batch(b, np.array([w]))
     if fiber_separation(pts[0]) < _MULTIPLE_POINT:
         raise FiberCollision(f"fiber over {w} contains a multiple point")
-    # Newton polish on B(z) - w down to machine-level residuals: at most three
-    # corrections until every residual is below 1e-15 (`newton_correct` stops
-    # at residuals up to its tolerance), then one step from the last residual.
-    z, db, res, _ = newton_correct(b, pts, np.array([w]), np.nextafter(1e-15, 0.0), 3)
+    z, db, res, ok = newton_correct(b, pts, np.array([w]), _polish_tol(b), _POLISH_ITERS)
+    if not ok[0]:
+        raise NoConvergence(f"polishing the fiber at w={w} did not converge")
     pts = z[0] - res[0] / db[0]
     order = np.lexsort((pts.imag, pts.real))
     pts = pts[order]
@@ -396,10 +408,10 @@ def track_paths(b, fiber, paths, record=None) -> list:
     (one `_fiber_batch` call, refused as `initial_fiber` refuses), and
     all junctions are matched at once by `_match_rows`.  A failure
     is a lane's FiberCollision or StepFloorReached ("segment k" names the
-    lane's index in its path), or AmbiguousMatching at a junction.  Lanes
-    are bit-identical however many paths are tracked together; equal
-    segments at equal positions are tracked once.  Build paths with
-    `split_segment` so that every lane is short.
+    lane's index in its path), or AmbiguousMatching naming the w of its
+    junction.  Lanes are bit-identical however many paths are tracked
+    together; equal segments at equal positions are tracked once.  Build
+    paths with `split_segment` so that every lane is short.
 
     `record` traces a single path, as in `track`; it is refused with several.
     """
@@ -441,7 +453,8 @@ def track_paths(b, fiber, paths, record=None) -> list:
             ends[a], starts[c], fiber_separation(starts[c]) / 3.0
         )
         matches = {
-            key: image if message is None else AmbiguousMatching(message)
+            key: image if message is None
+            else AmbiguousMatching(f"{message} at w={complex(segs[key[1]].point(0.0))}")
             for key, image, message in zip(junctions, images, messages)
         }
     outcomes = []

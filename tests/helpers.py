@@ -24,6 +24,9 @@ from blaschkelab.monodromy import match_endpoints
 from blaschkelab.tracking import initial_fiber, track
 
 _TWO_PI = 2.0 * math.pi
+# `draw_images` evaluates B on this many draws at once: one scalar call of
+# the kernel costs about as much as a block.
+_DRAW_BLOCK = 1024
 
 
 def suite_products() -> list:
@@ -136,20 +139,26 @@ def draw_images(cd, count, radius, seed=0):
 
     Returns (ps, ws, complete), the kept points and their images in draw
     order; `complete` is False when 10000 * count draws did not keep `count`.
+    The images are evaluated `_DRAW_BLOCK` draws at a time.
     """
     rng = np.random.default_rng(seed)
     ps, ws = [], []
-    for _ in range(10000 * count):
-        if len(ws) == count:
-            break
-        p = radius * math.sqrt(rng.random()) * cmath.exp(1j * _TWO_PI * rng.random())
-        w = cd.b(p)
-        if not bundle.point_in_cut_disc(cd, w, clearance=bundle._CUT_CLEARANCE):
-            continue
-        if any(abs(w - v) < bundle._BRANCH_CLEARANCE for v in cd.branch_values):
-            continue
-        ps.append(p)
-        ws.append(w)
+    left = 10000 * count
+    while left and len(ws) < count:
+        block = [
+            radius * math.sqrt(rng.random()) * cmath.exp(1j * _TWO_PI * rng.random())
+            for _ in range(min(left, _DRAW_BLOCK))
+        ]
+        left -= len(block)
+        for p, w in zip(block, cd.b(np.array(block)).tolist()):
+            if len(ws) == count:
+                break
+            if not bundle.point_in_cut_disc(cd, w, clearance=bundle._CUT_CLEARANCE):
+                continue
+            if any(abs(w - v) < bundle._BRANCH_CLEARANCE for v in cd.branch_values):
+                continue
+            ps.append(p)
+            ws.append(w)
     return ps, ws, len(ws) == count
 
 

@@ -6,7 +6,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from blaschkelab import BlaschkeProduct, bundle, from_spec, tracking
+from blaschkelab import BlaschkeProduct, from_spec, tracking
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
 
@@ -58,12 +58,13 @@ def test_digest_inputs_keep_the_floor_tolerances():
     for n in range(1, 9):
         products[f"z^{n}"] = BlaschkeProduct(0.0, [0.0] * n)
     products["order1"] = from_spec(digests.ORDER1_SPEC)
+    products["phi_c"] = from_spec(digests.phi_c_spec())
     above_polish_floor = {"sweep24-0"}
     for name, b in products.items():
         assert tracking.newton_tol(b) == 1e-11, name
         if name in above_polish_floor:
-            assert bundle._polish_tol(b) == b.eval_noise < 1.2e-14, name
+            assert tracking._polish_tol(b) == b.eval_noise < 1.2e-14, name
         else:
-            assert bundle._polish_tol(b) == 1e-14, name
+            assert tracking._polish_tol(b) == 1e-14, name
     noisy = from_spec(digests.noisy_spec())
     assert tracking.newton_tol(noisy) == 10.0 * noisy.eval_noise > 1e-9

@@ -80,6 +80,20 @@ def test_initial_fiber_collision_guard(square, order3):
             initial_fiber(b, w)
 
 
+def test_initial_fiber_refuses_a_polish_that_does_not_converge(order3, monkeypatch):
+    # A polish that never reaches its residual bound raises NoConvergence
+    # naming w, rather than returning the unpolished fiber.
+    real = tracking.newton_correct
+
+    def stalled(b, pred, w, tol, iters):
+        z, db, res, _ = real(b, pred, w, tol, iters)
+        return z, db, res, np.zeros(len(z), dtype=bool)
+
+    monkeypatch.setattr(tracking, "newton_correct", stalled)
+    with pytest.raises(NoConvergence, match=re.escape("at w=(0.1+0.2j) did not converge")):
+        initial_fiber(order3, 0.1 + 0.2j)
+
+
 def test_choose_base_point_square(square):
     w0 = choose_base_point(square, square.branch_data().branch_values)
     assert min(abs(w0), 1.0 - abs(w0)) >= 0.25
@@ -394,9 +408,9 @@ def _scalar_track(b, fiber, path, collision_factor=10.0):
     w.  Segment k > 0
     starts from the eigenvalue fiber of its start; its points are matched to
     the end of segment k - 1 by nearest neighbour within a third of their
-    separation.  Returns the end fiber as (w, points in the slots of
-    `fiber`, separation) or the error as (type, message), with the default
-    tolerances.
+    separation, or the match fails naming the w of the junction.  Returns
+    the end fiber as (w, points in the slots of `fiber`, separation) or the
+    error as (type, message), with the default tolerances.
     """
     tol, floor, iters, near = 1e-11, 1e-12, 5, 1e-7
     pts = np.array(fiber.points, dtype=complex)
@@ -415,10 +429,10 @@ def _scalar_track(b, fiber, path, collision_factor=10.0):
                 if dists[j] >= sep / 3.0:
                     return (AmbiguousMatching,
                             f"endpoint {complex(e)} is {dists[j]:.3e} from its nearest "
-                            f"start point (bound {sep / 3.0:.3e})")
+                            f"start point (bound {sep / 3.0:.3e}) at w={w}")
                 images.append(j)
             if sorted(images) != list(range(len(pts))):
-                return (AmbiguousMatching, "endpoint matching is not a bijection")
+                return (AmbiguousMatching, f"endpoint matching is not a bijection at w={w}")
             slots = [images[i] for i in slots]
             pts = start
         node = (w, pts, b.derivative_value(pts))
@@ -519,6 +533,7 @@ def test_junction_fiber_moved_by_half_its_separation_is_ambiguous(square, monkey
     path = PathSpec(segments=(Line(0.25, 0.25 + 0.05j), Line(0.25 + 0.05j, 0.25 + 0.1j)))
     with pytest.raises(AmbiguousMatching, match="from its nearest start point") as info:
         track(square, fib, path)
+    assert str(info.value).endswith(" at w=(0.25+0.05j)")
     assert (AmbiguousMatching, str(info.value)) == _scalar_track(square, fib, path)
     first, second = track_paths(square, fib, [PathSpec(path.segments[:1]), path])
     assert first.points[1] == pytest.approx(cmath.sqrt(0.25 + 0.05j), abs=1e-12)

@@ -48,6 +48,12 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
 * `verify-gamma --budget 10000 --samples 5` on z^3: a single chart about the
   branch value 0 of local degree 3, whose innermost rows within the gate of
   0 are solved by eigenvalues and the others by one step from the ray seed;
+* `analyze` and `verify-gamma --budget 10000 --samples 5` on
+  phi_c(z^4) = (z^4 - c) / (1 - conj(c) z^4), c = 0.3 + 0.2i, whose zeros
+  are the fourth roots of c: its critical point 0 of multiplicity 3 is no
+  zero, so it is merged from four eigenvalues of the pole form
+  (`blaschke._merge_clusters`), the one multiple critical point of the set
+  that is not a repeated zero; one chart about -c of local degree 4;
 * `trace-loop --index 0` on products 5 and 27 (on product 27 the loop once
   ended in a `FiberCollision`);
 * two runs that exit 2 with a one-line message: `analyze` on the malformed
@@ -86,7 +92,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import numpy as np  # noqa: E402
 
-from blaschkelab.blaschke import random_product, to_spec  # noqa: E402
+from blaschkelab.blaschke import BlaschkeProduct, random_product, to_spec  # noqa: E402
 from blaschkelab.cli import main  # noqa: E402
 from order_sweep import composition_products, sweep_products  # noqa: E402
 
@@ -104,6 +110,8 @@ COMPOSITION_DRAW = (3, 4, 0)
 ORDER1_SPEC = {"theta": 0, "zeros": [[0.3, 0.1]]}
 # z^3: one chart, of local degree 3.
 CUBE_SPEC = {"theta": 0, "zeros": [[0, 0]] * 3}
+# The c of phi_c(z^4), whose critical point 0 is merged from the pole form.
+PHI_C = 0.3 + 0.2j
 # Zeros that are not [re, im] pairs: a usage error.
 MALFORMED_SPEC = {"theta": 0, "zeros": [0.1, 0.2]}
 
@@ -124,6 +132,11 @@ def noisy_spec() -> dict:
     return to_spec([random_product(order, rng, radius=radius) for _ in range(draw + 1)][draw])
 
 
+def phi_c_spec() -> dict:
+    """phi_c(z^4) for c = `PHI_C`: its zeros are the fourth roots of c."""
+    return to_spec(BlaschkeProduct(0.0, PHI_C**0.25 * np.exp(0.5j * np.pi * np.arange(4))))
+
+
 def run(argv) -> str:
     """Exit code, stdout and stderr of one command-line run, as one text."""
     out, err = io.StringIO(), io.StringIO()
@@ -138,7 +151,7 @@ def composition_spec(c: int, d: int, draw: int) -> dict:
 
 
 def runs(spec_paths, sweep_paths, composition_path, noisy_path, order1_path, cube_path,
-         malformed_path) -> list:
+         phi_c_path, malformed_path) -> list:
     """(label, argv) of every run in the set."""
     out = [
         (f"analyze/product{i:02d}", ["analyze", p])
@@ -172,6 +185,9 @@ def runs(spec_paths, sweep_paths, composition_path, noisy_path, order1_path, cub
                 ["verify-gamma", order1_path, "--budget", "10000", "--samples", "5"]))
     out.append(("verify-gamma/cube/budget10000-samples5",
                 ["verify-gamma", cube_path, "--budget", "10000", "--samples", "5"]))
+    out.append(("analyze/phi-c-z4", ["analyze", phi_c_path]))
+    out.append(("verify-gamma/phi-c-z4/budget10000-samples5",
+                ["verify-gamma", phi_c_path, "--budget", "10000", "--samples", "5"]))
     out += [
         (f"trace-loop/product{i:02d}/index0", ["trace-loop", spec_paths[i], "--index", "0"])
         for i in (5, 27)
@@ -283,9 +299,10 @@ def main_digests(dump=None) -> None:
         noisy_path = write("noisy", noisy_spec())
         order1_path = write("order1", ORDER1_SPEC)
         cube_path = write("cube", CUBE_SPEC)
+        phi_c_path = write("phi-c", phi_c_spec())
         malformed_path = write("malformed", MALFORMED_SPEC)
         for label, argv in runs(paths, sweep_paths, composition_path, noisy_path,
-                                order1_path, cube_path, malformed_path):
+                                order1_path, cube_path, phi_c_path, malformed_path):
             text = run(argv)
             if dump is not None:
                 (dump / (label.replace("/", "_") + ".txt")).write_text(text)
