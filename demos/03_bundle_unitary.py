@@ -38,8 +38,7 @@ print("sigma values at 0.25:", np.round(sigma_values(cd, 0.25), 12))
 print("sigma values at 0.09:", np.round(sigma_values(cd, 0.09), 12))
 
 # Gamma applied to f = 1: components (1/sqrt(2)) * sigma_i'(z) = +-1/(2 sqrt(2 z)).
-sample = gamma_apply(cd, Poly([1.0]), 0.25)
-print("Gamma(1) at 0.25:", np.round(sample.values, 12))
+print("Gamma(1) at 0.25:", np.round(gamma_apply(cd, Poly([1.0]), 0.25), 12))
 print("expected:        ", np.round(np.array([-1.0, 1.0]) / math.sqrt(2.0), 12))
 
 # --- Numerical certification on a random degree-3 product --------------

@@ -30,7 +30,6 @@ from .blaschke import (
 )
 from .bundle import (
     CutDisc,
-    GammaSample,
     Poly,
     QuadratureGrid,
     build_cut_disc,
@@ -85,7 +84,7 @@ from .tracking import (
     track_paths,
     track_with_trace,
 )
-from .znmodel import ZnCase, cycle_projections, u_i_norm_check, zn_end_to_end, zn_projection
+from .znmodel import cycle_projections, u_i_norm_check, zn_end_to_end, zn_projection
 
 __version__ = "0.1.0"
 
@@ -101,7 +100,6 @@ __all__ = [
     "DegenerateClustering",
     "Fiber",
     "FiberCollision",
-    "GammaSample",
     "Line",
     "LoopConstructionFailed",
     "MonodromyRep",
@@ -115,7 +113,6 @@ __all__ = [
     "RootCluster",
     "StepFloorReached",
     "ToolkitError",
-    "ZnCase",
     "analyze",
     "approach",
     "boundary_product",

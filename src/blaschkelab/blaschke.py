@@ -372,11 +372,14 @@ def taylor(b: BlaschkeProduct, length=None) -> np.ndarray:
 
     The truncated product of e^{i theta} and the factor series
     (z - a)/(1 - conj(a) z) = -a + (1 - |a|^2) sum_{k>=1} conj(a)^(k-1) z^k,
-    whose coefficients decay geometrically like |a|^k.
+    whose coefficients decay geometrically like |a|^k.  Length 0 gives an
+    empty series; a negative length raises ValueError.
     """
     if length is None:
         length = default_taylor_length(b)
     out = np.zeros(length, dtype=complex)
+    if length == 0:
+        return out
     out[0] = complex(math.cos(b.theta), math.sin(b.theta))
     powers = np.arange(length - 1)
     for a in b.zeros:

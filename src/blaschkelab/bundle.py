@@ -43,6 +43,7 @@ from .tracking import (
     _fiber_batch,
     _match_rows,
     _polish_tol,
+    _raise_first,
     approach,
     certified_step,
     choose_base_point,
@@ -56,7 +57,6 @@ from .tracking import (
 
 __all__ = [
     "CutDisc",
-    "GammaSample",
     "Poly",
     "QuadratureGrid",
     "build_cut_disc",
@@ -153,26 +153,8 @@ class Poly:
         object.__setattr__(self, "coeffs", tuple(arr))
 
     def __call__(self, z):
-        """Horner evaluation; `z` may be a scalar or an ndarray."""
-        if np.isscalar(z) or isinstance(z, complex):
-            p = 0j
-            for c in reversed(self.coeffs):
-                p = p * z + c
-            return p
-        z = np.asarray(z, dtype=complex)
-        p = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            p = p * z + c
-        return p
-
-
-@dataclass(frozen=True)
-class GammaSample:
-    """Value of the bundle unitary at one point: component i is
-    (1/sqrt n) f(sigma_i(z)) sigma_i'(z)."""
-
-    z: complex
-    values: tuple
+        """Horner evaluation (`np.polyval`) at a scalar or an ndarray."""
+        return np.polyval(self.coeffs[::-1], z)
 
 
 def _rim_distance(beta: complex, d):
@@ -198,7 +180,7 @@ def build_cut_disc(b, base=None) -> CutDisc:
     """
     data = b.branch_data()
     if base is None:
-        base = choose_base_point(b, data.branch_values)
+        base = choose_base_point(data.branch_values)
     if any(beta == base for beta in data.branch_values):
         raise LoopConstructionFailed(
             f"the base point {complex(base):.4f} is a branch value"
@@ -277,14 +259,6 @@ def _labeled_fibers(cd: CutDisc, zs) -> list:
     return outcomes
 
 
-def _raise_first(outcomes):
-    """The outcomes, raising the first one that is an error."""
-    for out in outcomes:
-        if isinstance(out, Exception):
-            raise out
-    return outcomes
-
-
 def _draw(cd: CutDisc, count, radius, seed):
     """Draw points uniformly in the disc of the given radius until `count`
     lie in the cut disc, `_CUT_CLEARANCE` from every cut and
@@ -340,12 +314,11 @@ def sigma_samples(cd: CutDisc, count, seed=0):
     return np.asarray(zs, dtype=complex), fibers.reshape(count, cd.b.order)
 
 
-def gamma_apply(cd: CutDisc, f: Poly, z) -> GammaSample:
-    """Apply the bundle unitary to f at z: (1/sqrt n) f(sigma_i(z)) sigma_i'(z)."""
+def gamma_apply(cd: CutDisc, f: Poly, z) -> np.ndarray:
+    """Apply the bundle unitary to f at z: component i of the returned array
+    is (1/sqrt n) f(sigma_i(z)) sigma_i'(z), in the slot order of `sigma_values`."""
     sig = sigma_values(cd, z)
-    dvals = cd.b.derivative_value(sig)
-    values = f(sig) / dvals / math.sqrt(cd.b.order)
-    return GammaSample(z=complex(z), values=tuple(values))
+    return f(sig) / cd.b.derivative_value(sig) / math.sqrt(cd.b.order)
 
 
 def exact_inner(f: Poly, g: Poly) -> complex:

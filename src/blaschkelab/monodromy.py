@@ -27,6 +27,7 @@ from .tracking import (
     Arc,
     PathSpec,
     _match_rows,
+    _raise_first,
     approach,
     point_segment_distance,
     split_segment,
@@ -202,10 +203,7 @@ def compute_representation(b) -> MonodromyRep:
     """
     cd = build_cut_disc(b)
     betas, pairs = crossing_paths(cd)
-    ends = track_paths(b, cd.fiber0, [path for pair in pairs for path in pair])
-    for end in ends:
-        if isinstance(end, Exception):
-            raise end
+    ends = _raise_first(track_paths(b, cd.fiber0, [path for pair in pairs for path in pair]))
     perms = [match_endpoints(back, there) for there, back in zip(ends[::2], ends[1::2])]
     local_degrees = dict(zip(cd.branch_values, cd.branch_data.local_degrees))
     for beta, g in zip(betas, perms):

@@ -345,7 +345,7 @@ def initial_fiber(b, w) -> Fiber:
     return Fiber(w=w, points=tuple(pts.tolist()), separation=sep)
 
 
-def choose_base_point(b, branch_values) -> complex:
+def choose_base_point(branch_values) -> complex:
     """Grid-search base point maximizing clearance from branch values and the rim.
 
     Deterministic: scans the `_BASE_GRID` x `_BASE_GRID` lattice of cell
@@ -405,13 +405,14 @@ def track_paths(b, fiber, paths, record=None) -> list:
     input point i), or the first failure in path order.  Every segment of
     every path is one lane (`_continue_lanes`).  A path's first lane starts
     from `fiber`, every later lane from the eigenvalue fiber of its start
-    (one `_fiber_batch` call, refused as `initial_fiber` refuses), and
-    all junctions are matched at once by `_match_rows`.  A failure
-    is a lane's FiberCollision or StepFloorReached ("segment k" names the
-    lane's index in its path), or AmbiguousMatching naming the w of its
-    junction.  Lanes are bit-identical however many paths are tracked
-    together; equal segments at equal positions are tracked once.  Build
-    paths with `split_segment` so that every lane is short.
+    (one `_fiber_batch` call, refused by `_start_collision` alone, not by
+    the multiple-point test of `initial_fiber`), and all junctions are
+    matched at once by `_match_rows`.  A failure is a lane's FiberCollision
+    or StepFloorReached ("segment k" names the lane's index in its path), or
+    AmbiguousMatching naming the w of its junction.  Lanes are bit-identical
+    however many paths are tracked together; equal segments at equal
+    positions are tracked once.  Build paths with `split_segment` so that
+    every lane is short.
 
     `record` traces a single path, as in `track`; it is refused with several.
     """
@@ -428,18 +429,19 @@ def track_paths(b, fiber, paths, record=None) -> list:
     if not index:
         return []
     segs, positions = zip(*index)
+    at = _segment_points(segs)
     start = np.array(fiber.points, dtype=complex)
     starts = np.tile(start, (len(segs), 1))
     errors = [None] * len(segs)
     later = np.flatnonzero(positions)
     if len(later):
-        ws = _segment_points(segs)(later, np.zeros(len(later)))
+        ws = at(later, np.zeros(len(later)))
         starts[later] = _fiber_batch(b, ws)
         for r, w0, sep in zip(later.tolist(), ws, fiber_separation(starts[later])):
             errors[r] = _start_collision(b, complex(w0), sep)
     started = [e is None for e in errors]
     ends, w, nodes = _continue_lanes(
-        b, starts, segs, positions, errors, keep_nodes=record is not None
+        b, starts, at, positions, errors, keep_nodes=record is not None
     )
     # Every junction whose two fibers exist, matched at once.
     junctions = sorted({
@@ -500,10 +502,17 @@ def track(b, fiber, path, record=None) -> Fiber:
     number of segments) and the points in the slot order of `fiber`.  Nodes
     up to the path's first failure are recorded.
     """
-    (end,) = track_paths(b, fiber, [path], record)
-    if isinstance(end, Exception):
-        raise end
+    (end,) = _raise_first(track_paths(b, fiber, [path], record))
     return end
+
+
+def _raise_first(outcomes):
+    """`outcomes`, one per path as `track_paths` returns them, raising the
+    first one that is an error."""
+    for out in outcomes:
+        if isinstance(out, Exception):
+            raise out
+    return outcomes
 
 
 def _segment_points(segs):
@@ -592,11 +601,12 @@ def _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids=None):
     return tuple(np.concatenate(parts) for parts in zip(*rejected))
 
 
-def _continue_lanes(b, pts, segs, positions, errors, keep_nodes=False):
-    """Continue fiber pts[k] along segs[k] through `_continue_nodes`.
+def _continue_lanes(b, pts, at, positions, errors, keep_nodes=False):
+    """Continue fiber pts[k] along segment k through `_continue_nodes`.
 
-    Lane k's nodes are t = 0, 1/4, 1/2, 3/4 and 1 of segs[k]; each round runs
-    every unfinished lane as one path from its last accepted node through
+    `at` evaluates the segments (`_segment_points`).  Lane k's nodes are
+    t = 0, 1/4, 1/2, 3/4 and 1 of its segment; each round runs every
+    unfinished lane as one path from its last accepted node through
     its remaining nodes.  At its first rejected node a lane ends in
     FiberCollision if the step collided; else a node is inserted halfway
     into the step, down to the step floor (StepFloorReached on segment
@@ -605,13 +615,12 @@ def _continue_lanes(b, pts, segs, positions, errors, keep_nodes=False):
     written there.  Returns (points, w) at the lane ends and, with
     `keep_nodes`, the accepted nodes (t, w, points) of every lane.
     """
-    m = len(segs)
-    at = _segment_points(segs)
+    m = len(pts)
     pts, db, w = pts.copy(), b.derivative_value(pts), at(np.arange(m), np.zeros(m))
     # Per lane: its last accepted parameter, the nodes it has still to reach,
     # and its furthest rejected node, up to which it takes one step a round.
-    t_last, todo, until = [0.0] * m, [[0.25, 0.5, 0.75, 1.0] for _ in segs], [0.0] * m
-    nodes = [[] for _ in segs]
+    t_last, todo, until = [0.0] * m, [[0.25, 0.5, 0.75, 1.0] for _ in range(m)], [0.0] * m
+    nodes = [[] for _ in range(m)]
     live = [k for k in range(m) if errors[k] is None]
     while live:
         params = [[t_last[k]] + todo[k][:1 if todo[k][0] <= until[k] else None] for k in live]

@@ -11,7 +11,6 @@ the full pipeline against them end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,24 +20,11 @@ from .blaschke import BlaschkeProduct, truncated_matrix
 from .commutant import permutation_matrix
 
 __all__ = [
-    "ZnCase",
     "zn_projection",
     "u_i_norm_check",
     "cycle_projections",
     "zn_end_to_end",
 ]
-
-
-@dataclass(frozen=True)
-class ZnCase:
-    """One residue class of the power map: order n, class index i in [0, n)."""
-
-    n: int
-    i: int
-
-    def __post_init__(self):
-        if not 0 <= self.i < self.n:
-            raise ValueError("residue index must satisfy 0 <= i < n")
 
 
 def zn_projection(n: int, i: int, size: int) -> np.ndarray:
@@ -47,10 +33,11 @@ def zn_projection(n: int, i: int, size: int) -> np.ndarray:
     This is the compression of the projection onto the span of
     {z^l : l = i (mod n)} to the first `size` basis vectors.
     """
-    case = ZnCase(n, i)
+    if not 0 <= i < n:
+        raise ValueError("residue index must satisfy 0 <= i < n")
     if size < n:
         raise ValueError("size must be at least n")
-    diag = [1.0 if l % case.n == case.i else 0.0 for l in range(size)]
+    diag = [1.0 if l % n == i else 0.0 for l in range(size)]
     return np.diag(diag)
 
 
@@ -64,7 +51,8 @@ def u_i_norm_check(n: int, i: int, k: int):
     rationals computed along those two independent routes; both reduce to
     n/(nk+i+1).
     """
-    ZnCase(n, i)
+    if not 0 <= i < n:
+        raise ValueError("residue index must satisfy 0 <= i < n")
     if k < 0:
         raise ValueError("k must be nonnegative")
     lhs = Fraction(n) * Fraction(1, n * k + i + 1)

@@ -119,9 +119,9 @@ def test_a_split_short_of_q_projections_fails_the_partition(monkeypatch):
 
 def test_analyze_uses_the_chosen_base_point(order3, monkeypatch):
     betas = order3.branch_data().branch_values
-    base64 = choose_base_point(order3, betas)
+    base64 = choose_base_point(betas)
     monkeypatch.setattr(tracking, "_BASE_GRID", 17)
-    base17 = choose_base_point(order3, betas)
+    base17 = choose_base_point(betas)
     assert base17 != base64
     assert analyze(order3).rep.base == base17
     monkeypatch.undo()

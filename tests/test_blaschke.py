@@ -300,6 +300,17 @@ def test_taylor_matches_the_fft_of_the_factored_form(name):
     assert np.abs(got - want[: len(got)]).max() <= 1e-14
 
 
+def test_taylor_and_truncated_matrix_of_length_zero(order4):
+    empty = taylor(order4, 0)
+    assert empty.shape == (0,) and empty.dtype == complex
+    m = truncated_matrix(order4, 0)
+    assert m.shape == (0, 0) and m.dtype == complex
+    with pytest.raises(ValueError):
+        taylor(order4, -1)
+    with pytest.raises(ValueError):
+        truncated_matrix(order4, -1)
+
+
 def test_truncated_matrix_shift_weights():
     m = truncated_matrix(BlaschkeProduct(0.0, [0.0]), 3)
     assert m[1, 0] == pytest.approx(math.sqrt(1.0 / 2.0))

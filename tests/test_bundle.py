@@ -211,16 +211,14 @@ def test_sigma_samples_fiber_identity(order4):
 
 
 def test_gamma_square_constant(square_setup):
-    sample = gamma_apply(square_setup, _monomial(0), 0.25)
-    assert np.allclose(
-        sample.values, np.array([-1.0, 1.0]) / math.sqrt(2.0), atol=1e-12
-    )
+    values = gamma_apply(square_setup, _monomial(0), 0.25)
+    assert np.allclose(values, np.array([-1.0, 1.0]) / math.sqrt(2.0), atol=1e-12)
 
 
 def test_gamma_square_linear(square_setup):
-    sample = gamma_apply(square_setup, _monomial(1), 0.25)
+    values = gamma_apply(square_setup, _monomial(1), 0.25)
     assert np.allclose(
-        sample.values,
+        values,
         np.array([1.0, 1.0]) / (2.0 * math.sqrt(2.0)),
         atol=1e-12,
     )
@@ -229,9 +227,33 @@ def test_gamma_square_linear(square_setup):
 def test_gamma_identity_map():
     b = BlaschkeProduct(0.0, [0.0])
     f = Poly([0.3, 0.7])
-    sample = gamma_apply(build_cut_disc(b), f, 0.4)
-    assert len(sample.values) == 1
-    assert sample.values[0] == pytest.approx(f(0.4), abs=1e-12)
+    values = gamma_apply(build_cut_disc(b), f, 0.4)
+    assert len(values) == 1
+    assert values[0] == pytest.approx(f(0.4), abs=1e-12)
+
+
+def test_gamma_apply_returns_one_component_per_branch(order4):
+    cd = build_cut_disc(order4)
+    values = gamma_apply(cd, _monomial(2), 0.3 - 0.2j)
+    assert isinstance(values, np.ndarray)
+    assert values.shape == (order4.order,) and values.dtype == complex
+    sig = sigma_values(cd, 0.3 - 0.2j)
+    want = sig ** 2 / order4.derivative_value(sig) / math.sqrt(order4.order)
+    np.testing.assert_allclose(values, want, rtol=1e-13)
+
+
+def test_poly_at_a_scalar_is_poly_at_a_one_point_array():
+    # Horner's rule in CPython complex arithmetic and in numpy's round this
+    # case differently: imaginary part -0.42799999999999994 against -0.428.
+    f = Poly([0.5, 1 - 0.25j, -0.75j, 0.125])
+    z = 0.3 - 0.4j
+    assert np.asarray(f(z)).tobytes() == f(np.array([z]))[0].tobytes()
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal((50, 6)) + 1j * rng.standard_normal((50, 6))
+    zs = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    for c, z in zip(coeffs, zs):
+        g = Poly(c)
+        assert np.asarray(g(z)).tobytes() == g(np.array([z]))[0].tobytes()
 
 
 def test_exact_inner_monomials():

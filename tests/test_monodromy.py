@@ -467,7 +467,7 @@ def _lollipops(name):
     """
     b = _CASES[name]
     data = b.branch_data()
-    fiber0 = initial_fiber(b, choose_base_point(b, data.branch_values))
+    fiber0 = initial_fiber(b, choose_base_point(data.branch_values))
     loops = build_loops(b, fiber0.w, data.branch_values)
     perms = []
     for loop in loops.loops + (loops.boundary_loop,):

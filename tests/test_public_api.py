@@ -13,7 +13,8 @@ _MODULES = [blaschkelab] + [
     for info in pkgutil.iter_modules(blaschkelab.__path__)
 ]
 # The test-only checks, the error of the generic element the minimal
-# projections no longer draw, and the settings record no function takes.
+# projections no longer draw, the settings record no function takes, and the
+# records that only echoed or validated their caller's arguments.
 _EXPORTED_NOWHERE = {
     "winding_number",
     "separation_slope",
@@ -24,6 +25,8 @@ _EXPORTED_NOWHERE = {
     "DegenerateGenericElement",
     "Settings",
     "DEFAULTS",
+    "GammaSample",
+    "ZnCase",
 }
 
 

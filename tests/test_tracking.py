@@ -95,17 +95,17 @@ def test_initial_fiber_refuses_a_polish_that_does_not_converge(order3, monkeypat
 
 
 def test_choose_base_point_square(square):
-    w0 = choose_base_point(square, square.branch_data().branch_values)
+    w0 = choose_base_point(square.branch_data().branch_values)
     assert min(abs(w0), 1.0 - abs(w0)) >= 0.25
 
 
-def test_choose_base_point_no_branch_values(mobius):
-    assert choose_base_point(mobius, ()) == 0
+def test_choose_base_point_no_branch_values():
+    assert choose_base_point(()) == 0
 
 
 def test_choose_base_point_power():
     b = BlaschkeProduct(0.0, [0.0] * 5)
-    w0 = choose_base_point(b, b.branch_data().branch_values)
+    w0 = choose_base_point(b.branch_data().branch_values)
     assert min(abs(w0), 1.0 - abs(w0)) >= 0.25
 
 
@@ -124,7 +124,7 @@ def test_track_zero_length_path(square):
 
 def test_track_null_loop_returns_start(order3):
     data = order3.branch_data()
-    w0 = choose_base_point(order3, data.branch_values)
+    w0 = choose_base_point(data.branch_values)
     radius = 0.25 * min(
         min(abs(w0 - v) for v in data.branch_values), 1.0 - abs(w0)
     )
@@ -135,7 +135,7 @@ def test_track_null_loop_returns_start(order3):
 
 def test_track_reversal_roundtrip(order3):
     data = order3.branch_data()
-    w0 = choose_base_point(order3, data.branch_values)
+    w0 = choose_base_point(data.branch_values)
     nearest = min(data.branch_values, key=lambda v: abs(w0 - v))
     step = 0.2 * abs(w0 - nearest) * cmath.exp(1j * cmath.phase(w0 - nearest))
     path = PathSpec(segments=(Line(w0, w0 + step),))
@@ -193,7 +193,7 @@ def test_loop_permutation_square(square):
 
 def test_loop_permutation_power_cycle():
     b = BlaschkeProduct(0.0, [0.0] * 5)
-    w0 = choose_base_point(b, b.branch_data().branch_values)
+    w0 = choose_base_point(b.branch_data().branch_values)
     fib = initial_fiber(b, w0)
     loop = _circle(0.0, abs(w0), start_angle=cmath.phase(w0))
     perm = loop_permutation(b, fib, loop)
@@ -202,7 +202,7 @@ def test_loop_permutation_power_cycle():
 
 def test_loop_permutation_null_loop(order3):
     data = order3.branch_data()
-    w0 = choose_base_point(order3, data.branch_values)
+    w0 = choose_base_point(data.branch_values)
     radius = 0.25 * min(
         min(abs(w0 - v) for v in data.branch_values), 1.0 - abs(w0)
     )
@@ -611,7 +611,7 @@ def test_choose_base_point_matches_scalar_scan(monkeypatch):
     for betas in cases:
         for grid in (64, 17):
             monkeypatch.setattr(tracking, "_BASE_GRID", grid)
-            got = choose_base_point(None, betas)
+            got = choose_base_point(betas)
             want = _scalar_base_point(betas, grid)
             assert type(got) is complex
             assert (got.real, got.imag) == (want.real, want.imag)

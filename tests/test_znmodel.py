@@ -41,6 +41,13 @@ def test_zn_projection_commutes_exactly():
             assert np.all(p @ m.conj().T == m.conj().T @ p)
 
 
+def test_residue_index_out_of_range_is_refused():
+    with pytest.raises(ValueError, match=r"residue index must satisfy 0 <= i < n"):
+        zn_projection(3, 3, 5)
+    with pytest.raises(ValueError, match=r"residue index must satisfy 0 <= i < n"):
+        u_i_norm_check(3, -1, 0)
+
+
 def test_u_i_norm_examples():
     lhs, rhs = u_i_norm_check(2, 0, 0)
     assert lhs == rhs == Fraction(2)
