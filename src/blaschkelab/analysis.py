@@ -32,8 +32,9 @@ class Analysis:
 
     `rep` holds the base point, branch values, loop generators and boundary
     permutation; `commutant` the basis of the generators' commutant.
-    `projections` is empty when the commutant is not commutative.
-    `theorem_checks` maps each named check to
+    `projections`, grouped from the Fourier modes of the boundary cycle, are
+    empty when the commutant is not commutative or that cycle does not fit
+    it.  `theorem_checks` maps each named check to
     {"pass": bool, ...numeric evidence}; `ok` is their conjunction.
     """
 
@@ -75,19 +76,18 @@ def analyze(b) -> Analysis:
     q = len(cb.basis)
     transitive = len(set(cb.orbitals.diagonal().tolist())) == 1
     commutative, max_comm = is_commutative(cb)
-    projections = minimal_projections(cb) if commutative else []
-
     boundary = rep.boundary_perm
+    projections = minimal_projections(cb, boundary) if commutative else []
+
     product = boundary_product(rep)
     rank_sum = sum(int(round(float(np.trace(p).real))) for p in projections)
     partition_err = (
         float(np.linalg.norm(sum(projections) - np.eye(n))) if projections else None
     )
-    proj_commute = 0.0
-    for p in projections:
-        for g in gens:
-            v = permutation_matrix(g)
-            proj_commute = max(proj_commute, float(np.linalg.norm(p @ v - v @ p)))
+    matrices = [permutation_matrix(g) for g in gens]
+    proj_commute = max(
+        (float(np.linalg.norm(p @ v - v @ p)) for p in projections for v in matrices), default=0.0
+    )
 
     checks = {
         "q_orbitals_equals_commutant_dim": {

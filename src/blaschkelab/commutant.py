@@ -4,11 +4,13 @@ Each fiber permutation acts on C^n by the 0/1 unitary V e_j = e_{tau(j)}.
 The commutant {X : X V_i = V_i X for all i} is spanned by the 0/1 matrices
 of the orbits on ordered pairs (`monodromy.orbitals`), the label-side form
 of Douglas-Sun-Zheng's E_G (Adv. Math. 226, 2011); the singular values of
-the stacked system vec(X V_i - V_i X) = 0 count its dimension independently.
-When the algebra is commutative (for a Blaschke product it always is:
-Douglas-Putinar-Wang, J. Funct. Anal. 263, 2012) its minimal projections
-are unique, one per basis matrix: the joint eigenspaces of the orbit
-matrices, which `minimal_projections` splits out without drawing anything.
+the stacked pair permutations less the identity count its dimension
+independently.  For a Blaschke product the boundary permutation is an
+n-cycle of the group, so every orbit matrix is a sum of powers of the
+cycle's matrix and the algebra is commutative (Douglas-Putinar-Wang, J.
+Funct. Anal. 263, 2012).  Its minimal projections are unique, one per basis matrix:
+`minimal_projections` groups the cycle's Fourier modes by their eigenvalues
+on the orbit matrices, with no eigensolver and nothing drawn at random.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ __all__ = [
 ]
 
 # Singular values below _NULLSPACE_RTOL times the largest count toward the
-# commutant dimension (`commutant_basis`); `minimal_projections` splits a
-# subspace where consecutive eigenvalues differ by more than _PROJECTION_GAP.
+# commutant dimension (`commutant_basis`); `minimal_projections` puts two
+# Fourier modes in one projection when their eigenvalues on every orbit
+# matrix agree within _PROJECTION_GAP.
 _NULLSPACE_RTOL = 1e-10
 _PROJECTION_GAP = 1e-6
 
@@ -45,7 +48,7 @@ class CommutantBasis:
     n : int
         Size of the underlying permutation domain (matrices are n x n).
     dim : int
-        Nullity of the stacked commutation system, from singular values only.
+        Nullity of the stacked pair-permutation system, from singular values.
     basis : tuple of ndarray
         basis[g] is 1 where ``orbitals == g`` and 0 elsewhere, scaled to unit
         Frobenius norm; disjoint supports make the basis exactly orthonormal.
@@ -99,18 +102,18 @@ def commutant_basis(generators, n: int) -> CommutantBasis:
     of ordered pairs, so the normalized orbit matrices span the commutant.
     With no generators the orbits are single pairs and the basis is the
     matrix units in row-major order.  `dim` is counted independently: the
-    number of singular values of the (k n^2) x n^2 matrix of the maps
-    X -> X V_i - V_i X that fall below `_NULLSPACE_RTOL` times the largest.
+    number of singular values of the stacked pair permutations less the
+    identity, X[j, k] -> X[g(j), g(k)] - X[j, k] = (V^T X V - X)[j, k], that
+    fall below `_NULLSPACE_RTOL` times the largest.  As X V - V X =
+    V (V^T X V - X), these are the singular values of X -> X V_i - V_i X.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     labels = orbitals(generators, n)
     orbits = [(labels == g).astype(float) for g in range(int(labels.max()) + 1)]
-    eye = np.eye(n)
-    # Row-major vec obeys vec(A X B) = kron(A, B.T) vec(X), so the
-    # commutation constraint X V - V X = 0 reads (kron(I, V.T) - kron(V, I)).
+    eye = np.eye(n * n)
     system = np.array(
-        [np.kron(eye, v.T) - np.kron(v, eye) for v in map(permutation_matrix, generators)]
+        [eye[(np.asarray(g.images)[:, None] * n + g.images).ravel()] - eye for g in generators]
     ).reshape(-1, n * n)
     s = np.linalg.svd(system, compute_uv=False)
     nullity = n * n - int(np.sum(s > _NULLSPACE_RTOL * s.max(initial=0.0)))
@@ -131,29 +134,19 @@ def is_commutative(cb: CommutantBasis):
     return cb._commutativity
 
 
-def _split(space: np.ndarray, h: np.ndarray) -> list:
-    """The eigenspaces of the Hermitian `h` restricted to the orthonormal
-    columns of `space`, eigenvalues grouped where consecutive ones differ by
-    more than `_PROJECTION_GAP`; each is returned as orthonormal columns."""
-    eigvals, eigvecs = np.linalg.eigh(space.conj().T @ h @ space)
-    cuts = np.flatnonzero(np.diff(eigvals) > _PROJECTION_GAP) + 1
-    return [space @ block for block in np.split(eigvecs, cuts, axis=1)]
-
-
-def minimal_projections(cb: CommutantBasis) -> list:
+def minimal_projections(cb: CommutantBasis, cycle) -> list:
     """Minimal self-adjoint idempotents of a commutative commutant algebra.
 
-    The minimal projections of a commutative algebra are its joint
-    eigenprojections, so they are unique, and there are len(cb.basis) of
-    them.  Starting from the whole space C^n, every current subspace is split
-    by the eigenspaces of (A + A^T)/2 and then of (A - A^T)/(2i), restricted
-    to it, for each orbit matrix A in turn (a zero part is skipped), until
-    there are len(cb.basis) subspaces.  Their orthogonal projections are
-    returned in ascending order of rank, equal ranks in the order the splits
-    leave them.  The antisymmetric part separates complex-conjugate
-    eigenvector pairs (the Fourier pairs of a circulant algebra), which no
-    real symmetric matrix can.  If the orbit matrices run out first, fewer
-    projections are returned.
+    `cycle` is an n-cycle c of the group (for a Blaschke product, its
+    boundary permutation).  Each orbit matrix A_g commutes with c's matrix,
+    whose eigenvalues are distinct, so c's Fourier vectors
+    v_r[c^j(0)] = w^(rj)/sqrt(n), w = exp(2 pi i/n), are eigenvectors of every
+    A_g, with eigenvalue lambda_g(r) = sum of w^(rk) over the k with
+    (0, c^k(0)) in orbit g.  Modes whose rows (lambda_g(r))_g agree within
+    `_PROJECTION_GAP` span one joint eigenspace; the projections onto these
+    are the minimal ones, unique, in ascending order of rank and equal ranks
+    by least mode, so the constants (mode 0) come first.  If `cycle` is not
+    an n-cycle or does not map every orbit to itself, there are none.
 
     Raises NonCommutative if the algebra is not commutative.
     """
@@ -162,13 +155,20 @@ def minimal_projections(cb: CommutantBasis) -> list:
         raise NonCommutative(
             f"commutant algebra is not commutative (max commutator {worst:.3e})"
         )
-    parts = (
-        h for a in cb._orbit_matrices for h in ((a + a.T) / 2.0, (a - a.T) / 2j) if h.any()
-    )
-    spaces = [np.eye(cb.n, dtype=complex)]
-    for h in parts:
-        if len(spaces) == len(cb.basis):
-            break
-        spaces = [part for space in spaces for part in _split(space, h)]
-    spaces.sort(key=lambda space: space.shape[1])
-    return [space @ space.conj().T for space in spaces]
+    n, images = cb.n, np.asarray(cycle.images)
+    if cycle.cycle_type() != (n,) or not np.array_equal(
+        cb.orbitals[images[:, None], images], cb.orbitals
+    ):
+        return []
+    steps = [0]
+    for _ in range(n - 1):
+        steps.append(cycle(steps[-1]))
+    # Powers of w by the exact residue r k mod n: rows are modes, columns steps.
+    powers = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+    vectors = np.empty((n, n), dtype=complex)
+    vectors[steps] = powers / np.sqrt(n)
+    lam = powers @ (cb.orbitals[0, steps][:, None] == np.arange(len(cb.basis)))
+    # Each mode joins the least mode whose row agrees with its own.
+    lead = (np.abs(lam[:, None] - lam[None]).max(axis=2) <= _PROJECTION_GAP).argmax(axis=1)
+    groups = sorted((np.flatnonzero(lead == r) for r in np.unique(lead)), key=len)
+    return [vectors[:, g] @ vectors[:, g].conj().T for g in groups]

@@ -101,9 +101,10 @@ def test_analyze_and_zn_draw_nothing_at_random(monkeypatch):
 
 
 def test_a_split_short_of_q_projections_fails_the_partition(monkeypatch):
-    # With a gap above every eigenvalue spread, nothing splits: the one
-    # projection I still sums to the identity and commutes with every
-    # generator, but it is one where q are due.
+    # With a gap above every spread of the orbit matrices' eigenvalues, all
+    # Fourier modes form one group: the one projection I still sums to the
+    # identity and commutes with every generator, but it is one where q are
+    # due.
     b = suite_products()[0]
     assert analyze(b).theorem_checks["projection_partition"]["pass"]
     monkeypatch.setattr(commutant, "_PROJECTION_GAP", 1e6)

@@ -59,6 +59,7 @@ def test_digest_inputs_keep_the_floor_tolerances():
         products[f"z^{n}"] = BlaschkeProduct(0.0, [0.0] * n)
     products["order1"] = from_spec(digests.ORDER1_SPEC)
     products["phi_c"] = from_spec(digests.phi_c_spec())
+    products["c_of_z2"] = from_spec(digests.C_OF_Z2_SPEC)
     above_polish_floor = {"sweep24-0"}
     for name, b in products.items():
         assert tracking.newton_tol(b) == 1e-11, name

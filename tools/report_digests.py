@@ -54,6 +54,10 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   zero, so it is merged from four eigenvalues of the pole form
   (`blaschke._merge_clusters`), the one multiple critical point of the set
   that is not a repeated zero; one chart about -c of local degree 4;
+* `analyze` on C(z^2), zeros 0, 0, 1/2 and -1/2, the example of the README's
+  quick start: q = 3 with projections of ranks 1, 1 and 2, whose two rank-1
+  projections tie and come in the order of their least Fourier mode of the
+  boundary cycle (the constants first);
 * `trace-loop --index 0` on products 5 and 27 (on product 27 the loop once
   ended in a `FiberCollision`);
 * two runs that exit 2 with a one-line message: `analyze` on the malformed
@@ -112,6 +116,8 @@ ORDER1_SPEC = {"theta": 0, "zeros": [[0.3, 0.1]]}
 CUBE_SPEC = {"theta": 0, "zeros": [[0, 0]] * 3}
 # The c of phi_c(z^4), whose critical point 0 is merged from the pole form.
 PHI_C = 0.3 + 0.2j
+# C(z^2), the README's quick-start example: q = 3, ranks 1, 1 and 2.
+C_OF_Z2_SPEC = {"theta": 0, "zeros": [[0, 0], [0, 0], [0.5, 0], [-0.5, 0]]}
 # Zeros that are not [re, im] pairs: a usage error.
 MALFORMED_SPEC = {"theta": 0, "zeros": [0.1, 0.2]}
 
@@ -151,7 +157,7 @@ def composition_spec(c: int, d: int, draw: int) -> dict:
 
 
 def runs(spec_paths, sweep_paths, composition_path, noisy_path, order1_path, cube_path,
-         phi_c_path, malformed_path) -> list:
+         phi_c_path, c_of_z2_path, malformed_path) -> list:
     """(label, argv) of every run in the set."""
     out = [
         (f"analyze/product{i:02d}", ["analyze", p])
@@ -188,6 +194,7 @@ def runs(spec_paths, sweep_paths, composition_path, noisy_path, order1_path, cub
     out.append(("analyze/phi-c-z4", ["analyze", phi_c_path]))
     out.append(("verify-gamma/phi-c-z4/budget10000-samples5",
                 ["verify-gamma", phi_c_path, "--budget", "10000", "--samples", "5"]))
+    out.append(("analyze/c-of-z2", ["analyze", c_of_z2_path]))
     out += [
         (f"trace-loop/product{i:02d}/index0", ["trace-loop", spec_paths[i], "--index", "0"])
         for i in (5, 27)
@@ -300,9 +307,11 @@ def main_digests(dump=None) -> None:
         order1_path = write("order1", ORDER1_SPEC)
         cube_path = write("cube", CUBE_SPEC)
         phi_c_path = write("phi-c", phi_c_spec())
+        c_of_z2_path = write("c-of-z2", C_OF_Z2_SPEC)
         malformed_path = write("malformed", MALFORMED_SPEC)
         for label, argv in runs(paths, sweep_paths, composition_path, noisy_path,
-                                order1_path, cube_path, phi_c_path, malformed_path):
+                                order1_path, cube_path, phi_c_path, c_of_z2_path,
+                                malformed_path):
             text = run(argv)
             if dump is not None:
                 (dump / (label.replace("/", "_") + ".txt")).write_text(text)
