@@ -2,12 +2,12 @@
 
 A product of order n is B(z) = e^{i theta} * prod (z - a_i) / (1 - conj(a_i) z)
 with all |a_i| < 1, and is stored as its phase and zeros.  Everything else
-is built from them: the coefficient table of the rational kernel that
-evaluates B and B' (`eval_with_derivative`), and two eigenproblems: the
-compressed shift of the model space, whose rank-one perturbations have the
-fibers of B as eigenvalues (`compressed_shift`), and the pole form of B'/B,
-whose eigenvalues are the critical points (`branch_data`).  It also exposes
-the Taylor/matrix views of the induced multiplication operator on the
+is built from them: the one kernel that evaluates B and B' in a pass over
+the zeros (`eval_with_derivative`), and two eigenproblems: the compressed
+shift of the model space, whose rank-one perturbations have the fibers of B
+as eigenvalues (`compressed_shift`), and the pole form of B'/B, whose
+eigenvalues are the critical points (`branch_data`).  It also exposes the
+Taylor/matrix views of the induced multiplication operator on the
 Bergman space (orthonormal basis e_k = sqrt(k+1) z^k, so
 <z^k, z^k> = 1/(k+1)); the Taylor series is the product of the factor series.
 """
@@ -18,7 +18,7 @@ import cmath
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,16 +46,16 @@ _CRITICAL_NEWTON = 2
 # Branch-value candidates closer than _MERGE_FACTOR times the sum of their
 # rounding radii are one value; from there up to _BAND_FACTOR times farther
 # they are ambiguous (`branch_data`).  Over the seed-2026 suite, the order
-# sweep and the composition family, coincident values lie within 5.6 times
-# their radii and distinct ones at least 6.5e7 times apart.
+# sweep and the composition family, coincident values lie within 4.1 times
+# their radii and distinct ones at least 4.4e7 times apart.
 _MERGE_FACTOR = 100.0
 _BAND_FACTOR = 1e3
 _UNIT_ROUNDOFF = 2.0 ** -53
 _TAYLOR_CAP = 4096
 # `eval_with_derivative` runs longer inputs this many rows at a time, so its
-# Horner temporaries stay in cache: a 14,080 x 6 evaluation took 11.9 ms
-# whole and 5.4-5.7 ms in blocks of 2,048 rows.
-_EVAL_ROWS = 2048
+# temporaries stay in cache: a 21,504 x 8 evaluation took 26.7 ms whole,
+# 13.8 ms in blocks of 1,024 rows and 15.2 ms in blocks of 2,048.
+_EVAL_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class BlaschkeProduct:
 
     theta: float
     zeros: tuple
-    _pq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, theta, zeros):
         zeros = tuple(complex(a) for a in zeros)
@@ -86,18 +85,6 @@ class BlaschkeProduct:
                 raise ValueError(f"zero {a} has modulus >= {_MAX_MODULUS}")
         object.__setattr__(self, "theta", float(theta))
         object.__setattr__(self, "zeros", zeros)
-        # The coefficients of B = P/Q, P = e^{i theta} prod (z - a) and
-        # Q = prod (1 - conj(a) z), side by side and highest degree first,
-        # for the one-pass Horner evaluation in `eval_with_derivative`.
-        p = q = np.array([1.0 + 0j])
-        for a in zeros:
-            p = np.convolve(p, [-a, 1.0])
-            q = np.convolve(q, [1.0, -a.conjugate()] if a else [1.0])
-        phase = complex(math.cos(self.theta), math.sin(self.theta))
-        pq = np.zeros((len(p), 2), dtype=complex)
-        pq[:, 0] = [phase * c for c in p.tolist()]
-        pq[: len(q), 1] = q
-        object.__setattr__(self, "_pq", pq[::-1])
 
     @property
     def order(self) -> int:
@@ -111,11 +98,14 @@ class BlaschkeProduct:
     __call__ = evaluate
 
     def eval_with_derivative(self, z):
-        """B(z) and B'(z) = (P'Q - PQ') / Q**2 for an array `z` of any shape.
+        """B(z) and B'(z) for an array `z` of any shape, from the zeros.
 
-        P, Q and their derivatives come from one Horner pass over the
-        stacked coefficients, `_EVAL_ROWS` rows of `z` at a time; each
-        element's arithmetic does not depend on the blocking.
+        One pass over the zeros, with no division inside it, keeps
+        nd = prod (z - a)(1 - conj(a) z), den = prod (1 - conj(a) z) and
+        acc = sum_k (1 - |a_k|^2) prod_{j != k} (z - a_j)(1 - conj(a_j) z),
+        so that B = e^{i theta} nd / den^2 and B' = e^{i theta} acc / den^2,
+        finite at a zero of B too.  Runs `_EVAL_ROWS` rows of `z` at a
+        time; each element's arithmetic does not depend on the blocking.
         """
         z = np.asarray(z, dtype=complex)
         if z.ndim == 0 or len(z) <= _EVAL_ROWS:
@@ -127,18 +117,27 @@ class BlaschkeProduct:
         return val, der
 
     def _eval_block(self, z):
-        """`eval_with_derivative` on one block of rows."""
-        pq = self._pq.reshape(self._pq.shape + (1,) * z.ndim)
-        v = np.empty((2,) + z.shape, dtype=complex)
-        v[...] = pq[0]
-        dv = np.zeros_like(v)
-        for c in pq[1:]:
-            dv *= z
-            dv += v
-            v *= z
-            v += c
-        (p, q), (dp, dq) = v, dv
-        return p / q, (dp * q - p * dq) / (q * q)
+        """`eval_with_derivative` on one block of rows: the first zero a
+        starts nd = (z - a)(1 - conj(a) z), den = 1 - conj(a) z and
+        acc = 1 - |a|^2; each further zero, with fg = (z - a)(1 - conj(a) z),
+        updates acc <- acc fg + (1 - |a|^2) nd, then nd <- nd fg and
+        den <- den (1 - conj(a) z)."""
+        a, *rest = self.zeros
+        den = 1.0 - a.conjugate() * z
+        nd = z - a
+        nd *= den
+        acc = np.full_like(z, 1.0 - abs(a) ** 2)
+        for a in rest:
+            g = 1.0 - a.conjugate() * z
+            fg = z - a
+            fg *= g
+            acc *= fg
+            acc += (1.0 - abs(a) ** 2) * nd
+            nd *= fg
+            den *= g
+        den *= den
+        phase = complex(math.cos(self.theta), math.sin(self.theta))
+        return phase * nd / den, phase * acc / den
 
     def derivative_value(self, z):
         """B'(z), the second value of `eval_with_derivative`."""
@@ -223,9 +222,7 @@ class BlaschkeProduct:
         The critical points come from the zeros alone, by the pole form of
         B'/B (`_critical_points`); no polynomial is solved.
 
-        Each candidate B(c) is evaluated on the factored form
-        e^{i theta} prod (c - a)/(1 - conj(a) c), which keeps its relative
-        accuracy where P/Q loses digits at high order, and gets the rounding
+        Each candidate B(c) is evaluated by `evaluate` and gets the rounding
         radius of that evaluation (`_rounding_radii`).  Two candidates are
         one value when they lie less than `_MERGE_FACTOR` times the sum of
         their radii apart, or coincide.  Scanning in ascending (real, imag)
@@ -246,14 +243,10 @@ class BlaschkeProduct:
             raise BranchCountError(
                 f"interior critical multiplicities sum to {total}, expected {self.order - 1}"
             )
-        a = np.asarray(self.zeros)
-        phase = complex(math.cos(self.theta), math.sin(self.theta))
-        candidates = [
-            phase * complex(np.prod((c.center - a) / (1.0 - a.conj() * c.center)))
-            for c in interior
-        ]
-        radii = self._rounding_radii([c.center for c in interior], candidates)
-        values = np.asarray(candidates, dtype=complex)
+        centers = np.array([c.center for c in interior], dtype=complex)
+        values = self.evaluate(centers)
+        radii = self._rounding_radii(centers, values)
+        candidates = values.tolist()
         dist = np.abs(values[:, None] - values[None, :])
         reach = _MERGE_FACTOR * (radii[:, None] + radii[None, :])
         i, j = np.nonzero(np.triu((reach <= dist) & (dist < _BAND_FACTOR * reach), 1))
@@ -278,18 +271,20 @@ class BlaschkeProduct:
     def _rounding_radii(self, points, values) -> np.ndarray:
         """First-order running-error bound of each value B(c) of `branch_data`.
 
-        For the factored form over n zeros it is
-        |B(c)| u (sum_j [2 + (1 + 2 |a_j| |c|) / |1 - conj(a_j) c|] + n + 1),
-        u = 2^-53: per factor the subtraction, the product conj(a_j) c and
-        the quotient, then the n - 1 products of the factors and the phase
-        (Higham, Accuracy and Stability of Numerical Algorithms, SIAM 2002).
-        The error of a critical point c itself enters at second order only,
-        since B'(c) = 0.
+        For `eval_with_derivative`'s B = e^{i theta} nd / den^2 it is
+        |B(c)| u (sum_j [5 + (1 + 2 |a_j| |c|) / |1 - conj(a_j) c|] + 3),
+        u = 2^-53: per zero the subtraction c - a_j, the term
+        1 - conj(a_j) c with its product, which nd and den share, its
+        product with c - a_j, the product into nd, and the product into den,
+        counted twice as den is squared; then the square, the quotient and
+        the phase (Higham, Accuracy and Stability of Numerical Algorithms,
+        SIAM 2002).  The error of a critical point c itself enters at second
+        order only, since B'(c) = 0.
         """
         c = np.asarray(points, dtype=complex)[:, None]
         a = np.asarray(self.zeros)
-        terms = 2.0 + (1.0 + 2.0 * np.abs(a) * np.abs(c)) / np.abs(1.0 - a.conj() * c)
-        return np.abs(values) * _UNIT_ROUNDOFF * (terms.sum(axis=1) + self.order + 1)
+        terms = 5.0 + (1.0 + 2.0 * np.abs(a) * np.abs(c)) / np.abs(1.0 - a.conj() * c)
+        return np.abs(values) * _UNIT_ROUNDOFF * (terms.sum(axis=1) + 3.0)
 
 
 @dataclass(frozen=True)

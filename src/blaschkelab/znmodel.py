@@ -111,7 +111,7 @@ def zn_end_to_end(n: int) -> dict:
     residue-class projections commute exactly (to the bit) with the
     truncated multiplication matrix; and the norm identity holds as exact
     rationals.  The report maps each named check to its outcome plus the
-    integers involved.
+    integers involved, and `ok` to whether every check passed.
     """
     if not 1 <= n <= 8:
         raise ValueError("supported orders are 1..8")
@@ -167,8 +167,6 @@ def zn_end_to_end(n: int) -> dict:
             norms_ok &= lhs == rhs == Fraction(n, n * k + i + 1)
     report["u_norm_identity_ok"] = norms_ok
 
-    report["ok"] = all(
-        bool(v) for key, v in report.items()
-        if key.endswith("_ok") or key in ("commutative",)
-    )
+    # Every bool field is a check, whatever its name.
+    report["ok"] = all(v for v in report.values() if isinstance(v, bool))
     return report

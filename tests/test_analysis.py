@@ -19,7 +19,7 @@ from blaschkelab import (
     to_spec,
     zn_end_to_end,
 )
-from blaschkelab import commutant, tracking
+from blaschkelab import cli, commutant, tracking
 from blaschkelab.cli import main
 from helpers import noisy_witness, suite_products, sweep_draw
 
@@ -147,8 +147,10 @@ def test_newton_tol_override_reaches_tracking(tmp_path, capsys, monkeypatch):
 
 
 def test_noisy_product_is_analyzed_at_its_own_tolerance(tmp_path):
-    # The witness evaluates B to about 1.6e-10 on the unit circle, so Newton
-    # stops at ten times that; under the fixed 1e-11 it reached the step floor.
+    # Evaluated from its zeros, the witness reads 1.8e-15 on the unit circle
+    # (1.6e-10 under the former P/Q kernel), so it is analyzed at the
+    # floor 1e-11: S_16 with q = 2.  Under that kernel a fixed 1e-11 reached
+    # the step floor.
     b = noisy_witness()
     spec, out = tmp_path / "witness.json", tmp_path / "report.json"
     spec.write_text(json.dumps(to_spec(b)))
@@ -156,8 +158,14 @@ def test_noisy_product_is_analyzed_at_its_own_tolerance(tmp_path):
     report = json.loads(out.read_text())
     assert report["group_order"] == math.factorial(16)
     assert report["q_orbitals"] == 2
-    assert report["tolerances"]["newton_tol"] == tracking.newton_tol(b) == 10.0 * b.eval_noise
-    assert 1e-9 < report["tolerances"]["newton_tol"] < 2e-9
+    assert report["tolerances"]["newton_tol"] == tracking.newton_tol(b) == 1e-11
+    # A noise above the floor, set on an instance, still sets the tracking
+    # tolerance that the report echoes.
+    b = BlaschkeProduct(0.0, [0.0, 0.0, 0.5])
+    b.__dict__["eval_noise"] = 1.6e-10
+    report = cli._analysis_report(b, analyze(b))
+    assert report["ok"]
+    assert report["tolerances"]["newton_tol"] == tracking.newton_tol(b) == 10.0 * 1.6e-10
 
 
 @pytest.mark.parametrize(

@@ -195,13 +195,28 @@ def test_sigma_samples_refuse_a_count_below_one(order4, count):
 
 
 def test_noisy_product_samples_polish_at_its_noise():
-    # The witness evaluates B to about 1.6e-10 on the unit circle: its
-    # labeled samples track at ten times that and polish at it (under the
-    # fixed 1e-11 and 1e-14 they failed).
+    # Evaluated from its zeros, the witness reads 1.8e-15 on the unit circle
+    # (1.6e-10 under the former P/Q kernel), so its labeled samples
+    # track and polish at the floors 1e-11 and 1e-14.
     b = noisy_witness()
-    assert bundle._polish_tol(b) == b.eval_noise > 1e-10
+    assert newton_tol(b) == 1e-11
+    assert bundle._polish_tol(b) == 1e-14 > b.eval_noise
     fibers = sigma_samples(build_cut_disc(b), 5)
     assert verify_intertwining(b, [_monomial(j) for j in range(6)], fibers) <= 1e-8
+    # A noise above the floors, set on an instance, still raises the polish
+    # tolerance and the residual bound of the eigenvalue fibers: fibers
+    # moved by 1e-6 are refused under the floor bound 1e-8, and kept under
+    # 1e3 times a noise of 1e-7.
+    b = BlaschkeProduct(0.0, [0.0, 0.0, 0.5])
+    m, x, y, c0 = b.compressed_shift
+    b.__dict__["compressed_shift"] = (m + 1e-6 * np.eye(3), x, y, c0)
+    w = np.array([0.3 - 0.2j])
+    with pytest.raises(NoConvergence, match="above bound 1.000e-08"):
+        _fiber_batch(b, w)
+    b.__dict__["eval_noise"] = 1e-7
+    assert bundle._polish_tol(b) == 1e-7
+    assert newton_tol(b) == 10.0 * 1e-7
+    assert np.abs(b(_fiber_batch(b, w)) - w).max() > 1e-8
 
 
 def test_sigma_samples_fiber_identity(order4):

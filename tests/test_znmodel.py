@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from blaschkelab import (
     zn_projection,
 )
 from blaschkelab import znmodel
+from blaschkelab.cli import main
 
 
 def test_zn_projection_diagonal():
@@ -83,6 +85,22 @@ def test_zn_end_to_end_reports_ok():
         report = zn_end_to_end(n)
         assert report["n"] == n
         assert report["ok"], report
+
+
+def test_zn_fails_when_the_projections_stop_commuting(monkeypatch, capsys):
+    # A strictly upper triangular term breaks both exact checks on the
+    # truncated matrix; each is counted in `ok`, so `zn` exits 1.
+    real = znmodel.truncated_matrix
+
+    def skewed(b, size):
+        return real(b, size) + np.triu(np.ones((size, size)), 1)
+
+    monkeypatch.setattr(znmodel, "truncated_matrix", skewed)
+    report = zn_end_to_end(3)
+    assert report["zn_projection_commutes_exactly"] is False
+    assert report["ok"] is False
+    assert main(["zn", "--n", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_zn_end_to_end_runs_the_pipeline_at_order_one(monkeypatch):

@@ -16,7 +16,8 @@ tests/fixtures/fiber_oracle.json:
 The products are the twelve pinned compositions C o D of orders 24-40 of
 `tools/order_sweep.py --family composition` (pairs 4x6, 4x8, 6x6 and 5x8,
 draws 0-2) and draw 5 of the radius-0.98 order-16 products of
-`default_rng(1698)`, whose evaluation noise on the unit circle is 1.6e-10.
+`default_rng(1698)`, whose evaluation noise on the unit circle was 1.6e-10
+under the P/Q Horner kernel that the factored kernel replaced (1.8e-15 now).
 The specs are frozen as drawn, so the fixture does not move when the
 double-precision solve does.
 
