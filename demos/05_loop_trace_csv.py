@@ -3,7 +3,7 @@ Watching a fiber permute: certified tracking with a CSV trace
 =============================================================
 
 Tracks the full fiber of a degree-3 product around the loop that crosses
-the cut of one branch value once, records every accepted step, writes the
+the cut of one branch value once, records every certified step, writes the
 trace as CSV (the same format as the `blaschkelab trace-loop` subcommand),
 and prints how the start and end fibers line up.
 """
@@ -16,6 +16,7 @@ import numpy as np
 from blaschkelab import (
     BlaschkeProduct,
     PathSpec,
+    approach,
     build_cut_disc,
     crossing_paths,
     track_with_trace,
@@ -32,9 +33,10 @@ print(f"base point {cd.base:.6f}, fiber {np.round(fiber0.points, 6)}")
 print(f"tracking the crossing loop of branch value {betas[0]:.6f}")
 
 # The loop goes out to one side of the cut, half way round the branch value
-# through the cut, and back to the base from the other side.
+# through the cut, and back to the base from the other side, on the straight
+# segment cut again from its far end.
 there, back = pairs[0]
-loop = PathSpec(there.segments + back.reversed().segments)
+loop = PathSpec(there.segments + approach(back.end, back.start, cd.branch_values))
 
 # The trace is a list of (t, w(t), fiber points) rows: the start and one row
 # per accepted predictor-corrector step.  Every piece of the loop is stepped

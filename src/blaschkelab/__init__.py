@@ -61,7 +61,6 @@ from .errors import (
     NoConvergence,
     NonCommutative,
     PathBlocked,
-    StepFloorReached,
     ToolkitError,
 )
 from .monodromy import (
@@ -111,7 +110,6 @@ __all__ = [
     "Poly",
     "QuadratureGrid",
     "RootCluster",
-    "StepFloorReached",
     "ToolkitError",
     "analyze",
     "approach",

@@ -179,6 +179,16 @@ class BlaschkeProduct:
         y = s * np.cumprod(np.concatenate(([1.0], g[:-1])))
         return m, x, y, -np.prod(g)
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """The finite values off which every inverse branch of B, as a map of
+        the sphere, is holomorphic: the raw B(c) of every interior critical
+        point c, their reflections 1/conj(B(c)), and B(infinity) =
+        1/conj(B(0)) when no zero is 0 (`tracking._ball_test`)."""
+        centers = np.array([c.center for c in self._critical_points()], dtype=complex)
+        values = self.evaluate(np.append(centers, 0.0))
+        return np.concatenate([values[:-1], 1.0 / values[values != 0].conj()])
+
     def _critical_points(self) -> list:
         """The critical points of B in the disc as clusters with
         multiplicity, in ascending (real, imag) order of their centers.

@@ -374,8 +374,8 @@ class QuadratureGrid:
 def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, spokes=None):
     """Unordered fibers of `cd.b` over `ws`, mostly by certified continuation.
 
-    `rows` indexes `ws`: the concatenation of paths of the given lengths,
-    each an ordered run of nearby regular values.  Each path's first node
+    `rows` indexes `ws`: the concatenation of paths of the given
+    non-increasing lengths, each an ordered run of nearby regular values.  Each path's first node
     and every value on no path and no spoke are solved by eigenvalues
     (`_fiber_batch`); the later nodes are the paths' nodes in the
     continuation loop of `tracking` (`_continue_nodes`).  `spokes`, if
@@ -410,10 +410,10 @@ def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, spokes=None):
     solve = np.flatnonzero(by_eigenvalues)
     fibers[solve] = _fiber_batch(b, ws[solve])
     derivs[solve] = b.derivative_value(fibers[solve])
-    restarted, _, _ = _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids)
+    restarted = _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids)
     with np.errstate(all="ignore"):
         pred = fibers[sources] + dw[:, None] / derivs[sources]
-    z, db, res, _, accepted, _ = certified_step(b, pred, ws[targets])
+    z, db, res, accepted = certified_step(b, pred, ws[targets])
     fibers[targets], derivs[targets], resids[targets] = z, db, res
     rejected = targets[~accepted]
     fibers[rejected] = _fiber_batch(b, ws[rejected])

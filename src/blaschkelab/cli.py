@@ -25,7 +25,7 @@ from .bundle import build_cut_disc, bundle_report
 from .commutant import _NULLSPACE_RTOL, _PROJECTION_GAP
 from .errors import ToolkitError
 from .monodromy import crossing_paths
-from .tracking import PathSpec, newton_tol, track_with_trace
+from .tracking import PathSpec, approach, newton_tol, track_with_trace
 from .znmodel import zn_end_to_end
 
 __all__ = ["main"]
@@ -133,7 +133,9 @@ def cmd_trace_loop(args) -> int:
         )
         return 2
     there, back = pairs[args.index]
-    loop = PathSpec(there.segments + back.reversed().segments)
+    # "Back" reversed, cut again from its far end: a piece is short next to
+    # the branch values at its start, not at its end.
+    loop = PathSpec(there.segments + approach(back.end, back.start, cd.branch_values))
     _, trace = track_with_trace(b, cd.fiber0, loop)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:

@@ -12,7 +12,6 @@ __all__ = [
     "DegenerateClustering",
     "BranchCountError",
     "FiberCollision",
-    "StepFloorReached",
     "AmbiguousMatching",
     "LoopConstructionFailed",
     "PathBlocked",
@@ -25,7 +24,7 @@ class ToolkitError(RuntimeError):
 
 
 class NoConvergence(ToolkitError):
-    """Root or Newton iteration exhausted its budget with residuals above the bound."""
+    """An iteration missed its residual bound, or a point left its Koebe ball."""
 
 
 class DegenerateClustering(ToolkitError):
@@ -40,11 +39,7 @@ class BranchCountError(ToolkitError):
 
 
 class FiberCollision(ToolkitError):
-    """Two fiber points approached within the collision threshold."""
-
-
-class StepFloorReached(ToolkitError):
-    """A tracking step was rejected until its halved spacing fell below the floor."""
+    """Two fiber points, or their Koebe balls, came too close to tell apart."""
 
 
 class AmbiguousMatching(ToolkitError):
@@ -52,8 +47,8 @@ class AmbiguousMatching(ToolkitError):
 
 
 class LoopConstructionFailed(ToolkitError):
-    """The cut disc's base point or a segment cut by `split_segment` hits a
-    branch value."""
+    """The cut disc's base point or a segment meets a branch value, or a lane
+    step on a segment not cut by `split_segment` reaches a singular value."""
 
 
 class PathBlocked(ToolkitError):

@@ -2,19 +2,18 @@
 
 B is an n-to-1 branched cover of the disc; away from the branch values each
 w has a fiber of n distinct preimages.  This module computes initial fibers,
-chooses the base point, and continues whole fibers in one lockstep loop,
-`_continue_nodes`, which tracking and the quadrature of `bundle` share: it
-advances many paths through prescribed nodes, predicts each step by Hermite
-extrapolation or an Euler step, certifies it (`certified_step`: few Newton
-iterations, small residual, corrections well below the fiber separation),
-and solves a rejected node by eigenvalues and reports it.
-
-`track_paths` runs every segment of every path as a lane of four steps
-(`_continue_lanes`) and chains the lanes by matching fibers at their
-junctions; `track` is the one-path case.  Path builders cut segments by one
-rule (`split_segment`) into pieces short next to the branch values.  The
-Newton residual bound of every step is worked out from the product's own
-evaluation noise (`newton_tol`).
+chooses the base point, and continues fibers by two rules.  `track_paths`
+runs every segment of every path as a lane of four lockstep steps
+(`_continue_lanes`), each predicted by Hermite extrapolation or an Euler
+step, Newton-corrected and certified by Koebe balls (`_ball_test`); a lane
+ends at its first uncertified step, and lanes are chained by matching fibers
+at their junctions.  `track` is the one-path case; path builders cut
+segments by one rule (`split_segment`) into pieces short next to the branch
+values.  The quadrature of `bundle` continues unordered fibers through
+`_continue_nodes`, judged by `certified_step` (small residual, corrections
+well below the fiber separation), and solves a rejected node by
+eigenvalues.  The Newton residual bound of every step is worked out from
+the product's own evaluation noise (`newton_tol`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .errors import (
     FiberCollision,
     LoopConstructionFailed,
     NoConvergence,
-    StepFloorReached,
 )
 
 __all__ = [
@@ -65,30 +63,29 @@ _REACH_FRACTION = 0.7
 # |start| of a branch value: that close, rounding alone separates the two, as
 # on an arc whose end angle is pi in floating point.
 _ROUNDING = 8.0 * np.finfo(float).eps
-# `_continue_nodes` takes the Euler step where the last two nodes lie at most
-# this many newton_tol apart in w.  Each node sits about newton_tol / |B'| off
-# its root, so the Hermite predictor's divided difference (z1 - z0) / (w1 -
-# w0) has a relative error of about newton_tol / |w1 - w0|: on lanes 1e-10
-# long beside clustered branch values it failed down to the step floor.
+# Lanes and `_continue_nodes` take the Euler step where the last two nodes
+# lie at most this many newton_tol apart in w.  Each node sits about
+# newton_tol / |B'| off its root, so the Hermite predictor's divided
+# difference (z1 - z0) / (w1 - w0) has a relative error of about
+# newton_tol / |w1 - w0|: on lanes 1e-10 long beside clustered branch values
+# its steps failed.
 _HERMITE_SPACING = 1e4
-# Corrector iterations per continuation step (`certified_step`); fiber points
-# within _COLLISION_FACTOR * newton_tol have collided (`certified_step`,
-# `_start_collision`); the least spacing of a retried lane step, in segment
-# parameter; the base-point search lattice's cells per side.
+# Corrector iterations per continuation step (lanes and `certified_step`);
+# quadrature fiber points within _COLLISION_FACTOR * newton_tol have collided
+# (`certified_step`); the base-point search lattice's cells per side.
 _MAX_NEWTON_ITERS = 5
 _COLLISION_FACTOR = 10.0
-_STEP_FLOOR = 1e-12
 _BASE_GRID = 64
 # An eigenvalue fiber (`_fiber_batch`) may leave residuals |B(z) - w| up to
 # this, or a thousand times the product's evaluation noise where that is
-# larger.  On the suite, sweep draws of orders 6-32, the compositions of
-# orders 8-40 and the noisy order-16 product, over random values, branch
-# values and values 1e-9 from them, the residuals reached 5.9e-10 and 56
-# times the noise.
+# larger.  On the suite, the sweep draws of orders 6-32, the compositions of
+# orders 8-40 and the noisy order-16 product, over 64 random values each,
+# the branch values and values 1e-9 from them, the factored kernel read
+# residuals up to 2.7e-13, and 126 times the noise of the noisy one, 1.8e-15.
 _EIGEN_RESIDUAL = 1e-8
 # `initial_fiber` refuses a fiber with two eigenvalues closer than this as a
 # multiple point: at an exact branch value its polish leaves the two points
-# of a double root about 1e-8 apart, far above the collision threshold.
+# of a double root about 1e-8 apart, which no residual test would refuse.
 _MULTIPLE_POINT = 1e-4
 # The polish of a fiber to near machine precision (`initial_fiber`, and the
 # labeled and quadrature fibers of `bundle`): least residual (`_polish_tol`),
@@ -294,28 +291,20 @@ def _polish_tol(b) -> float:
 
 def certified_step(b, pred, w):
     """Newton-correct predicted fibers pred[k] onto B(z) = w[k], down to
-    residual `newton_tol(b)`, and certify them: the one step certificate, of
-    `_continue_nodes`.  Returns (points, B' and the residual B - w there, as
-    `newton_correct` last evaluated them, fiber separations, accepted,
-    collided) per row.  A row has collided when it converged with separation
-    at most _COLLISION_FACTOR * newton_tol; it is accepted when it
-    converged, has not collided, and its separation exceeds ten times its
-    largest correction.
+    residual `newton_tol(b)`, and certify them: the step certificate of the
+    quadrature's unordered fibers (`_continue_nodes`).  Returns (points, B'
+    and the residual B - w there, as `newton_correct` last evaluated them,
+    accepted) per row.  A row is accepted when it converged and its
+    separation exceeds both _COLLISION_FACTOR * newton_tol and ten times
+    its largest correction.
     """
     tol = newton_tol(b)
     z, db, res, converged = newton_correct(b, pred, w, tol, _MAX_NEWTON_ITERS)
     with np.errstate(all="ignore"):
         sep = fiber_separation(z)
         largest = np.abs(z - pred).max(axis=1)
-        collided = converged & (sep <= _COLLISION_FACTOR * tol)
-        accepted = converged & ~collided & (sep > 10.0 * largest)
-    return z, db, res, sep, accepted, collided
-
-
-def _start_collision(b, w, sep):
-    """FiberCollision if `b`'s fresh fiber over `w` of separation `sep` collided, else None."""
-    if sep <= _COLLISION_FACTOR * newton_tol(b):
-        return FiberCollision(f"fiber separation {sep:.3e} at w={w} is below threshold")
+        accepted = converged & (sep > _COLLISION_FACTOR * tol) & (sep > 10.0 * largest)
+    return z, db, res, accepted
 
 
 def initial_fiber(b, w) -> Fiber:
@@ -324,9 +313,8 @@ def initial_fiber(b, w) -> Fiber:
     The one-row case of `_fiber_batch`, Newton-polished to residual
     `_polish_tol` within `_POLISH_ITERS` corrections, then one step from the
     last residual.  Raises FiberCollision when w is (numerically) a branch
-    value: two eigenvalues within `_MULTIPLE_POINT`, or a separation
-    `_start_collision` refuses; NoConvergence naming w when the polish does
-    not reach its residual bound.
+    value, two eigenvalues within `_MULTIPLE_POINT`; NoConvergence naming w
+    when the polish does not reach its residual bound.
     """
     w = complex(w)
     pts = _fiber_batch(b, np.array([w]))
@@ -336,13 +324,8 @@ def initial_fiber(b, w) -> Fiber:
     if not ok[0]:
         raise NoConvergence(f"polishing the fiber at w={w} did not converge")
     pts = z[0] - res[0] / db[0]
-    order = np.lexsort((pts.imag, pts.real))
-    pts = pts[order]
-    sep = float(fiber_separation(pts))
-    collision = _start_collision(b, w, sep)
-    if collision is not None:
-        raise collision
-    return Fiber(w=w, points=tuple(pts.tolist()), separation=sep)
+    pts = pts[np.lexsort((pts.imag, pts.real))]
+    return Fiber(w=w, points=tuple(pts.tolist()), separation=float(fiber_separation(pts)))
 
 
 def choose_base_point(branch_values) -> complex:
@@ -374,7 +357,7 @@ def _fiber_batch(b, ws: np.ndarray) -> np.ndarray:
     NoConvergence naming the first w whose fiber leaves a residual
     |B(z) - w| above `_EIGEN_RESIDUAL`, or above 1e3 `b.eval_noise` where
     that is larger.  Used where no neighbouring fiber is at hand: lane
-    starts, rejected continuation nodes, quadrature path seeds, quadrature
+    starts, rejected quadrature nodes, quadrature path seeds, quadrature
     nodes next to a branch value, failed polishes, and `initial_fiber`.
     """
     m, x, y, c0 = b.compressed_shift
@@ -405,14 +388,14 @@ def track_paths(b, fiber, paths, record=None) -> list:
     input point i), or the first failure in path order.  Every segment of
     every path is one lane (`_continue_lanes`).  A path's first lane starts
     from `fiber`, every later lane from the eigenvalue fiber of its start
-    (one `_fiber_batch` call, refused by `_start_collision` alone, not by
-    the multiple-point test of `initial_fiber`), and all junctions are
-    matched at once by `_match_rows`.  A failure is a lane's FiberCollision
-    or StepFloorReached ("segment k" names the lane's index in its path), or
-    AmbiguousMatching naming the w of its junction.  Lanes are bit-identical
-    however many paths are tracked together; equal segments at equal
-    positions are tracked once.  Build paths with `split_segment` so that
-    every lane is short.
+    (one `_fiber_batch` call; a bad start is refused by the lane's first
+    step), and all junctions are matched at once by `_match_rows`.  A
+    failure is a lane's uncertified step (FiberCollision,
+    LoopConstructionFailed or NoConvergence; "segment k" names the lane's
+    index in its path), or AmbiguousMatching naming the w of its junction.
+    Lanes are bit-identical however many paths are tracked together; equal
+    segments at equal positions are tracked once.  Build paths with
+    `split_segment`: a lane on a longer segment is refused.
 
     `record` traces a single path, as in `track`; it is refused with several.
     """
@@ -432,21 +415,15 @@ def track_paths(b, fiber, paths, record=None) -> list:
     at = _segment_points(segs)
     start = np.array(fiber.points, dtype=complex)
     starts = np.tile(start, (len(segs), 1))
-    errors = [None] * len(segs)
     later = np.flatnonzero(positions)
     if len(later):
-        ws = at(later, np.zeros(len(later)))
-        starts[later] = _fiber_batch(b, ws)
-        for r, w0, sep in zip(later.tolist(), ws, fiber_separation(starts[later])):
-            errors[r] = _start_collision(b, complex(w0), sep)
-    started = [e is None for e in errors]
-    ends, w, nodes = _continue_lanes(
-        b, starts, at, positions, errors, keep_nodes=record is not None
+        starts[later] = _fiber_batch(b, at(later, np.zeros(len(later))))
+    ends, w, errors, nodes = _continue_lanes(
+        b, starts, at, positions, keep_nodes=record is not None
     )
-    # Every junction whose two fibers exist, matched at once.
+    # Every junction that a certified lane reaches, matched at once.
     junctions = sorted({
-        (a, c) for lanes in path_lanes for a, c in zip(lanes, lanes[1:])
-        if errors[a] is None and started[c]
+        (a, c) for lanes in path_lanes for a, c in zip(lanes, lanes[1:]) if errors[a] is None
     })
     matches = {}
     if junctions:
@@ -467,8 +444,7 @@ def track_paths(b, fiber, paths, record=None) -> list:
             record(0.0, complex(path.start), start.copy())
         for k, lane in enumerate(lanes):
             if k:
-                # The junction's slot map, or the start collision of the lane.
-                joined = matches.get((lanes[k - 1], lane), errors[lane])
+                joined = matches[lanes[k - 1], lane]
                 if isinstance(joined, Exception):
                     outcome = joined
                     break
@@ -494,10 +470,11 @@ def track(b, fiber, path, record=None) -> Fiber:
     """Continue a whole fiber along `path`; slot i follows input point i.
 
     The one-path case of `track_paths`; raises the path's failure
-    (FiberCollision, StepFloorReached or AmbiguousMatching).
+    (FiberCollision, LoopConstructionFailed, NoConvergence or
+    AmbiguousMatching).
 
     `record`, if given, is called as record(t, w, points) at the start node
-    and at every accepted node, in path order, once the path is tracked, with
+    and at every certified node, in path order, once the path is tracked, with
     t the global path parameter in [0, 1] (segment k spans [k, k + 1] / the
     number of segments) and the points in the slot order of `fiber`.  Nodes
     up to the path's first failure are recorded.
@@ -554,10 +531,12 @@ def _predict(prev, last, w_next, euler):
 
 
 def _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids=None):
-    """The one lockstep continuation loop: fibers of `b` from node to node.
+    """The quadrature's lockstep continuation loop: fibers of `b` from node
+    to node.
 
-    `rows` indexes `ws`: the concatenation of paths of the given (positive)
-    lengths, each an ordered run of nearby regular values, its nodes.
+    `rows` indexes `ws`: the concatenation of paths of the given positive,
+    non-increasing lengths (so the paths still running at step k are a
+    prefix), each an ordered run of nearby regular values, its nodes.
     fibers[rows[s]] and derivs[rows[s]] hold the fiber and B' at each path's
     first node s; the loop fills in the later nodes', all paths one node
     per iteration, and, if `resids` is given, the residual B - w at every
@@ -566,19 +545,16 @@ def _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids=None):
     first step, after a restart, and between nodes at most
     `_HERMITE_SPACING` * `newton_tol(b)` apart) and judged by `certified_step`.
     A rejected node is solved by eigenvalues (`_fiber_batch`) and its path
-    restarts there.  Returns the rejected nodes sparsely, in step order:
-    their rows of `ws`, whether the step collided, and the separation.
+    restarts there.  Returns the rows of `ws` of the rejected nodes, in step
+    order.
     """
     lengths = np.asarray(lengths, dtype=int)
     starts = np.cumsum(lengths) - lengths
-    # Longest paths first, so the paths still running at step k are a prefix.
-    order = np.argsort(-lengths, kind="stable")
-    starts, lengths = starts[order], lengths[order]
     seeds = rows[starts]
     # The node before last of every path (the seed itself at the first step).
     prev = w, z, db = ws[seeds], fibers[seeds], derivs[seeds]
     restarted = np.ones(len(starts), dtype=bool)
-    rejected = [(np.empty(0, dtype=int), np.empty(0, dtype=bool), np.empty(0))]
+    rejected = [np.empty(0, dtype=int)]
     for k in range(1, int(lengths.max(initial=1))):
         live = int(np.count_nonzero(lengths > k))
         idx = rows[starts[:live] + k]
@@ -588,84 +564,102 @@ def _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids=None):
         near = np.abs(last[0] - prev[0]) <= _HERMITE_SPACING * newton_tol(b)
         pred = _predict(prev, last, w_next, restarted[:live] | near)
         prev = last
-        z, db, res, sep, accepted, collided = certified_step(b, pred, w_next)
+        z, db, res, accepted = certified_step(b, pred, w_next)
         if resids is not None:
             resids[idx] = res
         failed = np.flatnonzero(~accepted)
         if len(failed):
             z[failed] = _fiber_batch(b, w_next[failed])
             db[failed] = b.derivative_value(z[failed])
-            rejected.append((idx[failed], collided[failed], sep[failed]))
+            rejected.append(idx[failed])
         restarted = ~accepted
         fibers[idx], derivs[idx], w = z, db, w_next
-    return tuple(np.concatenate(parts) for parts in zip(*rejected))
+    return np.concatenate(rejected)
 
 
-def _continue_lanes(b, pts, at, positions, errors, keep_nodes=False):
-    """Continue fiber pts[k] along segment k through `_continue_nodes`.
+# The refusals of `_ball_test` by code (0 certifies the step): the error and
+# what its message says.
+_REFUSALS = (
+    None,
+    (LoopConstructionFailed, "a step reaches a singular value of B (an unsplit segment)"),
+    (NoConvergence, "Newton did not converge"),
+    (FiberCollision, "the fiber's Koebe balls overlap"),
+    (NoConvergence, "a point left its Koebe ball"),
+)
 
-    `at` evaluates the segments (`_segment_points`).  Lane k's nodes are
-    t = 0, 1/4, 1/2, 3/4 and 1 of its segment; each round runs every
-    unfinished lane as one path from its last accepted node through
-    its remaining nodes.  At its first rejected node a lane ends in
-    FiberCollision if the step collided; else a node is inserted halfway
-    into the step, down to the step floor (StepFloorReached on segment
-    positions[k]), and the lane takes one step a round until it is past the
-    rejected node.  Lanes with an `errors` entry are skipped; failures are
-    written there.  Returns (points, w) at the lane ends and, with
-    `keep_nodes`, the accepted nodes (t, w, points) of every lane.
+
+def _ball_test(b, old, new, converged):
+    """Certify lane steps from fibers `old` to `new`, each (w, points, B',
+    residual B - w) per row, by Koebe balls; `converged` marks the rows
+    Newton converged on.  Every inverse branch g of B is univalent on the
+    disc about w_a = old w of radius r, the distance to the nearest of
+    `b.singular_values`, so for rho = |w_b - w_a| / r < 1 Koebe's distortion
+    theorem bounds |g(w_b) - g(w_a)| by |g'(w_a)| r rho / (1 - rho)^2,
+    g' = 1/B' (Duren, Univalent Functions, 1983, 2.3).  Widened by the
+    first-order errors 2 |B(z) - w| / |B'(z)| of old and new point i, the
+    ball of that radius about old point i holds the continuation of its
+    root.  A step is certified when Newton converged, the balls are pairwise
+    disjoint and ball i holds new point i.  Returns per row 0 or the
+    `_REFUSALS` code of its first refusal: rho >= 1 or r = 0, no
+    convergence, overlapping balls, a new point outside its ball.
+    """
+    (wa, za, da, ra), (wb, zb, db, rb) = old, new
+    with np.errstate(all="ignore"):
+        r = np.abs(wa[:, None] - b.singular_values).min(axis=1, initial=np.inf)
+        step = np.abs(wb - wa)
+        rho = step / r
+        # r rho / (1 - rho)^2, written so that r = inf gives the linear bound.
+        reach = (step / (1.0 - rho) ** 2)[:, None]
+        radius = (reach + 2.0 * np.abs(ra)) / np.abs(da) + 2.0 * np.abs(rb) / np.abs(db)
+        i, j = _pairs(za.shape[1])
+        disjoint = (np.abs(za[:, i] - za[:, j]) > radius[:, i] + radius[:, j]).all(axis=1)
+        held = (np.abs(zb - za) <= radius).all(axis=1)
+    return np.select([~(rho < 1.0), ~converged, ~disjoint, ~held], [1, 2, 3, 4], 0)
+
+
+def _continue_lanes(b, pts, at, positions, keep_nodes=False):
+    """Continue fiber pts[k] along segment k, every lane in one lockstep pass.
+
+    `at` evaluates the segments (`_segment_points`).  Lane k steps through
+    t = 1/4, 1/2, 3/4 and 1 of its segment: `_predict` (Euler at the first
+    step, whose node before last is the start, and between nodes at most
+    `_HERMITE_SPACING` * `newton_tol(b)` apart), `newton_correct` and
+    `_ball_test`.  It ends at its first uncertified step, in the error of
+    `_REFUSALS` naming segment positions[k] and the step's w.  Returns the
+    points and w at the lane ends, every lane's error or None and, with
+    `keep_nodes`, every lane's certified nodes (t, w, points).
     """
     m = len(pts)
-    pts, db, w = pts.copy(), b.derivative_value(pts), at(np.arange(m), np.zeros(m))
-    # Per lane: its last accepted parameter, the nodes it has still to reach,
-    # and its furthest rejected node, up to which it takes one step a round.
-    t_last, todo, until = [0.0] * m, [[0.25, 0.5, 0.75, 1.0] for _ in range(m)], [0.0] * m
-    nodes = [[] for _ in range(m)]
-    live = [k for k in range(m) if errors[k] is None]
-    while live:
-        params = [[t_last[k]] + todo[k][:1 if todo[k][0] <= until[k] else None] for k in live]
-        lengths = np.array([len(p) for p in params])
-        starts = np.cumsum(lengths) - lengths
-        t = np.concatenate(params)
-        # Every node row starts as its lane's last accepted fiber.
-        lanes = np.repeat(live, lengths)
-        ws, fibers, derivs = at(lanes, t), pts[lanes], db[lanes]
-        rejected, collided, sep = _continue_nodes(
-            b, ws, np.arange(len(ws)), lengths, fibers, derivs
-        )
-        # Each path's first rejected node (the reports come in step order).
-        paths = np.searchsorted(starts, rejected, side="right") - 1
-        first = {j: i for i, j in reversed(list(enumerate(paths.tolist())))}
-        unfinished = []
-        for j, k in enumerate(live):
-            i = first.get(j)
-            done = range(starts[j] + 1, starts[j] + lengths[j] if i is None else rejected[i])
-            if done:
-                q = done[-1]
-                pts[k], db[k], w[k], t_last[k] = fibers[q], derivs[q], ws[q], t[q]
-                del todo[k][:len(done)]
-                if keep_nodes:
-                    nodes[k] += [(float(t[q]), complex(ws[q]), fibers[q]) for q in done]
-            if i is None:
-                if todo[k]:
-                    unfinished.append(k)
-                continue
-            r = rejected[i]
-            half = 0.5 * (t[r] - t_last[k])
-            if collided[i]:
-                errors[k] = FiberCollision(
-                    f"fiber separation {sep[i]:.3e} under threshold near w={complex(ws[r])}"
-                )
-            elif half < _STEP_FLOOR:
-                errors[k] = StepFloorReached(
-                    f"step floor reached on segment {positions[k]} near w={complex(ws[r])}"
-                )
-            else:
-                todo[k].insert(0, t_last[k] + half)
-                until[k] = max(until[k], t[r])
-                unfinished.append(k)
-        live = unfinished
-    return pts, w, nodes
+    tol = newton_tol(b)
+    w = at(np.arange(m), np.zeros(m))
+    val, db = b.eval_with_derivative(pts)
+    # Every lane's last certified node (w, points, B', residual) and the one before it.
+    last = [w, pts.copy(), db, val - w[:, None]]
+    before = [a.copy() for a in last[:3]]
+    errors, nodes = [None] * m, [[] for _ in range(m)]
+    live = np.arange(m)
+    for t in (0.25, 0.5, 0.75, 1.0):
+        w_next = at(live, np.full(len(live), t))
+        old, prev = [a[live] for a in last], [a[live] for a in before]
+        euler = np.abs(old[0] - prev[0]) <= _HERMITE_SPACING * tol
+        pred = _predict(prev, old[:3], w_next, euler)
+        new = newton_correct(b, pred, w_next, tol, _MAX_NEWTON_ITERS)
+        codes = _ball_test(b, old, (w_next,) + new[:3], new[3])
+        for q in np.flatnonzero(codes):
+            error, why = _REFUSALS[codes[q]]
+            errors[live[q]] = error(
+                f"{why} on segment {positions[live[q]]} near w={complex(w_next[q])}"
+            )
+        ok = codes == 0
+        live = live[ok]
+        for a, value in zip(before, old):
+            a[live] = value[ok]
+        for a, value in zip(last, (w_next,) + new[:3]):
+            a[live] = value[ok]
+        if keep_nodes:
+            for k, w_node, z in zip(live.tolist(), w_next[ok], new[0][ok]):
+                nodes[k].append((t, complex(w_node), z))
+    return last[1], last[0], errors, nodes
 
 
 def _match_rows(ends, starts, bounds):

@@ -12,7 +12,7 @@ import json  # noqa: E402
 
 import pytest  # noqa: E402
 
-from blaschkelab import BlaschkeProduct, compute_representation, to_spec  # noqa: E402
+from blaschkelab import BlaschkeProduct, compute_representation, to_spec, tracking  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +52,18 @@ def rep_of():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def lane_steps(monkeypatch) -> list:
+    """The codes `tracking._ball_test` returns, one array per lockstep lane
+    step of the test (0 where a lane's step is certified)."""
+    codes = []
+    test = tracking._ball_test
+
+    def recording(*args):
+        codes.append(test(*args))
+        return codes[-1]
+
+    monkeypatch.setattr(tracking, "_ball_test", recording)
+    return codes

@@ -130,20 +130,34 @@ def test_analyze_uses_the_chosen_base_point(order3, monkeypatch):
 
 
 def test_collided_base_fiber_raises_from_initial_fiber(order3, monkeypatch):
-    monkeypatch.setattr(tracking, "_COLLISION_FACTOR", 1e12)
+    monkeypatch.setattr(tracking, "_MULTIPLE_POINT", 1e12)
     with pytest.raises(FiberCollision) as info:
         analyze(order3)
     assert info.traceback[-1].name == "initial_fiber"
 
 
+def test_sweep_order20_draw4_certifies_every_lane_step(lane_steps):
+    # Beside its clustered branch values the former rule refused 42 lane
+    # steps of this draw (separation only 6.8-9.9 times the correction) and
+    # retried them to halfway nodes.  Every lane now certifies its four
+    # quarter steps by Koebe balls, in one lockstep pass with no refused
+    # step, and the analysis gives S_20 with q = 2.
+    result = analyze(sweep_draw(20, 4))
+    assert result.group_order == math.factorial(20)
+    assert result.q_orbitals == 2
+    assert len(lane_steps) == 4
+    assert len({len(c) for c in lane_steps}) == 1
+    assert not np.concatenate(lane_steps).any()
+
+
 def test_newton_tol_override_reaches_tracking(tmp_path, capsys, monkeypatch):
-    # Under a tolerance of 1e-30 no continuation step is certified.
+    # Under a tolerance of 1e-30 Newton converges on no continuation step.
     b = BlaschkeProduct(0.0, [0.0, 0.0, 0.5])
     spec = tmp_path / "order3.json"
     spec.write_text(json.dumps(to_spec(b)))
     monkeypatch.setattr(tracking, "newton_tol", lambda b: 1e-30)
     assert main(["analyze", str(spec)]) == 3
-    assert "blaschkelab.errors.StepFloorReached" in capsys.readouterr().err
+    assert "blaschkelab.errors.NoConvergence" in capsys.readouterr().err
 
 
 def test_noisy_product_is_analyzed_at_its_own_tolerance(tmp_path):

@@ -11,13 +11,14 @@ import pytest
 from blaschkelab import (
     AmbiguousMatching,
     BlaschkeProduct,
+    FiberCollision,
     Line,
     LoopConstructionFailed,
     NoConvergence,
     PathBlocked,
     PathSpec,
     Poly,
-    StepFloorReached,
+    approach,
     build_cut_disc,
     crossing_paths,
     build_quadrature_grid,
@@ -170,14 +171,17 @@ def test_sigma_path_independence(order3):
             return z
 
     # Continuation along a two-leg detour base -> via -> z that stays in the
-    # cut disc gives the same labeled fiber as the straight route.
+    # cut disc, each leg cut by `approach`, gives the same labeled fiber as
+    # the straight route.
     base = complex(cd.base)
     checked = 0
     while checked < 5:
         z, via = sample_point(), sample_point()
         if not (_clear_of_cuts(cd, base, via) and _clear_of_cuts(cd, via, z)):
             continue
-        detour = PathSpec(segments=(Line(base, via), Line(via, z)))
+        detour = PathSpec(
+            approach(base, via, cd.branch_values) + approach(via, z, cd.branch_values)
+        )
         tracked = np.asarray(track(order3, cd.fiber0, detour).points)
         direct = sigma_values(cd, z)
         assert np.max(np.abs(direct - tracked)) < 1e-9
@@ -418,25 +422,21 @@ def test_continuation_falls_back_across_a_branch_value(square, square_setup):
 def test_certificate_rejects_collided_and_overcorrected_steps(order3):
     w0, w1 = 0.135 - 0.45j, 0.318 + 0.108j
     exact = _fiber_batch(order3, np.array([w1]))
-    _, _, _, _, ok, collided = certified_step(order3, exact, np.array([w1]))
+    _, _, _, ok = certified_step(order3, exact, np.array([w1]))
     assert ok.tolist() == [True]
-    assert collided.tolist() == [False]
     # Two points 1e-12 apart on one root: converged at once, with no
     # correction at all, but collided.
     doubled = exact[:, [0, 0, 2]] + np.array([0.0, 1e-12, 0.0])
-    z, _, _, _, ok, collided = certified_step(order3, doubled, np.array([w1]))
+    z, _, _, ok = certified_step(order3, doubled, np.array([w1]))
     assert np.max(np.abs(order3(z) - w1)) <= newton_tol(order3)
     assert ok.tolist() == [False]
-    assert collided.tolist() == [True]
     # One long Euler step: Newton converges to a fiber, but its corrections
-    # are more than a tenth of the separation, so the step is not trusted;
-    # it has not collided, so `track` halves its step rather than failing.
+    # are more than a tenth of the separation, so the step is not trusted.
     start = _fiber_batch(order3, np.array([w0]))
     pred = start + (w1 - w0) / order3.eval_with_derivative(start)[1]
-    z, _, _, _, ok, collided = certified_step(order3, pred, np.array([w1]))
+    z, _, _, ok = certified_step(order3, pred, np.array([w1]))
     assert np.max(np.abs(order3(z) - w1)) <= newton_tol(order3)
     assert ok.tolist() == [False]
-    assert collided.tolist() == [False]
 
 
 def test_continuation_single_point_fiber(mobius):
@@ -639,13 +639,13 @@ def test_bundle_report_solves_branch_data_once(order3, monkeypatch):
 
 
 def test_cut_disc_settings_reach_labeled_tracking(order3, monkeypatch):
-    # Under a tracking tolerance of 1e-30 no step is certified: the cut
-    # disc's labeled fibers stop at the step floor, as the monodromy does.
+    # Under a tracking tolerance of 1e-30 no step is certified: Newton does
+    # not converge on the cut disc's labeled fibers, as on the monodromy's.
     monkeypatch.setattr(tracking, "newton_tol", lambda b: 1e-30)
     cd = build_cut_disc(order3)
-    with pytest.raises(StepFloorReached):
+    with pytest.raises(NoConvergence, match="Newton did not converge on segment 0 "):
         compute_representation(order3)
-    with pytest.raises(StepFloorReached):
+    with pytest.raises(NoConvergence, match="Newton did not converge on segment 0 "):
         sigma_samples(cd, 5)
 
 
@@ -743,23 +743,23 @@ def test_sigma_samples_raises_the_earliest_failure(order3, monkeypatch):
     cd = build_cut_disc(order3)
     zs, _ = sigma_samples(cd, 8)
     with monkeypatch.context() as m:
-        _inject(m, track_errors=[(4, StepFloorReached("row 4"))], polish_fail=[2])
+        _inject(m, track_errors=[(4, FiberCollision("row 4"))], polish_fail=[2])
         with pytest.raises(NoConvergence, match=f"z={zs[2]:.4f}"):
             sigma_samples(cd, 8)
     with monkeypatch.context() as m:
-        _inject(m, track_errors=[(1, StepFloorReached("row 1"))], polish_fail=[2])
-        with pytest.raises(StepFloorReached, match="row 1"):
+        _inject(m, track_errors=[(1, FiberCollision("row 1"))], polish_fail=[2])
+        with pytest.raises(FiberCollision, match="row 1"):
             sigma_samples(cd, 8)
 
 
 def test_partition_check_stops_at_the_first_miss(order3, monkeypatch):
     cd = build_cut_disc(order3)
     with monkeypatch.context() as m:
-        _inject(m, track_errors=[(5, StepFloorReached("row 5"))], polish_shift=[2])
+        _inject(m, track_errors=[(5, FiberCollision("row 5"))], polish_shift=[2])
         assert partition_check(cd, 8) is False
     with monkeypatch.context() as m:
-        _inject(m, track_errors=[(5, StepFloorReached("row 5"))])
-        with pytest.raises(StepFloorReached, match="row 5"):
+        _inject(m, track_errors=[(5, FiberCollision("row 5"))])
+        with pytest.raises(FiberCollision, match="row 5"):
             partition_check(cd, 8)
     assert partition_check(cd, 8) is True
 
@@ -813,8 +813,8 @@ def test_partition_check_judges_its_kept_points_before_it_is_blocked(
         assert partition_check(cd, 8) is False
     with monkeypatch.context() as m:
         _refuse_samples_after(m, 6)
-        _inject(m, track_errors=[(0, StepFloorReached("row 0"))])
-        with pytest.raises(StepFloorReached, match="row 0"):
+        _inject(m, track_errors=[(0, FiberCollision("row 0"))])
+        with pytest.raises(FiberCollision, match="row 0"):
             partition_check(cd, 8)
 
 

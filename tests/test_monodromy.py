@@ -460,10 +460,12 @@ def _lollipops(name):
     """(base fiber, loop system, generators and boundary permutation) of the
     lollipop loops of case `name`, each loop read at its head.
 
-    The stem is tracked alone and together with the head circle, and the
-    two ends are matched.  That is the whole lollipop's permutation whenever
-    its return stem tracks, since tracking keeps slot labels; on suite
-    product 27 and the two sweep draws a return stem raises FiberCollision.
+    The stem is tracked alone and together with the head circle, every
+    segment cut by `split_segment`, and the two ends are matched.  That is
+    the whole lollipop's permutation whenever its return stem tracks, since
+    tracking keeps slot labels; on suite product 27 and the two sweep draws
+    a return stem raised FiberCollision before lane steps were certified by
+    Koebe balls.
     """
     b = _CASES[name]
     data = b.branch_data()
@@ -473,26 +475,34 @@ def _lollipops(name):
     for loop in loops.loops + (loops.boundary_loop,):
         k = len(loop.segments) // 2
         stem = loop.segments[:k]
-        entry = track(b, fiber0, PathSpec(stem)) if stem else fiber0
-        perms.append(match_endpoints(entry, track(b, fiber0, PathSpec(loop.segments[:k + 1]))))
+        entry = track(b, fiber0, _cut(stem, data.branch_values)) if stem else fiber0
+        head = track(b, fiber0, _cut(loop.segments[:k + 1], data.branch_values))
+        perms.append(match_endpoints(entry, head))
     return fiber0, loops, perms
 
 
-def _closed(pair) -> PathSpec:
-    """The closed loop "there, then back reversed" of a crossing pair."""
+def _cut(segments, branch_values) -> PathSpec:
+    """The path of `segments`, each cut by `split_segment`, as lanes need."""
+    return PathSpec(tuple(p for seg in segments for p in split_segment(seg, branch_values)))
+
+
+def _closed(pair, branch_values) -> PathSpec:
+    """The closed loop "there, then back reversed" of a crossing pair, the
+    straight segment back cut again from its far end by `approach`."""
     there, back = pair
-    return PathSpec(there.segments + back.reversed().segments)
+    return PathSpec(there.segments + approach(back.end, back.start, branch_values))
 
 
-@pytest.mark.parametrize(
-    "name", [f"product{i:02d}" for i in range(20)] + [f"z^{n}" for n in range(2, 7)]
-)
+@pytest.mark.parametrize("name", sorted(_CASES))
 def test_generators_read_at_the_loop_head_match_whole_lollipops(name):
-    # The reference reads each lollipop at its head; where the whole
-    # lollipop tracks out, around and back, it gives the same permutation.
+    # The reference reads each lollipop at its head; the whole lollipop,
+    # tracked out, around and back, gives the same permutation.
     b = _CASES[name]
     fiber0, loops, perms = _lollipops(name)
-    whole = [loop_permutation(b, fiber0, loop) for loop in loops.loops + (loops.boundary_loop,)]
+    whole = [
+        loop_permutation(b, fiber0, _cut(loop.segments, loops.branch_values))
+        for loop in loops.loops + (loops.boundary_loop,)
+    ]
     assert perms == whole
 
 
@@ -515,13 +525,13 @@ def test_closed_crossing_loops_wind_once_and_give_the_generators(name):
     assert betas == rep.branch_values
     assert len(pairs) == len(betas) + 1
     for k, pair in enumerate(pairs):
-        loop = _closed(pair)
+        loop = _closed(pair, betas)
         assert loop.is_closed and loop.start == cd.base
         for j, beta in enumerate(betas):
             # The boundary loop, last, winds once about every branch value.
             expected = 1.0 if j == k or k == len(betas) else 0.0
             assert winding_number(loop, beta) == pytest.approx(expected, abs=1e-6)
-    whole = [loop_permutation(b, cd.fiber0, _closed(pair)) for pair in pairs]
+    whole = [loop_permutation(b, cd.fiber0, _closed(pair, betas)) for pair in pairs]
     assert whole == list(rep.generators) + [rep.boundary_perm]
 
 
@@ -616,21 +626,16 @@ def test_approach_pieces_stay_in_branch_free_discs():
         split_segment(Arc(0j, 0.5, 0.0, math.pi), [-0.5])
 
 
-def test_acceptance_representations_take_few_lockstep_iterations(monkeypatch):
-    # Every lane is a short piece that certifies in the minimum four steps,
-    # so the lockstep loop iterates a few times per product (742 certified
-    # steps over these 20 products when each path went segment by segment).
-    calls = [0]
-    step = tracking.certified_step
-
-    def counting(*args):
-        calls[0] += 1
-        return step(*args)
-
-    monkeypatch.setattr(tracking, "certified_step", counting)
-    for b in acceptance_products():
+def test_acceptance_representations_take_few_lockstep_iterations(lane_steps):
+    # Every lane is a short piece that certifies in its four steps, and all
+    # lanes of a product take them in one lockstep pass: four lane steps per
+    # product (742 certified steps over these 20 products when each path
+    # went segment by segment).
+    products = acceptance_products()
+    for b in products:
         compute_representation(b)
-    assert calls[0] <= 200
+    assert len(lane_steps) <= 200
+    assert len(lane_steps) == 4 * len(products)
 
 
 def test_failing_first_loop_raises_what_tracking_it_whole_raises(order3, monkeypatch):

@@ -13,7 +13,8 @@ _MODULES = [blaschkelab] + [
     for info in pkgutil.iter_modules(blaschkelab.__path__)
 ]
 # The test-only checks, the error of the generic element the minimal
-# projections no longer draw, the settings record no function takes, and the
+# projections no longer draw, the error of the step floor that lane steps no
+# longer retry down to, the settings record no function takes, and the
 # records that only echoed or validated their caller's arguments.
 _EXPORTED_NOWHERE = {
     "winding_number",
@@ -23,6 +24,7 @@ _EXPORTED_NOWHERE = {
     "is_transitive",
     "orbital_count",
     "DegenerateGenericElement",
+    "StepFloorReached",
     "Settings",
     "DEFAULTS",
     "GammaSample",

@@ -15,9 +15,10 @@ from blaschkelab import (
     BlaschkeProduct,
     FiberCollision,
     Line,
+    LoopConstructionFailed,
     PathSpec,
-    StepFloorReached,
     ToolkitError,
+    approach,
     build_cut_disc,
     choose_base_point,
     crossing_paths,
@@ -29,15 +30,16 @@ from blaschkelab import (
     track_with_trace,
 )
 from blaschkelab import NoConvergence, tracking
-from blaschkelab.tracking import newton_correct
+from blaschkelab.tracking import newton_correct, split_segment
 from helpers import loop_permutation, separation_slope
 
 _TWO_PI = 2.0 * math.pi
 
 
-def _circle(center: complex, radius: float, start_angle: float = 0.0) -> PathSpec:
+def _circle(b, center: complex, radius: float, start_angle: float = 0.0) -> PathSpec:
+    """The circle as one path of `b`, cut by `split_segment` at its branch values."""
     arc = Arc(center, radius, start_angle, start_angle + _TWO_PI)
-    return PathSpec(segments=(arc,))
+    return PathSpec(segments=split_segment(arc, b.branch_data().branch_values))
 
 
 def test_initial_fiber_square(square):
@@ -111,7 +113,7 @@ def test_choose_base_point_power():
 
 def test_track_square_monodromy(square):
     fib = initial_fiber(square, 0.25)
-    end = track(square, fib, _circle(0.0, 0.25))
+    end = track(square, fib, _circle(square, 0.0, 0.25))
     assert end.points[0] == pytest.approx(0.5, abs=1e-9)
     assert end.points[1] == pytest.approx(-0.5, abs=1e-9)
 
@@ -129,7 +131,7 @@ def test_track_null_loop_returns_start(order3):
         min(abs(w0 - v) for v in data.branch_values), 1.0 - abs(w0)
     )
     fib = initial_fiber(order3, w0 + radius)
-    end = track(order3, fib, _circle(w0, radius, start_angle=0.0))
+    end = track(order3, fib, _circle(order3, w0, radius, start_angle=0.0))
     assert max(abs(a - b) for a, b in zip(end.points, fib.points)) < 1e-9
 
 
@@ -150,7 +152,7 @@ def test_track_keeps_residuals_and_separation(order3):
     w0, fib = cd.base, cd.fiber0
     _, pairs = crossing_paths(cd)
     there, back = pairs[0]
-    loop = PathSpec(there.segments + back.reversed().segments)
+    loop = PathSpec(there.segments + approach(back.end, back.start, cd.branch_values))
     end, rows = track_with_trace(order3, fib, loop)
     assert len(rows) >= 2
     assert rows[0][0] == 0.0
@@ -165,29 +167,39 @@ def test_track_keeps_residuals_and_separation(order3):
     assert abs(end.w - w0) < 1e-12
 
 
-def test_track_step_floor_on_branch_value_crossing(square):
+def test_track_refuses_a_line_through_a_branch_value(square):
+    # Unsplit, the line crosses the branch value 0 of z^2.  Its first quarter
+    # step halves the distance to 0 (rho = 1/2), so the Koebe balls about
+    # +-0.5 have radius 1/2 and touch: the lane's first step is refused.
     fib = initial_fiber(square, 0.25)
-    with pytest.raises(StepFloorReached):
+    with pytest.raises(FiberCollision, match=re.escape("on segment 0 near w=(0.125+0j)")):
         track(square, fib, PathSpec(segments=(Line(0.25, -0.25),)))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect (ROADMAP item 3): the absolute residual test certifies "
-    "a fiber at the branch value w = 0, two points 5.6e-6 apart",
-)
 def test_track_refuses_a_fiber_at_a_branch_value(square):
-    # Ending on the branch value, both points converge toward the double
-    # root z = 0, where |z^2| ~ 8e-12 passes the residual test.  A scale-free
-    # certificate (an alpha-test, say) should refuse the last step.
+    # Ending on the branch value 0, the lane is refused before it reaches it:
+    # at its third quarter step, from w = 1/8 to 1/16, the Koebe balls about
+    # +-0.354 already touch, and its last step has rho = 1.  The former
+    # residual test certified a fiber at w = 0 with two points 5.6e-6 apart.
     fib = initial_fiber(square, 0.25)
-    with pytest.raises(ToolkitError):
+    with pytest.raises(FiberCollision, match=re.escape("on segment 0 near w=(0.0625+0j)")):
         track(square, fib, PathSpec(segments=(Line(0.25, 0.0),)))
+
+
+def test_a_step_reaching_a_singular_value_names_its_segment(square):
+    # The second segment, not cut by `split_segment`, steps 0.2 from w = 0.1,
+    # twice its distance to the branch value 0: rho >= 1 refuses the step.
+    fib = initial_fiber(square, 0.25)
+    path = PathSpec(segments=(Line(0.25, 0.1), Line(0.1, 0.1 + 0.8j)))
+    with pytest.raises(
+        LoopConstructionFailed, match=re.escape("(an unsplit segment) on segment 1 near w=(0.1+0.2j)")
+    ):
+        track(square, fib, path)
 
 
 def test_loop_permutation_square(square):
     fib = initial_fiber(square, 0.25)
-    perm = loop_permutation(square, fib, _circle(0.0, 0.25))
+    perm = loop_permutation(square, fib, _circle(square, 0.0, 0.25))
     assert perm.images == (1, 0)
 
 
@@ -195,7 +207,7 @@ def test_loop_permutation_power_cycle():
     b = BlaschkeProduct(0.0, [0.0] * 5)
     w0 = choose_base_point(b.branch_data().branch_values)
     fib = initial_fiber(b, w0)
-    loop = _circle(0.0, abs(w0), start_angle=cmath.phase(w0))
+    loop = _circle(b, 0.0, abs(w0), start_angle=cmath.phase(w0))
     perm = loop_permutation(b, fib, loop)
     assert perm.cycle_type() == (5,)
 
@@ -207,7 +219,7 @@ def test_loop_permutation_null_loop(order3):
         min(abs(w0 - v) for v in data.branch_values), 1.0 - abs(w0)
     )
     fib = initial_fiber(order3, w0 + radius)
-    perm = loop_permutation(order3, fib, _circle(w0, radius))
+    perm = loop_permutation(order3, fib, _circle(order3, w0, radius))
     assert perm.is_identity()
 
 
@@ -313,23 +325,23 @@ def test_track_predicts_with_b_prime_at_the_current_fiber(order3, monkeypatch):
             assert pred.tobytes() == want.tobytes()
 
 
-def test_lane_past_a_branch_value_inserts_halfway_nodes(square, monkeypatch):
-    # The line passes 5e-4 above the branch value 0 of z^2.  Quarter steps
-    # next to it are rejected, and the lane retries each to a node inserted
-    # halfway into it (29 certified steps under the former halving step
-    # control); the sheet of +0.5 ends at the principal square root.
-    calls = [0]
-    step = tracking.certified_step
-
-    def counting(*args):
-        calls[0] += 1
-        return step(*args)
-
-    monkeypatch.setattr(tracking, "certified_step", counting)
+def test_lane_past_a_branch_value_is_refused_unless_split(square, lane_steps):
+    # The line passes 5e-4 above the branch value 0 of z^2.  Whole, its first
+    # quarter step has rho = 1/2 and the Koebe balls about +-0.5 touch: the
+    # lane is refused at once, where the former rule retried 29 steps to
+    # halfway nodes.  Cut by `split_segment`, every lane certifies its four
+    # steps, and the sheet of +0.5 ends at the principal square root.
     fib = initial_fiber(square, 0.25)
-    path = PathSpec(segments=(Line(0.25, -0.25 + 1e-3j),))
+    line = Line(0.25, -0.25 + 1e-3j)
+    with pytest.raises(FiberCollision, match="on segment 0 ") as info:
+        track(square, fib, PathSpec(segments=(line,)))
+    assert (FiberCollision, str(info.value)) == _scalar_track(square, fib, PathSpec((line,)))
+    assert [c.tolist() for c in lane_steps if len(c)] == [[3]]
+    lane_steps.clear()
+    path = PathSpec(split_segment(line, [0j]))
     end = track(square, fib, path)
-    assert 4 < calls[0] <= 60
+    assert len(lane_steps) == 4
+    assert not np.concatenate(lane_steps).any()
     assert end.points[1] == pytest.approx(cmath.sqrt(-0.25 + 1e-3j), abs=1e-12)
     assert (end.w, np.array(end.points).tobytes(), end.separation) == _scalar_track(
         square, fib, path
@@ -345,19 +357,20 @@ def _same_fiber(a, b) -> bool:
 
 
 @pytest.mark.parametrize(
-    "middle, factor, error",
+    "middle, error",
     [
-        (Line(0.25, -0.25), 10.0, StepFloorReached),
-        (Line(0.25, 0j), 1e6, FiberCollision),
+        (Line(0.25, -0.75), LoopConstructionFailed),
+        (Line(0.25, 0j), FiberCollision),
     ],
 )
-def test_track_paths_failing_middle_row(square, middle, factor, error, monkeypatch):
-    monkeypatch.setattr(tracking, "_COLLISION_FACTOR", factor)
+def test_track_paths_failing_middle_row(square, middle, error):
+    # The middle row steps onto the branch value 0 at its first step (rho = 1),
+    # or toward it until its Koebe balls touch; the other rows are unaffected.
     fib = initial_fiber(square, 0.25)
     paths = [
-        _circle(0.0, 0.25),
+        _circle(square, 0.0, 0.25),
         PathSpec(segments=(middle,)),
-        _circle(0.3, 0.05, start_angle=math.pi),
+        _circle(square, 0.3, 0.05, start_angle=math.pi),
     ]
     outcomes = track_paths(square, fib, paths)
     assert len(outcomes) == 3
@@ -373,9 +386,9 @@ def test_track_paths_empty_and_mismatched_start(square):
     fib = initial_fiber(square, 0.25)
     assert track_paths(square, fib, []) == []
     with pytest.raises(ValueError):
-        track_paths(square, fib, [_circle(0.0, 0.25), _circle(0.0, 0.3)])
+        track_paths(square, fib, [_circle(square, 0.0, 0.25), _circle(square, 0.0, 0.3)])
     with pytest.raises(ValueError):
-        track_paths(square, fib, [_circle(0.0, 0.25)] * 2, record=lambda *args: None)
+        track_paths(square, fib, [_circle(square, 0.0, 0.25)] * 2, record=lambda *args: None)
 
 
 def _hermite(before, last, w_next):
@@ -394,25 +407,39 @@ def _euler(last, w_next):
     return z1 + np.array([w_next - w1]) * (1.0 / db1)
 
 
-def _scalar_track(b, fiber, path, collision_factor=10.0):
+def _singular_values(b):
+    """B(c) at every interior critical point c, their reflections 1/conj(B(c)),
+    and B(infinity) = e^{i theta} prod(-1 / conj(a)) when no zero is 0."""
+    values = [complex(b(c.center)) for c in b.branch_data().critical_points]
+    values += [1.0 / v.conjugate() for v in values if v != 0]
+    if 0 not in b.zeros:
+        values.append(cmath.exp(1j * b.theta) * math.prod(-1.0 / a.conjugate() for a in b.zeros))
+    return values
+
+
+def _scalar_track(b, fiber, path):
     """One path, one lane at a time, one step at a time: the per-lane rule
     `track_paths` batches.
 
-    A lane's nodes are t = 0, 1/4, 1/2, 3/4 and 1 of its segment.  A
-    rejected step that did not collide is retried to a node inserted halfway
-    into it, unless that halves its spacing below the floor, and the lane
-    goes one step at a time up to its furthest rejected node.  A step is the
-    cubic Hermite extrapolation through the last two nodes, except for the
-    Euler step at the lane's first step, after a rejection, after a step
-    taken one at a time, and where the two nodes lie at most 1e-7 apart in
-    w.  Segment k > 0
-    starts from the eigenvalue fiber of its start; its points are matched to
-    the end of segment k - 1 by nearest neighbour within a third of their
-    separation, or the match fails naming the w of the junction.  Returns
-    the end fiber as (w, points in the slots of `fiber`, separation) or the
-    error as (type, message), with the default tolerances.
+    A lane's nodes are t = 0, 1/4, 1/2, 3/4 and 1 of its segment.  A step is
+    the cubic Hermite extrapolation through the last two nodes, except for
+    the Euler step at the lane's first step and where the two nodes lie at
+    most 1e-7 apart in w.  It is certified by Koebe balls: with r the
+    distance from the old w to the nearest singular value and
+    rho = |dw| / r, refused when rho >= 1 (LoopConstructionFailed), when
+    Newton does not converge (NoConvergence), when the balls of radius
+    |dw| / ((1 - rho)^2 |B'|) + eps about the old points, eps the
+    2 |B(z) - w| / |B'(z)| of the old and the new point, overlap
+    (FiberCollision), or when a new point lies outside its ball
+    (NoConvergence).  The lane ends at its first refused step.  Segment
+    k > 0 starts from the eigenvalue fiber of its start; its points are
+    matched to the end of segment k - 1 by nearest neighbour within a third
+    of their separation, or the match fails naming the w of the junction.
+    Returns the end fiber as (w, points in the slots of `fiber`, separation)
+    or the error as (type, message), with the default tolerances.
     """
-    tol, floor, iters, near = 1e-11, 1e-12, 5, 1e-7
+    tol, iters, near = 1e-11, 5, 1e-7
+    singular = _singular_values(b)
     pts = np.array(fiber.points, dtype=complex)
     slots = list(range(len(pts)))
     for iseg, seg in enumerate(path.segments):
@@ -420,8 +447,6 @@ def _scalar_track(b, fiber, path, collision_factor=10.0):
         if iseg:
             start = tracking._fiber_batch(b, np.array([w]))[0]
             sep = float(tracking.fiber_separation(start))
-            if sep <= collision_factor * tol:
-                return (FiberCollision, f"fiber separation {sep:.3e} at w={w} is below threshold")
             images = []
             for e in pts:
                 dists = np.abs(start - e)
@@ -435,29 +460,35 @@ def _scalar_track(b, fiber, path, collision_factor=10.0):
                 return (AmbiguousMatching, f"endpoint matching is not a bijection at w={w}")
             slots = [images[i] for i in slots]
             pts = start
-        node = (w, pts, b.derivative_value(pts))
-        before, until, t, todo = None, 0.0, 0.0, [0.25, 0.5, 0.75, 1.0]
-        while todo:
-            w_next = complex(seg.point(todo[0]))
+        val, db = b.eval_with_derivative(pts)
+        node, before = (w, pts, db, val - w), None
+        for t in (0.25, 0.5, 0.75, 1.0):
+            w_next = complex(seg.point(t))
             if before is None or abs(node[0] - before[0]) <= near:
-                pred = _euler(node, w_next)
+                pred = _euler(node[:3], w_next)
             else:
-                pred = _hermite(before, node, w_next)
-            z, db, _, ok = newton_correct(b, pred[None], np.array([w_next]), tol, iters)
-            sep = float(tracking.fiber_separation(z[0]))
-            if ok[0] and sep <= collision_factor * tol:
-                return (FiberCollision,
-                        f"fiber separation {sep:.3e} under threshold near w={w_next}")
-            if ok[0] and sep > 10.0 * float(np.max(np.abs(z[0] - pred))):
-                before = None if todo[0] <= until else node
-                node, t = (w_next, z[0], db[0]), todo.pop(0)
-                continue
-            half = 0.5 * (todo[0] - t)
-            if half < floor:
-                return (StepFloorReached,
-                        f"step floor reached on segment {iseg} near w={w_next}")
-            before, until = None, max(until, todo[0])
-            todo.insert(0, t + half)
+                pred = _hermite(before[:3], node[:3], w_next)
+            z, dz, rz, ok = newton_correct(b, pred[None], np.array([w_next]), tol, iters)
+            z, dz, rz = z[0], dz[0], rz[0]
+            step = abs(w_next - node[0])
+            r = min((abs(node[0] - v) for v in singular), default=math.inf)
+            rho = step / r if r > 0.0 else math.inf
+            where = f"on segment {iseg} near w={w_next}"
+            if not rho < 1.0:
+                return (LoopConstructionFailed,
+                        f"a step reaches a singular value of B (an unsplit segment) {where}")
+            if not ok[0]:
+                return (NoConvergence, f"Newton did not converge {where}")
+            _, z0, d0, r0 = node
+            radius = (step / (1.0 - rho) ** 2 + 2.0 * np.abs(r0)) / np.abs(d0)
+            radius += 2.0 * np.abs(rz) / np.abs(dz)
+            n = len(z0)
+            if any(abs(z0[i] - z0[j]) <= radius[i] + radius[j]
+                   for i in range(n) for j in range(i + 1, n)):
+                return (FiberCollision, f"the fiber's Koebe balls overlap {where}")
+            if not (np.abs(z - z0) <= radius).all():
+                return (NoConvergence, f"a point left its Koebe ball {where}")
+            before, node = node, (w_next, z, dz, rz)
         w, pts = node[0], node[1]
     pts = pts[slots]
     return (w, pts.tobytes(), float(tracking.fiber_separation(pts)))
@@ -556,7 +587,7 @@ def _seeded_products(count):
 
 
 @pytest.mark.parametrize("b", _seeded_products(5))
-def test_track_paths_matches_scalar_reference(b, monkeypatch):
+def test_track_paths_matches_scalar_reference(b):
     cd = build_cut_disc(b)
     base = cd.base
     _, pairs = crossing_paths(cd)
@@ -567,18 +598,16 @@ def test_track_paths_matches_scalar_reference(b, monkeypatch):
         for v in cd.branch_values
         for t in (1.0, 1.5)
     ]
-    for factor in (10.0, 1e6):
-        monkeypatch.setattr(tracking, "_COLLISION_FACTOR", factor)
-        outcomes = track_paths(b, initial_fiber(b, base), paths)
-        failed = 0
-        for path, got in zip(paths, outcomes):
-            want = _scalar_track(b, initial_fiber(b, base), path, factor)
-            if isinstance(got, Exception):
-                failed += 1
-                assert (type(got), str(got)) == want
-            else:
-                assert (got.w, np.array(got.points).tobytes(), got.separation) == want
-        assert failed > 0
+    outcomes = track_paths(b, initial_fiber(b, base), paths)
+    failed = 0
+    for path, got in zip(paths, outcomes):
+        want = _scalar_track(b, initial_fiber(b, base), path)
+        if isinstance(got, Exception):
+            failed += 1
+            assert (type(got), str(got)) == want
+        else:
+            assert (got.w, np.array(got.points).tobytes(), got.separation) == want
+    assert failed > 0
 
 
 def _scalar_base_point(branch_values, grid):

@@ -16,11 +16,12 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   radii and exits 0 with S_24, q = 2;
 * `analyze` on draw 5 of the order-16 sweep, whose branch values lie about
   1e-9 apart; it exits 0 since crossing paths are cut into short pieces
-  beside every branch value (it reached the step floor while each path
-  segment was continued whole);
+  beside every branch value (a path segment continued whole once failed
+  there);
 * `analyze` on draw 4 of the order-20 sweep, whose lanes beside clustered
-  branch values reject 42 steps and retry them to inserted halfway nodes
-  (about 0.7 s), so the retry path is covered;
+  branch values certify every step by Koebe balls, 42 of them steps that
+  the former rule (separation above ten times the correction) refused and
+  retried to halfway nodes; it exits 0 with S_20, q = 2;
 * `analyze` on draw 0 of the composition C3 o D4 of
   `tools/order_sweep.py --family composition` (order 12), whose group, the
   wreath product of S_4 and S_3, has three orbits on ordered pairs (equal
@@ -61,7 +62,8 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   projections tie and come in the order of their least Fourier mode of the
   boundary cycle (the constants first);
 * `trace-loop --index 0` on products 5 and 27 (on product 27 the loop once
-  ended in a `FiberCollision`);
+  ended in a `FiberCollision`), whose way back is cut again from its far
+  end, as Koebe balls refuse the reversed pieces of the path there;
 * two runs that exit 2 with a one-line message: `analyze` on the malformed
   spec {"theta": 0, "zeros": [0.1, 0.2]}, whose zeros are not [re, im]
   pairs, and `analyze --dedup-tol 1e-12` on product 0, a flag that no
