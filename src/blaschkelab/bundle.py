@@ -42,6 +42,7 @@ from .tracking import (
     _continue_nodes,
     _fiber_batch,
     _match_rows,
+    _polish,
     _polish_tol,
     _raise_first,
     approach,
@@ -50,7 +51,6 @@ from .tracking import (
     fiber_separation,
     initial_fiber,
     newton_correct,
-    newton_tol,
     point_segment_distance,
     track_paths,
 )
@@ -86,13 +86,6 @@ _ANGLES = 32
 _LEVELS = 12
 _LEVEL_RATIO = 0.25
 _GAUSS_MAX = 8
-# Innermost-level rows within this many `newton_tol` of their chart's center
-# are solved by eigenvalues, not stepped to (`build_quadrature_grid`): there
-# a residual of newton_tol certifies nothing.  On the seed-2026 suite's
-# product 15 at 10^5, ring 0 (|w - beta| ~ 1e-10) stepped and polished to
-# `_POLISH_TOL` lay up to 1.2e-9 from the 50-digit fibers, by eigenvalues
-# 5e-11, and stepping it tripled the fallbacks.
-_EIGENVALUE_GATE = 100.0
 
 # Quadrature: fiber rows per block of the isometry sums (`_isometry_estimates`),
 # so the evaluation's temporaries stay far smaller than the grid's fibers.
@@ -220,10 +213,10 @@ def _labeled_fibers(cd: CutDisc, zs) -> list:
     Routes every point from the base by `route_in_cut_disc`, continues
     `cd.fiber0` along all routes in one `track_paths` call and polishes
     every end fiber in one `newton_correct` call (residual `_polish_tol`,
-    `_POLISH_ITERS` iterations).
-    A point's outcome is the fiber in the slot order of `cd.fiber0`, or the
-    error its routing (PathBlocked), tracking or polish (NoConvergence)
-    produced.  A point within 1e-13 of the base gets the base fiber itself.
+    `_POLISH_ITERS` iterations).  A point's outcome is the fiber in the slot
+    order of `cd.fiber0`, or the error its routing (PathBlocked), tracking
+    or polish (NoConvergence) produced.  A point within 1e-13 of the base
+    gets the base fiber itself.
     """
     zs = [complex(z) for z in zs]
     outcomes = [None] * len(zs)
@@ -351,13 +344,12 @@ class QuadratureGrid:
     innermost level, whose summed contribution is reported as the
     excluded-mass bound.
 
-    Fibers come from certified continuation (`build_quadrature_grid`).
-    `fallbacks` counts the nodes whose certified step failed and that were
-    solved by eigenvalues instead: rejected nodes of the continuation loop
-    and rejected steps into the innermost levels.  Not counted are the rows
-    solved by eigenvalues by design (each ray's seed on the innermost
-    level's outer ring, and the innermost rows within `_EIGENVALUE_GATE`
-    `newton_tol` of their chart's center) and the fibers whose polish failed.
+    Fibers come from continuation, every step certified by disjoint error
+    balls (`tracking.certified_step`).  `fallbacks` counts the nodes whose
+    step failed and that were solved by eigenvalues instead: rejected nodes
+    of the continuation loop and rejected steps into the innermost levels.
+    Not counted are each ray's seed on the innermost level's outer ring,
+    solved by eigenvalues by design, and the fibers whose polish failed.
     The grid depends only on the cut disc's product and branch data and on
     the budget.
     """
@@ -375,30 +367,27 @@ def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, spokes=None):
     """Unordered fibers of `cd.b` over `ws`, mostly by certified continuation.
 
     `rows` indexes `ws`: the concatenation of paths of the given
-    non-increasing lengths, each an ordered run of nearby regular values.  Each path's first node
-    and every value on no path and no spoke are solved by eigenvalues
-    (`_fiber_batch`); the later nodes are the paths' nodes in the
-    continuation loop of `tracking` (`_continue_nodes`).  `spokes`, if
+    non-increasing lengths, each an ordered run of nearby regular values.
+    Each path's first node and every value on no path and no spoke are
+    solved by eigenvalues (`_fiber_batch`); the later nodes are the paths'
+    nodes in the continuation loop of `tracking` (`_continue_nodes`).  `spokes`, if
     given, is (targets, sources, dw): row targets[k], on no path, takes one
     `certified_step` from the fiber z at the eigenvalue row sources[k],
     predicted by the Euler step z + dw[k] / B'(z).  Every rejected node or
     spoke is solved by eigenvalues and counted.
 
-    Every accepted fiber then takes one Newton step, from the residual and
-    B' of its certified step's last evaluation, and is Newton-polished in
-    one call to residual `_polish_tol` within `_POLISH_ITERS` iterations:
-    next to a critical point a fiber point at residual `newton_tol` can sit
-    about newton_tol / |B'| from the root, and near a branch value of local
-    degree m > 2 even residual `_POLISH_TOL` is reached off the root (on z^4
-    the fibers sat 1.2e-10 from the eigenvalue fibers without the step).  A
-    fiber whose polish fails is solved by eigenvalues.
+    Every accepted fiber is then polished in one call (`tracking._polish`,
+    as `initial_fiber` is): next to a critical point a fiber point at
+    residual `newton_tol` can sit about newton_tol / |B'| from the root.  A
+    fiber whose polish fails is solved by eigenvalues.  B' is evaluated at
+    the final fibers.
 
     Returns (fibers aligned with ws, B' at those fibers, number of rejected
     nodes and spokes).
     """
     b = cd.b
     fibers = np.empty((len(ws), b.order), dtype=complex)
-    derivs, resids = np.empty_like(fibers), np.empty_like(fibers)
+    derivs = np.empty_like(fibers)
     lengths = np.asarray(lengths, dtype=int)
     lengths = lengths[lengths > 0]
     seeds = rows[np.cumsum(lengths) - lengths]
@@ -410,11 +399,11 @@ def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, spokes=None):
     solve = np.flatnonzero(by_eigenvalues)
     fibers[solve] = _fiber_batch(b, ws[solve])
     derivs[solve] = b.derivative_value(fibers[solve])
-    restarted = _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids)
+    restarted = _continue_nodes(b, ws, rows, lengths, fibers, derivs)
     with np.errstate(all="ignore"):
         pred = fibers[sources] + dw[:, None] / derivs[sources]
-    z, db, res, accepted = certified_step(b, pred, ws[targets])
-    fibers[targets], derivs[targets], resids[targets] = z, db, res
+    z, db, _, accepted = certified_step(b, pred, ws[targets])
+    fibers[targets], derivs[targets] = z, db
     rejected = targets[~accepted]
     fibers[rejected] = _fiber_batch(b, ws[rejected])
     derivs[rejected] = b.derivative_value(fibers[rejected])
@@ -422,11 +411,9 @@ def _continue_paths(cd: CutDisc, ws: np.ndarray, rows, lengths, spokes=None):
     by_eigenvalues[restarted] = True
     polished = np.flatnonzero(~by_eigenvalues)
     if len(polished):
-        z = fibers[polished] - resids[polished] / derivs[polished]
-        z, db, _, ok = newton_correct(b, z, ws[polished], _polish_tol(b), _POLISH_ITERS)
+        z, ok = _polish(b, fibers[polished], ws[polished])
         z[~ok] = _fiber_batch(b, ws[polished[~ok]])
-        db[~ok] = b.derivative_value(z[~ok])
-        fibers[polished], derivs[polished] = z, db
+        fibers[polished], derivs[polished] = z, b.derivative_value(z)
     return fibers, derivs, len(restarted)
 
 
@@ -474,11 +461,11 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
     node takes one certified step inward from the seed at its angle,
     predicted by the Euler step in the chart variable, dz/dt = m (w - beta)
     / (t B'(z)): the chart is the Puiseux uniformizer at beta, so the fiber
-    is nearly linear in t there.  Innermost nodes within `_EIGENVALUE_GATE`
-    `newton_tol` of beta stay on eigenvalues: there the residual certifies
-    nothing (ring 0 at m = 2 lies about 1e-10 rho from beta, and the inner
-    rings of z^5 about 3e-12).  B' of a continued fiber is the one its
-    polish last evaluated.  The nodes and weights do not depend on how the
+    is nearly linear in t there.  Every step, on a ray or inward down to
+    ring 0 (about 1e-10 rho from beta at m = 2), is judged by
+    `certified_step`, whose only absolute term is the product's evaluation
+    noise; on z^2 to z^5 every fiber lies within 1e-14 |w|^(1/m) of the
+    exact roots.  The nodes and weights do not depend on how the
     fibers are solved, and nothing is drawn at random.
     """
     budget = int(budget)
@@ -518,11 +505,9 @@ def build_quadrature_grid(cd: CutDisc, budget) -> QuadratureGrid:
     # One ray per chart and angle, from the innermost level's outer ring out.
     rings = np.arange(gauss - 1, _LEVELS * gauss)
     rays = (rings[None, :] * _ANGLES + np.arange(_ANGLES)[:, None]).ravel()
-    # One spoke from each ray's seed to every innermost node at its angle
-    # clear of the chart's center, an Euler step in t with dw/dt = m (w - beta) / t.
-    targets = np.flatnonzero(
-        (offset < (gauss - 1) * _ANGLES) & (own >= _EIGENVALUE_GATE * newton_tol(cd.b))
-    )
+    # One spoke from each ray's seed to every other innermost node at its
+    # angle, an Euler step in t with dw/dt = m (w - beta) / t.
+    targets = np.flatnonzero(offset < (gauss - 1) * _ANGLES)
     sources = per_chart * chart[targets] + (gauss - 1) * _ANGLES + targets % _ANGLES
     slope = np.asarray(degrees)[chart] * (points - centers[chart]) / ts
     dw = (ts[targets] - ts[sources]) * slope[sources]
@@ -608,7 +593,7 @@ def _min_separation(b, zs, sig) -> float:
 
     Also certifies that the labeling is consistent: at each point, the
     labeled fiber must match the independently solved unordered fiber one to
-    one, by the nearest-neighbour rule that joins tracking lanes
+    one, by the nearest-neighbour rule of `monodromy.match_endpoints`
     (`tracking._match_rows`) within max(min_sep / 3, 1e-9); AmbiguousMatching
     names the first point in draw order that does not.
     """

@@ -112,8 +112,7 @@ def match_endpoints(fiber0, end) -> Permutation:
     """Permutation tau with end.points[i] = fiber0.points[tau(i)].
 
     Matches endpoints to start points by nearest neighbour within a third of
-    the starting separation (AmbiguousMatching otherwise), the rule that
-    also joins the lanes of a path (`tracking._match_rows`).
+    the starting separation (AmbiguousMatching otherwise; `tracking._match_rows`).
     """
     (images,), (message,) = _match_rows(
         np.array([end.points], dtype=complex),

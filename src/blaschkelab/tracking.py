@@ -2,18 +2,19 @@
 
 B is an n-to-1 branched cover of the disc; away from the branch values each
 w has a fiber of n distinct preimages.  This module computes initial fibers,
-chooses the base point, and continues fibers by two rules.  `track_paths`
-runs every segment of every path as a lane of four lockstep steps
-(`_continue_lanes`), each predicted by Hermite extrapolation or an Euler
-step, Newton-corrected and certified by Koebe balls (`_ball_test`); a lane
-ends at its first uncertified step, and lanes are chained by matching fibers
-at their junctions.  `track` is the one-path case; path builders cut
-segments by one rule (`split_segment`) into pieces short next to the branch
-values.  The quadrature of `bundle` continues unordered fibers through
-`_continue_nodes`, judged by `certified_step` (small residual, corrections
-well below the fiber separation), and solves a rejected node by
-eigenvalues.  The Newton residual bound of every step is worked out from
-the product's own evaluation noise (`newton_tol`).
+chooses the base point, and continues fibers, judged by one certificate:
+balls about the fiber points of radius 2 (|B(z) - w| + `eval_noise`) / |B'(z)|
+(`_error_radius`).  `track_paths` runs every segment of every path as a lane
+of four lockstep steps (`_continue_lanes`), each predicted by Hermite
+extrapolation or an Euler step, Newton-corrected and certified by Koebe
+balls (`_ball_test`); a lane ends at its first uncertified step, and lanes
+are joined at their junctions by the same test.  `track` is the one-path
+case; path builders cut segments by one rule (`split_segment`) into pieces
+short next to the branch values.  The quadrature of `bundle` continues
+unordered fibers through `_continue_nodes`, judged by `certified_step`
+(disjoint balls), and solves a rejected node by eigenvalues.  The Newton
+residual bound of every step is worked out from the product's own
+evaluation noise (`newton_tol`).
 """
 
 from __future__ import annotations
@@ -71,10 +72,8 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 # its steps failed.
 _HERMITE_SPACING = 1e4
 # Corrector iterations per continuation step (lanes and `certified_step`);
-# quadrature fiber points within _COLLISION_FACTOR * newton_tol have collided
-# (`certified_step`); the base-point search lattice's cells per side.
+# the base-point search lattice's cells per side.
 _MAX_NEWTON_ITERS = 5
-_COLLISION_FACTOR = 10.0
 _BASE_GRID = 64
 # An eigenvalue fiber (`_fiber_batch`) may leave residuals |B(z) - w| up to
 # this, or a thousand times the product's evaluation noise where that is
@@ -115,9 +114,6 @@ class Line:
     def point(self, t: float) -> complex:
         return self.start + t * (self.end - self.start)
 
-    def reversed(self) -> "Line":
-        return Line(self.end, self.start)
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -132,9 +128,6 @@ class Arc:
         ang = self.a0 + t * (self.a1 - self.a0)
         # np.exp, as in the lanes' stacked evaluation (`_segment_points`).
         return complex(self.center + self.radius * np.exp(1j * ang))
-
-    def reversed(self) -> "Arc":
-        return Arc(self.center, self.radius, self.a1, self.a0)
 
 
 @dataclass(frozen=True)
@@ -159,10 +152,6 @@ class PathSpec:
     @property
     def is_closed(self) -> bool:
         return abs(self.start - self.end) < 1e-12
-
-    def reversed(self) -> "PathSpec":
-        segs = tuple(s.reversed() for s in reversed(self.segments))
-        return PathSpec(segments=segs)
 
 
 def split_segment(seg, branch_values) -> tuple:
@@ -289,42 +278,60 @@ def _polish_tol(b) -> float:
     return max(_POLISH_TOL, b.eval_noise)
 
 
+def _error_radius(b, db, res):
+    """2 (|B(z) - w| + `b.eval_noise`) / |B'(z)| per fiber point, from its B'
+    and residual: the first-order distance to its root, widened by noise."""
+    return 2.0 * (np.abs(res) + b.eval_noise) / np.abs(db)
+
+
+def _disjoint(z, radius):
+    """Whether the balls of `radius` about each fiber's points are disjoint."""
+    i, j = _pairs(z.shape[-1])
+    return (np.abs(z[..., i] - z[..., j]) > radius[..., i] + radius[..., j]).all(axis=-1)
+
+
 def certified_step(b, pred, w):
     """Newton-correct predicted fibers pred[k] onto B(z) = w[k], down to
     residual `newton_tol(b)`, and certify them: the step certificate of the
     quadrature's unordered fibers (`_continue_nodes`).  Returns (points, B'
     and the residual B - w there, as `newton_correct` last evaluated them,
-    accepted) per row.  A row is accepted when it converged and its
-    separation exceeds both _COLLISION_FACTOR * newton_tol and ten times
-    its largest correction.
+    accepted) per row.  A row is accepted when Newton converged and the
+    points' balls (`_error_radius`) are pairwise disjoint: each holds a root,
+    so the row holds n distinct roots, the whole fiber over w[k].
     """
-    tol = newton_tol(b)
-    z, db, res, converged = newton_correct(b, pred, w, tol, _MAX_NEWTON_ITERS)
+    z, db, res, converged = newton_correct(b, pred, w, newton_tol(b), _MAX_NEWTON_ITERS)
     with np.errstate(all="ignore"):
-        sep = fiber_separation(z)
-        largest = np.abs(z - pred).max(axis=1)
-        accepted = converged & (sep > _COLLISION_FACTOR * tol) & (sep > 10.0 * largest)
+        accepted = converged & _disjoint(z, _error_radius(b, db, res))
     return z, db, res, accepted
+
+
+def _polish(b, pts, ws):
+    """Newton-polish fibers pts[k] onto B(z) = ws[k] to residual `_polish_tol`
+    within `_POLISH_ITERS` corrections, then one Newton step from the last
+    residual, which brings a point polished off its root (beside a branch
+    value of local degree m > 2) to it.  Returns (points, converged rows).
+    """
+    z, db, res, ok = newton_correct(b, pts, ws, _polish_tol(b), _POLISH_ITERS)
+    with np.errstate(all="ignore"):
+        return z - res / db, ok
 
 
 def initial_fiber(b, w) -> Fiber:
     """Solve B(z) = w from scratch; points sorted lexicographically.
 
-    The one-row case of `_fiber_batch`, Newton-polished to residual
-    `_polish_tol` within `_POLISH_ITERS` corrections, then one step from the
-    last residual.  Raises FiberCollision when w is (numerically) a branch
-    value, two eigenvalues within `_MULTIPLE_POINT`; NoConvergence naming w
-    when the polish does not reach its residual bound.
+    The one-row case of `_fiber_batch`, polished (`_polish`).  Raises
+    FiberCollision when w is (numerically) a branch value, two eigenvalues
+    within `_MULTIPLE_POINT`; NoConvergence naming w when the polish does
+    not reach its residual bound.
     """
     w = complex(w)
     pts = _fiber_batch(b, np.array([w]))
     if fiber_separation(pts[0]) < _MULTIPLE_POINT:
         raise FiberCollision(f"fiber over {w} contains a multiple point")
-    z, db, res, ok = newton_correct(b, pts, np.array([w]), _polish_tol(b), _POLISH_ITERS)
+    z, ok = _polish(b, pts, np.array([w]))
     if not ok[0]:
         raise NoConvergence(f"polishing the fiber at w={w} did not converge")
-    pts = z[0] - res[0] / db[0]
-    pts = pts[np.lexsort((pts.imag, pts.real))]
+    pts = z[0][np.lexsort((z[0].imag, z[0].real))]
     return Fiber(w=w, points=tuple(pts.tolist()), separation=float(fiber_separation(pts)))
 
 
@@ -389,13 +396,16 @@ def track_paths(b, fiber, paths, record=None) -> list:
     every path is one lane (`_continue_lanes`).  A path's first lane starts
     from `fiber`, every later lane from the eigenvalue fiber of its start
     (one `_fiber_batch` call; a bad start is refused by the lane's first
-    step), and all junctions are matched at once by `_match_rows`.  A
-    failure is a lane's uncertified step (FiberCollision,
-    LoopConstructionFailed or NoConvergence; "segment k" names the lane's
-    index in its path), or AmbiguousMatching naming the w of its junction.
-    Lanes are bit-identical however many paths are tracked together; equal
-    segments at equal positions are tracked once.  Build paths with
-    `split_segment`: a lane on a longer segment is refused.
+    step).  A junction maps each end point of a lane to its nearest start
+    point of the next, certified by `_ball_test` as a step from the lane's
+    last node to the permuted first node (disjoint balls make it a
+    bijection); all junctions are judged at once.  A failure is a lane's
+    uncertified step (FiberCollision, LoopConstructionFailed or
+    NoConvergence; "segment k" names the lane's index in its path), or
+    AmbiguousMatching naming the w of its junction.  Lanes are bit-identical
+    however many paths are tracked together; equal segments at equal
+    positions are tracked once.  Build paths with `split_segment`: a lane on
+    a longer segment is refused.
 
     `record` traces a single path, as in `track`; it is refused with several.
     """
@@ -418,23 +428,27 @@ def track_paths(b, fiber, paths, record=None) -> list:
     later = np.flatnonzero(positions)
     if len(later):
         starts[later] = _fiber_batch(b, at(later, np.zeros(len(later))))
-    ends, w, errors, nodes = _continue_lanes(
+    first, last, errors, nodes = _continue_lanes(
         b, starts, at, positions, keep_nodes=record is not None
     )
-    # Every junction that a certified lane reaches, matched at once.
+    # Every junction that a certified lane reaches, judged at once.
     junctions = sorted({
         (a, c) for lanes in path_lanes for a, c in zip(lanes, lanes[1:]) if errors[a] is None
     })
     matches = {}
     if junctions:
         a, c = np.array(junctions).T
-        images, messages = _match_rows(
-            ends[a], starts[c], fiber_separation(starts[c]) / 3.0
-        )
+        # Each end point goes to its nearest start point; a step from the end
+        # node to the permuted start node certifies the map.
+        images = np.abs(last[1][a][:, :, None] - first[1][c][:, None, :]).argmin(axis=2)
+        permuted = [first[0][c]] + [np.take_along_axis(x[c], images, axis=1) for x in first[1:]]
+        codes = _ball_test(b, [x[a] for x in last], permuted, np.ones(len(a), dtype=bool))
         matches = {
-            key: image if message is None
-            else AmbiguousMatching(f"{message} at w={complex(segs[key[1]].point(0.0))}")
-            for key, image, message in zip(junctions, images, messages)
+            key: image if code == 0
+            else AmbiguousMatching(
+                f"{_REFUSALS[code][1]} at the junction at w={complex(segs[key[1]].point(0.0))}"
+            )
+            for key, image, code in zip(junctions, images, codes.tolist())
         }
     outcomes = []
     for path, lanes in zip(paths, path_lanes):
@@ -456,9 +470,9 @@ def track_paths(b, fiber, paths, record=None) -> list:
                 outcome = errors[lane]
                 break
         else:
-            points = ends[lanes[-1]][slots]
+            points = last[1][lanes[-1]][slots]
             outcome = Fiber(
-                w=complex(w[lanes[-1]]),
+                w=complex(last[0][lanes[-1]]),
                 points=tuple(points.tolist()),
                 separation=float(fiber_separation(points)),
             )
@@ -530,7 +544,7 @@ def _predict(prev, last, w_next, euler):
     return pred
 
 
-def _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids=None):
+def _continue_nodes(b, ws, rows, lengths, fibers, derivs):
     """The quadrature's lockstep continuation loop: fibers of `b` from node
     to node.
 
@@ -539,14 +553,12 @@ def _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids=None):
     prefix), each an ordered run of nearby regular values, its nodes.
     fibers[rows[s]] and derivs[rows[s]] hold the fiber and B' at each path's
     first node s; the loop fills in the later nodes', all paths one node
-    per iteration, and, if `resids` is given, the residual B - w at every
-    accepted node (both B' and the residual from the step's last
-    evaluation).  Steps are predicted by `_predict` (Euler at a path's
-    first step, after a restart, and between nodes at most
-    `_HERMITE_SPACING` * `newton_tol(b)` apart) and judged by `certified_step`.
-    A rejected node is solved by eigenvalues (`_fiber_batch`) and its path
-    restarts there.  Returns the rows of `ws` of the rejected nodes, in step
-    order.
+    per iteration (B' from the step's last evaluation).  Steps are predicted
+    by `_predict` (Euler at a path's first step, after a restart, and
+    between nodes at most `_HERMITE_SPACING` * `newton_tol(b)` apart) and
+    judged by `certified_step`.  A rejected node is solved by eigenvalues
+    (`_fiber_batch`) and its path restarts there.  Returns the rows of `ws`
+    of the rejected nodes, in step order.
     """
     lengths = np.asarray(lengths, dtype=int)
     starts = np.cumsum(lengths) - lengths
@@ -564,9 +576,7 @@ def _continue_nodes(b, ws, rows, lengths, fibers, derivs, resids=None):
         near = np.abs(last[0] - prev[0]) <= _HERMITE_SPACING * newton_tol(b)
         pred = _predict(prev, last, w_next, restarted[:live] | near)
         prev = last
-        z, db, res, accepted = certified_step(b, pred, w_next)
-        if resids is not None:
-            resids[idx] = res
+        z, db, _, accepted = certified_step(b, pred, w_next)
         failed = np.flatnonzero(~accepted)
         if len(failed):
             z[failed] = _fiber_batch(b, w_next[failed])
@@ -589,19 +599,20 @@ _REFUSALS = (
 
 
 def _ball_test(b, old, new, converged):
-    """Certify lane steps from fibers `old` to `new`, each (w, points, B',
+    """Certify steps from fibers `old` to `new`, each (w, points, B',
     residual B - w) per row, by Koebe balls; `converged` marks the rows
     Newton converged on.  Every inverse branch g of B is univalent on the
     disc about w_a = old w of radius r, the distance to the nearest of
     `b.singular_values`, so for rho = |w_b - w_a| / r < 1 Koebe's distortion
     theorem bounds |g(w_b) - g(w_a)| by |g'(w_a)| r rho / (1 - rho)^2,
-    g' = 1/B' (Duren, Univalent Functions, 1983, 2.3).  Widened by the
-    first-order errors 2 |B(z) - w| / |B'(z)| of old and new point i, the
-    ball of that radius about old point i holds the continuation of its
-    root.  A step is certified when Newton converged, the balls are pairwise
-    disjoint and ball i holds new point i.  Returns per row 0 or the
-    `_REFUSALS` code of its first refusal: rho >= 1 or r = 0, no
-    convergence, overlapping balls, a new point outside its ball.
+    g' = 1/B' (Duren, Univalent Functions, 1983, 2.3).  Widened by the error
+    radii (`_error_radius`) of old and new point i, the ball of that radius
+    about old point i holds the continuation of its root.  A step is
+    certified when Newton converged, the balls are pairwise disjoint and
+    ball i holds new point i; junctions (`track_paths`) are such steps.
+    Returns per row 0 or the `_REFUSALS` code of its first refusal: rho >= 1
+    or r = 0, no convergence, overlapping balls, a new point outside its
+    ball.
     """
     (wa, za, da, ra), (wb, zb, db, rb) = old, new
     with np.errstate(all="ignore"):
@@ -610,9 +621,8 @@ def _ball_test(b, old, new, converged):
         rho = step / r
         # r rho / (1 - rho)^2, written so that r = inf gives the linear bound.
         reach = (step / (1.0 - rho) ** 2)[:, None]
-        radius = (reach + 2.0 * np.abs(ra)) / np.abs(da) + 2.0 * np.abs(rb) / np.abs(db)
-        i, j = _pairs(za.shape[1])
-        disjoint = (np.abs(za[:, i] - za[:, j]) > radius[:, i] + radius[:, j]).all(axis=1)
+        radius = reach / np.abs(da) + _error_radius(b, da, ra) + _error_radius(b, db, rb)
+        disjoint = _disjoint(za, radius)
         held = (np.abs(zb - za) <= radius).all(axis=1)
     return np.select([~(rho < 1.0), ~converged, ~disjoint, ~held], [1, 2, 3, 4], 0)
 
@@ -625,16 +635,18 @@ def _continue_lanes(b, pts, at, positions, keep_nodes=False):
     step, whose node before last is the start, and between nodes at most
     `_HERMITE_SPACING` * `newton_tol(b)` apart), `newton_correct` and
     `_ball_test`.  It ends at its first uncertified step, in the error of
-    `_REFUSALS` naming segment positions[k] and the step's w.  Returns the
-    points and w at the lane ends, every lane's error or None and, with
-    `keep_nodes`, every lane's certified nodes (t, w, points).
+    `_REFUSALS` naming segment positions[k] and the step's w.  Returns every
+    lane's first node and last certified node, each (w, points, B',
+    residual B - w), every lane's error or None and, with `keep_nodes`,
+    every lane's certified nodes (t, w, points).
     """
     m = len(pts)
     tol = newton_tol(b)
     w = at(np.arange(m), np.zeros(m))
     val, db = b.eval_with_derivative(pts)
-    # Every lane's last certified node (w, points, B', residual) and the one before it.
-    last = [w, pts.copy(), db, val - w[:, None]]
+    first = (w, pts, db, val - w[:, None])
+    # Every lane's last certified node and the one before it.
+    last = [a.copy() for a in first]
     before = [a.copy() for a in last[:3]]
     errors, nodes = [None] * m, [[] for _ in range(m)]
     live = np.arange(m)
@@ -659,7 +671,7 @@ def _continue_lanes(b, pts, at, positions, keep_nodes=False):
         if keep_nodes:
             for k, w_node, z in zip(live.tolist(), w_next[ok], new[0][ok]):
                 nodes[k].append((t, complex(w_node), z))
-    return last[1], last[0], errors, nodes
+    return first, last, errors, nodes
 
 
 def _match_rows(ends, starts, bounds):

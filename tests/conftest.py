@@ -9,6 +9,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import json  # noqa: E402
+import sys  # noqa: E402
 
 import pytest  # noqa: E402
 
@@ -57,13 +58,16 @@ def rep_of():
 @pytest.fixture
 def lane_steps(monkeypatch) -> list:
     """The codes `tracking._ball_test` returns, one array per lockstep lane
-    step of the test (0 where a lane's step is certified)."""
+    step of the test (0 where a lane's step is certified).  Its calls from
+    `track_paths`, which judge the junctions, are not counted."""
     codes = []
     test = tracking._ball_test
 
     def recording(*args):
-        codes.append(test(*args))
-        return codes[-1]
+        out = test(*args)
+        if sys._getframe(1).f_code is tracking._continue_lanes.__code__:
+            codes.append(out)
+        return out
 
     monkeypatch.setattr(tracking, "_ball_test", recording)
     return codes

@@ -150,6 +150,18 @@ def test_sweep_order20_draw4_certifies_every_lane_step(lane_steps):
     assert not np.concatenate(lane_steps).any()
 
 
+def test_sweep_order24_draw3_joins_its_lanes_by_koebe_balls():
+    # A lane end of this draw lies 9.7e-3 from its 60-digit root, inside its
+    # own error radius of 1.8e-2, and its nearest start point within 3e-8 of
+    # that root: the Koebe balls join the lanes there, where a bound of a
+    # third of the start fiber's separation (9.1e-3) refused the junction.
+    # The analysis gives S_24 with q = 2.
+    result = analyze(sweep_draw(24, 3))
+    assert result.ok
+    assert result.group_order == math.factorial(24)
+    assert result.q_orbitals == 2
+
+
 def test_newton_tol_override_reaches_tracking(tmp_path, capsys, monkeypatch):
     # Under a tolerance of 1e-30 Newton converges on no continuation step.
     b = BlaschkeProduct(0.0, [0.0, 0.0, 0.5])

@@ -419,24 +419,26 @@ def test_continuation_falls_back_across_a_branch_value(square, square_setup):
     assert np.max(np.abs(fibers**2 - ws[:, None])) <= newton_tol(square)
 
 
-def test_certificate_rejects_collided_and_overcorrected_steps(order3):
+def test_certificate_rejects_collided_and_accepts_long_steps(order3):
     w0, w1 = 0.135 - 0.45j, 0.318 + 0.108j
     exact = _fiber_batch(order3, np.array([w1]))
     _, _, _, ok = certified_step(order3, exact, np.array([w1]))
     assert ok.tolist() == [True]
     # Two points 1e-12 apart on one root: converged at once, with no
-    # correction at all, but collided.
+    # correction at all, but their error balls overlap.
     doubled = exact[:, [0, 0, 2]] + np.array([0.0, 1e-12, 0.0])
     z, _, _, ok = certified_step(order3, doubled, np.array([w1]))
     assert np.max(np.abs(order3(z) - w1)) <= newton_tol(order3)
     assert ok.tolist() == [False]
-    # One long Euler step: Newton converges to a fiber, but its corrections
-    # are more than a tenth of the separation, so the step is not trusted.
+    # One long Euler step: Newton converges to the whole fiber, with
+    # corrections above a tenth of its separation, and the disjoint error
+    # balls accept it.
     start = _fiber_batch(order3, np.array([w0]))
     pred = start + (w1 - w0) / order3.eval_with_derivative(start)[1]
     z, _, _, ok = certified_step(order3, pred, np.array([w1]))
     assert np.max(np.abs(order3(z) - w1)) <= newton_tol(order3)
-    assert ok.tolist() == [False]
+    assert ok.tolist() == [True]
+    assert _set_distance(z, exact) <= 1e-13
 
 
 def test_continuation_single_point_fiber(mobius):
@@ -541,25 +543,24 @@ def test_continuation_paths_are_at_most_path_length(budget, monkeypatch):
 
 
 def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
-    # Product 15 at 10^5: eigenvalues solve the rays' seeds, the innermost
-    # rows within the gate of their chart's center, the failed steps (in the
-    # continuation loop of `tracking` and into the innermost levels) and the
-    # failed polishes (in `bundle`): at most 400 rows (1,321 when every
-    # innermost row was solved by eigenvalues).  B and B' are evaluated at
-    # few fibers: at most 2.3 per unit of budget.
+    # Product 15 at 10^5: eigenvalues solve the rays' seeds, the failed steps
+    # (in the continuation loop of `tracking` and into the innermost levels)
+    # and the failed polishes (in `bundle`): at most 400 rows (1,321 when
+    # every innermost row was solved by eigenvalues).  B and B' are evaluated
+    # at few fibers: at most 2.3 per unit of budget.
     cd = build_cut_disc(acceptance_products()[15])
     eig_rows, polish_failures, evaluated = [0], [0], [0]
     real_batch = bundle._fiber_batch
-    real_polish, real_eval = bundle.newton_correct, BlaschkeProduct.eval_with_derivative
+    real_polish, real_eval = bundle._polish, BlaschkeProduct.eval_with_derivative
 
     def batch(b, ws):
         eig_rows[0] += len(ws)
         return real_batch(b, ws)
 
-    def polishing(b, pred, w, tol, iters):
-        z, db, res, ok = real_polish(b, pred, w, tol, iters)
+    def polishing(b, pts, ws):
+        z, ok = real_polish(b, pts, ws)
         polish_failures[0] += int(np.count_nonzero(~ok))
-        return z, db, res, ok
+        return z, ok
 
     def evaluate(self, z):
         evaluated[0] += len(z)
@@ -567,34 +568,27 @@ def test_quadrature_solves_few_rows_by_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(bundle, "_fiber_batch", batch)
     monkeypatch.setattr(tracking, "_fiber_batch", batch)
-    monkeypatch.setattr(bundle, "newton_correct", polishing)
+    monkeypatch.setattr(bundle, "_polish", polishing)
     monkeypatch.setattr(BlaschkeProduct, "eval_with_derivative", evaluate)
     grid = build_quadrature_grid(cd, 10**5)
-    seeds, gated = _seeds_and_gated_rows(cd, grid)
-    assert eig_rows[0] == len(seeds) + len(gated) + grid.fallbacks + polish_failures[0]
+    seeds = _seed_rows(cd, grid)
+    assert eig_rows[0] == len(seeds) + grid.fallbacks + polish_failures[0]
     assert eig_rows[0] <= 400
     assert evaluated[0] <= 2.3 * 10**5
 
 
-def _seeds_and_gated_rows(cd, grid):
-    """Rows of the rays' seeds (each innermost level's outer ring) and of the
-    other innermost rows within the gate of their chart's center."""
+def _seed_rows(cd, grid):
+    """Rows of the rays' seeds: each chart's innermost level's outer ring."""
     centers = np.asarray(cd.branch_values or (0j,))
     per_chart = len(grid.points) // len(centers)
-    chart, offset = np.divmod(np.arange(len(grid.points)), per_chart)
-    ring = offset // bundle._ANGLES
-    outer = int(ring[grid.correction].max())
-    near = np.abs(grid.points - centers[chart]) < bundle._EIGENVALUE_GATE * newton_tol(cd.b)
-    seeds = np.flatnonzero(grid.correction & (ring == outer))
-    gated = np.flatnonzero(grid.correction & (ring < outer) & near)
-    return seeds, gated
+    ring = np.arange(len(grid.points)) % per_chart // bundle._ANGLES
+    return np.flatnonzero(grid.correction & (ring == ring[grid.correction].max()))
 
 
 @pytest.mark.parametrize("n", [3, 5])
-def test_innermost_rows_step_from_the_seed_unless_gated(n, monkeypatch):
-    # On z^n at 10^4 the innermost rows within the gate of 0 are solved by
-    # eigenvalues; every other innermost row but the seeds takes one
-    # certified step and is accepted.
+def test_innermost_rows_step_from_the_seed(n, monkeypatch):
+    # On z^n at 10^4 every innermost row but the seeds takes one certified
+    # step from the seed at its angle and is accepted, down to ring 0.
     b = BlaschkeProduct(0.0, [0.0] * n)
     cd = build_cut_disc(b)
     solved, stepped = [], []
@@ -611,14 +605,26 @@ def test_innermost_rows_step_from_the_seed_unless_gated(n, monkeypatch):
     monkeypatch.setattr(bundle, "_fiber_batch", batch)
     monkeypatch.setattr(bundle, "certified_step", step)
     grid = build_quadrature_grid(cd, 10**4)
-    seeds, gated = _seeds_and_gated_rows(cd, grid)
+    seeds = _seed_rows(cd, grid)
     assert grid.fallbacks == 0
-    assert len(gated) > 0
-    assert np.concatenate(solved).tobytes() == grid.points[np.union1d(seeds, gated)].tobytes()
-    inner = np.setdiff1d(np.flatnonzero(grid.correction), np.union1d(seeds, gated))
+    assert np.concatenate(solved).tobytes() == grid.points[seeds].tobytes()
+    inner = np.setdiff1d(np.flatnonzero(grid.correction), seeds)
     assert len(inner) > 0
     (w,) = stepped
     assert w.tobytes() == grid.points[inner].tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_quadrature_fibers_of_powers_are_the_exact_roots(m):
+    # On z^m every quadrature fiber, the innermost rows included, lies within
+    # 1e-14 |w|^(1/m) of the exact roots |w|^(1/m) e^{i (arg w + 2 pi k) / m}:
+    # the polish ends in a Newton step, so a residual of 1e-14 at |w| ~ 1e-12
+    # does not leave the ray rows off the roots.
+    grid = build_quadrature_grid(build_cut_disc(BlaschkeProduct(0.0, [0.0] * m)), 10**4)
+    assert np.all(grid.points != 0.0)
+    scale = np.abs(grid.points)[:, None] ** (1.0 / m)
+    angles = (np.angle(grid.points)[:, None] + 2.0 * math.pi * np.arange(m)) / m
+    assert _set_distance(grid.fibers / scale, np.exp(1j * angles)) <= 1e-14
 
 
 def test_bundle_report_solves_branch_data_once(order3, monkeypatch):
@@ -650,11 +656,10 @@ def test_cut_disc_settings_reach_labeled_tracking(order3, monkeypatch):
 
 
 def test_cut_disc_settings_reach_the_quadrature(order3, monkeypatch):
-    # Under a tracking tolerance of 1e-30 (read by the steps in `tracking`
-    # and by the eigenvalue gate in `bundle`) almost no continuation step is
-    # certified (a residual can round to exactly 0), so nearly every
-    # continued node but the seed of its path falls back to eigenvalues; the
-    # nodes are the same either way.
+    # Under a tracking tolerance of 1e-30 (read by the steps in `tracking`)
+    # almost no continuation step is certified (a residual can round to
+    # exactly 0), so nearly every continued node but the seed of its path
+    # falls back to eigenvalues; the nodes are the same either way.
     lengths = []
 
     def recording(cd, ws, rows, path_lengths, spokes):
@@ -665,8 +670,7 @@ def test_cut_disc_settings_reach_the_quadrature(order3, monkeypatch):
     cd = build_cut_disc(order3)
     want = build_quadrature_grid(cd, 10**4)
     assert want.fallbacks < 0.01 * 10**4
-    for module in (tracking, bundle):
-        monkeypatch.setattr(module, "newton_tol", lambda b: 1e-30)
+    monkeypatch.setattr(tracking, "newton_tol", lambda b: 1e-30)
     grid = build_quadrature_grid(cd, 10**4)
     assert grid.fallbacks >= 0.95 * (sum(lengths[1]) - len(lengths[1]))
     assert grid.points.tobytes() == want.points.tobytes()

@@ -389,6 +389,15 @@ def _loop_radii(branch_values, base):
     return radii
 
 
+def _backwards(segments) -> list:
+    """The way back along `segments`: each line and arc run from its end to
+    its start, in reverse order."""
+    return [
+        Line(s.end, s.start) if isinstance(s, Line) else Arc(s.center, s.radius, s.a1, s.a0)
+        for s in reversed(segments)
+    ]
+
+
 def build_loops(b, base, branch_values) -> LoopSystem:
     """Lollipop loop system: per-branch-value loops plus the boundary loop.
 
@@ -424,7 +433,7 @@ def build_loops(b, base, branch_values) -> LoopSystem:
         stem = _detour_segments(base, entry, obstacles)
         a0 = cmath.phase(entry - beta)
         head = Arc(beta, r, a0, a0 + _TWO_PI)
-        segs = tuple(stem + [head] + [s.reversed() for s in reversed(stem)])
+        segs = tuple(stem + [head] + _backwards(stem))
         loops.append(PathSpec(segments=segs))
     rc = (1.0 + max((abs(v) for v in betas), default=0.0)) / 2.0
     direction = base / abs(base) if abs(base) > 0 else 1.0 + 0j
@@ -437,7 +446,7 @@ def build_loops(b, base, branch_values) -> LoopSystem:
     stem = _detour_segments(base, rim_point, obstacles)
     a0 = cmath.phase(rim_point)
     head = Arc(0j, rc, a0, a0 + _TWO_PI)
-    segs = tuple(stem + [head] + [s.reversed() for s in reversed(stem)])
+    segs = tuple(stem + [head] + _backwards(stem))
     boundary = PathSpec(segments=segs)
     return LoopSystem(
         base=base, branch_values=tuple(betas), loops=tuple(loops), boundary_loop=boundary

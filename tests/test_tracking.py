@@ -143,7 +143,7 @@ def test_track_reversal_roundtrip(order3):
     path = PathSpec(segments=(Line(w0, w0 + step),))
     fib = initial_fiber(order3, w0)
     out = track(order3, fib, path)
-    back = track(order3, out, path.reversed())
+    back = track(order3, out, PathSpec(segments=(Line(w0 + step, w0),)))
     assert max(abs(a - b) for a, b in zip(back.points, fib.points)) < 1e-9
 
 
@@ -417,6 +417,35 @@ def _singular_values(b):
     return values
 
 
+def _scalar_ball(b, node, new, converged, singular):
+    """The Koebe-ball test of one step from `node` to `new`, each (w, points,
+    B', residual): None when certified, else (type, reason) of its first
+    refusal.  With r the distance from the old w to the nearest singular
+    value and rho = |dw| / r, the step is refused when rho >= 1
+    (LoopConstructionFailed), when Newton did not converge (NoConvergence),
+    when the balls of radius |dw| / ((1 - rho)^2 |B'|) + eps about the old
+    points, eps the 2 (|B(z) - w| + eval_noise) / |B'(z)| of the old and the
+    new point, overlap (FiberCollision), or when a new point lies outside
+    its ball (NoConvergence)."""
+    (w0, z0, d0, r0), (w1, z1, d1, r1) = node, new
+    step = abs(w1 - w0)
+    r = min((abs(w0 - v) for v in singular), default=math.inf)
+    rho = step / r if r > 0.0 else math.inf
+    if not rho < 1.0:
+        return (LoopConstructionFailed, "a step reaches a singular value of B (an unsplit segment)")
+    if not converged:
+        return (NoConvergence, "Newton did not converge")
+    radius = step / (1.0 - rho) ** 2 / np.abs(d0)
+    radius += 2.0 * (np.abs(r0) + b.eval_noise) / np.abs(d0)
+    radius += 2.0 * (np.abs(r1) + b.eval_noise) / np.abs(d1)
+    n = len(z0)
+    if any(abs(z0[i] - z0[j]) <= radius[i] + radius[j] for i in range(n) for j in range(i + 1, n)):
+        return (FiberCollision, "the fiber's Koebe balls overlap")
+    if not (np.abs(z1 - z0) <= radius).all():
+        return (NoConvergence, "a point left its Koebe ball")
+    return None
+
+
 def _scalar_track(b, fiber, path):
     """One path, one lane at a time, one step at a time: the per-lane rule
     `track_paths` batches.
@@ -424,40 +453,29 @@ def _scalar_track(b, fiber, path):
     A lane's nodes are t = 0, 1/4, 1/2, 3/4 and 1 of its segment.  A step is
     the cubic Hermite extrapolation through the last two nodes, except for
     the Euler step at the lane's first step and where the two nodes lie at
-    most 1e-7 apart in w.  It is certified by Koebe balls: with r the
-    distance from the old w to the nearest singular value and
-    rho = |dw| / r, refused when rho >= 1 (LoopConstructionFailed), when
-    Newton does not converge (NoConvergence), when the balls of radius
-    |dw| / ((1 - rho)^2 |B'|) + eps about the old points, eps the
-    2 |B(z) - w| / |B'(z)| of the old and the new point, overlap
-    (FiberCollision), or when a new point lies outside its ball
-    (NoConvergence).  The lane ends at its first refused step.  Segment
-    k > 0 starts from the eigenvalue fiber of its start; its points are
-    matched to the end of segment k - 1 by nearest neighbour within a third
-    of their separation, or the match fails naming the w of the junction.
-    Returns the end fiber as (w, points in the slots of `fiber`, separation)
-    or the error as (type, message), with the default tolerances.
+    most 1e-7 apart in w.  It is certified by Koebe balls (`_scalar_ball`).
+    The lane ends at its first refused step.  Segment k > 0 starts from the
+    eigenvalue fiber of its start; each end point of segment k - 1 goes to
+    its nearest start point, and the ball test, from the end node to the
+    permuted start node, certifies the map or fails naming the w of the
+    junction.  Returns the end fiber as (w, points in the slots of `fiber`,
+    separation) or the error as (type, message), with the default
+    tolerances.
     """
     tol, iters, near = 1e-11, 5, 1e-7
     singular = _singular_values(b)
     pts = np.array(fiber.points, dtype=complex)
     slots = list(range(len(pts)))
+    node = None
     for iseg, seg in enumerate(path.segments):
         w = complex(seg.point(0.0))
         if iseg:
             start = tracking._fiber_batch(b, np.array([w]))[0]
-            sep = float(tracking.fiber_separation(start))
-            images = []
-            for e in pts:
-                dists = np.abs(start - e)
-                j = int(np.argmin(dists))
-                if dists[j] >= sep / 3.0:
-                    return (AmbiguousMatching,
-                            f"endpoint {complex(e)} is {dists[j]:.3e} from its nearest "
-                            f"start point (bound {sep / 3.0:.3e}) at w={w}")
-                images.append(j)
-            if sorted(images) != list(range(len(pts))):
-                return (AmbiguousMatching, f"endpoint matching is not a bijection at w={w}")
+            images = [int(np.argmin(np.abs(start - e))) for e in pts]
+            val, db = b.eval_with_derivative(start[images])
+            refused = _scalar_ball(b, node, (w, start[images], db, val - w), True, singular)
+            if refused is not None:
+                return (AmbiguousMatching, f"{refused[1]} at the junction at w={w}")
             slots = [images[i] for i in slots]
             pts = start
         val, db = b.eval_with_derivative(pts)
@@ -469,29 +487,15 @@ def _scalar_track(b, fiber, path):
             else:
                 pred = _hermite(before[:3], node[:3], w_next)
             z, dz, rz, ok = newton_correct(b, pred[None], np.array([w_next]), tol, iters)
-            z, dz, rz = z[0], dz[0], rz[0]
-            step = abs(w_next - node[0])
-            r = min((abs(node[0] - v) for v in singular), default=math.inf)
-            rho = step / r if r > 0.0 else math.inf
-            where = f"on segment {iseg} near w={w_next}"
-            if not rho < 1.0:
-                return (LoopConstructionFailed,
-                        f"a step reaches a singular value of B (an unsplit segment) {where}")
-            if not ok[0]:
-                return (NoConvergence, f"Newton did not converge {where}")
-            _, z0, d0, r0 = node
-            radius = (step / (1.0 - rho) ** 2 + 2.0 * np.abs(r0)) / np.abs(d0)
-            radius += 2.0 * np.abs(rz) / np.abs(dz)
-            n = len(z0)
-            if any(abs(z0[i] - z0[j]) <= radius[i] + radius[j]
-                   for i in range(n) for j in range(i + 1, n)):
-                return (FiberCollision, f"the fiber's Koebe balls overlap {where}")
-            if not (np.abs(z - z0) <= radius).all():
-                return (NoConvergence, f"a point left its Koebe ball {where}")
-            before, node = node, (w_next, z, dz, rz)
-        w, pts = node[0], node[1]
+            new = (w_next, z[0], dz[0], rz[0])
+            refused = _scalar_ball(b, node, new, ok[0], singular)
+            if refused is not None:
+                error, why = refused
+                return (error, f"{why} on segment {iseg} near w={w_next}")
+            before, node = node, new
+        pts = node[1]
     pts = pts[slots]
-    return (w, pts.tobytes(), float(tracking.fiber_separation(pts)))
+    return (node[0], pts.tobytes(), float(tracking.fiber_separation(pts)))
 
 
 def test_fiber_batch_refuses_a_row_over_the_residual_bound(order3, monkeypatch):
@@ -550,9 +554,10 @@ def test_fiber_batch_matches_the_50_digit_oracle():
 
 def test_junction_fiber_moved_by_half_its_separation_is_ambiguous(square, monkeypatch):
     # The second lane's start fiber, shifted by half its separation, leaves
-    # every end point of the first lane at least a third of it from the
-    # nearest start point: the junction refuses to match.  The base fiber is
-    # solved before the patch, since `initial_fiber` solves by `_fiber_batch`.
+    # the end points of the first lane outside the Koebe balls that join
+    # them to their nearest start points: the junction refuses to match.  The
+    # base fiber is solved before the patch, since `initial_fiber` solves by
+    # `_fiber_batch`.
     fib = initial_fiber(square, 0.25)
     real = tracking._fiber_batch
 
@@ -562,7 +567,7 @@ def test_junction_fiber_moved_by_half_its_separation_is_ambiguous(square, monkey
 
     monkeypatch.setattr(tracking, "_fiber_batch", moved)
     path = PathSpec(segments=(Line(0.25, 0.25 + 0.05j), Line(0.25 + 0.05j, 0.25 + 0.1j)))
-    with pytest.raises(AmbiguousMatching, match="from its nearest start point") as info:
+    with pytest.raises(AmbiguousMatching, match="at the junction at w=") as info:
         track(square, fib, path)
     assert str(info.value).endswith(" at w=(0.25+0.05j)")
     assert (AmbiguousMatching, str(info.value)) == _scalar_track(square, fib, path)

@@ -22,6 +22,11 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   branch values certify every step by Koebe balls, 42 of them steps that
   the former rule (separation above ten times the correction) refused and
   retried to halfway nodes; it exits 0 with S_20, q = 2;
+* `analyze` on draw 3 of the order-24 sweep, where a lane end lies 9.7e-3
+  from its root, inside its own error radius of 1.8e-2: the Koebe balls
+  join the lanes at that junction, which a bound of a third of the start
+  fiber's separation refused with `AmbiguousMatching` (exit 3); it exits 0
+  with S_24, q = 2;
 * `analyze` on draw 0 of the composition C3 o D4 of
   `tools/order_sweep.py --family composition` (order 12), whose group, the
   wreath product of S_4 and S_3, has three orbits on ordered pairs (equal
@@ -49,8 +54,8 @@ The set covers the seed-2026 suite of 30 random radius-0.6 products (orders
   {"theta": 0, "zeros": [[0.3, 0.1]]}: a single quadrature chart about 0,
   and a `min_separation` of null, since one-point fibers have none;
 * `verify-gamma --budget 10000 --samples 5` on z^3: a single chart about the
-  branch value 0 of local degree 3, whose innermost rows within the gate of
-  0 are solved by eigenvalues and the others by one step from the ray seed;
+  branch value 0 of local degree 3, whose innermost rows, down to ring 0,
+  each take one step from the ray seed;
 * `analyze` and `verify-gamma --budget 10000 --samples 5` on
   phi_c(z^4) = (z^4 - c) / (1 - conj(c) z^4), c = 0.3 + 0.2i, whose zeros
   are the fourth roots of c: its critical point 0 of multiplicity 3 is no
@@ -111,7 +116,7 @@ SUITE_SEED = 2026
 SUITE_ORDERS = (3, 4, 5, 6, 7, 8)
 SUITE_PER_ORDER = 5
 # (order, draw) of the sweep products in the set.
-SWEEP_DRAWS = ((6, 14), (10, 14), (16, 5), (20, 4), (24, 0))
+SWEEP_DRAWS = ((6, 14), (10, 14), (16, 5), (20, 4), (24, 0), (24, 3))
 # (order, rng seed, radius, draw) of a product with zeros up to 0.98 in
 # modulus, which the P/Q kernel evaluated less accurately than the floor of
 # the tracking tolerance assumes.
