@@ -41,7 +41,8 @@ from .tracking import (
     PathSpec,
     _continue_nodes,
     _fiber_batch,
-    _match_rows,
+    _match_fibers,
+    _nodes,
     _polish,
     _polish_tol,
     _raise_first,
@@ -593,26 +594,25 @@ def _min_separation(b, zs, sig) -> float:
 
     Also certifies that the labeling is consistent: at each point, the
     labeled fiber must match the independently solved unordered fiber one to
-    one, by the nearest-neighbour rule of `monodromy.match_endpoints`
-    (`tracking._match_rows`) within max(min_sep / 3, 1e-9); AmbiguousMatching
-    names the first point in draw order that does not.
+    one, by the fiber match of `tracking` (`_match_fibers`, as in
+    `monodromy.match_endpoints`); AmbiguousMatching names the first point in
+    draw order that does not.
     """
     if b.order == 1:
         return math.inf
-    min_sep = float(fiber_separation(sig).min())
-    bound = np.full(len(zs), max(min_sep / 3.0, 1e-9))
-    _, messages = _match_rows(sig, _fiber_batch(b, zs), bound)
-    for z, message in zip(zs, messages):
-        if message is not None:
+    _, codes = _match_fibers(b, _nodes(b, zs, sig), _nodes(b, zs, _fiber_batch(b, zs)))
+    for z, code in zip(zs, codes):
+        if code:
             raise AmbiguousMatching(
                 f"labeled fiber at z={z:.4f} does not biject onto the unordered fiber"
             )
-    return min_sep
+    return float(fiber_separation(sig).min())
 
 
 def verify_disjoint_images(b, samples, seed=0) -> float:
     """`_min_separation` at `samples` points of the cut disc of `b`, drawn
-    from `seed`."""
+    from `seed`: the least distance between two labeled branch images, once
+    each labeled fiber is matched to its unordered fiber by Koebe balls."""
     return _min_separation(b, *sigma_samples(build_cut_disc(b), samples, seed))
 
 

@@ -26,7 +26,9 @@ from .errors import AmbiguousMatching, BranchCountError
 from .tracking import (
     Arc,
     PathSpec,
-    _match_rows,
+    _REFUSALS,
+    _match_fibers,
+    _nodes,
     _raise_first,
     approach,
     point_segment_distance,
@@ -108,20 +110,24 @@ class Permutation:
         return tuple(sorted(lengths, reverse=True))
 
 
-def match_endpoints(fiber0, end) -> Permutation:
-    """Permutation tau with end.points[i] = fiber0.points[tau(i)].
-
-    Matches endpoints to start points by nearest neighbour within a third of
-    the starting separation (AmbiguousMatching otherwise; `tracking._match_rows`).
+def match_endpoints(b, starts, ends) -> list:
+    """Per pair of Fibers of `b`, the Permutation tau with end.points[i] =
+    start.points[tau(i)], all pairs in one Koebe-ball match
+    (`tracking._match_fibers`).  AmbiguousMatching names the first refused
+    pair's w and why it was refused.
     """
-    (images,), (message,) = _match_rows(
-        np.array([end.points], dtype=complex),
-        np.array([fiber0.points], dtype=complex),
-        np.array([fiber0.separation / 3.0]),
-    )
-    if message is not None:
-        raise AmbiguousMatching(message)
-    return Permutation(tuple(images.tolist()))
+    rows = [
+        _nodes(b, np.array([f.w for f in fibers], dtype=complex),
+               np.array([f.points for f in fibers], dtype=complex))
+        for fibers in (ends, starts)
+    ]
+    images, codes = _match_fibers(b, *rows)
+    for start, code in zip(starts, codes.tolist()):
+        if code:
+            raise AmbiguousMatching(
+                f"{_REFUSALS[code][1]} matching the fibers at w={complex(start.w)}"
+            )
+    return [Permutation(tuple(image)) for image in images.tolist()]
 
 
 @dataclass(frozen=True)
@@ -203,7 +209,7 @@ def compute_representation(b) -> MonodromyRep:
     cd = build_cut_disc(b)
     betas, pairs = crossing_paths(cd)
     ends = _raise_first(track_paths(b, cd.fiber0, [path for pair in pairs for path in pair]))
-    perms = [match_endpoints(back, there) for there, back in zip(ends[::2], ends[1::2])]
+    perms = match_endpoints(b, ends[1::2], ends[::2])
     local_degrees = dict(zip(cd.branch_values, cd.branch_data.local_degrees))
     for beta, g in zip(betas, perms):
         cycles = tuple(k for k in g.cycle_type() if k > 1)

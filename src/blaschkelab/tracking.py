@@ -7,10 +7,12 @@ balls about the fiber points of radius 2 (|B(z) - w| + `eval_noise`) / |B'(z)|
 (`_error_radius`).  `track_paths` runs every segment of every path as a lane
 of four lockstep steps (`_continue_lanes`), each predicted by Hermite
 extrapolation or an Euler step, Newton-corrected and certified by Koebe
-balls (`_ball_test`); a lane ends at its first uncertified step, and lanes
-are joined at their junctions by the same test.  `track` is the one-path
-case; path builders cut segments by one rule (`split_segment`) into pieces
-short next to the branch values.  The quadrature of `bundle` continues
+balls (`_ball_test`); a lane ends at its first uncertified step.  Every
+pair of fibers (lane junctions, `monodromy` generators, `bundle`'s labeled
+fibers) is matched by the same test as a step of no length
+(`_match_fibers`).  `track` is the one-path case; path builders cut
+segments by one rule (`split_segment`) into pieces short next to the
+branch values.  The quadrature of `bundle` continues
 unordered fibers through `_continue_nodes`, judged by `certified_step`
 (disjoint balls), and solves a rejected node by eigenvalues.  The Newton
 residual bound of every step is worked out from the product's own
@@ -82,10 +84,6 @@ _BASE_GRID = 64
 # the branch values and values 1e-9 from them, the factored kernel read
 # residuals up to 2.7e-13, and 126 times the noise of the noisy one, 1.8e-15.
 _EIGEN_RESIDUAL = 1e-8
-# `initial_fiber` refuses a fiber with two eigenvalues closer than this as a
-# multiple point: at an exact branch value its polish leaves the two points
-# of a double root about 1e-8 apart, which no residual test would refuse.
-_MULTIPLE_POINT = 1e-4
 # The polish of a fiber to near machine precision (`initial_fiber`, and the
 # labeled and quadrature fibers of `bundle`): least residual (`_polish_tol`),
 # iterations.
@@ -203,12 +201,11 @@ class Fiber:
 
     `initial_fiber` orders points lexicographically by (re, im); fibers
     returned by `track` keep the slot order of the input fiber (slot i is the
-    continuation of input point i).
+    continuation of input point i).  `_match_fibers` compares two fibers.
     """
 
     w: complex
     points: tuple
-    separation: float
 
 
 @lru_cache(maxsize=None)
@@ -278,6 +275,13 @@ def _polish_tol(b) -> float:
     return max(_POLISH_TOL, b.eval_noise)
 
 
+def _nodes(b, w, points):
+    """Fibers points[k] over w[k] as rows (w, points, B', residual B - w)."""
+    with np.errstate(all="ignore"):
+        val, db = b.eval_with_derivative(points)
+        return w, points, db, val - w[:, None]
+
+
 def _error_radius(b, db, res):
     """2 (|B(z) - w| + `b.eval_noise`) / |B'(z)| per fiber point, from its B'
     and residual: the first-order distance to its root, widened by noise."""
@@ -320,19 +324,23 @@ def initial_fiber(b, w) -> Fiber:
     """Solve B(z) = w from scratch; points sorted lexicographically.
 
     The one-row case of `_fiber_batch`, polished (`_polish`).  Raises
-    FiberCollision when w is (numerically) a branch value, two eigenvalues
-    within `_MULTIPLE_POINT`; NoConvergence naming w when the polish does
-    not reach its residual bound.
+    FiberCollision when w is (numerically) a branch value: the polished
+    points' balls (`_error_radius`) are not finite or overlap.  Then raises
+    NoConvergence naming w when the polish does not reach its bound.
     """
     w = complex(w)
-    pts = _fiber_batch(b, np.array([w]))
-    if fiber_separation(pts[0]) < _MULTIPLE_POINT:
+    ws = np.array([w])
+    z, ok = _polish(b, _fiber_batch(b, ws), ws)
+    _, _, db, res = _nodes(b, ws, z)
+    with np.errstate(all="ignore"):
+        # A non-finite point or radius fails every comparison.
+        collided = not _disjoint(z, _error_radius(b, db, res))[0]
+    if collided:
         raise FiberCollision(f"fiber over {w} contains a multiple point")
-    z, ok = _polish(b, pts, np.array([w]))
     if not ok[0]:
         raise NoConvergence(f"polishing the fiber at w={w} did not converge")
     pts = z[0][np.lexsort((z[0].imag, z[0].real))]
-    return Fiber(w=w, points=tuple(pts.tolist()), separation=float(fiber_separation(pts)))
+    return Fiber(w=w, points=tuple(pts.tolist()))
 
 
 def choose_base_point(branch_values) -> complex:
@@ -396,11 +404,9 @@ def track_paths(b, fiber, paths, record=None) -> list:
     every path is one lane (`_continue_lanes`).  A path's first lane starts
     from `fiber`, every later lane from the eigenvalue fiber of its start
     (one `_fiber_batch` call; a bad start is refused by the lane's first
-    step).  A junction maps each end point of a lane to its nearest start
-    point of the next, certified by `_ball_test` as a step from the lane's
-    last node to the permuted first node (disjoint balls make it a
-    bijection); all junctions are judged at once.  A failure is a lane's
-    uncertified step (FiberCollision, LoopConstructionFailed or
+    step).  A junction matches the last node of a lane to the first node of
+    the next (`_match_fibers`); all junctions are judged at once.  A failure
+    is a lane's uncertified step (FiberCollision, LoopConstructionFailed or
     NoConvergence; "segment k" names the lane's index in its path), or
     AmbiguousMatching naming the w of its junction.  Lanes are bit-identical
     however many paths are tracked together; equal segments at equal
@@ -438,11 +444,7 @@ def track_paths(b, fiber, paths, record=None) -> list:
     matches = {}
     if junctions:
         a, c = np.array(junctions).T
-        # Each end point goes to its nearest start point; a step from the end
-        # node to the permuted start node certifies the map.
-        images = np.abs(last[1][a][:, :, None] - first[1][c][:, None, :]).argmin(axis=2)
-        permuted = [first[0][c]] + [np.take_along_axis(x[c], images, axis=1) for x in first[1:]]
-        codes = _ball_test(b, [x[a] for x in last], permuted, np.ones(len(a), dtype=bool))
+        images, codes = _match_fibers(b, [x[a] for x in last], [x[c] for x in first])
         matches = {
             key: image if code == 0
             else AmbiguousMatching(
@@ -471,11 +473,7 @@ def track_paths(b, fiber, paths, record=None) -> list:
                 break
         else:
             points = last[1][lanes[-1]][slots]
-            outcome = Fiber(
-                w=complex(last[0][lanes[-1]]),
-                points=tuple(points.tolist()),
-                separation=float(fiber_separation(points)),
-            )
+            outcome = Fiber(w=complex(last[0][lanes[-1]]), points=tuple(points.tolist()))
         outcomes.append(outcome)
     return outcomes
 
@@ -609,10 +607,9 @@ def _ball_test(b, old, new, converged):
     radii (`_error_radius`) of old and new point i, the ball of that radius
     about old point i holds the continuation of its root.  A step is
     certified when Newton converged, the balls are pairwise disjoint and
-    ball i holds new point i; junctions (`track_paths`) are such steps.
-    Returns per row 0 or the `_REFUSALS` code of its first refusal: rho >= 1
-    or r = 0, no convergence, overlapping balls, a new point outside its
-    ball.
+    ball i holds new point i, as in every `_match_fibers`.  Returns per row
+    0 or the `_REFUSALS` code of its first refusal: rho >= 1 or r = 0, no
+    convergence, overlapping balls, a new point outside its ball.
     """
     (wa, za, da, ra), (wb, zb, db, rb) = old, new
     with np.errstate(all="ignore"):
@@ -625,6 +622,24 @@ def _ball_test(b, old, new, converged):
         disjoint = _disjoint(za, radius)
         held = (np.abs(zb - za) <= radius).all(axis=1)
     return np.select([~(rho < 1.0), ~converged, ~disjoint, ~held], [1, 2, 3, 4], 0)
+
+
+def _match_fibers(b, ends, starts):
+    """Match fibers ends[k] to starts[k], each row (w, points, B', residual
+    B - w) as `_nodes` gives it: the one rule that compares two fibers.
+
+    Each end point goes to its nearest start point, and `_ball_test`
+    certifies the map as a step from the end fiber (converged where its
+    residuals are within `newton_tol(b)`, as at every certified node) to the
+    permuted start fiber, of no length over one w.  Disjoint balls each
+    holding one start point make the map a bijection.  Returns (images,
+    codes): images[k] maps slot i of ends[k] to a slot of starts[k];
+    codes[k] is 0 or the `_REFUSALS` code of row k.
+    """
+    images = np.abs(ends[1][:, :, None] - starts[1][:, None, :]).argmin(axis=2)
+    permuted = [starts[0]] + [np.take_along_axis(x, images, axis=1) for x in starts[1:]]
+    converged = (np.abs(ends[3]) <= newton_tol(b)).all(axis=1)
+    return images, _ball_test(b, ends, permuted, converged)
 
 
 def _continue_lanes(b, pts, at, positions, keep_nodes=False):
@@ -642,9 +657,7 @@ def _continue_lanes(b, pts, at, positions, keep_nodes=False):
     """
     m = len(pts)
     tol = newton_tol(b)
-    w = at(np.arange(m), np.zeros(m))
-    val, db = b.eval_with_derivative(pts)
-    first = (w, pts, db, val - w[:, None])
+    first = _nodes(b, at(np.arange(m), np.zeros(m)), pts)
     # Every lane's last certified node and the one before it.
     last = [a.copy() for a in first]
     before = [a.copy() for a in last[:3]]
@@ -672,32 +685,6 @@ def _continue_lanes(b, pts, at, positions, keep_nodes=False):
             for k, w_node, z in zip(live.tolist(), w_next[ok], new[0][ok]):
                 nodes[k].append((t, complex(w_node), z))
     return first, last, errors, nodes
-
-
-def _match_rows(ends, starts, bounds):
-    """Match fiber ends[k] to starts[k] for every row k at once.
-
-    Each end point goes to its nearest start point, which must lie closer
-    than bounds[k] and make a bijection.  Returns (images, messages): images[k]
-    maps slot i of ends[k] to a slot of starts[k], and messages[k] is None or
-    says why row k fails (its first end point too far, else not a bijection).
-    """
-    dists = np.abs(ends[:, :, None] - starts[:, None, :])
-    images = dists.argmin(axis=2)
-    nearest = np.take_along_axis(dists, images[:, :, None], axis=2)[:, :, 0]
-    far = nearest >= bounds[:, None]
-    bijective = (np.sort(images, axis=1) == np.arange(ends.shape[1])).all(axis=1)
-    messages = [None] * len(ends)
-    for k in np.flatnonzero(far.any(axis=1) | ~bijective).tolist():
-        if far[k].any():
-            i = int(np.argmax(far[k]))
-            messages[k] = (
-                f"endpoint {complex(ends[k, i])} is {nearest[k, i]:.3e} from its "
-                f"nearest start point (bound {bounds[k]:.3e})"
-            )
-        else:
-            messages[k] = "endpoint matching is not a bijection"
-    return images, messages
 
 
 def track_with_trace(b, fiber, path):

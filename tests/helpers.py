@@ -21,7 +21,7 @@ import numpy as np
 from blaschkelab import BlaschkeProduct, bundle, random_product
 from blaschkelab.errors import PathBlocked
 from blaschkelab.monodromy import match_endpoints
-from blaschkelab.tracking import initial_fiber, track
+from blaschkelab.tracking import fiber_separation, initial_fiber, track
 
 _TWO_PI = 2.0 * math.pi
 # `draw_images` evaluates B on this many draws at once: one scalar call of
@@ -115,7 +115,7 @@ def separation_slope(b, beta, radii=(1e-2, 1e-3, 1e-4), samples_per_circle=8):
         seps = []
         for k in range(samples_per_circle):
             w = beta + r * cmath.exp(2j * math.pi * (k + 0.37) / samples_per_circle)
-            seps.append(initial_fiber(b, w).separation)
+            seps.append(fiber_separation(np.array(initial_fiber(b, w).points)))
         min_seps.append(min(seps))
     coef = np.polyfit(np.log(np.asarray(radii)), np.log(np.asarray(min_seps)), 1)
     return float(coef[0])
@@ -129,7 +129,8 @@ def loop_permutation(b, fiber0, loop):
     """
     if not loop.is_closed:
         raise ValueError("loop_permutation needs a closed path")
-    return match_endpoints(fiber0, track(b, fiber0, loop))
+    (perm,) = match_endpoints(b, [fiber0], [track(b, fiber0, loop)])
+    return perm
 
 
 def draw_images(cd, count, radius, seed=0):

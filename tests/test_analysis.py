@@ -130,7 +130,8 @@ def test_analyze_uses_the_chosen_base_point(order3, monkeypatch):
 
 
 def test_collided_base_fiber_raises_from_initial_fiber(order3, monkeypatch):
-    monkeypatch.setattr(tracking, "_MULTIPLE_POINT", 1e12)
+    # Infinite error radii make every fiber's balls overlap.
+    monkeypatch.setattr(tracking, "_error_radius", lambda b, db, res: np.full(db.shape, np.inf))
     with pytest.raises(FiberCollision) as info:
         analyze(order3)
     assert info.traceback[-1].name == "initial_fiber"

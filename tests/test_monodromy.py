@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from blaschkelab import (
+    AmbiguousMatching,
     BlaschkeProduct,
     BranchCountError,
     LoopConstructionFailed,
@@ -33,7 +34,6 @@ from blaschkelab.tracking import (
     Fiber,
     Line,
     PathSpec,
-    fiber_separation,
     point_segment_distance,
     split_segment,
     track,
@@ -480,14 +480,13 @@ def _lollipops(name):
     data = b.branch_data()
     fiber0 = initial_fiber(b, choose_base_point(data.branch_values))
     loops = build_loops(b, fiber0.w, data.branch_values)
-    perms = []
+    entries, heads = [], []
     for loop in loops.loops + (loops.boundary_loop,):
         k = len(loop.segments) // 2
         stem = loop.segments[:k]
-        entry = track(b, fiber0, _cut(stem, data.branch_values)) if stem else fiber0
-        head = track(b, fiber0, _cut(loop.segments[:k + 1], data.branch_values))
-        perms.append(match_endpoints(entry, head))
-    return fiber0, loops, perms
+        entries.append(track(b, fiber0, _cut(stem, data.branch_values)) if stem else fiber0)
+        heads.append(track(b, fiber0, _cut(loop.segments[:k + 1], data.branch_values)))
+    return fiber0, loops, match_endpoints(b, entries, heads)
 
 
 def _cut(segments, branch_values) -> PathSpec:
@@ -544,6 +543,24 @@ def test_closed_crossing_loops_wind_once_and_give_the_generators(name):
     assert whole == list(rep.generators) + [rep.boundary_perm]
 
 
+def test_match_endpoints_refuses_a_doubled_point_and_another_w(order3):
+    # A fiber matches itself by the identity.  An end fiber with two points
+    # on one root has overlapping Koebe balls; one over another w, across
+    # a singular value of B, is no certified step from the start fiber.
+    # Either refusal names the w of the first refused pair.
+    fiber0 = initial_fiber(order3, 0.1 + 0.2j)
+    p = fiber0.points
+    assert match_endpoints(order3, [fiber0], [fiber0]) == [Permutation.identity(3)]
+    for end, why in (
+        (Fiber(fiber0.w, (p[0], p[0], p[2])), "the fiber's Koebe balls overlap"),
+        (initial_fiber(order3, -0.1 - 0.2j), "a step reaches a singular value of B"),
+    ):
+        with pytest.raises(
+            AmbiguousMatching, match=re.escape(why) + ".* at w=" + re.escape(str(fiber0.w))
+        ):
+            match_endpoints(order3, [fiber0, fiber0], [fiber0, end])
+
+
 def test_labeled_fibers_across_each_cut_give_its_generator():
     # The bundle's labeled branches jump across cut k by generator k: the
     # labeled fiber beside the cut, continued across it, lands on the
@@ -577,13 +594,9 @@ def test_labeled_fibers_across_each_cut_give_its_generator():
             ):
                 continue
             sig_minus, sig_plus = (sigma_values(cd, z) for z in (minus, plus))
-            crossed = track(
-                b,
-                Fiber(minus, tuple(sig_minus), float(fiber_separation(sig_minus))),
-                PathSpec((Line(minus, plus),)),
-            )
-            labeled = Fiber(plus, tuple(sig_plus), float(fiber_separation(sig_plus)))
-            assert match_endpoints(labeled, crossed) == g, (name, k)
+            crossed = track(b, Fiber(minus, tuple(sig_minus)), PathSpec((Line(minus, plus),)))
+            labeled = Fiber(plus, tuple(sig_plus))
+            assert match_endpoints(b, [labeled], [crossed]) == [g], (name, k)
             checked += 1
     # Clustered branch values near 0 leave the other 27 cuts too close
     # together for the sampler.

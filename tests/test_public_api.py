@@ -29,6 +29,8 @@ _EXPORTED_NOWHERE = {
     "DEFAULTS",
     "GammaSample",
     "ZnCase",
+    "_match_rows",
+    "_MULTIPLE_POINT",
 }
 
 

@@ -30,8 +30,8 @@ from blaschkelab import (
     track_with_trace,
 )
 from blaschkelab import NoConvergence, tracking
-from blaschkelab.tracking import newton_correct, split_segment
-from helpers import loop_permutation, separation_slope
+from blaschkelab.tracking import fiber_separation, newton_correct, split_segment
+from helpers import acceptance_products, loop_permutation, separation_slope
 
 _TWO_PI = 2.0 * math.pi
 
@@ -47,7 +47,7 @@ def test_initial_fiber_square(square):
     assert len(fib.points) == 2
     assert fib.points[0] == pytest.approx(-0.5, abs=1e-12)
     assert fib.points[1] == pytest.approx(0.5, abs=1e-12)
-    assert fib.separation == pytest.approx(1.0, abs=1e-12)
+    assert fiber_separation(np.array(fib.points)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_initial_fiber_cube_radius(cube):
@@ -60,7 +60,7 @@ def test_initial_fiber_cube_radius(cube):
 def test_initial_fiber_power_geometry(cube):
     fib = initial_fiber(cube, 0.2)
     expected = 2.0 * 0.2 ** (1.0 / 3.0) * math.sin(math.pi / 3.0)
-    assert fib.separation == pytest.approx(expected, abs=1e-12)
+    assert fiber_separation(np.array(fib.points)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_initial_fiber_residuals_random(order3):
@@ -69,15 +69,19 @@ def test_initial_fiber_residuals_random(order3):
         w = 0.6 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         fib = initial_fiber(order3, w)
         assert max(abs(order3(p) - w) for p in fib.points) < 1e-12
-        assert fib.separation > 0.0
+        assert fiber_separation(np.array(fib.points)) > 0.0
 
 
 def test_initial_fiber_collision_guard(square, order3):
     # Over w = 0 the eigenvalues repeat exactly (0, 0 for z^2; 0, 0, 0.5 for
-    # order3), where a polish would divide by B' = 0; over order3's other
-    # branch value the polish would leave the double point 7e-9 apart.
+    # order3), where a polish divides by B' = 0; over order3's other branch
+    # value the polish leaves the double point 7e-9 apart, inside its error
+    # balls.  So is every branch value of the acceptance products.
     c = max((p.center for p in order3.branch_data().critical_points), key=abs)
-    for b, w in ((square, 1e-24), (square, 0.0), (order3, 0.0), (order3, order3(c))):
+    cases = [(square, 1e-24), (square, 0.0), (order3, 0.0), (order3, order3(c))]
+    cases += [(b, w) for b in acceptance_products() for w in b.branch_data().branch_values]
+    assert len(cases) == 74
+    for b, w in cases:
         with pytest.raises(FiberCollision, match="contains a multiple point"):
             initial_fiber(b, w)
 
@@ -343,16 +347,13 @@ def test_lane_past_a_branch_value_is_refused_unless_split(square, lane_steps):
     assert len(lane_steps) == 4
     assert not np.concatenate(lane_steps).any()
     assert end.points[1] == pytest.approx(cmath.sqrt(-0.25 + 1e-3j), abs=1e-12)
-    assert (end.w, np.array(end.points).tobytes(), end.separation) == _scalar_track(
-        square, fib, path
-    )
+    assert (end.w, np.array(end.points).tobytes()) == _scalar_track(square, fib, path)
 
 
 def _same_fiber(a, b) -> bool:
     return (
         a.w == b.w
         and np.array(a.points).tobytes() == np.array(b.points).tobytes()
-        and a.separation == b.separation
     )
 
 
@@ -458,9 +459,8 @@ def _scalar_track(b, fiber, path):
     eigenvalue fiber of its start; each end point of segment k - 1 goes to
     its nearest start point, and the ball test, from the end node to the
     permuted start node, certifies the map or fails naming the w of the
-    junction.  Returns the end fiber as (w, points in the slots of `fiber`,
-    separation) or the error as (type, message), with the default
-    tolerances.
+    junction.  Returns the end fiber as (w, points in the slots of `fiber`)
+    or the error as (type, message), with the default tolerances.
     """
     tol, iters, near = 1e-11, 5, 1e-7
     singular = _singular_values(b)
@@ -495,7 +495,7 @@ def _scalar_track(b, fiber, path):
             before, node = node, new
         pts = node[1]
     pts = pts[slots]
-    return (node[0], pts.tobytes(), float(tracking.fiber_separation(pts)))
+    return (node[0], pts.tobytes())
 
 
 def test_fiber_batch_refuses_a_row_over_the_residual_bound(order3, monkeypatch):
@@ -611,7 +611,7 @@ def test_track_paths_matches_scalar_reference(b):
             failed += 1
             assert (type(got), str(got)) == want
         else:
-            assert (got.w, np.array(got.points).tobytes(), got.separation) == want
+            assert (got.w, np.array(got.points).tobytes()) == want
     assert failed > 0
 
 
